@@ -397,6 +397,7 @@ func BenchmarkHeuristicVsExact(b *testing.B) {
 
 func BenchmarkKShortestPaths(b *testing.B) {
 	nodes := tb.Optical.Nodes()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		paths := tb.Optical.KShortestPaths(nodes[0], nodes[len(nodes)-1], 4)
@@ -408,6 +409,7 @@ func BenchmarkKShortestPaths(b *testing.B) {
 
 func BenchmarkSpectrumAllocate(b *testing.B) {
 	path := []spectrum.FiberID{"a", "b", "c"}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a := spectrum.NewAllocator(spectrum.DefaultGrid())
@@ -422,6 +424,7 @@ func BenchmarkSpectrumAllocate(b *testing.B) {
 func BenchmarkPlanHeuristic(b *testing.B) {
 	for _, cat := range []transponder.Catalog{transponder.Fixed100G(), transponder.RADWAN(), transponder.SVT()} {
 		b.Run(cat.Name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := plan.Solve(plan.Problem{
 					Optical: tb.Optical, IP: tb.IP, Catalog: cat, Grid: spectrum.DefaultGrid(),

@@ -102,6 +102,7 @@ func Fig15bRestorationVsScale(n workload.Network, scales []float64, workers int)
 			points = append(points, point{cat, scale})
 		}
 	}
+	scenarios := restore.SingleFiberScenarios(n.Optical)
 	caps, errs := parallel.Map(context.Background(), parallel.Workers(workers), len(points),
 		func(ctx context.Context, i int) (float64, error) {
 			pt := points[i]
@@ -116,8 +117,7 @@ func Fig15bRestorationVsScale(n workload.Network, scales []float64, workers int)
 			sweep, err := restore.SweepWithOptions(restore.Problem{
 				Optical: n.Optical, IP: scaled.IP, Catalog: pt.cat,
 				Grid: spectrum.DefaultGrid(), Base: base,
-			}, restore.SingleFiberScenarios(n.Optical),
-				restore.SweepOptions{Workers: 1, Context: ctx})
+			}, scenarios, restore.SweepOptions{Workers: 1, Context: ctx})
 			if err != nil {
 				return 0, err
 			}
@@ -177,6 +177,7 @@ func Fig16RestorationCDF(n workload.Network, scale float64, workers int) (Fig16,
 		Scale:      scale,
 		Capability: make(map[string]CDF),
 	}
+	scenarios := restore.SingleFiberScenarios(n.Optical)
 	var flexBase, radBase *plan.Result
 	for _, cat := range Schemes() {
 		base, err := planScheme(scaled, cat)
@@ -189,7 +190,7 @@ func Fig16RestorationCDF(n workload.Network, scale float64, workers int) (Fig16,
 		sweep, err := restore.SweepWithOptions(restore.Problem{
 			Optical: n.Optical, IP: scaled.IP, Catalog: cat,
 			Grid: spectrum.DefaultGrid(), Base: base,
-		}, restore.SingleFiberScenarios(n.Optical), sweepOpts(workers))
+		}, scenarios, sweepOpts(workers))
 		if err != nil {
 			return Fig16{}, err
 		}
@@ -206,7 +207,7 @@ func Fig16RestorationCDF(n workload.Network, scale float64, workers int) (Fig16,
 		sweep, err := restore.SweepWithOptions(restore.Problem{
 			Optical: n.Optical, IP: scaled.IP, Catalog: transponder.SVT(),
 			Grid: spectrum.DefaultGrid(), Base: flexBase, ExtraSpares: spares,
-		}, restore.SingleFiberScenarios(n.Optical), sweepOpts(workers))
+		}, scenarios, sweepOpts(workers))
 		if err != nil {
 			return Fig16{}, err
 		}

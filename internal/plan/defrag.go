@@ -39,7 +39,7 @@ func Defragment(p Problem, r *Result) (int, error) {
 		movedThisPass := 0
 		for _, i := range order {
 			w := r.Wavelengths[i]
-			fibers := fiberIDs(w.Path)
+			fibers := spectrum.FiberIDs(nil, w.Path.Fibers)
 			// Make-before-break needs the new interval to be free while
 			// the old one is still held; Find naturally excludes the
 			// channel's own pixels, so only strictly disjoint, lower

@@ -243,7 +243,7 @@ func SolveExact(p Problem, opts solver.Options) (*Result, error) {
 			continue
 		}
 		iv := spectrum.Interval{Start: g.startQ, Count: g.pixels}
-		if err := res.Allocator.AllocateExact(fiberIDs(g.path), iv); err != nil {
+		if err := res.Allocator.AllocateExact(spectrum.FiberIDs(nil, g.path.Fibers), iv); err != nil {
 			return nil, fmt.Errorf("plan: MIP solution violates spectrum constraints: %w", err)
 		}
 		res.Wavelengths = append(res.Wavelengths, Wavelength{

@@ -6,11 +6,12 @@ import (
 
 	"flexwan/internal/spectrum"
 	"flexwan/internal/topology"
+	"flexwan/internal/transponder"
 )
 
 // allocationOf rebuilds the spectrum allocation record of a wavelength.
 func allocationOf(w Wavelength) spectrum.Allocation {
-	return spectrum.Allocation{Fibers: fiberIDs(w.Path), Interval: w.Interval}
+	return spectrum.Allocation{Fibers: spectrum.FiberIDs(nil, w.Path.Fibers), Interval: w.Interval}
 }
 
 // Extend provisions additional capacity for one IP link on top of an
@@ -59,10 +60,11 @@ func Extend(p Problem, r *Result, linkID string, extraGbps int) ([]Wavelength, e
 		paths = ps
 	}
 
+	pl := newPlacer(p, r, transponder.NewProvisionTable(p.Catalog), linkID, paths)
 	var added []Wavelength
 	remaining := extraGbps
 	for remaining > 0 {
-		w, ok := placeOne(p, r, linkID, paths, remaining)
+		w, ok := pl.placeOne(remaining)
 		if !ok {
 			break
 		}

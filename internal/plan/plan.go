@@ -25,7 +25,9 @@
 package plan
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"flexwan/internal/spectrum"
@@ -197,11 +199,18 @@ func Solve(p Problem) (*Result, error) {
 		return order[i].ID < order[j].ID
 	})
 
+	// Room for every channel at the catalog's top rate; long paths add a few.
+	if top := p.Catalog.MaxRateAt(0); top > 0 {
+		res.Wavelengths = make([]Wavelength, 0, (p.IP.TotalDemandGbps()+top-1)/top+len(order))
+	}
+
+	provisions := transponder.NewProvisionTable(p.Catalog)
 	for _, link := range order {
+		pl := newPlacer(p, res, provisions, link.ID, paths[link.ID])
 		lp := LinkPlan{DemandGbps: link.DemandGbps}
 		remaining := link.DemandGbps
 		for remaining > 0 {
-			w, ok := placeOne(p, res, link.ID, paths[link.ID], remaining)
+			w, ok := pl.placeOne(remaining)
 			if !ok {
 				break
 			}
@@ -219,29 +228,49 @@ func Solve(p Problem) (*Result, error) {
 	return res, nil
 }
 
+// placer provisions the wavelengths of one IP link; it holds what they
+// share: the candidate paths with their allocator keys, and the provision
+// table of the whole Solve or Extend call.
+type placer struct {
+	p          Problem
+	res        *Result
+	provisions *transponder.ProvisionTable
+	linkID     string
+	paths      []topology.Path
+	fibers     [][]spectrum.FiberID
+}
+
+func newPlacer(p Problem, res *Result, provisions *transponder.ProvisionTable, linkID string, paths []topology.Path) *placer {
+	pl := &placer{p: p, res: res, provisions: provisions, linkID: linkID, paths: paths, fibers: make([][]spectrum.FiberID, len(paths))}
+	for i, path := range paths {
+		pl.fibers[i] = spectrum.FiberIDs(nil, path.Fibers)
+	}
+	return pl
+}
+
 // placeOne provisions a single wavelength toward the remaining demand of
-// a link, trying candidate paths in order. It returns false when no
+// the link, trying candidate paths in order. It returns false when no
 // (path, mode, spectrum) combination works.
-func placeOne(p Problem, res *Result, linkID string, paths []topology.Path, remainingGbps int) (Wavelength, bool) {
-	for pi, path := range paths {
-		fibers := fiberIDs(path)
+func (pl *placer) placeOne(remainingGbps int) (Wavelength, bool) {
+	for pi, path := range pl.paths {
 		// Preferred modes: what a cost-optimal provision of the whole
 		// remaining demand at this length would use, widest first so the
-		// hardest channel claims contiguous spectrum earliest.
-		if prov, ok := p.Catalog.MinProvision(remainingGbps, path.LengthKm); ok {
-			modes := expandProvision(prov)
-			sort.SliceStable(modes, func(i, j int) bool {
-				return modes[i].SpacingGHz > modes[j].SpacingGHz
+		// hardest channel claims contiguous spectrum earliest. Each mode
+		// of the multiset is tried once: nothing changes between a failed
+		// attempt and its repeat.
+		if prov, ok := pl.provisions.MinProvision(remainingGbps, path.LengthKm); ok {
+			slices.SortStableFunc(prov.Modes, func(a, b transponder.Mode) int {
+				return cmp.Compare(b.SpacingGHz, a.SpacingGHz)
 			})
-			for _, mode := range modes {
-				if w, ok := tryAllocate(p, res, linkID, pi, path, fibers, mode); ok {
+			for _, mode := range prov.Modes {
+				if w, ok := pl.tryAllocate(pi, mode); ok {
 					return w, true
 				}
 			}
 		}
 		// Fallback: any feasible mode, highest rate then narrowest
 		// spacing — spectrum is fragmented, so try every width.
-		feasible := p.Catalog.FeasibleModes(path.LengthKm)
+		feasible := pl.p.Catalog.FeasibleModes(path.LengthKm)
 		sort.SliceStable(feasible, func(i, j int) bool {
 			if feasible[i].DataRateGbps != feasible[j].DataRateGbps {
 				return feasible[i].DataRateGbps > feasible[j].DataRateGbps
@@ -249,7 +278,7 @@ func placeOne(p Problem, res *Result, linkID string, paths []topology.Path, rema
 			return feasible[i].SpacingGHz < feasible[j].SpacingGHz
 		})
 		for _, mode := range feasible {
-			if w, ok := tryAllocate(p, res, linkID, pi, path, fibers, mode); ok {
+			if w, ok := pl.tryAllocate(pi, mode); ok {
 				return w, true
 			}
 		}
@@ -257,41 +286,22 @@ func placeOne(p Problem, res *Result, linkID string, paths []topology.Path, rema
 	return Wavelength{}, false
 }
 
-func tryAllocate(p Problem, res *Result, linkID string, pathIndex int, path topology.Path, fibers []spectrum.FiberID, mode transponder.Mode) (Wavelength, bool) {
-	pixels := mode.Pixels(p.Grid)
-	if pixels > p.Grid.Pixels {
+func (pl *placer) tryAllocate(pathIndex int, mode transponder.Mode) (Wavelength, bool) {
+	pixels := mode.Pixels(pl.p.Grid)
+	if pixels > pl.p.Grid.Pixels {
 		return Wavelength{}, false
 	}
-	al, err := res.Allocator.Allocate(fibers, pixels, p.Fit)
-	if err != nil {
+	iv, err := pl.res.Allocator.Find(pl.fibers[pathIndex], pixels, pl.p.Fit)
+	if err != nil || pl.res.Allocator.AllocateExact(pl.fibers[pathIndex], iv) != nil {
 		return Wavelength{}, false
 	}
 	return Wavelength{
-		LinkID:    linkID,
+		LinkID:    pl.linkID,
 		PathIndex: pathIndex,
-		Path:      path,
+		Path:      pl.paths[pathIndex],
 		Mode:      mode,
-		Interval:  al.Interval,
+		Interval:  iv,
 	}, true
-}
-
-func fiberIDs(path topology.Path) []spectrum.FiberID {
-	out := make([]spectrum.FiberID, len(path.Fibers))
-	for i, f := range path.Fibers {
-		out[i] = spectrum.FiberID(f)
-	}
-	return out
-}
-
-// expandProvision flattens a mode multiset into individual wavelengths.
-func expandProvision(prov transponder.Provision) []transponder.Mode {
-	var out []transponder.Mode
-	for i, n := range prov.Counts {
-		for j := 0; j < n; j++ {
-			out = append(out, prov.Modes[i])
-		}
-	}
-	return out
 }
 
 func validate(p Problem) error {
@@ -334,7 +344,7 @@ func Verify(p Problem, r *Result) error {
 	// Conflict (3) and consistency (4): rebuild occupancy and compare.
 	allocs := make([]spectrum.Allocation, len(r.Wavelengths))
 	for i, w := range r.Wavelengths {
-		allocs[i] = spectrum.Allocation{Fibers: fiberIDs(w.Path), Interval: w.Interval}
+		allocs[i] = spectrum.Allocation{Fibers: spectrum.FiberIDs(nil, w.Path.Fibers), Interval: w.Interval}
 	}
 	if err := r.Allocator.Verify(allocs); err != nil {
 		return fmt.Errorf("plan: %w", err)

@@ -23,7 +23,7 @@ func SolveExact(p Problem, opts solver.Options) (*Result, error) {
 	if p.Base == nil {
 		return nil, fmt.Errorf("restore: nil base plan")
 	}
-	failed, surviving := affected(p.Base, p.Scenario.CutFibers)
+	failed := affected(p.Base, p.Scenario.CutFibers)
 	res := &Result{
 		Scenario: p.Scenario,
 		PerLink:  make(map[string][2]int),
@@ -31,7 +31,7 @@ func SolveExact(p Problem, opts solver.Options) (*Result, error) {
 	if len(failed) == 0 {
 		return res, nil
 	}
-	alloc, err := survivorAllocator(p.Grid, surviving)
+	alloc, err := survivorAllocator(p.Grid, p.Base, failed)
 	if err != nil {
 		return nil, err
 	}
@@ -45,7 +45,8 @@ func SolveExact(p Problem, opts solver.Options) (*Result, error) {
 	}
 	byLink := make(map[string]*linkState)
 	var linkOrder []string
-	for _, w := range failed {
+	for _, i := range failed {
+		w := p.Base.Wavelengths[i]
 		ls, ok := byLink[w.LinkID]
 		if !ok {
 			ls = &linkState{id: w.LinkID}
@@ -63,11 +64,6 @@ func SolveExact(p Problem, opts solver.Options) (*Result, error) {
 		res.AffectedGbps += ls.affectedGbps
 	}
 
-	endpoints := make(map[string][2]topology.NodeID, len(p.IP.Links))
-	for _, l := range p.IP.Links {
-		endpoints[l.ID] = [2]topology.NodeID{l.A, l.B}
-	}
-
 	m := solver.NewModel("flexwan-restoration", solver.Maximize)
 	type gVar struct {
 		linkID string
@@ -82,16 +78,16 @@ func SolveExact(p Problem, opts solver.Options) (*Result, error) {
 
 	for _, id := range linkOrder {
 		ls := byLink[id]
-		ep, ok := endpoints[id]
-		if !ok {
-			return nil, fmt.Errorf("restore: affected link %s missing from IP topology", id)
+		a, b, err := linkEnds(p.IP, id)
+		if err != nil {
+			return nil, err
 		}
-		paths := post.KShortestPaths(ep[0], ep[1], p.k())
+		paths := post.KShortestPaths(a, b, p.k())
 		var capTerms, cntTerms []solver.Term
 		for _, path := range paths {
-			fibers := make([]spectrum.FiberID, len(path.Fibers))
+			spare := make([]*spectrum.Map, len(path.Fibers))
 			for i, f := range path.Fibers {
-				fibers[i] = spectrum.FiberID(f)
+				spare[i] = alloc.FiberMap(spectrum.FiberID(f))
 			}
 			for _, mode := range p.Catalog.FeasibleModes(path.LengthKm) {
 				pixels := mode.Pixels(p.Grid)
@@ -104,8 +100,8 @@ func SolveExact(p Problem, opts solver.Options) (*Result, error) {
 					// Constraint (9): the interval must be spare on every
 					// fiber after the survivors keep their spectrum.
 					free := true
-					for _, f := range fibers {
-						if !alloc.FiberMap(f).CanPlace(iv) {
+					for _, m := range spare {
+						if !m.CanPlace(iv) {
 							free = false
 							break
 						}

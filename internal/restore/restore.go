@@ -21,6 +21,7 @@ package restore
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"flexwan/internal/parallel"
@@ -130,27 +131,19 @@ func (r *Result) Capability() float64 {
 	return float64(r.RestoredGbps) / float64(r.AffectedGbps)
 }
 
-// affected splits the base plan into surviving and failed wavelengths.
-func affected(base *plan.Result, cut []string) (failed []plan.Wavelength, surviving []plan.Wavelength) {
-	cutSet := make(map[string]struct{}, len(cut))
-	for _, id := range cut {
-		cutSet[id] = struct{}{}
-	}
-	for _, w := range base.Wavelengths {
-		hit := false
-		for _, f := range w.Path.Fibers {
-			if _, ok := cutSet[f]; ok {
-				hit = true
+// affected returns the indices in the base plan of the wavelengths that
+// cross a cut fiber, ascending. Cut sets are a handful of fibers, so each
+// hop is checked against the list itself.
+func affected(base *plan.Result, cut []string) (failed []int) {
+	for i := range base.Wavelengths {
+		for _, f := range base.Wavelengths[i].Path.Fibers {
+			if slices.Contains(cut, f) {
+				failed = append(failed, i)
 				break
 			}
 		}
-		if hit {
-			failed = append(failed, w)
-		} else {
-			surviving = append(surviving, w)
-		}
 	}
-	return failed, surviving
+	return failed
 }
 
 // survivorAllocator rebuilds per-fiber occupancy from the surviving
@@ -159,18 +152,31 @@ func affected(base *plan.Result, cut []string) (failed []plan.Wavelength, surviv
 // failed wavelength no longer transmits, so the WSS passbands it held on
 // healthy fibers are reconfigurable — the controller releases them as
 // part of the restoration push.)
-func survivorAllocator(grid spectrum.Grid, surviving []plan.Wavelength) (*spectrum.Allocator, error) {
+func survivorAllocator(grid spectrum.Grid, base *plan.Result, failed []int) (*spectrum.Allocator, error) {
 	a := spectrum.NewAllocator(grid)
-	for _, w := range surviving {
-		fibers := make([]spectrum.FiberID, len(w.Path.Fibers))
-		for i, f := range w.Path.Fibers {
-			fibers[i] = spectrum.FiberID(f)
+	var fibers []spectrum.FiberID
+	for i := range base.Wavelengths {
+		if len(failed) > 0 && failed[0] == i {
+			failed = failed[1:]
+			continue
 		}
+		w := &base.Wavelengths[i]
+		fibers = spectrum.FiberIDs(fibers, w.Path.Fibers)
 		if err := a.AllocateExact(fibers, w.Interval); err != nil {
 			return nil, fmt.Errorf("restore: base plan inconsistent: %w", err)
 		}
 	}
 	return a, nil
+}
+
+// linkEnds returns the sites an IP link connects.
+func linkEnds(ip *topology.IPTopology, id string) (a, b topology.NodeID, err error) {
+	for _, l := range ip.Links {
+		if l.ID == id {
+			return l.A, l.B, nil
+		}
+	}
+	return "", "", fmt.Errorf("restore: affected link %s missing from IP topology", id)
 }
 
 // Solve runs the restoration heuristic for one scenario.
@@ -187,7 +193,7 @@ func Solve(p Problem) (*Result, error) {
 	if p.Base == nil {
 		return nil, fmt.Errorf("restore: nil base plan")
 	}
-	failed, surviving := affected(p.Base, p.Scenario.CutFibers)
+	failed := affected(p.Base, p.Scenario.CutFibers)
 	res := &Result{
 		Scenario: p.Scenario,
 		PerLink:  make(map[string][2]int),
@@ -195,7 +201,7 @@ func Solve(p Problem) (*Result, error) {
 	if len(failed) == 0 {
 		return res, nil
 	}
-	alloc, err := survivorAllocator(p.Grid, surviving)
+	alloc, err := survivorAllocator(p.Grid, p.Base, failed)
 	if err != nil {
 		return nil, err
 	}
@@ -206,11 +212,12 @@ func Solve(p Problem) (*Result, error) {
 		id           string
 		affectedGbps int
 		spares       int
-		originals    []plan.Wavelength
+		originals    []int // the link's failed wavelengths, as base plan indices
 	}
 	byLink := make(map[string]*linkState)
 	var order []*linkState
-	for _, w := range failed {
+	for _, i := range failed {
+		w := &p.Base.Wavelengths[i]
 		ls, ok := byLink[w.LinkID]
 		if !ok {
 			ls = &linkState{id: w.LinkID}
@@ -219,7 +226,7 @@ func Solve(p Problem) (*Result, error) {
 		}
 		ls.affectedGbps += w.Mode.DataRateGbps
 		ls.spares++
-		ls.originals = append(ls.originals, w)
+		ls.originals = append(ls.originals, i)
 	}
 	for _, ls := range order {
 		ls.spares += p.ExtraSpares[ls.id]
@@ -232,27 +239,25 @@ func Solve(p Problem) (*Result, error) {
 		return order[i].id < order[j].id
 	})
 
-	endpoints := make(map[string][2]topology.NodeID, len(p.IP.Links))
-	for _, l := range p.IP.Links {
-		endpoints[l.ID] = [2]topology.NodeID{l.A, l.B}
-	}
-
 	for _, ls := range order {
-		ep, ok := endpoints[ls.id]
-		if !ok {
-			return nil, fmt.Errorf("restore: affected link %s missing from IP topology", ls.id)
+		a, b, err := linkEnds(p.IP, ls.id)
+		if err != nil {
+			return nil, err
 		}
-		paths := post.KShortestPaths(ep[0], ep[1], p.k())
+		var cands []candidate
+		for _, path := range post.KShortestPaths(a, b, p.k()) {
+			cands = append(cands, candidate{path: path})
+		}
 		remaining := ls.affectedGbps
 		restored := 0
 		oi := 0 // next original wavelength to pair with a restored one
-		for remaining > 0 && ls.spares > 0 && len(paths) > 0 {
-			r, ok := restoreOne(p, alloc, ls.id, paths, remaining)
+		for remaining > 0 && ls.spares > 0 && len(cands) > 0 {
+			r, ok := restoreOne(p, alloc, ls.id, cands, remaining)
 			if !ok {
 				break
 			}
 			if oi < len(ls.originals) {
-				r.Original = ls.originals[oi]
+				r.Original = p.Base.Wavelengths[ls.originals[oi]]
 				oi++
 			}
 			res.Restored = append(res.Restored, r)
@@ -266,23 +271,32 @@ func Solve(p Problem) (*Result, error) {
 	return res, nil
 }
 
+// candidate is one restoration path of a link with what every wavelength
+// tried on it needs, filled in the first time it is tried: its allocator
+// keys, and the catalog's feasible modes in preference order.
+type candidate struct {
+	path   topology.Path
+	fibers []spectrum.FiberID
+	modes  []transponder.Mode
+}
+
 // restoreOne places a single restored wavelength for a link, trying
 // candidate paths in length order. The mode is the highest feasible rate
 // ≤ remaining (constraint (7)); ties prefer the narrowest spacing.
-func restoreOne(p Problem, alloc *spectrum.Allocator, linkID string, paths []topology.Path, remainingGbps int) (Restored, bool) {
-	for _, path := range paths {
-		modes := p.Catalog.FeasibleModes(path.LengthKm)
-		sort.SliceStable(modes, func(i, j int) bool {
-			if modes[i].DataRateGbps != modes[j].DataRateGbps {
-				return modes[i].DataRateGbps > modes[j].DataRateGbps
-			}
-			return modes[i].SpacingGHz < modes[j].SpacingGHz
-		})
-		fibers := make([]spectrum.FiberID, len(path.Fibers))
-		for i, f := range path.Fibers {
-			fibers[i] = spectrum.FiberID(f)
+func restoreOne(p Problem, alloc *spectrum.Allocator, linkID string, cands []candidate, remainingGbps int) (Restored, bool) {
+	for i := range cands {
+		c := &cands[i]
+		if c.fibers == nil {
+			c.fibers = spectrum.FiberIDs(nil, c.path.Fibers)
+			c.modes = p.Catalog.FeasibleModes(c.path.LengthKm)
+			sort.SliceStable(c.modes, func(i, j int) bool {
+				if c.modes[i].DataRateGbps != c.modes[j].DataRateGbps {
+					return c.modes[i].DataRateGbps > c.modes[j].DataRateGbps
+				}
+				return c.modes[i].SpacingGHz < c.modes[j].SpacingGHz
+			})
 		}
-		for _, mode := range modes {
+		for _, mode := range c.modes {
 			if mode.DataRateGbps > remainingGbps {
 				continue
 			}
@@ -290,15 +304,15 @@ func restoreOne(p Problem, alloc *spectrum.Allocator, linkID string, paths []top
 			if pixels > p.Grid.Pixels {
 				continue
 			}
-			al, err := alloc.Allocate(fibers, pixels, p.Fit)
-			if err != nil {
+			iv, err := alloc.Find(c.fibers, pixels, p.Fit)
+			if err != nil || alloc.AllocateExact(c.fibers, iv) != nil {
 				continue
 			}
 			return Restored{
 				LinkID:   linkID,
-				Path:     path,
+				Path:     c.path,
 				Mode:     mode,
-				Interval: al.Interval,
+				Interval: iv,
 			}, true
 		}
 	}

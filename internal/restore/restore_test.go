@@ -175,8 +175,7 @@ func TestRestoreSpectrumRespected(t *testing.T) {
 	}
 	// Whatever was restored must not conflict with e2's surviving
 	// allocation on f2: rebuild occupancy and verify.
-	_, surviving := affected(r, []string{"f1"})
-	alloc, err := survivorAllocator(grid, surviving)
+	alloc, err := survivorAllocator(grid, r, affected(r, []string{"f1"}))
 	if err != nil {
 		t.Fatal(err)
 	}

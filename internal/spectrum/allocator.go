@@ -10,6 +10,16 @@ import (
 // works.
 type FiberID string
 
+// FiberIDs appends the fibers named to buf[:0] as allocator keys — how a
+// topology path becomes an allocator path; pass nil for a fresh slice.
+func FiberIDs(buf []FiberID, names []string) []FiberID {
+	buf = buf[:0]
+	for _, name := range names {
+		buf = append(buf, FiberID(name))
+	}
+	return buf
+}
+
 // Fit selects the placement strategy used when searching for a free
 // interval across a fiber path.
 type Fit int
@@ -65,7 +75,10 @@ func NewAllocator(g Grid) *Allocator {
 // Grid returns the allocator's pixel grid.
 func (a *Allocator) Grid() Grid { return a.grid }
 
-// fiber returns (creating on first use) the occupancy map for id.
+// fiber returns the occupancy map for id, creating it. Only the paths
+// that are about to occupy pixels call it: a lookup must not write (a
+// planned result is read from several goroutines), and a fiber without a
+// map is all free.
 func (a *Allocator) fiber(id FiberID) *Map {
 	m, ok := a.fibers[id]
 	if !ok {
@@ -78,25 +91,10 @@ func (a *Allocator) fiber(id FiberID) *Map {
 // FiberMap returns a copy of the occupancy map for the fiber, or an
 // all-free map if the fiber has no allocations yet.
 func (a *Allocator) FiberMap(id FiberID) *Map {
-	return a.fiber(id).Clone()
-}
-
-// jointFree returns a synthetic map whose pixel w is free iff w is free on
-// every fiber in the path.
-func (a *Allocator) jointFree(path []FiberID) *Map {
-	joint := NewMap(a.grid)
-	for w := 0; w < a.grid.Pixels; w++ {
-		for _, f := range path {
-			if a.fiber(f).Used(w) {
-				// Marking via Place would be O(1) anyway; direct write
-				// keeps accounting consistent through the method.
-				joint.used[w] = true
-				joint.free--
-				break
-			}
-		}
+	if m, ok := a.fibers[id]; ok {
+		return m.Clone()
 	}
-	return joint
+	return NewMap(a.grid)
 }
 
 // Find searches for a free interval of count pixels shared by every fiber
@@ -105,13 +103,21 @@ func (a *Allocator) Find(path []FiberID, count int, fit Fit) (Interval, error) {
 	if len(path) == 0 {
 		return Interval{}, fmt.Errorf("spectrum: empty fiber path")
 	}
-	joint := a.jointFree(path)
-	switch fit {
-	case BestFit:
-		return joint.BestFit(count)
-	default:
-		return joint.FirstFit(count)
+	// The joint occupancy of the path: a pixel is free iff it is free on
+	// every fiber, so the fibers' words OR together.
+	var buf [8]uint64 // the 384-pixel C-band is 6 words
+	joint := newMap(a.grid, buf[:])
+	for _, f := range path {
+		if m, ok := a.fibers[f]; ok {
+			for i, x := range m.used {
+				joint.used[i] |= x
+			}
+		}
 	}
+	if fit == BestFit {
+		return joint.BestFit(count)
+	}
+	return joint.FirstFit(count)
 }
 
 // Allocate finds and claims a free interval of count pixels on every fiber
@@ -135,7 +141,7 @@ func (a *Allocator) AllocateExact(path []FiberID, iv Interval) error {
 		return fmt.Errorf("spectrum: empty fiber path")
 	}
 	for _, f := range path {
-		if !a.fiber(f).CanPlace(iv) {
+		if m := a.fibers[f]; !iv.Valid(a.grid) || m != nil && !m.CanPlace(iv) {
 			return fmt.Errorf("spectrum: interval %v not free on fiber %s: %w", iv, f, ErrNoSpectrum)
 		}
 	}
@@ -156,7 +162,11 @@ func (a *Allocator) AllocateExact(path []FiberID, iv Interval) error {
 // Release frees a previous allocation on every fiber of its path.
 func (a *Allocator) Release(al Allocation) error {
 	for _, f := range al.Fibers {
-		if err := a.fiber(f).Release(al.Interval); err != nil {
+		m, ok := a.fibers[f]
+		if !ok {
+			m = NewMap(a.grid) // all free: Release names the pixel
+		}
+		if err := m.Release(al.Interval); err != nil {
 			return err
 		}
 	}
@@ -194,24 +204,18 @@ func (a *Allocator) Fibers() []FiberID {
 // the same fiber. It returns nil when the state is consistent. This backs
 // the controller's "zero inconsistency and conflict" audit (§4.3).
 func (a *Allocator) Verify(allocs []Allocation) error {
-	type pixelKey struct {
-		fiber FiberID
-		w     int
-	}
-	owner := make(map[pixelKey]int)
+	claimed := NewAllocator(a.grid) // what the allocations seen so far own
 	for i, al := range allocs {
 		for _, f := range al.Fibers {
-			m := a.fiber(f)
-			for w := al.Interval.Start; w < al.Interval.End(); w++ {
-				if !m.Used(w) {
-					return fmt.Errorf("spectrum: allocation %d interval %v not marked used on fiber %s", i, al.Interval, f)
-				}
-				k := pixelKey{f, w}
-				if prev, dup := owner[k]; dup {
-					return fmt.Errorf("spectrum: pixel %d on fiber %s claimed by allocations %d and %d", w, f, prev, i)
-				}
-				owner[k] = i
+			if m, ok := a.fibers[f]; !ok || !al.Interval.Valid(a.grid) || m.next(al.Interval.Start, false) < al.Interval.End() {
+				return fmt.Errorf("spectrum: allocation %d interval %v not marked used on fiber %s", i, al.Interval, f)
 			}
+		}
+		if len(al.Fibers) == 0 {
+			continue
+		}
+		if err := claimed.AllocateExact(al.Fibers, al.Interval); err != nil {
+			return fmt.Errorf("spectrum: allocation %d claims pixels an earlier one holds: %w", i, err)
 		}
 	}
 	return nil

@@ -232,3 +232,72 @@ func TestAllocatorInvariantProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Lookups must not write: a fiber that was only ever probed has no
+// occupancy map, reads as all free, and stays out of Fibers().
+func TestAllocatorReadsDoNotCreateFibers(t *testing.T) {
+	a := NewAllocator(testGrid())
+	if _, err := a.Allocate([]FiberID{"held"}, 4, FirstFit); err != nil {
+		t.Fatal(err)
+	}
+	if iv, err := a.Find([]FiberID{"probed", "held"}, 4, FirstFit); err != nil || iv.Start != 4 {
+		t.Errorf("Find across a probed fiber = %v, %v; want [4,8)", iv, err)
+	}
+	if m := a.FiberMap("probed"); m.UsedPixels() != 0 || m.FreePixels() != testGrid().Pixels {
+		t.Errorf("FiberMap of a probed fiber: %d used", m.UsedPixels())
+	}
+	if a.Verify([]Allocation{{Fibers: []FiberID{"probed"}, Interval: Interval{0, 2}}}) == nil {
+		t.Error("Verify accepted an allocation on a fiber that holds nothing")
+	}
+	if err := a.AllocateExact([]FiberID{"probed", "held"}, Interval{0, 4}); err == nil {
+		t.Error("AllocateExact over held pixels succeeded")
+	}
+	if err := a.Release(Allocation{Fibers: []FiberID{"probed"}, Interval: Interval{0, 2}}); err == nil {
+		t.Error("Release on a fiber that holds nothing succeeded")
+	}
+	if got := a.Fibers(); len(got) != 1 || got[0] != "held" {
+		t.Errorf("Fibers() = %v, want only the fiber that holds an allocation", got)
+	}
+}
+
+// Find on the OR of the path's words must agree with a pixel-by-pixel
+// scan of the fibers' maps, for both fits, on a grid whose runs cross
+// word boundaries.
+func TestAllocatorFindMatchesPixelScan(t *testing.T) {
+	g := Grid{PixelGHz: 12.5, Pixels: 150}
+	fibers := []FiberID{"a", "b", "c", "d", "never-used"}
+	for seed := int64(1); seed <= 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		a := NewAllocator(g)
+		for op := 0; op < 60; op++ {
+			n := 1 + rng.Intn(3)
+			path := make([]FiberID, n)
+			for i, p := range rng.Perm(len(fibers))[:n] {
+				path[i] = fibers[p]
+			}
+			count := 1 + rng.Intn(40)
+			joint := newBoolMap(g)
+			for _, f := range path {
+				m := a.FiberMap(f)
+				for w := 0; w < g.Pixels; w++ {
+					if m.Used(w) && !joint.used[w] {
+						joint.Place(Interval{w, 1})
+					}
+				}
+			}
+			wantFirst, okFirst := joint.FirstFit(count)
+			wantBest, okBest := joint.BestFit(count)
+			if iv, err := a.Find(path, count, FirstFit); (err == nil) != okFirst || iv != wantFirst {
+				t.Fatalf("seed %d: Find(%v, %d, first-fit) = %v, %v; pixel scan says %v, %v", seed, path, count, iv, err, wantFirst, okFirst)
+			}
+			if iv, err := a.Find(path, count, BestFit); (err == nil) != okBest || iv != wantBest {
+				t.Fatalf("seed %d: Find(%v, %d, best-fit) = %v, %v; pixel scan says %v, %v", seed, path, count, iv, err, wantBest, okBest)
+			}
+			if okFirst && rng.Intn(4) > 0 {
+				if err := a.AllocateExact(path, wantFirst); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+}

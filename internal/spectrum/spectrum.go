@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Standard constants for the C-band and FlexWAN's pixel grid.
@@ -105,35 +106,102 @@ func (iv Interval) String() string {
 // ErrNoSpectrum is returned when an allocation request cannot be satisfied.
 var ErrNoSpectrum = errors.New("spectrum: no contiguous free interval of the requested width")
 
-// Map tracks per-pixel occupancy of a single fiber. The zero value is not
-// usable; construct with NewMap.
+// Map tracks per-pixel occupancy of a single fiber as a bitset, 64 pixels
+// a word: bit w is set while pixel w is occupied, and the bits past the
+// grid's last pixel stay set so that no free run crosses the band edge.
+// The zero value is not usable; construct with NewMap.
 type Map struct {
 	grid Grid
-	used []bool
-	free int
+	used []uint64
 }
 
 // NewMap returns an all-free occupancy map for grid g.
 func NewMap(g Grid) *Map {
-	return &Map{grid: g, used: make([]bool, g.Pixels), free: g.Pixels}
+	m := newMap(g, nil)
+	return &m
+}
+
+// newMap builds an all-free map, on the zeroed words the caller supplies
+// when they are enough for the grid.
+func newMap(g Grid, words []uint64) Map {
+	n := (g.Pixels + 63) >> 6
+	if n > len(words) {
+		words = make([]uint64, n)
+	}
+	if tail := g.Pixels & 63; tail != 0 {
+		words[n-1] = ^uint64(0) << tail
+	}
+	return Map{grid: g, used: words[:n]}
+}
+
+// next returns the first pixel ≥ from whose occupancy equals used, or
+// 64·len(m.used) when there is none.
+func (m *Map) next(from int, used bool) int {
+	for i := from >> 6; i < len(m.used); i++ {
+		x := m.used[i]
+		if !used {
+			x = ^x
+		}
+		if i == from>>6 {
+			x &= ^uint64(0) << (from & 63)
+		}
+		if x != 0 {
+			return i<<6 + bits.TrailingZeros64(x)
+		}
+	}
+	return len(m.used) << 6
+}
+
+// nextRun returns the first maximal free run starting at or after from;
+// ok is false when no free pixel is left there.
+func (m *Map) nextRun(from int) (run Interval, ok bool) {
+	start := m.next(from, false)
+	if start >= m.grid.Pixels {
+		return Interval{}, false
+	}
+	return Interval{Start: start, Count: m.next(start, true) - start}, true
+}
+
+// fill marks the interval's pixels occupied or free. iv must lie in the grid.
+func (m *Map) fill(iv Interval, used bool) {
+	for i := iv.Start >> 6; i <= (iv.End()-1)>>6; i++ {
+		mask := ^uint64(0) // iv's pixels inside word i
+		if lo := iv.Start - i<<6; lo > 0 {
+			mask <<= lo
+		}
+		if hi := iv.End() - i<<6; hi < 64 {
+			mask &= 1<<hi - 1
+		}
+		if used {
+			m.used[i] |= mask
+		} else {
+			m.used[i] &^= mask
+		}
+	}
 }
 
 // Grid returns the grid the map was built on.
 func (m *Map) Grid() Grid { return m.grid }
 
 // FreePixels returns the number of unoccupied pixels.
-func (m *Map) FreePixels() int { return m.free }
+func (m *Map) FreePixels() int {
+	free := len(m.used) << 6
+	for _, x := range m.used {
+		free -= bits.OnesCount64(x)
+	}
+	return free
+}
 
 // UsedPixels returns the number of occupied pixels.
-func (m *Map) UsedPixels() int { return m.grid.Pixels - m.free }
+func (m *Map) UsedPixels() int { return m.grid.Pixels - m.FreePixels() }
 
 // Used reports whether pixel w is occupied. Out-of-range pixels are
 // reported as occupied (they can never be allocated).
 func (m *Map) Used(w int) bool {
-	if w < 0 || w >= len(m.used) {
+	if w < 0 || w >= m.grid.Pixels {
 		return true
 	}
-	return m.used[w]
+	return m.used[w>>6]>>(w&63)&1 != 0
 }
 
 // CanPlace reports whether the interval is entirely free.
@@ -141,12 +209,7 @@ func (m *Map) CanPlace(iv Interval) bool {
 	if !iv.Valid(m.grid) {
 		return false
 	}
-	for w := iv.Start; w < iv.End(); w++ {
-		if m.used[w] {
-			return false
-		}
-	}
-	return true
+	return m.next(iv.Start, true) >= iv.End()
 }
 
 // Place marks the interval occupied. It fails if any pixel is already in
@@ -158,10 +221,7 @@ func (m *Map) Place(iv Interval) error {
 	if !m.CanPlace(iv) {
 		return fmt.Errorf("spectrum: interval %v overlaps an existing allocation: %w", iv, ErrNoSpectrum)
 	}
-	for w := iv.Start; w < iv.End(); w++ {
-		m.used[w] = true
-	}
-	m.free -= iv.Count
+	m.fill(iv, true)
 	return nil
 }
 
@@ -171,15 +231,10 @@ func (m *Map) Release(iv Interval) error {
 	if !iv.Valid(m.grid) {
 		return fmt.Errorf("spectrum: interval %v outside grid of %d pixels", iv, m.grid.Pixels)
 	}
-	for w := iv.Start; w < iv.End(); w++ {
-		if !m.used[w] {
-			return fmt.Errorf("spectrum: release of free pixel %d in %v", w, iv)
-		}
+	if w := m.next(iv.Start, false); w < iv.End() {
+		return fmt.Errorf("spectrum: release of free pixel %d in %v", w, iv)
 	}
-	for w := iv.Start; w < iv.End(); w++ {
-		m.used[w] = false
-	}
-	m.free += iv.Count
+	m.fill(iv, false)
 	return nil
 }
 
@@ -188,15 +243,9 @@ func (m *Map) FirstFit(count int) (Interval, error) {
 	if count <= 0 || count > m.grid.Pixels {
 		return Interval{}, fmt.Errorf("spectrum: invalid interval width %d", count)
 	}
-	run := 0
-	for w := 0; w < m.grid.Pixels; w++ {
-		if m.used[w] {
-			run = 0
-			continue
-		}
-		run++
-		if run == count {
-			return Interval{Start: w - count + 1, Count: count}, nil
+	for run, ok := m.nextRun(0); ok; run, ok = m.nextRun(run.End()) {
+		if run.Count >= count {
+			return Interval{Start: run.Start, Count: count}, nil
 		}
 	}
 	return Interval{}, ErrNoSpectrum
@@ -209,42 +258,23 @@ func (m *Map) BestFit(count int) (Interval, error) {
 	if count <= 0 || count > m.grid.Pixels {
 		return Interval{}, fmt.Errorf("spectrum: invalid interval width %d", count)
 	}
-	bestStart, bestLen := -1, m.grid.Pixels+1
-	w := 0
-	for w < m.grid.Pixels {
-		if m.used[w] {
-			w++
-			continue
-		}
-		start := w
-		for w < m.grid.Pixels && !m.used[w] {
-			w++
-		}
-		runLen := w - start
-		if runLen >= count && runLen < bestLen {
-			bestStart, bestLen = start, runLen
+	best := Interval{Start: -1}
+	for run, ok := m.nextRun(0); ok; run, ok = m.nextRun(run.End()) {
+		if run.Count >= count && (best.Start < 0 || run.Count < best.Count) {
+			best = run
 		}
 	}
-	if bestStart < 0 {
+	if best.Start < 0 {
 		return Interval{}, ErrNoSpectrum
 	}
-	return Interval{Start: bestStart, Count: count}, nil
+	return Interval{Start: best.Start, Count: count}, nil
 }
 
 // FreeRuns returns the maximal free intervals in ascending order.
 func (m *Map) FreeRuns() []Interval {
 	var runs []Interval
-	w := 0
-	for w < m.grid.Pixels {
-		if m.used[w] {
-			w++
-			continue
-		}
-		start := w
-		for w < m.grid.Pixels && !m.used[w] {
-			w++
-		}
-		runs = append(runs, Interval{Start: start, Count: w - start})
+	for run, ok := m.nextRun(0); ok; run, ok = m.nextRun(run.End()) {
+		runs = append(runs, run)
 	}
 	return runs
 }
@@ -263,17 +293,16 @@ func (m *Map) LargestFreeRun() Interval {
 
 // Clone returns an independent copy of the map.
 func (m *Map) Clone() *Map {
-	c := &Map{grid: m.grid, used: make([]bool, len(m.used)), free: m.free}
-	copy(c.used, m.used)
-	return c
+	return &Map{grid: m.grid, used: append([]uint64(nil), m.used...)}
 }
 
 // Fragmentation returns 1 − largestFreeRun/freePixels: 0 when all free
 // spectrum is contiguous (or the map is full), approaching 1 as the free
 // spectrum shatters into small runs.
 func (m *Map) Fragmentation() float64 {
-	if m.free == 0 {
+	free := m.FreePixels()
+	if free == 0 {
 		return 0
 	}
-	return 1 - float64(m.LargestFreeRun().Count)/float64(m.free)
+	return 1 - float64(m.LargestFreeRun().Count)/float64(free)
 }

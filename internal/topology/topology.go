@@ -12,10 +12,11 @@
 package topology
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync/atomic"
 )
 
 // NodeID names a ROADM site (equivalently a region; the paper maps each
@@ -45,30 +46,75 @@ func (f Fiber) Other(n NodeID) (NodeID, bool) {
 
 // Optical is the optical-layer topology G_o(V_o, E_o): ROADMs and fibers.
 // It is a multigraph — parallel fibers between the same sites are common
-// in production. The zero value is empty and ready to use via New.
+// in production. Construct with New.
+//
+// Sites and fibers are numbered densely in insertion order, and the path
+// searches run on those numbers; IDs appear only at the API. A topology
+// returned by Without is a view: it reads the same index as its parent
+// and carries the set of fibers it leaves out.
 type Optical struct {
-	nodes  map[NodeID]struct{}
-	fibers map[string]Fiber
-	adj    map[NodeID][]string // node → incident fiber IDs, insertion order
+	ix   *index
+	cut  bitmap // fibers a Without view leaves out; nil on a built topology
+	ncut int    // how many
 }
+
+// index is the graph in dense form. Once a view shares it nobody writes
+// it again: the next AddNode or AddFiber, on the parent or on a view,
+// first gives that topology a copy of its own.
+type index struct {
+	nodeIdx  map[NodeID]int32
+	nodes    []NodeID // by index
+	fiberIdx map[string]int32
+	fibers   []Fiber   // by index
+	ends     []int32   // fiber → its two sites' indices XORed: one end gives the other
+	adj      [][]int32 // site → incident fibers, insertion order
+	shared   atomic.Bool
+}
+
+// bitmap is a set of fiber indices.
+type bitmap []uint64
+
+func (b bitmap) has(i int32) bool { return int(i>>6) < len(b) && b[i>>6]>>(i&63)&1 != 0 }
+func (b bitmap) set(i int32)      { b[i>>6] |= 1 << (i & 63) }
 
 // New returns an empty optical topology.
 func New() *Optical {
-	return &Optical{
-		nodes:  make(map[NodeID]struct{}),
-		fibers: make(map[string]Fiber),
-		adj:    make(map[NodeID][]string),
+	return &Optical{ix: &index{nodeIdx: make(map[NodeID]int32), fiberIdx: make(map[string]int32)}}
+}
+
+// own makes the index safe to write: a topology whose index a view
+// shares (or that is a view) moves to a private copy without its cut
+// fibers first.
+func (g *Optical) own() {
+	if !g.ix.shared.Load() {
+		return
+	}
+	old, cut := g.ix, g.cut
+	g.ix, g.cut, g.ncut = New().ix, nil, 0
+	for _, n := range old.nodes {
+		g.AddNode(n)
+	}
+	for fi, f := range old.fibers {
+		if !cut.has(int32(fi)) {
+			g.addFiber(f)
+		}
 	}
 }
 
 // AddNode inserts a ROADM site. Adding an existing node is a no-op.
 func (g *Optical) AddNode(id NodeID) {
-	g.nodes[id] = struct{}{}
+	if g.HasNode(id) {
+		return
+	}
+	g.own()
+	g.ix.nodeIdx[id] = int32(len(g.ix.nodes))
+	g.ix.nodes = append(g.ix.nodes, id)
+	g.ix.adj = append(g.ix.adj, nil)
 }
 
 // HasNode reports whether the site exists.
 func (g *Optical) HasNode(id NodeID) bool {
-	_, ok := g.nodes[id]
+	_, ok := g.ix.nodeIdx[id]
 	return ok
 }
 
@@ -83,76 +129,75 @@ func (g *Optical) AddFiber(id string, a, b NodeID, lengthKm float64) error {
 	if lengthKm <= 0 {
 		return fmt.Errorf("topology: fiber %s has nonpositive length %v", id, lengthKm)
 	}
-	if _, dup := g.fibers[id]; dup {
+	if _, dup := g.Fiber(id); dup {
 		return fmt.Errorf("topology: duplicate fiber ID %s", id)
 	}
-	g.AddNode(a)
-	g.AddNode(b)
-	g.fibers[id] = Fiber{ID: id, A: a, B: b, LengthKm: lengthKm}
-	g.adj[a] = append(g.adj[a], id)
-	g.adj[b] = append(g.adj[b], id)
+	g.own()
+	g.addFiber(Fiber{ID: id, A: a, B: b, LengthKm: lengthKm})
 	return nil
+}
+
+// addFiber appends a validated fiber to an index g owns.
+func (g *Optical) addFiber(f Fiber) {
+	g.AddNode(f.A)
+	g.AddNode(f.B)
+	ix := g.ix
+	fi, a, b := int32(len(ix.fibers)), ix.nodeIdx[f.A], ix.nodeIdx[f.B]
+	ix.fiberIdx[f.ID] = fi
+	ix.fibers = append(ix.fibers, f)
+	ix.ends = append(ix.ends, a^b)
+	ix.adj[a] = append(ix.adj[a], fi)
+	ix.adj[b] = append(ix.adj[b], fi)
 }
 
 // Fiber returns the fiber with the given ID.
 func (g *Optical) Fiber(id string) (Fiber, bool) {
-	f, ok := g.fibers[id]
-	return f, ok
+	fi, ok := g.ix.fiberIdx[id]
+	if !ok || g.cut.has(fi) {
+		return Fiber{}, false
+	}
+	return g.ix.fibers[fi], true
 }
 
 // Nodes returns all sites in sorted order.
 func (g *Optical) Nodes() []NodeID {
-	out := make([]NodeID, 0, len(g.nodes))
-	for n := range g.nodes {
-		out = append(out, n)
-	}
+	out := append([]NodeID(nil), g.ix.nodes...)
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
 // Fibers returns all fibers sorted by ID.
 func (g *Optical) Fibers() []Fiber {
-	out := make([]Fiber, 0, len(g.fibers))
-	for _, f := range g.fibers {
-		out = append(out, f)
+	out := make([]Fiber, 0, g.NumFibers())
+	for fi, f := range g.ix.fibers {
+		if !g.cut.has(int32(fi)) {
+			out = append(out, f)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
 // NumNodes returns the site count.
-func (g *Optical) NumNodes() int { return len(g.nodes) }
+func (g *Optical) NumNodes() int { return len(g.ix.nodes) }
 
 // NumFibers returns the fiber count.
-func (g *Optical) NumFibers() int { return len(g.fibers) }
+func (g *Optical) NumFibers() int { return len(g.ix.fibers) - g.ncut }
 
-// Without returns a copy of the topology with the given fibers removed —
-// the post-failure topology G'_o of a fiber-cut scenario (§8).
+// Without returns the topology with the given fibers removed — the
+// post-failure topology G'_o of a fiber-cut scenario (§8). The result is
+// a view over the receiver's index, so it costs one bitmap, and it stays
+// what it was if either topology is added to later.
 func (g *Optical) Without(cut ...string) *Optical {
-	cutSet := make(map[string]struct{}, len(cut))
+	if !g.ix.shared.Load() {
+		g.ix.shared.Store(true)
+	}
+	out := &Optical{ix: g.ix, cut: make(bitmap, (len(g.ix.fibers)+63)>>6), ncut: g.ncut}
+	copy(out.cut, g.cut)
 	for _, id := range cut {
-		cutSet[id] = struct{}{}
-	}
-	out := New()
-	for n := range g.nodes {
-		out.AddNode(n)
-	}
-	// Preserve insertion order of adjacency for determinism.
-	seen := make(map[string]struct{})
-	for _, n := range g.Nodes() {
-		for _, fid := range g.adj[n] {
-			if _, isCut := cutSet[fid]; isCut {
-				continue
-			}
-			if _, dup := seen[fid]; dup {
-				continue
-			}
-			seen[fid] = struct{}{}
-			f := g.fibers[fid]
-			if err := out.AddFiber(f.ID, f.A, f.B, f.LengthKm); err != nil {
-				// Cannot happen: we copy validated fibers exactly once.
-				panic(err)
-			}
+		if fi, ok := g.ix.fiberIdx[id]; ok && !out.cut.has(fi) {
+			out.cut.set(fi)
+			out.ncut++
 		}
 	}
 	return out
@@ -177,220 +222,234 @@ func (p Path) Dst() NodeID { return p.Nodes[len(p.Nodes)-1] }
 func (p Path) Hops() int { return len(p.Fibers) }
 
 // Equal reports whether two paths use the identical fiber sequence.
-func (p Path) Equal(q Path) bool {
-	if len(p.Fibers) != len(q.Fibers) {
-		return false
-	}
-	for i := range p.Fibers {
-		if p.Fibers[i] != q.Fibers[i] {
-			return false
-		}
-	}
-	return true
-}
+func (p Path) Equal(q Path) bool { return slices.Equal(p.Fibers, q.Fibers) }
 
 func (p Path) String() string {
 	return fmt.Sprintf("%v (%.0f km)", p.Nodes, p.LengthKm)
 }
 
-// pqItem is a Dijkstra frontier entry.
-type pqItem struct {
-	node NodeID
+// ipath is a path in index form, as the searches build and compare it:
+// the fibers from a known source site (they determine the sites).
+type ipath struct {
+	fibers []int32
+	km     float64
+}
+
+func (ix *index) path(src int32, p ipath) Path {
+	out := Path{Nodes: append(make([]NodeID, 0, len(p.fibers)+1), ix.nodes[src]), LengthKm: p.km}
+	for _, f := range p.fibers {
+		src ^= ix.ends[f]
+		out.Nodes = append(out.Nodes, ix.nodes[src])
+		out.Fibers = append(out.Fibers, ix.fibers[f].ID)
+	}
+	return out
+}
+
+// search is the scratch the Dijkstra runs of one KShortestPaths call share.
+type search struct {
+	ix           *index
+	dist         []float64
+	prev         []int32 // site → the fiber it was reached over
+	done         []bool
+	frontier     []frontierItem
+	bannedNodes  []bool
+	bannedFibers bitmap
+}
+
+type frontierItem struct {
+	node int32
 	dist float64
 }
 
-type pq []pqItem
+// The frontier is container/heap's binary heap on dist, written out for
+// the concrete item type.
+func (s *search) push(it frontierItem) {
+	s.frontier = append(s.frontier, it)
+	for j := len(s.frontier) - 1; ; {
+		i := (j - 1) / 2
+		if i == j || s.frontier[j].dist >= s.frontier[i].dist {
+			break
+		}
+		s.frontier[i], s.frontier[j] = s.frontier[j], s.frontier[i]
+		j = i
+	}
+}
 
-func (q pq) Len() int            { return len(q) }
-func (q pq) Less(i, j int) bool  { return q[i].dist < q[j].dist }
-func (q pq) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *pq) Push(x interface{}) { *q = append(*q, x.(pqItem)) }
-func (q *pq) Pop() interface{} {
-	old := *q
-	n := len(old)
-	item := old[n-1]
-	*q = old[:n-1]
-	return item
+func (s *search) pop() frontierItem {
+	h := s.frontier
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j+1 < n && h[j+1].dist < h[j].dist {
+			j++
+		}
+		if h[j].dist >= h[i].dist {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	s.frontier = h[:n]
+	return h[n]
+}
+
+// reach runs Dijkstra from src until dst is settled, skipping the banned
+// fibers and nodes, and reports whether dst was reached; dist and prev
+// then hold the way back. Ties are broken deterministically: on equal
+// distance a site keeps the predecessor fiber with the smaller ID.
+func (s *search) reach(src, dst int32) bool {
+	for i := range s.dist {
+		s.dist[i], s.done[i] = math.Inf(1), false
+	}
+	s.dist[src] = 0
+	s.frontier = append(s.frontier[:0], frontierItem{node: src})
+	ix := s.ix
+	for len(s.frontier) > 0 {
+		cur := s.pop()
+		if s.done[cur.node] {
+			continue
+		}
+		s.done[cur.node] = true
+		if cur.node == dst {
+			return true
+		}
+		for _, fi := range ix.adj[cur.node] {
+			next := ix.ends[fi] ^ cur.node
+			if s.bannedFibers.has(fi) || s.bannedNodes[next] {
+				continue
+			}
+			nd := cur.dist + ix.fibers[fi].LengthKm
+			if old := s.dist[next]; nd < old || (nd == old && ix.fibers[fi].ID < ix.fibers[s.prev[next]].ID) {
+				s.dist[next], s.prev[next] = nd, fi
+				s.push(frontierItem{node: next, dist: nd})
+			}
+		}
+	}
+	return false
+}
+
+// trace returns root followed by the path reach found from src to dst.
+func (s *search) trace(root ipath, src, dst int32) ipath {
+	hops := 0
+	for n := dst; n != src; n ^= s.ix.ends[s.prev[n]] {
+		hops++
+	}
+	fibers := append(make([]int32, 0, len(root.fibers)+hops), root.fibers...)[:len(root.fibers)+hops]
+	for n, i := dst, len(fibers)-1; n != src; n, i = n^s.ix.ends[s.prev[n]], i-1 {
+		fibers[i] = s.prev[n]
+	}
+	return ipath{fibers: fibers, km: root.km + s.dist[dst]}
 }
 
 // ShortestPath runs Dijkstra from src to dst over fiber lengths. The
 // second return is false when dst is unreachable. Ties are broken
 // deterministically by fiber ID.
 func (g *Optical) ShortestPath(src, dst NodeID) (Path, bool) {
-	return g.shortestPathAvoiding(src, dst, nil, nil)
-}
-
-// shortestPathAvoiding is Dijkstra with banned fibers and banned nodes —
-// the spur computation Yen's algorithm needs.
-func (g *Optical) shortestPathAvoiding(src, dst NodeID, bannedFibers map[string]struct{}, bannedNodes map[NodeID]struct{}) (Path, bool) {
-	if !g.HasNode(src) || !g.HasNode(dst) {
+	paths := g.KShortestPaths(src, dst, 1)
+	if len(paths) == 0 {
 		return Path{}, false
 	}
-	if src == dst {
-		return Path{Nodes: []NodeID{src}}, true
-	}
-	dist := map[NodeID]float64{src: 0}
-	prevFiber := map[NodeID]string{}
-	prevNode := map[NodeID]NodeID{}
-	done := map[NodeID]struct{}{}
-	frontier := &pq{{node: src, dist: 0}}
-	for frontier.Len() > 0 {
-		cur := heap.Pop(frontier).(pqItem)
-		if _, ok := done[cur.node]; ok {
-			continue
-		}
-		done[cur.node] = struct{}{}
-		if cur.node == dst {
-			break
-		}
-		for _, fid := range g.adj[cur.node] {
-			if bannedFibers != nil {
-				if _, banned := bannedFibers[fid]; banned {
-					continue
-				}
-			}
-			f := g.fibers[fid]
-			next, _ := f.Other(cur.node)
-			if bannedNodes != nil {
-				if _, banned := bannedNodes[next]; banned {
-					continue
-				}
-			}
-			nd := cur.dist + f.LengthKm
-			old, seen := dist[next]
-			// Deterministic tie-break: keep the lexicographically
-			// smaller predecessor fiber on exact ties.
-			if !seen || nd < old || (nd == old && fid < prevFiber[next]) {
-				dist[next] = nd
-				prevFiber[next] = fid
-				prevNode[next] = cur.node
-				heap.Push(frontier, pqItem{node: next, dist: nd})
-			}
-		}
-	}
-	if _, ok := done[dst]; !ok {
-		return Path{}, false
-	}
-	// Reconstruct.
-	var nodes []NodeID
-	var fibers []string
-	for n := dst; n != src; n = prevNode[n] {
-		nodes = append(nodes, n)
-		fibers = append(fibers, prevFiber[n])
-	}
-	nodes = append(nodes, src)
-	reverseNodes(nodes)
-	reverseStrings(fibers)
-	return Path{Nodes: nodes, Fibers: fibers, LengthKm: dist[dst]}, true
-}
-
-func reverseNodes(s []NodeID) {
-	for i, j := 0, len(s)-1; i < j; i, j = i+1, j-1 {
-		s[i], s[j] = s[j], s[i]
-	}
-}
-
-func reverseStrings(s []string) {
-	for i, j := 0, len(s)-1; i < j; i, j = i+1, j-1 {
-		s[i], s[j] = s[j], s[i]
-	}
+	return paths[0], true
 }
 
 // KShortestPaths returns up to k loopless shortest paths from src to dst
-// in nondecreasing length order (Yen's algorithm). Fewer than k paths are
-// returned when the graph does not contain k distinct loopless paths.
+// in nondecreasing length order (Yen's algorithm); equal lengths order by
+// the fiber IDs along the path. Fewer than k paths are returned when the
+// graph does not contain k distinct loopless paths.
 func (g *Optical) KShortestPaths(src, dst NodeID, k int) []Path {
-	if k <= 0 {
+	ix := g.ix
+	si, okS := ix.nodeIdx[src]
+	di, okD := ix.nodeIdx[dst]
+	if k <= 0 || !okS || !okD {
 		return nil
 	}
-	first, ok := g.ShortestPath(src, dst)
-	if !ok {
+	n := len(ix.nodes)
+	s := &search{
+		ix: ix, dist: make([]float64, n), prev: make([]int32, n), done: make([]bool, n),
+		bannedNodes: make([]bool, n), bannedFibers: make(bitmap, (len(ix.fibers)+63)>>6),
+	}
+	copy(s.bannedFibers, g.cut)
+	if !s.reach(si, di) {
 		return nil
 	}
-	paths := []Path{first}
-	// Candidate pool, deduplicated by fiber sequence.
-	var candidates []Path
-	seen := map[string]struct{}{pathKey(first): {}}
-
+	paths := []ipath{s.trace(ipath{}, si, di)}
+	var candidates []ipath // deduplicated against paths and each other
 	for len(paths) < k {
-		last := paths[len(paths)-1]
 		// Each node of the previous path except the terminal is a
-		// potential spur node.
-		for i := 0; i < len(last.Nodes)-1; i++ {
-			spur := last.Nodes[i]
-			rootNodes := last.Nodes[:i+1]
-			rootFibers := last.Fibers[:i]
-			rootLen := 0.0
-			for _, fid := range rootFibers {
-				rootLen += g.fibers[fid].LengthKm
-			}
-			// Ban the next fiber of every accepted path sharing this root.
-			bannedFibers := make(map[string]struct{})
+		// potential spur node; the path up to it is the root.
+		last := paths[len(paths)-1]
+		spur, root := si, ipath{}
+		clear(s.bannedNodes)
+		for i, f := range last.fibers {
+			root.fibers = last.fibers[:i]
+			// Ban the next fiber of every accepted path sharing this
+			// root; the root's nodes are banned to keep paths loopless.
+			clear(s.bannedFibers)
+			copy(s.bannedFibers, g.cut)
 			for _, p := range paths {
-				if len(p.Fibers) > i && sameRoot(p, rootNodes, rootFibers) {
-					bannedFibers[p.Fibers[i]] = struct{}{}
+				if len(p.fibers) > i && slices.Equal(p.fibers[:i], root.fibers) {
+					s.bannedFibers.set(p.fibers[i])
 				}
 			}
-			// Ban root nodes (except the spur) to keep paths loopless.
-			bannedNodes := make(map[NodeID]struct{})
-			for _, n := range rootNodes[:i] {
-				bannedNodes[n] = struct{}{}
+			if s.reach(spur, di) {
+				total := s.trace(root, spur, di)
+				same := func(p ipath) bool { return slices.Equal(p.fibers, total.fibers) }
+				if !slices.ContainsFunc(paths, same) && !slices.ContainsFunc(candidates, same) {
+					candidates = append(candidates, total)
+				}
 			}
-			spurPath, ok := g.shortestPathAvoiding(spur, dst, bannedFibers, bannedNodes)
-			if !ok {
-				continue
-			}
-			total := Path{
-				Nodes:    append(append([]NodeID{}, rootNodes...), spurPath.Nodes[1:]...),
-				Fibers:   append(append([]string{}, rootFibers...), spurPath.Fibers...),
-				LengthKm: rootLen + spurPath.LengthKm,
-			}
-			key := pathKey(total)
-			if _, dup := seen[key]; dup {
-				continue
-			}
-			seen[key] = struct{}{}
-			candidates = append(candidates, total)
+			s.bannedNodes[spur] = true
+			spur ^= ix.ends[f]
+			root.km += ix.fibers[f].LengthKm
 		}
 		if len(candidates) == 0 {
 			break
 		}
-		// Take the shortest candidate (stable tie-break by fiber key).
-		sort.Slice(candidates, func(i, j int) bool {
-			if candidates[i].LengthKm != candidates[j].LengthKm {
-				return candidates[i].LengthKm < candidates[j].LengthKm
+		best := 0
+		for i, c := range candidates {
+			if b := candidates[best]; c.km < b.km || (c.km == b.km && ix.keyLess(c.fibers, b.fibers)) {
+				best = i
 			}
-			return pathKey(candidates[i]) < pathKey(candidates[j])
-		})
-		paths = append(paths, candidates[0])
-		candidates = candidates[1:]
+		}
+		paths = append(paths, candidates[best])
+		candidates[best] = candidates[len(candidates)-1]
+		candidates = candidates[:len(candidates)-1]
 	}
-	return paths
+	out := make([]Path, len(paths))
+	for i, p := range paths {
+		out[i] = ix.path(si, p)
+	}
+	return out
 }
 
-func sameRoot(p Path, rootNodes []NodeID, rootFibers []string) bool {
-	if len(p.Nodes) < len(rootNodes) || len(p.Fibers) < len(rootFibers) {
-		return false
-	}
-	for i, n := range rootNodes {
-		if p.Nodes[i] != n {
-			return false
+// keyLess orders two fiber sequences as their IDs, each followed by a
+// '|', concatenated into one string would compare.
+func (ix *index) keyLess(a, b []int32) bool {
+	ai, ao, bi, bo := 0, 0, 0, 0 // element, and offset in its ID (len = the '|')
+	for ai < len(a) && bi < len(b) {
+		as, bs := ix.fibers[a[ai]].ID, ix.fibers[b[bi]].ID
+		ca, cb := byte('|'), byte('|')
+		if ao < len(as) {
+			ca = as[ao]
+		}
+		if bo < len(bs) {
+			cb = bs[bo]
+		}
+		if ca != cb {
+			return ca < cb
+		}
+		if ao++; ao > len(as) {
+			ai, ao = ai+1, 0
+		}
+		if bo++; bo > len(bs) {
+			bi, bo = bi+1, 0
 		}
 	}
-	for i, f := range rootFibers {
-		if p.Fibers[i] != f {
-			return false
-		}
-	}
-	return true
-}
-
-func pathKey(p Path) string {
-	key := ""
-	for _, f := range p.Fibers {
-		key += f + "|"
-	}
-	return key
+	return ai == len(a) && bi < len(b)
 }
 
 // Diameter returns the longest shortest-path distance between any two

@@ -270,101 +270,131 @@ func (p Provision) SpectrumGHz() float64 {
 // path of distKm with this catalog: primarily the fewest transponder
 // pairs, secondarily the least spectrum (the planning objective of
 // Algorithm 1 applied to a single demand, as in the Fig. 3 cost study).
-// It returns false when no mode reaches distKm or capacity is 0.
-//
-// The search is an exact dynamic program over capacity in gcd-of-rates
-// steps; catalogs are small (≤ 40 modes), demands are ≤ tens of Tbps, so
-// this stays trivially fast.
+// It returns false when no mode reaches distKm or capacity is 0. Callers
+// with many queries on one catalog share a ProvisionTable instead.
 func (c Catalog) MinProvision(capacityGbps int, distKm float64) (Provision, bool) {
+	return NewProvisionTable(c).MinProvision(capacityGbps, distKm)
+}
+
+// ProvisionTable answers MinProvision queries on one catalog and keeps
+// the dynamic program between them. The search is an exact DP over
+// capacity in gcd-of-rates steps, and for a fixed set of feasible modes
+// its cell u depends only on the cells below u — never on the capacity
+// asked for — so one table per reach class (the distances that share a
+// feasible set) serves every query: a query extends the table as far as
+// it needs and then only scans and traces back. A table is not safe for
+// concurrent use.
+type ProvisionTable struct {
+	catalog Catalog
+	// classes[n] is the DP over the n modes with the longest reach: the
+	// feasible sets of all distances nest, so their size names them.
+	classes []*reachClass
+}
+
+// NewProvisionTable returns an empty table for the catalog.
+func NewProvisionTable(c Catalog) *ProvisionTable {
+	return &ProvisionTable{catalog: c, classes: make([]*reachClass, len(c.Modes)+1)}
+}
+
+// reachClass is the DP over the modes that reach one band of distances.
+type reachClass struct {
+	modes    []Mode // the feasible modes, catalog order
+	units    []int  // modes[i].DataRateGbps / step
+	order    []int  // positions in modes, highest rate then narrowest spacing
+	step     int    // gcd of the rates
+	maxUnits int
+	// cells[u] is the best (transponders, spectrum) providing at least
+	// u·step Gbps, and the last mode added to get there.
+	cells  []provisionCell
+	counts []int // trace-back scratch, all zero between queries
+}
+
+type provisionCell struct {
+	count    int
+	spectrum float64
+	mode     int
+}
+
+// class returns the DP for the modes that reach distKm, nil when none does.
+func (t *ProvisionTable) class(distKm float64) *reachClass {
+	n := 0
+	for i := range t.catalog.Modes {
+		if t.catalog.Modes[i].Feasible(distKm) {
+			n++
+		}
+	}
+	if n == 0 || t.classes[n] != nil {
+		return t.classes[n]
+	}
+	modes := t.catalog.FeasibleModes(distKm)
+	rc := &reachClass{modes: modes, step: modes[0].DataRateGbps, cells: make([]provisionCell, 1), counts: make([]int, len(modes))}
+	for _, m := range modes {
+		rc.step = gcd(rc.step, m.DataRateGbps)
+	}
+	for i, m := range modes {
+		rc.units = append(rc.units, m.DataRateGbps/rc.step)
+		rc.maxUnits = max(rc.maxUnits, rc.units[i])
+		rc.order = append(rc.order, i)
+	}
+	sort.SliceStable(rc.order, func(i, j int) bool {
+		a, b := modes[rc.order[i]], modes[rc.order[j]]
+		if a.DataRateGbps != b.DataRateGbps {
+			return a.DataRateGbps > b.DataRateGbps
+		}
+		return a.SpacingGHz < b.SpacingGHz
+	})
+	t.classes[len(modes)] = rc
+	return rc
+}
+
+// extend fills the cells up to limit.
+func (rc *reachClass) extend(limit int) {
+	for u := len(rc.cells); u <= limit; u++ {
+		best := provisionCell{count: math.MaxInt32}
+		for mi := range rc.modes {
+			prev := rc.cells[max(u-rc.units[mi], 0)]
+			cand := provisionCell{count: prev.count + 1, spectrum: prev.spectrum + rc.modes[mi].SpacingGHz, mode: mi}
+			if cand.count < best.count || (cand.count == best.count && cand.spectrum < best.spectrum) {
+				best = cand
+			}
+		}
+		rc.cells = append(rc.cells, best)
+	}
+}
+
+// MinProvision is Catalog.MinProvision on the table's catalog.
+func (t *ProvisionTable) MinProvision(capacityGbps int, distKm float64) (Provision, bool) {
 	if capacityGbps <= 0 {
 		return Provision{}, false
 	}
-	feasible := c.FeasibleModes(distKm)
-	if len(feasible) == 0 {
+	rc := t.class(distKm)
+	if rc == nil {
 		return Provision{}, false
 	}
-	step := feasible[0].DataRateGbps
-	maxRate := 0
-	for _, m := range feasible {
-		step = gcd(step, m.DataRateGbps)
-		if m.DataRateGbps > maxRate {
-			maxRate = m.DataRateGbps
-		}
-	}
-	// dp[u] = best (transponders, spectrum) to provide at least u·step Gbps.
-	// Cap the table one max-rate beyond the demand: overshoot past that
-	// can never help.
-	units := (capacityGbps + step - 1) / step
-	limit := units + maxRate/step
-	type cell struct {
-		count    int
-		spectrum float64
-		mode     int // index into feasible of the last mode added
-	}
-	const unset = math.MaxInt32
-	dp := make([]cell, limit+1)
-	for i := 1; i <= limit; i++ {
-		dp[i] = cell{count: unset}
-	}
-	for u := 1; u <= limit; u++ {
-		for mi, m := range feasible {
-			prev := u - m.DataRateGbps/step
-			if prev < 0 {
-				prev = 0
-			}
-			if dp[prev].count == unset {
-				continue
-			}
-			cand := cell{count: dp[prev].count + 1, spectrum: dp[prev].spectrum + m.SpacingGHz, mode: mi}
-			if cand.count < dp[u].count || (cand.count == dp[u].count && cand.spectrum < dp[u].spectrum) {
-				dp[u] = cand
-			}
-		}
-	}
-	// The optimum may overshoot the demand; scan all states ≥ units.
-	best := -1
-	for u := units; u <= limit; u++ {
-		if dp[u].count == unset {
-			continue
-		}
-		if best < 0 || dp[u].count < dp[best].count ||
-			(dp[u].count == dp[best].count && dp[u].spectrum < dp[best].spectrum) {
+	// The optimum may overshoot the demand, but never by a whole
+	// max-rate transponder: scan that far and no further.
+	units := (capacityGbps + rc.step - 1) / rc.step
+	rc.extend(units + rc.maxUnits)
+	best := units
+	for u := units + 1; u <= units+rc.maxUnits; u++ {
+		if c, b := rc.cells[u], rc.cells[best]; c.count < b.count || (c.count == b.count && c.spectrum < b.spectrum) {
 			best = u
 		}
 	}
-	if best < 0 {
-		return Provision{}, false
-	}
-	// Reconstruct the multiset.
-	counts := make(map[int]int)
-	for u := best; u > 0 && dp[u].count > 0; {
-		mi := dp[u].mode
-		counts[mi]++
-		u -= feasible[mi].DataRateGbps / step
-		if u < 0 {
-			u = 0
+	// Trace the multiset back, then list it by mode index.
+	distinct := 0
+	for u := best; u > 0; u = max(u-rc.units[rc.cells[u].mode], 0) {
+		if rc.counts[rc.cells[u].mode]++; rc.counts[rc.cells[u].mode] == 1 {
+			distinct++
 		}
 	}
-	var p Provision
-	for mi, n := range counts {
-		p.Modes = append(p.Modes, feasible[mi])
-		p.Counts = append(p.Counts, n)
-	}
-	sort.Slice(p.Modes, func(i, j int) bool {
-		if p.Modes[i].DataRateGbps != p.Modes[j].DataRateGbps {
-			return p.Modes[i].DataRateGbps > p.Modes[j].DataRateGbps
+	p := Provision{Modes: make([]Mode, 0, distinct), Counts: make([]int, 0, distinct)}
+	for _, mi := range rc.order {
+		if n := rc.counts[mi]; n > 0 {
+			p.Modes = append(p.Modes, rc.modes[mi])
+			p.Counts = append(p.Counts, n)
+			rc.counts[mi] = 0
 		}
-		return p.Modes[i].SpacingGHz < p.Modes[j].SpacingGHz
-	})
-	// Re-pair counts with the sorted modes.
-	// (Rebuild from the map keyed by mode value to keep pairing correct.)
-	countByMode := make(map[string]int)
-	for mi, n := range counts {
-		countByMode[feasible[mi].String()] = n
-	}
-	p.Counts = p.Counts[:0]
-	for _, m := range p.Modes {
-		p.Counts = append(p.Counts, countByMode[m.String()])
 	}
 	return p, true
 }

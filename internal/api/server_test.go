@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"flexwan/internal/chaos"
 	"flexwan/internal/controller"
 	"flexwan/internal/plan"
 	"flexwan/internal/restore"
@@ -335,5 +336,64 @@ func TestServiceBadRequests(t *testing.T) {
 	done = waitJob(t, ts, v.ID)
 	if done.State != StateFailed || !strings.Contains(done.Error, "unknown network") {
 		t.Fatalf("bad network job: state %s error %q, want Failed/unknown network", done.State, done.Error)
+	}
+}
+
+// TestDevicesReportsSessionLiveness: GET /v1/devices shows session_up
+// false for a crashed device as soon as its session has noticed, without
+// waiting for some later RPC to trip over it.
+func TestDevicesReportsSessionLiveness(t *testing.T) {
+	tb, err := chaos.NewTestbed(chaos.RingNetwork(4, 100, 200), chaos.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tb.Close()
+	s := New(Options{Controller: tb.Ctrl})
+	ts := httptest.NewServer(s.Handler())
+	defer func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = s.Shutdown(ctx)
+	}()
+
+	sessionsUp := func() map[string]bool {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/devices")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var health []controller.DeviceHealth
+		if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
+			t.Fatal(err)
+		}
+		up := make(map[string]bool, len(health))
+		for _, h := range health {
+			up[h.ID] = h.SessionUp
+		}
+		return up
+	}
+
+	const victim = "tx-r00-00"
+	for id, up := range sessionsUp() {
+		if !up {
+			t.Errorf("%s reports session_up false on a healthy fleet", id)
+		}
+	}
+	client, ok := tb.Ctrl.DevMgr().Client(victim)
+	if !ok {
+		t.Fatalf("no pooled session for %s", victim)
+	}
+	tb.Transponders[victim].Crash()
+	select {
+	case <-client.Done():
+	case <-time.After(2 * time.Second):
+		t.Fatal("pooled session never noticed the crash")
+	}
+	for id, up := range sessionsUp() {
+		if up == (id == victim) {
+			t.Errorf("after crashing %s: %s reports session_up %v", victim, id, up)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"flexwan/internal/netconf"
 	"flexwan/internal/workload"
 )
 
@@ -244,5 +245,44 @@ func TestInjectorDisarmed(t *testing.T) {
 	}
 	if in.Injections() != 0 {
 		t.Fatal("disarmed injector counted injections")
+	}
+}
+
+// TestRingCrashDrillPushSkipsLadder is the seed-1 ring4 drill of the
+// recovery ladder (eval.RecoveryDrillLadder; the record committed in
+// BENCH_recovery.json). Seed 1 injects no RPC fault on the ring, so the
+// only thing between the cut and the restoration is the crashed
+// transponder — which must cost the push a refused probe, not a call
+// timeout or a backoff ladder — while the event log, the degraded-push
+// accounting and the reconvergence stay exactly what they were. The call
+// timeout is set below the default ladder's shortest total (50 + 100 ms
+// less 25 % jitter), so a push under it paid neither.
+func TestRingCrashDrillPushSkipsLadder(t *testing.T) {
+	const committedHash = "583291d9b1463930b99c4468228e519803a17bf09f43df4dab005dbd3026ef4d"
+	const callTimeout = 100 * time.Millisecond
+	tb, err := NewTestbed(RingNetwork(4, 100, 200), Options{Dial: netconf.DialOptions{CallTimeout: callTimeout}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tb.Close()
+	rep, _, err := Run(tb, Scenario{
+		Name: "ring4-cut-drop10-crash1", Seed: 1,
+		Faults: FaultConfig{DropRequestProb: 0.10}, CrashTransponders: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.LogHash != committedHash {
+		t.Errorf("event log hash %s, want the committed %s", rep.LogHash, committedHash)
+	}
+	if len(rep.SkippedDevices) != 1 || len(rep.PendingChannels) != 1 || rep.RepairActions != 1 {
+		t.Errorf("skipped %v, pending %v, %d repair actions; want one of each",
+			rep.SkippedDevices, rep.PendingChannels, rep.RepairActions)
+	}
+	if !rep.AuditClean || !rep.OracleMatch {
+		t.Errorf("audit clean %v, oracle match %v", rep.AuditClean, rep.OracleMatch)
+	}
+	if rep.PushMs >= ms(callTimeout) {
+		t.Errorf("push took %.1f ms: the crashed device cost a call timeout (%v) or a backoff ladder", rep.PushMs, callTimeout)
 	}
 }

@@ -11,9 +11,11 @@
 package controller
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
+	"syscall"
 
 	"flexwan/internal/devmodel"
 	"flexwan/internal/netconf"
@@ -171,9 +173,10 @@ func (d *DevMgr) Devices() []devmodel.Descriptor {
 
 // DeviceHealth is one device's fleet-health view: its descriptor, the
 // channel assignment (transponders only), and whether the manager holds a
-// live NETCONF session right now. SessionUp false does not mean the
-// device is down — sessions are dialed lazily and redialed on demand — it
-// means the next Call pays a dial.
+// live NETCONF session right now — one whose read loop has not seen the
+// connection end. SessionUp false does not mean the device is down —
+// sessions are dialed lazily and redialed on demand — it means the next
+// Call pays a dial.
 type DeviceHealth struct {
 	devmodel.Descriptor
 	Assignment string `json:"assignment,omitempty"`
@@ -187,10 +190,11 @@ func (d *DevMgr) Health() []DeviceHealth {
 	defer d.mu.Unlock()
 	out := make([]DeviceHealth, 0, len(d.devices))
 	for id, desc := range d.devices {
+		client := d.clients[id]
 		out = append(out, DeviceHealth{
 			Descriptor: desc,
 			Assignment: d.assignment[id],
-			SessionUp:  d.clients[id] != nil,
+			SessionUp:  client != nil && client.Err() == nil,
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
@@ -273,27 +277,52 @@ func (d *DevMgr) FreeTransponders(site string) int {
 	return len(d.freeTx[site])
 }
 
-// Call performs one RPC against the device with the manager's retry
-// policy: transient failures (timeouts from dropped RPCs, lost sessions
-// from connection resets or device crashes) tear the stale session down
-// and retry on a fresh dial after a capped, jittered exponential
-// backoff. A device NACK (netconf.RPCError) returns immediately — the
-// rejection is intentional and retrying the same document cannot
-// succeed. This is the hardened path every configuration push and audit
-// read uses.
+// ErrDeviceDown marks a Call that gave up because the device's
+// management address actively refused the connection: no agent is
+// listening there, and a backoff ladder of tens of milliseconds will not
+// outlast a reboot. The degraded push skips and reports such a device;
+// Repair reconverges it once it is back.
+var ErrDeviceDown = errors.New("device down")
+
+// permanent marks a session failure no retry can cure: the caller named a
+// device that was never registered, or the address answers as a different
+// device (a miswired management network).
+type permanent struct{ error }
+
+// Call performs one RPC against the device, classifying each failure
+// before spending time on it:
+//
+//   - A pooled session (one this Call did not dial) that is dead or dies
+//     mid-call says nothing about the device, only about the session. It
+//     is dropped and redialed at once, one time, without consuming an
+//     attempt or a backoff — what net/http does for a stale idle
+//     connection.
+//   - A refused dial means the agent is not listening: Call returns
+//     ErrDeviceDown immediately.
+//   - An unregistered ID or an identity mismatch on redial is a caller or
+//     wiring bug and returns immediately.
+//   - A device NACK (netconf.RPCError) returns immediately — the
+//     rejection is intentional and retrying the same document cannot
+//     succeed.
+//   - Everything ambiguous — a timed-out RPC (dropped request or reply),
+//     a dial or hello that times out or cannot be read, a session lost on
+//     a connection this Call dialed itself — tears the session down and
+//     retries on a fresh dial after a capped, jittered exponential
+//     backoff.
+//
+// This is the hardened path every configuration push and audit read uses.
 func (d *DevMgr) Call(id, op string, in, out interface{}) error {
 	pol := d.RetryPolicy()
-	var lastErr error
-	for attempt := 1; ; attempt++ {
-		client, err := d.session(id)
-		if err != nil {
-			lastErr = err
-		} else {
+	staleRedialed := false
+	for attempt := 1; ; {
+		client, pooled, err := d.session(id)
+		var perm permanent
+		switch {
+		case err == nil:
 			err = client.Call(op, in, out)
 			if err == nil {
 				return nil
 			}
-			lastErr = err
 			if !netconf.IsTransient(err) {
 				return err
 			}
@@ -301,31 +330,41 @@ func (d *DevMgr) Call(id, op string, in, out interface{}) error {
 			// redials. (Another goroutine may already have swapped it —
 			// invalidate only our instance.)
 			d.invalidate(id, client)
+			if pooled && !staleRedialed && errors.Is(err, netconf.ErrSessionLost) {
+				staleRedialed = true
+				continue
+			}
+		case errors.As(err, &perm):
+			return err
+		case errors.Is(err, syscall.ECONNREFUSED):
+			return fmt.Errorf("controller: %s on %s: %w: %w", op, id, ErrDeviceDown, err)
 		}
 		if attempt >= pol.maxAttempts() {
-			return fmt.Errorf("controller: %s on %s failed after %d attempts: %w", op, id, attempt, lastErr)
+			return fmt.Errorf("controller: %s on %s failed after %d attempts: %w", op, id, attempt, err)
 		}
 		pol.sleep(pol.Backoff(attempt))
+		attempt++
 	}
 }
 
-// session returns the device's live management session, redialing its
+// session returns the device's management session and whether it came
+// from the pool (true) or was dialed by this call (false), redialing the
 // registered address if the previous session was invalidated.
-func (d *DevMgr) session(id string) (*netconf.Client, error) {
+func (d *DevMgr) session(id string) (client *netconf.Client, pooled bool, err error) {
 	d.mu.Lock()
 	client, ok := d.clients[id]
 	desc, known := d.devices[id]
 	opts := d.dialOpts
 	d.mu.Unlock()
 	if ok {
-		return client, nil
+		return client, true, nil
 	}
 	if !known {
-		return nil, fmt.Errorf("controller: device %s not registered", id)
+		return nil, false, permanent{fmt.Errorf("controller: device %s not registered", id)}
 	}
 	fresh, err := netconf.DialWithOptions(desc.Address, opts)
 	if err != nil {
-		return nil, fmt.Errorf("controller: redialing %s at %s: %w", id, desc.Address, err)
+		return nil, false, fmt.Errorf("controller: redialing %s at %s: %w", id, desc.Address, err)
 	}
 	// Re-verify identity, as Register does: a restart must not silently
 	// hand the session to a different device on a recycled address. An
@@ -334,23 +373,23 @@ func (d *DevMgr) session(id string) (*netconf.Client, error) {
 	var hello devmodel.Descriptor
 	if err := fresh.Hello(&hello); err != nil {
 		fresh.Close()
-		return nil, fmt.Errorf("controller: hello on redial of %s at %s: %w", id, desc.Address, err)
+		return nil, false, fmt.Errorf("controller: hello on redial of %s at %s: %w", id, desc.Address, err)
 	}
 	if hello.ID != "" && hello.ID != desc.ID {
 		fresh.Close()
-		return nil, fmt.Errorf("controller: device at %s identifies as %s, registered as %s",
-			desc.Address, hello.ID, desc.ID)
+		return nil, false, permanent{fmt.Errorf("controller: device at %s identifies as %s, registered as %s",
+			desc.Address, hello.ID, desc.ID)}
 	}
 	d.mu.Lock()
 	if cur, ok := d.clients[id]; ok {
 		// Lost the redial race; use the winner.
 		d.mu.Unlock()
 		fresh.Close()
-		return cur, nil
+		return cur, true, nil
 	}
 	d.clients[id] = fresh
 	d.mu.Unlock()
-	return fresh, nil
+	return fresh, false, nil
 }
 
 // invalidate removes and closes the device's session if it is still the

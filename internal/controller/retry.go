@@ -5,12 +5,13 @@ import (
 	"time"
 )
 
-// RetryPolicy governs per-RPC retries in DevMgr.Call: transient
-// management-plane failures (timeouts, lost sessions, refused redials)
-// are retried with capped exponential backoff plus jitter, which is how
-// the controller rides out RPC loss and device restarts without
-// abandoning a restoration push. Device NACKs (netconf.RPCError) are
-// never retried — the device meant it.
+// RetryPolicy governs per-RPC retries in DevMgr.Call: ambiguous
+// management-plane failures (timed-out RPCs, failed hellos, dial
+// timeouts, a lost session Call dialed itself) are retried with capped
+// exponential backoff plus jitter, which is how the controller rides out
+// RPC loss without abandoning a restoration push. Failures that are not
+// ambiguous skip the ladder: a refused dial is ErrDeviceDown, and device
+// NACKs (netconf.RPCError) are never retried — the device meant it.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of tries (first call included).
 	// Values below 1 mean a single attempt.

@@ -56,6 +56,59 @@ func TestInterceptorReset(t *testing.T) {
 	if !IsTransient(err) {
 		t.Error("lost session should be transient")
 	}
+	if n := pendingCount(c); n != 0 {
+		t.Errorf("%d pending replies left behind a lost session", n)
+	}
+}
+
+func pendingCount(c *Client) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.pending)
+}
+
+// TestCallOnDeadSessionFailsAtOnce is the dead-session contract: once the
+// read loop has seen the connection end, nobody is left to answer a
+// pending reply, so Call must report ErrSessionLost immediately — not wait
+// out the call timeout and report ErrTimeout — and register nothing.
+func TestCallOnDeadSessionFailsAtOnce(t *testing.T) {
+	srv, addr := startEcho(t)
+	c, err := DialWithOptions(addr, DialOptions{CallTimeout: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	if err := c.Err(); err != nil {
+		t.Fatalf("live session reports Err() = %v", err)
+	}
+	srv.Stop()
+	select {
+	case <-c.Done():
+	case <-time.After(2 * time.Second):
+		t.Fatal("client never noticed the dropped session")
+	}
+	if err := c.Err(); !errors.Is(err, ErrSessionLost) {
+		t.Errorf("Err() after the peer dropped the session = %v, want ErrSessionLost", err)
+	}
+
+	start := time.Now()
+	var out string
+	err = c.Call("echo", "hi", &out)
+	elapsed := time.Since(start)
+	if !errors.Is(err, ErrSessionLost) {
+		t.Fatalf("Call on a dead session returned %v, want ErrSessionLost", err)
+	}
+	if elapsed >= 50*time.Millisecond {
+		t.Errorf("Call on a dead session took %v, want well under the 2s call timeout", elapsed)
+	}
+	if n := pendingCount(c); n != 0 {
+		t.Errorf("%d pending replies registered on a dead session", n)
+	}
+
+	c.Close()
+	if err := c.Err(); !errors.Is(err, ErrClosed) {
+		t.Errorf("Err() after Close = %v, want ErrClosed", err)
+	}
 }
 
 // TestInterceptorDropReplyExecutes proves the nasty fault: the RPC's

@@ -378,9 +378,11 @@ type Client struct {
 	nextID  uint64
 	pending map[uint64]chan message
 	closed  bool
+	// readErr is what ended the read loop. Once it is set nobody is left
+	// to answer a pending entry, so Call must not register one.
+	readErr error
 
 	notifications chan json.RawMessage
-	readErr       error
 	done          chan struct{}
 }
 
@@ -543,9 +545,14 @@ func (c *Client) Call(op string, in, out interface{}) error {
 		payload = data
 	}
 	c.mu.Lock()
-	if c.closed {
+	// Liveness is checked in the critical section that registers the
+	// pending reply: the read loop fails every pending entry under the
+	// same lock when it records readErr, so a Call either sees the dead
+	// session here or has its channel closed — it never waits out the
+	// call timeout for a reply no one can deliver.
+	if err := c.errLocked(); err != nil {
 		c.mu.Unlock()
-		return fmt.Errorf("netconf: %w", ErrClosed)
+		return fmt.Errorf("netconf: %s: %w", op, err)
 	}
 	c.nextID++
 	id := c.nextID
@@ -585,6 +592,31 @@ func (c *Client) Call(op string, in, out interface{}) error {
 		c.mu.Unlock()
 		return fmt.Errorf("netconf: %s: %w", op, ErrTimeout)
 	}
+}
+
+// Done is closed once the session has ended, whether the peer dropped it,
+// the connection failed or Close was called. After that Err is non-nil
+// and every Call fails at once.
+func (c *Client) Done() <-chan struct{} { return c.done }
+
+// Err reports why the session ended: nil while it is live, otherwise an
+// error wrapping ErrClosed (Close ended it) or ErrSessionLost (anything
+// else did). A session pool reads it to tell a dead session from a live
+// one without spending an RPC.
+func (c *Client) Err() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.errLocked()
+}
+
+func (c *Client) errLocked() error {
+	switch {
+	case c.closed:
+		return ErrClosed
+	case c.readErr != nil:
+		return fmt.Errorf("session ended (%v): %w", c.readErr, ErrSessionLost)
+	}
+	return nil
 }
 
 // SetCallTimeout changes the per-RPC deadline for subsequent Calls.

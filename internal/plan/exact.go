@@ -55,8 +55,8 @@ func NewSolveStats(sol solver.Solution) *SolveStats {
 		Status: sol.Status, Objective: sol.Objective,
 		Nodes: sol.Nodes, Workers: sol.Workers, Gap: sol.Gap,
 		SimplexIters: sol.SimplexIters, WarmStartHits: sol.WarmStartHits,
-		Branching:    sol.Branching,
-		PricingMode:  sol.Pricing, BoundFlips: sol.BoundFlips, WeightResets: sol.WeightResets,
+		Branching:   sol.Branching,
+		PricingMode: sol.Pricing, BoundFlips: sol.BoundFlips, WeightResets: sol.WeightResets,
 		PresolveRows: sol.PresolveRows, PresolveCols: sol.PresolveCols,
 		Refactorizations: sol.Refactorizations, BasisUpdates: sol.BasisUpdates,
 		FTRANCount: sol.FTRANCount, BTRANCount: sol.BTRANCount,

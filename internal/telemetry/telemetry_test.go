@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"encoding/json"
 	"math"
 	"testing"
 	"time"
@@ -213,6 +214,45 @@ func TestCollectorRedialsAfterCrash(t *testing.T) {
 			fabric.Repair("f1") // rearm and try again once redial lands
 			time.Sleep(50 * time.Millisecond)
 		}
+	}
+}
+
+// TestPollDoesNotStallOnDeadSource: the sweep is serial, so a crashed
+// source must cost it nothing — its dead session fails the poll at once
+// rather than holding every later source behind the 5 s call timeout.
+func TestPollDoesNotStallOnDeadSource(t *testing.T) {
+	_, sources := testbed(t)
+	crashed := netconf.NewServer(nil, func(string, json.RawMessage) (interface{}, error) { return nil, nil })
+	addr, err := crashed.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer crashed.Close()
+	dead, err := netconf.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dead.Close()
+	crashed.Stop()
+	select {
+	case <-dead.Done():
+	case <-time.After(2 * time.Second):
+		t.Fatal("session never noticed the crash")
+	}
+	first := Source{Desc: devmodel.Descriptor{ID: "t0", Class: devmodel.ClassTransponder}, Client: dead}
+
+	store := NewStore(128)
+	col := NewCollector(store, time.Hour, append([]Source{first}, sources...)) // never Run: the sweep is driven by hand
+	start := time.Now()
+	col.pollAll()
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("sweep over one dead and three live sources took %v", elapsed)
+	}
+	if _, ok := store.Latest("t0", "los"); ok {
+		t.Error("dead source produced a sample")
+	}
+	if _, ok := store.Latest("amp-f2", "los"); !ok {
+		t.Error("sources after the dead one were not polled")
 	}
 }
 

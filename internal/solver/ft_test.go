@@ -165,7 +165,7 @@ func TestForrestTomlinDifferential(t *testing.T) {
 			}{{ft, bFT}, {eta, bEta}, {ref, bRef}} {
 				cc := make([]float64, nRows)
 				copy(cc, c)
-				pair.f.btran(cc, pair.out)
+				pair.f.btran(cc, pair.out, nil, nil)
 			}
 			if d := maxAbsDiff(bFT, bRef); d > 1e-6 {
 				t.Fatalf("trial %d step %d: FT btran diverges from fresh factorization by %g", trial, steps, d)

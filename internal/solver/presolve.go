@@ -67,10 +67,13 @@ type presolved struct {
 	grpOf  []int     // original var → index into groups, -1
 }
 
-// presolve reduces the model. The returned mapping is valid even when no
-// reduction fired (identity); callers solve p.reduced and pass the result
-// through p.postsolve.
-func (m *Model) presolve(logf func(format string, args ...interface{})) *presolved {
+// presolveState is the working state every presolve pass starts from:
+// bounds copied from the model, no fixings, no duplicate groups, and every
+// constraint live over its own copy of the terms. It is a function of its
+// own so the differential tests can run a single pass (mergeDuplicates
+// against its row-rescanning oracle) from exactly the state presolve builds;
+// presolve is its only other caller.
+func (m *Model) presolveState() (*presolved, []preRow) {
 	nv := len(m.vars)
 	p := &presolved{
 		orig:   m,
@@ -106,7 +109,14 @@ func (m *Model) presolve(logf func(format string, args ...interface{})) *presolv
 			live:  true,
 		}
 	}
+	return p, rows
+}
 
+// presolve reduces the model. The returned mapping is valid even when no
+// reduction fired (identity); callers solve p.reduced and pass the result
+// through p.postsolve.
+func (m *Model) presolve(logf func(format string, args ...interface{})) *presolved {
+	p, rows := m.presolveState()
 	if !p.roundIntegerBounds() {
 		p.infeasible = true
 		return p
@@ -160,7 +170,7 @@ func (m *Model) presolve(logf func(format string, args ...interface{})) *presolv
 	}
 	if logf != nil && (p.rowsRemoved > 0 || p.colsRemoved > 0) {
 		logf("solver: presolve removed %d/%d rows and %d/%d columns",
-			p.rowsRemoved, len(m.cons), p.colsRemoved, nv)
+			p.rowsRemoved, len(m.cons), p.colsRemoved, len(m.vars))
 	}
 	return p
 }
@@ -746,11 +756,33 @@ func (p *presolved) removeDominated(rows []preRow) {
 // minimally.
 func (p *presolved) mergeDuplicates(rows []preRow) {
 	nv := len(p.orig.vars)
-	type sig struct {
-		hash uint64
-		n    int // term count, quick reject
+	// Column-major index of the live rows (count / prefix-sum / fill, as
+	// cscBuild does): column v is col[colPtr[v]:colPtr[v+1]], one
+	// (row, coef) entry per nonzero in ascending row order.
+	colPtr := make([]int32, nv+1)
+	for r := range rows {
+		if !rows[r].live {
+			continue
+		}
+		for _, t := range rows[r].terms {
+			colPtr[t.Var+1]++
+		}
 	}
-	sigs := make([]sig, nv)
+	for v := 0; v < nv; v++ {
+		colPtr[v+1] += colPtr[v]
+	}
+	col := make([]Term, colPtr[nv])
+	fill := append([]int32(nil), colPtr[:nv]...)
+	for r := range rows {
+		if !rows[r].live {
+			continue
+		}
+		for _, t := range rows[r].terms {
+			col[fill[t.Var]] = Term{Var: VarID(r), Coef: t.Coef}
+			fill[t.Var]++
+		}
+	}
+	colOf := func(v int) []Term { return col[colPtr[v]:colPtr[v+1]] }
 	// Order-dependent multiply-xor mix (splitmix-style finalizer): the
 	// signature must distinguish (row, coef) sequences, not be
 	// cryptographic, and it runs once per nonzero — collisions are
@@ -761,20 +793,8 @@ func (p *presolved) mergeDuplicates(rows []preRow) {
 		h ^= h >> 29
 		return h
 	}
-	for i := range sigs {
-		sigs[i].hash = 14695981039346656037
-	}
-	for r := range rows {
-		if !rows[r].live {
-			continue
-		}
-		for _, t := range rows[r].terms {
-			sigs[t.Var].hash = mix(mix(sigs[t.Var].hash, uint64(r)), math.Float64bits(t.Coef))
-			sigs[t.Var].n++
-		}
-	}
 	// Sort (hash, var) pairs and walk adjacent equal-hash runs: the same
-	// grouping the map of slices produced, without an allocation per
+	// grouping a map of slices would produce, without an allocation per
 	// bucket and with a deterministic group order.
 	type cand struct {
 		hash uint64
@@ -785,7 +805,11 @@ func (p *presolved) mergeDuplicates(rows []preRow) {
 		if p.fixed[i] || math.IsInf(p.lb[i], -1) || math.IsInf(p.ub[i], 1) {
 			continue
 		}
-		h := mix(sigs[i].hash, math.Float64bits(p.orig.vars[i].obj))
+		h := uint64(14695981039346656037)
+		for _, e := range colOf(i) {
+			h = mix(mix(h, uint64(e.Var)), math.Float64bits(e.Coef))
+		}
+		h = mix(h, math.Float64bits(p.orig.vars[i].obj))
 		if p.orig.vars[i].integer {
 			h = mix(h, 1)
 		}
@@ -797,22 +821,6 @@ func (p *presolved) mergeDuplicates(rows []preRow) {
 		}
 		return cands[a].v < cands[b].v
 	})
-	// Verify buckets exactly: collect each candidate's (row, coef) list
-	// lazily and compare representatives pairwise within the bucket.
-	colOf := func(v int) []Term {
-		var col []Term
-		for r := range rows {
-			if !rows[r].live {
-				continue
-			}
-			for _, t := range rows[r].terms {
-				if int(t.Var) == v {
-					col = append(col, Term{Var: VarID(r), Coef: t.Coef})
-				}
-			}
-		}
-		return col
-	}
 	sameCol := func(a, b []Term) bool {
 		if len(a) != len(b) {
 			return false
@@ -824,43 +832,41 @@ func (p *presolved) mergeDuplicates(rows []preRow) {
 		}
 		return true
 	}
-	var bucket []int
+	// Verify buckets exactly: compare representatives pairwise within the
+	// bucket, column against column.
+	var used []bool
 	for lo := 0; lo < len(cands); {
 		hi := lo + 1
 		for hi < len(cands) && cands[hi].hash == cands[lo].hash {
 			hi++
 		}
-		bucket = bucket[:0]
-		for _, c := range cands[lo:hi] {
-			bucket = append(bucket, c.v)
-		}
+		bucket := cands[lo:hi]
 		lo = hi
 		if len(bucket) < 2 {
 			continue
 		}
-		cols := make([][]Term, len(bucket))
-		used := make([]bool, len(bucket))
-		for i := range bucket {
-			cols[i] = colOf(bucket[i])
+		used = growBools(used, len(bucket))
+		for i := range used {
+			used[i] = false
 		}
-		for i := 0; i < len(bucket); i++ {
+		for i := range bucket {
 			if used[i] {
 				continue
 			}
-			vi := bucket[i]
+			vi := bucket[i].v
 			var grp []int
 			for j := i + 1; j < len(bucket); j++ {
 				if used[j] {
 					continue
 				}
-				vj := bucket[j]
+				vj := bucket[j].v
 				if p.orig.vars[vi].obj != p.orig.vars[vj].obj ||
 					p.orig.vars[vi].integer != p.orig.vars[vj].integer ||
-					!sameCol(cols[i], cols[j]) {
+					!sameCol(colOf(vi), colOf(vj)) {
 					continue
 				}
 				if grp == nil {
-					grp = []int{vi}
+					grp = append(make([]int, 0, 4), vi)
 				}
 				grp = append(grp, vj)
 				used[j] = true

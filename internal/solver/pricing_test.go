@@ -93,7 +93,7 @@ func TestSteepestEdgeWeightsMatchBtranNorms(t *testing.T) {
 		rho := make([]float64, rx.nRows)
 		for i := 0; i < rx.nRows; i++ {
 			e[i] = 1
-			rx.lu.btran(e, rho)
+			rx.lu.btran(e, rho, nil, nil)
 			want := 0.0
 			for r := 0; r < rx.nRows; r++ {
 				want += rho[r] * rho[r]

@@ -99,18 +99,19 @@ type rxScratch struct {
 	basis  []int32   // per row position, the basic column
 	xB     []float64 // basic variable values, by row position
 
-	lu     luFactor
-	excl   []uint64 // per-column exclusion epoch for the tiny-pivot retry
-	exclEp uint64
-	alphaC []float64 // cached ρ·a_j per admissible column for the ratio test
-	dC     []float64 // cached reduced cost per admissible column
-	admis  []int32   // admissible columns of the current ratio test
-	cand   rxCands   // ratio-sorted candidate walk of the long-step ratio test
-	colBuf []float64 // dense original-row scratch (FTRAN input; zero between uses)
-	w      []float64 // FTRAN output: the spike B⁻¹a_enter
-	rho    []float64 // BTRAN(e_p), original-row space
-	y      []float64 // BTRAN(c_B), original-row space
-	posBuf []float64 // BTRAN input scratch, position space (zero between uses)
+	lu      luFactor
+	excl    []uint64 // per-column exclusion epoch for the tiny-pivot retry
+	exclEp  uint64
+	alphaC  []float64 // the leaving row ρ·a_j per column (priceRow), for the ratio test
+	dC      []float64 // cached dual ratio per admissible column
+	admis   []int32   // admissible columns of the current ratio test
+	cand    rxCands   // ratio-sorted candidate walk of the long-step ratio test
+	colBuf  []float64 // dense original-row scratch (FTRAN input; zero between uses)
+	w       []float64 // FTRAN output: the spike B⁻¹a_enter
+	rho     []float64 // BTRAN(e_p), original-row space
+	y       []float64 // BTRAN(c_B), original-row space
+	posBuf  []float64 // BTRAN input scratch, position space (zero between uses)
+	posBuf2 []float64 // second BTRAN input: ρ and y are solved in one pass
 
 	pricing   PricingRule // normalized leaving-row rule (never "")
 	weightsOK bool        // rowW valid; false falls row selection back to Dantzig
@@ -192,6 +193,7 @@ func newRxScratch(m *Model, etaFile bool) *rxScratch {
 	rx.rho = make([]float64, rx.nRows)
 	rx.y = make([]float64, rx.nRows)
 	rx.posBuf = make([]float64, rx.nRows)
+	rx.posBuf2 = make([]float64, rx.nRows)
 	rx.values = make([]float64, rx.nCols)
 	rx.pricing = PricingDevex
 	rx.rowW = make([]float64, rx.nRows)
@@ -320,20 +322,47 @@ func (rx *rxScratch) refactor() bool {
 	return true
 }
 
-// priceCol returns α_j = ρ·a_j and d_j = c_j − y·a_j for column j in one
-// pass over its nonzeros.
-func (rx *rxScratch) priceCol(j int) (alpha, d float64) {
+// priceRow computes the leaving row of B⁻¹[A I] into alphaC: α_j = ρ·a_j
+// for every column, accumulated row-wise over the rows where ρ is nonzero
+// — Σ_r ρ_r·A[r,·] over the shared immutable model rows — so the cost is
+// the nonzeros of those rows, not of the whole matrix. Rows are visited in
+// ascending order, the order a CSC column stores its entries in, so each
+// α_j is bit-equal to the column-wise dot product.
+func (rx *rxScratch) priceRow() {
+	alpha := rx.alphaC[:rx.nCols]
+	for j := range alpha {
+		alpha[j] = 0
+	}
+	for r, rr := range rx.rho {
+		if rr == 0 {
+			continue
+		}
+		for _, t := range rx.m.cons[r].terms {
+			alpha[t.Var] += t.Coef * rr
+		}
+	}
+	copy(rx.alphaC[rx.nCols:], rx.rho)
+}
+
+// loadBasicCosts writes c_B, the right-hand side of the dual solve
+// y = B⁻ᵀc_B, into the position-space vector c.
+func (rx *rxScratch) loadBasicCosts(c []float64) {
+	for r, j := range rx.basis {
+		c[r] = rx.cost[j]
+	}
+}
+
+// reducedCost returns d_j = c_j − y·a_j for column j against the duals
+// currently in rx.y.
+func (rx *rxScratch) reducedCost(j int) float64 {
 	if j >= rx.nCols {
-		r := j - rx.nCols
-		return rx.rho[r], rx.cost[j] - rx.y[r]
+		return rx.cost[j] - rx.y[j-rx.nCols]
 	}
 	var yd float64
 	for k := rx.csc.colPtr[j]; k < rx.csc.colPtr[j+1]; k++ {
-		r := rx.csc.rowIdx[k]
-		alpha += rx.csc.val[k] * rx.rho[r]
-		yd += rx.csc.val[k] * rx.y[r]
+		yd += rx.csc.val[k] * rx.y[rx.csc.rowIdx[k]]
 	}
-	return alpha, rx.cost[j] - yd
+	return rx.cost[j] - yd
 }
 
 // dualIterate runs bounded-variable dual simplex pivots from the current
@@ -418,14 +447,13 @@ func (rx *rxScratch) dualIterate() rxResult {
 		leave := int(rx.basis[p])
 
 		// Price: ρ = B⁻ᵀe_p gives the leaving row of B⁻¹A; y = B⁻ᵀc_B
-		// gives reduced costs. Both recomputed fresh — no incremental cost
-		// row to drift.
+		// gives reduced costs. Both are solved fresh at every pivot — one
+		// pass over the factor for the pair — so there is no carried cost
+		// row to drift; only the admissible columns' d_j are then priced
+		// from y.
 		rx.posBuf[p] = 1
-		rx.lu.btran(rx.posBuf, rx.rho)
-		for r := 0; r < rx.nRows; r++ {
-			rx.posBuf[r] = rx.cost[rx.basis[r]]
-		}
-		rx.lu.btran(rx.posBuf, rx.y)
+		rx.loadBasicCosts(rx.posBuf2)
+		rx.lu.btran(rx.posBuf, rx.rho, rx.posBuf2, rx.y)
 
 		// Steepest edge needs β_p = ρ·ρ — the exact current weight of row
 		// p, which anchors the Forrest–Goldfarb update against stored-weight
@@ -444,8 +472,9 @@ func (rx *rxScratch) dualIterate() rxResult {
 
 		// Dual ratio test: among nonbasic columns whose movement pushes
 		// xB[p] toward its violated bound, the entering column must be one
-		// whose reduced cost hits zero first. One pricing pass caches every
-		// admissible column's (α, d); the winner is then chosen among the
+		// whose reduced cost hits zero first. One row-wise pricing pass gives
+		// every column's α; d is priced for the admissible ones only, a few
+		// dozen columns out of a thousand. The winner is then chosen among the
 		// columns whose ratio ties the minimum within feasTol as the one
 		// with the LARGEST |α|. The tie-break is the load-bearing part: on
 		// massively degenerate models (near-parallel columns after
@@ -454,13 +483,17 @@ func (rx *rxScratch) dualIterate() rxResult {
 		// whose huge steps blow up the basic values until the basis goes
 		// numerically singular. Preferring the biggest pivot keeps steps —
 		// and the basis condition number — bounded.
+		rx.priceRow()
 		rx.admis = rx.admis[:0]
 		for j := 0; j < rx.nTot; j++ {
+			alpha := rx.alphaC[j]
+			if alpha == 0 {
+				continue // off the leaving row: inadmissible whatever its status
+			}
 			st := rx.status[j]
 			if st == rxBasic || rx.lb[j] == rx.ub[j] {
 				continue // fixed columns cannot move; their d is unconstrained
 			}
-			alpha, d := rx.priceCol(j)
 			switch st {
 			case rxAtLower:
 				if sigma*alpha <= pivotTol {
@@ -475,12 +508,12 @@ func (rx *rxScratch) dualIterate() rxResult {
 					continue
 				}
 			}
-			ratio := d / (sigma * alpha)
+			ratio := rx.reducedCost(j) / (sigma * alpha)
 			if ratio < 0 {
 				ratio = 0 // roundoff pushed d marginally past its bound
 			}
 			rx.admis = append(rx.admis, int32(j))
-			rx.alphaC[j], rx.dC[j] = alpha, ratio
+			rx.dC[j] = ratio
 		}
 		// Sort the candidates by (ratio, index) once; the tiny-pivot
 		// exclusion retry below redoes the walk, not the sort.
@@ -929,15 +962,7 @@ func (rx *rxScratch) dualFeasible() bool {
 		if st == rxBasic || rx.lb[j] == rx.ub[j] {
 			continue
 		}
-		var yd float64
-		if j >= rx.nCols {
-			yd = rx.y[j-rx.nCols]
-		} else {
-			for k := rx.csc.colPtr[j]; k < rx.csc.colPtr[j+1]; k++ {
-				yd += rx.csc.val[k] * rx.y[rx.csc.rowIdx[k]]
-			}
-		}
-		d := rx.cost[j] - yd
+		d := rx.reducedCost(j)
 		switch st {
 		case rxAtLower:
 			if d < -feasTol {
@@ -1013,10 +1038,8 @@ func (rx *rxScratch) solveWarm(snap *rxSnap) (Solution, bool) {
 	if !rx.refactor() {
 		return Solution{}, false
 	}
-	for r := 0; r < rx.nRows; r++ {
-		rx.posBuf[r] = rx.cost[rx.basis[r]]
-	}
-	rx.lu.btran(rx.posBuf, rx.y)
+	rx.loadBasicCosts(rx.posBuf)
+	rx.lu.btran(rx.posBuf, rx.y, nil, nil)
 	if !rx.dualFeasible() {
 		return Solution{}, false
 	}
@@ -1124,10 +1147,8 @@ func (rx *rxScratch) fixings(obj, inc float64, chain *boundChange) *boundChange 
 	if budget < 0 {
 		return chain
 	}
-	for r := 0; r < rx.nRows; r++ {
-		rx.posBuf[r] = rx.cost[rx.basis[r]]
-	}
-	rx.lu.btran(rx.posBuf, rx.y)
+	rx.loadBasicCosts(rx.posBuf)
+	rx.lu.btran(rx.posBuf, rx.y, nil, nil)
 	for i := range rx.m.vars {
 		if !rx.m.vars[i].integer {
 			continue
@@ -1140,11 +1161,7 @@ func (rx *rxScratch) fixings(obj, inc float64, chain *boundChange) *boundChange 
 		if width < 1 {
 			continue
 		}
-		var yd float64
-		for k := rx.csc.colPtr[i]; k < rx.csc.colPtr[i+1]; k++ {
-			yd += rx.csc.val[k] * rx.y[rx.csc.rowIdx[k]]
-		}
-		d := rx.cost[i] - yd
+		d := rx.reducedCost(i)
 		if st == rxAtLower && d > feasTol {
 			if maxT := math.Floor(budget / d); maxT < width {
 				chain = &boundChange{parent: chain, v: VarID(i), upper: true, val: rx.lb[i] + maxT}

@@ -393,7 +393,7 @@ func TestMIPRelGapStop(t *testing.T) {
 	}
 }
 
-func mustCon(t *testing.T, m *Model, name string, terms []Term, rel Rel, rhs float64) {
+func mustCon(t testing.TB, m *Model, name string, terms []Term, rel Rel, rhs float64) {
 	t.Helper()
 	if err := m.AddConstraint(name, terms, rel, rhs); err != nil {
 		t.Fatal(err)

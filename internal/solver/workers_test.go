@@ -138,3 +138,28 @@ func TestWorkersDefault(t *testing.T) {
 		t.Errorf("status = %v, want optimal", s.Status)
 	}
 }
+
+// TestWorkersTBackboneObjective solves a T-backbone planning instance — the
+// model family the sparsity-aware kernels serve — at 1 and 2 workers and
+// requires the same proven optimum. Under -race this is the check that the
+// row-wise PRICE reads only the shared immutable model rows and that every
+// kernel work vector (position queue, paired-BTRAN scratch) is per-worker.
+func TestWorkersTBackboneObjective(t *testing.T) {
+	ref := mustSolveOpts(t, planningModel(t, 1, 32, 1, 24), Options{Workers: 1})
+	if ref.Status != Optimal {
+		t.Fatalf("Workers=1 status = %v, want optimal", ref.Status)
+	}
+	if ref.PresolveCols == 0 || ref.SimplexIters == 0 {
+		t.Fatalf("instance exercised no duplicate merge (%d cols) or no pivots (%d)", ref.PresolveCols, ref.SimplexIters)
+	}
+	two := mustSolveOpts(t, planningModel(t, 1, 32, 1, 24), Options{Workers: 2})
+	if two.Status != Optimal {
+		t.Fatalf("Workers=2 status = %v, want optimal", two.Status)
+	}
+	if math.Abs(two.Objective-ref.Objective) > 1e-9 {
+		t.Errorf("Workers=2 objective = %v, Workers=1 = %v", two.Objective, ref.Objective)
+	}
+	if two.DenseFallbacks != 0 || ref.DenseFallbacks != 0 {
+		t.Errorf("dense fallbacks: %d at 1 worker, %d at 2", ref.DenseFallbacks, two.DenseFallbacks)
+	}
+}

@@ -259,9 +259,9 @@ func runDrills(which string, seed int64, out string, pushWorkers int, pushBudget
 	}
 	var overruns []string
 	for _, r := range reports {
-		fmt.Printf("%-26s %-10s workers=%d restored %d/%d Gbps  oracle=%v audit=%v  detect=%.1fms solve=%.1fms push=%.1fms  faults=%d  log=%.12s\n",
+		fmt.Printf("%-26s %-10s workers=%d restored %d/%d Gbps  oracle=%v audit=%v  detect=%.1fms solve=%.1fms push=%.1fms (tx %d devices, wss %d)  faults=%d  log=%.12s\n",
 			r.Name, r.Network, r.PushWorkers, r.RestoredGbps, r.AffectedGbps, r.OracleMatch, r.AuditClean,
-			r.DetectMs, r.SolveMs, r.PushMs, r.FaultsInjected, r.LogHash)
+			r.DetectMs, r.SolveMs, r.PushMs, r.PushTxDevices, r.PushWSSDevices, r.FaultsInjected, r.LogHash)
 		if budget, ok := budgets[strings.ToLower(r.Network)]; ok && r.PushWorkers != 1 && r.PushMs > budget {
 			overruns = append(overruns,
 				fmt.Sprintf("%s on %s pushed in %.1fms, budget %.0fms", r.Name, r.Network, r.PushMs, budget))

@@ -2,10 +2,16 @@ package chaos
 
 import (
 	"bytes"
+	"fmt"
+	"sort"
 	"testing"
 	"time"
 
+	"flexwan/internal/devmodel"
 	"flexwan/internal/netconf"
+	"flexwan/internal/restore"
+	"flexwan/internal/topology"
+	"flexwan/internal/transponder"
 	"flexwan/internal/workload"
 )
 
@@ -67,18 +73,34 @@ func TestRingDrillRecovers(t *testing.T) {
 
 // TestDrillDeterminism is the contract test: the same seed must produce
 // a byte-identical canonical event log on a fresh testbed, regardless
-// of goroutine scheduling (run under -race in CI).
+// of goroutine scheduling (run under -race in CI) and of the push window
+// — every device in flight, the serial ablation, a window of four.
 func TestDrillDeterminism(t *testing.T) {
 	n := RingNetwork(4, 100, 200)
 	sc := ringScenario(42)
-	rep1, log1 := drillOnce(t, n, sc)
-	rep2, log2 := drillOnce(t, n, sc)
-	if !bytes.Equal(log1.Marshal(), log2.Marshal()) {
-		t.Fatalf("event logs differ:\n--- run 1 ---\n%s\n--- run 2 ---\n%s",
-			log1.Marshal(), log2.Marshal())
-	}
-	if rep1.LogHash != rep2.LogHash {
-		t.Fatalf("hashes differ: %s vs %s", rep1.LogHash, rep2.LogHash)
+	var log1 *Log
+	var rep1 *Report
+	for _, workers := range []int{0, 0, 1, 4} {
+		tb, err := NewTestbed(n, Options{PushWorkers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, log, err := Run(tb, sc)
+		tb.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if log1 == nil {
+			rep1, log1 = rep, log
+			continue
+		}
+		if !bytes.Equal(log1.Marshal(), log.Marshal()) {
+			t.Fatalf("event logs differ at push-workers %d:\n--- first run ---\n%s\n--- this run ---\n%s",
+				workers, log1.Marshal(), log.Marshal())
+		}
+		if rep1.LogHash != rep.LogHash {
+			t.Fatalf("hashes differ at push-workers %d: %s vs %s", workers, rep1.LogHash, rep.LogHash)
+		}
 	}
 	// A different seed must (for these fault rates) shuffle the fault
 	// schedule — byte-identical logs across seeds would mean the seed
@@ -285,4 +307,216 @@ func TestRingCrashDrillPushSkipsLadder(t *testing.T) {
 	if rep.PushMs >= ms(callTimeout) {
 		t.Errorf("push took %.1f ms: the crashed device cost a call timeout (%v) or a backoff ladder", rep.PushMs, callTimeout)
 	}
+}
+
+// cernetRegion is the benchmark's failover network (benchmark/
+// wl_failover.go): workload.Cernet(seed) cut down to the six cities
+// nearest Wuhan, the fibers between them and every IP link whose shortest
+// optical path stays inside.
+func cernetRegion(seed int64) workload.Network {
+	full := workload.Cernet(seed)
+	adj := map[topology.NodeID][]topology.NodeID{}
+	for _, f := range full.Optical.Fibers() {
+		adj[f.A] = append(adj[f.A], f.B)
+		adj[f.B] = append(adj[f.B], f.A)
+	}
+	inside := map[topology.NodeID]bool{"wuhan": true}
+	for queue := []topology.NodeID{"wuhan"}; len(queue) > 0 && len(inside) < 6; queue = queue[1:] {
+		for _, next := range adj[queue[0]] {
+			if !inside[next] && len(inside) < 6 {
+				inside[next] = true
+				queue = append(queue, next)
+			}
+		}
+	}
+	g := topology.New()
+	for _, f := range full.Optical.Fibers() {
+		if inside[f.A] && inside[f.B] {
+			if err := g.AddFiber(f.ID, f.A, f.B, f.LengthKm); err != nil {
+				panic(err)
+			}
+		}
+	}
+	ip := &topology.IPTopology{}
+	for _, l := range full.IP.Links {
+		p, ok := full.Optical.ShortestPath(l.A, l.B)
+		for _, n := range p.Nodes {
+			ok = ok && inside[n]
+		}
+		if ok {
+			if err := ip.AddLink(l); err != nil {
+				panic(err)
+			}
+		}
+	}
+	return workload.Network{Name: "Cernet-region", Optical: g, IP: ip}
+}
+
+// passbands renders a WSS document order-independently.
+func passbands(cfg devmodel.WSSConfig) string {
+	pbs := append([]devmodel.Passband(nil), cfg.Passbands...)
+	sort.Slice(pbs, func(i, j int) bool { return pbs[i].Start < pbs[j].Start })
+	return fmt.Sprint(pbs)
+}
+
+// checkFleetRunsIntent reads every WSS's running document back by
+// get-config — the whole fleet, whether or not a restoration pushed it —
+// and compares it with the controller's recorded intent, which is what a
+// fleet-wide push carries (pinned against wssPlanLocked by the controller
+// package's own tests).
+func checkFleetRunsIntent(t *testing.T, tb *Testbed) {
+	t.Helper()
+	intent := tb.Ctrl.Snapshot().WSSConfig
+	for _, f := range tb.Net.Optical.Fibers() {
+		var running devmodel.WSSConfig
+		if err := tb.Ctrl.DevMgr().Call("wss-"+f.ID, netconf.OpGetConfig, nil, &running); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := passbands(running), passbands(intent[f.ID]); got != want {
+			t.Errorf("WSS of %s runs %s, intent is %s", f.ID, got, want)
+		}
+	}
+}
+
+// TestTouchedOnlyWSSPush is the differential test for the restoration's
+// WSS phase. After a clean drill the push has gone to exactly the fibers
+// whose document the restoration changed — fewer than the fleet wherever
+// the topology is more than one ring — and every WSS, untouched ones
+// included, runs the controller's intent, as after a fleet-wide push.
+func TestTouchedOnlyWSSPush(t *testing.T) {
+	for _, n := range []workload.Network{RingNetwork(4, 100, 200), cernetRegion(1), workload.Cernet(1)} {
+		t.Run(n.Name, func(t *testing.T) {
+			if testing.Short() && n.Name == "Cernet" {
+				t.Skip("CERNET-scale drill is slow; skipped with -short")
+			}
+			tb, err := NewTestbed(n, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tb.Close()
+			before := tb.Ctrl.Snapshot().WSSConfig
+			sc := Scenario{Name: "clean", Seed: 1}
+			if n.Name == "Cernet-region" {
+				sc.CutFiber = detourFiber(tb)
+			}
+			rep, _, err := Run(tb, sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.RestoredGbps == 0 || !rep.OracleMatch || !rep.AuditClean {
+				t.Fatalf("drill restored %d Gbps, oracle match %v, audit clean %v", rep.RestoredGbps, rep.OracleMatch, rep.AuditClean)
+			}
+			after, changed := tb.Ctrl.Snapshot().WSSConfig, 0
+			for _, f := range n.Optical.Fibers() {
+				if passbands(before[f.ID]) != passbands(after[f.ID]) {
+					changed++
+				}
+			}
+			fleet := n.Optical.NumFibers()
+			t.Logf("pushed %d transponders and %d of %d WSSes", rep.PushTxDevices, rep.PushWSSDevices, fleet)
+			if rep.PushWSSDevices != changed {
+				t.Errorf("pushed %d WSSes, the restoration changed the documents of %d", rep.PushWSSDevices, changed)
+			}
+			if ring := n.Name == "ring4"; ring != (rep.PushWSSDevices == fleet) {
+				t.Errorf("pushed %d of the fleet's %d WSSes", rep.PushWSSDevices, fleet)
+			}
+			if rep.PushTxDevices == 0 {
+				t.Error("no transponder pushed")
+			}
+			checkFleetRunsIntent(t, tb)
+		})
+	}
+}
+
+// detourFiber returns the busiest fiber whose cut restores something —
+// the benchmark's cut rule, found here by asking the offline oracle.
+func detourFiber(tb *Testbed) string {
+	load := map[string]int{}
+	for _, ch := range tb.Ctrl.LiveChannels() {
+		for _, f := range ch.Wavelength.Path.Fibers {
+			load[f] += ch.Wavelength.Mode.DataRateGbps
+		}
+	}
+	fibers := make([]string, 0, len(load))
+	for f := range load {
+		fibers = append(fibers, f)
+	}
+	sort.Slice(fibers, func(i, j int) bool {
+		if load[fibers[i]] != load[fibers[j]] {
+			return load[fibers[i]] > load[fibers[j]]
+		}
+		return fibers[i] < fibers[j]
+	})
+	for _, f := range fibers {
+		if res, err := oracle(tb, f); err == nil && res.RestoredGbps > 0 {
+			return f
+		}
+	}
+	return ""
+}
+
+func oracle(tb *Testbed, cut ...string) (*restore.Result, error) {
+	return restore.Solve(restore.Problem{
+		Optical: tb.Net.Optical, IP: tb.Net.IP, Catalog: transponder.SVT(), Grid: tb.Grid,
+		Base: tb.Ctrl.CurrentPlan(), Scenario: restore.Scenario{ID: "probe", CutFibers: cut}, K: tb.K,
+	})
+}
+
+// TestSecondCutWhileFirstCutsWSSPending: a WSS on the first restoration's
+// new path is unreachable, so its document stays pending; a second cut
+// arrives before any repair. The second restoration pushes only its own
+// fibers — it does not converge the pending WSS by accident, and must not
+// need to — and once the WSS is back Repair's fleet-wide push brings the
+// fleet to a clean audit with every WSS on intent.
+func TestSecondCutWhileFirstCutsWSSPending(t *testing.T) {
+	tb, err := NewTestbed(cernetRegion(1), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tb.Close()
+	first := detourFiber(tb)
+	probe, err := oracle(tb, first)
+	if err != nil || len(probe.Restored) == 0 {
+		t.Fatalf("no restorable cut in the region: %v", err)
+	}
+	pending := probe.Restored[0].Path.Fibers[0] // on the new path, so not the cut fiber
+	wss := "wss-" + pending
+	desc, _ := tb.Ctrl.DevMgr().Descriptor(wss)
+	tb.servers[wss].Stop()
+
+	rep, err := tb.Ctrl.HandleFiberCutReport(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(rep.SkippedDevices) != "["+wss+"]" {
+		t.Fatalf("first cut skipped %v, want the stopped %s", rep.SkippedDevices, wss)
+	}
+	// The second cut: the busiest fiber still carrying traffic that is
+	// neither cut nor the pending WSS's.
+	second := ""
+	for _, ch := range tb.Ctrl.LiveChannels() {
+		for _, f := range ch.Wavelength.Path.Fibers {
+			if f != first && f != pending && (second == "" || f < second) {
+				second = f
+			}
+		}
+	}
+	rep2, err := tb.Ctrl.HandleFiberCutReport(second)
+	if err != nil {
+		t.Fatalf("second cut (%s) while %s is pending: %v", second, wss, err)
+	}
+	if rep2.Result.AffectedGbps == 0 || rep2.PushWSSDevices >= tb.Net.Optical.NumFibers() {
+		t.Errorf("second cut affected %d Gbps and pushed %d of %d WSSes", rep2.Result.AffectedGbps, rep2.PushWSSDevices, tb.Net.Optical.NumFibers())
+	}
+
+	if _, err := tb.servers[wss].Listen(desc.Address); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tb.Ctrl.Repair(); err != nil {
+		t.Fatal(err)
+	}
+	if audit, err := tb.Ctrl.Audit(); err != nil || !audit.Clean() {
+		t.Fatalf("audit after the repair: %+v, %v", audit, err)
+	}
+	checkFleetRunsIntent(t, tb)
 }

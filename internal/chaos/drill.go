@@ -63,7 +63,12 @@ type Report struct {
 	// fan-out and the WSS fan-out.
 	PushTxMs  float64 `json:"push_tx_ms"`
 	PushWSSMs float64 `json:"push_wss_ms"`
-	TotalMs   float64 `json:"total_ms"`
+	// PushTxDevices and PushWSSDevices count the devices each phase
+	// pushed; the WSS count is the fibers the restoration touched, not
+	// the fleet.
+	PushTxDevices  int     `json:"push_tx_devices"`
+	PushWSSDevices int     `json:"push_wss_devices"`
+	TotalMs        float64 `json:"total_ms"`
 
 	AffectedGbps int  `json:"affected_gbps"`
 	RestoredGbps int  `json:"restored_gbps"`
@@ -230,6 +235,8 @@ func Run(tb *Testbed, sc Scenario) (*Report, *Log, error) {
 		PushMs:          ms(rep.PushTime),
 		PushTxMs:        ms(rep.PushTxTime),
 		PushWSSMs:       ms(rep.PushWSSTime),
+		PushTxDevices:   rep.PushTxDevices,
+		PushWSSDevices:  rep.PushWSSDevices,
 		TotalMs:         ms(total),
 		AffectedGbps:    rep.Result.AffectedGbps,
 		RestoredGbps:    rep.Result.RestoredGbps,

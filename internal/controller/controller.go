@@ -10,7 +10,6 @@ import (
 
 	"flexwan/internal/devmodel"
 	"flexwan/internal/netconf"
-	"flexwan/internal/parallel"
 	"flexwan/internal/plan"
 	"flexwan/internal/restore"
 	"flexwan/internal/spectrum"
@@ -258,7 +257,7 @@ func transponderConfig(w plan.Wavelength, channel string) devmodel.TransponderCo
 // pushed). Callers hold c.mu.
 func (c *Controller) pushWSSLocked() error {
 	var firstErr error
-	err := c.pushWSSDegradedLocked(func(wssID string, err error) {
+	_, err := c.pushWSSDegradedLocked(nil, func(wssID string, err error) {
 		if firstErr == nil {
 			firstErr = fmt.Errorf("controller: configuring WSS %s: %w", wssID, err)
 		}
@@ -269,16 +268,17 @@ func (c *Controller) pushWSSLocked() error {
 	return firstErr
 }
 
-// pushWSSDegradedLocked pushes every fiber's accumulated passband
-// document to its WSS — concurrently, one document per device —
-// reporting unreachable devices through skip (invoked in sorted device
-// order) instead of aborting. A fiber with no registered WSS is still an
-// error: that is a deployment wiring bug, not an outage. Callers hold
-// c.mu.
-func (c *Controller) pushWSSDegradedLocked(skip func(deviceID string, err error)) error {
-	plan, err := c.wssPlanLocked()
+// pushWSSDegradedLocked pushes the accumulated passband document of every
+// fiber in only (of every fiber, when only is nil) to its WSS — one
+// document per device, all in flight together — reporting unreachable
+// devices through skip (invoked in sorted device order) instead of
+// aborting, and returns how many devices it pushed. A fiber with no
+// registered WSS is still an error: that is a deployment wiring bug, not
+// an outage. Callers hold c.mu.
+func (c *Controller) pushWSSDegradedLocked(only map[string]bool, skip func(deviceID string, err error)) (int, error) {
+	plan, err := c.wssPlanLocked(only)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	errs := c.executePush(plan)
 	for _, id := range plan.devices() {
@@ -286,16 +286,18 @@ func (c *Controller) pushWSSDegradedLocked(skip func(deviceID string, err error)
 			skip(id, errs[id])
 		}
 	}
-	return nil
+	return len(plan.docs), nil
 }
 
 // wssPlanLocked builds the per-WSS push plan from the accumulated
-// passband intent: each WSS gets its fiber's full document. Callers
-// hold c.mu.
-func (c *Controller) wssPlanLocked() (*pushPlan, error) {
+// passband intent: the WSS of each fiber in only (of every fiber, when
+// only is nil) gets its fiber's full document. Callers hold c.mu.
+func (c *Controller) wssPlanLocked(only map[string]bool) (*pushPlan, error) {
 	fibers := make([]string, 0, len(c.wssConfig))
 	for f := range c.wssConfig {
-		fibers = append(fibers, f)
+		if only == nil || only[f] {
+			fibers = append(fibers, f)
+		}
 	}
 	sort.Strings(fibers)
 	plan := newPushPlan()
@@ -403,10 +405,10 @@ func (c *Controller) Audit() (AuditReport, error) {
 	report.ChannelsChecked = len(channels)
 
 	// Collect the read set — each distinct fiber's WSS and every channel
-	// endpoint with a registered descriptor — then fan the get-config
-	// reads out concurrently, one session per device. Errors surface in
-	// sorted device order, so a dead device fails the audit
-	// deterministically.
+	// endpoint with a registered descriptor — and issue the get-config
+	// reads as one wave: reads have no ordering constraint. Errors surface
+	// in request order (WSSes by fiber, then transponders by ID), so a
+	// dead device fails the audit deterministically.
 	fibers := make([]string, 0)
 	fiberSeen := make(map[string]bool)
 	for _, st := range channels {
@@ -418,11 +420,6 @@ func (c *Controller) Audit() (AuditReport, error) {
 		}
 	}
 	sort.Strings(fibers)
-	for _, fiber := range fibers {
-		if _, ok := c.devmgr.WSSForFiber(fiber); !ok {
-			return report, fmt.Errorf("controller: no WSS for fiber %s", fiber)
-		}
-	}
 	txIDs := make([]string, 0, 2*len(channels))
 	txSeen := make(map[string]bool)
 	for _, st := range channels {
@@ -438,36 +435,31 @@ func (c *Controller) Audit() (AuditReport, error) {
 	}
 	sort.Strings(txIDs)
 
-	wssCfg := make(map[string]devmodel.WSSConfig)
-	{
-		cfgs, errs := parallel.Map(nil, c.readWorkers(len(fibers)), len(fibers),
-			func(_ context.Context, i int) (devmodel.WSSConfig, error) {
-				wssID, _ := c.devmgr.WSSForFiber(fibers[i])
-				var cfg devmodel.WSSConfig
-				err := c.devmgr.Call(wssID, netconf.OpGetConfig, nil, &cfg)
-				return cfg, err
-			})
-		if err := parallel.First(errs); err != nil {
-			return report, err
+	wssCfgs := make([]devmodel.WSSConfig, len(fibers))
+	txCfgs := make([]devmodel.TransponderConfig, len(txIDs))
+	reqs := make([]Request, 0, len(fibers)+len(txIDs))
+	for i, fiber := range fibers {
+		wssID, ok := c.devmgr.WSSForFiber(fiber)
+		if !ok {
+			return report, fmt.Errorf("controller: no WSS for fiber %s", fiber)
 		}
-		for i, fiber := range fibers {
-			wssCfg[fiber] = cfgs[i]
+		reqs = append(reqs, Request{wssID, netconf.OpGetConfig, nil, &wssCfgs[i]})
+	}
+	for i, id := range txIDs {
+		reqs = append(reqs, Request{id, netconf.OpGetConfig, nil, &txCfgs[i]})
+	}
+	for _, err := range c.devmgr.CallAll(reqs, c.PushWorkers()) {
+		if err != nil {
+			return report, err
 		}
 	}
-	txCfg := make(map[string]devmodel.TransponderConfig)
-	{
-		cfgs, errs := parallel.Map(nil, c.readWorkers(len(txIDs)), len(txIDs),
-			func(_ context.Context, i int) (devmodel.TransponderConfig, error) {
-				var cfg devmodel.TransponderConfig
-				err := c.devmgr.Call(txIDs[i], netconf.OpGetConfig, nil, &cfg)
-				return cfg, err
-			})
-		if err := parallel.First(errs); err != nil {
-			return report, err
-		}
-		for i, id := range txIDs {
-			txCfg[id] = cfgs[i]
-		}
+	wssCfg := make(map[string]devmodel.WSSConfig, len(fibers))
+	for i, fiber := range fibers {
+		wssCfg[fiber] = wssCfgs[i]
+	}
+	txCfg := make(map[string]devmodel.TransponderConfig, len(txIDs))
+	for i, id := range txIDs {
+		txCfg[id] = txCfgs[i]
 	}
 
 	names := make([]string, 0, len(channels))
@@ -563,6 +555,11 @@ type RestoreReport struct {
 	// batched RPC per device) and the concurrent WSS passband push.
 	PushTxTime  time.Duration
 	PushWSSTime time.Duration
+	// PushTxDevices and PushWSSDevices count the devices each phase
+	// pushed: every endpoint of a failed channel, and the WSS of every
+	// fiber whose passband document the restoration changed.
+	PushTxDevices  int
+	PushWSSDevices int
 	// SkippedDevices lists devices that stayed unreachable through the
 	// retry policy during the push — the degraded-mode escape hatch:
 	// restoration proceeds for every vendor that answers, and the
@@ -591,11 +588,13 @@ func (c *Controller) HandleFiberCut(fiber string) (*restore.Result, error) {
 // detected cut: it computes the restoration plan (playbook hit or live
 // solve), retunes the affected transponder pairs onto their new
 // paths/modes/spectrum, and updates the WSS passbands along both old and
-// new paths. The push is degraded-mode: a device that stays unreachable
-// through the retry policy is skipped and reported rather than aborting
-// the restoration of every other channel; the controller still records
-// the full intended state, so a later Repair converges the skipped
-// devices once they come back.
+// new paths — only there: documents are absolute, so a WSS whose document
+// this handling did not change already holds it, and Repair, which pushes
+// the whole fleet, converges one that does not. The push is degraded-mode:
+// a device that stays unreachable through the retry policy is skipped and
+// reported rather than aborting the restoration of every other channel;
+// the controller still records the full intended state, so a later Repair
+// converges the skipped devices once they come back.
 func (c *Controller) HandleFiberCutReport(fiber string) (*RestoreReport, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -651,6 +650,7 @@ func (c *Controller) HandleFiberCutReport(fiber string) (*RestoreReport, error) 
 	// cut fiber", §8). A transponder torn down and immediately retuned
 	// gets both documents in one batched RPC, applied in order.
 	failedNames := c.failedChannelsLocked(cut)
+	touched := make(map[string]bool) // fibers whose WSS document changes
 	type hw struct{ txA, txB string }
 	spares := make(map[string][]hw) // linkID → freed transponder pairs
 	txPlan := newPushPlan()
@@ -658,6 +658,9 @@ func (c *Controller) HandleFiberCutReport(fiber string) (*RestoreReport, error) 
 	for _, name := range failedNames {
 		st := c.channels[name]
 		c.removePassbandsLocked(name, st.wavelength.Path.Fibers)
+		for _, f := range st.wavelength.Path.Fibers {
+			touched[f] = true
+		}
 		delete(c.channels, name)
 		spares[st.wavelength.LinkID] = append(spares[st.wavelength.LinkID], hw{st.txA, st.txB})
 		// Disable both ends; a dark transponder stops alarming. An
@@ -692,6 +695,7 @@ func (c *Controller) HandleFiberCutReport(fiber string) (*RestoreReport, error) 
 				Channel: channel, Start: w.Interval.Start, Count: w.Interval.Count,
 			})
 			c.wssConfig[f] = wc
+			touched[f] = true
 		}
 		c.channels[channel] = &channelState{wavelength: w, txA: pair.txA, txB: pair.txB}
 	}
@@ -714,10 +718,12 @@ func (c *Controller) HandleFiberCutReport(fiber string) (*RestoreReport, error) 
 		}
 	}
 	rep.PendingChannels = append(rep.PendingChannels, txPlan.pendingChannels(txErrs)...)
+	rep.PushTxDevices = len(txPlan.docs)
 	rep.PushTxTime = time.Since(pushStart)
 
 	wssStart := time.Now()
-	if err := c.pushWSSDegradedLocked(skip); err != nil {
+	var err error
+	if rep.PushWSSDevices, err = c.pushWSSDegradedLocked(touched, skip); err != nil {
 		return nil, err
 	}
 	rep.PushWSSTime = time.Since(wssStart)

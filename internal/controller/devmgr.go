@@ -277,7 +277,7 @@ func (d *DevMgr) FreeTransponders(site string) int {
 	return len(d.freeTx[site])
 }
 
-// ErrDeviceDown marks a Call that gave up because the device's
+// ErrDeviceDown marks a request that gave up because the device's
 // management address actively refused the connection: no agent is
 // listening there, and a backoff ladder of tens of milliseconds will not
 // outlast a reboot. The degraded push skips and reports such a device;
@@ -289,16 +289,96 @@ var ErrDeviceDown = errors.New("device down")
 // device (a miswired management network).
 type permanent struct{ error }
 
-// Call performs one RPC against the device, classifying each failure
-// before spending time on it:
+// Request is one device's RPC in a CallAll.
+type Request struct {
+	ID, Op  string
+	In, Out interface{}
+}
+
+// attempt is one try at a request: the session it ran on and whether that
+// session came from the pool, with the RPC's error — or, when no session
+// could be had (client nil), the dial's.
+type attempt struct {
+	client *netconf.Client
+	pooled bool
+	err    error
+}
+
+// Call performs one RPC against the device: CallAll with one request.
+func (d *DevMgr) Call(id, op string, in, out interface{}) error {
+	return d.CallAll([]Request{{id, op, in, out}}, 0)[0]
+}
+
+// CallAll performs the requests and returns their errors by position. It
+// writes every first attempt back to back from the calling goroutine on
+// the pooled sessions and takes the replies in completion order, so a
+// fleet that answers costs no goroutine and one wake-up per reply. A request whose first attempt fails, or whose device
+// has no pooled session to try, runs the rest of the ladder on a goroutine
+// of its own from the moment that is known, beside the requests still in
+// flight. window > 0 bounds the requests in flight (1 is fully serial: a
+// request's ladder ends before the next is sent); otherwise all are.
 //
-//   - A pooled session (one this Call did not dial) that is dead or dies
+// This is the hardened path every configuration push and audit read uses.
+func (d *DevMgr) CallAll(reqs []Request, window int) []error {
+	type sentCall struct {
+		i      int
+		client *netconf.Client
+	}
+	errs := make([]error, len(reqs))
+	sent := make(map[*netconf.Call]sentCall, len(reqs))
+	first := make(chan *netconf.Call, len(reqs)) // completed first attempts
+	climbed := make(chan struct{}, len(reqs))    // ladders that reached their end
+	climb := func(i int, from func() attempt) {
+		go func() {
+			errs[i] = d.ladder(reqs[i], from())
+			climbed <- struct{}{}
+		}()
+	}
+	next, inflight := 0, 0
+	for done := 0; done < len(reqs); {
+		for ; next < len(reqs) && (window <= 0 || inflight < window); next++ {
+			i, r := next, reqs[next]
+			inflight++
+			if client, ok := d.Client(r.ID); ok {
+				sent[client.Go(r.Op, r.In, r.Out, first)] = sentCall{i, client}
+			} else {
+				climb(i, func() attempt { return d.try(r) })
+			}
+		}
+		select {
+		case call := <-first:
+			if s := sent[call]; call.Err != nil {
+				climb(s.i, func() attempt { return attempt{s.client, true, call.Err} })
+				continue
+			}
+		case <-climbed:
+		}
+		done++
+		inflight--
+	}
+	return errs
+}
+
+// try makes one attempt at the request on the device's session, dialing
+// one if the pool has none.
+func (d *DevMgr) try(r Request) attempt {
+	client, pooled, err := d.session(r.ID)
+	if err == nil {
+		err = client.Call(r.Op, r.In, r.Out)
+	}
+	return attempt{client, pooled, err}
+}
+
+// ladder takes a request from its latest attempt to its end, classifying
+// each failure before spending time on it:
+//
+//   - A pooled session (one this request did not dial) that is dead or dies
 //     mid-call says nothing about the device, only about the session. It
 //     is dropped and redialed at once, one time, without consuming an
 //     attempt or a backoff — what net/http does for a stale idle
 //     connection.
-//   - A refused dial means the agent is not listening: Call returns
-//     ErrDeviceDown immediately.
+//   - A refused dial means the agent is not listening: ErrDeviceDown,
+//     immediately.
 //   - An unregistered ID or an identity mismatch on redial is a caller or
 //     wiring bug and returns immediately.
 //   - A device NACK (netconf.RPCError) returns immediately — the
@@ -306,45 +386,39 @@ type permanent struct{ error }
 //     succeed.
 //   - Everything ambiguous — a timed-out RPC (dropped request or reply),
 //     a dial or hello that times out or cannot be read, a session lost on
-//     a connection this Call dialed itself — tears the session down and
+//     a connection this request dialed itself — tears the session down and
 //     retries on a fresh dial after a capped, jittered exponential
 //     backoff.
-//
-// This is the hardened path every configuration push and audit read uses.
-func (d *DevMgr) Call(id, op string, in, out interface{}) error {
+func (d *DevMgr) ladder(r Request, a attempt) error {
 	pol := d.RetryPolicy()
 	staleRedialed := false
-	for attempt := 1; ; {
-		client, pooled, err := d.session(id)
+	for n := 1; a.err != nil; a = d.try(r) {
 		var perm permanent
 		switch {
-		case err == nil:
-			err = client.Call(op, in, out)
-			if err == nil {
-				return nil
-			}
-			if !netconf.IsTransient(err) {
-				return err
+		case a.client != nil:
+			if !netconf.IsTransient(a.err) {
+				return a.err
 			}
 			// The session misbehaved; drop it so the next attempt
 			// redials. (Another goroutine may already have swapped it —
 			// invalidate only our instance.)
-			d.invalidate(id, client)
-			if pooled && !staleRedialed && errors.Is(err, netconf.ErrSessionLost) {
+			d.invalidate(r.ID, a.client)
+			if a.pooled && !staleRedialed && errors.Is(a.err, netconf.ErrSessionLost) {
 				staleRedialed = true
 				continue
 			}
-		case errors.As(err, &perm):
-			return err
-		case errors.Is(err, syscall.ECONNREFUSED):
-			return fmt.Errorf("controller: %s on %s: %w: %w", op, id, ErrDeviceDown, err)
+		case errors.As(a.err, &perm):
+			return a.err
+		case errors.Is(a.err, syscall.ECONNREFUSED):
+			return fmt.Errorf("controller: %s on %s: %w: %w", r.Op, r.ID, ErrDeviceDown, a.err)
 		}
-		if attempt >= pol.maxAttempts() {
-			return fmt.Errorf("controller: %s on %s failed after %d attempts: %w", op, id, attempt, err)
+		if n >= pol.maxAttempts() {
+			return fmt.Errorf("controller: %s on %s failed after %d attempts: %w", r.Op, r.ID, n, a.err)
 		}
-		pol.sleep(pol.Backoff(attempt))
-		attempt++
+		pol.sleep(pol.Backoff(n))
+		n++
 	}
+	return nil
 }
 
 // session returns the device's management session and whether it came

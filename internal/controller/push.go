@@ -1,21 +1,19 @@
 package controller
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
 	"flexwan/internal/netconf"
-	"flexwan/internal/parallel"
 )
 
 // This file is the configuration push pipeline: the planner that
 // coalesces every document destined for one device into a single
-// batched RPC, and the engine that fans the per-device pipelines out
-// concurrently. The restoration numbers motivated it — after PR 4 the
-// CERNET drill spent ~5.1 s of a ~5.14 s recovery in the serial NETCONF
-// push while detect and solve together cost ~3 ms — and the design
-// keeps the chaos determinism contract: each device receives a fixed
+// batched RPC, handed to DevMgr.CallAll, which keeps the per-device
+// pipelines in flight together. The restoration numbers motivated it —
+// after PR 4 the CERNET drill spent ~5.1 s of a ~5.14 s recovery in the
+// serial NETCONF push while detect and solve together cost ~3 ms — and the
+// design keeps the chaos determinism contract: each device receives a fixed
 // RPC sequence regardless of worker count, so seeded fault decisions
 // (keyed by device, op, seq) are schedule-independent, and skip/error
 // accounting is always reported in sorted device order.
@@ -58,9 +56,6 @@ func (p *pushPlan) devices() []string {
 	return out
 }
 
-// empty reports whether the plan has no documents.
-func (p *pushPlan) empty() bool { return len(p.docs) == 0 }
-
 // pendingChannels lists, sorted and deduplicated, the channels that have
 // a document on any failed device — the channels whose intended
 // configuration is recorded but not fully pushed.
@@ -82,70 +77,53 @@ func (p *pushPlan) pendingChannels(errs map[string]error) []string {
 	return out
 }
 
-// SetPushWorkers bounds the configuration push fan-out: n > 1 pushes up
-// to n device pipelines concurrently, n == 1 is the legacy serial path
-// (devices pushed one at a time in sorted order — the ablation baseline
-// BENCH_recovery.json records), and n <= 0 (the default) fans out fully,
-// one in-flight pipeline per device. Pushes are IO-bound waits on device
-// RPCs, so the fan-out is not CPU-capped.
+// SetPushWorkers bounds the configuration push: n > 1 keeps up to n device
+// pipelines in flight, n == 1 is the legacy serial path (devices pushed
+// one at a time in sorted order — the ablation baseline
+// BENCH_recovery.json records), and n <= 0 (the default) keeps every
+// device's pipeline in flight at once. Pushes are IO-bound waits on device
+// RPCs, so the window is not CPU-capped.
 func (c *Controller) SetPushWorkers(n int) {
 	c.pushWorkers.Store(int64(n))
 }
 
-// PushWorkers returns the configured push fan-out (0 = one goroutine
-// per device).
+// PushWorkers returns the configured push window (0 = every device in
+// flight).
 func (c *Controller) PushWorkers() int {
 	return int(c.pushWorkers.Load())
 }
 
-// executePush pushes every device's pipeline through the pooled,
-// retrying DevMgr.Call sessions, fanning devices out over the
-// internal/parallel pool (one in-flight pipeline per device). It
-// returns the per-device errors (successful devices are absent).
-// Results are deterministic: each device sees exactly one RPC (batch or
-// single) regardless of worker count, and callers consume errors via
-// the plan's sorted device order. Callers may hold c.mu — the engine
-// only touches the DevMgr, which has its own locking.
+// executePush pushes every device's pipeline — a single document as a
+// plain edit-config, several as one edit-config-batch — through
+// DevMgr.CallAll and returns the per-device errors (successful devices
+// are absent). Results are deterministic: each device sees exactly one RPC
+// per attempt regardless of the window, and callers consume errors via the
+// plan's sorted device order. Callers may hold c.mu — the engine only
+// touches the DevMgr, which has its own locking.
 func (c *Controller) executePush(p *pushPlan) map[string]error {
-	devices := p.devices()
-	if len(devices) == 0 {
-		return nil
-	}
-	errs := parallel.ForEach(nil, c.readWorkers(len(devices)), len(devices), func(_ context.Context, i int) error {
-		return c.pushDevice(devices[i], p.docs[devices[i]])
-	})
 	out := make(map[string]error)
-	for i, err := range errs {
+	reqs := make([]Request, 0, len(p.docs))
+	for _, id := range p.devices() {
+		docs := p.docs[id]
+		if len(docs) == 1 {
+			reqs = append(reqs, Request{id, netconf.OpEditConfig, docs[0].cfg, nil})
+			continue
+		}
+		cfgs := make([]interface{}, len(docs))
+		for i, d := range docs {
+			cfgs[i] = d.cfg
+		}
+		batch, err := netconf.NewBatchEdit(cfgs...)
 		if err != nil {
-			out[devices[i]] = err
+			out[id] = fmt.Errorf("controller: batching %d documents for %s: %w", len(docs), id, err)
+			continue
+		}
+		reqs = append(reqs, Request{id, netconf.OpEditConfigBatch, batch, nil})
+	}
+	for i, err := range c.devmgr.CallAll(reqs, c.PushWorkers()) {
+		if err != nil {
+			out[reqs[i].ID] = err
 		}
 	}
 	return out
-}
-
-// readWorkers resolves the fan-out for n concurrent device RPCs under
-// the push policy: the configured worker bound if positive, else one
-// goroutine per device (the RPCs are IO-bound waits, not CPU work).
-func (c *Controller) readWorkers(n int) int {
-	if w := int(c.pushWorkers.Load()); w > 0 {
-		return w
-	}
-	return n
-}
-
-// pushDevice sends one device's pipeline: a single document as a plain
-// edit-config, several as one edit-config-batch.
-func (c *Controller) pushDevice(deviceID string, docs []pushDoc) error {
-	if len(docs) == 1 {
-		return c.devmgr.Call(deviceID, netconf.OpEditConfig, docs[0].cfg, nil)
-	}
-	cfgs := make([]interface{}, len(docs))
-	for i, d := range docs {
-		cfgs[i] = d.cfg
-	}
-	batch, err := netconf.NewBatchEdit(cfgs...)
-	if err != nil {
-		return fmt.Errorf("controller: batching %d documents for %s: %w", len(docs), deviceID, err)
-	}
-	return c.devmgr.Call(deviceID, netconf.OpEditConfigBatch, batch, nil)
 }

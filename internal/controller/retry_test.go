@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
@@ -407,5 +408,282 @@ func TestHealthReportsSessionLiveness(t *testing.T) {
 	}
 	if !sessionUp(t, d, id) {
 		t.Error("restarted device reports no session after a successful Call")
+	}
+}
+
+// scriptedAgent puts a device's agent under a script: every RPC it is sent
+// (redial hellos included) is recorded in order, and decide, when set,
+// rules on the i-th of them.
+type scriptedAgent struct {
+	mu   sync.Mutex
+	seen []string
+}
+
+func script(srv *netconf.Server, decide func(i int, op string) netconf.FaultDecision) *scriptedAgent {
+	a := &scriptedAgent{}
+	srv.SetInterceptor(func(op string) netconf.FaultDecision {
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		a.seen = append(a.seen, op)
+		if decide == nil {
+			return netconf.FaultDecision{}
+		}
+		return decide(len(a.seen), op)
+	})
+	return a
+}
+
+func (a *scriptedAgent) ops() string {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return strings.Join(a.seen, " ")
+}
+
+// TestCallAllClimbsTheSameLadder walks DESIGN.md's failure-classification
+// table. Each row breaks tx-A-0 one way and reads its config twice, on
+// fresh deployments: alone through Call, and through CallAll between two
+// healthy devices whose first attempts are in flight beside it. Both must
+// show the agent the RPC sequence pinned here — what Call's retry loop
+// produced before it became the engine's ladder — sleep the same backoffs
+// and end in the same class of error, and the healthy neighbours must see
+// one RPC each whatever happens next to them.
+func TestCallAllClimbsTheSameLadder(t *testing.T) {
+	const id = "tx-A-0"
+	const get, hello = netconf.OpGetConfig, netconf.OpHello
+	drop := netconf.FaultDecision{Fault: netconf.FaultDropRequest}
+	reset := netconf.FaultDecision{Fault: netconf.FaultReset}
+	first := func(d netconf.FaultDecision) func(int, string) netconf.FaultDecision {
+		return func(i int, _ string) netconf.FaultDecision {
+			if i == 1 {
+				return d
+			}
+			return netconf.FaultDecision{}
+		}
+	}
+	everyRPC := func(d netconf.FaultDecision) func(int, string) netconf.FaultDecision {
+		return func(_ int, op string) netconf.FaultDecision {
+			if op == hello {
+				return netconf.FaultDecision{}
+			}
+			return d
+		}
+	}
+	crash := func(t *testing.T, h *harness) {
+		h.transponders[id].Crash()
+		awaitSessionDead(t, h.ctrl.DevMgr(), id)
+	}
+	isNil := func(err error) bool { return err == nil }
+	exhausted := func(err error) bool {
+		return err != nil && netconf.IsTransient(err) && !errors.Is(err, ErrDeviceDown) &&
+			strings.Contains(err.Error(), "failed after 3 attempts")
+	}
+	says := func(text string) func(error) bool {
+		return func(err error) bool { return err != nil && strings.Contains(err.Error(), text) }
+	}
+	rows := []struct {
+		name string
+		// arrange breaks the device before the call; it may return another
+		// server to put under the script in the agent's place.
+		arrange func(t *testing.T, h *harness) *netconf.Server
+		decide  func(i int, op string) netconf.FaultDecision
+		target  string // the device called; tx-A-0 unless set
+		ops     string
+		sleeps  int
+		ok      func(error) bool
+	}{
+		{name: "healthy", ops: get, ok: isNil},
+		{name: "pooled session lost mid-call", decide: first(reset),
+			ops: get + " " + hello + " " + get, ok: isNil},
+		{name: "pooled session dead before use", arrange: func(t *testing.T, h *harness) *netconf.Server {
+			crash(t, h)
+			if err := h.transponders[id].Restart(); err != nil {
+				t.Fatal(err)
+			}
+			return nil
+		}, ops: hello + " " + get, ok: isNil},
+		{name: "dial refused", arrange: func(t *testing.T, h *harness) *netconf.Server {
+			crash(t, h)
+			return nil
+		}, ok: func(err error) bool { return errors.Is(err, ErrDeviceDown) }},
+		{name: "request dropped once", decide: first(drop),
+			ops: get + " " + hello + " " + get, sleeps: 1, ok: isNil},
+		{name: "never answers", decide: everyRPC(drop),
+			ops: get + " " + hello + " " + get + " " + hello + " " + get, sleeps: 2, ok: exhausted},
+		{name: "every session reset", decide: everyRPC(reset),
+			ops: get + " " + hello + " " + get + " " + hello + " " + get + " " + hello + " " + get, sleeps: 2, ok: exhausted},
+		{name: "no pooled session, redial hello dropped once", arrange: func(t *testing.T, h *harness) *netconf.Server {
+			client, _ := h.ctrl.DevMgr().Client(id)
+			h.ctrl.DevMgr().invalidate(id, client)
+			return nil
+		}, decide: first(drop), ops: hello + " " + hello + " " + get, sleeps: 1, ok: isNil},
+		{name: "device NACK", decide: everyRPC(netconf.FaultDecision{Err: "vendor: no"}), ops: get,
+			ok: func(err error) bool { var nack *netconf.RPCError; return errors.As(err, &nack) }},
+		{name: "ID never registered", target: "ghost", ok: says("not registered")},
+		{name: "redial greets under another ID", arrange: func(t *testing.T, h *harness) *netconf.Server {
+			desc, _ := h.ctrl.DevMgr().Descriptor(id)
+			crash(t, h)
+			impostor := netconf.NewServer(devmodel.Descriptor{ID: "impostor"},
+				func(string, json.RawMessage) (interface{}, error) { return nil, nil })
+			if _, err := impostor.Listen(desc.Address); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(impostor.Close)
+			return impostor
+		}, ops: hello, ok: says("identifies as impostor")},
+	}
+	for _, row := range rows {
+		type outcome struct {
+			ops   string
+			slept []time.Duration
+			err   error
+		}
+		run := func(t *testing.T, beside bool) outcome {
+			h := newHarness(t, 1, topology.IPLink{ID: "e1", A: "A", B: "B", DemandGbps: 100})
+			d := h.ctrl.DevMgr()
+			d.SetDialOptions(netconf.DialOptions{DialTimeout: 150 * time.Millisecond, CallTimeout: 100 * time.Millisecond})
+			if client, ok := d.Client(id); ok {
+				client.SetCallTimeout(100 * time.Millisecond) // dialed before SetDialOptions
+			}
+			slept := recordSleeps(d)
+			srv := h.transponders[id].Server()
+			if row.arrange != nil {
+				if other := row.arrange(t, h); other != nil {
+					srv = other
+				}
+			}
+			agent := script(srv, row.decide)
+			target := row.target
+			if target == "" {
+				target = id
+			}
+			var cfg, left, right interface{}
+			var err error
+			if !beside {
+				err = d.Call(target, get, nil, &cfg)
+			} else {
+				f1, f2 := script(h.wss["f1"].Server(), nil), script(h.wss["f2"].Server(), nil)
+				errs := d.CallAll([]Request{
+					{"wss-f1", get, nil, &left}, {target, get, nil, &cfg}, {"wss-f2", get, nil, &right},
+				}, 0)
+				if errs[0] != nil || errs[2] != nil || f1.ops() != get || f2.ops() != get {
+					t.Errorf("healthy neighbours: errors %v / %v, RPCs %q / %q; want one clean get-config each",
+						errs[0], errs[2], f1.ops(), f2.ops())
+				}
+				err = errs[1]
+			}
+			return outcome{agent.ops(), *slept, err}
+		}
+		t.Run(row.name, func(t *testing.T) {
+			alone, beside := run(t, false), run(t, true)
+			for _, got := range []outcome{alone, beside} {
+				if got.ops != row.ops || len(got.slept) != row.sleeps || !row.ok(got.err) {
+					t.Errorf("agent saw %q over %d backoffs, error %v;\nwant %q over %d",
+						got.ops, len(got.slept), got.err, row.ops, row.sleeps)
+				}
+			}
+			if fmt.Sprint(alone.slept) != fmt.Sprint(beside.slept) {
+				t.Errorf("backoffs alone %v, beside others %v", alone.slept, beside.slept)
+			}
+		})
+	}
+}
+
+// TestCallAllTakesCompletionsAsTheyCome: two agents that never reply and
+// one dead pooled session in one call. The dead device is classified (its
+// session dropped, its refused redial turned into ErrDeviceDown) before
+// either of the others has even timed out once, and the call ends when the
+// two timeout ladders — which run side by side — end, not at their sum.
+func TestCallAllTakesCompletionsAsTheyCome(t *testing.T) {
+	const dead, timeout = "tx-A-0", 100 * time.Millisecond
+	h := newHarness(t, 1, topology.IPLink{ID: "e1", A: "A", B: "B", DemandGbps: 100})
+	d := h.ctrl.DevMgr()
+	for _, id := range []string{"wss-f1", "wss-f2"} {
+		client, _ := d.Client(id)
+		client.SetCallTimeout(timeout)
+	}
+	d.SetDialOptions(netconf.DialOptions{CallTimeout: timeout})
+	for _, f := range []string{"f1", "f2"} {
+		script(h.wss[f].Server(), func(_ int, op string) netconf.FaultDecision {
+			if op == netconf.OpHello {
+				return netconf.FaultDecision{}
+			}
+			return netconf.FaultDecision{Fault: netconf.FaultDropRequest}
+		})
+	}
+	h.transponders[dead].Crash()
+	awaitSessionDead(t, d, dead)
+
+	var firstBackoff sync.Once
+	var deadKnownByThen bool
+	d.SetRetryPolicy(RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, Sleep: func(time.Duration) {
+		firstBackoff.Do(func() { _, pooled := d.Client(dead); deadKnownByThen = !pooled })
+	}})
+	start := time.Now()
+	errs := d.CallAll([]Request{
+		{"wss-f1", netconf.OpGetConfig, nil, nil}, {dead, netconf.OpGetConfig, nil, nil}, {"wss-f2", netconf.OpGetConfig, nil, nil},
+	}, 0)
+	elapsed := time.Since(start)
+	if !errors.Is(errs[1], ErrDeviceDown) {
+		t.Errorf("dead device: %v, want ErrDeviceDown", errs[1])
+	}
+	for _, i := range []int{0, 2} {
+		if !errors.Is(errs[i], netconf.ErrTimeout) {
+			t.Errorf("silent device %d: %v, want a timeout ladder", i, errs[i])
+		}
+	}
+	if !deadKnownByThen {
+		t.Error("the dead session was still pooled when the first call timeout fired")
+	}
+	if elapsed < 3*timeout || elapsed > 5*timeout {
+		t.Errorf("call took %v; want one three-attempt timeout ladder (%v), not two (%v)", elapsed, 3*timeout, 6*timeout)
+	}
+}
+
+// TestPushWindowBoundsRPCsInFlight: SetPushWorkers(1) is the serial
+// ablation — through Apply, a restoration and an audit no device is sent an
+// RPC while another's is unanswered — n bounds the window at n, and the
+// default keeps the fleet in flight together.
+func TestPushWindowBoundsRPCsInFlight(t *testing.T) {
+	for _, workers := range []int{1, 2, 0} {
+		h := newHarness(t, 2,
+			topology.IPLink{ID: "e1", A: "A", B: "B", DemandGbps: 100},
+			topology.IPLink{ID: "e2", A: "A", B: "C", DemandGbps: 100},
+			topology.IPLink{ID: "e3", A: "C", B: "B", DemandGbps: 100},
+		)
+		h.ctrl.SetPushWorkers(workers)
+		var inFlight, peak atomic.Int64
+		hold := func(op string) netconf.FaultDecision {
+			n := inFlight.Add(1)
+			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+			}
+			time.Sleep(2 * time.Millisecond) // the reply waits; an overlapping RPC would show
+			inFlight.Add(-1)
+			return netconf.FaultDecision{}
+		}
+		for _, tr := range h.transponders {
+			tr.Server().SetInterceptor(hold)
+		}
+		for _, w := range h.wss {
+			w.Server().SetInterceptor(hold)
+		}
+		res, err := h.ctrl.PlanNetwork()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.ctrl.Apply(res); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.ctrl.HandleFiberCutReport("f1"); err != nil {
+			t.Fatal(err)
+		}
+		if audit, err := h.ctrl.Audit(); err != nil || !audit.Clean() {
+			t.Fatalf("push-workers %d: audit %+v, %v", workers, audit, err)
+		}
+		switch got := peak.Load(); {
+		case workers > 0 && got > int64(workers):
+			t.Errorf("push-workers %d: %d RPCs in flight at once", workers, got)
+		case workers == 0 && got < 3:
+			t.Errorf("default window: at most %d RPCs in flight; the fleet is not pushed together", got)
+		}
 	}
 }

@@ -370,20 +370,45 @@ func (s *Server) Close() {
 // Client is a controller-side management session to one device.
 type Client struct {
 	conn        net.Conn
-	enc         *json.Encoder
 	hello       json.RawMessage
 	callTimeout time.Duration
 
-	mu      sync.Mutex
-	nextID  uint64
-	pending map[uint64]chan message
+	wmu sync.Mutex // serializes writes, as session.mu does on the server side
+	enc *json.Encoder
+
+	mu     sync.Mutex
+	nextID uint64
+	// pending holds the calls in flight. Whoever removes a call — the read
+	// loop with its reply or its failure, the call's timer, a failed send —
+	// completes it, so a call completes exactly once.
+	pending map[uint64]*Call
 	closed  bool
 	// readErr is what ended the read loop. Once it is set nobody is left
-	// to answer a pending entry, so Call must not register one.
+	// to answer a pending entry, so Go must not register one.
 	readErr error
 
 	notifications chan json.RawMessage
 	done          chan struct{}
+}
+
+// Call is one RPC in flight, in the shape of net/rpc's Call: Go sends it
+// and it is delivered on Done, once, when a reply, the session's end or
+// the call timeout completes it.
+type Call struct {
+	Op   string
+	Out  interface{} // the reply payload is decoded here; may be nil
+	Err  error       // the outcome, set before delivery on Done
+	Done chan *Call
+
+	timer *time.Timer
+}
+
+func (call *Call) finish(err error) {
+	if call.timer != nil {
+		call.timer.Stop()
+	}
+	call.Err = err
+	call.Done <- call
 }
 
 // DialTimeout is the default connect/RPC deadline.
@@ -460,7 +485,7 @@ func DialWithOptions(addr string, opts DialOptions) (*Client, error) {
 		conn:          conn,
 		enc:           json.NewEncoder(conn),
 		callTimeout:   opts.callTimeout(),
-		pending:       make(map[uint64]chan message),
+		pending:       make(map[uint64]*Call),
 		notifications: make(chan json.RawMessage, 256),
 		done:          make(chan struct{}),
 	}
@@ -500,24 +525,19 @@ func (c *Client) readLoop(dec *json.Decoder) {
 		if err := dec.Decode(&m); err != nil {
 			c.mu.Lock()
 			c.readErr = err
-			for id, ch := range c.pending {
-				close(ch)
-				delete(c.pending, id)
-			}
+			lost := c.pending
+			c.pending = nil
 			c.mu.Unlock()
+			for _, call := range lost {
+				call.finish(fmt.Errorf("netconf: during %s (%v): %w", call.Op, err, ErrSessionLost))
+			}
 			close(c.notifications)
 			return
 		}
 		switch m.Kind {
 		case kindReply:
-			c.mu.Lock()
-			ch, ok := c.pending[m.ID]
-			if ok {
-				delete(c.pending, m.ID)
-			}
-			c.mu.Unlock()
-			if ok {
-				ch <- m
+			if call := c.take(m.ID); call != nil {
+				call.finish(call.decode(m))
 			}
 		case kindNotification:
 			select {
@@ -529,6 +549,34 @@ func (c *Client) readLoop(dec *json.Decoder) {
 	}
 }
 
+// take claims the pending call, if it is still pending.
+func (c *Client) take(id uint64) *Call {
+	c.mu.Lock()
+	call := c.pending[id]
+	delete(c.pending, id)
+	c.mu.Unlock()
+	return call
+}
+
+// fail completes the call with err, unless something else already has.
+func (c *Client) fail(id uint64, err error) {
+	if call := c.take(id); call != nil {
+		call.finish(err)
+	}
+}
+
+func (call *Call) decode(m message) error {
+	if m.Err != "" {
+		return &RPCError{Op: call.Op, Msg: m.Err}
+	}
+	if call.Out != nil && m.Payload != nil {
+		if err := json.Unmarshal(m.Payload, call.Out); err != nil {
+			return fmt.Errorf("netconf: decoding %s reply: %w", call.Op, err)
+		}
+	}
+	return nil
+}
+
 // Notifications streams asynchronous device events. The channel closes
 // when the session ends.
 func (c *Client) Notifications() <-chan json.RawMessage { return c.notifications }
@@ -536,62 +584,55 @@ func (c *Client) Notifications() <-chan json.RawMessage { return c.notifications
 // Call performs one RPC. in is JSON-encoded into the request payload
 // (nil for none); the reply payload is decoded into out (out may be nil).
 func (c *Client) Call(op string, in, out interface{}) error {
+	return (<-c.Go(op, in, out, make(chan *Call, 1)).Done).Err
+}
+
+// Go sends one RPC and returns without waiting for the reply: the call is
+// delivered on done when it completes. Its deadline runs from the send,
+// and a timeout is a completion like any other. done may be shared by the
+// calls of many clients, which is how one goroutine keeps RPCs to many
+// devices in flight and takes them in completion order; it must have room
+// for every call in flight on it, because read loops deliver without
+// waiting for the receiver.
+func (c *Client) Go(op string, in, out interface{}, done chan *Call) *Call {
+	call := &Call{Op: op, Out: out, Done: done}
 	var payload json.RawMessage
 	if in != nil {
 		data, err := json.Marshal(in)
 		if err != nil {
-			return fmt.Errorf("netconf: encoding %s request: %w", op, err)
+			call.finish(fmt.Errorf("netconf: encoding %s request: %w", op, err))
+			return call
 		}
 		payload = data
 	}
 	c.mu.Lock()
 	// Liveness is checked in the critical section that registers the
-	// pending reply: the read loop fails every pending entry under the
-	// same lock when it records readErr, so a Call either sees the dead
-	// session here or has its channel closed — it never waits out the
-	// call timeout for a reply no one can deliver.
+	// pending call: the read loop takes every pending call under the same
+	// lock when it records readErr, so a call either sees the dead session
+	// here or is failed by the read loop — it never waits out the call
+	// timeout for a reply no one can deliver.
 	if err := c.errLocked(); err != nil {
 		c.mu.Unlock()
-		return fmt.Errorf("netconf: %s: %w", op, err)
+		call.finish(fmt.Errorf("netconf: %s: %w", op, err))
+		return call
 	}
 	c.nextID++
 	id := c.nextID
-	ch := make(chan message, 1)
-	c.pending[id] = ch
+	c.pending[id] = call
 	timeout := c.callTimeout
-	c.mu.Unlock()
 	if timeout <= 0 {
 		timeout = DialTimeout
 	}
+	call.timer = time.AfterFunc(timeout, func() { c.fail(id, fmt.Errorf("netconf: %s: %w", op, ErrTimeout)) })
+	c.mu.Unlock()
 
-	if err := c.enc.Encode(message{Kind: kindRPC, ID: id, Op: op, Payload: payload}); err != nil {
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
-		return fmt.Errorf("netconf: sending %s (%v): %w", op, err, ErrSessionLost)
+	c.wmu.Lock()
+	err := c.enc.Encode(message{Kind: kindRPC, ID: id, Op: op, Payload: payload})
+	c.wmu.Unlock()
+	if err != nil {
+		c.fail(id, fmt.Errorf("netconf: sending %s (%v): %w", op, err, ErrSessionLost))
 	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case m, ok := <-ch:
-		if !ok {
-			return fmt.Errorf("netconf: during %s (%v): %w", op, c.readErr, ErrSessionLost)
-		}
-		if m.Err != "" {
-			return &RPCError{Op: op, Msg: m.Err}
-		}
-		if out != nil && m.Payload != nil {
-			if err := json.Unmarshal(m.Payload, out); err != nil {
-				return fmt.Errorf("netconf: decoding %s reply: %w", op, err)
-			}
-		}
-		return nil
-	case <-timer.C:
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
-		return fmt.Errorf("netconf: %s: %w", op, ErrTimeout)
-	}
+	return call
 }
 
 // Done is closed once the session has ended, whether the peer dropped it,

@@ -88,6 +88,18 @@ func TestSubmitCLI(t *testing.T) {
 		t.Fatalf("status output %q missing job ID", out.String())
 	}
 
+	// status without an ID prints the service counters, the retention
+	// window's and the plan cache's included.
+	out.Reset()
+	if err := runService("status", []string{"-addr", ts.URL}, &out); err != nil {
+		t.Fatalf("status: %v", err)
+	}
+	for _, want := range []string{`"submitted": 2`, `"jobs_retained": 2`, `"jobs_evicted": 0`, `"plan_cache": {`, `"entries": 2`, `"misses": 2`, `"restore_hits": 0`} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("status output missing %s:\n%s", want, out.String())
+		}
+	}
+
 	// devices without a fleet: the 503 becomes a nonzero exit.
 	if err := runService("devices", []string{"-addr", ts.URL}, &out); err == nil {
 		t.Fatalf("devices without fleet: want error")

@@ -134,7 +134,11 @@ func runSubmit(args []string, stdout io.Writer) error {
 	}
 	fmt.Fprintf(stdout, "%s: %s\n", view.ID, view.State)
 	if len(view.Result) > 0 {
-		fmt.Fprintf(stdout, "%s\n", view.Result)
+		// The service answers compact JSON; indent it for the terminal.
+		// (A RawMessage that decoded is valid JSON: Indent cannot fail.)
+		var pretty bytes.Buffer
+		_ = json.Indent(&pretty, view.Result, "", "  ")
+		fmt.Fprintf(stdout, "%s\n", pretty.Bytes())
 	}
 	if view.State != api.StateOptimal {
 		return fmt.Errorf("flexwanctl: job %s finished %s: %s", view.ID, view.State, view.Error)
@@ -152,7 +156,8 @@ func runSubmit(args []string, stdout io.Writer) error {
 	return nil
 }
 
-// runStatus prints one job (with -id) or the scheduler counters.
+// runStatus prints one job (with -id) or the service counters: the
+// scheduler's, the retention window's and the plan cache's.
 func runStatus(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("flexwanctl status", flag.ContinueOnError)
 	addr := fs.String("addr", "http://127.0.0.1:8422", "flexwand base URL")

@@ -2,8 +2,8 @@
 // multi-tenant HTTP/JSON service over the planner, restorer, chaos
 // drills, and (optionally) a live device fleet. Where flexwanctl
 // rebuilds the world per invocation, flexwand keeps it resident — base
-// plans cached, one bounded solver pool shared fairly across tenants,
-// every config change audited in the versioned store.
+// plans in a bounded LRU cache, one bounded set of workers shared fairly
+// across tenants, every config change audited in the versioned store.
 //
 // Usage:
 //
@@ -12,10 +12,10 @@
 //	flexwand -fleet ring4                     # stand up a live device fleet
 //	flexwand -addr-file /tmp/flexwand.addr    # write the bound address (CI)
 //
-// Then, from any HTTP client:
+// Then, from any HTTP client (responses are compact JSON):
 //
-//	curl -XPOST localhost:8422/v1/jobs -d '{"type":"plan","network":"cernet"}'
-//	curl 'localhost:8422/v1/jobs/j-000001?wait=30s'
+//	curl -s -XPOST localhost:8422/v1/jobs -d '{"type":"plan","network":"cernet"}' | jq .
+//	curl -s 'localhost:8422/v1/jobs/j-000001?wait=30s' | jq .
 package main
 
 import (
@@ -40,7 +40,7 @@ func main() {
 	addrFile := flag.String("addr-file", "", "write the bound address to this file once listening (for CI and scripts)")
 	fleet := flag.String("fleet", "", "stand up a live loopback device fleet on this network: ring4 | ring6 | cernet | tbackbone")
 	workers := flag.Int("workers", 0, "job-execution workers shared across tenants (0 = GOMAXPROCS)")
-	queueDepth := flag.Int("queue-depth", 256, "admission-queue bound; submissions past it get 429")
+	queueDepth := flag.Int("queue-depth", 256, "admission-queue bound; submissions past it get 429 (4x this many finished jobs stay queryable)")
 	k := flag.Int("k", 3, "candidate-path count for the fleet's base plan")
 	verbose := flag.Bool("v", false, "service and controller logs")
 	flag.Parse()

@@ -126,6 +126,11 @@ func (s *Server) runPlan(ctx context.Context, j *Job) (json.RawMessage, error) {
 	})
 }
 
+// runRestore answers from the plan entry's payload memo when this cut
+// set was rendered before — the restoration is a pure function of (plan,
+// ordered cuts) — and otherwise solves, renders and remembers it. The
+// deadline check stays ahead of the lookup: a job that expired while
+// queued is Canceled even when its answer is one map read away.
 func (s *Server) runRestore(ctx context.Context, j *Job) (json.RawMessage, error) {
 	spec := j.Spec
 	if len(spec.CutFibers) == 0 {
@@ -137,6 +142,10 @@ func (s *Server) runRestore(ctx context.Context, j *Job) (json.RawMessage, error
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	cuts := cutKey(spec.CutFibers)
+	if payload, ok := s.plans.restored(e, cuts); ok {
+		return payload, nil
 	}
 	res, err := restore.Solve(restore.Problem{
 		Optical: e.net.Optical, IP: e.net.IP,
@@ -151,7 +160,11 @@ func (s *Server) runRestore(ctx context.Context, j *Job) (json.RawMessage, error
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return RestoreResultJSON(res)
+	payload, err := RestoreResultJSON(res)
+	if err != nil {
+		return nil, err
+	}
+	return e.remember(cuts, payload), nil
 }
 
 func (s *Server) runSweep(ctx context.Context, j *Job) (json.RawMessage, error) {
@@ -164,7 +177,7 @@ func (s *Server) runSweep(ctx context.Context, j *Job) (json.RawMessage, error) 
 	j.Logf("sweeping %d single-fiber scenarios", len(scenarios))
 	workers := spec.Workers
 	if workers <= 0 {
-		// The scheduler's pool is the concurrency budget; keep a job's
+		// The scheduler's workers are the concurrency budget; keep a job's
 		// internal fan-out sequential unless the client asks.
 		workers = 1
 	}

@@ -64,8 +64,8 @@ type JobSpec struct {
 	// first entry overrides the default busiest-fiber choice).
 	CutFibers []string `json:"cut_fibers,omitempty"`
 	// Workers bounds intra-job parallelism (sweep fan-out, exact-solver
-	// workers). 0 keeps jobs single-threaded so the scheduler's shared
-	// pool stays the only concurrency source.
+	// workers). 0 keeps jobs single-threaded so the scheduler's workers
+	// stay the only concurrency source.
 	Workers int `json:"workers,omitempty"`
 	// DeadlineMs is the end-to-end budget from submission, queueing
 	// included. 0 means no deadline.
@@ -104,6 +104,7 @@ type Job struct {
 	ID     string
 	Tenant string
 	Spec   JobSpec
+	seq    int // admission order, set by the scheduler
 
 	// ctx carries the per-job deadline into the executor (and from
 	// there into solver.Options.Context); cancel releases its timer.
@@ -118,8 +119,9 @@ type Job struct {
 	started   time.Time
 	finished  time.Time
 	events    []JobEvent
-	// change is closed and replaced on every mutation: watchers grab
-	// the current channel and block until it closes.
+	// change, made by the first watcher to ask, is closed and dropped
+	// on the next mutation: watchers grab it and block until it closes.
+	// A job nobody watches never allocates one.
 	change chan struct{}
 }
 
@@ -132,7 +134,7 @@ func newJob(id, tenant string, spec JobSpec, now time.Time) *Job {
 		ID: id, Tenant: tenant, Spec: spec,
 		ctx: ctx, cancel: cancel,
 		state: StateQueued, submitted: now,
-		change: make(chan struct{}),
+		events: make([]JobEvent, 0, 3), // Queued, Running, terminal
 	}
 	j.appendEventLocked(JobEvent{Kind: "state", State: StateQueued, Time: now})
 	return j
@@ -150,8 +152,10 @@ func (j *Job) appendEventLocked(ev JobEvent) {
 		ev.Time = time.Now()
 	}
 	j.events = append(j.events, ev)
-	close(j.change)
-	j.change = make(chan struct{})
+	if j.change != nil {
+		close(j.change)
+		j.change = nil
+	}
 }
 
 // Logf appends a progress event visible on the events stream — the
@@ -170,7 +174,7 @@ func (j *Job) setRunning(now time.Time) {
 	j.appendEventLocked(JobEvent{Kind: "state", State: StateRunning, Time: now})
 }
 
-// finishLocked moves the job to a terminal state exactly once.
+// finish moves the job to a terminal state exactly once.
 func (j *Job) finish(state JobState, result json.RawMessage, errMsg string, now time.Time) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -227,6 +231,9 @@ func (j *Job) watch(from int) ([]JobEvent, JobState, <-chan struct{}) {
 	}
 	if from <= len(j.events) {
 		evs = append(evs, j.events[from-1:]...)
+	}
+	if j.change == nil {
+		j.change = make(chan struct{})
 	}
 	return evs, j.state, j.change
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime/debug"
+	"sort"
 	"sync"
 	"time"
 
@@ -28,12 +30,15 @@ type Executor func(ctx context.Context, job *Job) (json.RawMessage, error)
 // SchedOptions configures the scheduler.
 type SchedOptions struct {
 	// QueueDepth bounds the jobs waiting for a worker, across all
-	// tenants (default 256). Submissions past it get ErrQueueFull — the
-	// explicit 429 that tells a load generator to back off.
+	// tenants (default 256). The bound is exact: with every worker busy,
+	// QueueDepth jobs wait and the next submission gets ErrQueueFull —
+	// the explicit 429 that tells a load generator to back off. It also
+	// sizes the retention window: the 4 × QueueDepth most recently
+	// finished jobs stay addressable by ID, older ones are forgotten.
 	QueueDepth int
-	// Workers bounds concurrently running jobs (default GOMAXPROCS):
-	// one shared parallel.Pool across every tenant, so solver work is
-	// CPU-bounded no matter how many tenants are pushing.
+	// Workers bounds concurrently running jobs (default GOMAXPROCS),
+	// one budget across every tenant, so solver work is CPU-bounded no
+	// matter how many tenants are pushing.
 	Workers int
 	// Executor runs each job.
 	Executor Executor
@@ -59,36 +64,45 @@ type SchedStats struct {
 	Failed        int                     `json:"failed"`
 	Canceled      int                     `json:"canceled"`
 	MaxQueueDepth int                     `json:"max_queue_depth"`
+	JobsRetained  int                     `json:"jobs_retained"`
+	JobsEvicted   int                     `json:"jobs_evicted"`
 	PerTenant     map[string]*TenantStats `json:"per_tenant"`
+	// PlanCache is the server's plan cache; zero from a bare Scheduler.
+	PlanCache PlanCacheStats `json:"plan_cache"`
 }
 
 // Scheduler is the bounded multi-tenant job scheduler: a fixed admission
 // queue split per tenant, a round-robin fair dequeue over tenants with
-// waiting work, and one shared worker pool executing the dequeued jobs.
-// Fairness is at dequeue: a tenant that floods the queue only ever gets
-// one job picked per rotation, so a second tenant's first job never waits
-// behind the flood.
+// waiting work, and at most Workers worker goroutines. Submit starts a
+// worker when one is free; a worker runs its job, then keeps pulling the
+// next one through the fair dequeue and exits when the queue is empty —
+// an idle scheduler owns no goroutine. Fairness is at dequeue: a tenant
+// that floods the queue only ever gets one job picked per rotation, so a
+// second tenant's first job never waits behind the flood.
 type Scheduler struct {
 	opts SchedOptions
-	pool *parallel.Pool
 
 	mu     sync.Mutex
-	cond   *sync.Cond
 	queues map[string][]*Job // per-tenant FIFO of queued jobs
 	ring   []string          // tenants with non-empty queues, rotation order
 	next   int               // ring position of the next dequeue
 	queued int
-	jobs   map[string]*Job
-	order  []string // job IDs in admission order
-	nextID int
+	jobs   map[string]*Job // queued, running and retained finished jobs
+	// finished is the retention window: a ring of 4 × QueueDepth
+	// finished job IDs, finished[oldest] the next to be forgotten.
+	finished []string
+	oldest   int
+	nextID   int
 
 	draining bool
-	stats    SchedStats
-
-	dispatcherDone chan struct{}
+	idle     chan struct{} // closed once draining and the last worker left
+	// stats.Running doubles as the live-worker count: every worker holds
+	// exactly one dequeued, unfinished job.
+	stats SchedStats
 }
 
-// NewScheduler builds and starts a scheduler.
+// NewScheduler builds a scheduler; its first worker starts with the
+// first Submit.
 func NewScheduler(opts SchedOptions) *Scheduler {
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = 256
@@ -97,17 +111,14 @@ func NewScheduler(opts SchedOptions) *Scheduler {
 		panic("api: NewScheduler without Executor")
 	}
 	s := &Scheduler{
-		opts:           opts,
-		pool:           parallel.NewPool(opts.Workers),
-		queues:         make(map[string][]*Job),
-		jobs:           make(map[string]*Job),
-		dispatcherDone: make(chan struct{}),
+		opts:   opts,
+		queues: make(map[string][]*Job),
+		jobs:   make(map[string]*Job),
+		idle:   make(chan struct{}),
 	}
-	s.cond = sync.NewCond(&s.mu)
-	s.stats.Workers = s.pool.Cap()
+	s.stats.Workers = parallel.Workers(opts.Workers)
 	s.stats.QueueDepth = opts.QueueDepth
 	s.stats.PerTenant = make(map[string]*TenantStats)
-	go s.dispatch()
 	return s
 }
 
@@ -135,14 +146,24 @@ func (s *Scheduler) Submit(tenant string, spec JobSpec) (*Job, error) {
 	if s.draining {
 		return nil, ErrShuttingDown
 	}
-	if s.queued >= s.opts.QueueDepth {
+	// A worker only exits on an empty queue, so a free worker means
+	// nothing is waiting: the job goes straight to a new worker.
+	free := s.stats.Running < s.stats.Workers
+	if !free && s.queued >= s.opts.QueueDepth {
 		s.stats.Rejected++
 		return nil, ErrQueueFull
 	}
 	s.nextID++
 	j := newJob(fmt.Sprintf("j-%06d", s.nextID), tenant, spec, time.Now())
+	j.seq = s.nextID
 	s.jobs[j.ID] = j
-	s.order = append(s.order, j.ID)
+	s.stats.Submitted++
+	s.tenantStats(tenant).Submitted++
+	if free {
+		s.stats.Running++
+		go s.work(j)
+		return j, nil
+	}
 	if len(s.queues[tenant]) == 0 {
 		s.ring = append(s.ring, tenant)
 	}
@@ -151,13 +172,11 @@ func (s *Scheduler) Submit(tenant string, spec JobSpec) (*Job, error) {
 	if s.queued > s.stats.MaxQueueDepth {
 		s.stats.MaxQueueDepth = s.queued
 	}
-	s.stats.Submitted++
-	s.tenantStats(tenant).Submitted++
-	s.cond.Signal()
 	return j, nil
 }
 
-// Job looks a job up by ID.
+// Job looks a job up by ID: queued and running jobs always, finished
+// ones while they are inside the retention window.
 func (s *Scheduler) Job(id string) (*Job, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -165,14 +184,15 @@ func (s *Scheduler) Job(id string) (*Job, bool) {
 	return j, ok
 }
 
-// Jobs returns every known job in admission order.
+// Jobs returns every job Job would find, in admission order.
 func (s *Scheduler) Jobs() []*Job {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]*Job, 0, len(s.order))
-	for _, id := range s.order {
-		out = append(out, s.jobs[id])
+	out := make([]*Job, 0, len(s.jobs))
+	for _, j := range s.jobs {
+		out = append(out, j)
 	}
+	s.mu.Unlock()
+	sort.Slice(out, func(a, b int) bool { return out[a].seq < out[b].seq })
 	return out
 }
 
@@ -182,6 +202,7 @@ func (s *Scheduler) Stats() SchedStats {
 	defer s.mu.Unlock()
 	st := s.stats
 	st.Queued = s.queued
+	st.JobsRetained = len(s.finished)
 	st.PerTenant = make(map[string]*TenantStats, len(s.stats.PerTenant))
 	for t, ts := range s.stats.PerTenant {
 		c := *ts
@@ -190,90 +211,89 @@ func (s *Scheduler) Stats() SchedStats {
 	return st
 }
 
-// dequeue blocks until a job is available (returned) or the scheduler is
-// draining with an empty queue (nil). Tenant rotation: one job from the
-// ring tenant at next, then advance.
-func (s *Scheduler) dequeue() *Job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if s.queued > 0 {
-			if s.next >= len(s.ring) {
-				s.next = 0
+// dequeueLocked takes the next job in tenant rotation — one job from the
+// ring tenant at next, then advance — or returns nil on an empty queue.
+func (s *Scheduler) dequeueLocked() *Job {
+	if s.queued == 0 {
+		return nil
+	}
+	if s.next >= len(s.ring) {
+		s.next = 0
+	}
+	tenant := s.ring[s.next]
+	q := s.queues[tenant]
+	j := q[0]
+	s.queues[tenant] = q[1:]
+	s.queued--
+	if len(s.queues[tenant]) == 0 {
+		delete(s.queues, tenant)
+		s.ring = append(s.ring[:s.next], s.ring[s.next+1:]...)
+		// next now points at the following tenant already.
+	} else {
+		s.next++
+	}
+	if len(s.ring) > 0 {
+		s.next %= len(s.ring)
+	} else {
+		s.next = 0
+	}
+	return j
+}
+
+// work is one worker's life: run the job it was started with, then keep
+// taking the next one through the fair dequeue; exit on an empty queue.
+// Workers never outnumber SchedOptions.Workers — that is the concurrency
+// bound, and the queue fills (up to QueueDepth) behind it.
+func (s *Scheduler) work(j *Job) {
+	for j != nil {
+		state, result, errMsg := s.execute(j)
+		s.mu.Lock()
+		s.finishLocked(j, state, result, errMsg)
+		if j = s.dequeueLocked(); j == nil {
+			s.stats.Running--
+			if s.draining && s.stats.Running == 0 {
+				close(s.idle)
 			}
-			tenant := s.ring[s.next]
-			q := s.queues[tenant]
-			j := q[0]
-			s.queues[tenant] = q[1:]
-			s.queued--
-			if len(s.queues[tenant]) == 0 {
-				delete(s.queues, tenant)
-				s.ring = append(s.ring[:s.next], s.ring[s.next+1:]...)
-				// next now points at the following tenant already.
-			} else {
-				s.next++
-			}
-			if len(s.ring) > 0 {
-				s.next %= len(s.ring)
-			} else {
-				s.next = 0
-			}
-			return j
 		}
-		if s.draining {
-			return nil
-		}
-		s.cond.Wait()
+		s.mu.Unlock()
 	}
 }
 
-// dispatch feeds dequeued jobs into the shared pool. pool.Run blocks
-// while all workers are busy — that is the concurrency bound, and the
-// queue keeps filling (up to QueueDepth) behind it.
-func (s *Scheduler) dispatch() {
-	defer close(s.dispatcherDone)
-	for {
-		j := s.dequeue()
-		if j == nil {
-			return
-		}
-		job := j
-		if err := s.pool.Run(func() { s.execute(job) }); err != nil {
-			s.finishJob(job, StateCanceled, nil, "scheduler stopped")
-		}
-	}
-}
-
-// execute runs one job on a pool worker. A job whose deadline already
-// expired while queued is reported Canceled without running — never a
-// stale Optimal.
-func (s *Scheduler) execute(j *Job) {
+// execute runs one job on the calling worker and reports how it ended:
+// nil error is Optimal, a context error Canceled, anything else Failed.
+// A job whose deadline already expired while queued is Canceled without
+// running — never a stale Optimal. A panicking executor fails its own
+// job and costs the worker nothing.
+func (s *Scheduler) execute(j *Job) (state JobState, result json.RawMessage, errMsg string) {
 	defer j.cancel()
 	if err := j.ctx.Err(); err != nil {
-		s.finishJob(j, StateCanceled, nil, "deadline expired while queued: "+err.Error())
-		return
+		return StateCanceled, nil, "deadline expired while queued: " + err.Error()
 	}
+	defer func() {
+		if r := recover(); r != nil {
+			s.logf("job %s: executor panic: %v\n%s", j.ID, r, debug.Stack())
+			state, result, errMsg = StateFailed, nil, fmt.Sprintf("executor panic: %v", r)
+		}
+	}()
 	j.setRunning(time.Now())
-	s.mu.Lock()
-	s.stats.Running++
-	s.mu.Unlock()
 	result, err := s.opts.Executor(j.ctx, j)
-	s.mu.Lock()
-	s.stats.Running--
-	s.mu.Unlock()
 	switch {
 	case err == nil:
-		s.finishJob(j, StateOptimal, result, "")
+		return StateOptimal, result, ""
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		s.finishJob(j, StateCanceled, result, err.Error())
+		return StateCanceled, result, err.Error()
 	default:
-		s.finishJob(j, StateFailed, result, err.Error())
+		return StateFailed, result, err.Error()
 	}
 }
 
-func (s *Scheduler) finishJob(j *Job, state JobState, result json.RawMessage, errMsg string) {
+// finishLocked makes the job terminal, counts it — under the one lock,
+// so whoever sees the terminal state also sees it counted — and moves it
+// into the retention window, forgetting the oldest finished job once the
+// window is full. Whoever still holds that *Job keeps a complete view;
+// only the lookup by ID answers "no such job".
+func (s *Scheduler) finishLocked(j *Job, state JobState, result json.RawMessage, errMsg string) {
 	j.finish(state, result, errMsg, time.Now())
-	s.mu.Lock()
 	switch state {
 	case StateOptimal:
 		s.stats.Optimal++
@@ -283,56 +303,46 @@ func (s *Scheduler) finishJob(j *Job, state JobState, result json.RawMessage, er
 		s.stats.Canceled++
 	}
 	s.tenantStats(j.Tenant).Completed++
-	s.mu.Unlock()
+	if len(s.finished) < 4*s.opts.QueueDepth {
+		s.finished = append(s.finished, j.ID)
+		return
+	}
+	delete(s.jobs, s.finished[s.oldest])
+	s.finished[s.oldest] = j.ID
+	s.oldest = (s.oldest + 1) % len(s.finished)
+	s.stats.JobsEvicted++
 }
 
 // Shutdown drains gracefully: admission stops (ErrShuttingDown), every
 // still-queued job is finished Canceled with an explicit reason, and
 // in-flight jobs run to completion. If ctx expires first, in-flight job
-// contexts are canceled and Shutdown returns ctx.Err() — the jobs then
-// finish Canceled through the executor contract.
+// contexts are canceled and Shutdown returns ctx.Err() once the workers
+// have finished them Canceled through the executor contract.
 func (s *Scheduler) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if !s.draining {
 		s.draining = true
-		var drained []*Job
 		for _, q := range s.queues {
-			drained = append(drained, q...)
+			for _, j := range q {
+				j.cancel()
+				s.finishLocked(j, StateCanceled, nil, "server shutting down before start")
+			}
 		}
 		s.queues = make(map[string][]*Job)
 		s.ring = nil
 		s.queued = 0
-		s.cond.Broadcast()
-		s.mu.Unlock()
-		for _, j := range drained {
-			j.cancel()
-			s.finishJob(j, StateCanceled, nil, "server shutting down before start")
+		if s.stats.Running == 0 {
+			close(s.idle)
 		}
-	} else {
-		s.mu.Unlock()
 	}
+	s.mu.Unlock()
 
-	// Dispatcher exits once the queue is empty; only then is it safe to
-	// close the pool (Run on a closed pool would cancel a job).
 	select {
-	case <-s.dispatcherDone:
-	case <-ctx.Done():
-		s.cancelRunning()
-		<-s.dispatcherDone
-	}
-	s.pool.Close()
-
-	done := make(chan struct{})
-	go func() {
-		s.pool.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
+	case <-s.idle:
 		return nil
 	case <-ctx.Done():
 		s.cancelRunning()
-		<-done
+		<-s.idle
 		return ctx.Err()
 	}
 }

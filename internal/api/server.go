@@ -106,12 +106,33 @@ func (s *Server) routes() {
 	})
 }
 
+// writeJSON answers compact JSON; clients that want it readable pipe it
+// through jq (flexwanctl indents what it prints).
 func writeJSON(w http.ResponseWriter, code int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
+}
+
+// maxBodyBytes caps a request body; a JobSpec or a device descriptor is
+// a few hundred bytes.
+const maxBodyBytes = 64 << 10
+
+// readJSON decodes the request body, at most maxBodyBytes of it, into v.
+// On failure it has already answered — 413 for an oversized body, 400
+// for anything else — and returns false.
+func readJSON(w http.ResponseWriter, r *http.Request, what string, v interface{}) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, code, "bad %s: %v", what, err)
+	return false
 }
 
 func writeError(w http.ResponseWriter, code int, format string, args ...interface{}) {
@@ -129,8 +150,7 @@ func tenant(r *http.Request) string {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "bad job spec: %v", err)
+	if !readJSON(w, r, "job spec", &spec) {
 		return
 	}
 	j, err := s.sched.Submit(tenant(r), spec)
@@ -158,13 +178,23 @@ func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, views)
 }
 
+// lookupJob resolves the {id} path value, answering 404 itself when the
+// scheduler does not (or no longer does) know the job.
+func (s *Server) lookupJob(w http.ResponseWriter, r *http.Request) (*Job, bool) {
+	id := r.PathValue("id")
+	j, ok := s.sched.Job(id)
+	if !ok {
+		writeError(w, http.StatusNotFound, "no such job %q (unknown, or finished and past the retention window)", id)
+	}
+	return j, ok
+}
+
 // handleGetJob returns one job. ?wait=<duration> long-polls: the reply
 // is delayed until the job is terminal or the wait expires, whichever
 // comes first — one request replaces a polling loop.
 func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.sched.Job(r.PathValue("id"))
+	j, ok := s.lookupJob(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
 		return
 	}
 	if waitStr := r.URL.Query().Get("wait"); waitStr != "" {
@@ -200,9 +230,8 @@ func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 // `from` exist yet, the reply waits (up to ?wait, default 30s) for the
 // next one, then returns a JSON array.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.sched.Job(r.PathValue("id"))
+	j, ok := s.lookupJob(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
 		return
 	}
 	from := 1
@@ -288,8 +317,7 @@ func (s *Server) handleRegisterDevice(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var desc devmodel.Descriptor
-	if err := json.NewDecoder(r.Body).Decode(&desc); err != nil {
-		writeError(w, http.StatusBadRequest, "bad descriptor: %v", err)
+	if !readJSON(w, r, "descriptor", &desc) {
 		return
 	}
 	if err := s.ctrl.DevMgr().Register(desc); err != nil {
@@ -334,5 +362,7 @@ func (s *Server) handleGetConfig(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.sched.Stats())
+	st := s.sched.Stats()
+	st.PlanCache = s.plans.snapshot()
+	writeJSON(w, http.StatusOK, st)
 }

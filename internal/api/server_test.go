@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -136,17 +137,10 @@ func TestServiceRestoreBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The stored payload is exactly RestoreResultJSON's bytes; the HTTP
-	// encoder re-indents in transit, so compare in compact form.
-	var gotC, wantC bytes.Buffer
-	if err := json.Compact(&gotC, done.Result); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Compact(&wantC, want); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(gotC.Bytes(), wantC.Bytes()) {
-		t.Fatalf("service result differs from batch restore.Solve:\nservice: %s\nbatch:   %s", gotC.Bytes(), wantC.Bytes())
+	// The stored payload is exactly RestoreResultJSON's bytes, and the
+	// HTTP encoder sends them as they are: compact, byte for byte.
+	if !bytes.Equal(done.Result, want) {
+		t.Fatalf("service result differs from batch restore.Solve:\nservice: %s\nbatch:   %s", done.Result, want)
 	}
 }
 
@@ -395,5 +389,127 @@ func TestDevicesReportsSessionLiveness(t *testing.T) {
 		if up == (id == victim) {
 			t.Errorf("after crashing %s: %s reports session_up %v", victim, id, up)
 		}
+	}
+}
+
+// TestServiceBodyLimit: request bodies are read through a 64 KiB cap —
+// past it the answer is 413, not an unbounded decode.
+func TestServiceBodyLimit(t *testing.T) {
+	tb, err := chaos.NewTestbed(chaos.RingNetwork(4, 100, 200), chaos.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tb.Close()
+	s := New(Options{Controller: tb.Ctrl})
+	ts := httptest.NewServer(s.Handler())
+	defer func() {
+		ts.Close()
+		shutdown(t, s)
+	}()
+
+	huge := `{"type":"plan","network":"` + strings.Repeat("x", maxBodyBytes) + `"}`
+	for _, path := range []string{"/v1/jobs", "/v1/devices"} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(huge))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("POST %s with a %d-byte body: status %d, want 413", path, len(huge), resp.StatusCode)
+		}
+		resp, err = http.Post(ts.URL+path, "application/json", strings.NewReader("{bad json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("POST %s with bad JSON: status %d, want 400", path, resp.StatusCode)
+		}
+	}
+	if st := s.Scheduler().Stats(); st.Submitted != 0 {
+		t.Fatalf("%d jobs admitted from refused bodies", st.Submitted)
+	}
+}
+
+// TestServiceStatsAndRetention: /v1/stats keeps its top-level scheduler
+// keys and adds the retention and plan-cache counters; responses are
+// compact; a finished job past the 4 × QueueDepth window answers 404 and
+// GET /v1/jobs lists the window in admission order.
+func TestServiceStatsAndRetention(t *testing.T) {
+	const depth, extra = 2, 3
+	s := New(Options{QueueDepth: depth, Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer func() {
+		ts.Close()
+		shutdown(t, s)
+	}()
+	get := func(path string) (int, []byte) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, body
+	}
+
+	var ids []string
+	for i := 0; i < 4*depth+extra; i++ {
+		v := submitJob(t, ts, "t", JobSpec{Type: "restore", Network: "ring4", CutFibers: []string{"rfib00"}})
+		if done := waitJob(t, ts, v.ID); done.State != StateOptimal {
+			t.Fatalf("job %s: %s %s", v.ID, done.State, done.Error)
+		}
+		ids = append(ids, v.ID)
+	}
+	for i, id := range ids {
+		code, body := get("/v1/jobs/" + id)
+		if want := map[bool]int{true: http.StatusNotFound, false: http.StatusOK}[i < extra]; code != want {
+			t.Fatalf("GET job %d of %d: status %d, want %d (%s)", i+1, len(ids), code, want, body)
+		}
+		if bytes.Contains(bytes.TrimSpace(body), []byte("\n")) {
+			t.Fatalf("response is not compact: %s", body)
+		}
+	}
+	code, body := get("/v1/jobs")
+	var list []JobView
+	if err := json.Unmarshal(body, &list); code != http.StatusOK || err != nil {
+		t.Fatalf("list: status %d, %v", code, err)
+	}
+	if len(list) != 4*depth {
+		t.Fatalf("list has %d jobs, want the %d-job window", len(list), 4*depth)
+	}
+	for i, v := range list {
+		if v.ID != ids[extra+i] {
+			t.Fatalf("list[%d] = %s, want %s (admission order)", i, v.ID, ids[extra+i])
+		}
+	}
+
+	code, body = get("/v1/stats")
+	if code != http.StatusOK {
+		t.Fatalf("stats: status %d", code)
+	}
+	var st struct {
+		MaxQueueDepth *int            `json:"max_queue_depth"`
+		Optimal       int             `json:"optimal"`
+		JobsRetained  int             `json:"jobs_retained"`
+		JobsEvicted   int             `json:"jobs_evicted"`
+		PlanCache     *PlanCacheStats `json:"plan_cache"`
+	}
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.MaxQueueDepth == nil || st.Optimal != len(ids) {
+		t.Fatalf("stats lost a top-level scheduler key: %s", body)
+	}
+	if st.JobsRetained != 4*depth || st.JobsEvicted != extra {
+		t.Fatalf("jobs_retained=%d jobs_evicted=%d, want %d/%d", st.JobsRetained, st.JobsEvicted, 4*depth, extra)
+	}
+	want := PlanCacheStats{Entries: 1, Hits: int64(len(ids)) - 1, Misses: 1, RestoreHits: int64(len(ids)) - 1, RestoreMisses: 1}
+	if st.PlanCache == nil || *st.PlanCache != want {
+		t.Fatalf("plan_cache = %+v, want %+v", st.PlanCache, want)
 	}
 }

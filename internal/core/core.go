@@ -154,6 +154,19 @@ func (b *Backbone) RemoveLink(linkID string) (int, error) {
 	return freed, nil
 }
 
+// restoreProblem is the planned backbone as a restoration instance.
+func (b *Backbone) restoreProblem() restore.Problem {
+	return restore.Problem{
+		Optical: b.problem.Optical,
+		IP:      b.problem.IP,
+		Catalog: b.problem.Catalog,
+		Grid:    b.problem.Grid,
+		Base:    b.result,
+		K:       b.problem.K,
+		Fit:     b.problem.Fit,
+	}
+}
+
 // WhatIfCut evaluates (without changing live state) how much capacity the
 // backbone would revive if the given fibers were cut — the offline
 // restoration pre-computation of §4.4 ("the restoration plan for each
@@ -164,42 +177,31 @@ func (b *Backbone) WhatIfCut(fiberIDs ...string) (*restore.Result, error) {
 	if !b.planned {
 		return nil, fmt.Errorf("core: backbone not planned yet")
 	}
-	return restore.Solve(restore.Problem{
-		Optical:  b.problem.Optical,
-		IP:       b.problem.IP,
-		Catalog:  b.problem.Catalog,
-		Grid:     b.problem.Grid,
-		Base:     b.result,
-		Scenario: restore.Scenario{ID: "what-if", CutFibers: fiberIDs},
-		K:        b.problem.K,
-		Fit:      b.problem.Fit,
-	})
+	p := b.restoreProblem()
+	p.Scenario = restore.Scenario{ID: "what-if", CutFibers: fiberIDs}
+	return restore.Solve(p)
 }
 
 // PrecomputeRestoration builds the offline restoration playbook: one plan
-// per scenario, keyed by scenario ID.
+// per scenario, keyed by scenario ID, solved as one sweep over the
+// backbone's plan. It fails on the first scenario, in input order, that
+// cannot be solved.
 func (b *Backbone) PrecomputeRestoration(scenarios []restore.Scenario) (map[string]*restore.Result, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if !b.planned {
 		return nil, fmt.Errorf("core: backbone not planned yet")
 	}
+	// The sweep's own error says only that it was cancelled (it is not) or
+	// that every scenario failed (then Errors has the first).
+	sweep, _ := restore.Sweep(b.restoreProblem(), scenarios)
+	if len(sweep.Errors) > 0 {
+		first := sweep.Errors[0]
+		return nil, fmt.Errorf("core: scenario %s: %w", first.ID, first.Err)
+	}
 	out := make(map[string]*restore.Result, len(scenarios))
-	for _, sc := range scenarios {
-		res, err := restore.Solve(restore.Problem{
-			Optical:  b.problem.Optical,
-			IP:       b.problem.IP,
-			Catalog:  b.problem.Catalog,
-			Grid:     b.problem.Grid,
-			Base:     b.result,
-			Scenario: sc,
-			K:        b.problem.K,
-			Fit:      b.problem.Fit,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("core: scenario %s: %w", sc.ID, err)
-		}
-		out[sc.ID] = res
+	for _, res := range sweep.Results {
+		out[res.Scenario.ID] = res
 	}
 	return out, nil
 }

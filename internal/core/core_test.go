@@ -1,6 +1,9 @@
 package core
 
 import (
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"flexwan/internal/restore"
@@ -163,19 +166,47 @@ func TestBackbonePrecomputeRestoration(t *testing.T) {
 	if _, err := b.Plan(); err != nil {
 		t.Fatal(err)
 	}
-	res, _ := b.Result()
-	_ = res
-	playbook, err := b.PrecomputeRestoration(restore.SingleFiberScenarios(testOptical(t)))
+	scenarios := restore.SingleFiberScenarios(testOptical(t))
+	playbook, err := b.PrecomputeRestoration(scenarios)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(playbook) != 4 {
 		t.Errorf("playbook size = %d, want 4", len(playbook))
 	}
-	for id, r := range playbook {
-		if r.RestoredGbps > r.AffectedGbps {
-			t.Errorf("%s: restored > affected", id)
+	// The playbook, solved as one sweep, holds what asking about each cut
+	// on its own answers.
+	restoredAny := false
+	for _, sc := range scenarios {
+		got, ok := playbook[sc.ID]
+		if !ok {
+			t.Fatalf("playbook has no entry %s", sc.ID)
 		}
+		want, err := b.WhatIfCut(sc.CutFibers...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Scenario, sc) {
+			t.Errorf("%s: entry records scenario %+v", sc.ID, got.Scenario)
+		}
+		want.Scenario = sc
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: playbook restores %d of %d Gbps, WhatIfCut %d of %d", sc.ID, got.RestoredGbps, got.AffectedGbps, want.RestoredGbps, want.AffectedGbps)
+		}
+		restoredAny = restoredAny || got.RestoredGbps > 0
+	}
+	if !restoredAny {
+		t.Error("no scenario restored anything: the comparison is vacuous")
+	}
+
+	// A scenario that cannot be solved fails the playbook, and the error
+	// names the first such scenario in input order.
+	for i := range b.result.Wavelengths {
+		b.result.Wavelengths[i].LinkID = "ghost" // no such IP link
+	}
+	slices.Reverse(scenarios)
+	if _, err := b.PrecomputeRestoration(scenarios); err == nil || !strings.HasPrefix(err.Error(), "core: scenario cut-f4: ") {
+		t.Errorf("playbook over a plan with a ghost link: %v; want the failure of cut-f4, first in input order", err)
 	}
 }
 

@@ -25,6 +25,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 )
 
 // Workers resolves a worker-count option: n > 0 is used as-is, anything
@@ -53,7 +54,7 @@ func (e *PanicError) Error() string {
 // returns the results and errors, both indexed by input position.
 // Exactly one of results[i]/errs[i] is meaningful per item: errs[i] is
 // nil on success. A nil ctx means context.Background(). Once ctx is
-// cancelled, undispatched items are marked with ctx.Err() and in-flight
+// cancelled, items not yet started are marked with ctx.Err() and in-flight
 // items run to completion.
 func Map[T any](ctx context.Context, workers, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, []error) {
 	results := make([]T, n)
@@ -76,37 +77,31 @@ func Map[T any](ctx context.Context, workers, n int, fn func(ctx context.Context
 		}()
 		results[i], errs[i] = fn(ctx, i)
 	}
-	if w == 1 {
-		// Sequential path: no goroutines, identical to a plain loop.
-		for i := 0; i < n; i++ {
+	// Workers claim indices from one counter, in order: an item costs an
+	// atomic add to hand out, so items of a few microseconds still spread.
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
 			if err := ctx.Err(); err != nil {
 				errs[i] = err
 				continue
 			}
 			runOne(i)
 		}
+	}
+	if w == 1 {
+		// Sequential path: no goroutines, identical to a plain loop.
+		work()
 		return results, errs
 	}
-	idx := make(chan int)
 	var wg sync.WaitGroup
 	wg.Add(w)
 	for k := 0; k < w; k++ {
 		go func() {
 			defer wg.Done()
-			for i := range idx {
-				runOne(i)
-			}
+			work()
 		}()
 	}
-	for i := 0; i < n; i++ {
-		select {
-		case <-ctx.Done():
-			// Only the dispatcher ever touches an undispatched index.
-			errs[i] = ctx.Err()
-		case idx <- i:
-		}
-	}
-	close(idx)
 	wg.Wait()
 	return results, errs
 }

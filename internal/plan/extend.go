@@ -6,7 +6,6 @@ import (
 
 	"flexwan/internal/spectrum"
 	"flexwan/internal/topology"
-	"flexwan/internal/transponder"
 )
 
 // allocationOf rebuilds the spectrum allocation record of a wavelength.
@@ -60,7 +59,8 @@ func Extend(p Problem, r *Result, linkID string, extraGbps int) ([]Wavelength, e
 		paths = ps
 	}
 
-	pl := newPlacer(p, r, transponder.NewProvisionTable(p.Catalog), linkID, paths)
+	pl := newPlacer(p, r)
+	pl.link(linkID, paths)
 	var added []Wavelength
 	remaining := extraGbps
 	for remaining > 0 {

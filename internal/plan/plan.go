@@ -199,14 +199,19 @@ func Solve(p Problem) (*Result, error) {
 		return order[i].ID < order[j].ID
 	})
 
-	// Room for every channel at the catalog's top rate; long paths add a few.
-	if top := p.Catalog.MaxRateAt(0); top > 0 {
-		res.Wavelengths = make([]Wavelength, 0, (p.IP.TotalDemandGbps()+top-1)/top+len(order))
+	// Room for every link's channels at the best rate its shortest path
+	// allows — what a plan that fits uses, give or take a few.
+	channels := len(order)
+	for _, l := range order {
+		if rate := p.Catalog.MaxRateAt(paths[l.ID][0].LengthKm); rate > 0 {
+			channels += (l.DemandGbps + rate - 1) / rate
+		}
 	}
+	res.Wavelengths = make([]Wavelength, 0, channels)
 
-	provisions := transponder.NewProvisionTable(p.Catalog)
+	pl := newPlacer(p, res)
 	for _, link := range order {
-		pl := newPlacer(p, res, provisions, link.ID, paths[link.ID])
+		pl.link(link.ID, paths[link.ID])
 		lp := LinkPlan{DemandGbps: link.DemandGbps}
 		remaining := link.DemandGbps
 		for remaining > 0 {
@@ -228,57 +233,70 @@ func Solve(p Problem) (*Result, error) {
 	return res, nil
 }
 
-// placer provisions the wavelengths of one IP link; it holds what they
-// share: the candidate paths with their allocator keys, and the provision
-// table of the whole Solve or Extend call.
+// placer provisions wavelengths link by link for one Solve or Extend
+// call. It holds what the call's links share — the provision table and the
+// scratch — and, for the link it is turned to, the candidate paths with
+// their allocator keys and reach classes.
 type placer struct {
 	p          Problem
 	res        *Result
 	provisions *transponder.ProvisionTable
 	linkID     string
-	paths      []topology.Path
-	fibers     [][]spectrum.FiberID
+	paths      []candidate
+	fibers     []spectrum.FiberID // what the candidates' keys are cut from
+	prefer     []transponder.Mode // placeOne's scratch
 }
 
-func newPlacer(p Problem, res *Result, provisions *transponder.ProvisionTable, linkID string, paths []topology.Path) *placer {
-	pl := &placer{p: p, res: res, provisions: provisions, linkID: linkID, paths: paths, fibers: make([][]spectrum.FiberID, len(paths))}
-	for i, path := range paths {
-		pl.fibers[i] = spectrum.FiberIDs(nil, path.Fibers)
+// candidate is one of a link's candidate paths.
+type candidate struct {
+	path   topology.Path
+	fibers []spectrum.FiberID
+	class  *transponder.ReachClass // nil when no mode reaches
+}
+
+func newPlacer(p Problem, res *Result) *placer {
+	return &placer{p: p, res: res, provisions: transponder.NewProvisionTable(p.Catalog)}
+}
+
+// link turns the placer to an IP link; the previous link's candidates are
+// overwritten.
+func (pl *placer) link(linkID string, paths []topology.Path) {
+	pl.linkID, pl.paths, pl.fibers = linkID, pl.paths[:0], pl.fibers[:0]
+	for _, path := range paths {
+		from := len(pl.fibers)
+		for _, f := range path.Fibers {
+			pl.fibers = append(pl.fibers, spectrum.FiberID(f))
+		}
+		pl.paths = append(pl.paths, candidate{path: path, fibers: pl.fibers[from:], class: pl.provisions.Class(path.LengthKm)})
 	}
-	return pl
 }
 
 // placeOne provisions a single wavelength toward the remaining demand of
 // the link, trying candidate paths in order. It returns false when no
 // (path, mode, spectrum) combination works.
 func (pl *placer) placeOne(remainingGbps int) (Wavelength, bool) {
-	for pi, path := range pl.paths {
+	for pi, c := range pl.paths {
+		if c.class == nil {
+			continue
+		}
 		// Preferred modes: what a cost-optimal provision of the whole
 		// remaining demand at this length would use, widest first so the
 		// hardest channel claims contiguous spectrum earliest. Each mode
 		// of the multiset is tried once: nothing changes between a failed
 		// attempt and its repeat.
-		if prov, ok := pl.provisions.MinProvision(remainingGbps, path.LengthKm); ok {
-			slices.SortStableFunc(prov.Modes, func(a, b transponder.Mode) int {
-				return cmp.Compare(b.SpacingGHz, a.SpacingGHz)
-			})
-			for _, mode := range prov.Modes {
-				if w, ok := pl.tryAllocate(pi, mode); ok {
-					return w, true
-				}
+		pl.prefer = c.class.AppendModes(pl.prefer[:0], remainingGbps)
+		slices.SortStableFunc(pl.prefer, func(a, b transponder.Mode) int {
+			return cmp.Compare(b.SpacingGHz, a.SpacingGHz)
+		})
+		for _, mode := range pl.prefer {
+			if w, ok := pl.tryAllocate(pi, mode); ok {
+				return w, true
 			}
 		}
 		// Fallback: any feasible mode, highest rate then narrowest
 		// spacing — spectrum is fragmented, so try every width.
-		feasible := pl.p.Catalog.FeasibleModes(path.LengthKm)
-		sort.SliceStable(feasible, func(i, j int) bool {
-			if feasible[i].DataRateGbps != feasible[j].DataRateGbps {
-				return feasible[i].DataRateGbps > feasible[j].DataRateGbps
-			}
-			return feasible[i].SpacingGHz < feasible[j].SpacingGHz
-		})
-		for _, mode := range feasible {
-			if w, ok := pl.tryAllocate(pi, mode); ok {
+		for i := 0; i < c.class.Len(); i++ {
+			if w, ok := pl.tryAllocate(pi, c.class.ByRate(i)); ok {
 				return w, true
 			}
 		}
@@ -291,14 +309,15 @@ func (pl *placer) tryAllocate(pathIndex int, mode transponder.Mode) (Wavelength,
 	if pixels > pl.p.Grid.Pixels {
 		return Wavelength{}, false
 	}
-	iv, err := pl.res.Allocator.Find(pl.fibers[pathIndex], pixels, pl.p.Fit)
-	if err != nil || pl.res.Allocator.AllocateExact(pl.fibers[pathIndex], iv) != nil {
+	c := &pl.paths[pathIndex]
+	iv, err := pl.res.Allocator.Find(c.fibers, pixels, pl.p.Fit)
+	if err != nil || pl.res.Allocator.AllocateExact(c.fibers, iv) != nil {
 		return Wavelength{}, false
 	}
 	return Wavelength{
 		LinkID:    pl.linkID,
 		PathIndex: pathIndex,
-		Path:      pl.paths[pathIndex],
+		Path:      c.path,
 		Mode:      mode,
 		Interval:  iv,
 	}, true

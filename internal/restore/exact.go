@@ -20,20 +20,20 @@ import (
 // conflicts. Placements overlapping spectrum still held by surviving
 // wavelengths are never generated — that is constraint (9)'s φ_w.
 func SolveExact(p Problem, opts solver.Options) (*Result, error) {
-	if p.Base == nil {
-		return nil, fmt.Errorf("restore: nil base plan")
+	st, err := newBaseState(p)
+	if err != nil {
+		return nil, err
 	}
-	failed := affected(p.Base, p.Scenario.CutFibers)
+	failed, alloc, err := st.cut(p.Scenario, true)
+	if err != nil {
+		return nil, err
+	}
 	res := &Result{
 		Scenario: p.Scenario,
 		PerLink:  make(map[string][2]int),
 	}
 	if len(failed) == 0 {
 		return res, nil
-	}
-	alloc, err := survivorAllocator(p.Grid, p.Base, failed)
-	if err != nil {
-		return nil, err
 	}
 	post := p.Optical.Without(p.Scenario.CutFibers...)
 
@@ -78,7 +78,7 @@ func SolveExact(p Problem, opts solver.Options) (*Result, error) {
 
 	for _, id := range linkOrder {
 		ls := byLink[id]
-		a, b, err := linkEnds(p.IP, id)
+		a, b, err := st.endpoints(id)
 		if err != nil {
 			return nil, err
 		}

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 
 	"flexwan/internal/parallel"
 	"flexwan/internal/plan"
@@ -131,52 +132,151 @@ func (r *Result) Capability() float64 {
 	return float64(r.RestoredGbps) / float64(r.AffectedGbps)
 }
 
-// affected returns the indices in the base plan of the wavelengths that
-// cross a cut fiber, ascending. Cut sets are a handful of fibers, so each
-// hop is checked against the list itself.
-func affected(base *plan.Result, cut []string) (failed []int) {
-	for i := range base.Wavelengths {
-		for _, f := range base.Wavelengths[i].Path.Fibers {
-			if slices.Contains(cut, f) {
-				failed = append(failed, i)
-				break
+// baseState is what every scenario restored against one base plan has in
+// common, computed once per sweep — or once per one-shot Solve or
+// SolveExact, which then consumes it. After newBaseState returns it is
+// only read, so the scenarios of a sweep share it across goroutines.
+type baseState struct {
+	p Problem // the problem less its scenario
+	// occupancy holds every wavelength of the base plan. Claiming them one
+	// by one is the base plan's consistency check, so it runs once, over
+	// the whole plan, whatever a scenario goes on to cut.
+	occupancy *spectrum.Allocator
+	// The base wavelengths crossing each fiber: fiberNum numbers the fibers
+	// the plan uses, and those crossing fiber n are
+	// onFiber[fiberStart[n]:fiberStart[n+1]], ascending.
+	fiberNum   map[string]int32
+	fiberStart []int32
+	onFiber    []int
+	// linkNum maps an IP link's ID to its position in IP.Links; of links
+	// sharing an ID the first counts, as a scan of the list would find it.
+	linkNum map[string]int32
+
+	// classes resolves a path length to the catalog's modes that reach it,
+	// in preference order. The table fills in as lengths are asked.
+	mu      sync.Mutex
+	classes *transponder.ProvisionTable
+}
+
+func newBaseState(p Problem) (*baseState, error) {
+	if p.Base == nil {
+		return nil, fmt.Errorf("restore: nil base plan")
+	}
+	st := &baseState{
+		p:         p,
+		occupancy: spectrum.NewAllocator(p.Grid),
+		fiberNum:  make(map[string]int32, p.Optical.NumFibers()),
+		classes:   transponder.NewProvisionTable(p.Catalog),
+	}
+	nhops := 0
+	for i := range p.Base.Wavelengths {
+		nhops += len(p.Base.Wavelengths[i].Path.Fibers)
+	}
+	var (
+		fibers []spectrum.FiberID
+		hops   = make([]int32, 0, nhops) // every wavelength's fibers in turn, by number
+		count  []int32                   // wavelengths per fiber
+	)
+	for i := range p.Base.Wavelengths {
+		w := &p.Base.Wavelengths[i]
+		fibers = spectrum.FiberIDs(fibers, w.Path.Fibers)
+		if err := st.occupancy.AllocateExact(fibers, w.Interval); err != nil {
+			return nil, fmt.Errorf("restore: base plan inconsistent: %w", err)
+		}
+		for _, f := range w.Path.Fibers {
+			n, ok := st.fiberNum[f]
+			if !ok {
+				n = int32(len(count))
+				st.fiberNum[f] = n
+				count = append(count, 0)
+			}
+			count[n]++
+			hops = append(hops, n)
+		}
+	}
+	st.fiberStart = make([]int32, len(count)+1)
+	for n, c := range count {
+		st.fiberStart[n+1] = st.fiberStart[n] + c
+	}
+	st.onFiber = make([]int, nhops)
+	next := append(count[:0], st.fiberStart[:len(count)]...) // where each fiber's list continues
+	for i, h := 0, 0; i < len(p.Base.Wavelengths); i++ {
+		for range p.Base.Wavelengths[i].Path.Fibers {
+			st.onFiber[next[hops[h]]] = i
+			next[hops[h]]++
+			h++
+		}
+	}
+	if p.IP != nil {
+		st.linkNum = make(map[string]int32, len(p.IP.Links))
+		for i, l := range p.IP.Links {
+			if _, dup := st.linkNum[l.ID]; !dup {
+				st.linkNum[l.ID] = int32(i)
 			}
 		}
 	}
-	return failed
+	return st, nil
 }
 
-// survivorAllocator rebuilds per-fiber occupancy from the surviving
-// wavelengths only: the spectrum φ_w available to restoration is whatever
-// planning left spare plus what the failed wavelengths released. (A
-// failed wavelength no longer transmits, so the WSS passbands it held on
-// healthy fibers are reconfigurable — the controller releases them as
-// part of the restoration push.)
-func survivorAllocator(grid spectrum.Grid, base *plan.Result, failed []int) (*spectrum.Allocator, error) {
-	a := spectrum.NewAllocator(grid)
+// cut projects the state onto one scenario: the base plan indices of the
+// wavelengths that cross a cut fiber, ascending (shared with the state —
+// read-only), and the spectrum φ_w available to their restoration, which
+// is whatever planning left spare plus what the failed wavelengths
+// released. (A failed wavelength no longer transmits, so the WSS passbands
+// it held on healthy fibers are reconfigurable — the controller releases
+// them as part of the restoration push.) The allocator is a fork of the
+// state's occupancy, or, for the one scenario of a one-shot solve, that
+// occupancy itself; either way the work is a release per failed
+// wavelength, not a replay of the plan.
+func (st *baseState) cut(sc Scenario, consume bool) (failed []int, alloc *spectrum.Allocator, err error) {
+	lists := 0
+	for _, f := range sc.CutFibers {
+		if n, ok := st.fiberNum[f]; ok {
+			on := st.onFiber[st.fiberStart[n]:st.fiberStart[n+1]]
+			if lists++; lists == 1 {
+				failed = on
+			} else {
+				failed = append(failed[:len(failed):len(failed)], on...)
+			}
+		}
+	}
+	if lists > 1 {
+		slices.Sort(failed)
+		failed = slices.Compact(failed)
+	}
+	if len(failed) == 0 {
+		return nil, nil, nil
+	}
+	alloc = st.occupancy
+	if !consume {
+		alloc = alloc.Fork()
+	}
 	var fibers []spectrum.FiberID
-	for i := range base.Wavelengths {
-		if len(failed) > 0 && failed[0] == i {
-			failed = failed[1:]
-			continue
-		}
-		w := &base.Wavelengths[i]
+	for _, i := range failed {
+		w := &st.p.Base.Wavelengths[i]
 		fibers = spectrum.FiberIDs(fibers, w.Path.Fibers)
-		if err := a.AllocateExact(fibers, w.Interval); err != nil {
-			return nil, fmt.Errorf("restore: base plan inconsistent: %w", err)
+		if err := alloc.Release(spectrum.Allocation{Fibers: fibers, Interval: w.Interval}); err != nil {
+			return nil, nil, fmt.Errorf("restore: releasing failed wavelength %d: %w", i, err)
 		}
 	}
-	return a, nil
+	return failed, alloc, nil
 }
 
-// linkEnds returns the sites an IP link connects.
-func linkEnds(ip *topology.IPTopology, id string) (a, b topology.NodeID, err error) {
-	for _, l := range ip.Links {
-		if l.ID == id {
-			return l.A, l.B, nil
-		}
+// endpoints returns the sites an IP link connects.
+func (st *baseState) endpoints(id string) (a, b topology.NodeID, err error) {
+	n, ok := st.linkNum[id]
+	if !ok {
+		return "", "", fmt.Errorf("restore: affected link %s missing from IP topology", id)
 	}
-	return "", "", fmt.Errorf("restore: affected link %s missing from IP topology", id)
+	return st.p.IP.Links[n].A, st.p.IP.Links[n].B, nil
+}
+
+// reachClass returns the catalog's modes that reach distKm, nil when none
+// does. A class, once returned, is only read here.
+func (st *baseState) reachClass(distKm float64) *transponder.ReachClass {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.classes.Class(distKm)
 }
 
 // Solve runs the restoration heuristic for one scenario.
@@ -190,22 +290,28 @@ func linkEnds(ip *topology.IPTopology, id string) (a, b topology.NodeID, err err
 // grow the link), widening channel spacing as needed, which is exactly
 // the SVT advantage the paper illustrates in Fig. 4.
 func Solve(p Problem) (*Result, error) {
-	if p.Base == nil {
-		return nil, fmt.Errorf("restore: nil base plan")
+	st, err := newBaseState(p)
+	if err != nil {
+		return nil, err
 	}
-	failed := affected(p.Base, p.Scenario.CutFibers)
+	return st.solve(p.Scenario, true)
+}
+
+// solve is Solve for one scenario on the state's base plan.
+func (st *baseState) solve(sc Scenario, consume bool) (*Result, error) {
+	p := st.p
+	failed, alloc, err := st.cut(sc, consume)
+	if err != nil {
+		return nil, err
+	}
 	res := &Result{
-		Scenario: p.Scenario,
+		Scenario: sc,
 		PerLink:  make(map[string][2]int),
 	}
 	if len(failed) == 0 {
 		return res, nil
 	}
-	alloc, err := survivorAllocator(p.Grid, p.Base, failed)
-	if err != nil {
-		return nil, err
-	}
-	post := p.Optical.Without(p.Scenario.CutFibers...)
+	post := p.Optical.Without(sc.CutFibers...)
 
 	// Group failures per link.
 	type linkState struct {
@@ -228,8 +334,10 @@ func Solve(p Problem) (*Result, error) {
 		ls.spares++
 		ls.originals = append(ls.originals, i)
 	}
+	spares := 0
 	for _, ls := range order {
 		ls.spares += p.ExtraSpares[ls.id]
+		spares += ls.spares
 		res.AffectedGbps += ls.affectedGbps
 	}
 	sort.SliceStable(order, func(i, j int) bool {
@@ -240,25 +348,29 @@ func Solve(p Problem) (*Result, error) {
 	})
 
 	for _, ls := range order {
-		a, b, err := linkEnds(p.IP, ls.id)
+		a, b, err := st.endpoints(ls.id)
 		if err != nil {
 			return nil, err
 		}
-		var cands []candidate
-		for _, path := range post.KShortestPaths(a, b, p.k()) {
-			cands = append(cands, candidate{path: path})
+		paths := post.KShortestPaths(a, b, p.k())
+		cands := make([]candidate, len(paths))
+		for i, path := range paths {
+			cands[i].path = path
 		}
 		remaining := ls.affectedGbps
 		restored := 0
 		oi := 0 // next original wavelength to pair with a restored one
 		for remaining > 0 && ls.spares > 0 && len(cands) > 0 {
-			r, ok := restoreOne(p, alloc, ls.id, cands, remaining)
+			r, ok := st.restoreOne(alloc, ls.id, cands, remaining)
 			if !ok {
 				break
 			}
 			if oi < len(ls.originals) {
 				r.Original = p.Base.Wavelengths[ls.originals[oi]]
 				oi++
+			}
+			if res.Restored == nil {
+				res.Restored = make([]Restored, 0, spares) // no more can be restored
 			}
 			res.Restored = append(res.Restored, r)
 			remaining -= r.Mode.DataRateGbps
@@ -277,26 +389,22 @@ func Solve(p Problem) (*Result, error) {
 type candidate struct {
 	path   topology.Path
 	fibers []spectrum.FiberID
-	modes  []transponder.Mode
+	class  *transponder.ReachClass // nil when no mode reaches
 }
 
 // restoreOne places a single restored wavelength for a link, trying
 // candidate paths in length order. The mode is the highest feasible rate
 // ≤ remaining (constraint (7)); ties prefer the narrowest spacing.
-func restoreOne(p Problem, alloc *spectrum.Allocator, linkID string, cands []candidate, remainingGbps int) (Restored, bool) {
+func (st *baseState) restoreOne(alloc *spectrum.Allocator, linkID string, cands []candidate, remainingGbps int) (Restored, bool) {
+	p := st.p
 	for i := range cands {
 		c := &cands[i]
 		if c.fibers == nil {
 			c.fibers = spectrum.FiberIDs(nil, c.path.Fibers)
-			c.modes = p.Catalog.FeasibleModes(c.path.LengthKm)
-			sort.SliceStable(c.modes, func(i, j int) bool {
-				if c.modes[i].DataRateGbps != c.modes[j].DataRateGbps {
-					return c.modes[i].DataRateGbps > c.modes[j].DataRateGbps
-				}
-				return c.modes[i].SpacingGHz < c.modes[j].SpacingGHz
-			})
+			c.class = st.reachClass(c.path.LengthKm)
 		}
-		for _, mode := range c.modes {
+		for i := 0; c.class != nil && i < c.class.Len(); i++ {
+			mode := c.class.ByRate(i)
 			if mode.DataRateGbps > remainingGbps {
 				continue
 			}
@@ -425,9 +533,10 @@ func (s SweepResult) PathStretches() []float64 {
 type SweepOptions struct {
 	// Workers is the number of scenarios solved concurrently: 0 (the
 	// default) uses runtime.GOMAXPROCS, 1 forces the sequential path.
-	// Every worker clones the per-scenario state (allocator, post-cut
-	// topology) and treats the base Problem as read-only, so results are
-	// identical for every worker count.
+	// What the scenarios share (the base plan's occupancy, its
+	// fiber → wavelength index, the link endpoints) is built once and only
+	// read; each scenario forks the occupancy and takes its own post-cut
+	// view, so results are identical for every worker count.
 	Workers int
 	// Context, when non-nil, cancels the sweep early; undispatched
 	// scenarios are recorded as failed with the context's error.
@@ -451,10 +560,12 @@ func SweepWithOptions(base Problem, scenarios []Scenario, opts SweepOptions) (Sw
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	st, err := newBaseState(base) // an unusable base plan fails every scenario
 	results, errs := parallel.Map(ctx, opts.Workers, len(scenarios), func(ctx context.Context, i int) (*Result, error) {
-		p := base
-		p.Scenario = scenarios[i]
-		return Solve(p)
+		if err != nil {
+			return nil, err
+		}
+		return st.solve(scenarios[i], false)
 	})
 	var out SweepResult
 	for i, sc := range scenarios {

@@ -64,34 +64,47 @@ type Allocation struct {
 // access (§4.3: the centralized controller is the single writer).
 type Allocator struct {
 	grid   Grid
-	fibers map[FiberID]*Map
+	fibers map[FiberID]fiberMap
+}
+
+// fiberMap is one fiber's occupancy. A fork starts out borrowing the maps
+// of the allocator it was forked from and copies one before first writing it.
+type fiberMap struct {
+	*Map
+	borrowed bool
 }
 
 // NewAllocator returns an empty allocator over grid g.
 func NewAllocator(g Grid) *Allocator {
-	return &Allocator{grid: g, fibers: make(map[FiberID]*Map)}
+	return &Allocator{grid: g, fibers: make(map[FiberID]fiberMap)}
 }
 
 // Grid returns the allocator's pixel grid.
 func (a *Allocator) Grid() Grid { return a.grid }
 
-// fiber returns the occupancy map for id, creating it. Only the paths
-// that are about to occupy pixels call it: a lookup must not write (a
-// planned result is read from several goroutines), and a fiber without a
-// map is all free.
+// fiber returns the occupancy map for id ready to be written: created if
+// the fiber has none, copied if it is still the forked-from allocator's.
+// Only the paths that are about to change pixels call it: a lookup must
+// not write (a planned result is read from several goroutines), and a
+// fiber without a map is all free.
 func (a *Allocator) fiber(id FiberID) *Map {
-	m, ok := a.fibers[id]
-	if !ok {
-		m = NewMap(a.grid)
-		a.fibers[id] = m
+	fm := a.fibers[id]
+	switch {
+	case fm.Map == nil:
+		fm = fiberMap{Map: NewMap(a.grid)}
+	case fm.borrowed:
+		fm = fiberMap{Map: fm.Clone()}
+	default:
+		return fm.Map
 	}
-	return m
+	a.fibers[id] = fm
+	return fm.Map
 }
 
 // FiberMap returns a copy of the occupancy map for the fiber, or an
 // all-free map if the fiber has no allocations yet.
 func (a *Allocator) FiberMap(id FiberID) *Map {
-	if m, ok := a.fibers[id]; ok {
+	if m := a.fibers[id].Map; m != nil {
 		return m.Clone()
 	}
 	return NewMap(a.grid)
@@ -108,7 +121,7 @@ func (a *Allocator) Find(path []FiberID, count int, fit Fit) (Interval, error) {
 	var buf [8]uint64 // the 384-pixel C-band is 6 words
 	joint := newMap(a.grid, buf[:])
 	for _, f := range path {
-		if m, ok := a.fibers[f]; ok {
+		if m := a.fibers[f].Map; m != nil {
 			for i, x := range m.used {
 				joint.used[i] |= x
 			}
@@ -141,7 +154,7 @@ func (a *Allocator) AllocateExact(path []FiberID, iv Interval) error {
 		return fmt.Errorf("spectrum: empty fiber path")
 	}
 	for _, f := range path {
-		if m := a.fibers[f]; !iv.Valid(a.grid) || m != nil && !m.CanPlace(iv) {
+		if m := a.fibers[f].Map; !iv.Valid(a.grid) || m != nil && !m.CanPlace(iv) {
 			return fmt.Errorf("spectrum: interval %v not free on fiber %s: %w", iv, f, ErrNoSpectrum)
 		}
 	}
@@ -159,16 +172,24 @@ func (a *Allocator) AllocateExact(path []FiberID, iv Interval) error {
 	return nil
 }
 
-// Release frees a previous allocation on every fiber of its path.
+// Release frees a previous allocation on every fiber of its path, failing
+// atomically — no fiber is modified — unless every fiber holds the whole
+// interval.
 func (a *Allocator) Release(al Allocation) error {
+	if !al.Interval.Valid(a.grid) {
+		return fmt.Errorf("spectrum: interval %v outside grid of %d pixels", al.Interval, a.grid.Pixels)
+	}
 	for _, f := range al.Fibers {
-		m, ok := a.fibers[f]
-		if !ok {
-			m = NewMap(a.grid) // all free: Release names the pixel
+		w := al.Interval.Start // a fiber without a map is all free
+		if m := a.fibers[f].Map; m != nil {
+			w = m.next(al.Interval.Start, false)
 		}
-		if err := m.Release(al.Interval); err != nil {
-			return err
+		if w < al.Interval.End() {
+			return fmt.Errorf("spectrum: release of free pixel %d in %v on fiber %s", w, al.Interval, f)
 		}
+	}
+	for _, f := range al.Fibers {
+		a.fiber(f).fill(al.Interval, false)
 	}
 	return nil
 }
@@ -207,7 +228,7 @@ func (a *Allocator) Verify(allocs []Allocation) error {
 	claimed := NewAllocator(a.grid) // what the allocations seen so far own
 	for i, al := range allocs {
 		for _, f := range al.Fibers {
-			if m, ok := a.fibers[f]; !ok || !al.Interval.Valid(a.grid) || m.next(al.Interval.Start, false) < al.Interval.End() {
+			if m := a.fibers[f].Map; m == nil || !al.Interval.Valid(a.grid) || m.next(al.Interval.Start, false) < al.Interval.End() {
 				return fmt.Errorf("spectrum: allocation %d interval %v not marked used on fiber %s", i, al.Interval, f)
 			}
 		}
@@ -225,8 +246,21 @@ func (a *Allocator) Verify(allocs []Allocation) error {
 // tentative placements without mutating live state.
 func (a *Allocator) Clone() *Allocator {
 	c := NewAllocator(a.grid)
-	for id, m := range a.fibers {
-		c.fibers[id] = m.Clone()
+	for id, fm := range a.fibers {
+		c.fibers[id] = fiberMap{Map: fm.Clone()}
+	}
+	return c
+}
+
+// Fork returns an allocator that starts from the receiver's occupancy and
+// diverges as it is written: it borrows every fiber's map and copies one
+// only before first changing it, so a fork costs what it touches, not what
+// the receiver holds. The receiver must not be written while a fork of it
+// is in use; any number of forks may be taken and used concurrently.
+func (a *Allocator) Fork() *Allocator {
+	c := &Allocator{grid: a.grid, fibers: make(map[FiberID]fiberMap, len(a.fibers))}
+	for id, fm := range a.fibers {
+		c.fibers[id] = fiberMap{Map: fm.Map, borrowed: true}
 	}
 	return c
 }

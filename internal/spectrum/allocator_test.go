@@ -3,6 +3,7 @@ package spectrum
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -299,5 +300,41 @@ func TestAllocatorFindMatchesPixelScan(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// Release checks every fiber before it frees any: a path whose last fiber
+// does not hold the interval leaves the earlier fibers as they were.
+func TestAllocatorReleaseIsAtomic(t *testing.T) {
+	a := NewAllocator(testGrid())
+	iv := Interval{Start: 8, Count: 4}
+	if err := a.AllocateExact([]FiberID{"f1", "f2"}, iv); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.AllocateExact([]FiberID{"f3"}, Interval{Start: 8, Count: 2}); err != nil {
+		t.Fatal(err)
+	}
+	before := a.Clone()
+	for _, last := range []FiberID{"f3", "holds-nothing"} {
+		if err := a.Release(Allocation{Fibers: []FiberID{"f1", "f2", last}, Interval: iv}); err == nil {
+			t.Fatalf("Release across %s, which does not hold %v, succeeded", last, iv)
+		}
+		for _, f := range []FiberID{"f1", "f2", "f3", "holds-nothing"} {
+			if got, want := a.FiberMap(f).FreeRuns(), before.FiberMap(f).FreeRuns(); !reflect.DeepEqual(got, want) {
+				t.Errorf("refused release across %s changed fiber %s: free runs %v, were %v", last, f, got, want)
+			}
+		}
+	}
+	if got := a.Fibers(); len(got) != 3 {
+		t.Errorf("refused release created a map: Fibers() = %v", got)
+	}
+	if err := a.Release(Allocation{Fibers: []FiberID{"f1", "f2"}, Interval: Interval{Start: 8, Count: 400}}); err == nil {
+		t.Error("Release of an interval outside the grid succeeded")
+	}
+	if err := a.Release(Allocation{Fibers: []FiberID{"f1", "f2"}, Interval: iv}); err != nil {
+		t.Errorf("Release of the held allocation: %v", err)
+	}
+	if a.FiberMap("f1").UsedPixels() != 0 || a.FiberMap("f2").UsedPixels() != 0 {
+		t.Error("held allocation still occupies pixels after Release")
 	}
 }

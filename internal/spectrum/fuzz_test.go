@@ -1,6 +1,7 @@
 package spectrum
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -91,6 +92,107 @@ func FuzzMapOperations(f *testing.F) {
 			if m.FreePixels()+m.UsedPixels() != g.Pixels {
 				t.Fatalf("free+used != total")
 			}
+		}
+	})
+}
+
+// sameOccupancy reports the first fiber on which two allocators differ;
+// a fiber without a map and an all-free one are the same occupancy.
+func sameOccupancy(t *testing.T, what string, got, want *Allocator, fibers []FiberID) {
+	t.Helper()
+	for _, f := range fibers {
+		if g, w := got.FiberMap(f), want.FiberMap(f); !reflect.DeepEqual(g.used, w.used) {
+			t.Fatalf("%s: fiber %s holds %v, want %v", what, f, g.FreeRuns(), w.FreeRuns())
+		}
+	}
+	if got.UsedPixels() != want.UsedPixels() {
+		t.Fatalf("%s: %d pixels used, want %d", what, got.UsedPixels(), want.UsedPixels())
+	}
+}
+
+// FuzzForkOperations drives a Fork lineage and a Clone lineage with the
+// same arbitrary operation stream — allocations, releases (valid or not),
+// and further forks taken mid-stream: every answer and every fiber's
+// occupancy must agree, and each allocator a fork was taken from must
+// still read as it did at that moment, however its forks were written.
+func FuzzForkOperations(f *testing.F) {
+	f.Add([]byte{0, 9, 4, 0, 1, 3, 4, 0, 2, 0, 0, 17, 2, 1})
+	f.Add([]byte{1, 200, 4, 0, 4, 0, 2, 0, 3, 77, 0, 5})
+	f.Add([]byte{0, 1, 0, 2, 0, 3, 4, 0, 2, 1, 2, 0, 4, 0, 0, 4, 3, 9})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		g := Grid{PixelGHz: 12.5, Pixels: 150}
+		fibers := []FiberID{"a", "b", "c", "d", "never-written"}
+		pathOf := func(b int) []FiberID {
+			path := []FiberID{fibers[b%4]}
+			if b&4 != 0 {
+				path = append(path, fibers[(b/8)%4])
+			}
+			if b&64 != 0 {
+				path = append(path, fibers[(b/16)%4])
+			}
+			return path
+		}
+		fork, clone := NewAllocator(g), NewAllocator(g)
+		type frozen struct{ parent, snapshot *Allocator }
+		var parents []frozen
+		var live []Allocation
+		for i := 0; i+1 < len(ops); i += 2 {
+			a, b := int(ops[i]), int(ops[i+1])
+			switch a % 5 {
+			case 0, 1: // find and claim, first or best fit
+				path, count, fit := pathOf(b), 1+(a/5)%40, Fit(a%2)
+				iv, err := fork.Find(path, count, fit)
+				want, wantErr := clone.Find(path, count, fit)
+				if (err == nil) != (wantErr == nil) || iv != want {
+					t.Fatalf("Find(%v, %d, %v) = %v, %v; clone says %v, %v", path, count, fit, iv, err, want, wantErr)
+				}
+				if err != nil {
+					continue
+				}
+				got, want2 := fork.AllocateExact(path, iv) == nil, clone.AllocateExact(path, iv) == nil
+				if got != want2 {
+					t.Fatalf("AllocateExact(%v, %v) succeeded = %v, clone says %v", path, iv, got, want2)
+				}
+				if got {
+					live = append(live, Allocation{Fibers: path, Interval: iv})
+				}
+			case 2: // release a live allocation
+				if len(live) > 0 {
+					idx := b % len(live)
+					if err := fork.Release(live[idx]); err != nil {
+						t.Fatalf("Release live %v: %v", live[idx], err)
+					}
+					if err := clone.Release(live[idx]); err != nil {
+						t.Fatalf("clone: Release live %v: %v", live[idx], err)
+					}
+					live = append(live[:idx], live[idx+1:]...)
+				}
+			case 3: // arbitrary (mostly invalid) release: all or nothing
+				al := Allocation{Fibers: pathOf(b), Interval: Interval{Start: (a / 5) * 3, Count: 1 + b%12}}
+				before := fork.Clone()
+				got, want := fork.Release(al) == nil, clone.Release(al) == nil
+				if got != want {
+					t.Fatalf("Release(%v) succeeded = %v, clone says %v", al, got, want)
+				}
+				if !got {
+					sameOccupancy(t, "after a refused release", fork, before, fibers)
+				} else {
+					live = nil // part of the live set is gone
+				}
+			case 4: // continue on a fork of the fork and a clone of the clone
+				parents = append(parents, frozen{parent: fork, snapshot: fork.Clone()})
+				fork, clone = fork.Fork(), clone.Clone()
+			}
+			sameOccupancy(t, "fork against clone", fork, clone, fibers)
+			if !reflect.DeepEqual(fork.Fibers(), clone.Fibers()) {
+				t.Fatalf("Fibers() = %v, clone says %v", fork.Fibers(), clone.Fibers())
+			}
+		}
+		if err := fork.Verify(live); err != nil && live != nil {
+			t.Fatalf("Verify(live): %v", err)
+		}
+		for i, p := range parents {
+			sameOccupancy(t, fmt.Sprintf("allocator forked at fork %d", i), p.parent, p.snapshot, fibers)
 		}
 	})
 }

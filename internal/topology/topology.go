@@ -12,10 +12,12 @@
 package topology
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 )
 
@@ -53,9 +55,10 @@ func (f Fiber) Other(n NodeID) (NodeID, bool) {
 // returned by Without is a view: it reads the same index as its parent
 // and carries the set of fibers it leaves out.
 type Optical struct {
-	ix   *index
-	cut  bitmap // fibers a Without view leaves out; nil on a built topology
-	ncut int    // how many
+	ix     *index
+	cut    bitmap // fibers a Without view leaves out; nil on a built topology
+	ncut   int    // how many
+	cutKey string // cut's words as bytes, "" when ncut is 0: names the cut set in the index's path memo
 }
 
 // index is the graph in dense form. Once a view shares it nobody writes
@@ -69,7 +72,28 @@ type index struct {
 	ends     []int32   // fiber → its two sites' indices XORed: one end gives the other
 	adj      [][]int32 // site → incident fibers, insertion order
 	shared   atomic.Bool
+
+	// memo holds every KShortestPaths answer computed on this index, for
+	// the parent and all its views: the paths are a pure function of the
+	// key. It lives as long as the index and is dropped when a fiber is
+	// added in place; a topology that moves to a copy starts an empty one.
+	memoMu sync.RWMutex
+	memo   map[kspKey][]Path
 }
+
+// kspKey names one KShortestPaths question on an index.
+type kspKey struct {
+	cut      string // the asking topology's cutKey
+	src, dst int32
+	k        int
+}
+
+// kspMemoCap bounds the memo of one index. What a planned backbone asks
+// (its IP links' endpoint pairs, under no cut and under each cut of a
+// failure sweep) is a small fraction of it; a caller that keeps asking new
+// questions — arbitrary cut sets, all-pairs scans — starts the memo over
+// when it is full rather than growing it without limit.
+const kspMemoCap = 1 << 13
 
 // bitmap is a set of fiber indices.
 type bitmap []uint64
@@ -90,7 +114,7 @@ func (g *Optical) own() {
 		return
 	}
 	old, cut := g.ix, g.cut
-	g.ix, g.cut, g.ncut = New().ix, nil, 0
+	g.ix, g.cut, g.ncut, g.cutKey = New().ix, nil, 0, ""
 	for _, n := range old.nodes {
 		g.AddNode(n)
 	}
@@ -148,6 +172,11 @@ func (g *Optical) addFiber(f Fiber) {
 	ix.ends = append(ix.ends, a^b)
 	ix.adj[a] = append(ix.adj[a], fi)
 	ix.adj[b] = append(ix.adj[b], fi)
+	// Memoised paths predate the fiber. (A new site alone changes no
+	// answer: it has no fiber yet, and unknown sites are never memoised.)
+	ix.memoMu.Lock()
+	ix.memo = nil
+	ix.memoMu.Unlock()
 }
 
 // Fiber returns the fiber with the given ID.
@@ -200,12 +229,24 @@ func (g *Optical) Without(cut ...string) *Optical {
 			out.ncut++
 		}
 	}
+	if out.ncut > 0 {
+		var buf [64]byte // up to 512 fibers without a second allocation
+		key := buf[:0]
+		for _, w := range out.cut {
+			key = binary.LittleEndian.AppendUint64(key, w)
+		}
+		out.cutKey = string(key)
+	}
 	return out
 }
 
 // Path is a loopless walk through the optical topology: the node sequence
 // and the fiber chosen for each hop. LengthKm is the total fiber length —
 // the transmission distance that the optical reach must cover.
+//
+// The paths ShortestPath and KShortestPaths return are shared with every
+// other caller that asks the same question: treat Nodes and Fibers as
+// read-only, and copy before changing one.
 type Path struct {
 	Nodes    []NodeID
 	Fibers   []string
@@ -360,6 +401,10 @@ func (g *Optical) ShortestPath(src, dst NodeID) (Path, bool) {
 // in nondecreasing length order (Yen's algorithm); equal lengths order by
 // the fiber IDs along the path. Fewer than k paths are returned when the
 // graph does not contain k distinct loopless paths.
+//
+// The answer is computed once per (topology or view, src, dst, k) and then
+// shared: the returned slice and its paths are read-only (see Path). It is
+// safe to call from several goroutines, on a topology and its views alike.
 func (g *Optical) KShortestPaths(src, dst NodeID, k int) []Path {
 	ix := g.ix
 	si, okS := ix.nodeIdx[src]
@@ -367,6 +412,29 @@ func (g *Optical) KShortestPaths(src, dst NodeID, k int) []Path {
 	if k <= 0 || !okS || !okD {
 		return nil
 	}
+	key := kspKey{cut: g.cutKey, src: si, dst: di, k: k}
+	ix.memoMu.RLock()
+	paths, ok := ix.memo[key]
+	ix.memoMu.RUnlock()
+	if ok {
+		return paths
+	}
+	paths = g.yen(si, di, k)
+	ix.memoMu.Lock()
+	if len(ix.memo) >= kspMemoCap {
+		ix.memo = nil
+	}
+	if ix.memo == nil {
+		ix.memo = make(map[kspKey][]Path)
+	}
+	ix.memo[key] = paths
+	ix.memoMu.Unlock()
+	return paths
+}
+
+// yen is the search behind KShortestPaths, between two sites of the index.
+func (g *Optical) yen(si, di int32, k int) []Path {
+	ix := g.ix
 	n := len(ix.nodes)
 	s := &search{
 		ix: ix, dist: make([]float64, n), prev: make([]int32, n), done: make([]bool, n),

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -21,21 +23,69 @@ func reachClasses(c Catalog) []float64 {
 	return append(out, c.MaxReachKm()+1)
 }
 
+// printAlike is a catalog of two 100G modes one ulp of spacing apart, so
+// that they print alike and tie everywhere but in the last bit.
+func printAlike() Catalog {
+	return Catalog{Name: "alike", Modes: []Mode{newMode(100, math.Nextafter(75, 100), 3000), newMode(100, 75, 3000)}}
+}
+
+// wideCatalog has more modes than a machine word has bits: 70 rates in
+// scrambled order, each at a spacing and a reach of its own, so that the
+// optimal multisets mix modes on both sides of bit 64.
+func wideCatalog() Catalog {
+	cat := Catalog{Name: "wide"}
+	for i := 0; i < 70; i++ {
+		cat.Modes = append(cat.Modes, newMode(100+10*(i*37%70), 50+12.5*float64(i%9), float64(4000-50*i)))
+	}
+	return cat
+}
+
 // TestProvisionTableMatchesFreshDP checks the reused table against a
 // from-scratch DP for every capacity 1…20 000 Gbps in every reach class
-// of all three catalogs in ascending order, and a sample of them in
-// descending and scattered order, so the table is extended step by step,
-// extended in jumps, and read far below its end.
+// of all three catalogs, the print-alike one and the wide one, in
+// ascending order, and a sample of them in descending and scattered
+// order, so the table is extended step by step, extended in jumps, and
+// read far below its end (the wide catalog against every 61st fresh DP).
+// At every capacity the distinct-mode query must list the provision's
+// modes in the provision's order, asked before it and after it.
 func TestProvisionTableMatchesFreshDP(t *testing.T) {
 	const maxGbps = 20000
-	for _, cat := range []Catalog{Fixed100G(), RADWAN(), SVT()} {
-		for _, dist := range reachClasses(cat) {
+	for _, cat := range []Catalog{Fixed100G(), RADWAN(), SVT(), printAlike(), wideCatalog()} {
+		dists := reachClasses(cat)
+		if cat.Name == "wide" { // a class on each side of, and across, a word of modes
+			dists = []float64{dists[0], dists[5], dists[63], dists[64], dists[69], dists[70]}
+		}
+		for _, dist := range dists {
 			cat, dist := cat, dist
 			t.Run(fmt.Sprintf("%s/%vkm", cat.Name, dist), func(t *testing.T) {
 				t.Parallel()
 				up, down, strided := NewProvisionTable(cat), NewProvisionTable(cat), NewProvisionTable(cat)
+				var buf []Mode
+				low, high := false, false // a provision used a mode below bit 64 together with one above
 				check := func(table *ProvisionTable, c int) {
+					rc := table.Class(dist)
+					if rc != nil {
+						buf = rc.AppendModes(buf[:0], c) // before the provision: the query extends the table itself
+					}
 					got, ok := table.MinProvision(c, dist)
+					if ok != (rc != nil) || !slices.Equal(buf, got.Modes) {
+						t.Fatalf("%d Gbps: distinct modes %v, provision %+v, %v", c, buf, got, ok)
+					}
+					if ok {
+						if buf = rc.AppendModes(buf[:0], c); !slices.Equal(buf, got.Modes) {
+							t.Fatalf("%d Gbps: distinct modes %v after the provision %+v", c, buf, got)
+						}
+					}
+					for _, m := range got.Modes {
+						i := slices.Index(cat.Modes, m)
+						low, high = low || i < 64, high || i >= 64
+					}
+					if !(low && high) {
+						low, high = false, false
+					}
+					if cat.Name == "wide" && c%61 != 0 {
+						return // a fresh DP over 70 modes is slow: sample it
+					}
 					want, wantOK := freshMinProvision(cat, c, dist)
 					if ok != wantOK || !sameProvision(got, want) {
 						t.Fatalf("%d Gbps: table says %+v, %v; fresh DP says %+v, %v", c, got, ok, want, wantOK)
@@ -46,6 +96,9 @@ func TestProvisionTableMatchesFreshDP(t *testing.T) {
 				}
 				for c := 1; c <= maxGbps; c++ {
 					check(up, c)
+				}
+				if len(cat.FeasibleModes(dist)) > 64 && !(low && high) {
+					t.Error("no provision mixes modes across the word boundary: the catalog does not test it")
 				}
 				// Read far below the table's end, and extend it in jumps.
 				for c := 1; c <= maxGbps; c += 37 {
@@ -93,11 +146,10 @@ func TestProvisionTableSharedAcrossDistances(t *testing.T) {
 // spectrum sum), twice and once; pairing counts back to modes through
 // Mode.String() gave both the same count.
 func TestMinProvisionModesThatPrintAlike(t *testing.T) {
-	wide, narrow := newMode(100, math.Nextafter(75, 100), 3000), newMode(100, 75, 3000)
-	if wide.String() != narrow.String() {
+	cat := printAlike()
+	if wide, narrow := cat.Modes[0], cat.Modes[1]; wide.String() != narrow.String() {
 		t.Fatalf("test needs modes that print alike: %v, %v", wide, narrow)
 	}
-	cat := Catalog{Name: "alike", Modes: []Mode{wide, narrow}}
 	p, ok := cat.MinProvision(300, 1000)
 	if !ok {
 		t.Fatal("no provision")
@@ -108,5 +160,45 @@ func TestMinProvisionModesThatPrintAlike(t *testing.T) {
 	want, _ := freshMinProvision(cat, 300, 1000)
 	if !reflect.DeepEqual(p, want) || len(p.Modes) != 2 {
 		t.Errorf("provision %v × %v, fresh DP says %v × %v with both modes in use", p.Modes, p.Counts, want.Modes, want.Counts)
+	}
+}
+
+// The distinct-mode query is the planner's per-wavelength call: it must
+// not allocate once its buffer and the table have grown, and a class's
+// fall-back order is the feasible modes by rate, then spacing.
+func TestReachClassQueriesOnTheHotPath(t *testing.T) {
+	svt := SVT()
+	table := NewProvisionTable(svt)
+	rc := table.Class(1200)
+	buf := rc.AppendModes(make([]Mode, 0, len(svt.Modes)), 20000)
+	if allocs := testing.AllocsPerRun(100, func() {
+		for c := 100; c <= 20000; c += 700 {
+			buf = rc.AppendModes(buf[:0], c)
+		}
+	}); allocs != 0 {
+		t.Errorf("AppendModes allocates %v times a round on a grown table", allocs)
+	}
+	if got := rc.AppendModes(buf[:0], 0); len(got) != 0 {
+		t.Errorf("distinct modes of a zero demand: %v", got)
+	}
+	if table.Class(1200) != rc || table.Class(1150) != rc {
+		t.Error("distances with one feasible set do not share a class")
+	}
+	if table.Class(svt.MaxReachKm()+1) != nil {
+		t.Error("a distance no mode reaches has a class")
+	}
+	want := svt.FeasibleModes(1200)
+	sort.SliceStable(want, func(i, j int) bool {
+		if want[i].DataRateGbps != want[j].DataRateGbps {
+			return want[i].DataRateGbps > want[j].DataRateGbps
+		}
+		return want[i].SpacingGHz < want[j].SpacingGHz
+	})
+	got := make([]Mode, rc.Len())
+	for i := range got {
+		got[i] = rc.ByRate(i)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("ByRate = %v, want %v", got, want)
 	}
 }

@@ -12,8 +12,10 @@
 package transponder
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"flexwan/internal/phy"
@@ -282,30 +284,43 @@ func (c Catalog) MinProvision(capacityGbps int, distKm float64) (Provision, bool
 // its cell u depends only on the cells below u — never on the capacity
 // asked for — so one table per reach class (the distances that share a
 // feasible set) serves every query: a query extends the table as far as
-// it needs and then only scans and traces back. A table is not safe for
+// it needs and then only scans and reads. A table is not safe for
 // concurrent use.
 type ProvisionTable struct {
 	catalog Catalog
 	// classes[n] is the DP over the n modes with the longest reach: the
 	// feasible sets of all distances nest, so their size names them.
-	classes []*reachClass
+	classes []*ReachClass
 }
 
 // NewProvisionTable returns an empty table for the catalog.
 func NewProvisionTable(c Catalog) *ProvisionTable {
-	return &ProvisionTable{catalog: c, classes: make([]*reachClass, len(c.Modes)+1)}
+	return &ProvisionTable{catalog: c, classes: make([]*ReachClass, len(c.Modes)+1)}
 }
 
-// reachClass is the DP over the modes that reach one band of distances.
-type reachClass struct {
-	modes    []Mode // the feasible modes, catalog order
-	units    []int  // modes[i].DataRateGbps / step
-	order    []int  // positions in modes, highest rate then narrowest spacing
-	step     int    // gcd of the rates
+// ReachClass is a table's DP over the modes that reach one band of
+// distances. A caller with many queries at one distance resolves the
+// class once (ProvisionTable.Class) and asks it directly.
+type ReachClass struct {
+	catalog []Mode // the table's catalog
+	// The feasible modes, in catalog order — the order the DP tries them
+	// in, which decides its ties — as the DP needs them.
+	units    []int     // data rate / step
+	spacing  []float64 // SpacingGHz
+	feasible []int     // position in catalog
+	// order lists the feasible modes highest rate first, narrowest spacing
+	// within a rate.
+	order    []int
+	step     int // gcd of the rates
 	maxUnits int
 	// cells[u] is the best (transponders, spectrum) providing at least
 	// u·step Gbps, and the last mode added to get there.
-	cells  []provisionCell
+	cells []provisionCell
+	// used[u·words:(u+1)·words] is the set of modes in cell u's multiset,
+	// one bit per feasible mode: the previous cell's set plus the cell's
+	// own mode.
+	used   []uint64
+	words  int
 	counts []int // trace-back scratch, all zero between queries
 }
 
@@ -315,8 +330,8 @@ type provisionCell struct {
 	mode     int
 }
 
-// class returns the DP for the modes that reach distKm, nil when none does.
-func (t *ProvisionTable) class(distKm float64) *reachClass {
+// Class returns the reach class of distKm, nil when no mode reaches.
+func (t *ProvisionTable) Class(distKm float64) *ReachClass {
 	n := 0
 	for i := range t.catalog.Modes {
 		if t.catalog.Modes[i].Feasible(distKm) {
@@ -326,51 +341,72 @@ func (t *ProvisionTable) class(distKm float64) *reachClass {
 	if n == 0 || t.classes[n] != nil {
 		return t.classes[n]
 	}
-	modes := t.catalog.FeasibleModes(distKm)
-	rc := &reachClass{modes: modes, step: modes[0].DataRateGbps, cells: make([]provisionCell, 1), counts: make([]int, len(modes))}
-	for _, m := range modes {
-		rc.step = gcd(rc.step, m.DataRateGbps)
+	ints := make([]int, 3*n)
+	rc := &ReachClass{
+		catalog: t.catalog.Modes,
+		units:   ints[:0:n], feasible: ints[n : n : 2*n], order: ints[2*n:],
+		spacing: make([]float64, 0, n),
+		words:   (n + 63) >> 6,
 	}
-	for i, m := range modes {
-		rc.units = append(rc.units, m.DataRateGbps/rc.step)
-		rc.maxUnits = max(rc.maxUnits, rc.units[i])
-		rc.order = append(rc.order, i)
-	}
-	sort.SliceStable(rc.order, func(i, j int) bool {
-		a, b := modes[rc.order[i]], modes[rc.order[j]]
-		if a.DataRateGbps != b.DataRateGbps {
-			return a.DataRateGbps > b.DataRateGbps
+	for i, m := range t.catalog.Modes {
+		if m.Feasible(distKm) {
+			rc.step = gcd(m.DataRateGbps, rc.step)
+			rc.units = append(rc.units, m.DataRateGbps)
+			rc.spacing = append(rc.spacing, m.SpacingGHz)
+			rc.feasible = append(rc.feasible, i)
 		}
-		return a.SpacingGHz < b.SpacingGHz
+	}
+	for i := range rc.units {
+		rc.units[i] /= rc.step
+		rc.maxUnits = max(rc.maxUnits, rc.units[i])
+		rc.order[i] = i
+	}
+	slices.SortStableFunc(rc.order, func(a, b int) int {
+		if c := cmp.Compare(rc.units[b], rc.units[a]); c != 0 {
+			return c
+		}
+		return cmp.Compare(rc.spacing[a], rc.spacing[b])
 	})
-	t.classes[len(modes)] = rc
+	t.classes[n] = rc
 	return rc
 }
 
+// Len returns the number of modes in the class.
+func (rc *ReachClass) Len() int { return len(rc.order) }
+
+// ByRate returns the class's i-th mode counting from the highest data
+// rate, narrowest spacing first within a rate: the order planning and
+// restoration fall back through a path's formats in.
+func (rc *ReachClass) ByRate(i int) Mode { return rc.catalog[rc.feasible[rc.order[i]]] }
+
 // extend fills the cells up to limit.
-func (rc *reachClass) extend(limit int) {
+func (rc *ReachClass) extend(limit int) {
+	if rc.cells == nil { // cell 0: nothing provisioned, no mode used
+		rc.cells = make([]provisionCell, 1, limit+1)
+		rc.used = make([]uint64, rc.words, (limit+1)*rc.words)
+		rc.counts = make([]int, len(rc.units))
+	}
 	for u := len(rc.cells); u <= limit; u++ {
-		best := provisionCell{count: math.MaxInt32}
-		for mi := range rc.modes {
-			prev := rc.cells[max(u-rc.units[mi], 0)]
-			cand := provisionCell{count: prev.count + 1, spectrum: prev.spectrum + rc.modes[mi].SpacingGHz, mode: mi}
+		best, from := provisionCell{count: math.MaxInt32}, 0
+		for mi, units := range rc.units {
+			p := max(u-units, 0)
+			prev := rc.cells[p]
+			cand := provisionCell{count: prev.count + 1, spectrum: prev.spectrum + rc.spacing[mi], mode: mi}
 			if cand.count < best.count || (cand.count == best.count && cand.spectrum < best.spectrum) {
-				best = cand
+				best, from = cand, p
 			}
 		}
 		rc.cells = append(rc.cells, best)
+		for w := 0; w < rc.words; w++ {
+			rc.used = append(rc.used, rc.used[from*rc.words+w])
+		}
+		rc.used[u*rc.words+best.mode>>6] |= 1 << (best.mode & 63)
 	}
 }
 
-// MinProvision is Catalog.MinProvision on the table's catalog.
-func (t *ProvisionTable) MinProvision(capacityGbps int, distKm float64) (Provision, bool) {
-	if capacityGbps <= 0 {
-		return Provision{}, false
-	}
-	rc := t.class(distKm)
-	if rc == nil {
-		return Provision{}, false
-	}
+// best returns the cell of the cheapest provision of capacityGbps > 0,
+// extending the table to cover it: the one scan every query shares.
+func (rc *ReachClass) best(capacityGbps int) int {
 	// The optimum may overshoot the demand, but never by a whole
 	// max-rate transponder: scan that far and no further.
 	units := (capacityGbps + rc.step - 1) / rc.step
@@ -381,17 +417,45 @@ func (t *ProvisionTable) MinProvision(capacityGbps int, distKm float64) (Provisi
 			best = u
 		}
 	}
-	// Trace the multiset back, then list it by mode index.
+	return best
+}
+
+// AppendModes appends to buf the distinct modes of the class's cheapest
+// provision of capacityGbps — MinProvision(...).Modes, in the same order —
+// and returns the extended slice; it allocates only to grow buf. The
+// planner asks this once per wavelength: it walks the modes and never
+// reads the counts.
+func (rc *ReachClass) AppendModes(buf []Mode, capacityGbps int) []Mode {
+	if capacityGbps <= 0 {
+		return buf
+	}
+	best := rc.best(capacityGbps) // first: it may move rc.used
+	used := rc.used[best*rc.words:]
+	for i, mi := range rc.order {
+		if used[mi>>6]>>(mi&63)&1 != 0 {
+			buf = append(buf, rc.ByRate(i))
+		}
+	}
+	return buf
+}
+
+// MinProvision is Catalog.MinProvision on the table's catalog.
+func (t *ProvisionTable) MinProvision(capacityGbps int, distKm float64) (Provision, bool) {
+	rc := t.Class(distKm)
+	if capacityGbps <= 0 || rc == nil {
+		return Provision{}, false
+	}
+	// Trace the multiset back, then list it by rate.
 	distinct := 0
-	for u := best; u > 0; u = max(u-rc.units[rc.cells[u].mode], 0) {
+	for u := rc.best(capacityGbps); u > 0; u = max(u-rc.units[rc.cells[u].mode], 0) {
 		if rc.counts[rc.cells[u].mode]++; rc.counts[rc.cells[u].mode] == 1 {
 			distinct++
 		}
 	}
 	p := Provision{Modes: make([]Mode, 0, distinct), Counts: make([]int, 0, distinct)}
-	for _, mi := range rc.order {
+	for i, mi := range rc.order {
 		if n := rc.counts[mi]; n > 0 {
-			p.Modes = append(p.Modes, rc.modes[mi])
+			p.Modes = append(p.Modes, rc.ByRate(i))
 			p.Counts = append(p.Counts, n)
 			rc.counts[mi] = 0
 		}

@@ -131,7 +131,8 @@ type (
 	PlanProblem = plan.Problem
 	// PlanResult is a complete plan.
 	PlanResult = plan.Result
-	// Wavelength is one provisioned channel.
+	// Wavelength is one provisioned channel. Path and Mode are read-only
+	// pointers into the plan's candidate paths and the catalog.
 	Wavelength = plan.Wavelength
 	// LinkPlan summarizes one link's provisioning.
 	LinkPlan = plan.LinkPlan
@@ -163,7 +164,9 @@ type (
 	RestoreResult = restore.Result
 	// Scenario is one fiber-cut case.
 	Scenario = restore.Scenario
-	// Restored is one re-established channel.
+	// Restored is one re-established channel. Path, Mode and Original are
+	// read-only pointers; Original is nil for a channel revived on an
+	// extra spare rather than in place of a failed wavelength.
 	Restored = restore.Restored
 	// SweepResult aggregates restoration over a scenario set.
 	SweepResult = restore.SweepResult

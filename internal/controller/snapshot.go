@@ -86,6 +86,9 @@ func (c *Controller) LoadSnapshot(s Snapshot) error {
 	sort.Strings(names)
 	for _, name := range names {
 		ch := s.Channels[name]
+		if ch.Wavelength.Path == nil || ch.Wavelength.Mode == nil {
+			return fmt.Errorf("controller: snapshot channel %s has no path or mode", name)
+		}
 		for _, tx := range []string{ch.TxA, ch.TxB} {
 			if err := c.devmgr.ClaimSpecific(tx, name); err != nil {
 				return fmt.Errorf("controller: reclaiming %s for %s: %w", tx, name, err)

@@ -1,6 +1,8 @@
 package controller
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 
 	"flexwan/internal/devmodel"
@@ -36,9 +38,18 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	for name, ch := range snap.Channels {
 		got := back.Channels[name]
-		if got.TxA != ch.TxA || got.TxB != ch.TxB || got.Wavelength.Mode != ch.Wavelength.Mode {
+		if got.TxA != ch.TxA || got.TxB != ch.TxB || *got.Wavelength.Mode != *ch.Wavelength.Mode {
 			t.Errorf("channel %s differs after round trip", name)
 		}
+	}
+	// The decoded wavelengths point at fresh copies of their path and mode;
+	// what they encode to is what was read.
+	again, err := MarshalSnapshot(back)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, data) {
+		t.Errorf("snapshot re-encodes differently:\n%s\n%s", again, data)
 	}
 }
 
@@ -119,6 +130,15 @@ func TestLoadSnapshotValidation(t *testing.T) {
 	defer standby.Close()
 	if err := standby.LoadSnapshot(snap); err == nil {
 		t.Error("LoadSnapshot without registered fleet accepted")
+	}
+	// A channel that decoded without its path ("Path": null, or the key
+	// missing) is refused, not adopted to fail at the next cut.
+	for name, ch := range snap.Channels {
+		ch.Wavelength.Path = nil
+		snap.Channels[name] = ch
+	}
+	if err := standby.LoadSnapshot(snap); err == nil || !strings.Contains(err.Error(), "no path or mode") {
+		t.Errorf("LoadSnapshot of a channel without a path: %v", err)
 	}
 }
 

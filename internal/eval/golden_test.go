@@ -37,7 +37,11 @@ func dumpSweep(b *strings.Builder, s restore.SweepResult) {
 	for _, r := range s.Results {
 		fmt.Fprintf(b, "%s %d/%d\n", r.Scenario.ID, r.RestoredGbps, r.AffectedGbps)
 		for _, w := range r.Restored {
-			fmt.Fprintf(b, "  %s %v %v %x %v %v\n", w.LinkID, w.Original.Interval, w.Path.Fibers, w.Path.LengthKm, w.Mode, w.Interval)
+			var original spectrum.Interval // stays zero for a channel revived on an extra spare
+			if w.Original != nil {
+				original = w.Original.Interval
+			}
+			fmt.Fprintf(b, "  %s %v %v %x %v %v\n", w.LinkID, original, w.Path.Fibers, w.Path.LengthKm, w.Mode, w.Interval)
 		}
 	}
 	fmt.Fprintf(b, "failed %v\n", s.FailedIDs())

@@ -65,31 +65,35 @@ func Fig12HardwareVsScale(n workload.Network, scales []float64, workers int) (Fi
 			points = append(points, point{cat, scale})
 		}
 	}
-	results, errs := parallel.Map(context.Background(), parallel.Workers(workers), len(points),
-		func(_ context.Context, i int) (*plan.Result, error) {
+	// A point keeps the two numbers the figure reads, not the plan behind
+	// them; −1 marks a scale the scheme cannot serve.
+	type cost struct {
+		transponders int
+		spectrumGHz  float64
+	}
+	costs, errs := parallel.Map(context.Background(), parallel.Workers(workers), len(points),
+		func(_ context.Context, i int) (cost, error) {
 			pt := points[i]
 			res, err := planScheme(n.Scale(pt.scale), pt.cat)
 			if err != nil {
-				return nil, fmt.Errorf("eval: %s at %gx: %w", pt.cat.Name, pt.scale, err)
+				return cost{}, fmt.Errorf("eval: %s at %gx: %w", pt.cat.Name, pt.scale, err)
 			}
-			return res, nil
+			if !res.Feasible() {
+				return cost{-1, -1}, nil
+			}
+			return cost{res.Transponders(), res.SpectrumGHz()}, nil
 		})
 	for _, err := range errs {
 		if err != nil {
 			return Fig12{}, err
 		}
 	}
-	for i, res := range results {
+	for i, c := range costs {
 		pt := points[i]
-		if res.Feasible() {
-			out.Transponders[pt.cat.Name] = append(out.Transponders[pt.cat.Name], res.Transponders())
-			out.SpectrumGHz[pt.cat.Name] = append(out.SpectrumGHz[pt.cat.Name], res.SpectrumGHz())
-			if pt.scale > out.MaxScale[pt.cat.Name] {
-				out.MaxScale[pt.cat.Name] = pt.scale
-			}
-		} else {
-			out.Transponders[pt.cat.Name] = append(out.Transponders[pt.cat.Name], -1)
-			out.SpectrumGHz[pt.cat.Name] = append(out.SpectrumGHz[pt.cat.Name], -1)
+		out.Transponders[pt.cat.Name] = append(out.Transponders[pt.cat.Name], c.transponders)
+		out.SpectrumGHz[pt.cat.Name] = append(out.SpectrumGHz[pt.cat.Name], c.spectrumGHz)
+		if c.transponders >= 0 && pt.scale > out.MaxScale[pt.cat.Name] {
+			out.MaxScale[pt.cat.Name] = pt.scale
 		}
 	}
 	return out, nil

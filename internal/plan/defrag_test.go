@@ -131,7 +131,7 @@ func TestDefragmentProperty(t *testing.T) {
 		countBefore := map[key]int{}
 		startSum := 0
 		for _, w := range r.Wavelengths {
-			countBefore[key{w.LinkID, w.Mode}]++
+			countBefore[key{w.LinkID, *w.Mode}]++
 			startSum += w.Interval.Start
 		}
 		if _, err := Defragment(p, r); err != nil {
@@ -140,7 +140,7 @@ func TestDefragmentProperty(t *testing.T) {
 		countAfter := map[key]int{}
 		startSumAfter := 0
 		for _, w := range r.Wavelengths {
-			countAfter[key{w.LinkID, w.Mode}]++
+			countAfter[key{w.LinkID, *w.Mode}]++
 			startSumAfter += w.Interval.Start
 		}
 		if len(countBefore) != len(countAfter) {

@@ -67,12 +67,13 @@ func NewSolveStats(sol solver.Solution) *SolveStats {
 
 // gammaVar mirrors the paper's γ^{e,k}_{j,q}: link e uses, on its k-th
 // candidate path, a transponder at format j whose channel starts at pixel
-// q.
+// q. The path is the result's, the mode the catalog's: a wavelength built
+// from a γ points at those, not into the γ list.
 type gammaVar struct {
 	linkID    string
 	pathIndex int
-	path      topology.Path
-	mode      transponder.Mode
+	path      *topology.Path
+	mode      *transponder.Mode
 	startQ    int
 	pixels    int
 	id        solver.VarID
@@ -112,8 +113,8 @@ func SolveExact(p Problem, opts solver.Options) (*Result, error) {
 	// built and every append target below is allocated at final size —
 	// append doubling otherwise dominates build garbage on large grids.
 	type pathModes struct {
-		path  topology.Path
-		modes []transponder.Mode
+		path  *topology.Path
+		modes []*transponder.Mode
 	}
 	maxVars := opts.MaxBuildVars()
 	feas := make(map[string][]pathModes, len(p.IP.Links))
@@ -122,7 +123,8 @@ func SolveExact(p Problem, opts solver.Options) (*Result, error) {
 	for _, link := range p.IP.Links {
 		pms := make([]pathModes, 0, len(paths[link.ID]))
 		n := 0
-		for _, path := range paths[link.ID] {
+		for pi := range paths[link.ID] {
+			path := &paths[link.ID][pi]
 			modes := p.Catalog.FeasibleModes(path.LengthKm)
 			pms = append(pms, pathModes{path: path, modes: modes})
 			for _, mode := range modes {

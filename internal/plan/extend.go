@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"flexwan/internal/spectrum"
@@ -97,24 +98,48 @@ func Extend(p Problem, r *Result, linkID string, extraGbps int) ([]Wavelength, e
 
 // Decommission releases all wavelengths of an IP link, returning their
 // spectrum to the allocator — the tear-down half of backbone evolution.
-// It returns the number of transponder pairs freed.
+// It returns the number of transponder pairs freed. When a wavelength will
+// not release, the tear-down stops there with the plan consistent: those
+// already released are gone, the one named in the error and every other
+// wavelength stay in their order, and the link keeps its entry in PerLink,
+// short of what was released (and is listed unserved if that leaves it
+// under its demand).
 func Decommission(r *Result, linkID string) (int, error) {
 	if r == nil || r.Allocator == nil {
 		return 0, fmt.Errorf("plan: Decommission needs a result produced by Solve")
 	}
-	kept := r.Wavelengths[:0]
-	freed := 0
-	for _, w := range r.Wavelengths {
+	var (
+		kept      = r.Wavelengths[:0]
+		freed     int
+		freedGbps int
+		err       error
+	)
+	for i, w := range r.Wavelengths {
 		if w.LinkID != linkID {
 			kept = append(kept, w)
 			continue
 		}
-		if err := r.Allocator.Release(allocationOf(w)); err != nil {
-			return freed, fmt.Errorf("plan: releasing %s: %w", linkID, err)
+		if err = r.Allocator.Release(allocationOf(w)); err != nil {
+			err = fmt.Errorf("plan: releasing wavelength %d (%s, %v at %v): %w", i, linkID, w.Mode, w.Interval, err)
+			kept = append(kept, r.Wavelengths[i:]...)
+			break
 		}
 		freed++
+		freedGbps += w.Mode.DataRateGbps
 	}
+	clear(r.Wavelengths[len(kept):])
 	r.Wavelengths = kept
+	if err != nil {
+		lp := r.PerLink[linkID]
+		lp.Wavelengths -= freed
+		lp.ProvisionedGbps -= freedGbps
+		r.PerLink[linkID] = lp
+		if !lp.Served() && !slices.Contains(r.Unserved, linkID) {
+			r.Unserved = append(r.Unserved, linkID)
+			sort.Strings(r.Unserved)
+		}
+		return freed, err
+	}
 	delete(r.PerLink, linkID)
 	remaining := r.Unserved[:0]
 	for _, id := range r.Unserved {

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"strings"
 	"testing"
 
 	"flexwan/internal/spectrum"
@@ -169,6 +170,68 @@ func TestDecommissionUnknownLinkNoOp(t *testing.T) {
 	}
 	if len(r.Wavelengths) == 0 {
 		t.Error("existing wavelengths removed")
+	}
+}
+
+// A release that fails midway must leave a plan that still describes the
+// network: the wavelengths torn down so far are gone, the rest are where
+// they were. (The in-place compaction used to return with the slice half
+// shifted — [A, B, C] came back as [B, B, C] with A's spectrum freed.)
+func TestDecommissionFailsMidwayConsistently(t *testing.T) {
+	p := Problem{
+		Optical: lineTopology(t),
+		IP: ipLinks(t,
+			topology.IPLink{ID: "e1", A: "A", B: "B", DemandGbps: 1600},
+			topology.IPLink{ID: "e2", A: "B", B: "C", DemandGbps: 400},
+		),
+		Catalog: transponder.SVT(),
+		Grid:    spectrum.DefaultGrid(),
+	}
+	r, err := Solve(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e1, e2 []Wavelength
+	for _, w := range r.Wavelengths {
+		if w.LinkID == "e1" {
+			e1 = append(e1, w)
+		} else {
+			e2 = append(e2, w)
+		}
+	}
+	if len(e1) != 2 || len(e2) != 1 {
+		t.Fatalf("planned %d + %d wavelengths, want 2 + 1", len(e1), len(e2))
+	}
+	a, b, c := e1[0], e2[0], e1[1]
+	r.Wavelengths = []Wavelength{a, b, c}
+	// Someone freed c's spectrum behind the plan's back: it will not release.
+	if err := r.Allocator.Release(allocationOf(c)); err != nil {
+		t.Fatal(err)
+	}
+
+	freed, err := Decommission(r, "e1")
+	if err == nil || freed != 1 {
+		t.Fatalf("Decommission = %d, %v; want 1 freed and an error", freed, err)
+	}
+	if !strings.Contains(err.Error(), c.Interval.String()) {
+		t.Errorf("error %q does not name the wavelength at %v", err, c.Interval)
+	}
+	same := func(x, y Wavelength) bool { return x.LinkID == y.LinkID && x.Interval == y.Interval }
+	if len(r.Wavelengths) != 2 || !same(r.Wavelengths[0], b) || !same(r.Wavelengths[1], c) {
+		t.Errorf("wavelengths after the failure: %+v, want [b c] = [%+v %+v]", r.Wavelengths, b, c)
+	}
+	if m := r.Allocator.FiberMap("f1"); m.UsedPixels() != 0 {
+		t.Errorf("f1 holds %d pixels: a's were released and c's were already free", m.UsedPixels())
+	}
+	if err := r.Allocator.Verify([]spectrum.Allocation{allocationOf(b)}); err != nil {
+		t.Errorf("the other link's wavelength lost its spectrum: %v", err)
+	}
+	want := LinkPlan{DemandGbps: 1600, ProvisionedGbps: c.Mode.DataRateGbps, Wavelengths: 1}
+	if got := r.PerLink["e1"]; got != want {
+		t.Errorf("PerLink[e1] = %+v, want %+v", got, want)
+	}
+	if len(r.Unserved) != 1 || r.Unserved[0] != "e1" {
+		t.Errorf("Unserved = %v, want [e1]", r.Unserved)
 	}
 }
 

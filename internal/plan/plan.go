@@ -73,12 +73,16 @@ func (p Problem) epsilon() float64 {
 }
 
 // Wavelength is one provisioned optical channel: a transponder pair
-// operating in Mode over Path, occupying Interval on every fiber.
+// operating in Mode over Path, occupying Interval on every fiber. It is a
+// choice among things the plan's other parts own, and refers to them: Path
+// points at Result.Paths[LinkID][PathIndex] and Mode into
+// Problem.Catalog.Modes, both read-only. The zero Wavelength has neither;
+// every wavelength of a Result has both.
 type Wavelength struct {
 	LinkID    string
 	PathIndex int // index into the link's candidate path list
-	Path      topology.Path
-	Mode      transponder.Mode
+	Path      *topology.Path
+	Mode      *transponder.Mode
 	Interval  spectrum.Interval
 }
 
@@ -101,7 +105,8 @@ type Result struct {
 	Wavelengths []Wavelength
 	PerLink     map[string]LinkPlan
 	// Paths caches the candidate optical paths per link, as computed by
-	// KSP on the problem's optical topology.
+	// KSP on the problem's optical topology. The wavelengths point into
+	// these slices, which the topology's path memo shares: read-only.
 	Paths map[string][]topology.Path
 	// Allocator holds the final per-fiber spectrum occupancy.
 	Allocator *spectrum.Allocator
@@ -186,34 +191,39 @@ func Solve(p Problem) (*Result, error) {
 		Allocator: spectrum.NewAllocator(p.Grid),
 	}
 
-	order := make([]topology.IPLink, len(p.IP.Links))
-	copy(order, p.IP.Links)
-	sort.SliceStable(order, func(i, j int) bool {
-		li, lj := paths[order[i].ID][0].LengthKm, paths[order[j].ID][0].LengthKm
-		if li != lj {
-			return li > lj
-		}
-		if order[i].DemandGbps != order[j].DemandGbps {
-			return order[i].DemandGbps > order[j].DemandGbps
-		}
-		return order[i].ID < order[j].ID
+	// Each link with what ordering and placing it read, resolved once.
+	type orderedLink struct {
+		id         string
+		demandGbps int
+		paths      []topology.Path // shortest first
+	}
+	order := make([]orderedLink, len(p.IP.Links))
+	for i, l := range p.IP.Links {
+		order[i] = orderedLink{id: l.ID, demandGbps: l.DemandGbps, paths: paths[l.ID]}
+	}
+	slices.SortStableFunc(order, func(a, b orderedLink) int {
+		return cmp.Or(
+			cmp.Compare(b.paths[0].LengthKm, a.paths[0].LengthKm),
+			cmp.Compare(b.demandGbps, a.demandGbps),
+			cmp.Compare(a.id, b.id),
+		)
 	})
 
 	// Room for every link's channels at the best rate its shortest path
 	// allows — what a plan that fits uses, give or take a few.
 	channels := len(order)
 	for _, l := range order {
-		if rate := p.Catalog.MaxRateAt(paths[l.ID][0].LengthKm); rate > 0 {
-			channels += (l.DemandGbps + rate - 1) / rate
+		if rate := p.Catalog.MaxRateAt(l.paths[0].LengthKm); rate > 0 {
+			channels += (l.demandGbps + rate - 1) / rate
 		}
 	}
 	res.Wavelengths = make([]Wavelength, 0, channels)
 
 	pl := newPlacer(p, res)
 	for _, link := range order {
-		pl.link(link.ID, paths[link.ID])
-		lp := LinkPlan{DemandGbps: link.DemandGbps}
-		remaining := link.DemandGbps
+		pl.link(link.id, link.paths)
+		lp := LinkPlan{DemandGbps: link.demandGbps}
+		remaining := link.demandGbps
 		for remaining > 0 {
 			w, ok := pl.placeOne(remaining)
 			if !ok {
@@ -224,9 +234,9 @@ func Solve(p Problem) (*Result, error) {
 			lp.ProvisionedGbps += w.Mode.DataRateGbps
 			remaining -= w.Mode.DataRateGbps
 		}
-		res.PerLink[link.ID] = lp
+		res.PerLink[link.id] = lp
 		if remaining > 0 {
-			res.Unserved = append(res.Unserved, link.ID)
+			res.Unserved = append(res.Unserved, link.id)
 		}
 	}
 	sort.Strings(res.Unserved)
@@ -243,13 +253,13 @@ type placer struct {
 	provisions *transponder.ProvisionTable
 	linkID     string
 	paths      []candidate
-	fibers     []spectrum.FiberID // what the candidates' keys are cut from
-	prefer     []transponder.Mode // placeOne's scratch
+	fibers     []spectrum.FiberID  // what the candidates' keys are cut from
+	prefer     []*transponder.Mode // placeOne's scratch
 }
 
 // candidate is one of a link's candidate paths.
 type candidate struct {
-	path   topology.Path
+	path   *topology.Path // into the result's Paths
 	fibers []spectrum.FiberID
 	class  *transponder.ReachClass // nil when no mode reaches
 }
@@ -258,11 +268,13 @@ func newPlacer(p Problem, res *Result) *placer {
 	return &placer{p: p, res: res, provisions: transponder.NewProvisionTable(p.Catalog)}
 }
 
-// link turns the placer to an IP link; the previous link's candidates are
-// overwritten.
+// link turns the placer to an IP link and its candidate paths — the
+// result's Paths[linkID], which the wavelengths placed will point into; the
+// previous link's candidates are overwritten.
 func (pl *placer) link(linkID string, paths []topology.Path) {
 	pl.linkID, pl.paths, pl.fibers = linkID, pl.paths[:0], pl.fibers[:0]
-	for _, path := range paths {
+	for i := range paths {
+		path := &paths[i]
 		from := len(pl.fibers)
 		for _, f := range path.Fibers {
 			pl.fibers = append(pl.fibers, spectrum.FiberID(f))
@@ -285,7 +297,7 @@ func (pl *placer) placeOne(remainingGbps int) (Wavelength, bool) {
 		// of the multiset is tried once: nothing changes between a failed
 		// attempt and its repeat.
 		pl.prefer = c.class.AppendModes(pl.prefer[:0], remainingGbps)
-		slices.SortStableFunc(pl.prefer, func(a, b transponder.Mode) int {
+		slices.SortStableFunc(pl.prefer, func(a, b *transponder.Mode) int {
 			return cmp.Compare(b.SpacingGHz, a.SpacingGHz)
 		})
 		for _, mode := range pl.prefer {
@@ -304,14 +316,14 @@ func (pl *placer) placeOne(remainingGbps int) (Wavelength, bool) {
 	return Wavelength{}, false
 }
 
-func (pl *placer) tryAllocate(pathIndex int, mode transponder.Mode) (Wavelength, bool) {
+func (pl *placer) tryAllocate(pathIndex int, mode *transponder.Mode) (Wavelength, bool) {
 	pixels := mode.Pixels(pl.p.Grid)
 	if pixels > pl.p.Grid.Pixels {
 		return Wavelength{}, false
 	}
 	c := &pl.paths[pathIndex]
-	iv, err := pl.res.Allocator.Find(c.fibers, pixels, pl.p.Fit)
-	if err != nil || pl.res.Allocator.AllocateExact(c.fibers, iv) != nil {
+	iv, err := pl.res.Allocator.Claim(c.fibers, pixels, pl.p.Fit)
+	if err != nil {
 		return Wavelength{}, false
 	}
 	return Wavelength{

@@ -314,7 +314,7 @@ func TestSolveDeterministic(t *testing.T) {
 	}
 	for i := range r1.Wavelengths {
 		a, b := r1.Wavelengths[i], r2.Wavelengths[i]
-		if a.LinkID != b.LinkID || a.Mode != b.Mode || a.Interval != b.Interval || !a.Path.Equal(b.Path) {
+		if a.LinkID != b.LinkID || *a.Mode != *b.Mode || a.Interval != b.Interval || !a.Path.Equal(*b.Path) {
 			t.Errorf("wavelength %d differs between runs: %+v vs %+v", i, a, b)
 		}
 	}
@@ -525,8 +525,8 @@ func TestSolveExactTooLarge(t *testing.T) {
 
 func TestWavelengthGap(t *testing.T) {
 	w := Wavelength{
-		Path: topology.Path{LengthKm: 400},
-		Mode: transponder.Mode{ReachKm: 600},
+		Path: &topology.Path{LengthKm: 400},
+		Mode: &transponder.Mode{ReachKm: 600},
 	}
 	if g := w.GapKm(); g != 200 {
 		t.Errorf("GapKm = %v, want 200", g)
@@ -535,8 +535,8 @@ func TestWavelengthGap(t *testing.T) {
 
 func TestResultObjective(t *testing.T) {
 	r := &Result{Wavelengths: []Wavelength{
-		{Mode: transponder.Mode{DataRateGbps: 400, SpacingGHz: 75}},
-		{Mode: transponder.Mode{DataRateGbps: 800, SpacingGHz: 150}},
+		{Mode: &transponder.Mode{DataRateGbps: 400, SpacingGHz: 75}},
+		{Mode: &transponder.Mode{DataRateGbps: 800, SpacingGHz: 150}},
 	}}
 	if r.Transponders() != 2 {
 		t.Errorf("Transponders = %d", r.Transponders())

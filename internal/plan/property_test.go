@@ -119,7 +119,7 @@ func TestExtendPropertyRandomGrowth(t *testing.T) {
 			}
 			for i, w := range before {
 				got := r.Wavelengths[i]
-				if got.LinkID != w.LinkID || got.Interval != w.Interval || got.Mode != w.Mode {
+				if got.LinkID != w.LinkID || got.Interval != w.Interval || *got.Mode != *w.Mode {
 					return false // existing wavelength disturbed
 				}
 			}

@@ -41,12 +41,12 @@ func SolveExact(p Problem, opts solver.Options) (*Result, error) {
 		id           string
 		affectedGbps int
 		spares       int
-		originals    []plan.Wavelength
+		originals    []*plan.Wavelength // the link's failed wavelengths, in the base plan
 	}
 	byLink := make(map[string]*linkState)
 	var linkOrder []string
 	for _, i := range failed {
-		w := p.Base.Wavelengths[i]
+		w := &p.Base.Wavelengths[i]
 		ls, ok := byLink[w.LinkID]
 		if !ok {
 			ls = &linkState{id: w.LinkID}
@@ -67,8 +67,8 @@ func SolveExact(p Problem, opts solver.Options) (*Result, error) {
 	m := solver.NewModel("flexwan-restoration", solver.Maximize)
 	type gVar struct {
 		linkID string
-		path   topology.Path
-		mode   transponder.Mode
+		path   *topology.Path    // in the post-failure K shortest paths
+		mode   *transponder.Mode // in the catalog
 		startQ int
 		pixels int
 		id     solver.VarID
@@ -84,7 +84,8 @@ func SolveExact(p Problem, opts solver.Options) (*Result, error) {
 		}
 		paths := post.KShortestPaths(a, b, p.k())
 		var capTerms, cntTerms []solver.Term
-		for _, path := range paths {
+		for pi := range paths {
+			path := &paths[pi]
 			spare := make([]*spectrum.Map, len(path.Fibers))
 			for i, f := range path.Fibers {
 				spare[i] = alloc.FiberMap(spectrum.FiberID(f))

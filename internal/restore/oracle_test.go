@@ -117,8 +117,9 @@ func replaySolve(p Problem) (*Result, error) {
 			return nil, err
 		}
 		var cands []replayCandidate
-		for _, path := range post.KShortestPaths(a, b, p.k()) {
-			cands = append(cands, replayCandidate{path: path})
+		paths := post.KShortestPaths(a, b, p.k())
+		for i := range paths {
+			cands = append(cands, replayCandidate{path: &paths[i]})
 		}
 		remaining := ls.affectedGbps
 		restored := 0
@@ -129,7 +130,7 @@ func replaySolve(p Problem) (*Result, error) {
 				break
 			}
 			if oi < len(ls.originals) {
-				r.Original = p.Base.Wavelengths[ls.originals[oi]]
+				r.Original = &p.Base.Wavelengths[ls.originals[oi]]
 				oi++
 			}
 			res.Restored = append(res.Restored, r)
@@ -144,9 +145,9 @@ func replaySolve(p Problem) (*Result, error) {
 }
 
 type replayCandidate struct {
-	path   topology.Path
+	path   *topology.Path
 	fibers []spectrum.FiberID
-	modes  []transponder.Mode
+	modes  []*transponder.Mode
 }
 
 func replayRestoreOne(p Problem, alloc *spectrum.Allocator, linkID string, cands []replayCandidate, remainingGbps int) (Restored, bool) {

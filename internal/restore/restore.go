@@ -87,23 +87,34 @@ func (p Problem) k() int {
 	return p.K
 }
 
-// Restored is one re-established channel.
+// Restored is one re-established channel. Like a plan.Wavelength it refers
+// to what it chose rather than copying it, so a Result keeps its problem's
+// base plan and catalog alive; all three pointers are read-only, and
+// Original reads as the base plan stood at the solve only until that plan
+// is next evolved in place (plan.Extend, Decommission, Defragment).
 type Restored struct {
 	LinkID string
-	// Original is the failed wavelength being revived.
-	Original plan.Wavelength
-	// Path is the restoration path in the post-failure topology.
-	Path topology.Path
-	// Mode is the (possibly re-modulated) format on the new path.
-	Mode transponder.Mode
+	// Original is the failed wavelength being revived: a pointer into
+	// Problem.Base.Wavelengths. A link's restored channels pair with its
+	// failed wavelengths in base-plan order, one each; a channel revived on
+	// one of the link's ExtraSpares after those ran out has none, and
+	// Original is nil.
+	Original *plan.Wavelength
+	// Path is the restoration path in the post-failure topology (an entry
+	// of its K-shortest-paths answer, which the topology's memo shares).
+	Path *topology.Path
+	// Mode is the (possibly re-modulated) format on the new path, in
+	// Problem.Catalog.Modes.
+	Mode *transponder.Mode
 	// Interval is the spectrum it now occupies.
 	Interval spectrum.Interval
 }
 
 // PathStretch returns restoredLength/originalLength — the paper's Fig. 15a
-// metric (90% of restored paths are longer; extremes exceed 10×).
+// metric (90% of restored paths are longer; extremes exceed 10×) — and 1
+// for a channel with no original to compare with.
 func (r Restored) PathStretch() float64 {
-	if r.Original.Path.LengthKm == 0 {
+	if r.Original == nil || r.Original.Path.LengthKm == 0 {
 		return 1
 	}
 	return r.Path.LengthKm / r.Original.Path.LengthKm
@@ -354,8 +365,8 @@ func (st *baseState) solve(sc Scenario, consume bool) (*Result, error) {
 		}
 		paths := post.KShortestPaths(a, b, p.k())
 		cands := make([]candidate, len(paths))
-		for i, path := range paths {
-			cands[i].path = path
+		for i := range paths {
+			cands[i].path = &paths[i]
 		}
 		remaining := ls.affectedGbps
 		restored := 0
@@ -366,7 +377,7 @@ func (st *baseState) solve(sc Scenario, consume bool) (*Result, error) {
 				break
 			}
 			if oi < len(ls.originals) {
-				r.Original = p.Base.Wavelengths[ls.originals[oi]]
+				r.Original = &p.Base.Wavelengths[ls.originals[oi]]
 				oi++
 			}
 			if res.Restored == nil {
@@ -387,7 +398,7 @@ func (st *baseState) solve(sc Scenario, consume bool) (*Result, error) {
 // tried on it needs, filled in the first time it is tried: its allocator
 // keys, and the catalog's feasible modes in preference order.
 type candidate struct {
-	path   topology.Path
+	path   *topology.Path
 	fibers []spectrum.FiberID
 	class  *transponder.ReachClass // nil when no mode reaches
 }
@@ -412,8 +423,8 @@ func (st *baseState) restoreOne(alloc *spectrum.Allocator, linkID string, cands 
 			if pixels > p.Grid.Pixels {
 				continue
 			}
-			iv, err := alloc.Find(c.fibers, pixels, p.Fit)
-			if err != nil || alloc.AllocateExact(c.fibers, iv) != nil {
+			iv, err := alloc.Claim(c.fibers, pixels, p.Fit)
+			if err != nil {
 				continue
 			}
 			return Restored{
@@ -520,7 +531,7 @@ func (s SweepResult) PathStretches() []float64 {
 	var out []float64
 	for _, r := range s.Results {
 		for _, w := range r.Restored {
-			if w.Original.Path.LengthKm > 0 {
+			if w.Original != nil && w.Original.Path.LengthKm > 0 {
 				out = append(out, w.PathStretch())
 			}
 		}

@@ -1,6 +1,7 @@
 package restore
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -173,12 +174,26 @@ func TestSolveMatchesReplayOracle(t *testing.T) {
 	}
 }
 
+// baseContent renders a plan's wavelengths — through their Path and Mode
+// pointers, which %#v would print as addresses — candidate paths, per-link
+// summary and unserved list.
+func baseContent(t *testing.T, base *plan.Result) string {
+	t.Helper()
+	content := *base
+	content.Allocator = nil // compared fiber by fiber, by sameSpectrum
+	out, err := json.Marshal(content)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
 // TestSweepEqualsOneShotAndLeavesBaseAlone: at every worker count a
 // sweep's results deep-equal one-shot Solve per scenario, and neither
 // writes the base plan — its wavelengths, its paths or its allocator.
 func TestSweepEqualsOneShotAndLeavesBaseAlone(t *testing.T) {
 	p := plannedNetworks(t)["tbackbone-1"]
-	before := fmt.Sprintf("%#v", *p.Base)
+	before := baseContent(t, p.Base)
 	beforeAlloc := p.Base.Allocator.Clone()
 	scs := cutsOf(p, 44)
 	oneShot := make([]*Result, len(scs))
@@ -199,7 +214,7 @@ func TestSweepEqualsOneShotAndLeavesBaseAlone(t *testing.T) {
 			t.Errorf("workers=%d: sweep results differ from one-shot Solve per scenario", workers)
 		}
 	}
-	if after := fmt.Sprintf("%#v", *p.Base); after != before {
+	if after := baseContent(t, p.Base); after != before {
 		t.Error("restoration wrote the base plan")
 	}
 	if err := sameSpectrum(p, p.Base.Allocator, beforeAlloc); err != nil {

@@ -16,13 +16,13 @@ import (
 )
 
 // mustPath returns the shortest path between two ring nodes.
-func mustPath(t *testing.T, g *topology.Optical, a, b topology.NodeID, wantFiber string) topology.Path {
+func mustPath(t *testing.T, g *topology.Optical, a, b topology.NodeID, wantFiber string) *topology.Path {
 	t.Helper()
 	p, ok := g.ShortestPath(a, b)
 	if !ok || len(p.Fibers) != 1 || p.Fibers[0] != wantFiber {
 		t.Fatalf("shortest %s-%s = %+v, want single fiber %s", a, b, p, wantFiber)
 	}
-	return p
+	return &p
 }
 
 // TestSweepDeterministicAcrossWorkers asserts the sweep contract: the
@@ -93,7 +93,7 @@ func ghostBase(t *testing.T) (*plan.Result, Problem) {
 	t.Helper()
 	g := ring(t)
 	ip := ipAB(t, 200)
-	mode := transponder.Mode{DataRateGbps: 200, SpacingGHz: 50, ReachKm: 2000}
+	mode := &transponder.Mode{DataRateGbps: 200, SpacingGHz: 50, ReachKm: 2000}
 	base := &plan.Result{
 		Wavelengths: []plan.Wavelength{
 			{

@@ -110,59 +110,113 @@ func (a *Allocator) FiberMap(id FiberID) *Map {
 	return NewMap(a.grid)
 }
 
+// pathBuf is the path length, in fibers, up to which a search keeps the
+// path's maps on the stack.
+const pathBuf = 16
+
 // Find searches for a free interval of count pixels shared by every fiber
-// in path, without allocating it.
+// in path, without allocating it. Call it, and AllocateExact after, only
+// when something has to happen between the two (a make-before-break move
+// compares the interval with the one it holds); to place a channel, Claim.
 func (a *Allocator) Find(path []FiberID, count int, fit Fit) (Interval, error) {
+	var held [pathBuf]fiberMap
+	_, iv, err := a.find(held[:0], path, count, fit)
+	return iv, err
+}
+
+// find is the search under Find and Claim. Each fiber's map is looked up
+// once and appended to held as it was found (nil for a fiber without one),
+// for a caller that goes on to write them.
+func (a *Allocator) find(held []fiberMap, path []FiberID, count int, fit Fit) ([]fiberMap, Interval, error) {
 	if len(path) == 0 {
-		return Interval{}, fmt.Errorf("spectrum: empty fiber path")
+		return held, Interval{}, fmt.Errorf("spectrum: empty fiber path")
 	}
 	// The joint occupancy of the path: a pixel is free iff it is free on
 	// every fiber, so the fibers' words OR together.
 	var buf [8]uint64 // the 384-pixel C-band is 6 words
 	joint := newMap(a.grid, buf[:])
 	for _, f := range path {
-		if m := a.fibers[f].Map; m != nil {
-			for i, x := range m.used {
+		fm := a.fibers[f]
+		held = append(held, fm)
+		if fm.Map != nil {
+			for i, x := range fm.used {
 				joint.used[i] |= x
 			}
 		}
 	}
+	var iv Interval
+	var err error
 	if fit == BestFit {
-		return joint.BestFit(count)
+		iv, err = joint.BestFit(count)
+	} else {
+		iv, err = joint.FirstFit(count)
 	}
-	return joint.FirstFit(count)
+	return held, iv, err
 }
 
-// Allocate finds and claims a free interval of count pixels on every fiber
-// of the path. The returned Allocation must be passed to Release to free
-// it. The operation is atomic: on failure no fiber is modified.
-func (a *Allocator) Allocate(path []FiberID, count int, fit Fit) (Allocation, error) {
-	iv, err := a.Find(path, count, fit)
+// Claim finds a free interval of count pixels shared by every fiber of the
+// path and claims it there: what placing a channel calls. The outcome is
+// that of Find followed by AllocateExact — the same interval or the same
+// error, and on an error no fiber's occupancy has changed — at one lookup a
+// fiber instead of three.
+func (a *Allocator) Claim(path []FiberID, count int, fit Fit) (Interval, error) {
+	var buf [pathBuf]fiberMap
+	held, iv, err := a.find(buf[:0], path, count, fit)
 	if err != nil {
-		return Allocation{}, err
+		return Interval{}, err
 	}
-	if err := a.AllocateExact(path, iv); err != nil {
+	if err := a.place(path, held, iv); err != nil {
+		return Interval{}, err
+	}
+	return iv, nil
+}
+
+// Allocate is Claim returning the Allocation record — the interval with a
+// copy of the path — that Release takes to free it.
+func (a *Allocator) Allocate(path []FiberID, count int, fit Fit) (Allocation, error) {
+	iv, err := a.Claim(path, count, fit)
+	if err != nil {
 		return Allocation{}, err
 	}
 	return Allocation{Fibers: append([]FiberID(nil), path...), Interval: iv}, nil
 }
 
 // AllocateExact claims a specific interval on every fiber of the path,
-// failing atomically if any fiber already uses any of its pixels.
+// failing atomically if any fiber already uses any of its pixels. It is for
+// an interval that was decided elsewhere — a recorded plan being replayed, a
+// MIP solution, the target of a move; Claim places a new channel.
 func (a *Allocator) AllocateExact(path []FiberID, iv Interval) error {
 	if len(path) == 0 {
 		return fmt.Errorf("spectrum: empty fiber path")
 	}
+	var buf [pathBuf]fiberMap
+	held := buf[:0]
 	for _, f := range path {
-		if m := a.fibers[f].Map; !iv.Valid(a.grid) || m != nil && !m.CanPlace(iv) {
+		fm := a.fibers[f]
+		if !iv.Valid(a.grid) || fm.Map != nil && !fm.CanPlace(iv) {
 			return fmt.Errorf("spectrum: interval %v not free on fiber %s: %w", iv, f, ErrNoSpectrum)
 		}
+		held = append(held, fm)
 	}
+	return a.place(path, held, iv)
+}
+
+// place marks iv used on every fiber of the path, through the checked
+// Map.Place, or on none of them. held[i] is path[i]'s map as the caller
+// looked it up, and found iv free on it.
+func (a *Allocator) place(path []FiberID, held []fiberMap, iv Interval) error {
 	for i, f := range path {
-		if err := a.fiber(f).Place(iv); err != nil {
-			// Roll back fibers already written. Place cannot fail here
-			// after CanPlace unless the path repeats a fiber — handle
-			// that by undoing and reporting.
+		m := held[i].Map
+		if m == nil || held[i].borrowed {
+			// First write to the fiber. fiber looks it up again, so a path
+			// that repeats it gets the map just made, not a second one.
+			m = a.fiber(f)
+		}
+		if err := m.Place(iv); err != nil {
+			// iv was free on every fiber, so Place fails only on one the
+			// path has already claimed it on: undo and report. (The undo
+			// releases such a fiber once; its second Release finds the
+			// pixels free and refuses, which is the state wanted.)
 			for _, g := range path[:i] {
 				_ = a.fiber(g).Release(iv)
 			}

@@ -15,13 +15,14 @@ func FuzzMapOperations(f *testing.F) {
 	f.Add([]byte{1, 4, 0, 2, 8})
 	f.Add([]byte{255, 0, 0, 9, 9, 3})
 	f.Add([]byte{2, 60, 2, 70, 3, 7, 0, 63, 5, 1, 1, 0, 4, 9})
+	f.Add([]byte{6, 30, 13, 30, 6, 0, 6, 151, 13, 90, 1, 0, 13, 20}) // claims: both fits, no width, wider than the grid
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		g := Grid{PixelGHz: 12.5, Pixels: 150}
 		m, ref := NewMap(g), newBoolMap(g)
 		var live []Interval
 		for i := 0; i+1 < len(ops); i += 2 {
 			a, b := int(ops[i]), int(ops[i+1])
-			switch a % 6 {
+			switch a % 7 {
 			case 0: // place via first fit
 				iv, err := m.FirstFit(1 + b%70)
 				want, ok := ref.FirstFit(1 + b%70)
@@ -45,7 +46,7 @@ func FuzzMapOperations(f *testing.F) {
 					live = append(live[:idx], live[idx+1:]...)
 				}
 			case 2: // arbitrary (possibly invalid) placement attempt
-				iv := Interval{Start: (a/6)*8 + b%8 - 4, Count: b % 80}
+				iv := Interval{Start: (a/7)*8 + b%8 - 4, Count: b % 80}
 				if got, want := m.CanPlace(iv), ref.CanPlace(iv); got != want {
 					t.Fatalf("CanPlace(%v) = %v, []bool map says %v", iv, got, want)
 				}
@@ -55,7 +56,7 @@ func FuzzMapOperations(f *testing.F) {
 					live = append(live, iv)
 				}
 			case 3: // arbitrary (possibly invalid) release attempt
-				iv := Interval{Start: (a/6)*8 + b%8 - 4, Count: 1 + b%20}
+				iv := Interval{Start: (a/7)*8 + b%8 - 4, Count: 1 + b%20}
 				if got, want := m.Release(iv) == nil, ref.Release(iv); got != want {
 					t.Fatalf("Release(%v) succeeded = %v, []bool map says %v", iv, got, want)
 				} else if got {
@@ -70,6 +71,21 @@ func FuzzMapOperations(f *testing.F) {
 				}
 			case 5: // continue on clones
 				m, ref = m.Clone(), ref.Clone()
+			case 6: // find and claim in one, as an allocator's one-fiber path
+				al := &Allocator{grid: g, fibers: map[FiberID]fiberMap{"f": {Map: m}}}
+				count, fit := b%160, Fit(a/7%2) // no width and widths past the grid included
+				iv, err := al.Claim([]FiberID{"f"}, count, fit)
+				want, ok := ref.FirstFit(count)
+				if fit == BestFit {
+					want, ok = ref.BestFit(count)
+				}
+				if (err == nil) != ok || iv != want {
+					t.Fatalf("Claim(%d, %v) = %v, %v; []bool map says %v, %v", count, fit, iv, err, want, ok)
+				}
+				if ok {
+					ref.Place(want)
+					live = append(live, iv)
+				}
 			}
 			if got, want := m.FreeRuns(), ref.FreeRuns(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("FreeRuns = %v, []bool map says %v", got, want)
@@ -115,10 +131,16 @@ func sameOccupancy(t *testing.T, what string, got, want *Allocator, fibers []Fib
 // and further forks taken mid-stream: every answer and every fiber's
 // occupancy must agree, and each allocator a fork was taken from must
 // still read as it did at that moment, however its forks were written.
+// Claim runs on the fork against Find then AllocateExact on the clone, so
+// the one-pass placement is held to the two halves' outcome on borrowed
+// maps, repeated fibers and refusals alike.
 func FuzzForkOperations(f *testing.F) {
 	f.Add([]byte{0, 9, 4, 0, 1, 3, 4, 0, 2, 0, 0, 17, 2, 1})
 	f.Add([]byte{1, 200, 4, 0, 4, 0, 2, 0, 3, 77, 0, 5})
 	f.Add([]byte{0, 1, 0, 2, 0, 3, 4, 0, 2, 1, 2, 0, 4, 0, 0, 4, 3, 9})
+	// Claims: on a–b, the same best fit, an empty path, a–a; a fork; then on
+	// its borrowed maps no width, wider than the grid, and 16 pixels on a–b–c.
+	f.Add([]byte{17, 12, 17, 140, 17, 255, 17, 4, 4, 0, 5, 12, 251, 12, 29, 108})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		g := Grid{PixelGHz: 12.5, Pixels: 150}
 		fibers := []FiberID{"a", "b", "c", "d", "never-written"}
@@ -138,9 +160,9 @@ func FuzzForkOperations(f *testing.F) {
 		var live []Allocation
 		for i := 0; i+1 < len(ops); i += 2 {
 			a, b := int(ops[i]), int(ops[i+1])
-			switch a % 5 {
+			switch a % 6 {
 			case 0, 1: // find and claim, first or best fit
-				path, count, fit := pathOf(b), 1+(a/5)%40, Fit(a%2)
+				path, count, fit := pathOf(b), 1+(a/6)%40, Fit(a%2)
 				iv, err := fork.Find(path, count, fit)
 				want, wantErr := clone.Find(path, count, fit)
 				if (err == nil) != (wantErr == nil) || iv != want {
@@ -168,7 +190,7 @@ func FuzzForkOperations(f *testing.F) {
 					live = append(live[:idx], live[idx+1:]...)
 				}
 			case 3: // arbitrary (mostly invalid) release: all or nothing
-				al := Allocation{Fibers: pathOf(b), Interval: Interval{Start: (a / 5) * 3, Count: 1 + b%12}}
+				al := Allocation{Fibers: pathOf(b), Interval: Interval{Start: (a / 6) * 3, Count: 1 + b%12}}
 				before := fork.Clone()
 				got, want := fork.Release(al) == nil, clone.Release(al) == nil
 				if got != want {
@@ -182,6 +204,27 @@ func FuzzForkOperations(f *testing.F) {
 			case 4: // continue on a fork of the fork and a clone of the clone
 				parents = append(parents, frozen{parent: fork, snapshot: fork.Clone()})
 				fork, clone = fork.Fork(), clone.Clone()
+			case 5: // Claim against Find then AllocateExact
+				path, count, fit := pathOf(b), (a/6)*4, Fit(b>>7) // widths 0 to 164 on 150 pixels
+				if b == 255 {
+					path = nil
+				}
+				before := fork.Clone()
+				iv, err := fork.Claim(path, count, fit)
+				want, wantErr := clone.Find(path, count, fit)
+				if wantErr == nil {
+					if wantErr = clone.AllocateExact(path, want); wantErr != nil {
+						want = Interval{}
+					}
+				}
+				if iv != want || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+					t.Fatalf("Claim(%v, %d, %v) = %v, %v; Find then AllocateExact on the clone say %v, %v", path, count, fit, iv, err, want, wantErr)
+				}
+				if err != nil {
+					sameOccupancy(t, "after a refused claim", fork, before, fibers)
+				} else {
+					live = append(live, Allocation{Fibers: path, Interval: iv})
+				}
 			}
 			sameOccupancy(t, "fork against clone", fork, clone, fibers)
 			if !reflect.DeepEqual(fork.Fibers(), clone.Fibers()) {

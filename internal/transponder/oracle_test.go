@@ -89,7 +89,7 @@ func freshMinProvision(c Catalog, capacityGbps int, distKm float64) (Provision, 
 	})
 	var p Provision
 	for _, mi := range used {
-		p.Modes = append(p.Modes, feasible[mi])
+		p.Modes = append(p.Modes, *feasible[mi])
 		p.Counts = append(p.Counts, counts[mi])
 	}
 	return p, true

@@ -60,7 +60,7 @@ func TestProvisionTableMatchesFreshDP(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%vkm", cat.Name, dist), func(t *testing.T) {
 				t.Parallel()
 				up, down, strided := NewProvisionTable(cat), NewProvisionTable(cat), NewProvisionTable(cat)
-				var buf []Mode
+				var buf []*Mode
 				low, high := false, false // a provision used a mode below bit 64 together with one above
 				check := func(table *ProvisionTable, c int) {
 					rc := table.Class(dist)
@@ -68,11 +68,11 @@ func TestProvisionTableMatchesFreshDP(t *testing.T) {
 						buf = rc.AppendModes(buf[:0], c) // before the provision: the query extends the table itself
 					}
 					got, ok := table.MinProvision(c, dist)
-					if ok != (rc != nil) || !slices.Equal(buf, got.Modes) {
+					if ok != (rc != nil) || !sameModes(buf, got.Modes) {
 						t.Fatalf("%d Gbps: distinct modes %v, provision %+v, %v", c, buf, got, ok)
 					}
 					if ok {
-						if buf = rc.AppendModes(buf[:0], c); !slices.Equal(buf, got.Modes) {
+						if buf = rc.AppendModes(buf[:0], c); !sameModes(buf, got.Modes) {
 							t.Fatalf("%d Gbps: distinct modes %v after the provision %+v", c, buf, got)
 						}
 					}
@@ -108,6 +108,11 @@ func TestProvisionTableMatchesFreshDP(t *testing.T) {
 			})
 		}
 	}
+}
+
+// sameModes reports whether the modes pointed at are the modes listed.
+func sameModes(ptrs []*Mode, modes []Mode) bool {
+	return slices.EqualFunc(ptrs, modes, func(p *Mode, m Mode) bool { return *p == m })
 }
 
 func sameProvision(a, b Provision) bool {
@@ -170,7 +175,7 @@ func TestReachClassQueriesOnTheHotPath(t *testing.T) {
 	svt := SVT()
 	table := NewProvisionTable(svt)
 	rc := table.Class(1200)
-	buf := rc.AppendModes(make([]Mode, 0, len(svt.Modes)), 20000)
+	buf := rc.AppendModes(make([]*Mode, 0, len(svt.Modes)), 20000)
 	if allocs := testing.AllocsPerRun(100, func() {
 		for c := 100; c <= 20000; c += 700 {
 			buf = rc.AppendModes(buf[:0], c)
@@ -194,11 +199,17 @@ func TestReachClassQueriesOnTheHotPath(t *testing.T) {
 		}
 		return want[i].SpacingGHz < want[j].SpacingGHz
 	})
-	got := make([]Mode, rc.Len())
+	// Pointer equality: both sides are rows of svt.Modes, not copies of them.
+	got := make([]*Mode, rc.Len())
 	for i := range got {
 		got[i] = rc.ByRate(i)
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("ByRate = %v, want %v", got, want)
+	}
+	for _, m := range rc.AppendModes(nil, 20000) {
+		if i := slices.Index(want, m); i < 0 {
+			t.Errorf("AppendModes returned %v, which is not a row of the catalog", m)
+		}
 	}
 }

@@ -110,6 +110,9 @@ func (m Mode) String() string {
 }
 
 // Catalog is the set of operating modes one transponder family offers.
+// Plans and restorations record a channel's format as a pointer into
+// Modes, so the slice is read-only from the first result computed on the
+// catalog; derive a variant with WithReaches, which copies.
 type Catalog struct {
 	Name  string
 	Modes []Mode
@@ -172,11 +175,12 @@ func SVT() Catalog {
 }
 
 // FeasibleModes returns the modes whose reach covers distKm, preserving
-// catalog order.
-func (c Catalog) FeasibleModes(distKm float64) []Mode {
-	var out []Mode
-	for _, m := range c.Modes {
-		if m.Feasible(distKm) {
+// catalog order. They point into c.Modes: read-only, like every *Mode the
+// package hands out.
+func (c Catalog) FeasibleModes(distKm float64) []*Mode {
+	var out []*Mode
+	for i := range c.Modes {
+		if m := &c.Modes[i]; m.Feasible(distKm) {
 			out = append(out, m)
 		}
 	}
@@ -376,8 +380,10 @@ func (rc *ReachClass) Len() int { return len(rc.order) }
 
 // ByRate returns the class's i-th mode counting from the highest data
 // rate, narrowest spacing first within a rate: the order planning and
-// restoration fall back through a path's formats in.
-func (rc *ReachClass) ByRate(i int) Mode { return rc.catalog[rc.feasible[rc.order[i]]] }
+// restoration fall back through a path's formats in. It points into the
+// catalog's Modes, so a record keeps the pointer instead of a copy of the
+// row: read-only.
+func (rc *ReachClass) ByRate(i int) *Mode { return &rc.catalog[rc.feasible[rc.order[i]]] }
 
 // extend fills the cells up to limit.
 func (rc *ReachClass) extend(limit int) {
@@ -424,8 +430,8 @@ func (rc *ReachClass) best(capacityGbps int) int {
 // provision of capacityGbps — MinProvision(...).Modes, in the same order —
 // and returns the extended slice; it allocates only to grow buf. The
 // planner asks this once per wavelength: it walks the modes and never
-// reads the counts.
-func (rc *ReachClass) AppendModes(buf []Mode, capacityGbps int) []Mode {
+// reads the counts. Like ByRate's, the pointers are into the catalog.
+func (rc *ReachClass) AppendModes(buf []*Mode, capacityGbps int) []*Mode {
 	if capacityGbps <= 0 {
 		return buf
 	}
@@ -455,7 +461,7 @@ func (t *ProvisionTable) MinProvision(capacityGbps int, distKm float64) (Provisi
 	p := Provision{Modes: make([]Mode, 0, distinct), Counts: make([]int, 0, distinct)}
 	for i, mi := range rc.order {
 		if n := rc.counts[mi]; n > 0 {
-			p.Modes = append(p.Modes, rc.ByRate(i))
+			p.Modes = append(p.Modes, *rc.ByRate(i))
 			p.Counts = append(p.Counts, n)
 			rc.counts[mi] = 0
 		}

@@ -6,12 +6,8 @@
 package flexwan_test
 
 import (
-	"encoding/json"
-	"math"
-	"os"
 	"runtime"
 	"testing"
-	"time"
 
 	"flexwan/internal/device"
 	"flexwan/internal/devmodel"
@@ -379,7 +375,7 @@ func BenchmarkHeuristicVsExact(b *testing.B) {
 		Optical: g, IP: ip, Catalog: transponder.RADWAN(),
 		Grid: spectrum.Grid{PixelGHz: 12.5, Pixels: 24}, K: 2,
 	}
-	for _, workers := range eval.SolverBenchWorkerCounts() {
+	for _, workers := range []int{1, 2} {
 		b.Run(bName("solver-workers", workers), func(b *testing.B) {
 			var gap float64
 			for i := 0; i < b.N; i++ {
@@ -595,319 +591,6 @@ func BenchmarkIncrementalVsReplan(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkExactScaling shows how the exact MIP's cost grows with the
-// spectrum grid (the paper's Gurobi runs take "hours" at production
-// size; the heuristic stays near-instant — this bench quantifies the
-// gap on solvable instances). The exact solves run once per branching
-// rule and worker count on fixed ladders so the branch-and-bound speedup
-// and the branching ablation are visible on any machine; sub-runs also
-// cross-check that the objective is bit-identical at every (rule,
-// workers) combination — the determinism contract CI's bench smoke
-// enforces.
-func BenchmarkExactScaling(b *testing.B) {
-	for _, pixels := range []int{16, 20, 24, 32} {
-		p, err := eval.ExactScalingProblem(pixels)
-		if err != nil {
-			b.Fatal(err)
-		}
-		refObjective, haveRef := 0.0, false
-		for _, rule := range eval.SolverBenchBranchings() {
-			for _, workers := range eval.SolverBenchWorkerCounts() {
-				name := "exact/pixels=" + itoa(pixels) + "/branching=" + string(rule) + "/" + bName("workers", workers)
-				b.Run(name, func(b *testing.B) {
-					var last *plan.Result
-					for i := 0; i < b.N; i++ {
-						last, err = plan.SolveExact(p, solver.Options{
-							MaxNodes: 100000, Workers: workers, Branching: rule,
-						})
-						if err != nil {
-							b.Fatal(err)
-						}
-					}
-					// The first sub-run -bench selects sets the reference;
-					// every later (rule, workers) combination must match it
-					// exactly.
-					if !haveRef {
-						refObjective, haveRef = last.Solver.Objective, true
-					} else if last.Solver.Objective != refObjective {
-						b.Fatalf("objective %v at branching=%s workers=%d differs from reference %v",
-							last.Solver.Objective, rule, workers, refObjective)
-					}
-					b.ReportMetric(float64(last.Solver.Nodes), "bnb-nodes")
-					b.ReportMetric(float64(last.Solver.SimplexIters), "simplex-iters")
-					if last.Solver.Nodes > 0 {
-						b.ReportMetric(float64(last.Solver.WarmStartHits)/float64(last.Solver.Nodes), "warm-hit-rate")
-					}
-				})
-			}
-		}
-		b.Run("heuristic/pixels="+itoa(pixels), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := plan.Solve(p); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkPresolveAblation runs the exact planning MIP with presolve on
-// and off on the same instances and cross-checks that the objectives are
-// identical — the presolve correctness contract CI's bench smoke
-// enforces — while the ns/op contrast shows what the reductions buy.
-func BenchmarkPresolveAblation(b *testing.B) {
-	for _, pixels := range []int{16, 24} {
-		p, err := eval.ExactScalingProblem(pixels)
-		if err != nil {
-			b.Fatal(err)
-		}
-		refObjective, haveRef := 0.0, false
-		for _, noPresolve := range []bool{false, true} {
-			name := "exact/pixels=" + itoa(pixels) + "/presolve=on"
-			if noPresolve {
-				name = "exact/pixels=" + itoa(pixels) + "/presolve=off"
-			}
-			b.Run(name, func(b *testing.B) {
-				var last *plan.Result
-				for i := 0; i < b.N; i++ {
-					last, err = plan.SolveExact(p, solver.Options{
-						MaxNodes: 100000, Workers: 1, NoPresolve: noPresolve,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				if !haveRef {
-					refObjective, haveRef = last.Solver.Objective, true
-				} else if last.Solver.Objective != refObjective {
-					b.Fatalf("objective %v with presolve=%v differs from reference %v",
-						last.Solver.Objective, !noPresolve, refObjective)
-				}
-				b.ReportMetric(float64(last.Solver.SimplexIters), "simplex-iters")
-				b.ReportMetric(float64(last.Solver.PresolveRows), "presolve-rows")
-				b.ReportMetric(float64(last.Solver.PresolveCols), "presolve-cols")
-			})
-		}
-	}
-}
-
-// BenchmarkPricingAblation runs the exact planning MIP under each
-// dual-simplex pricing rule on the same instances and cross-checks that
-// the objectives are identical — the pricing correctness contract CI's
-// bench smoke enforces — while the simplex-iters contrast shows what the
-// weighted rules buy over the Dantzig baseline.
-func BenchmarkPricingAblation(b *testing.B) {
-	for _, pixels := range []int{16, 24} {
-		p, err := eval.ExactScalingProblem(pixels)
-		if err != nil {
-			b.Fatal(err)
-		}
-		refObjective, haveRef := 0.0, false
-		for _, pricing := range []solver.PricingRule{solver.PricingDevex, solver.PricingSteepestEdge, solver.PricingDantzig} {
-			b.Run("exact/pixels="+itoa(pixels)+"/pricing="+string(pricing), func(b *testing.B) {
-				var last *plan.Result
-				for i := 0; i < b.N; i++ {
-					last, err = plan.SolveExact(p, solver.Options{
-						MaxNodes: 100000, Workers: 1, Pricing: pricing,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				if !haveRef {
-					refObjective, haveRef = last.Solver.Objective, true
-				} else if last.Solver.Objective != refObjective {
-					b.Fatalf("objective %v under pricing=%s differs from reference %v",
-						last.Solver.Objective, pricing, refObjective)
-				}
-				b.ReportMetric(float64(last.Solver.SimplexIters), "simplex-iters")
-				b.ReportMetric(float64(last.Solver.BoundFlips), "bound-flips")
-				b.ReportMetric(float64(last.Solver.WeightResets), "weight-resets")
-			})
-		}
-	}
-}
-
-// BenchmarkSolverMemoryBudget enforces a per-instance bytes/op budget on
-// the default (revised simplex) exact solve — the memory regression
-// guard CI's bench smoke runs. The budgets sit roughly 2x above the
-// measured revised-engine allocation and well under half the dense
-// tableau's (≈1.5 MB/op at 32 pixels, ≈6 MB/op at 64), so either an
-// engine regression or an accidental fall-back to the dense path trips
-// them. TotalAlloc deltas are read directly because the testing
-// framework's own B/op is not visible from inside the benchmark.
-func BenchmarkSolverMemoryBudget(b *testing.B) {
-	budgets := []struct {
-		pixels int
-		bytes  float64
-	}{{16, 300_000}, {32, 700_000}, {64, 1_700_000}}
-	for _, bu := range budgets {
-		b.Run("exact/pixels="+itoa(bu.pixels), func(b *testing.B) {
-			p, err := eval.ExactScalingProblem(bu.pixels)
-			if err != nil {
-				b.Fatal(err)
-			}
-			opts := solver.Options{MaxNodes: 100000, Workers: 1}
-			if _, err := plan.SolveExact(p, opts); err != nil { // warm-up
-				b.Fatal(err)
-			}
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := plan.SolveExact(p, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			runtime.ReadMemStats(&after)
-			perOp := float64(after.TotalAlloc-before.TotalAlloc) / float64(b.N)
-			b.ReportMetric(perOp, "bytes/op-measured")
-			if perOp > bu.bytes {
-				b.Fatalf("pixels=%d: %.0f bytes/op exceeds budget %.0f", bu.pixels, perOp, bu.bytes)
-			}
-		})
-	}
-}
-
-// BenchmarkExactRegressionGuard fails if the default exact solve at
-// pixels=64 (revised simplex, Forrest–Tomlin updates, one worker,
-// pseudocost branching, all presolve passes on) regresses more than 25%
-// against the committed BENCH_solver.json baseline — the performance
-// contract CI's bench smoke enforces. Machines differ, so the budget is
-// calibrated: the pixels=16 point from the same baseline is re-measured
-// here and the 64-pixel budget scaled by how much slower this machine is
-// (never scaled down — a faster machine still has to beat the absolute
-// bar). Min-of-3 timing on both points keeps scheduler noise out of the
-// verdict. Skips when no baseline is committed.
-func BenchmarkExactRegressionGuard(b *testing.B) {
-	raw, err := os.ReadFile("BENCH_solver.json")
-	if err != nil {
-		b.Skipf("no committed baseline: %v", err)
-	}
-	var baseline eval.SolverBench
-	if err := json.Unmarshal(raw, &baseline); err != nil {
-		b.Fatalf("BENCH_solver.json: %v", err)
-	}
-	find := func(instance string) *eval.SolverBenchPoint {
-		for i, pt := range baseline.Points {
-			// The pricing predicate keeps the dantzig ablation points out
-			// of the match; "" tolerates baselines recorded before the
-			// pricing field existed.
-			if pt.Instance == instance && pt.Engine == "revised" && pt.Workers == 1 &&
-				pt.Branching == string(solver.BranchPseudocost) && pt.Presolve && pt.NodePresolve &&
-				(pt.Pricing == "" || pt.Pricing == string(solver.PricingDevex)) {
-				return &baseline.Points[i]
-			}
-		}
-		b.Fatalf("BENCH_solver.json has no revised/workers=1 point for %s", instance)
-		return nil
-	}
-	base16 := find("exact-planning/pixels=16")
-	base64 := find("exact-planning/pixels=64")
-	opts := solver.Options{MaxNodes: 100000, Workers: 1, Branching: solver.BranchPseudocost}
-	problem := func(pixels int) plan.Problem {
-		p, err := eval.ExactScalingProblem(pixels)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := plan.SolveExact(p, opts); err != nil { // warm-up
-			b.Fatal(err)
-		}
-		return p
-	}
-	p16, p64 := problem(16), problem(64)
-	timeOnce := func(p plan.Problem) float64 {
-		start := time.Now()
-		if _, err := plan.SolveExact(p, opts); err != nil {
-			b.Fatal(err)
-		}
-		return float64(time.Since(start).Nanoseconds())
-	}
-	// The calibration and the guarded measurement run interleaved, with a
-	// GC ahead of each round, so both points see the same heap and
-	// scheduler conditions — measuring them back-to-back let GC debt from
-	// earlier benchmarks in the same process land on one side only.
-	best16, got := math.Inf(1), math.Inf(1)
-	for r := 0; r < 4; r++ {
-		runtime.GC()
-		if ns := timeOnce(p16); ns < best16 {
-			best16 = ns
-		}
-		if ns := timeOnce(p64); ns < got {
-			got = ns
-		}
-	}
-	scale := best16 / base16.NsPerOp
-	if scale < 1 {
-		scale = 1
-	}
-	budget := base64.NsPerOp * scale * 1.25
-	b.ReportMetric(got/base64.NsPerOp, "x-vs-baseline")
-	b.ReportMetric(scale, "machine-scale")
-	if got > budget {
-		b.Fatalf("exact solve at pixels=64 took %.0f ns, budget %.0f ns (baseline %.0f x machine scale %.2f x 1.25)",
-			got, budget, base64.NsPerOp, scale)
-	}
-}
-
-// BenchmarkDegeneracyWallGuard re-solves the degeneracy-wall instance —
-// the full T-backbone at 32 pixels with three candidate paths per link,
-// the instance Dantzig pricing stalls on outright — and fails if the
-// default devex-priced solve regresses past a pivot-count budget of 1.5x
-// the committed BENCH_solver.json baseline, or stops proving optimality,
-// or lands on a different objective. Pivot counts (unlike wall-clock) are
-// deterministic at one worker, so the budget needs no machine
-// calibration; the 1.5x slack absorbs legitimate future pivot-path
-// changes without letting the instance drift back toward the wall. Skips
-// when the committed baseline predates the wall instance.
-func BenchmarkDegeneracyWallGuard(b *testing.B) {
-	const instance = "exact-tbackbone/pixels=32,scale=0.02,k=3"
-	raw, err := os.ReadFile("BENCH_solver.json")
-	if err != nil {
-		b.Skipf("no committed baseline: %v", err)
-	}
-	var baseline eval.SolverBench
-	if err := json.Unmarshal(raw, &baseline); err != nil {
-		b.Fatalf("BENCH_solver.json: %v", err)
-	}
-	var base *eval.SolverBenchPoint
-	for i, pt := range baseline.Points {
-		if pt.Instance == instance && pt.Engine == "revised" && pt.Workers == 1 &&
-			pt.Branching == string(solver.BranchPseudocost) && pt.Presolve && pt.NodePresolve &&
-			(pt.Pricing == "" || pt.Pricing == string(solver.PricingDevex)) {
-			base = &baseline.Points[i]
-			break
-		}
-	}
-	if base == nil {
-		b.Skipf("committed BENCH_solver.json has no %s point", instance)
-	}
-	p, err := eval.ExactTBackboneProblem(1, 0.02, 32, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	res, err := plan.SolveExact(p, solver.Options{
-		MaxNodes: 100000, Workers: 1, Branching: solver.BranchPseudocost,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if res.Solver.Status != solver.Optimal {
-		b.Fatalf("wall instance no longer proves optimality: status %v", res.Solver.Status)
-	}
-	if res.Solver.Objective != base.Objective {
-		b.Fatalf("wall instance objective %v differs from baseline %v", res.Solver.Objective, base.Objective)
-	}
-	budget := base.SimplexIters * 3 / 2
-	b.ReportMetric(float64(res.Solver.SimplexIters), "pivots")
-	b.ReportMetric(float64(res.Solver.SimplexIters)/float64(base.SimplexIters), "x-vs-baseline")
-	if res.Solver.SimplexIters > budget {
-		b.Fatalf("wall instance took %d pivots, budget %d (baseline %d x 1.5)",
-			res.Solver.SimplexIters, budget, base.SimplexIters)
-	}
 }
 
 // BenchmarkNetconfRPC measures management-protocol round-trip throughput

@@ -10,64 +10,58 @@
 //	flexwan-experiments -seed 7         # different synthetic T-backbone
 //	flexwan-experiments -workers 8      # sweep parallelism
 //	                                      (0 = all cores, 1 = sequential)
-//	flexwan-experiments -fig exact -solver-workers 4
-//	                                    # exact cross-check, parallel B&B
-//	flexwan-experiments -fig exact -branching most-fractional
-//	                                    # branching-rule ablation
-//	flexwan-experiments -fig exact -pricing steepest-edge
-//	                                    # dual-simplex pricing ablation
-//	flexwan-experiments -fig bench      # solver benchmarks → BENCH_solver.json
-//	flexwan-experiments -fig bench -cpuprofile cpu.pprof -memprofile mem.pprof
-//	                                    # profile any mode with pprof
+//	flexwan-experiments -fig 12 -cpuprofile cpu.pprof -memprofile mem.pprof
+//	                                    # profile any run with pprof
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"sync"
-	"time"
 
 	"flexwan/internal/eval"
-	"flexwan/internal/solver"
 	"flexwan/internal/workload"
 )
 
+// figNames are the valid -fig names, in the order -h lists them: 11 is
+// Table 2's figure number, 13 selects both halves of Fig 13, and 12 also
+// prints the headline savings.
+var figNames = []string{"2a", "2b", "3", "table2", "11", "gn", "12", "headline", "13", "13a", "13b", "14", "15a", "15b", "16", "prob", "all"}
+
+// parseFigs splits a -fig value into the set of names to run, refusing
+// any name outside figNames — an unknown name would otherwise run nothing
+// and exit 0.
+func parseFigs(s string) (map[string]bool, error) {
+	want := map[string]bool{}
+	for _, f := range strings.Split(s, ",") {
+		name := strings.TrimSpace(strings.ToLower(f))
+		if !slices.Contains(figNames, name) {
+			return nil, fmt.Errorf("unknown -fig name %q (valid: %s)", name, strings.Join(figNames, ", "))
+		}
+		want[name] = true
+	}
+	return want, nil
+}
+
 func main() {
-	figFlag := flag.String("fig", "all", "comma-separated figures to run: 2a,2b,3,table2,gn,12,13a,13b,14,15a,15b,16,prob,headline,exact or 'all'; 'bench' runs solver benchmarks (never part of 'all')")
+	figFlag := flag.String("fig", "all", "comma-separated figures to run: "+strings.Join(figNames, ","))
 	seed := flag.Int64("seed", 1, "random seed for the synthetic T-backbone")
 	csvDir := flag.String("csv", "", "also write plotting-ready CSV files into this directory")
 	workers := flag.Int("workers", 0, "concurrent scenario/plan solves per sweep (0 = all cores, 1 = sequential)")
-	solverWorkers := flag.Int("solver-workers", 0, "branch-and-bound workers per exact MIP solve (0 = all cores)")
-	branching := flag.String("branching", string(solver.BranchPseudocost), "branch-and-bound variable selection for the 'exact' mode: pseudocost or most-fractional ('bench' always records both)")
-	pricing := flag.String("pricing", string(solver.PricingDevex), "dual-simplex pricing rule for the 'exact' mode: dantzig, devex, or steepest-edge ('bench' records the dantzig ablation alongside the devex default)")
-	noPresolve := flag.Bool("no-presolve", false, "disable the presolve reductions in the 'exact' mode ('bench' always records both)")
-	benchOut := flag.String("bench-out", "BENCH_solver.json", "output path for the 'bench' mode record")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile (captured at exit, after a GC) to this file")
 	flag.Parse()
 
-	rule := solver.BranchRule(*branching)
-	if rule != solver.BranchPseudocost && rule != solver.BranchMostFractional {
-		fmt.Fprintf(os.Stderr, "flexwan-experiments: unknown -branching %q (want %q or %q)\n",
-			*branching, solver.BranchPseudocost, solver.BranchMostFractional)
-		os.Exit(1)
-	}
-	priceRule := solver.PricingRule(*pricing)
-	if priceRule != solver.PricingDantzig && priceRule != solver.PricingDevex && priceRule != solver.PricingSteepestEdge {
-		fmt.Fprintf(os.Stderr, "flexwan-experiments: unknown -pricing %q (want %q, %q, or %q)\n",
-			*pricing, solver.PricingDantzig, solver.PricingDevex, solver.PricingSteepestEdge)
-		os.Exit(1)
-	}
-
-	want := map[string]bool{}
-	for _, f := range strings.Split(*figFlag, ",") {
-		want[strings.TrimSpace(strings.ToLower(f))] = true
+	want, err := parseFigs(*figFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "flexwan-experiments:", err)
+		os.Exit(2)
 	}
 	all := want["all"]
 	run := func(name string) bool { return all || want[name] }
@@ -201,34 +195,6 @@ func main() {
 			fail(err)
 		}
 		fmt.Println(f)
-	}
-	if run("exact") {
-		rows, err := eval.ExactCrossCheck([]int{16, 20, 24}, *solverWorkers, rule, priceRule, *noPresolve)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(eval.ExactCheckString(rows))
-	}
-	// Solver benchmarks are expensive and machine-dependent, so they run
-	// only when asked for explicitly — never as part of "all".
-	if want["bench"] {
-		counts := eval.SolverBenchWorkerCounts()
-		if *solverWorkers > 0 {
-			counts = []int{1, *solverWorkers}
-		}
-		bench, err := eval.SolverBenchmarks(eval.DefaultSolverBenchInstances(), counts, 3, 300*time.Millisecond)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(bench)
-		data, err := json.MarshalIndent(bench, "", "  ")
-		if err != nil {
-			fail(err)
-		}
-		if err := os.WriteFile(*benchOut, append(data, '\n'), 0o644); err != nil {
-			fail(err)
-		}
-		fmt.Println("wrote", *benchOut)
 	}
 }
 

@@ -10,7 +10,7 @@
 //	flexwanctl -demand 800 -cut f-direct
 //	flexwanctl -scheme radwan -cut f-direct       # watch rigid hardware degrade
 //	flexwanctl -drill ring -drill-seed 7          # seeded recovery drill
-//	flexwanctl -drill all                         # full ladder → BENCH_recovery.json
+//	flexwanctl -drill all -drill-out drills.json  # both drills, scorecards saved
 //
 // Against a running flexwand service (see cmd/flexwand):
 //
@@ -18,7 +18,6 @@
 //	flexwanctl submit -type restore -network cernet -cut cfib000
 //	flexwanctl status                             # scheduler counters
 //	flexwanctl devices                            # fleet health
-//	flexwanctl load -jobs 1000 -tenants 4         # → BENCH_service.json
 package main
 
 import (
@@ -31,7 +30,7 @@ import (
 	"time"
 
 	"flexwan"
-	"flexwan/internal/eval"
+	"flexwan/internal/chaos"
 )
 
 func main() {
@@ -50,14 +49,12 @@ func main() {
 	showModel := flag.Bool("model", false, "print the standard device model and exit")
 	drill := flag.String("drill", "", "run seeded recovery drills instead of the demo: ring | cernet | all")
 	drillSeed := flag.Int64("drill-seed", 1, "fault seed for -drill (same seed ⇒ byte-identical event log)")
-	drillOut := flag.String("drill-out", "BENCH_recovery.json", "output path for -drill scorecards")
+	drillOut := flag.String("drill-out", "", "also write the -drill scorecards as JSON to this file")
 	pushWorkers := flag.Int("push-workers", 0, "config-push fan-out: 0 = one pipeline per device, 1 = legacy serial, n = bounded pool")
-	pushBudget := flag.String("push-budget", "", "per-network push-time budgets for -drill, e.g. ring4=500,cernet=1000 (ms, checked against parallel records)")
-	noAblation := flag.Bool("no-ablation", false, "skip the serial (push-workers=1) ablation record per drill")
 	flag.Parse()
 
 	if *drill != "" {
-		if err := runDrills(*drill, *drillSeed, *drillOut, *pushWorkers, *pushBudget, !*noAblation, *verbose); err != nil {
+		if err := runDrills(*drill, *drillSeed, *drillOut, *pushWorkers); err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -225,14 +222,13 @@ func main() {
 		report.Clean(), ctrl.LiveCapacityGbps())
 }
 
-// runDrills executes the seeded recovery-drill ladder — the chaos
-// engine's closed-loop fault scenarios — and writes the scorecards to
-// the BENCH_recovery.json output. Unless disabled, every drill also
-// runs a serial (push-workers=1) ablation record; the per-network push
-// budgets are enforced against the parallel records only.
-func runDrills(which string, seed int64, out string, pushWorkers int, pushBudget string, ablation, verbose bool) error {
-	var drills []eval.RecoveryDrill
-	for _, d := range eval.RecoveryDrillLadder(seed) {
+// runDrills runs the selected drills of the seeded recovery-drill ladder
+// (the chaos engine's closed-loop fault scenarios), each on a fresh
+// testbed at the given push fan-out. It prints one scorecard line per
+// drill and writes the scorecards to out when out is set.
+func runDrills(which string, seed int64, out string, pushWorkers int) error {
+	var drills []chaos.Drill
+	for _, d := range chaos.DrillLadder(seed) {
 		name := strings.ToLower(d.Network.Name)
 		if which == "all" ||
 			(which == "ring" && strings.HasPrefix(name, "ring")) ||
@@ -243,44 +239,35 @@ func runDrills(which string, seed int64, out string, pushWorkers int, pushBudget
 	if len(drills) == 0 {
 		return fmt.Errorf("flexwanctl: no drills match -drill %q (want ring, cernet or all)", which)
 	}
-	budgets, err := parsePushBudgets(pushBudget)
-	if err != nil {
-		return err
-	}
-	logf := func(string, ...interface{}) {}
-	if verbose {
-		logf = log.Printf
-	}
-	reports, err := eval.RunRecoveryDrills(drills, eval.RecoveryRunOptions{
-		PushWorkers: pushWorkers, SerialAblation: ablation, Logf: logf,
-	})
-	if err != nil {
-		return err
-	}
-	var overruns []string
-	for _, r := range reports {
+	var reports []*chaos.Report
+	for _, d := range drills {
+		tb, err := chaos.NewTestbed(d.Network, chaos.Options{PushWorkers: pushWorkers})
+		if err != nil {
+			return fmt.Errorf("flexwanctl: building %s testbed: %w", d.Network.Name, err)
+		}
+		r, _, err := chaos.Run(tb, d.Scenario)
+		tb.Close()
+		if err != nil {
+			return fmt.Errorf("flexwanctl: drill %s: %w", d.Scenario.Name, err)
+		}
 		fmt.Printf("%-26s %-10s workers=%d restored %d/%d Gbps  oracle=%v audit=%v  detect=%.1fms solve=%.1fms push=%.1fms (tx %d devices, wss %d)  faults=%d  log=%.12s\n",
 			r.Name, r.Network, r.PushWorkers, r.RestoredGbps, r.AffectedGbps, r.OracleMatch, r.AuditClean,
 			r.DetectMs, r.SolveMs, r.PushMs, r.PushTxDevices, r.PushWSSDevices, r.FaultsInjected, r.LogHash)
-		if budget, ok := budgets[strings.ToLower(r.Network)]; ok && r.PushWorkers != 1 && r.PushMs > budget {
-			overruns = append(overruns,
-				fmt.Sprintf("%s on %s pushed in %.1fms, budget %.0fms", r.Name, r.Network, r.PushMs, budget))
+		reports = append(reports, r)
+	}
+	if out != "" {
+		blob, err := json.MarshalIndent(reports, "", "  ")
+		if err != nil {
+			return err
 		}
-	}
-	blob, err := json.MarshalIndent(reports, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(blob, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %d drill records to %s\n", len(reports), out)
-	if len(overruns) > 0 {
-		return fmt.Errorf("flexwanctl: push-time budget exceeded:\n  %s", strings.Join(overruns, "\n  "))
+		if err := os.WriteFile(out, append(blob, '\n'), 0o644); err != nil {
+			return err
+		}
+		fmt.Printf("wrote %d drill records to %s\n", len(reports), out)
 	}
 	// A drill that diverged from the offline oracle or left the fleet
 	// config inconsistent is a failure — the exit code must say so even
-	// though the scorecards were written.
+	// though the scorecards were printed.
 	if failures := drillFailures(reports); len(failures) > 0 {
 		return fmt.Errorf("flexwanctl: %d drill(s) failed:\n  %s", len(failures), strings.Join(failures, "\n  "))
 	}
@@ -290,7 +277,7 @@ func runDrills(which string, seed int64, out string, pushWorkers int, pushBudget
 // drillFailures lists the drill records that failed their closed-loop
 // checks: restoration diverging from the offline oracle, or a
 // post-recovery audit finding the fleet out of sync with intent.
-func drillFailures(reports []*eval.RecoveryBenchRecord) []string {
+func drillFailures(reports []*chaos.Report) []string {
 	var failures []string
 	for _, r := range reports {
 		if !r.OracleMatch || !r.AuditClean {
@@ -300,25 +287,4 @@ func drillFailures(reports []*eval.RecoveryBenchRecord) []string {
 		}
 	}
 	return failures
-}
-
-// parsePushBudgets parses "network=ms,network=ms" into a lower-cased
-// budget map.
-func parsePushBudgets(s string) (map[string]float64, error) {
-	out := make(map[string]float64)
-	if s == "" {
-		return out, nil
-	}
-	for _, part := range strings.Split(s, ",") {
-		name, val, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok {
-			return nil, fmt.Errorf("flexwanctl: -push-budget entry %q is not network=ms", part)
-		}
-		var ms float64
-		if _, err := fmt.Sscanf(val, "%g", &ms); err != nil || ms <= 0 {
-			return nil, fmt.Errorf("flexwanctl: -push-budget entry %q has no positive ms value", part)
-		}
-		out[strings.ToLower(strings.TrimSpace(name))] = ms
-	}
-	return out, nil
 }

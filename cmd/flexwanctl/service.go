@@ -7,18 +7,16 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"strings"
 	"time"
 
 	"flexwan/internal/api"
-	"flexwan/internal/eval"
 )
 
 // serviceCommands are the flexwand-client subcommands; anything else
 // falls through to the legacy single-shot simulation flags.
 var serviceCommands = map[string]bool{
-	"submit": true, "status": true, "devices": true, "load": true,
+	"submit": true, "status": true, "devices": true,
 }
 
 // runService dispatches one client subcommand against a running flexwand
@@ -32,8 +30,6 @@ func runService(cmd string, args []string, stdout io.Writer) error {
 		return runStatus(args, stdout)
 	case "devices":
 		return runDevices(args, stdout)
-	case "load":
-		return runLoad(args, stdout)
 	}
 	return fmt.Errorf("flexwanctl: unknown subcommand %q", cmd)
 }
@@ -80,7 +76,6 @@ func runSubmit(args []string, stdout io.Writer) error {
 	seed := fs.Int64("seed", 0, "demand/fault seed")
 	scale := fs.Float64("scale", 0, "demand scale factor (0 = unscaled)")
 	exact := fs.Bool("exact", false, "plan jobs: solve the exact MIP")
-	pricing := fs.String("pricing", "", "plan jobs with -exact: dual-simplex pricing rule: dantzig | devex | steepest-edge (empty = solver default)")
 	cut := fs.String("cut", "", "comma-separated fibers to cut (restore/drill)")
 	deadlineMs := fs.Int64("deadline-ms", 0, "end-to-end job deadline from submission (0 = none)")
 	workers := fs.Int("workers", 0, "intra-job parallelism (sweep fan-out, MIP workers)")
@@ -92,7 +87,7 @@ func runSubmit(args []string, stdout io.Writer) error {
 	spec := api.JobSpec{
 		Type: *typ, Network: *network, Scheme: *scheme,
 		K: *k, Seed: *seed, Scale: *scale, Exact: *exact,
-		Pricing: *pricing, Workers: *workers, DeadlineMs: *deadlineMs,
+		Workers: *workers, DeadlineMs: *deadlineMs,
 	}
 	if *cut != "" {
 		spec.CutFibers = strings.Split(*cut, ",")
@@ -205,51 +200,5 @@ func runDevices(args []string, stdout io.Writer) error {
 			d["id"], d["class"], d["site"], d["address"], session)
 	}
 	fmt.Fprintf(stdout, "%d devices\n", len(devices))
-	return nil
-}
-
-// runLoad drives the multi-tenant load generator against a live service
-// and writes one BENCH_service.json record. Exit is nonzero when a job
-// is lost or the p99 budget is exceeded.
-func runLoad(args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("flexwanctl load", flag.ContinueOnError)
-	addr := fs.String("addr", "http://127.0.0.1:8422", "flexwand base URL")
-	tenants := fs.Int("tenants", 4, "concurrent tenants")
-	jobs := fs.Int("jobs", 1000, "total restoration jobs across tenants")
-	concurrency := fs.Int("concurrency", 16, "in-flight submissions per tenant")
-	network := fs.String("network", "cernet", "backbone under load")
-	k := fs.Int("k", 0, "candidate-path count (0 = planner default)")
-	out := fs.String("out", "BENCH_service.json", "output path for the load record")
-	p99Budget := fs.Float64("p99-budget-ms", 0, "fail when p99 latency exceeds this (0 = no budget)")
-	verbose := fs.Bool("v", false, "progress logs")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	logf := func(string, ...interface{}) {}
-	if *verbose {
-		logf = func(format string, a ...interface{}) { fmt.Fprintf(stdout, format+"\n", a...) }
-	}
-	rec, err := eval.RunServiceLoad(eval.ServiceLoadOptions{
-		Addr: *addr, Tenants: *tenants, Jobs: *jobs,
-		Concurrency: *concurrency, Network: *network, K: *k, Logf: logf,
-	})
-	if err != nil {
-		return err
-	}
-	blob, err := json.MarshalIndent([]*eval.ServiceLoadRecord{rec}, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(*out, append(blob, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "%d jobs, %d tenants: %.1f jobs/s, p50 %.1fms p99 %.1fms, fairness %.2f, max queue %d → %s\n",
-		rec.Jobs, rec.Tenants, rec.ThroughputJobsPerSec, rec.P50Ms, rec.P99Ms, rec.FairnessRatio, rec.MaxQueueDepth, *out)
-	if rec.Lost > 0 {
-		return fmt.Errorf("flexwanctl: %d jobs lost under load", rec.Lost)
-	}
-	if *p99Budget > 0 && rec.P99Ms > *p99Budget {
-		return fmt.Errorf("flexwanctl: p99 %.1fms exceeds budget %.0fms", rec.P99Ms, *p99Budget)
-	}
 	return nil
 }

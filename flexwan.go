@@ -210,34 +210,16 @@ type (
 	Sense = solver.Sense
 	// Rel is a constraint relation.
 	Rel = solver.Rel
-	// BranchRule selects the branch-and-bound variable-selection rule
-	// (SolverOptions.Branching).
-	BranchRule = solver.BranchRule
-	// PricingRule selects the dual-simplex leaving-row pricing rule
-	// (SolverOptions.Pricing).
-	PricingRule = solver.PricingRule
 )
 
 // NewMIPModel starts an empty optimization model.
 var NewMIPModel = solver.NewModel
 
-// Optimization senses, relations, and branching rules.
+// Optimization senses and relations.
 const (
 	MinimizeObjective = solver.Minimize
 	MaximizeObjective = solver.Maximize
 	RelLE             = solver.LE
 	RelGE             = solver.GE
 	RelEQ             = solver.EQ
-	// BranchPseudocost (the default) scores branch candidates by
-	// observed objective degradation; BranchMostFractional picks the
-	// variable closest to half-integral.
-	BranchPseudocost     = solver.BranchPseudocost
-	BranchMostFractional = solver.BranchMostFractional
-	// Dual-simplex pricing rules: PricingDevex (the default) maintains
-	// cheap approximate reference weights, PricingSteepestEdge exact
-	// ‖B⁻ᵀe_i‖² weights (one extra FTRAN per pivot), PricingDantzig
-	// prices by raw violation only.
-	PricingDantzig      = solver.PricingDantzig
-	PricingDevex        = solver.PricingDevex
-	PricingSteepestEdge = solver.PricingSteepestEdge
 )

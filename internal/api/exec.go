@@ -100,7 +100,7 @@ func (s *Server) runPlan(ctx context.Context, j *Job) (json.RawMessage, error) {
 		res, err = plan.SolveExact(plan.Problem{
 			Optical: e.net.Optical, IP: e.net.IP,
 			Catalog: e.catalog, Grid: e.grid, K: spec.K,
-		}, solver.Options{Context: ctx, Workers: spec.Workers, Pricing: solver.PricingRule(spec.Pricing)})
+		}, solver.Options{Context: ctx, Workers: spec.Workers})
 		if err != nil {
 			return nil, err
 		}

@@ -57,9 +57,6 @@ type JobSpec struct {
 	// Exact switches plan jobs to the exact MIP (per-job deadline
 	// recommended: the context is wired into solver.Options.Context).
 	Exact bool `json:"exact,omitempty"`
-	// Pricing selects the exact MIP's dual-simplex pricing rule:
-	// "dantzig", "devex", or "steepest-edge" ("": the solver default).
-	Pricing string `json:"pricing,omitempty"`
 	// CutFibers are the fibers to cut (restore: required; drill: the
 	// first entry overrides the default busiest-fiber choice).
 	CutFibers []string `json:"cut_fibers,omitempty"`

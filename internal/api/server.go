@@ -119,10 +119,14 @@ func writeJSON(w http.ResponseWriter, code int, v interface{}) {
 const maxBodyBytes = 64 << 10
 
 // readJSON decodes the request body, at most maxBodyBytes of it, into v.
-// On failure it has already answered — 413 for an oversized body, 400
-// for anything else — and returns false.
+// A key v has no field for is an error, not a silent no-op: a typo such as
+// "cut_fiber" must not run as if the key were absent. On failure it has
+// already answered — 413 for an oversized body, 400 (naming the unknown
+// key, if that was it) for anything else — and returns false.
 func readJSON(w http.ResponseWriter, r *http.Request, what string, v interface{}) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
 	if err == nil {
 		return true
 	}

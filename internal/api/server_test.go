@@ -431,6 +431,49 @@ func TestServiceBodyLimit(t *testing.T) {
 	}
 }
 
+// TestServiceRejectsUnknownKeys: a body key the endpoint has no field for
+// answers 400 naming the key — a typo'd "cut_fiber", or the retired
+// "pricing" — instead of running as if the key were absent.
+func TestServiceRejectsUnknownKeys(t *testing.T) {
+	tb, err := chaos.NewTestbed(chaos.RingNetwork(4, 100, 200), chaos.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tb.Close()
+	s := New(Options{Controller: tb.Ctrl})
+	ts := httptest.NewServer(s.Handler())
+	defer func() {
+		ts.Close()
+		shutdown(t, s)
+	}()
+	devices := len(tb.Ctrl.DevMgr().Health())
+
+	for _, tc := range []struct{ path, body, key string }{
+		{"/v1/jobs", `{"type":"restore","network":"ring4","cut_fiber":["rfib00"]}`, "cut_fiber"},
+		{"/v1/jobs", `{"type":"plan","network":"ring4","exact":true,"pricing":"dantzig"}`, "pricing"},
+		{"/v1/devices", `{"id":"tx-new","class":"transponder","vendor":"v","address":"127.0.0.1:1","site":"A","port":7}`, "port"},
+	} {
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e struct {
+			Error string `json:"error"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, `"`+tc.key+`"`) {
+			t.Errorf("POST %s %s: status %d, error %q (%v); want 400 naming %q", tc.path, tc.body, resp.StatusCode, e.Error, err, tc.key)
+		}
+	}
+	if st := s.Scheduler().Stats(); st.Submitted != 0 {
+		t.Fatalf("%d jobs admitted from refused bodies", st.Submitted)
+	}
+	if n := len(tb.Ctrl.DevMgr().Health()); n != devices {
+		t.Fatalf("%d devices registered, want the fleet's %d", n, devices)
+	}
+}
+
 // TestServiceStatsAndRetention: /v1/stats keeps its top-level scheduler
 // keys and adds the retention and plan-cache counters; responses are
 // compact; a finished job past the 4 × QueueDepth window answers 404 and

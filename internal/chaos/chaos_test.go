@@ -17,9 +17,9 @@ import (
 
 // drillOnce builds a fresh testbed for the network and runs the
 // scenario on it.
-func drillOnce(t *testing.T, n workload.Network, sc Scenario) (*Report, *Log) {
+func drillOnce(t *testing.T, n workload.Network, opts Options, sc Scenario) (*Report, *Log) {
 	t.Helper()
-	tb, err := NewTestbed(n, Options{})
+	tb, err := NewTestbed(n, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func ringScenario(seed int64) Scenario {
 // drops with a crashed transponder, restart, Repair reconvergence, and
 // oracle equality.
 func TestRingDrillRecovers(t *testing.T) {
-	rep, log := drillOnce(t, RingNetwork(4, 100, 200), ringScenario(7))
+	rep, log := drillOnce(t, RingNetwork(4, 100, 200), Options{}, ringScenario(7))
 	if rep.AffectedGbps == 0 {
 		t.Fatal("drill cut a dark fiber")
 	}
@@ -105,7 +105,7 @@ func TestDrillDeterminism(t *testing.T) {
 	// A different seed must (for these fault rates) shuffle the fault
 	// schedule — byte-identical logs across seeds would mean the seed
 	// is ignored.
-	_, log3 := drillOnce(t, n, ringScenario(43))
+	_, log3 := drillOnce(t, n, Options{}, ringScenario(43))
 	if bytes.Equal(log1.Marshal(), log3.Marshal()) {
 		t.Error("different seeds produced identical logs")
 	}
@@ -123,11 +123,11 @@ func TestDrillFlap(t *testing.T) {
 		FlapFiber: "rfib00",
 		CutFiber:  "rfib02",
 	}
-	rep1, log1 := drillOnce(t, n, sc)
+	rep1, log1 := drillOnce(t, n, Options{}, sc)
 	if !rep1.OracleMatch || !rep1.AuditClean {
 		t.Fatalf("flap drill failed: %+v", rep1)
 	}
-	_, log2 := drillOnce(t, n, sc)
+	_, log2 := drillOnce(t, n, Options{}, sc)
 	if !bytes.Equal(log1.Marshal(), log2.Marshal()) {
 		t.Fatalf("flap drill not deterministic:\n%s\nvs\n%s", log1.Marshal(), log2.Marshal())
 	}
@@ -137,7 +137,10 @@ func TestDrillFlap(t *testing.T) {
 // seeded CERNET drill with a fiber cut, 10% RPC drop, and one
 // transponder crash/restart must complete detection → restoration →
 // push, restore exactly the offline oracle's Gbps, leave the audit
-// clean, and reproduce a byte-identical event log on a second run.
+// clean, and reproduce a byte-identical event log on a second run — a
+// serial one (push-workers 1), so the pair is also the serial-vs-parallel
+// check at CERNET scale: every device in flight must not change a single
+// fault decision.
 func TestCernetAcceptanceDrill(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CERNET-scale drill is slow; skipped with -short")
@@ -149,7 +152,7 @@ func TestCernetAcceptanceDrill(t *testing.T) {
 		Faults:            FaultConfig{DropRequestProb: 0.10},
 		CrashTransponders: 1,
 	}
-	rep1, log1 := drillOnce(t, n, sc)
+	rep1, log1 := drillOnce(t, n, Options{}, sc)
 	if rep1.AffectedGbps == 0 {
 		t.Fatal("busiest CERNET fiber carried nothing")
 	}
@@ -166,9 +169,9 @@ func TestCernetAcceptanceDrill(t *testing.T) {
 		rep1.DetectMs, rep1.SolveMs, rep1.PushMs, rep1.TotalMs,
 		rep1.FaultsInjected, len(rep1.SkippedDevices))
 
-	rep2, log2 := drillOnce(t, n, sc)
+	rep2, log2 := drillOnce(t, n, Options{PushWorkers: 1}, sc)
 	if !bytes.Equal(log1.Marshal(), log2.Marshal()) {
-		t.Fatalf("CERNET drill not deterministic (hash %s vs %s)", rep1.LogHash, rep2.LogHash)
+		t.Fatalf("CERNET drill not deterministic: parallel hash %s, serial %s", rep1.LogHash, rep2.LogHash)
 	}
 }
 
@@ -271,8 +274,8 @@ func TestInjectorDisarmed(t *testing.T) {
 }
 
 // TestRingCrashDrillPushSkipsLadder is the seed-1 ring4 drill of the
-// recovery ladder (eval.RecoveryDrillLadder; the record committed in
-// BENCH_recovery.json). Seed 1 injects no RPC fault on the ring, so the
+// recovery ladder (DrillLadder, as flexwanctl -drill ring runs it). Seed
+// 1 injects no RPC fault on the ring, so the
 // only thing between the cut and the restoration is the crashed
 // transponder — which must cost the push a refused probe, not a call
 // timeout or a backoff ladder — while the event log, the degraded-push
@@ -287,10 +290,7 @@ func TestRingCrashDrillPushSkipsLadder(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tb.Close()
-	rep, _, err := Run(tb, Scenario{
-		Name: "ring4-cut-drop10-crash1", Seed: 1,
-		Faults: FaultConfig{DropRequestProb: 0.10}, CrashTransponders: 1,
-	})
+	rep, _, err := Run(tb, DrillLadder(1)[0].Scenario)
 	if err != nil {
 		t.Fatal(err)
 	}

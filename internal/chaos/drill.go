@@ -11,6 +11,7 @@ import (
 	"flexwan/internal/controller"
 	"flexwan/internal/restore"
 	"flexwan/internal/transponder"
+	"flexwan/internal/workload"
 )
 
 // Scenario scripts one recovery drill: an optional telemetry flap, a
@@ -42,9 +43,9 @@ type Scenario struct {
 	RepairAttempts int
 }
 
-// Report is one drill's scorecard — the BENCH_recovery.json record.
-// Latencies live here and only here; the event log stays wall-clock
-// free so it can be byte-compared across runs.
+// Report is one drill's scorecard (what flexwanctl -drill prints and
+// -drill-out writes). Latencies live here and only here; the event log
+// stays wall-clock free so it can be byte-compared across runs.
 type Report struct {
 	Name    string `json:"name"`
 	Network string `json:"network"`
@@ -52,8 +53,7 @@ type Report struct {
 	Fiber   string `json:"fiber"`
 
 	// PushWorkers is the controller's configured push fan-out for this
-	// run (0 = one in-flight pipeline per device, 1 = legacy serial) —
-	// the ablation axis BENCH_recovery.json records.
+	// run (0 = one in-flight pipeline per device, 1 = legacy serial).
 	PushWorkers int `json:"push_workers"`
 
 	DetectMs float64 `json:"detect_ms"`
@@ -85,6 +85,36 @@ type Report struct {
 
 	Events  int    `json:"events"`
 	LogHash string `json:"log_hash"`
+}
+
+// Drill pairs a network with the scenario to run on it.
+type Drill struct {
+	Network  workload.Network
+	Scenario Scenario
+}
+
+// DrillLadder is the fixed ladder flexwanctl -drill runs: a small ring
+// smoke drill and the CERNET acceptance scenario — busiest-fiber cut
+// under 10% RPC request drops with one transponder crash/restart — at the
+// given seed. Each drill needs a fresh testbed (NewTestbed, then Run).
+func DrillLadder(seed int64) []Drill {
+	faults := FaultConfig{DropRequestProb: 0.10}
+	return []Drill{
+		{
+			Network: RingNetwork(4, 100, 200),
+			Scenario: Scenario{
+				Name: "ring4-cut-drop10-crash1", Seed: seed,
+				Faults: faults, CrashTransponders: 1,
+			},
+		},
+		{
+			Network: workload.Cernet(seed),
+			Scenario: Scenario{
+				Name: "cernet-cut-drop10-crash1", Seed: seed,
+				Faults: faults, CrashTransponders: 1,
+			},
+		},
+	}
 }
 
 // Run executes the scenario against the testbed and returns the

@@ -15,8 +15,8 @@
 // ops, whose issue order the controller serializes, never telemetry
 // polls, whose count varies with timing; and the canonical log orders
 // scripted steps by timeline position and injected faults by (device,
-// op, seq), not by arrival. Latencies are reported in BENCH_recovery
-// records only — they never enter the log.
+// op, seq), not by arrival. Latencies are reported in the drill's Report
+// only — they never enter the log.
 package chaos
 
 import (

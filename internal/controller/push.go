@@ -79,8 +79,8 @@ func (p *pushPlan) pendingChannels(errs map[string]error) []string {
 
 // SetPushWorkers bounds the configuration push: n > 1 keeps up to n device
 // pipelines in flight, n == 1 is the legacy serial path (devices pushed
-// one at a time in sorted order — the ablation baseline
-// BENCH_recovery.json records), and n <= 0 (the default) keeps every
+// one at a time in sorted order — the baseline the chaos drills compare
+// event logs against), and n <= 0 (the default) keeps every
 // device's pipeline in flight at once. Pushes are IO-bound waits on device
 // RPCs, so the window is not CPU-capped.
 func (c *Controller) SetPushWorkers(n int) {

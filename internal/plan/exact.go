@@ -14,8 +14,7 @@ import (
 // SolveStats records how an exact MIP search terminated: final solver
 // status, branch-and-bound nodes explored, workers used, the proven
 // optimality gap, and the LP work underneath (simplex pivots, dual-simplex
-// warm-start hits, branching rule, presolve reductions). Nil on heuristic
-// results.
+// warm-start hits, presolve reductions). Nil on heuristic results.
 type SolveStats struct {
 	Status        solver.Status
 	Objective     float64
@@ -24,15 +23,12 @@ type SolveStats struct {
 	Gap           float64
 	SimplexIters  int
 	WarmStartHits int
-	Branching     solver.BranchRule
 	PresolveRows  int
 	PresolveCols  int
 
-	// PricingMode is the dual-simplex pricing rule the LP engines ran
-	// under; BoundFlips and WeightResets are its companion counters (boxed
-	// nonbasic variables the long-step ratio test flipped bound-to-bound,
-	// and pricing-weight reference resets).
-	PricingMode  solver.PricingRule
+	// BoundFlips and WeightResets are the dual-simplex pricing counters:
+	// boxed nonbasic variables the long-step ratio test flipped
+	// bound-to-bound, and devex reference-weight resets.
 	BoundFlips   int
 	WeightResets int
 
@@ -55,8 +51,7 @@ func NewSolveStats(sol solver.Solution) *SolveStats {
 		Status: sol.Status, Objective: sol.Objective,
 		Nodes: sol.Nodes, Workers: sol.Workers, Gap: sol.Gap,
 		SimplexIters: sol.SimplexIters, WarmStartHits: sol.WarmStartHits,
-		Branching:   sol.Branching,
-		PricingMode: sol.Pricing, BoundFlips: sol.BoundFlips, WeightResets: sol.WeightResets,
+		BoundFlips: sol.BoundFlips, WeightResets: sol.WeightResets,
 		PresolveRows: sol.PresolveRows, PresolveCols: sol.PresolveCols,
 		Refactorizations: sol.Refactorizations, BasisUpdates: sol.BasisUpdates,
 		FTRANCount: sol.FTRANCount, BTRANCount: sol.BTRANCount,
@@ -89,10 +84,8 @@ type gammaVar struct {
 // never creating infeasible (path, format) variables.
 //
 // The build refuses — rather than thrash — once the variable count
-// passes opts.MaxBuildVars(): 8000 columns under Options.DenseSimplex
-// (the dense tableau's memory is quadratic in the standard-form size),
-// 250000 under the default revised engine, or Options.MaxVars verbatim
-// when set. Production-scale instances (hundreds of links on a 384-pixel
+// passes opts.MaxBuildVars(): Options.MaxVars when set, otherwise
+// solver.DefaultMaxVars (250000). Production-scale instances (hundreds of links on a 384-pixel
 // grid) still belong to the heuristic Solve, exactly as the paper's
 // Gurobi runs take "hours of runtime" on theirs.
 func SolveExact(p Problem, opts solver.Options) (*Result, error) {
@@ -138,7 +131,7 @@ func SolveExact(p Problem, opts solver.Options) (*Result, error) {
 		nGamma += n
 	}
 	if nGamma > maxVars {
-		return nil, fmt.Errorf("plan: exact MIP exceeds %d variables (Options.MaxVars; default per LP engine); use the heuristic Solve or raise the cap", maxVars)
+		return nil, fmt.Errorf("plan: exact MIP exceeds %d variables (Options.MaxVars); use the heuristic Solve or raise the cap", maxVars)
 	}
 	m.Grow(nGamma, len(p.IP.Links))
 	gammas := make([]gammaVar, 0, nGamma)

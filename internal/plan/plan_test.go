@@ -498,9 +498,9 @@ func TestHeuristicMatchesExactCount(t *testing.T) {
 
 func TestSolveExactTooLarge(t *testing.T) {
 	// A default-grid SVT instance explodes past the build cap and must be
-	// refused, not attempted. The cap is per-engine (Options.MaxBuildVars):
-	// the dense tableau refuses at its 8000-column default, and an explicit
-	// Options.MaxVars binds regardless of engine.
+	// refused, not attempted: an explicit Options.MaxVars binds
+	// (Options.MaxBuildVars; the per-engine defaults are pinned by the
+	// solver's TestMaxBuildVars).
 	ip := &topology.IPTopology{}
 	for i := 0; i < 10; i++ {
 		id := string(rune('a' + i))
@@ -514,9 +514,6 @@ func TestSolveExactTooLarge(t *testing.T) {
 		Catalog: transponder.SVT(),
 		Grid:    spectrum.DefaultGrid(),
 		K:       3,
-	}
-	if _, err := SolveExact(p, solver.Options{DenseSimplex: true}); err == nil {
-		t.Error("oversized exact MIP accepted by the dense engine cap")
 	}
 	if _, err := SolveExact(p, solver.Options{MaxVars: 100}); err == nil {
 		t.Error("oversized exact MIP accepted despite explicit MaxVars")

@@ -11,9 +11,8 @@ import (
 const intTol = 1e-6
 
 // Solve solves the model exactly: as an LP when it has no integer
-// variables, otherwise with LP-relaxation branch-and-bound. Default
-// options are always valid, so unlike SolveWithOptions no error is
-// possible.
+// variables, otherwise with LP-relaxation branch-and-bound, under default
+// options.
 func (m *Model) Solve() Solution {
 	sol, _ := m.SolveWithOptions(Options{})
 	return sol
@@ -21,26 +20,21 @@ func (m *Model) Solve() Solution {
 
 // SolveWithOptions solves with explicit search limits. Branch-and-bound
 // nodes are explored by Options.Workers concurrent workers (default
-// GOMAXPROCS) sharing a best-first frontier. Unless Options.NoPresolve is
-// set, the model is first reduced by the presolve layer (bound
-// propagation, substitution, redundant-row and duplicate-column removal)
-// and the solution is rehydrated against the original VarIDs afterwards.
-// An error is returned on invalid options (e.g. an unrecognized
-// Options.Branching rule) without starting a search.
+// GOMAXPROCS) sharing a best-first frontier. The model is first reduced
+// by the presolve layer (bound propagation, substitution, redundant-row
+// and duplicate-column removal) and the solution is rehydrated against
+// the original VarIDs afterwards. Every Options value is valid, so the
+// error is always nil today; it stays in the signature for callers that
+// wrap it.
 func (m *Model) SolveWithOptions(opts Options) (Solution, error) {
-	opts, err := opts.withDefaults()
-	if err != nil {
-		return Solution{}, err
-	}
-	if opts.NoPresolve {
+	opts = opts.withDefaults()
+	if opts.noPresolve {
 		return m.solveReduced(opts), nil
 	}
 	p := m.presolve(opts.Logf)
 	if p.infeasible {
 		return Solution{
 			Status:       Infeasible,
-			Branching:    opts.Branching,
-			Pricing:      opts.EffectivePricing(),
 			PresolveRows: p.rowsRemoved,
 			PresolveCols: p.colsRemoved,
 		}, nil
@@ -287,7 +281,7 @@ type bbSearch struct {
 	lu           lpStats // basis health summed over root + worker engines
 	npFixings    int     // node-presolve bound tightenings across all nodes
 
-	// Pseudocost bookkeeping (nil slices unless Branching is pseudocost).
+	// Pseudocost bookkeeping (nil slices unless branching is pseudocost).
 	// Guarded by mu like everything else: updates happen in processLocked
 	// when a child's relaxation is reported, reads in selectBranchLocked.
 	// pcDown* is the ub-tightened (floor) side, pcUp* the lb-raised (ceil)
@@ -320,7 +314,6 @@ func (m *Model) branchAndBound(opts Options) Solution {
 			root.Status = LimitReached
 		}
 		root.Workers = workers
-		root.Branching = opts.Branching
 		return root
 	}
 
@@ -347,7 +340,7 @@ func (m *Model) branchAndBound(opts Options) Solution {
 			weightResets:   root.WeightResets,
 		},
 	}
-	if opts.Branching == BranchPseudocost {
+	if opts.branching != branchMostFractional {
 		nv := len(m.vars)
 		s.pcDownSum = make([]float64, nv)
 		s.pcUpSum = make([]float64, nv)
@@ -420,7 +413,7 @@ func (s *bbSearch) worker(id int) {
 	var tabBounds *boundChange
 	var diveChanges []*boundChange
 	var np *npState
-	if !s.opts.NoNodePresolve {
+	if !s.opts.noNodePresolve {
 		np = newNpState(s.m)
 	}
 	fellBack := 0 // dense fallbacks already logged for this worker
@@ -513,7 +506,7 @@ func (s *bbSearch) worker(id int) {
 		var sol Solution
 		warm, dove := false, false
 		iters := 0
-		if !s.opts.NoWarmStart && node.snap != nil && node.snap == tabOwner {
+		if !s.opts.noWarmStart && node.snap != nil && node.snap == tabOwner {
 			// Dive path: the engine still holds this node's parent's
 			// optimal state. Collect the bound changes separating the node
 			// from that solve (its branching plus any reduced-cost fixings)
@@ -536,7 +529,7 @@ func (s *bbSearch) worker(id int) {
 		}
 		if !warm {
 			eng.applyBounds(node.bounds)
-			if !s.opts.NoWarmStart && node.snap != nil && !dove {
+			if !s.opts.noWarmStart && node.snap != nil && !dove {
 				ws, ok := eng.solveWarm(node.snap)
 				iters += eng.pivots()
 				if ok {
@@ -925,8 +918,6 @@ func (s *bbSearch) finish(workers int) Solution {
 	out.Workers = workers
 	out.SimplexIters = s.simplexIters
 	out.WarmStartHits = s.warmHits
-	out.Branching = s.opts.Branching
-	out.Pricing = s.opts.EffectivePricing()
 	s.lu.addTo(&out)
 	out.NodePresolveFixings = s.npFixings
 	return out

@@ -51,14 +51,14 @@ func TestLPCancellationMidSolve(t *testing.T) {
 		m := transportLP(t, 12)
 		// Sanity: without a context the LP solves to optimality and
 		// needs pivots (i.e. the instance is not presolved away).
-		ref := mustSolveOpts(t, transportLP(t, 12), Options{DenseSimplex: dense})
+		ref := mustSolveOpts(t, transportLP(t, 12), Options{denseSimplex: dense})
 		if ref.Status != Optimal {
 			t.Fatalf("dense=%v reference status = %v, want optimal", dense, ref.Status)
 		}
 		if ref.SimplexIters == 0 {
 			t.Fatalf("dense=%v reference solve took 0 pivots; instance too easy to prove mid-LP cancellation", dense)
 		}
-		s := mustSolveOpts(t, m, Options{DenseSimplex: dense, Context: ctx})
+		s := mustSolveOpts(t, m, Options{denseSimplex: dense, Context: ctx})
 		if s.Status != IterLimit {
 			t.Errorf("dense=%v cancelled LP status = %v, want iteration-limit", dense, s.Status)
 		}
@@ -81,7 +81,7 @@ func TestMIPCancellationMidLP(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, dense := range []bool{false, true} {
-		s := mustSolveOpts(t, hardKnapsack(t), Options{DenseSimplex: dense, Context: ctx})
+		s := mustSolveOpts(t, hardKnapsack(t), Options{denseSimplex: dense, Context: ctx})
 		if s.Status != LimitReached {
 			t.Errorf("dense=%v cancelled MIP status = %v, want limit-reached", dense, s.Status)
 		}

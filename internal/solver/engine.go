@@ -6,9 +6,9 @@ import "context"
 // node's bounds, solve (cold, warm from a parent snapshot, or diving on
 // the engine's retained parent state), snapshot the optimal basis for the
 // children, and derive reduced-cost fixings. Two implementations exist —
-// the revised simplex with LU-factorized basis (default) and the dense
-// two-phase tableau (Options.DenseSimplex, also the revised engine's
-// fallback). Snapshots are opaque (any): each engine recognizes only its
+// the revised simplex with LU-factorized basis and the dense two-phase
+// tableau (the revised engine's fallback, and the test-only
+// Options.denseSimplex oracle). Snapshots are opaque (any): each engine recognizes only its
 // own type and a worker hands whatever it is given back to solveWarm,
 // which makes mixed-engine trees (a dense-fallback node's children under
 // revised siblings) safe by construction.
@@ -82,7 +82,7 @@ func (s lpStats) addTo(sol *Solution) {
 
 // newLPEngine builds the per-worker engine these options select.
 func newLPEngine(m *Model, opts Options) lpEngine {
-	if opts.DenseSimplex {
+	if opts.denseSimplex {
 		return newDenseEngine(m, opts.MaxLPIter, opts.Context)
 	}
 	return newRevisedEngine(m, opts)
@@ -95,7 +95,6 @@ func (m *Model) solveRelaxation(opts Options) Solution {
 	eng.applyBounds(nil)
 	sol := eng.solveCold()
 	sol.SimplexIters = eng.pivots()
-	sol.Pricing = opts.EffectivePricing()
 	st := eng.stats()
 	st.addTo(&sol)
 	if st.denseFallbacks > 0 && opts.Logf != nil {
@@ -162,24 +161,11 @@ type revisedEngine struct {
 }
 
 func newRevisedEngine(m *Model, opts Options) *revisedEngine {
-	rx := newRxScratch(m, opts.EtaFileUpdates)
-	rx.setPricing(opts.Pricing)
+	rx := newRxScratch(m, opts.etaFileUpdates)
+	rx.setPricing(opts.pricing)
 	rx.maxIter = opts.MaxLPIter
 	rx.ctx = opts.Context
 	return &revisedEngine{m: m, rx: rx}
-}
-
-// EffectivePricing is the pricing rule these options actually run: the
-// dense tableau knows only Dantzig-style selection, and an unset rule
-// normalizes to the devex default.
-func (o Options) EffectivePricing() PricingRule {
-	if o.DenseSimplex {
-		return PricingDantzig
-	}
-	if o.Pricing == "" {
-		return PricingDevex
-	}
-	return o.Pricing
 }
 
 func (e *revisedEngine) dense() *denseEngine {

@@ -192,8 +192,8 @@ func TestFTvsEtaFileObjectiveIdentity(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		m := randomMILP(rng, true)
 		ftSol := mustSolveOpts(t, m, Options{Workers: 1})
-		etaSol := mustSolveOpts(t, m, Options{Workers: 1, EtaFileUpdates: true})
-		denseSol := mustSolveOpts(t, m, Options{Workers: 1, DenseSimplex: true})
+		etaSol := mustSolveOpts(t, m, Options{Workers: 1, etaFileUpdates: true})
+		denseSol := mustSolveOpts(t, m, Options{Workers: 1, denseSimplex: true})
 		if ftSol.Status != etaSol.Status || ftSol.Status != denseSol.Status {
 			t.Fatalf("trial %d: status FT=%v eta=%v dense=%v", trial, ftSol.Status, etaSol.Status, denseSol.Status)
 		}
@@ -220,7 +220,7 @@ func TestNodePresolveObjectiveIdentity(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		m := randomMILP(rng, true)
 		on := mustSolveOpts(t, m, Options{Workers: 1})
-		off := mustSolveOpts(t, m, Options{Workers: 1, NoNodePresolve: true})
+		off := mustSolveOpts(t, m, Options{Workers: 1, noNodePresolve: true})
 		if on.Status != off.Status {
 			t.Fatalf("trial %d: status with node presolve %v, without %v", trial, on.Status, off.Status)
 		}
@@ -251,8 +251,8 @@ func TestNodePresolveFixingsReported(t *testing.T) {
 		mustCon(t, m, "c3", []Term{{y, 2}, {z, 3}}, LE, 11)
 		return m
 	}
-	on := mustSolveOpts(t, build(), Options{Workers: 1, NoPresolve: true})
-	off := mustSolveOpts(t, build(), Options{Workers: 1, NoPresolve: true, NoNodePresolve: true})
+	on := mustSolveOpts(t, build(), Options{Workers: 1, noPresolve: true})
+	off := mustSolveOpts(t, build(), Options{Workers: 1, noPresolve: true, noNodePresolve: true})
 	if on.Status != Optimal || off.Status != Optimal {
 		t.Fatalf("status on=%v off=%v", on.Status, off.Status)
 	}
@@ -260,7 +260,7 @@ func TestNodePresolveFixingsReported(t *testing.T) {
 		t.Fatalf("objective diverged: on=%v off=%v", on.Objective, off.Objective)
 	}
 	if off.NodePresolveFixings != 0 {
-		t.Fatalf("NoNodePresolve run reported %d fixings", off.NodePresolveFixings)
+		t.Fatalf("noNodePresolve run reported %d fixings", off.NodePresolveFixings)
 	}
 	if on.Nodes > 1 && on.NodePresolveFixings == 0 {
 		t.Fatalf("search branched (%d nodes) but node presolve reported no propagated tightenings", on.Nodes)
@@ -283,7 +283,7 @@ func TestDenseFallbackCountedAndLogged(t *testing.T) {
 	mustCon(t, m, "zmin", []Term{{z, 2}}, GE, 1)
 	sol := mustSolveOpts(t, m, Options{
 		Workers:    1,
-		NoPresolve: true, // presolve would round z up and solve the rest as a pure LP
+		noPresolve: true, // presolve would round z up and solve the rest as a pure LP
 		Logf:       func(f string, a ...interface{}) { logs = append(logs, fmt.Sprintf(f, a...)) },
 	})
 	if sol.Status != Optimal {
@@ -327,7 +327,7 @@ func TestSolveStatsPopulated(t *testing.T) {
 	if sol.PeakUFill == 0 {
 		t.Error("PeakUFill = 0 after a revised-engine solve")
 	}
-	dense := mustSolveOpts(t, m, Options{Workers: 1, DenseSimplex: true})
+	dense := mustSolveOpts(t, m, Options{Workers: 1, denseSimplex: true})
 	if dense.Refactorizations != 0 || dense.PeakUFill != 0 {
 		t.Errorf("dense engine reported LU stats: %d refactorizations, %d fill", dense.Refactorizations, dense.PeakUFill)
 	}

@@ -77,11 +77,6 @@ func planningModel(t testing.TB, seed int64, pixels, k, links int) *Model {
 	return m
 }
 
-// PlanningModel hands planningModel to the external test package, which can
-// import plan and hold the restated model against the real builder
-// (planmodel_test.go).
-var PlanningModel = planningModel
-
 // checkDuplicateGroups runs the indexed mergeDuplicates and the
 // row-rescanning oracle from the same state and requires identical groups
 // in identical order.
@@ -523,7 +518,7 @@ func FuzzPresolveRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("presolve on: %v", err)
 		}
-		off, err := m.SolveWithOptions(Options{Workers: 1, NoPresolve: true})
+		off, err := m.SolveWithOptions(Options{Workers: 1, noPresolve: true})
 		if err != nil {
 			t.Fatalf("presolve off: %v", err)
 		}

@@ -17,8 +17,8 @@ const (
 	// luMaxEtas bounds the legacy product-form eta file before a periodic
 	// refactorization: each eta adds O(nnz(w)) work to every solve, so past
 	// this point refactorizing is both cheaper and more accurate. Only the
-	// eta-file mode (Options.EtaFileUpdates) uses it; Forrest–Tomlin mode
-	// refactorizes on measured fill growth instead.
+	// eta-file test oracle (Options.etaFileUpdates) uses it; Forrest–Tomlin
+	// mode refactorizes on measured fill growth instead.
 	luMaxEtas = 64
 	// luDriftTol is the relative disagreement allowed between the
 	// Forrest–Tomlin diagonal identity d_new = w_p·d_old and the value the
@@ -166,7 +166,7 @@ func (s *uStore) clear(line int) { s.count[line] = 0 }
 //     elimination recorded as a row eta R = I − e_p·rᵀ sitting between L
 //     and U. Refactorization is adaptive: measured fill growth or numerical
 //     drift against the determinant identity d_new = w_p·d_old.
-//   - product-form eta file (ft=false, Options.EtaFileUpdates): each pivot
+//   - product-form eta file (ft=false, Options.etaFileUpdates): each pivot
 //     appends E = I + (w−e_p)e_pᵀ after U, with a fixed refactorization
 //     cap of luMaxEtas.
 //

@@ -259,37 +259,25 @@ type Solution struct {
 	// the dual-simplex warm start (including children proven infeasible by
 	// it) rather than a cold two-phase primal solve. 0 for LPs.
 	WarmStartHits int
-	// Branching is the branching rule the search used (MILP only).
-	Branching BranchRule
-	// Pricing is the dual-simplex pricing rule the solve ran under
-	// (PricingDantzig when Options.DenseSimplex forced the dense tableau,
-	// which prices by largest violation only).
-	Pricing PricingRule
 	// BoundFlips counts nonbasic boxed variables the long-step dual ratio
 	// test moved bound-to-bound instead of pivoting on — each one walks
 	// through a degenerate vertex at the cost of one FTRAN instead of a
-	// basis change. 0 under Options.DenseSimplex.
+	// basis change.
 	BoundFlips int
-	// WeightResets counts pricing-weight reference resets: devex resets on
-	// every refactorization, steepest-edge only when numerical trouble
-	// invalidates the reference framework (falling back to Dantzig row
-	// selection until the next solve reinitializes the weights). 0 under
-	// PricingDantzig.
+	// WeightResets counts devex pricing-weight reference resets (at each
+	// refactorization, or when a weight outgrows the reference cap).
 	WeightResets int
 	// PresolveRows and PresolveCols count the constraint rows and variable
-	// columns the presolve layer eliminated before the search. Both are 0
-	// when Options.NoPresolve is set or presolve removed nothing; Values
-	// are always reported against the original model's VarIDs either way
-	// (postsolve rehydrates eliminated columns).
+	// columns the presolve layer eliminated before the search (0 when it
+	// removed nothing). Values are always reported against the original
+	// model's VarIDs (postsolve rehydrates eliminated columns).
 	PresolveRows int
 	PresolveCols int
-	// LU/basis health, summed over the root solve and every worker engine
-	// (all zero under Options.DenseSimplex, which keeps no factorization):
+	// LU/basis health, summed over the root solve and every worker engine:
 	// Refactorizations counts full basis factorizations, BasisUpdates the
-	// in-place pivot updates (Forrest–Tomlin, or eta appends under
-	// Options.EtaFileUpdates), FTRANCount/BTRANCount the triangular solves
-	// against the factorization, and PeakUFill the largest U-plus-eta
-	// nonzero count any worker's factor reached.
+	// in-place Forrest–Tomlin pivot updates, FTRANCount/BTRANCount the
+	// triangular solves against the factorization, and PeakUFill the
+	// largest U-plus-eta nonzero count any worker's factor reached.
 	Refactorizations int
 	BasisUpdates     int
 	FTRANCount       int
@@ -300,8 +288,8 @@ type Solution struct {
 	// handed to the dense two-phase engine mid-search.
 	DenseFallbacks int
 	// NodePresolveFixings counts the bound tightenings node presolve
-	// propagated from branching decisions before node LP solves (0 when
-	// Options.NoNodePresolve is set or for pure LPs).
+	// propagated from branching decisions before node LP solves (0 for
+	// pure LPs).
 	NodePresolveFixings int
 }
 
@@ -318,46 +306,47 @@ func (s Solution) IntValue(v VarID) int {
 	return int(math.Round(s.Value(v)))
 }
 
-// BranchRule selects how branch-and-bound picks the variable to branch
-// on at a fractional node.
-type BranchRule string
+// branchRule selects how branch-and-bound picks the variable to branch
+// on at a fractional node. Production runs pseudocost; most-fractional is
+// a test-only ablation (Options.branching).
+type branchRule string
 
 const (
-	// BranchMostFractional branches on the integer variable whose
+	// branchMostFractional branches on the integer variable whose
 	// relaxation value is farthest from an integer — the classic textbook
 	// rule, cheap but blind to objective impact.
-	BranchMostFractional BranchRule = "most-fractional"
-	// BranchPseudocost branches on the variable with the best pseudocost
+	branchMostFractional branchRule = "most-fractional"
+	// branchPseudocost branches on the variable with the best pseudocost
 	// score: the product of the per-unit objective degradations observed
 	// on past down/up branches of that variable, weighted by the current
 	// fractionality. Unreliable estimates (fewer than one observation per
 	// side) borrow the tree-wide average. Usually explores far fewer
-	// nodes than most-fractional on hard instances.
-	BranchPseudocost BranchRule = "pseudocost"
+	// nodes than most-fractional on hard instances. The default.
+	branchPseudocost branchRule = "pseudocost"
 )
 
-// PricingRule selects how the revised dual simplex picks the leaving row
+// pricingRule selects how the revised dual simplex picks the leaving row
 // at each pivot. The rule never changes what a solve proves — status and
 // objective at proven optimality are identical across rules — only how
-// many pivots it takes to get there.
-type PricingRule string
+// many pivots it takes to get there. Production runs devex; the other two
+// are test-only ablations (Options.pricing).
+type pricingRule string
 
 const (
-	// PricingDantzig picks the row with the largest bound violation — the
+	// pricingDantzig picks the row with the largest bound violation — the
 	// textbook rule the engine used before weighted pricing existed. Cheap
 	// per pivot but blind to the geometry, so degenerate instances can
 	// oscillate through long sequences of near-zero steps.
-	PricingDantzig PricingRule = "dantzig"
-	// PricingDevex scores each row's violation against an approximate
+	pricingDantzig pricingRule = "dantzig"
+	// pricingDevex scores each row's violation against an approximate
 	// reference weight maintained by the devex recurrence, resetting the
 	// reference framework on every refactorization. Nearly steepest-edge
 	// quality at no extra FTRAN/BTRAN work per pivot. The default.
-	PricingDevex PricingRule = "devex"
-	// PricingSteepestEdge maintains exact dual steepest-edge weights
+	pricingDevex pricingRule = "devex"
+	// pricingSteepestEdge maintains exact dual steepest-edge weights
 	// ‖B⁻ᵀe_i‖² via the Forrest–Goldfarb update, at the cost of one extra
-	// FTRAN per pivot. Fewest pivots per solve; worth it on instances
-	// where degeneracy, not factorization cost, is the bottleneck.
-	PricingSteepestEdge PricingRule = "steepest-edge"
+	// FTRAN per pivot.
+	pricingSteepestEdge pricingRule = "steepest-edge"
 )
 
 // Options tune the MILP search.
@@ -371,8 +360,9 @@ type Options struct {
 	// (0 = GOMAXPROCS). Objective and Status are deterministic across
 	// worker counts when the search runs to proven optimality; with a
 	// loose RelGap or a binding MaxNodes the early-stop point depends on
-	// timing, so use Workers: 1 where exact reproducibility of early
-	// stops matters.
+	// timing, and with Workers > 1 pseudocost scores depend on the order
+	// workers report results, so use Workers: 1 where exact
+	// reproducibility of node counts or early stops matters.
 	Workers int
 	// Context, when non-nil, cancels the search early. The simplex
 	// engines poll it at pivot intervals, so cancellation aborts even in
@@ -380,66 +370,53 @@ type Options struct {
 	// the best incumbent so far, and a pure-LP solve returns IterLimit
 	// (the point is phase-feasible but carries no certificate).
 	Context context.Context
-	// Branching selects the branch-variable rule (default
-	// BranchPseudocost). Objective and Status at proven optimality are
-	// identical for every rule; node counts differ, and with Workers > 1
-	// pseudocost scores depend on the order workers report results, so
-	// the explored node count may vary run to run.
-	Branching BranchRule
-	// Pricing selects the dual-simplex pricing rule (default PricingDevex).
-	// Objective and Status at proven optimality are identical for every
-	// rule; pivot counts differ. Ignored under DenseSimplex, which always
-	// prices by largest violation (Dantzig).
-	Pricing PricingRule
-	// NoWarmStart disables dual-simplex warm starts: every node
-	// relaxation is solved cold with the two-phase primal simplex, as
-	// before warm starts existed. For ablation and debugging.
-	NoWarmStart bool
-	// NoPresolve disables the presolve/postsolve layer: the search runs on
-	// the model exactly as built, as before presolve existed. For ablation
-	// and debugging; mirrors NoWarmStart.
-	NoPresolve bool
-	// DenseSimplex switches every LP solve back to the dense-tableau
-	// two-phase simplex the solver used before the revised engine existed.
-	// Memory is O(rows·cols) instead of nonzero-proportional, so it only
-	// scales to a few thousand columns; kept as an escape hatch and for
-	// differential testing against the revised path.
-	DenseSimplex bool
-	// EtaFileUpdates switches the revised engine's basis maintenance back
-	// to the product-form eta file (one eta per pivot, refactorization
-	// every 64 etas) instead of the default Forrest–Tomlin updates. For
-	// ablation and differential testing; ignored under DenseSimplex.
-	EtaFileUpdates bool
-	// NoNodePresolve disables per-node presolve: the bound-propagation pass
-	// that pushes each node's branching decisions through the constraint
-	// activity bounds before its LP solve, fixing or tightening additional
-	// integer variables and pruning propagation-infeasible nodes without a
-	// solve. For ablation and debugging; mirrors NoWarmStart/NoPresolve.
-	NoNodePresolve bool
 	// MaxLPIter caps simplex pivots per LP solve call, cumulative across
-	// everything the call runs: both dense two-phase passes, warm-start
-	// basis re-installation, and a revised→dense fallback (the dense
-	// engine only gets whatever budget the revised attempt left unspent).
-	// 0 means the size-derived default. A solve that exhausts the cap
-	// returns IterLimit instead of claiming optimality.
+	// everything the call runs: warm-start basis re-installation and a
+	// revised→dense fallback (the dense engine only gets whatever budget
+	// the revised attempt left unspent). 0 means the size-derived default.
+	// A solve that exhausts the cap returns IterLimit instead of claiming
+	// optimality.
 	MaxLPIter int
 	// MaxVars is the variable-count guard model builders (plan, restore)
 	// enforce before constructing an exact MIP for these options; the
-	// solver itself never refuses a model. 0 means the engine default —
-	// see MaxBuildVars.
+	// solver itself never refuses a model. 0 means DefaultMaxVars — see
+	// MaxBuildVars.
 	MaxVars int
 	// Logf, when non-nil, receives progress lines.
 	Logf func(format string, args ...interface{})
+
+	// Ablation switches. Production always runs their zero values; only
+	// tests set them — package solver directly, package solver_test
+	// through export_test.go — to hold each engine against its
+	// differential oracle. Status and objective at proven optimality never
+	// depend on them.
+	//
+	// branching and pricing pick the branch-variable and leaving-row rules
+	// ("" = pseudocost, devex). noWarmStart solves every node relaxation
+	// cold with the two-phase primal simplex. noPresolve skips the
+	// presolve/postsolve layer, noNodePresolve the per-node bound
+	// propagation. denseSimplex runs every LP on the dense two-phase
+	// tableau (memory O(rows·cols); prices by largest violation only).
+	// etaFileUpdates maintains the revised engine's basis with the
+	// product-form eta file (refactorization every 64 etas) instead of
+	// Forrest–Tomlin updates.
+	branching      branchRule
+	pricing        pricingRule
+	noWarmStart    bool
+	noPresolve     bool
+	noNodePresolve bool
+	denseSimplex   bool
+	etaFileUpdates bool
 }
 
-// Default MaxVars guards per engine: the revised simplex stores the
-// constraint matrix sparsely and its basis factored, so it scales to far
-// more columns than the dense tableau, whose memory is quadratic in the
-// standard-form size.
-const (
-	DefaultMaxVars      = 250000
-	DefaultDenseMaxVars = 8000
-)
+// DefaultMaxVars is the MaxVars guard when none is set: the revised
+// simplex stores the constraint matrix sparsely and its basis factored,
+// so it scales to hundreds of thousands of columns.
+const DefaultMaxVars = 250000
+
+// defaultDenseMaxVars is the guard under the dense-tableau ablation, whose
+// memory is quadratic in the standard-form size.
+const defaultDenseMaxVars = 8000
 
 // MaxBuildVars returns the effective variable cap for these options:
 // MaxVars when set, otherwise the default for the selected LP engine.
@@ -447,34 +424,18 @@ func (o Options) MaxBuildVars() int {
 	if o.MaxVars > 0 {
 		return o.MaxVars
 	}
-	if o.DenseSimplex {
-		return DefaultDenseMaxVars
+	if o.denseSimplex {
+		return defaultDenseMaxVars
 	}
 	return DefaultMaxVars
 }
 
-func (o Options) withDefaults() (Options, error) {
+func (o Options) withDefaults() Options {
 	if o.MaxNodes == 0 {
 		o.MaxNodes = 200000
 	}
 	if o.RelGap == 0 {
 		o.RelGap = 1e-6
 	}
-	switch o.Branching {
-	case "":
-		o.Branching = BranchPseudocost
-	case BranchPseudocost, BranchMostFractional:
-	default:
-		return o, fmt.Errorf("solver: unknown branching rule %q (want %q or %q)",
-			o.Branching, BranchPseudocost, BranchMostFractional)
-	}
-	switch o.Pricing {
-	case "":
-		o.Pricing = PricingDevex
-	case PricingDantzig, PricingDevex, PricingSteepestEdge:
-	default:
-		return o, fmt.Errorf("solver: unknown pricing rule %q (want %q, %q, or %q)",
-			o.Pricing, PricingDantzig, PricingDevex, PricingSteepestEdge)
-	}
-	return o, nil
+	return o
 }

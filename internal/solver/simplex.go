@@ -22,8 +22,7 @@ const ctxCheckMask = 63
 // SolveLP solves the linear relaxation of the model (integrality
 // dropped) with the default engine: the LU-factorized revised simplex,
 // falling back to the dense two-phase tableau on the rare solves the
-// revised path cannot certify. Use SolveWithOptions with
-// Options.DenseSimplex to force the dense path.
+// revised path cannot certify.
 func (m *Model) SolveLP() Solution {
 	return m.solveRelaxation(Options{})
 }

@@ -507,3 +507,22 @@ func TestMIPBoundedIntegers(t *testing.T) {
 		t.Errorf("x=%d y=%d, want 2, 4", s.IntValue(x), s.IntValue(y))
 	}
 }
+
+// TestMaxBuildVars: an explicit MaxVars binds whatever the engine; unset,
+// the guard is DefaultMaxVars, or defaultDenseMaxVars under the dense
+// tableau, whose memory is quadratic in the model size.
+func TestMaxBuildVars(t *testing.T) {
+	for _, tc := range []struct {
+		opts Options
+		want int
+	}{
+		{Options{}, DefaultMaxVars},
+		{Options{denseSimplex: true}, defaultDenseMaxVars},
+		{Options{MaxVars: 100}, 100},
+		{Options{MaxVars: 100, denseSimplex: true}, 100},
+	} {
+		if got := tc.opts.MaxBuildVars(); got != tc.want {
+			t.Errorf("MaxVars %d dense %v: MaxBuildVars %d, want %d", tc.opts.MaxVars, tc.opts.denseSimplex, got, tc.want)
+		}
+	}
+}

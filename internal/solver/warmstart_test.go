@@ -91,13 +91,13 @@ func TestWarmStartMatchesColdMixedProperty(t *testing.T) {
 func warmVsColdProperty(t *testing.T, m *Model, trial int, tol float64) {
 	t.Helper()
 	ref := mustSolveOpts(t, m, Options{
-		Workers: 1, NoWarmStart: true, Branching: BranchMostFractional,
+		Workers: 1, noWarmStart: true, branching: branchMostFractional,
 	})
-	for _, rule := range []BranchRule{BranchMostFractional, BranchPseudocost} {
+	for _, rule := range []branchRule{branchMostFractional, branchPseudocost} {
 		for _, workers := range []int{1, 3} {
 			for _, noWarm := range []bool{false, true} {
 				got := mustSolveOpts(t, m, Options{
-					Workers: workers, NoWarmStart: noWarm, Branching: rule,
+					Workers: workers, noWarmStart: noWarm, branching: rule,
 				})
 				if got.Status != ref.Status {
 					t.Fatalf("trial %d rule=%s workers=%d noWarm=%v: status %v, reference %v",
@@ -153,31 +153,25 @@ func TestWarmStartStatsRecorded(t *testing.T) {
 		t.Errorf("WarmStartHits = %d not below Nodes = %d (root is always cold)",
 			sol.WarmStartHits, sol.Nodes)
 	}
-	if sol.Branching != BranchPseudocost {
-		t.Errorf("default Branching = %q, want %q", sol.Branching, BranchPseudocost)
-	}
 
-	cold := mustSolveOpts(t, m, Options{Workers: 1, NoWarmStart: true})
+	cold := mustSolveOpts(t, m, Options{Workers: 1, noWarmStart: true})
 	if cold.WarmStartHits != 0 {
-		t.Errorf("NoWarmStart WarmStartHits = %d, want 0", cold.WarmStartHits)
+		t.Errorf("noWarmStart WarmStartHits = %d, want 0", cold.WarmStartHits)
 	}
 	if cold.Objective != sol.Objective {
-		t.Errorf("NoWarmStart objective %v != warm objective %v", cold.Objective, sol.Objective)
+		t.Errorf("noWarmStart objective %v != warm objective %v", cold.Objective, sol.Objective)
 	}
 }
 
 func TestBranchingRulesAgreeOnObjective(t *testing.T) {
 	m := branchyMIP()
-	mf := mustSolveOpts(t, m, Options{Workers: 1, Branching: BranchMostFractional})
-	pc := mustSolveOpts(t, m, Options{Workers: 1, Branching: BranchPseudocost})
+	mf := mustSolveOpts(t, m, Options{Workers: 1, branching: branchMostFractional})
+	pc := mustSolveOpts(t, m, Options{Workers: 1, branching: branchPseudocost})
 	if mf.Status != Optimal || pc.Status != Optimal {
 		t.Fatalf("statuses: mf=%v pc=%v", mf.Status, pc.Status)
 	}
 	if mf.Objective != pc.Objective {
 		t.Fatalf("rules disagree: most-fractional %v, pseudocost %v", mf.Objective, pc.Objective)
-	}
-	if mf.Branching != BranchMostFractional || pc.Branching != BranchPseudocost {
-		t.Errorf("Branching echo wrong: mf=%q pc=%q", mf.Branching, pc.Branching)
 	}
 }
 

@@ -83,6 +83,12 @@ type gammaVar struct {
 // and (3) conflict appear as rows. Constraint (2) reach is enforced by
 // never creating infeasible (path, format) variables.
 //
+// The search starts from the heuristic: when Solve's plan serves every
+// demand it is the MIP start, so branch-and-bound begins with an incumbent
+// (often the LP bound alone proves it optimal), and a solve stopped by
+// MaxNodes or the context still returns a plan, with LimitReached and its
+// proven Gap.
+//
 // The build refuses — rather than thrash — once the variable count
 // passes opts.MaxBuildVars(): Options.MaxVars when set, otherwise
 // solver.DefaultMaxVars (250000). Production-scale instances (hundreds of links on a 384-pixel
@@ -136,12 +142,30 @@ func SolveExact(p Problem, opts solver.Options) (*Result, error) {
 	m.Grow(nGamma, len(p.IP.Links))
 	gammas := make([]gammaVar, 0, nGamma)
 
+	// The heuristic's plan, when it serves every demand, is the search's
+	// MIP start: each of its wavelengths is the γ of its (link, path index,
+	// mode, start pixel), set to 1 as that column is built. If a wavelength
+	// finds no column, no start is set. The solver checks the start against
+	// the model and only ever replaces it with a better plan.
+	var start []float64
+	var heur map[string][]Wavelength
+	unmapped := 0
+	if h, err := Solve(p); err == nil && h.Feasible() {
+		start = make([]float64, nGamma)
+		heur = make(map[string][]Wavelength, len(p.IP.Links))
+		for _, w := range h.Wavelengths {
+			heur[w.LinkID] = append(heur[w.LinkID], w)
+		}
+		unmapped = len(h.Wavelengths)
+	}
+
 	// A channel of the same format may be needed more than once per
 	// (link, path): the binary γ encoding expresses multiplicity through
 	// distinct starting pixels q, exactly as the paper defines the q-th
 	// order.
 	for _, link := range p.IP.Links {
 		linkTerms := make([]solver.Term, 0, perLink[link.ID])
+		linkHeur := heur[link.ID]
 		for pi, pm := range feas[link.ID] {
 			path := pm.path
 			for _, mode := range pm.modes {
@@ -161,6 +185,13 @@ func SolveExact(p Problem, opts solver.Options) (*Result, error) {
 						linkID: link.ID, pathIndex: pi, path: path,
 						mode: mode, startQ: q, pixels: pixels, id: id,
 					})
+					for _, w := range linkHeur {
+						if w.PathIndex == pi && w.Interval.Start == q && *w.Mode == *mode {
+							start[id] = 1
+							unmapped--
+							break
+						}
+					}
 					linkTerms = append(linkTerms, solver.Term{Var: id, Coef: float64(mode.DataRateGbps)})
 					for _, f := range path.Fibers {
 						rows, ok := slotUsers[f]
@@ -207,6 +238,9 @@ func SolveExact(p Problem, opts solver.Options) (*Result, error) {
 		}
 	}
 
+	if start != nil && unmapped == 0 {
+		m.SetStart(start)
+	}
 	sol, err := m.SolveWithOptions(opts)
 	if err != nil {
 		return nil, fmt.Errorf("plan: %w", err)

@@ -23,13 +23,22 @@ func (m *Model) Solve() Solution {
 // GOMAXPROCS) sharing a best-first frontier. The model is first reduced
 // by the presolve layer (bound propagation, substitution, redundant-row
 // and duplicate-column removal) and the solution is rehydrated against
-// the original VarIDs afterwards. Every Options value is valid, so the
-// error is always nil today; it stays in the signature for callers that
-// wrap it.
+// the original VarIDs afterwards; a MIP start (SetStart) that is still the
+// incumbent at the end is returned as given instead. Every Options value
+// is valid, so the error is always nil today; it stays in the signature
+// for callers that wrap it.
 func (m *Model) SolveWithOptions(opts Options) (Solution, error) {
 	opts = opts.withDefaults()
+	var start *mipStart
+	if !opts.noStart {
+		start = m.checkStart(opts.Logf)
+	}
 	if opts.noPresolve {
-		return m.solveReduced(opts), nil
+		sol, kept := m.solveReduced(opts, start)
+		if kept {
+			sol = start.into(sol)
+		}
+		return sol, nil
 	}
 	p := m.presolve(opts.Logf)
 	if p.infeasible {
@@ -39,14 +48,20 @@ func (m *Model) SolveWithOptions(opts Options) (Solution, error) {
 			PresolveCols: p.colsRemoved,
 		}, nil
 	}
-	sol := p.reduced.solveReduced(opts)
+	sol, kept := p.reduced.solveReduced(opts, start.reduced(p.fixedObjective()))
+	if kept {
+		sol.PresolveRows, sol.PresolveCols = p.rowsRemoved, p.colsRemoved
+		return start.into(sol), nil
+	}
 	return p.postsolve(sol), nil
 }
 
 // solveReduced runs the actual search on m as-is: as an LP when it has no
-// integer variables, otherwise with LP-relaxation branch-and-bound. opts
-// must already carry defaults.
-func (m *Model) solveReduced(opts Options) Solution {
+// integer variables, otherwise with LP-relaxation branch-and-bound seeded
+// with start (nil: none), whose objective is in m's space. kept reports
+// that the start is the answer; sol then has no Values. opts must already
+// carry defaults.
+func (m *Model) solveReduced(opts Options, start *mipStart) (sol Solution, kept bool) {
 	hasInt := false
 	for _, v := range m.vars {
 		if v.integer {
@@ -55,9 +70,9 @@ func (m *Model) solveReduced(opts Options) Solution {
 		}
 	}
 	if !hasInt {
-		return m.solveRelaxation(opts)
+		return m.solveRelaxation(opts), false
 	}
-	return m.branchAndBound(opts)
+	return m.branchAndBound(opts, start)
 }
 
 // boundChange is one copy-on-branch bound tightening. A bbNode's bounds
@@ -213,7 +228,7 @@ type bbNode struct {
 	// snap is the parent's optimal basis snapshot (engine-specific:
 	// *rxSnap or *basisSnap); both children share one immutable snapshot
 	// and try a dual-simplex warm start from it before falling back to a
-	// cold solve. nil at the root.
+	// cold solve. The root is never queued: branchAndBound solves it.
 	snap any
 	// fracStep is how far the branch moved the branched variable: the
 	// down-fraction for an ub child, the up-fraction for an lb child.
@@ -274,11 +289,13 @@ type bbSearch struct {
 	nodes    int       // nodes expanded so far (LP relaxations solved)
 	ramped   bool      // frontier has (or had) ≥ workers nodes; go wide
 
-	incumbent *Solution // best integral solution; Values owned (copied)
+	// incumbent is the best integral solution, Values owned (copied); or
+	// the MIP start, which has an objective and no Values.
+	incumbent *Solution
 
 	simplexIters int     // total pivots across all workers (incl. root solve)
 	warmHits     int     // nodes resolved by a dual-simplex warm start
-	lu           lpStats // basis health summed over root + worker engines
+	lu           lpStats // basis health summed over the worker engines
 	npFixings    int     // node-presolve bound tightenings across all nodes
 
 	// Pseudocost bookkeeping (nil slices unless branching is pseudocost).
@@ -299,24 +316,14 @@ type bbSearch struct {
 	stopBound float64 // proven bound at the early stop
 }
 
-func (m *Model) branchAndBound(opts Options) Solution {
+// branchAndBound runs the search, seeded with start (nil: none) as the
+// first incumbent. kept reports that the start is still the incumbent at
+// the end; the Solution then has the start's objective and no Values.
+func (m *Model) branchAndBound(opts Options, start *mipStart) (sol Solution, kept bool) {
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-
-	root := m.solveRelaxation(opts)
-	if root.Status != Optimal {
-		if root.Status == IterLimit && opts.Context != nil && opts.Context.Err() != nil {
-			// The root LP was aborted by the caller's context, not a pivot
-			// budget: report the same LimitReached a between-node
-			// cancellation does, so MIP callers see one cancel status.
-			root.Status = LimitReached
-		}
-		root.Workers = workers
-		return root
-	}
-
 	s := &bbSearch{
 		m:       m,
 		opts:    opts,
@@ -327,18 +334,12 @@ func (m *Model) branchAndBound(opts Options) Solution {
 		active:  make([]float64, workers),
 		// A single worker is always "ramped": the gate only matters when
 		// there is someone to share the frontier with.
-		ramped:       workers <= 1,
-		simplexIters: root.SimplexIters,
-		lu: lpStats{
-			factorizations: root.Refactorizations,
-			updates:        root.BasisUpdates,
-			ftrans:         root.FTRANCount,
-			btrans:         root.BTRANCount,
-			peakFill:       root.PeakUFill,
-			denseFallbacks: root.DenseFallbacks,
-			boundFlips:     root.BoundFlips,
-			weightResets:   root.WeightResets,
-		},
+		ramped: workers <= 1,
+	}
+	if start != nil {
+		// Nil Values mark the start, and keep every tie from replacing it:
+		// lexLess against an empty slice is false.
+		s.incumbent = &Solution{Objective: start.obj}
 	}
 	if opts.branching != branchMostFractional {
 		nv := len(m.vars)
@@ -351,21 +352,71 @@ func (m *Model) branchAndBound(opts Options) Solution {
 	for i := range s.active {
 		s.active[i] = math.NaN()
 	}
-	heap.Push(s.queue, &bbNode{bound: s.round.lift(root.Objective)})
 
-	if workers == 1 {
-		s.worker(0)
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for i := 0; i < workers; i++ {
-			go func(id int) {
-				defer wg.Done()
-				s.worker(id)
-			}(i)
-		}
-		wg.Wait()
+	// The root LP is solved once, on the engine worker 0 inherits: its
+	// retained optimal state is what the root's children dive from.
+	eng := newLPEngine(m, opts)
+	eng.applyBounds(nil)
+	root := eng.solveCold()
+	s.simplexIters = eng.pivots()
+	if eng.stats().denseFallbacks > 0 && opts.Logf != nil {
+		opts.Logf("solver: root LP fell back to the dense engine")
 	}
+	if root.Status == IterLimit && s.incumbent != nil {
+		// A limit stopped the root LP: the start stands, with no bound
+		// proven against it.
+		s.limitHit, s.stopBound = true, math.Inf(1)
+		if s.min {
+			s.stopBound = math.Inf(-1)
+		}
+		s.lu.merge(eng.stats())
+		return s.finish(workers)
+	}
+	if root.Status != Optimal {
+		if root.Status == IterLimit && opts.Context != nil && opts.Context.Err() != nil {
+			// The root LP was aborted by the caller's context, not a pivot
+			// budget: report the same LimitReached a between-node
+			// cancellation does, so MIP callers see one cancel status.
+			root.Status = LimitReached
+		}
+		root.Workers = workers
+		root.SimplexIters = s.simplexIters
+		eng.stats().addTo(&root)
+		if root.Values != nil {
+			root.Values = append([]float64(nil), root.Values...)
+		}
+		return root, false
+	}
+
+	// The root is node 1, admitted and processed like any popped node. A
+	// start its lifted bound cannot beat ends the search right here, with
+	// no node expanded and no worker started.
+	node := &bbNode{bound: s.round.lift(root.Objective)}
+	var snap any
+	var fixBase *boundChange
+	s.mu.Lock()
+	if ok, inc := s.admitLocked(node); ok {
+		s.nodes++
+		snap, fixBase = s.retain(eng, root, node.bounds, inc)
+		s.processLocked(node, root, snap, fixBase)
+	}
+	done := s.stop || s.queue.Len() == 0
+	s.mu.Unlock()
+	if done {
+		s.lu.merge(eng.stats())
+		return s.finish(workers)
+	}
+
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for id := 1; id < workers; id++ {
+		go func(id int) {
+			defer wg.Done()
+			s.worker(id, nil, nil, nil)
+		}(id)
+	}
+	s.worker(0, eng, snap, fixBase)
+	wg.Wait()
 	return s.finish(workers)
 }
 
@@ -401,22 +452,22 @@ func (s *bbSearch) globalBoundLocked(candidate float64) float64 {
 
 // worker is one branch-and-bound worker loop. It owns a private LP engine
 // and pops nodes from the shared frontier until the search terminates.
-func (s *bbSearch) worker(id int) {
-	eng := newLPEngine(s.m, s.opts)
-	ctx := s.opts.Context
-	// tabOwner/tabBounds identify whose optimal state the engine currently
-	// retains: the basis snapshot created from that solve and the bound
-	// chain it was solved under. When the next popped node descends
-	// directly from exactly that solve, solveDive re-optimizes the retained
-	// state in place instead of rebuilding anything.
-	var tabOwner any
-	var tabBounds *boundChange
+// eng is the engine to adopt (nil: build one), and tabOwner/tabBounds
+// identify whose optimal state it retains: the basis snapshot created from
+// that solve and the bound chain it was solved under. When the next popped
+// node descends directly from exactly that solve, solveDive re-optimizes
+// the retained state in place instead of rebuilding anything. Worker 0
+// adopts the root's engine this way.
+func (s *bbSearch) worker(id int, eng lpEngine, tabOwner any, tabBounds *boundChange) {
+	if eng == nil {
+		eng = newLPEngine(s.m, s.opts)
+	}
 	var diveChanges []*boundChange
 	var np *npState
 	if !s.opts.noNodePresolve {
 		np = newNpState(s.m)
 	}
-	fellBack := 0 // dense fallbacks already logged for this worker
+	fellBack := eng.stats().denseFallbacks // dense fallbacks already logged
 	s.mu.Lock()
 	for {
 		if s.stop {
@@ -446,36 +497,13 @@ func (s *bbSearch) worker(id int) {
 				continue
 			}
 		}
-		if ctx != nil && ctx.Err() != nil {
-			s.stop, s.cancelled = true, true
-			s.stopBound = s.globalBoundLocked(math.NaN())
-			s.cond.Broadcast()
-			break
-		}
-		if s.nodes >= s.opts.MaxNodes {
-			s.stop, s.limitHit = true, true
-			s.stopBound = s.globalBoundLocked(math.NaN())
-			s.cond.Broadcast()
-			break
-		}
 		node := heap.Pop(s.queue).(*bbNode)
-		hasInc := s.incumbent != nil
-		incObj := 0.0
-		if hasInc {
-			incObj = s.incumbent.Objective
-			if !s.betterObj(node.bound, incObj) {
-				// Not better than the incumbent: discard. (Unlike the
-				// sequential solver we cannot conclude the whole frontier
-				// is pruned — an in-flight sibling may still improve the
-				// incumbent — so just drop this node and keep looping.)
-				continue
-			}
-			if relGap(incObj, s.globalBoundLocked(node.bound)) <= s.opts.RelGap {
-				s.stop, s.gapStop = true, true
-				s.stopBound = s.globalBoundLocked(node.bound)
-				s.cond.Broadcast()
+		ok, inc := s.admitLocked(node)
+		if !ok {
+			if s.stop {
 				break
 			}
+			continue
 		}
 		s.nodes++
 		s.inFlight++
@@ -541,19 +569,7 @@ func (s *bbSearch) worker(id int) {
 				iters += eng.pivots()
 			}
 		}
-		// Snapshot the optimal basis outside the lock while the engine
-		// still holds it — but only when this node will actually branch —
-		// and tighten the children's bound chain with reduced-cost fixings
-		// against the incumbent read at pop time (a stale incumbent is only
-		// weaker, so the fixings stay valid).
-		var snap any
-		fixBase := node.bounds
-		if sol.Status == Optimal && s.hasFracInt(sol.Values) {
-			snap = eng.snapshot()
-			if hasInc {
-				fixBase = eng.fixings(sol.Objective, incObj, node.bounds)
-			}
-		}
+		snap, fixBase := s.retain(eng, sol, node.bounds, inc)
 		tabOwner, tabBounds = snap, fixBase
 
 		s.mu.Lock()
@@ -577,6 +593,52 @@ func (s *bbSearch) worker(id int) {
 	}
 	s.lu.merge(eng.stats())
 	s.mu.Unlock()
+}
+
+// admitLocked decides whether the popped node is expanded. Cancellation,
+// an exhausted node budget and a closed RelGap stop the search; a node
+// whose bound cannot beat the incumbent is dropped. (Unlike a sequential
+// solver a worker cannot conclude the whole frontier is pruned — an
+// in-flight sibling may still improve the incumbent — so a dropped node
+// does not end the search.) inc is the incumbent objective the node was
+// admitted against, NaN when there is none. Requires s.mu held.
+func (s *bbSearch) admitLocked(node *bbNode) (ok bool, inc float64) {
+	ctx := s.opts.Context
+	switch {
+	case ctx != nil && ctx.Err() != nil:
+		s.cancelled = true
+	case s.nodes >= s.opts.MaxNodes:
+		s.limitHit = true
+	case s.incumbent == nil:
+		return true, math.NaN()
+	case !s.betterObj(node.bound, s.incumbent.Objective):
+		return false, 0
+	case relGap(s.incumbent.Objective, s.globalBoundLocked(node.bound)) <= s.opts.RelGap:
+		s.gapStop = true
+	default:
+		return true, s.incumbent.Objective
+	}
+	s.stop = true
+	s.stopBound = s.globalBoundLocked(node.bound)
+	s.cond.Broadcast()
+	return false, 0
+}
+
+// retain snapshots the engine's optimal basis after a node's solve — only
+// when the node will branch — and extends its chain with reduced-cost
+// fixings against inc, the incumbent objective read when the node was
+// admitted (a stale incumbent is only weaker, so the fixings stay valid;
+// NaN: no incumbent, no fixings). It reads the engine and the immutable
+// model only, so workers call it outside the lock.
+func (s *bbSearch) retain(eng lpEngine, sol Solution, chain *boundChange, inc float64) (snap any, fixBase *boundChange) {
+	fixBase = chain
+	if sol.Status == Optimal && s.hasFracInt(sol.Values) {
+		snap = eng.snapshot()
+		if !math.IsNaN(inc) {
+			fixBase = eng.fixings(sol.Objective, inc, chain)
+		}
+	}
+	return snap, fixBase
 }
 
 // hasFracInt reports whether any integer variable is fractional in values.
@@ -877,8 +939,9 @@ func lexLess(a, b []float64) bool {
 	return false
 }
 
-// finish assembles the Solution after all workers have returned.
-func (s *bbSearch) finish(workers int) Solution {
+// finish assembles the Solution after all workers have returned. kept
+// reports that the incumbent is still the MIP start (see branchAndBound).
+func (s *bbSearch) finish(workers int) (sol Solution, kept bool) {
 	var out Solution
 	switch {
 	case s.cancelled || s.limitHit:
@@ -920,7 +983,7 @@ func (s *bbSearch) finish(workers int) Solution {
 	out.WarmStartHits = s.warmHits
 	s.lu.addTo(&out)
 	out.NodePresolveFixings = s.npFixings
-	return out
+	return out, s.incumbent != nil && s.incumbent.Values == nil
 }
 
 // relGap is the relative distance between the incumbent objective and the

@@ -2,6 +2,7 @@ package solver_test
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
@@ -19,7 +20,9 @@ import (
 // engine proves optimality, and the acceptance bar for this instance
 // family is bitwise-identical objective values). The reported plan is
 // also checked for internal consistency: provisioned capacity covers
-// demand.
+// demand. Every row but the last searches without the heuristic's MIP
+// start, so the ladder keeps driving branch-and-bound on real planning
+// MIPs; the last row is production's start-seeded default.
 func TestEngineDifferentialLadder(t *testing.T) {
 	ladder := []int{16, 24, 32, 48, 64}
 	if testing.Short() {
@@ -28,18 +31,20 @@ func TestEngineDifferentialLadder(t *testing.T) {
 	cfgs := []struct {
 		workers int
 		abl     solver.Ablation
+		start   bool
 	}{
-		{1, solver.Ablation{}}, // default: revised + Forrest–Tomlin, devex, pseudocost, all passes on
-		{1, solver.Ablation{EtaFileUpdates: true}},
-		{1, solver.Ablation{DenseSimplex: true}},
-		{1, solver.Ablation{NoPresolve: true}},
-		{1, solver.Ablation{NoNodePresolve: true}},
-		{1, solver.Ablation{EtaFileUpdates: true, NoPresolve: true}},
-		{1, solver.Ablation{DenseSimplex: true, NoPresolve: true}},
-		{1, solver.Ablation{Pricing: solver.PricingDantzig}},
-		{1, solver.Ablation{Pricing: solver.PricingSteepestEdge}},
-		{1, solver.Ablation{Branching: solver.BranchMostFractional}},
-		{2, solver.Ablation{}},
+		{1, solver.Ablation{}, false}, // default: revised + Forrest–Tomlin, devex, pseudocost, all passes on
+		{1, solver.Ablation{EtaFileUpdates: true}, false},
+		{1, solver.Ablation{DenseSimplex: true}, false},
+		{1, solver.Ablation{NoPresolve: true}, false},
+		{1, solver.Ablation{NoNodePresolve: true}, false},
+		{1, solver.Ablation{EtaFileUpdates: true, NoPresolve: true}, false},
+		{1, solver.Ablation{DenseSimplex: true, NoPresolve: true}, false},
+		{1, solver.Ablation{Pricing: solver.PricingDantzig}, false},
+		{1, solver.Ablation{Pricing: solver.PricingSteepestEdge}, false},
+		{1, solver.Ablation{Branching: solver.BranchMostFractional}, false},
+		{2, solver.Ablation{}, false},
+		{1, solver.Ablation{}, true},
 	}
 	for _, pixels := range ladder {
 		p, err := eval.ExactScalingProblem(pixels)
@@ -48,6 +53,7 @@ func TestEngineDifferentialLadder(t *testing.T) {
 		}
 		var ref float64
 		for i, c := range cfgs {
+			c.abl.NoStart = !c.start
 			label := fmt.Sprintf("pixels=%d workers=%d %+v", pixels, c.workers, c.abl)
 			res, err := plan.SolveExact(p, c.abl.Apply(solver.Options{MaxNodes: 100000, Workers: c.workers}))
 			if err != nil {
@@ -75,7 +81,8 @@ func TestEngineDifferentialLadder(t *testing.T) {
 // clusters, core, and IP links of the synthetic backbone — and checks the
 // plan against demand, plus the FT/eta objective identity on a real
 // (non-line) topology. Kept at a small grid so it stays a unit test;
-// TestTBackbonePins runs the bigger ones.
+// TestTBackbonePins runs the bigger ones. Without the heuristic's MIP start,
+// so both engines run the search.
 func TestExactTBackbone(t *testing.T) {
 	p, err := eval.ExactTBackboneProblem(1, 0.02, 32, 1)
 	if err != nil {
@@ -83,7 +90,7 @@ func TestExactTBackbone(t *testing.T) {
 	}
 	var ref float64
 	for i, etaFile := range []bool{false, true} {
-		opts := solver.Ablation{EtaFileUpdates: etaFile}.Apply(solver.Options{MaxNodes: 200000, Workers: 1})
+		opts := solver.Ablation{EtaFileUpdates: etaFile, NoStart: true}.Apply(solver.Options{MaxNodes: 200000, Workers: 1})
 		res, err := plan.SolveExact(p, opts)
 		if err != nil {
 			t.Fatalf("etaFile=%v: %v", etaFile, err)
@@ -110,11 +117,15 @@ func TestExactTBackbone(t *testing.T) {
 // candidate path per link, 24 pixels with three, and the degeneracy wall —
 // 32 pixels with three, where Dantzig pricing stalls outright. Each must
 // prove the same optimum, match the heuristic's transponder count (the
-// planning-quality cross-check behind Fig 12), and stay within 1.5× of
+// planning-quality cross-check behind Fig 12) and pass plan.Verify.
+//
+// Without the heuristic's MIP start, each search must stay within 1.5× of
 // the recorded pivots and nodes: pivot counts are deterministic at one
 // worker, and any change to the floating-point summation order of a
 // kernel re-rolls the ratio-test ties on the wall (a scatter-form BTRAN
-// once took 19 346 pivots there). ~12 s, 7 s of it the wall.
+// once took ~7 000 pivots more there). With the start — production — the
+// lifted root LP bound proves the heuristic's plan optimal: 0 nodes.
+// ~15 s, 8 s of it the wall without the start.
 func TestTBackbonePins(t *testing.T) {
 	if testing.Short() || raceDetectorOn {
 		t.Skip("full T-backbone exact solves: skipped with -short and under the race detector")
@@ -122,37 +133,49 @@ func TestTBackbonePins(t *testing.T) {
 	const objective, transponders = 40.85000000000001, 38
 	for _, tc := range []struct {
 		pixels, k     int
-		pivots, nodes int // recorded
+		pivots, nodes int // recorded, without the start
 	}{
-		{32, 1, 2813, 96},
-		{24, 3, 13646, 155},
-		{32, 3, 12414, 220},
+		{32, 1, 2275, 96},
+		{24, 3, 13144, 155},
+		{32, 3, 11822, 220},
 	} {
-		label := fmt.Sprintf("pixels=%d k=%d", tc.pixels, tc.k)
 		p, err := eval.ExactTBackboneProblem(1, 0.02, tc.pixels, tc.k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := plan.SolveExact(p, solver.Options{Workers: 1})
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		s := res.Solver
-		t.Logf("%s: %d nodes, %d pivots (recorded %d, %d)", label, s.Nodes, s.SimplexIters, tc.nodes, tc.pivots)
-		if s.Status != solver.Optimal || s.Objective != objective {
-			t.Errorf("%s: %v at objective %v, want optimal at %v", label, s.Status, s.Objective, objective)
-		}
-		if s.SimplexIters > tc.pivots*3/2 || s.Nodes > tc.nodes*3/2 {
-			t.Errorf("%s: %d pivots and %d nodes, budget 1.5× the recorded %d and %d",
-				label, s.SimplexIters, s.Nodes, tc.pivots, tc.nodes)
-		}
 		h, err := plan.Solve(p)
 		if err != nil {
-			t.Fatalf("%s: heuristic: %v", label, err)
+			t.Fatalf("pixels=%d k=%d: heuristic: %v", tc.pixels, tc.k, err)
 		}
-		if h.Transponders() != transponders || res.Transponders() != transponders {
-			t.Errorf("%s: heuristic %d and exact %d transponders, want %d each",
-				label, h.Transponders(), res.Transponders(), transponders)
+		for _, start := range []bool{false, true} {
+			label := fmt.Sprintf("pixels=%d k=%d start=%v", tc.pixels, tc.k, start)
+			res, err := plan.SolveExact(p, solver.Ablation{NoStart: !start}.Apply(solver.Options{Workers: 1}))
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			s := res.Solver
+			t.Logf("%s: %d nodes, %d pivots (recorded without the start: %d, %d)", label, s.Nodes, s.SimplexIters, tc.nodes, tc.pivots)
+			if start {
+				if s.Status != solver.Optimal || math.Abs(s.Objective-objective) > 1e-9 || s.Nodes != 0 {
+					t.Errorf("%s: %v at objective %v after %d nodes, want optimal at %v after 0",
+						label, s.Status, s.Objective, s.Nodes, objective)
+				}
+			} else {
+				if s.Status != solver.Optimal || s.Objective != objective {
+					t.Errorf("%s: %v at objective %v, want optimal at %v", label, s.Status, s.Objective, objective)
+				}
+				if s.SimplexIters > tc.pivots*3/2 || s.Nodes > tc.nodes*3/2 {
+					t.Errorf("%s: %d pivots and %d nodes, budget 1.5× the recorded %d and %d",
+						label, s.SimplexIters, s.Nodes, tc.pivots, tc.nodes)
+				}
+			}
+			if h.Transponders() != transponders || res.Transponders() != transponders {
+				t.Errorf("%s: heuristic %d and exact %d transponders, want %d each",
+					label, h.Transponders(), res.Transponders(), transponders)
+			}
+			if err := plan.Verify(p, res); err != nil {
+				t.Errorf("%s: %v", label, err)
+			}
 		}
 	}
 }

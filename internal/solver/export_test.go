@@ -18,13 +18,14 @@ type Ablation struct {
 	NoNodePresolve bool
 	DenseSimplex   bool
 	EtaFileUpdates bool
+	NoStart        bool
 }
 
 // Apply returns o with a's switches set.
 func (a Ablation) Apply(o Options) Options {
 	o.branching, o.pricing = a.Branching, a.Pricing
 	o.noWarmStart, o.noPresolve, o.noNodePresolve = a.NoWarmStart, a.NoPresolve, a.NoNodePresolve
-	o.denseSimplex, o.etaFileUpdates = a.DenseSimplex, a.EtaFileUpdates
+	o.denseSimplex, o.etaFileUpdates, o.noStart = a.DenseSimplex, a.EtaFileUpdates, a.NoStart
 	return o
 }
 

@@ -83,6 +83,7 @@ type Model struct {
 	sense Sense
 	vars  []variable
 	cons  []constraint
+	start []float64 // SetStart's values, unchecked until a solve
 
 	// cscOnce/csc cache the column-compressed constraint matrix the
 	// revised simplex works on: built once on first solve and shared
@@ -245,9 +246,11 @@ type Solution struct {
 	// Values holds one entry per variable, indexed by VarID.
 	Values []float64
 	// Gap is the relative optimality gap proven at termination (MILP
-	// only; 0 for LPs).
+	// only; 0 for LPs). +Inf when a limit stopped the root LP and the
+	// answer is the MIP start, against which no bound was proven.
 	Gap float64
-	// Nodes is the number of branch-and-bound nodes explored.
+	// Nodes is the number of branch-and-bound nodes explored, the root
+	// included; 0 when the root LP bound alone proves a MIP start optimal.
 	Nodes int
 	// Workers is the number of branch-and-bound workers used (0 for LPs).
 	Workers int
@@ -399,7 +402,8 @@ type Options struct {
 	// tableau (memory O(rows·cols); prices by largest violation only).
 	// etaFileUpdates maintains the revised engine's basis with the
 	// product-form eta file (refactorization every 64 etas) instead of
-	// Forrest–Tomlin updates.
+	// Forrest–Tomlin updates. noStart ignores the model's MIP start
+	// (SetStart), so the search has to find its own first incumbent.
 	branching      branchRule
 	pricing        pricingRule
 	noWarmStart    bool
@@ -407,6 +411,7 @@ type Options struct {
 	noNodePresolve bool
 	denseSimplex   bool
 	etaFileUpdates bool
+	noStart        bool
 }
 
 // DefaultMaxVars is the MaxVars guard when none is set: the revised

@@ -18,6 +18,8 @@ import (
 // proven optimal at the same objective after the same nodes, pivots,
 // refactorizations and node-presolve fixings. A builder that drifts in
 // variable order, objective, path enumeration or row set moves at least one.
+// Both sides search without plan.SolveExact's heuristic start (the restated
+// model has none), so the comparison still runs the whole tree.
 func TestPlanningModelTracksPlanSolveExact(t *testing.T) {
 	for _, tc := range []struct {
 		seed             int64
@@ -42,7 +44,7 @@ func TestPlanningModelTracksPlanSolveExact(t *testing.T) {
 			}
 			p.IP = ip
 		}
-		opts := solver.Options{Workers: 1}
+		opts := solver.Ablation{NoStart: true}.Apply(solver.Options{Workers: 1})
 		res, err := plan.SolveExact(p, opts)
 		if err != nil {
 			t.Fatalf("%s: plan.SolveExact: %v", label, err)

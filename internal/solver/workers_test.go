@@ -145,14 +145,14 @@ func TestWorkersDefault(t *testing.T) {
 // row-wise PRICE reads only the shared immutable model rows and that every
 // kernel work vector (position queue, paired-BTRAN scratch) is per-worker.
 func TestWorkersTBackboneObjective(t *testing.T) {
-	ref := mustSolveOpts(t, planningModel(t, 1, 32, 1, 24), Options{Workers: 1})
+	ref := mustSolveOpts(t, planningModel(t, 1, 32, 1, 24), Options{Workers: 1, noStart: true})
 	if ref.Status != Optimal {
 		t.Fatalf("Workers=1 status = %v, want optimal", ref.Status)
 	}
 	if ref.PresolveCols == 0 || ref.SimplexIters == 0 {
 		t.Fatalf("instance exercised no duplicate merge (%d cols) or no pivots (%d)", ref.PresolveCols, ref.SimplexIters)
 	}
-	two := mustSolveOpts(t, planningModel(t, 1, 32, 1, 24), Options{Workers: 2})
+	two := mustSolveOpts(t, planningModel(t, 1, 32, 1, 24), Options{Workers: 2, noStart: true})
 	if two.Status != Optimal {
 		t.Fatalf("Workers=2 status = %v, want optimal", two.Status)
 	}

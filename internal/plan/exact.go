@@ -104,8 +104,6 @@ func SolveExact(p Problem, opts solver.Options) (*Result, error) {
 	}
 
 	m := solver.NewModel("flexwan-planning", solver.Minimize)
-	// slotUsers[fiber][w] lists variables occupying pixel w on the fiber.
-	slotUsers := make(map[string][][]solver.VarID)
 
 	// Pre-pass: resolve the feasible (path, mode) sets once and count the
 	// γ variables, so the over-cap refusal happens before any model is
@@ -142,6 +140,37 @@ func SolveExact(p Problem, opts solver.Options) (*Result, error) {
 	m.Grow(nGamma, len(p.IP.Links))
 	gammas := make([]gammaVar, 0, nGamma)
 
+	// Constraint (3) has a row per contended (fiber, pixel). The fibers of
+	// the candidate paths are indexed densely in name order, and the users
+	// of slot k = fiber·Pixels + pixel are counted into slotOff[k+1] as the
+	// γ columns are built, then filled in VarID order below, so every
+	// slot's users land in one arena allocated at its final size.
+	fiberIdx := make(map[string]int32)
+	for _, link := range p.IP.Links {
+		for _, pm := range feas[link.ID] {
+			for _, f := range pm.path.Fibers {
+				fiberIdx[f] = 0
+			}
+		}
+	}
+	fibers := make([]string, 0, len(fiberIdx))
+	for f := range fiberIdx {
+		fibers = append(fibers, f)
+	}
+	sort.Strings(fibers)
+	for i, f := range fibers {
+		fiberIdx[f] = int32(i)
+	}
+	px := p.Grid.Pixels
+	slotOff := make([]int32, len(fibers)*px+1)
+	var pathFibers []int32 // the current path's fiber indices
+	indexFibers := func(path *topology.Path) {
+		pathFibers = pathFibers[:0]
+		for _, f := range path.Fibers {
+			pathFibers = append(pathFibers, fiberIdx[f])
+		}
+	}
+
 	// The heuristic's plan, when it serves every demand, is the search's
 	// MIP start: each of its wavelengths is the γ of its (link, path index,
 	// mode, start pixel), set to 1 as that column is built. If a wavelength
@@ -168,6 +197,7 @@ func SolveExact(p Problem, opts solver.Options) (*Result, error) {
 		linkHeur := heur[link.ID]
 		for pi, pm := range feas[link.ID] {
 			path := pm.path
+			indexFibers(path)
 			for _, mode := range pm.modes {
 				pixels := mode.Pixels(p.Grid)
 				if pixels > p.Grid.Pixels {
@@ -193,14 +223,9 @@ func SolveExact(p Problem, opts solver.Options) (*Result, error) {
 						}
 					}
 					linkTerms = append(linkTerms, solver.Term{Var: id, Coef: float64(mode.DataRateGbps)})
-					for _, f := range path.Fibers {
-						rows, ok := slotUsers[f]
-						if !ok {
-							rows = make([][]solver.VarID, p.Grid.Pixels)
-							slotUsers[f] = rows
-						}
-						for w := q; w < q+pixels; w++ {
-							rows[w] = append(rows[w], id)
+					for _, fi := range pathFibers {
+						for k := int(fi)*px + q; k < int(fi)*px+q+pixels; k++ {
+							slotOff[k+1]++
 						}
 					}
 				}
@@ -216,20 +241,34 @@ func SolveExact(p Problem, opts solver.Options) (*Result, error) {
 	}
 
 	// Constraint (3): each pixel of each fiber used at most once.
-	fibers := make([]string, 0, len(slotUsers))
-	for f := range slotUsers {
-		fibers = append(fibers, f)
+	for k := 1; k < len(slotOff); k++ {
+		slotOff[k] += slotOff[k-1]
 	}
-	sort.Strings(fibers)
+	users := make([]int32, slotOff[len(slotOff)-1]) // VarIDs
+	next := append([]int32(nil), slotOff[:len(slotOff)-1]...)
+	var cur *topology.Path
+	for _, g := range gammas {
+		if g.path != cur {
+			cur = g.path
+			indexFibers(cur)
+		}
+		for _, fi := range pathFibers {
+			for k := int(fi)*px + g.startQ; k < int(fi)*px+g.startQ+g.pixels; k++ {
+				users[next[k]] = int32(g.id)
+				next[k]++
+			}
+		}
+	}
 	var terms []solver.Term // reused row buffer; AddConstraint copies
-	for _, f := range fibers {
-		for w, users := range slotUsers[f] {
-			if len(users) < 2 {
+	for fi, f := range fibers {
+		for w := 0; w < px; w++ {
+			k := fi*px + w
+			if slotOff[k+1]-slotOff[k] < 2 {
 				continue // a single candidate cannot conflict
 			}
 			terms = terms[:0]
-			for _, id := range users {
-				terms = append(terms, solver.Term{Var: id, Coef: 1})
+			for _, id := range users[slotOff[k]:slotOff[k+1]] {
+				terms = append(terms, solver.Term{Var: solver.VarID(id), Coef: 1})
 			}
 			name := "slot[" + f + "," + strconv.Itoa(w) + "]"
 			if err := m.AddConstraint(name, terms, solver.LE, 1); err != nil {

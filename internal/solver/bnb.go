@@ -48,7 +48,7 @@ func (m *Model) SolveWithOptions(opts Options) (Solution, error) {
 			PresolveCols: p.colsRemoved,
 		}, nil
 	}
-	sol, kept := p.reduced.solveReduced(opts, start.reduced(p.fixedObjective()))
+	sol, kept := p.reduced.solveReduced(opts, p.reduceStart(start))
 	if kept {
 		sol.PresolveRows, sol.PresolveCols = p.rowsRemoved, p.colsRemoved
 		return start.into(sol), nil
@@ -354,11 +354,24 @@ func (m *Model) branchAndBound(opts Options, start *mipStart) (sol Solution, kep
 	}
 
 	// The root LP is solved once, on the engine worker 0 inherits: its
-	// retained optimal state is what the root's children dive from.
+	// retained optimal state is what the root's children dive from. A start
+	// with a point in m's space crashes the root's starting basis there; the
+	// warm start checks that basis as it checks any node's, and any refusal
+	// solves the root cold, as without a start.
 	eng := newLPEngine(m, opts)
 	eng.applyBounds(nil)
-	root := eng.solveCold()
-	s.simplexIters = eng.pivots()
+	var root Solution
+	warm := false
+	if start != nil && start.values != nil && !opts.noWarmStart {
+		if snap := m.crash(start.values); snap != nil {
+			root, warm = eng.solveWarm(snap)
+			s.simplexIters = eng.pivots()
+		}
+	}
+	if !warm {
+		root = eng.solveCold()
+		s.simplexIters += eng.pivots()
+	}
 	if eng.stats().denseFallbacks > 0 && opts.Logf != nil {
 		opts.Logf("solver: root LP fell back to the dense engine")
 	}

@@ -9,6 +9,7 @@ import (
 	"flexwan/internal/eval"
 	"flexwan/internal/plan"
 	"flexwan/internal/solver"
+	"flexwan/internal/topology"
 )
 
 // TestEngineDifferentialLadder is the end-to-end engine differential on
@@ -124,8 +125,10 @@ func TestExactTBackbone(t *testing.T) {
 // worker, and any change to the floating-point summation order of a
 // kernel re-rolls the ratio-test ties on the wall (a scatter-form BTRAN
 // once took ~7 000 pivots more there). With the start — production — the
-// lifted root LP bound proves the heuristic's plan optimal: 0 nodes.
-// ~15 s, 8 s of it the wall without the start.
+// root LP starts from the basis crashed at the heuristic's plan, which is
+// already optimal, and the lifted bound proves the plan optimal: 0 nodes
+// and 0 pivots, so a crash refused in silence fails here.
+// ~10 s, 8 s of it the wall without the start.
 func TestTBackbonePins(t *testing.T) {
 	if testing.Short() || raceDetectorOn {
 		t.Skip("full T-backbone exact solves: skipped with -short and under the race detector")
@@ -156,9 +159,9 @@ func TestTBackbonePins(t *testing.T) {
 			s := res.Solver
 			t.Logf("%s: %d nodes, %d pivots (recorded without the start: %d, %d)", label, s.Nodes, s.SimplexIters, tc.nodes, tc.pivots)
 			if start {
-				if s.Status != solver.Optimal || math.Abs(s.Objective-objective) > 1e-9 || s.Nodes != 0 {
-					t.Errorf("%s: %v at objective %v after %d nodes, want optimal at %v after 0",
-						label, s.Status, s.Objective, s.Nodes, objective)
+				if s.Status != solver.Optimal || math.Abs(s.Objective-objective) > 1e-9 || s.Nodes != 0 || s.SimplexIters != 0 {
+					t.Errorf("%s: %v at objective %v after %d nodes and %d pivots, want optimal at %v after 0 and 0",
+						label, s.Status, s.Objective, s.Nodes, s.SimplexIters, objective)
 				}
 			} else {
 				if s.Status != solver.Optimal || s.Objective != objective {
@@ -181,10 +184,12 @@ func TestTBackbonePins(t *testing.T) {
 }
 
 // TestExactSolveMemoryCeilings bounds the bytes one warm default exact
-// solve allocates on the scaling ladder. The ceilings sit about 2× above
-// the revised engine's measurement (129 488 / 324 040 / 720 160 bytes) and
-// under half the dense tableau's (≈1.5 MB at 32 pixels, ≈6 MB at 64), so
-// an engine regression or a silent retreat to the dense path trips them.
+// solve allocates on the scaling ladder. The ceilings sit about 1.5× above
+// the measurement (101 376 / 240 640 / 524 690 bytes, with the root crashed
+// at the heuristic's start and the conflict rows built as one counted
+// arena) and far under the dense tableau's (≈1.5 MB at 32 pixels, ≈6 MB at
+// 64), so an engine regression, a silent retreat to the dense path or a
+// build that grows its rows by appending again trips them.
 func TestExactSolveMemoryCeilings(t *testing.T) {
 	if raceDetectorOn {
 		t.Skip("the race detector's shadow allocations inflate TotalAlloc")
@@ -192,7 +197,7 @@ func TestExactSolveMemoryCeilings(t *testing.T) {
 	for _, tc := range []struct {
 		pixels  int
 		ceiling uint64
-	}{{16, 300_000}, {32, 700_000}, {64, 1_700_000}} {
+	}{{16, 150_000}, {32, 360_000}, {64, 790_000}} {
 		p, err := eval.ExactScalingProblem(tc.pixels)
 		if err != nil {
 			t.Fatal(err)
@@ -214,6 +219,39 @@ func TestExactSolveMemoryCeilings(t *testing.T) {
 		t.Logf("pixels=%d: %d bytes per solve", tc.pixels, perSolve)
 		if perSolve > tc.ceiling {
 			t.Errorf("pixels=%d: %d bytes per solve, ceiling %d", tc.pixels, perSolve, tc.ceiling)
+		}
+	}
+}
+
+// BenchmarkSolveExactTBackbone times one production plan.SolveExact — the
+// heuristic's plan as the MIP start — on the 24-link, 32-pixel T-backbone
+// instance planningModel restates (seed 1, one path per link): the shape of
+// the benchmark's plan-exact ops. The root LP starts from the basis crashed
+// at the start, which is already optimal there, so the solve must take no
+// pivot; one that does means the crash was refused and the root ran cold.
+// The CI bench smoke holds it to allocation ceilings in count and bytes.
+func BenchmarkSolveExactTBackbone(b *testing.B) {
+	p, err := eval.ExactTBackboneProblem(1, 0.02, 32, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ip := &topology.IPTopology{}
+	for _, l := range p.IP.Links[:24] {
+		if err := ip.AddLink(l); err != nil {
+			b.Fatal(err)
+		}
+	}
+	p.IP = ip
+	opts := solver.Options{Workers: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := plan.SolveExact(p, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if s := res.Solver; s.Status != solver.Optimal || s.Nodes != 0 || s.SimplexIters != 0 {
+			b.Fatalf("%v after %d nodes and %d pivots, want optimal at the root with no pivot", s.Status, s.Nodes, s.SimplexIters)
 		}
 	}
 }

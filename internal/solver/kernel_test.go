@@ -214,6 +214,94 @@ func TestMergeDuplicatesIndexedMatchesRescan(t *testing.T) {
 	}
 }
 
+// TestFixpointMatchesRescan: the stale-row fixpoint must leave presolve in
+// exactly the state the full-rescan fixpoint did — bounds, fixings, stamps,
+// duplicate groups, column map, counts and the reduced model, all
+// reflect.DeepEqual — on the FuzzPresolveRoundTrip generator's models and on
+// T-backbone planning models.
+func TestFixpointMatchesRescan(t *testing.T) {
+	presolveWith := func(m *Model, rescan bool) *presolved {
+		p, rows := m.presolveState()
+		ok := p.fixpoint(rows)
+		if rescan {
+			p, rows = m.presolveState()
+			ok = p.fixpointRescan(rows)
+		}
+		if !ok {
+			p.infeasible = true
+			return p
+		}
+		p.removeDominated(rows)
+		p.mergeDuplicates(rows)
+		p.build(rows)
+		return p
+	}
+	var models []*Model
+	for seed := int64(0); seed < 600; seed++ {
+		models = append(models, fuzzModel(seed, int(seed*7%256), int(seed*13%256)))
+	}
+	models = append(models, fuzzModel(threeBucketSeed, 0, 0))
+	for seed := int64(1); seed <= 4; seed++ {
+		models = append(models, planningModel(t, seed, 24, 1+int(seed)%3, 0), planningModel(t, seed, 32, 1, 24))
+	}
+	reduced, infeasible := 0, 0
+	for i, m := range models {
+		got, want := presolveWith(m, false), presolveWith(m, true)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("model %d (%s): the stale-row fixpoint diverges from the full rescan", i, m.name)
+		}
+		switch {
+		case got.infeasible:
+			infeasible++
+		case got.rowsRemoved+got.colsRemoved > 0:
+			reduced++
+		}
+	}
+	if reduced < len(models)/4 || infeasible == 0 {
+		t.Fatalf("%d of %d models reduced, %d infeasible: the generator stopped exercising presolve", reduced, len(models), infeasible)
+	}
+}
+
+// TestAddConstraintMatchesReferenceMerge: the position-index merge must give
+// every row the terms the scan/map merge gave — same first-occurrence order,
+// same accumulated coefficients, cancelled terms dropped — on random term
+// lists on both sides of the old 32-term switch, and leave the index zero.
+func TestAddConstraintMatchesReferenceMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(1406))
+	coefs := []float64{1, -1, 0.5, -0.5, 3, 0.1, 0.2, -0.3, 0}
+	m := NewModel("merge", Minimize)
+	for i := 0; i < 60; i++ {
+		m.AddVar(fmt.Sprintf("x%d", i), 0, 1, 0)
+	}
+	cancelled := 0
+	for trial := 0; trial < 2000; trial++ {
+		span := 1 + rng.Intn(60) // few distinct variables: many duplicates
+		terms := make([]Term, rng.Intn(80))
+		for i := range terms {
+			terms[i] = Term{Var: VarID(rng.Intn(span)), Coef: coefs[rng.Intn(len(coefs))]}
+		}
+		want := mergeTermsOracle(append([]Term(nil), terms...))
+		if err := m.AddConstraint("r", terms, LE, 1); err != nil {
+			t.Fatal(err)
+		}
+		got := m.cons[len(m.cons)-1].terms
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: merged %v, reference %v", trial, got, want)
+		}
+		for v, k := range m.pos {
+			if k != 0 {
+				t.Fatalf("trial %d: position index left %d at variable %d", trial, k, v)
+			}
+		}
+		if len(want) < len(terms) && len(want) > 0 {
+			cancelled++
+		}
+	}
+	if cancelled == 0 {
+		t.Fatal("no trial merged anything")
+	}
+}
+
 // TestPriceRowBitEqualsPriceCol: the row-wise PRICE must give every column
 // the very α the column-wise dot product gave — compared with ==, since the
 // claim is that the additions happen in the same order — for hypersparse,

@@ -85,6 +85,10 @@ type Model struct {
 	cons  []constraint
 	start []float64 // SetStart's values, unchecked until a solve
 
+	// pos is AddConstraint's duplicate index: 1 + a variable's position in
+	// the row being merged while a call runs, zero between calls.
+	pos []int32
+
 	// cscOnce/csc cache the column-compressed constraint matrix the
 	// revised simplex works on: built once on first solve and shared
 	// read-only by every branch-and-bound worker. Mutating the model after
@@ -140,54 +144,30 @@ func (m *Model) AddBinVar(name string, obj float64) VarID {
 	return m.AddIntVar(name, 0, 1, obj)
 }
 
-// dupScanMax is the term-slice length up to which AddConstraint detects
-// duplicate variables with a quadratic linear scan instead of a map. The
-// common case — a short, duplicate-free term list — then builds zero
-// intermediate structures beyond the merged slice itself.
-const dupScanMax = 32
-
 // AddConstraint adds Σ terms rel rhs. Terms referencing the same variable
-// are accumulated.
+// are accumulated, in order of first occurrence, and terms whose
+// coefficients cancel to zero are dropped.
 func (m *Model) AddConstraint(name string, terms []Term, rel Rel, rhs float64) error {
 	for _, t := range terms {
 		if int(t.Var) < 0 || int(t.Var) >= len(m.vars) {
 			return fmt.Errorf("solver: constraint %s references unknown variable %d", name, t.Var)
 		}
 	}
-	merged := make([]Term, 0, len(terms))
-	if len(terms) <= dupScanMax {
-		// Accumulate duplicates with a linear scan: for small slices the
-		// O(k²) compare is far cheaper than a map allocation per call.
-		for _, t := range terms {
-			found := false
-			for i := range merged {
-				if merged[i].Var == t.Var {
-					merged[i].Coef += t.Coef
-					found = true
-					break
-				}
-			}
-			if !found {
-				merged = append(merged, t)
-			}
-		}
-	} else {
-		// Large term lists fall back to the map accumulator.
-		acc := make(map[VarID]float64, len(terms))
-		for _, t := range terms {
-			if _, seen := acc[t.Var]; !seen {
-				merged = append(merged, Term{Var: t.Var})
-			}
-			acc[t.Var] += t.Coef
-		}
-		for i := range merged {
-			merged[i].Coef = acc[merged[i].Var]
-		}
+	if len(m.pos) < len(m.vars) {
+		m.pos = make([]int32, cap(m.vars)) // all zero: nothing is lost
 	}
-	// Drop terms whose coefficients cancelled so downstream code sees each
-	// variable once, with a nonzero coefficient.
+	merged := make([]Term, 0, len(terms))
+	for _, t := range terms {
+		if k := m.pos[t.Var]; k > 0 {
+			merged[k-1].Coef += t.Coef
+			continue
+		}
+		merged = append(merged, t)
+		m.pos[t.Var] = int32(len(merged))
+	}
 	out := merged[:0]
 	for _, t := range merged {
+		m.pos[t.Var] = 0
 		if t.Coef != 0 {
 			out = append(out, t)
 		}

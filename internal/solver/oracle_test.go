@@ -6,8 +6,9 @@ import (
 )
 
 // The dimension-proportional kernels the sparsity-aware ones replaced, kept
-// verbatim (bodies untouched, only renamed) as oracles for the differential
-// tests in kernel_test.go. Nothing outside _test.go files may call them.
+// verbatim (bodies untouched, only renamed or cut out of their caller) as
+// oracles for the differential tests in kernel_test.go. Nothing outside
+// _test.go files may call them.
 
 // mergeDuplicatesRescan is mergeDuplicates with the row-rescanning colOf:
 // every bucket member's column is rebuilt by scanning every live row.
@@ -390,4 +391,87 @@ func (f *luFactor) btranOracle(c, out []float64) {
 		out[f.perm[k]] = c[k]
 		c[k] = 0
 	}
+}
+
+// fixpointRescan is presolve's reduction fixpoint before it learned to skip
+// unchanged rows: every pass revisits every live row.
+func (p *presolved) fixpointRescan(rows []preRow) bool {
+	if !p.roundIntegerBounds() {
+		return false
+	}
+	p.detectFixed()
+	for pass := 0; pass < preMaxPasses; pass++ {
+		changed := false
+		for r := range rows {
+			row := &rows[r]
+			if !row.live {
+				continue
+			}
+			if p.substituteFixed(row) {
+				changed = true
+			}
+			switch p.reduceRow(row) {
+			case preInfeasible:
+				return false
+			case preChanged:
+				changed = true
+			}
+			if row.live && p.tightenCoefs(row) {
+				changed = true
+			}
+		}
+		if !p.roundIntegerBounds() {
+			return false
+		}
+		if p.detectFixed() {
+			changed = true
+		}
+		if p.dualFix(rows) {
+			changed = true
+			p.detectFixed()
+		}
+		if !changed {
+			break
+		}
+	}
+	return true
+}
+
+// mergeTermsOracle is AddConstraint's duplicate merge before the position
+// index: a quadratic scan up to 32 terms, a map accumulator above.
+func mergeTermsOracle(terms []Term) []Term {
+	merged := make([]Term, 0, len(terms))
+	if len(terms) <= 32 {
+		for _, t := range terms {
+			found := false
+			for i := range merged {
+				if merged[i].Var == t.Var {
+					merged[i].Coef += t.Coef
+					found = true
+					break
+				}
+			}
+			if !found {
+				merged = append(merged, t)
+			}
+		}
+	} else {
+		acc := make(map[VarID]float64, len(terms))
+		for _, t := range terms {
+			if _, seen := acc[t.Var]; !seen {
+				merged = append(merged, Term{Var: t.Var})
+			}
+			acc[t.Var] += t.Coef
+		}
+		for i := range merged {
+			merged[i].Coef = acc[merged[i].Var]
+		}
+	}
+	out := merged[:0]
+	for _, t := range merged {
+		if t.Coef != 0 {
+			out = append(out, t)
+		}
+	}
+	return out
 }

@@ -1,8 +1,9 @@
 package solver
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Presolve tolerances. preFeasTol matches the simplex feasTol so presolve
@@ -65,6 +66,12 @@ type presolved struct {
 	newID  []int     // original var → reduced column, -1 when eliminated
 	groups [][]int   // duplicate-column groups, ascending; [0] is the rep
 	grpOf  []int     // original var → index into groups, -1
+
+	// clock ticks at every change of a variable's bounds or fixing, and
+	// stamp[v] is the tick of v's last one: what fixpoint reads to tell a
+	// stale row from one it can skip.
+	clock int32
+	stamp []int32
 }
 
 // presolveState is the working state every presolve pass starts from:
@@ -82,6 +89,7 @@ func (m *Model) presolveState() (*presolved, []preRow) {
 		fixed:  make([]bool, nv),
 		fixVal: make([]float64, nv),
 		grpOf:  make([]int, nv),
+		stamp:  make([]int32, nv),
 	}
 	for i := range m.vars {
 		p.lb[i], p.ub[i] = m.vars[i].lb, m.vars[i].ub
@@ -117,36 +125,71 @@ func (m *Model) presolveState() (*presolved, []preRow) {
 // through p.postsolve.
 func (m *Model) presolve(logf func(format string, args ...interface{})) *presolved {
 	p, rows := m.presolveState()
-	if !p.roundIntegerBounds() {
+	if !p.fixpoint(rows) {
 		p.infeasible = true
 		return p
 	}
-	p.detectFixed()
+	p.removeDominated(rows)
+	p.mergeDuplicates(rows)
+	p.build(rows)
+	if p.infeasible {
+		return p
+	}
+	if logf != nil && (p.rowsRemoved > 0 || p.colsRemoved > 0) {
+		logf("solver: presolve removed %d/%d rows and %d/%d columns",
+			p.rowsRemoved, len(m.cons), p.colsRemoved, len(m.vars))
+	}
+	return p
+}
 
+// fixpoint runs the reductions that feed each other — the row visits
+// (fixed-variable substitution, reduceRow, coefficient tightening), integer
+// bound rounding, fixing detection and dual fixing — in passes until one
+// changes nothing, at most preMaxPasses. It returns false when they prove
+// the model infeasible.
+//
+// A pass visits only stale rows. A visit is a deterministic function of
+// the row and of its variables' bounds and fixings, and a visit that
+// reports no change has made none. So a row whose last visit changed
+// nothing, and none of whose variables has been stamped since, would change
+// nothing again: skipping it is exact, and every pass ends in the state and
+// with the verdict the full rescan reached.
+func (p *presolved) fixpoint(rows []preRow) bool {
+	if !p.roundIntegerBounds() {
+		return false
+	}
+	p.detectFixed()
+	// clean[r] is the clock at row r's last visit if that visit changed
+	// nothing, −1 otherwise.
+	clean := make([]int32, len(rows))
+	for r := range clean {
+		clean[r] = -1
+	}
 	for pass := 0; pass < preMaxPasses; pass++ {
 		changed := false
 		for r := range rows {
 			row := &rows[r]
-			if !row.live {
+			if !row.live || p.unchangedSince(row, clean[r]) {
 				continue
 			}
-			if p.substituteFixed(row) {
-				changed = true
-			}
+			dirty := p.substituteFixed(row)
 			switch p.reduceRow(row) {
 			case preInfeasible:
-				p.infeasible = true
-				return p
+				return false
 			case preChanged:
-				changed = true
+				dirty = true
 			}
 			if row.live && p.tightenCoefs(row) {
+				dirty = true
+			}
+			clean[r] = p.clock
+			if dirty {
+				clean[r] = -1
 				changed = true
 			}
 		}
 		if !p.roundIntegerBounds() {
-			p.infeasible = true
-			return p
+			return false
 		}
 		if p.detectFixed() {
 			changed = true
@@ -161,18 +204,36 @@ func (m *Model) presolve(logf func(format string, args ...interface{})) *presolv
 			break
 		}
 	}
+	return true
+}
 
-	p.removeDominated(rows)
-	p.mergeDuplicates(rows)
-	p.build(rows)
-	if p.infeasible {
-		return p
+// unchangedSince reports whether no variable of the row has been stamped
+// after clean, the clock at the row's last unchanging visit (−1: none).
+func (p *presolved) unchangedSince(row *preRow, clean int32) bool {
+	if clean < 0 {
+		return false
 	}
-	if logf != nil && (p.rowsRemoved > 0 || p.colsRemoved > 0) {
-		logf("solver: presolve removed %d/%d rows and %d/%d columns",
-			p.rowsRemoved, len(m.cons), p.colsRemoved, len(m.vars))
+	for _, t := range row.terms {
+		if p.stamp[t.Var] > clean {
+			return false
+		}
 	}
-	return p
+	return true
+}
+
+// touch stamps variable v as changed.
+func (p *presolved) touch(v int) {
+	p.clock++
+	p.stamp[v] = p.clock
+}
+
+// setBounds is the one writer of the working bounds. A change — bit for
+// bit, so even a zero changing sign counts — stamps the variable.
+func (p *presolved) setBounds(v int, lb, ub float64) {
+	if math.Float64bits(lb) != math.Float64bits(p.lb[v]) || math.Float64bits(ub) != math.Float64bits(p.ub[v]) {
+		p.lb[v], p.ub[v] = lb, ub
+		p.touch(v)
+	}
 }
 
 type preOutcome int
@@ -189,8 +250,7 @@ const (
 func (p *presolved) roundIntegerBounds() bool {
 	for i := range p.orig.vars {
 		if p.orig.vars[i].integer {
-			p.lb[i] = math.Ceil(p.lb[i] - preIntTol)
-			p.ub[i] = math.Floor(p.ub[i] + preIntTol)
+			p.setBounds(i, math.Ceil(p.lb[i]-preIntTol), math.Floor(p.ub[i]+preIntTol))
 		}
 		if p.lb[i] > p.ub[i]+preFeasTol {
 			return false
@@ -220,6 +280,7 @@ func (p *presolved) detectFixed() bool {
 		}
 		p.fixed[i] = true
 		p.fixVal[i] = v
+		p.touch(i)
 		changed = true
 	}
 	return changed
@@ -329,7 +390,7 @@ func (p *presolved) foldSingleton(row *preRow) preOutcome {
 			val = math.Floor(val + preIntTol)
 		}
 		if val < p.ub[v] {
-			p.ub[v] = val
+			p.setBounds(v, p.lb[v], val)
 			changed = true
 		}
 	}
@@ -338,7 +399,7 @@ func (p *presolved) foldSingleton(row *preRow) preOutcome {
 			val = math.Ceil(val - preIntTol)
 		}
 		if val > p.lb[v] {
-			p.lb[v] = val
+			p.setBounds(v, val, p.ub[v])
 			changed = true
 		}
 	}
@@ -457,7 +518,7 @@ func (p *presolved) propagate(terms []Term, rhs, sign, minAct float64, minInf in
 				if nb < l-preFeasTol {
 					return preInfeasible
 				}
-				p.ub[v] = nb
+				p.setBounds(v, l, nb)
 				out = preChanged
 			}
 		} else {
@@ -466,7 +527,7 @@ func (p *presolved) propagate(terms []Term, rhs, sign, minAct float64, minInf in
 				if nb > u+preFeasTol {
 					return preInfeasible
 				}
-				p.lb[v] = nb
+				p.setBounds(v, nb, u)
 				out = preChanged
 			}
 		}
@@ -603,10 +664,10 @@ func (p *presolved) dualFix(rows []preRow) bool {
 		c := sign * p.orig.vars[i].obj
 		switch {
 		case c >= 0 && downSafe[i] && !math.IsInf(p.lb[i], -1):
-			p.ub[i] = p.lb[i]
+			p.setBounds(i, p.lb[i], p.lb[i])
 			changed = true
 		case c <= 0 && upSafe[i] && !math.IsInf(p.ub[i], 1):
-			p.lb[i] = p.ub[i]
+			p.setBounds(i, p.ub[i], p.ub[i])
 			changed = true
 		}
 	}
@@ -815,11 +876,11 @@ func (p *presolved) mergeDuplicates(rows []preRow) {
 		}
 		cands = append(cands, cand{h, i})
 	}
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].hash != cands[b].hash {
-			return cands[a].hash < cands[b].hash
+	slices.SortFunc(cands, func(a, b cand) int {
+		if c := cmp.Compare(a.hash, b.hash); c != 0 {
+			return c
 		}
-		return cands[a].v < cands[b].v
+		return cmp.Compare(a.v, b.v)
 	})
 	sameCol := func(a, b []Term) bool {
 		if len(a) != len(b) {
@@ -915,7 +976,7 @@ func (p *presolved) build(rows []preRow) {
 	// Feed rows into the reduced model directly: every surviving term list
 	// is already merged (each reduced column at most once — duplicate-group
 	// non-representatives are skipped) with nonzero coefficients, so
-	// AddConstraint's duplicate scan and per-call copy are pure overhead.
+	// AddConstraint's duplicate merge and per-call copy are pure overhead.
 	// One pre-counted arena backs every reduced row's term slice.
 	nnz := 0
 	for r := range rows {

@@ -147,10 +147,150 @@ func TestStartWorkersDeterministic(t *testing.T) {
 	}
 }
 
+// crashModel is min 2x + 3y over binaries with x + y ≥ 1 and x + 2y ≤ 2:
+// presolve keeps both columns and both rows, and the LP relaxation's optimum
+// is the integral vertex x = 1, y = 0.
+func crashModel(t *testing.T) *Model {
+	m := NewModel("crash", Minimize)
+	x := m.AddBinVar("x", 2)
+	y := m.AddBinVar("y", 3)
+	mustCon(t, m, "cover", []Term{{x, 1}, {y, 1}}, GE, 1)
+	mustCon(t, m, "room", []Term{{x, 1}, {y, 2}}, LE, 2)
+	return m
+}
+
+// TestCrashAtLPVertex: a start at an LP-optimal vertex crashes a root basis
+// that is already optimal — the root takes no pivot — and the answer is the
+// no-start answer, with the start's values.
+func TestCrashAtLPVertex(t *testing.T) {
+	ref := mustSolveOpts(t, crashModel(t), Options{Workers: 1, noStart: true})
+	m := crashModel(t)
+	start := []float64{1, 0}
+	m.SetStart(start)
+	sol := mustSolveOpts(t, m, Options{Workers: 1})
+	if sol.PresolveRows != 0 || sol.PresolveCols != 0 {
+		t.Fatalf("presolve removed %d rows and %d columns; the crash should see the whole model", sol.PresolveRows, sol.PresolveCols)
+	}
+	if sol.Status != ref.Status || sol.Objective != ref.Objective {
+		t.Fatalf("%v at %v, without the start %v at %v", sol.Status, sol.Objective, ref.Status, ref.Objective)
+	}
+	if sol.SimplexIters != 0 || sol.Nodes != 0 || !reflect.DeepEqual(sol.Values, start) {
+		t.Errorf("%d pivots, %d nodes, values %v; want 0, 0 and the start's", sol.SimplexIters, sol.Nodes, sol.Values)
+	}
+}
+
+// TestCrashRefused: a feasible start that is not LP-optimal crashes a
+// basis that is not dual feasible. The warm start refuses it, the root runs
+// cold, and the search ends where it ends without the start.
+func TestCrashRefused(t *testing.T) {
+	// y = 1 takes the room row, where its coefficient is larger; that row's
+	// slack then leaves at 0 with dual price −1.5: not dual feasible.
+	ref := mustSolveOpts(t, crashModel(t), Options{Workers: 1, noStart: true})
+	m := crashModel(t)
+	start := []float64{0, 1}
+	m.SetStart(start)
+	eng := newLPEngine(m, Options{Workers: 1})
+	eng.applyBounds(nil)
+	if snap := m.crash(start); snap == nil {
+		t.Fatal("no crash basis")
+	} else if _, ok := eng.solveWarm(snap); ok {
+		t.Fatal("the warm start accepted a basis that is not dual feasible")
+	}
+	sol := mustSolveOpts(t, m, Options{Workers: 1})
+	if sol.Status != ref.Status || sol.Objective != ref.Objective {
+		t.Fatalf("%v at %v, without the start %v at %v", sol.Status, sol.Objective, ref.Status, ref.Objective)
+	}
+	checkFeasible(t, m, sol, "refused crash")
+}
+
+// TestCrashUnmapped: presolve dual-fixes z (cost 0, only in a ≤ row with a
+// positive coefficient) at 0 while the start has it at 1. The start has no
+// point in reduced space, so it enters as a cutoff only: the root solves
+// cold, taking exactly the pivots of the reduced model's cold relaxation,
+// and the search returns the start, which is optimal.
+func TestCrashUnmapped(t *testing.T) {
+	build := func() *Model {
+		m := NewModel("unmapped", Minimize)
+		x := m.AddBinVar("x", 2)
+		y := m.AddBinVar("y", 3)
+		z := m.AddBinVar("z", 0)
+		mustCon(t, m, "cover", []Term{{x, 1}, {y, 1}}, GE, 1)
+		mustCon(t, m, "room", []Term{{x, 1}, {z, 1}}, LE, 2)
+		return m
+	}
+	start := []float64{1, 0, 1}
+	m := build()
+	m.SetStart(start)
+	p := m.presolve(nil)
+	if !p.fixed[2] || p.fixVal[2] != 0 {
+		t.Fatalf("presolve did not fix z at 0 (fixed %v at %v)", p.fixed[2], p.fixVal[2])
+	}
+	if rs := p.reduceStart(m.checkStart(nil)); rs == nil || rs.values != nil {
+		t.Fatalf("reduced start %+v, want an objective with no point", rs)
+	}
+	root := p.reduced.solveRelaxation(Options{Workers: 1}.withDefaults())
+	sol := mustSolveOpts(t, m, Options{Workers: 1})
+	ref := mustSolveOpts(t, build(), Options{Workers: 1, noStart: true})
+	if sol.Status != Optimal || sol.Objective != ref.Objective || sol.Nodes != 0 || !reflect.DeepEqual(sol.Values, start) {
+		t.Fatalf("%v at %v after %d nodes, values %v; want optimal at %v after 0, the start's values", sol.Status, sol.Objective, sol.Nodes, sol.Values, ref.Objective)
+	}
+	if root.SimplexIters == 0 || sol.SimplexIters != root.SimplexIters {
+		t.Errorf("root took %d pivots, the cold relaxation %d", sol.SimplexIters, root.SimplexIters)
+	}
+}
+
+// TestCrashDenseGoesCold: the dense tableau takes no revised-engine basis,
+// so under that ablation a start's crash is refused and the root solves
+// cold, to the same objective.
+func TestCrashDenseGoesCold(t *testing.T) {
+	ref := mustSolveOpts(t, crashModel(t), Options{Workers: 1})
+	m := crashModel(t)
+	m.SetStart([]float64{1, 0})
+	sol := mustSolveOpts(t, m, Options{Workers: 1, denseSimplex: true})
+	if sol.Status != Optimal || sol.Objective != ref.Objective {
+		t.Fatalf("%v at %v, want optimal at %v", sol.Status, sol.Objective, ref.Objective)
+	}
+	if sol.SimplexIters == 0 {
+		t.Error("the dense root took no pivot: it did not start cold")
+	}
+}
+
+// TestCrashMergedGroup: x and y are duplicate columns, so presolve merges
+// them into one representative over [0, 2]. The start x = 1, y = 0 maps to
+// 1, strictly inside, so the representative is basic in the crash — and the
+// root, already optimal there, takes no pivot.
+func TestCrashMergedGroup(t *testing.T) {
+	m := NewModel("merged", Minimize)
+	x := m.AddBinVar("x", 1)
+	y := m.AddBinVar("y", 1)
+	mustCon(t, m, "cover", []Term{{x, 1}, {y, 1}}, GE, 1)
+	start := []float64{1, 0}
+	m.SetStart(start)
+	p := m.presolve(nil)
+	if len(p.groups) != 1 || p.reduced.NumVars() != 1 {
+		t.Fatalf("groups %v over %d reduced columns, want x and y merged into one", p.groups, p.reduced.NumVars())
+	}
+	rs := p.reduceStart(m.checkStart(nil))
+	if rs == nil || !reflect.DeepEqual(rs.values, []float64{1}) {
+		t.Fatalf("reduced start %+v, want the representative at 1", rs)
+	}
+	snap := p.reduced.crash(rs.values)
+	if snap == nil || snap.status[0] != rxBasic || snap.basis[0] != 0 {
+		t.Fatalf("crash %+v, want the representative basic in row 0", snap)
+	}
+	sol := mustSolveOpts(t, m, Options{Workers: 1})
+	if sol.Status != Optimal || sol.Objective != 1 || sol.SimplexIters != 0 || !reflect.DeepEqual(sol.Values, start) {
+		t.Errorf("%v at %v after %d pivots, values %v; want optimal at 1 after 0, the start's values", sol.Status, sol.Objective, sol.SimplexIters, sol.Values)
+	}
+}
+
 // FuzzStart: a random small model solved with and without a random 0/1
 // start ends in the same status at the same objective, at a point feasible
 // for the original model; and a start the check accepts is never answered
-// with anything worse.
+// with anything worse. Random 0/1 points are rarely feasible, so each input
+// is also solved from a second start that is: the no-start answer's own
+// values, integral, and an LP vertex whenever the root LP is integral —
+// the start the root crash is built for.
 func FuzzStart(f *testing.F) {
 	f.Add(int64(1), uint8(6), uint8(3), uint64(0))
 	f.Add(int64(1405), uint8(12), uint8(5), uint64(0xfff))
@@ -191,5 +331,17 @@ func FuzzStart(f *testing.F) {
 				t.Fatalf("accepted start at %v answered with %v", st.obj, on.Objective)
 			}
 		}
+		m.SetStart(off.Values)
+		own, err := m.SolveWithOptions(Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if own.Status != off.Status {
+			t.Fatalf("status %v from the no-start answer, %v without a start", own.Status, off.Status)
+		}
+		if d := math.Abs(own.Objective - off.Objective); d > 1e-9*math.Max(1, math.Abs(off.Objective)) {
+			t.Fatalf("objective %v from the no-start answer, %v without a start", own.Objective, off.Objective)
+		}
+		checkFeasible(t, m, own, "answer from the no-start answer")
 	})
 }

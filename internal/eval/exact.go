@@ -13,8 +13,7 @@ import (
 // A—B—C with two IP links on the RADWAN catalog over a pixels-wide grid.
 // More pixels means more starting-pixel γ variables, hence a harder MIP.
 // The instance grows roughly six variables per pixel, so any ladder up to
-// a hundred-odd pixels sits far below the build caps of both LP engines,
-// the dense tableau's included.
+// a hundred-odd pixels sits far below the solver's build cap.
 func ExactScalingProblem(pixels int) (plan.Problem, error) {
 	g := topology.New()
 	if err := g.AddFiber("f1", "A", "B", 100); err != nil {

@@ -32,17 +32,21 @@ type SolveStats struct {
 	BoundFlips   int
 	WeightResets int
 
-	// LU/basis health of the revised-simplex engines underneath the search:
-	// full refactorizations, in-place basis updates (Forrest–Tomlin or eta
-	// append), FTRAN/BTRAN counts, peak U fill, solves that fell back to the
-	// dense tableau, and bounds tightened by per-node presolve propagation.
+	// LU/basis health of the simplex underneath the search: full
+	// refactorizations, in-place Forrest–Tomlin basis updates, FTRAN/BTRAN
+	// counts, peak U fill, and bounds tightened by per-node presolve
+	// propagation.
 	Refactorizations    int
 	BasisUpdates        int
 	FTRANCount          int
 	BTRANCount          int
 	PeakUFill           int
-	DenseFallbacks      int
 	NodePresolveFixings int
+
+	// DenseFallbacks is always 0: the solver has one LP engine and nothing
+	// to fall back to. It stays for readers of the counter that predate
+	// that.
+	DenseFallbacks int
 }
 
 // NewSolveStats copies the search statistics out of a solver Solution.
@@ -55,8 +59,7 @@ func NewSolveStats(sol solver.Solution) *SolveStats {
 		PresolveRows: sol.PresolveRows, PresolveCols: sol.PresolveCols,
 		Refactorizations: sol.Refactorizations, BasisUpdates: sol.BasisUpdates,
 		FTRANCount: sol.FTRANCount, BTRANCount: sol.BTRANCount,
-		PeakUFill: sol.PeakUFill, DenseFallbacks: sol.DenseFallbacks,
-		NodePresolveFixings: sol.NodePresolveFixings,
+		PeakUFill: sol.PeakUFill, NodePresolveFixings: sol.NodePresolveFixings,
 	}
 }
 

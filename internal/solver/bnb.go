@@ -10,6 +10,12 @@ import (
 // intTol is the tolerance under which a relaxation value counts as integral.
 const intTol = 1e-6
 
+// SolveLP solves the linear relaxation of the model (integrality dropped)
+// with the dual simplex.
+func (m *Model) SolveLP() Solution {
+	return m.solveRelaxation(Options{})
+}
+
 // Solve solves the model exactly: as an LP when it has no integer
 // variables, otherwise with LP-relaxation branch-and-bound, under default
 // options.
@@ -75,6 +81,19 @@ func (m *Model) solveReduced(opts Options, start *mipStart) (sol Solution, kept 
 	return m.branchAndBound(opts, start)
 }
 
+// solveRelaxation solves the LP relaxation (integrality dropped) on a fresh
+// scratch, detaching Values from it.
+func (m *Model) solveRelaxation(opts Options) Solution {
+	rx := newRxScratch(m, opts)
+	sol, _ := rx.solve(nil, nil, nil)
+	sol.SimplexIters = rx.lastPivots
+	rx.stats().addTo(&sol)
+	if sol.Values != nil {
+		sol.Values = append([]float64(nil), sol.Values...)
+	}
+	return sol
+}
+
 // boundChange is one copy-on-branch bound tightening. A bbNode's bounds
 // are the chain of changes back to the root instead of per-node map
 // clones; since branching only ever tightens, the chain can be applied in
@@ -84,23 +103,6 @@ type boundChange struct {
 	v      VarID
 	upper  bool // true: ub ← min(ub, val); false: lb ← max(lb, val)
 	val    float64
-}
-
-// applyBounds resolves the model bounds into sc.lb/sc.ub, then tightens
-// them with the chain.
-func applyBounds(m *Model, c *boundChange, sc *lpScratch) {
-	sc.resolveModelBounds(m)
-	for ; c != nil; c = c.parent {
-		if c.upper {
-			if c.val < sc.ub[c.v] {
-				sc.ub[c.v] = c.val
-			}
-		} else {
-			if c.val > sc.lb[c.v] {
-				sc.lb[c.v] = c.val
-			}
-		}
-	}
 }
 
 // objRounder lifts fractional LP bounds onto values an integer solution
@@ -225,11 +227,10 @@ type bbNode struct {
 	bound  float64 // relaxation objective of the parent (optimistic)
 	depth  int
 
-	// snap is the parent's optimal basis snapshot (engine-specific:
-	// *rxSnap or *basisSnap); both children share one immutable snapshot
+	// snap is the parent's optimal basis snapshot; both children share it
 	// and try a dual-simplex warm start from it before falling back to a
 	// cold solve. The root is never queued: branchAndBound solves it.
-	snap any
+	snap *rxSnap
 	// fracStep is how far the branch moved the branched variable: the
 	// down-fraction for an ub child, the up-fraction for an lb child.
 	// Pseudocost updates divide the observed objective degradation by it.
@@ -255,8 +256,8 @@ func (q nodeQueue) Less(i, j int) bool {
 	// Equal bounds: deepest first (best-bound with plunging). Diving on
 	// ties finds incumbents sooner, keeps the frontier small, and pops a
 	// just-pushed child right after its parent — which is what lets the
-	// dual-simplex dive path reuse the parent tableau still sitting in the
-	// worker's scratch.
+	// dual-simplex dive path reuse the parent's factorized basis still
+	// sitting in the worker's scratch.
 	return a.depth > b.depth
 }
 func (q nodeQueue) Swap(i, j int)       { q.nodes[i], q.nodes[j] = q.nodes[j], q.nodes[i] }
@@ -295,15 +296,15 @@ type bbSearch struct {
 
 	simplexIters int     // total pivots across all workers (incl. root solve)
 	warmHits     int     // nodes resolved by a dual-simplex warm start
-	lu           lpStats // basis health summed over the worker engines
+	lu           lpStats // basis health summed over the worker scratches
 	npFixings    int     // node-presolve bound tightenings across all nodes
 
-	// Pseudocost bookkeeping (nil slices unless branching is pseudocost).
-	// Guarded by mu like everything else: updates happen in processLocked
-	// when a child's relaxation is reported, reads in selectBranchLocked.
-	// pcDown* is the ub-tightened (floor) side, pcUp* the lb-raised (ceil)
-	// side; the Tot* aggregates provide the reliability fallback for
-	// variables with no observations of their own yet.
+	// Pseudocost bookkeeping, guarded by mu like everything else: updates
+	// happen in processLocked when a child's relaxation is reported, reads
+	// in selectBranchLocked. pcDown* is the ub-tightened (floor) side, pcUp*
+	// the lb-raised (ceil) side; the Tot* aggregates provide the
+	// reliability fallback for variables with no observations of their own
+	// yet.
 	pcDownSum, pcUpSum       []float64
 	pcDownN, pcUpN           []int
 	pcDownTotSum, pcUpTotSum float64
@@ -341,40 +342,28 @@ func (m *Model) branchAndBound(opts Options, start *mipStart) (sol Solution, kep
 		// lexLess against an empty slice is false.
 		s.incumbent = &Solution{Objective: start.obj}
 	}
-	if opts.branching != branchMostFractional {
-		nv := len(m.vars)
-		s.pcDownSum = make([]float64, nv)
-		s.pcUpSum = make([]float64, nv)
-		s.pcDownN = make([]int, nv)
-		s.pcUpN = make([]int, nv)
-	}
+	nv := len(m.vars)
+	s.pcDownSum = make([]float64, nv)
+	s.pcUpSum = make([]float64, nv)
+	s.pcDownN = make([]int, nv)
+	s.pcUpN = make([]int, nv)
 	s.cond = sync.NewCond(&s.mu)
 	for i := range s.active {
 		s.active[i] = math.NaN()
 	}
 
-	// The root LP is solved once, on the engine worker 0 inherits: its
+	// The root LP is solved once, on the scratch worker 0 inherits: its
 	// retained optimal state is what the root's children dive from. A start
 	// with a point in m's space crashes the root's starting basis there; the
 	// warm start checks that basis as it checks any node's, and any refusal
 	// solves the root cold, as without a start.
-	eng := newLPEngine(m, opts)
-	eng.applyBounds(nil)
-	var root Solution
-	warm := false
+	rx := newRxScratch(m, opts)
+	var crash *rxSnap
 	if start != nil && start.values != nil && !opts.noWarmStart {
-		if snap := m.crash(start.values); snap != nil {
-			root, warm = eng.solveWarm(snap)
-			s.simplexIters = eng.pivots()
-		}
+		crash = m.crash(start.values)
 	}
-	if !warm {
-		root = eng.solveCold()
-		s.simplexIters += eng.pivots()
-	}
-	if eng.stats().denseFallbacks > 0 && opts.Logf != nil {
-		opts.Logf("solver: root LP fell back to the dense engine")
-	}
+	root, _ := rx.solve(nil, crash, nil)
+	s.simplexIters = rx.lastPivots
 	if root.Status == IterLimit && s.incumbent != nil {
 		// A limit stopped the root LP: the start stands, with no bound
 		// proven against it.
@@ -382,7 +371,7 @@ func (m *Model) branchAndBound(opts Options, start *mipStart) (sol Solution, kep
 		if s.min {
 			s.stopBound = math.Inf(-1)
 		}
-		s.lu.merge(eng.stats())
+		s.lu.merge(rx.stats())
 		return s.finish(workers)
 	}
 	if root.Status != Optimal {
@@ -394,7 +383,7 @@ func (m *Model) branchAndBound(opts Options, start *mipStart) (sol Solution, kep
 		}
 		root.Workers = workers
 		root.SimplexIters = s.simplexIters
-		eng.stats().addTo(&root)
+		rx.stats().addTo(&root)
 		if root.Values != nil {
 			root.Values = append([]float64(nil), root.Values...)
 		}
@@ -405,18 +394,18 @@ func (m *Model) branchAndBound(opts Options, start *mipStart) (sol Solution, kep
 	// start its lifted bound cannot beat ends the search right here, with
 	// no node expanded and no worker started.
 	node := &bbNode{bound: s.round.lift(root.Objective)}
-	var snap any
+	var snap *rxSnap
 	var fixBase *boundChange
 	s.mu.Lock()
 	if ok, inc := s.admitLocked(node); ok {
 		s.nodes++
-		snap, fixBase = s.retain(eng, root, node.bounds, inc)
+		snap, fixBase = s.retain(rx, root, node.bounds, inc)
 		s.processLocked(node, root, snap, fixBase)
 	}
 	done := s.stop || s.queue.Len() == 0
 	s.mu.Unlock()
 	if done {
-		s.lu.merge(eng.stats())
+		s.lu.merge(rx.stats())
 		return s.finish(workers)
 	}
 
@@ -428,7 +417,7 @@ func (m *Model) branchAndBound(opts Options, start *mipStart) (sol Solution, kep
 			s.worker(id, nil, nil, nil)
 		}(id)
 	}
-	s.worker(0, eng, snap, fixBase)
+	s.worker(0, rx, snap, fixBase)
 	wg.Wait()
 	return s.finish(workers)
 }
@@ -463,24 +452,23 @@ func (s *bbSearch) globalBoundLocked(candidate float64) float64 {
 	return best
 }
 
-// worker is one branch-and-bound worker loop. It owns a private LP engine
-// and pops nodes from the shared frontier until the search terminates.
-// eng is the engine to adopt (nil: build one), and tabOwner/tabBounds
-// identify whose optimal state it retains: the basis snapshot created from
-// that solve and the bound chain it was solved under. When the next popped
-// node descends directly from exactly that solve, solveDive re-optimizes
-// the retained state in place instead of rebuilding anything. Worker 0
-// adopts the root's engine this way.
-func (s *bbSearch) worker(id int, eng lpEngine, tabOwner any, tabBounds *boundChange) {
-	if eng == nil {
-		eng = newLPEngine(s.m, s.opts)
+// worker is one branch-and-bound worker loop. It owns a private simplex
+// scratch and pops nodes from the shared frontier until the search
+// terminates. rx is the scratch to adopt (nil: build one), and
+// tabOwner/tabBounds identify whose optimal state it retains: the basis
+// snapshot created from that solve and the bound chain it was solved
+// under. When the next popped node descends directly from exactly that
+// solve, the dive re-optimizes the retained state in place instead of
+// rebuilding anything. Worker 0 adopts the root's scratch this way.
+func (s *bbSearch) worker(id int, rx *rxScratch, tabOwner *rxSnap, tabBounds *boundChange) {
+	if rx == nil {
+		rx = newRxScratch(s.m, s.opts)
 	}
 	var diveChanges []*boundChange
 	var np *npState
 	if !s.opts.noNodePresolve {
 		np = newNpState(s.m)
 	}
-	fellBack := eng.stats().denseFallbacks // dense fallbacks already logged
 	s.mu.Lock()
 	for {
 		if s.stop {
@@ -544,67 +532,45 @@ func (s *bbSearch) worker(id int, eng lpEngine, tabOwner any, tabBounds *boundCh
 			node.bounds = extra
 		}
 
-		var sol Solution
-		warm, dove := false, false
-		iters := 0
-		if !s.opts.noWarmStart && node.snap != nil && node.snap == tabOwner {
-			// Dive path: the engine still holds this node's parent's
-			// optimal state. Collect the bound changes separating the node
-			// from that solve (its branching plus any reduced-cost fixings)
-			// and apply them in place, then repair with dual simplex — no
-			// rebuild, no refactorization.
+		// Dive path: the scratch still holds this node's parent's optimal
+		// state. Collect the bound changes separating the node from that
+		// solve (its branching plus any reduced-cost fixings) to apply in
+		// place, then repair with dual simplex — no rebuild, no
+		// refactorization. Otherwise the node warm-starts from its parent's
+		// snapshot.
+		var dive []*boundChange
+		from := node.snap
+		if s.opts.noWarmStart {
+			from = nil
+		} else if from != nil && from == tabOwner {
 			diveChanges = diveChanges[:0]
 			c := node.bounds
 			for c != nil && c != tabBounds && len(diveChanges) < 64 {
 				diveChanges = append(diveChanges, c)
 				c = c.parent
 			}
-			if c == tabBounds && len(diveChanges) > 0 {
-				ws, ok := eng.solveDive(diveChanges)
-				iters += eng.pivots()
-				dove = true
-				if ok {
-					sol, warm = ws, true
-				}
+			if c == tabBounds {
+				dive = diveChanges
 			}
 		}
-		if !warm {
-			eng.applyBounds(node.bounds)
-			if !s.opts.noWarmStart && node.snap != nil && !dove {
-				ws, ok := eng.solveWarm(node.snap)
-				iters += eng.pivots()
-				if ok {
-					sol, warm = ws, true
-				}
-			}
-			if !warm {
-				sol = eng.solveCold()
-				iters += eng.pivots()
-			}
-		}
-		snap, fixBase := s.retain(eng, sol, node.bounds, inc)
+		sol, warm := rx.solve(node.bounds, from, dive)
+		snap, fixBase := s.retain(rx, sol, node.bounds, inc)
 		tabOwner, tabBounds = snap, fixBase
 
 		s.mu.Lock()
 		s.inFlight--
 		s.active[id] = math.NaN()
-		s.simplexIters += iters
+		s.simplexIters += rx.lastPivots
 		s.npFixings += nFix
 		if warm {
 			s.warmHits++
-		}
-		if fb := eng.stats().denseFallbacks; fb > fellBack {
-			fellBack = fb
-			if s.opts.Logf != nil {
-				s.opts.Logf("solver: node LP fell back to the dense engine (%d on this worker)", fb)
-			}
 		}
 		s.processLocked(node, sol, snap, fixBase)
 		// Wake idle siblings: children may have been pushed, or this was
 		// the last in-flight node and the frontier is now empty.
 		s.cond.Broadcast()
 	}
-	s.lu.merge(eng.stats())
+	s.lu.merge(rx.stats())
 	s.mu.Unlock()
 }
 
@@ -637,18 +603,18 @@ func (s *bbSearch) admitLocked(node *bbNode) (ok bool, inc float64) {
 	return false, 0
 }
 
-// retain snapshots the engine's optimal basis after a node's solve — only
+// retain snapshots the scratch's optimal basis after a node's solve — only
 // when the node will branch — and extends its chain with reduced-cost
 // fixings against inc, the incumbent objective read when the node was
 // admitted (a stale incumbent is only weaker, so the fixings stay valid;
-// NaN: no incumbent, no fixings). It reads the engine and the immutable
+// NaN: no incumbent, no fixings). It reads the scratch and the immutable
 // model only, so workers call it outside the lock.
-func (s *bbSearch) retain(eng lpEngine, sol Solution, chain *boundChange, inc float64) (snap any, fixBase *boundChange) {
+func (s *bbSearch) retain(rx *rxScratch, sol Solution, chain *boundChange, inc float64) (snap *rxSnap, fixBase *boundChange) {
 	fixBase = chain
 	if sol.Status == Optimal && s.hasFracInt(sol.Values) {
-		snap = eng.snapshot()
+		snap = rx.snapshot()
 		if !math.IsNaN(inc) {
-			fixBase = eng.fixings(sol.Objective, inc, chain)
+			fixBase = rx.fixings(sol.Objective, inc, chain)
 		}
 	}
 	return snap, fixBase
@@ -668,71 +634,12 @@ func (s *bbSearch) hasFracInt(values []float64) bool {
 	return false
 }
 
-// reducedCostFixings extends chain with bound tightenings justified by the
-// node's optimal reduced costs. For any feasible point of this subtree,
-// obj = z + Σ c̄_j·x_j over the stored (shifted, nonnegative) columns with
-// every c̄_j ≥ 0 at optimality, so moving an integer variable t units off
-// the bound it is nonbasic at costs at least t·c̄ — and once that exceeds
-// the incumbent gap, those values cannot hold a better-or-tied solution
-// and are tightened away. The 1e-6 relative margin keeps every solution
-// within roundoff of the incumbent objective alive, so equal-objective
-// optima — and with them the canonical lexicographic tie-break — survive.
-// Reads the worker's own scratch right after its optimal solve; no lock.
-func (m *Model) reducedCostFixings(sc *lpScratch, obj, inc float64, chain *boundChange) *boundChange {
-	zMin, incMin := obj, inc
-	if m.sense == Maximize {
-		zMin, incMin = -obj, -inc
-	}
-	budget := incMin - zMin + 1e-6*math.Max(1, math.Abs(incMin))
-	if budget < 0 {
-		return chain
-	}
-	ur := len(m.cons) // rolling row index of the next finite-ub row
-	for i := range m.vars {
-		v := &m.vars[i]
-		r := -1
-		if !math.IsInf(sc.ub[i], 1) {
-			r = ur
-			ur++
-		}
-		if !v.integer || sc.negCol[i] >= 0 {
-			continue
-		}
-		width := sc.ub[i] - sc.lb[i]
-		if width < 1 {
-			continue // no whole integer step left to exclude
-		}
-		// Down side: a positive reduced cost on the structural column means
-		// the variable sits nonbasic at its lower bound; raising it t units
-		// costs ≥ t·c̄.
-		if cr := sc.cost[sc.col[i]]; cr > feasTol {
-			if maxT := math.Floor(budget / cr); maxT < width {
-				chain = &boundChange{parent: chain, v: VarID(i), upper: true, val: sc.lb[i] + maxT}
-				width = maxT
-			}
-		}
-		// Up side: a positive reduced cost on the ub row's slack means the
-		// variable sits nonbasic at its upper bound; lowering it t units
-		// costs ≥ t·c̄ of that slack.
-		if r >= 0 && width >= 1 {
-			if scol := sc.slackOf[r]; scol >= 0 {
-				if cr := sc.cost[scol]; cr > feasTol {
-					if maxT := math.Floor(budget / cr); maxT < width {
-						chain = &boundChange{parent: chain, v: VarID(i), upper: false, val: sc.ub[i] - maxT}
-					}
-				}
-			}
-		}
-	}
-	return chain
-}
-
 // processLocked handles one solved relaxation: prune, record an incumbent,
 // or branch. Requires s.mu held. sol.Values aliases the worker's scratch;
 // snap is the node's own optimal basis and fixBase its bound chain
 // extended with reduced-cost fixings (== node.bounds when there are none;
 // both unused when the node does not branch).
-func (s *bbSearch) processLocked(node *bbNode, sol Solution, snap any, fixBase *boundChange) {
+func (s *bbSearch) processLocked(node *bbNode, sol Solution, snap *rxSnap, fixBase *boundChange) {
 	// Feed the pseudocosts before any pruning: the degradation this child
 	// observed is real information about its branch variable either way.
 	s.observePseudocostLocked(node, sol)
@@ -766,7 +673,7 @@ func (s *bbSearch) processLocked(node *bbNode, sol Solution, snap any, fixBase *
 		// copy them out of the worker scratch, and recompute the objective
 		// from the snapped values — for integer-coefficient models this
 		// makes the incumbent objective exact, hence bit-identical across
-		// branching rules, worker counts, and warm/cold solve paths.
+		// worker counts and warm/cold solve paths.
 		values := append([]float64(nil), sol.Values...)
 		obj := 0.0
 		for i, v := range s.m.vars {
@@ -812,7 +719,7 @@ func (s *bbSearch) processLocked(node *bbNode, sol Solution, snap any, fixBase *
 // child ties its parent's bound, this is the only pseudocost signal there
 // is. Requires s.mu held.
 func (s *bbSearch) observePseudocostLocked(node *bbNode, sol Solution) {
-	if s.pcDownSum == nil || node.bounds == nil || node.fracStep <= intTol {
+	if node.bounds == nil || node.fracStep <= intTol {
 		return
 	}
 	var per float64
@@ -867,32 +774,18 @@ func pcEst(sum []float64, n []int, totSum float64, totN int, i int) float64 {
 // selectBranchLocked picks the integer variable to branch on, or -1 when
 // the point is integral. Requires s.mu held (pseudocost reads).
 func (s *bbSearch) selectBranchLocked(values []float64) VarID {
-	if s.pcDownSum == nil {
-		// Most-fractional rule.
-		branchVar := VarID(-1)
-		worstFrac := intTol
-		for i, v := range s.m.vars {
-			if !v.integer {
-				continue
-			}
-			x := values[i]
-			frac := math.Abs(x - math.Round(x))
-			if frac > worstFrac {
-				worstFrac = frac
-				branchVar = VarID(i)
-			}
-		}
-		return branchVar
-	}
-	// Pseudocost product score. The 1e-6 floor is applied to each side's
-	// estimate, not to the estimate·fractionality product: on heavily
-	// degenerate instances every observed degradation is 0, and flooring
-	// the product would collapse all scores to one constant — turning the
-	// rule into lowest-index branching. Flooring the estimates keeps the
-	// score proportional to fDown·fUp, so a zero-information pseudocost
-	// rule degenerates to most-fractional instead. Strict > keeps the
-	// first index on ties, making the pick deterministic given the same
-	// bookkeeping state.
+	// Pseudocost product score: the per-unit objective degradations
+	// observed on past down/up branches of the variable, weighted by its
+	// current fractionality; unreliable estimates (no observation on a
+	// side yet) borrow the tree-wide average. The 1e-6 floor is applied to
+	// each side's estimate, not to the estimate·fractionality product: on
+	// heavily degenerate instances every observed degradation is 0, and
+	// flooring the product would collapse all scores to one constant —
+	// turning the rule into lowest-index branching. Flooring the estimates
+	// keeps the score proportional to fDown·fUp, so a zero-information
+	// pseudocost rule branches on the most fractional variable instead.
+	// Strict > keeps the first index on ties, making the pick deterministic
+	// given the same bookkeeping state.
 	best := VarID(-1)
 	bestScore := -1.0
 	for i, v := range s.m.vars {

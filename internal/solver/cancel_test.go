@@ -43,50 +43,42 @@ func transportLP(t *testing.T, n int) *Model {
 // LP solve. The model is a pure LP, so the only place the context can be
 // observed is the pivot loop itself; before the pivot-interval check was
 // added, a canceled context was ignored entirely for pure-LP solves and
-// this returned Optimal. Both engines must honor it.
+// this returned Optimal.
 func TestLPCancellationMidSolve(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, dense := range []bool{false, true} {
-		m := transportLP(t, 12)
-		// Sanity: without a context the LP solves to optimality and
-		// needs pivots (i.e. the instance is not presolved away).
-		ref := mustSolveOpts(t, transportLP(t, 12), Options{denseSimplex: dense})
-		if ref.Status != Optimal {
-			t.Fatalf("dense=%v reference status = %v, want optimal", dense, ref.Status)
-		}
-		if ref.SimplexIters == 0 {
-			t.Fatalf("dense=%v reference solve took 0 pivots; instance too easy to prove mid-LP cancellation", dense)
-		}
-		s := mustSolveOpts(t, m, Options{denseSimplex: dense, Context: ctx})
-		if s.Status != IterLimit {
-			t.Errorf("dense=%v cancelled LP status = %v, want iteration-limit", dense, s.Status)
-		}
-		if s.Status == Optimal {
-			t.Errorf("dense=%v cancelled LP claimed optimality", dense)
-		}
-		// The check fires on the first pivot interval: a pre-cancelled
-		// context must not allow a full solve's worth of pivots.
-		if s.SimplexIters >= ref.SimplexIters {
-			t.Errorf("dense=%v cancelled LP performed %d pivots (uncancelled: %d)", dense, s.SimplexIters, ref.SimplexIters)
-		}
+	// Sanity: without a context the LP solves to optimality and needs
+	// pivots (i.e. the instance is not presolved away).
+	ref := mustSolveOpts(t, transportLP(t, 12), Options{})
+	if ref.Status != Optimal {
+		t.Fatalf("reference status = %v, want optimal", ref.Status)
+	}
+	if ref.SimplexIters == 0 {
+		t.Fatal("reference solve took 0 pivots; instance too easy to prove mid-LP cancellation")
+	}
+	s := mustSolveOpts(t, transportLP(t, 12), Options{Context: ctx})
+	if s.Status != IterLimit {
+		t.Errorf("cancelled LP status = %v, want iteration-limit", s.Status)
+	}
+	// The check fires on the first pivot interval: a pre-cancelled context
+	// must not allow a full solve's worth of pivots.
+	if s.SimplexIters >= ref.SimplexIters {
+		t.Errorf("cancelled LP performed %d pivots (uncancelled: %d)", s.SimplexIters, ref.SimplexIters)
 	}
 }
 
 // TestMIPCancellationMidLP: with a pre-cancelled context a MIP solve
-// still reports the established LimitReached status (not the engine's
+// still reports the established LimitReached status (not the simplex's
 // internal IterLimit), even though the abort now happens inside the root
 // LP rather than at a node boundary.
 func TestMIPCancellationMidLP(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, dense := range []bool{false, true} {
-		s := mustSolveOpts(t, hardKnapsack(t), Options{denseSimplex: dense, Context: ctx})
-		if s.Status != LimitReached {
-			t.Errorf("dense=%v cancelled MIP status = %v, want limit-reached", dense, s.Status)
-		}
-		if s.Nodes != 0 {
-			t.Errorf("dense=%v cancelled MIP expanded %d nodes, want 0", dense, s.Nodes)
-		}
+	s := mustSolveOpts(t, hardKnapsack(t), Options{Context: ctx})
+	if s.Status != LimitReached {
+		t.Errorf("cancelled MIP status = %v, want limit-reached", s.Status)
+	}
+	if s.Nodes != 0 {
+		t.Errorf("cancelled MIP expanded %d nodes, want 0", s.Nodes)
 	}
 }

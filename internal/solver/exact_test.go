@@ -12,14 +12,13 @@ import (
 	"flexwan/internal/topology"
 )
 
-// TestEngineDifferentialLadder is the end-to-end engine differential on
-// the real planning MIP: across the two-link scaling ladder, every
-// ablation — the dense tableau, the product-form eta file, presolve and
-// node presolve off, Dantzig and steepest-edge pricing, most-fractional
-// branching — and a two-worker search must reach the SAME optimal
-// objective as the default configuration (exact float equality: every
-// engine proves optimality, and the acceptance bar for this instance
-// family is bitwise-identical objective values). The reported plan is
+// TestEngineDifferentialLadder is the end-to-end differential on the real
+// planning MIP: across the two-link scaling ladder, every ablation —
+// presolve, node presolve and warm starts off — and a two-worker search
+// must reach the SAME optimal objective as the default configuration
+// (exact float equality: every configuration proves optimality, and the
+// acceptance bar for this instance family is bitwise-identical objective
+// values). The reported plan is
 // also checked for internal consistency: provisioned capacity covers
 // demand. Every row but the last searches without the heuristic's MIP
 // start, so the ladder keeps driving branch-and-bound on real planning
@@ -34,16 +33,10 @@ func TestEngineDifferentialLadder(t *testing.T) {
 		abl     solver.Ablation
 		start   bool
 	}{
-		{1, solver.Ablation{}, false}, // default: revised + Forrest–Tomlin, devex, pseudocost, all passes on
-		{1, solver.Ablation{EtaFileUpdates: true}, false},
-		{1, solver.Ablation{DenseSimplex: true}, false},
+		{1, solver.Ablation{}, false}, // default: all passes on
 		{1, solver.Ablation{NoPresolve: true}, false},
 		{1, solver.Ablation{NoNodePresolve: true}, false},
-		{1, solver.Ablation{EtaFileUpdates: true, NoPresolve: true}, false},
-		{1, solver.Ablation{DenseSimplex: true, NoPresolve: true}, false},
-		{1, solver.Ablation{Pricing: solver.PricingDantzig}, false},
-		{1, solver.Ablation{Pricing: solver.PricingSteepestEdge}, false},
-		{1, solver.Ablation{Branching: solver.BranchMostFractional}, false},
+		{1, solver.Ablation{NoWarmStart: true}, false},
 		{2, solver.Ablation{}, false},
 		{1, solver.Ablation{}, true},
 	}
@@ -66,7 +59,7 @@ func TestEngineDifferentialLadder(t *testing.T) {
 			if i == 0 {
 				ref = res.Solver.Objective
 			} else if res.Solver.Objective != ref {
-				t.Fatalf("%s: objective %v, want %v (engines diverged)", label, res.Solver.Objective, ref)
+				t.Fatalf("%s: objective %v, want %v (configurations diverged)", label, res.Solver.Objective, ref)
 			}
 			for id, lp := range res.PerLink {
 				if lp.ProvisionedGbps < lp.DemandGbps {
@@ -80,34 +73,34 @@ func TestEngineDifferentialLadder(t *testing.T) {
 
 // TestExactTBackbone solves a full T-backbone instance exactly — all
 // clusters, core, and IP links of the synthetic backbone — and checks the
-// plan against demand, plus the FT/eta objective identity on a real
-// (non-line) topology. Kept at a small grid so it stays a unit test;
-// TestTBackbonePins runs the bigger ones. Without the heuristic's MIP start,
-// so both engines run the search.
+// plan against demand, searching from scratch and from the heuristic's MIP
+// start to the same objective on a real (non-line) topology. Kept at a
+// small grid so it stays a unit test; TestTBackbonePins runs the bigger
+// ones.
 func TestExactTBackbone(t *testing.T) {
 	p, err := eval.ExactTBackboneProblem(1, 0.02, 32, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var ref float64
-	for i, etaFile := range []bool{false, true} {
-		opts := solver.Ablation{EtaFileUpdates: etaFile, NoStart: true}.Apply(solver.Options{MaxNodes: 200000, Workers: 1})
+	for i, noStart := range []bool{true, false} {
+		opts := solver.Ablation{NoStart: noStart}.Apply(solver.Options{MaxNodes: 200000, Workers: 1})
 		res, err := plan.SolveExact(p, opts)
 		if err != nil {
-			t.Fatalf("etaFile=%v: %v", etaFile, err)
+			t.Fatalf("noStart=%v: %v", noStart, err)
 		}
 		if res.Solver.Status != solver.Optimal {
-			t.Fatalf("etaFile=%v: status %v", etaFile, res.Solver.Status)
+			t.Fatalf("noStart=%v: status %v", noStart, res.Solver.Status)
 		}
 		if i == 0 {
 			ref = res.Solver.Objective
 		} else if res.Solver.Objective != ref {
-			t.Fatalf("etaFile=%v: objective %v, want %v", etaFile, res.Solver.Objective, ref)
+			t.Fatalf("noStart=%v: objective %v, want %v", noStart, res.Solver.Objective, ref)
 		}
 		for id, lp := range res.PerLink {
 			if lp.ProvisionedGbps < lp.DemandGbps {
-				t.Fatalf("etaFile=%v: link %s provisioned %d < demand %d",
-					etaFile, id, lp.ProvisionedGbps, lp.DemandGbps)
+				t.Fatalf("noStart=%v: link %s provisioned %d < demand %d",
+					noStart, id, lp.ProvisionedGbps, lp.DemandGbps)
 			}
 		}
 	}
@@ -116,7 +109,7 @@ func TestExactTBackbone(t *testing.T) {
 // TestTBackbonePins pins the default exact search on the three full
 // T-backbone instances (seed 1, demand scale 0.02): 32 pixels with one
 // candidate path per link, 24 pixels with three, and the degeneracy wall —
-// 32 pixels with three, where Dantzig pricing stalls outright. Each must
+// 32 pixels with three, where Dantzig pricing alone stalls outright. Each must
 // prove the same optimum, match the heuristic's transponder count (the
 // planning-quality cross-check behind Fig 12) and pass plan.Verify.
 //
@@ -187,9 +180,8 @@ func TestTBackbonePins(t *testing.T) {
 // solve allocates on the scaling ladder. The ceilings sit about 1.5× above
 // the measurement (101 376 / 240 640 / 524 690 bytes, with the root crashed
 // at the heuristic's start and the conflict rows built as one counted
-// arena) and far under the dense tableau's (≈1.5 MB at 32 pixels, ≈6 MB at
-// 64), so an engine regression, a silent retreat to the dense path or a
-// build that grows its rows by appending again trips them.
+// arena), so a simplex that forms dense rows or a build that grows its rows
+// by appending again trips them.
 func TestExactSolveMemoryCeilings(t *testing.T) {
 	if raceDetectorOn {
 		t.Skip("the race detector's shadow allocations inflate TotalAlloc")

@@ -11,27 +11,14 @@ var PlanningModel = planningModel
 // Ablation names the test-only switches of Options (see the unexported
 // fields there) for the external tests.
 type Ablation struct {
-	Branching      branchRule
-	Pricing        pricingRule
 	NoWarmStart    bool
 	NoPresolve     bool
 	NoNodePresolve bool
-	DenseSimplex   bool
-	EtaFileUpdates bool
 	NoStart        bool
 }
 
 // Apply returns o with a's switches set.
 func (a Ablation) Apply(o Options) Options {
-	o.branching, o.pricing = a.Branching, a.Pricing
-	o.noWarmStart, o.noPresolve, o.noNodePresolve = a.NoWarmStart, a.NoPresolve, a.NoNodePresolve
-	o.denseSimplex, o.etaFileUpdates, o.noStart = a.DenseSimplex, a.EtaFileUpdates, a.NoStart
+	o.noWarmStart, o.noPresolve, o.noNodePresolve, o.noStart = a.NoWarmStart, a.NoPresolve, a.NoNodePresolve, a.NoStart
 	return o
 }
-
-// The non-default rules, for Ablation.Branching and Ablation.Pricing.
-const (
-	BranchMostFractional = branchMostFractional
-	PricingDantzig       = pricingDantzig
-	PricingSteepestEdge  = pricingSteepestEdge
-)

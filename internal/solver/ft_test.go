@@ -62,11 +62,10 @@ func maxAbsDiff(a, b []float64) float64 {
 	return d
 }
 
-// TestForrestTomlinDifferential drives three factorizations of the same
+// TestForrestTomlinDifferential drives two factorizations of the same
 // evolving basis through random pivot sequences — Forrest–Tomlin updates,
-// the legacy product-form eta file, and a reference that refactorizes from
-// scratch after every pivot — and checks that FTRAN and BTRAN agree on all
-// three after every step. This is the correctness contract of the update
+// and a reference that refactorizes from scratch after every pivot — and
+// checks that FTRAN and BTRAN agree on both after every step. This is the correctness contract of the update
 // algebra: an updated factor must solve the same linear systems as a fresh
 // factorization of the updated basis.
 func TestForrestTomlinDifferential(t *testing.T) {
@@ -84,25 +83,19 @@ func TestForrestTomlinDifferential(t *testing.T) {
 			inBasis[basis[r]] = true
 		}
 
-		ft := &luFactor{ft: true}
-		eta := &luFactor{}
+		ft := &luFactor{}
 		ref := &luFactor{}
 		x := make([]float64, nRows)
-		refactorAll := func() {
-			for _, f := range []*luFactor{ft, eta, ref} {
-				if !f.factorize(basis, csc, x) {
-					t.Fatalf("trial %d: factorize failed on nonsingular basis", trial)
-				}
+		for _, f := range []*luFactor{ft, ref} {
+			if !f.factorize(basis, csc, x) {
+				t.Fatalf("trial %d: factorize failed on nonsingular basis", trial)
 			}
 		}
-		refactorAll()
 
 		wFT := make([]float64, nRows)
-		wEta := make([]float64, nRows)
 		wRef := make([]float64, nRows)
 		c := make([]float64, nRows)
 		bFT := make([]float64, nRows)
-		bEta := make([]float64, nRows)
 		bRef := make([]float64, nRows)
 
 		steps := 0
@@ -113,27 +106,24 @@ func TestForrestTomlinDifferential(t *testing.T) {
 			}
 			p := rng.Intn(nRows)
 
-			// FTRAN the entering column through all three factors.
+			// FTRAN the entering column through both factors.
 			for _, pair := range []struct {
 				f   *luFactor
 				out []float64
-			}{{ft, wFT}, {eta, wEta}, {ref, wRef}} {
+			}{{ft, wFT}, {ref, wRef}} {
 				scatterBasisCol(csc, enter, x)
 				pair.f.ftran(x, pair.out)
 			}
 			if d := maxAbsDiff(wFT, wRef); d > 1e-6 {
 				t.Fatalf("trial %d step %d: FT ftran diverges from fresh factorization by %g", trial, steps, d)
 			}
-			if d := maxAbsDiff(wEta, wRef); d > 1e-6 {
-				t.Fatalf("trial %d step %d: eta-file ftran diverges from fresh factorization by %g", trial, steps, d)
-			}
 			alphaP := wRef[p]
 			if math.Abs(alphaP) < 1e-2 {
 				continue // replacement would be near-singular; pick another
 			}
 
-			// Apply the pivot to each maintenance scheme, mirroring the
-			// production policy on update refusal.
+			// Apply the pivot to both, mirroring the production policy on
+			// update refusal.
 			leave := basis[p]
 			basis[p] = enter
 			delete(inBasis, leave)
@@ -143,35 +133,25 @@ func TestForrestTomlinDifferential(t *testing.T) {
 					t.Fatalf("trial %d step %d: FT refactorize failed", trial, steps)
 				}
 			}
-			if eta.nEtas() >= luMaxEtas {
-				if !eta.factorize(basis, csc, x) {
-					t.Fatalf("trial %d step %d: eta refactorize failed", trial, steps)
-				}
-			} else {
-				eta.appendEta(p, wEta)
-			}
 			if !ref.factorize(basis, csc, x) {
 				t.Fatalf("trial %d step %d: reference refactorize failed — basis became singular", trial, steps)
 			}
 			steps++
 
-			// BTRAN a random dual vector through all three.
+			// BTRAN a random dual vector through both.
 			for i := 0; i < nRows; i++ {
 				c[i] = rng.NormFloat64()
 			}
 			for _, pair := range []struct {
 				f   *luFactor
 				out []float64
-			}{{ft, bFT}, {eta, bEta}, {ref, bRef}} {
+			}{{ft, bFT}, {ref, bRef}} {
 				cc := make([]float64, nRows)
 				copy(cc, c)
 				pair.f.btran(cc, pair.out, nil, nil)
 			}
 			if d := maxAbsDiff(bFT, bRef); d > 1e-6 {
 				t.Fatalf("trial %d step %d: FT btran diverges from fresh factorization by %g", trial, steps, d)
-			}
-			if d := maxAbsDiff(bEta, bRef); d > 1e-6 {
-				t.Fatalf("trial %d step %d: eta-file btran diverges from fresh factorization by %g", trial, steps, d)
 			}
 		}
 		if steps < 40 {
@@ -180,34 +160,6 @@ func TestForrestTomlinDifferential(t *testing.T) {
 		if ft.nUpdate == 0 {
 			t.Fatalf("trial %d: Forrest–Tomlin path never applied an in-place update", trial)
 		}
-	}
-}
-
-// TestFTvsEtaFileObjectiveIdentity solves random MILPs under both basis
-// maintenance schemes (and the dense tableau as arbiter) and requires
-// identical status and objective: the update scheme is an implementation
-// detail of the LP engine and must never change what the search proves.
-func TestFTvsEtaFileObjectiveIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 200; trial++ {
-		m := randomMILP(rng, true)
-		ftSol := mustSolveOpts(t, m, Options{Workers: 1})
-		etaSol := mustSolveOpts(t, m, Options{Workers: 1, etaFileUpdates: true})
-		denseSol := mustSolveOpts(t, m, Options{Workers: 1, denseSimplex: true})
-		if ftSol.Status != etaSol.Status || ftSol.Status != denseSol.Status {
-			t.Fatalf("trial %d: status FT=%v eta=%v dense=%v", trial, ftSol.Status, etaSol.Status, denseSol.Status)
-		}
-		if ftSol.Status != Optimal {
-			continue
-		}
-		tol := 1e-6 * math.Max(1, math.Abs(denseSol.Objective))
-		if math.Abs(ftSol.Objective-denseSol.Objective) > tol {
-			t.Fatalf("trial %d: FT objective %v != dense %v", trial, ftSol.Objective, denseSol.Objective)
-		}
-		if math.Abs(etaSol.Objective-denseSol.Objective) > tol {
-			t.Fatalf("trial %d: eta objective %v != dense %v", trial, etaSol.Objective, denseSol.Objective)
-		}
-		checkFeasible(t, m, ftSol, fmt.Sprintf("trial %d (FT)", trial))
 	}
 }
 
@@ -267,15 +219,16 @@ func TestNodePresolveFixingsReported(t *testing.T) {
 	}
 }
 
-// TestDenseFallbackCountedAndLogged forces the revised engine's dense
-// fallback: x and y are unbounded above with costs that pull them along
-// the recession ray y = x + 3, so the artificial box binds at the LP
-// optimum, binds again after the grow-retry, and the engine must hand the
-// solve to the dense tableau. Before this counter existed the handoff left
-// no trace anywhere. The integer variable forces an actual search on top.
-func TestDenseFallbackCountedAndLogged(t *testing.T) {
+// TestBoxedOptimumOnUnboundedFace: x and y are unbounded above with costs
+// that pull them along the recession ray y = x + 3, so the cold solve's
+// artificial box binds at the LP optimum. The ray costs nothing — y prices
+// at zero reduced cost on its box — so the boxed optimum is the true one,
+// on an unbounded face: Optimal at −2, a point feasible for the real
+// bounds, and no certificate give-up logged. The integer variable forces a
+// search on top.
+func TestBoxedOptimumOnUnboundedFace(t *testing.T) {
 	var logs []string
-	m := NewModel("fallback", Minimize)
+	m := NewModel("face", Minimize)
 	x := m.AddVar("x", 0, math.Inf(1), 1)
 	y := m.AddVar("y", 0, math.Inf(1), -1)
 	z := m.AddIntVar("z", 0, 5, 1)
@@ -286,31 +239,24 @@ func TestDenseFallbackCountedAndLogged(t *testing.T) {
 		noPresolve: true, // presolve would round z up and solve the rest as a pure LP
 		Logf:       func(f string, a ...interface{}) { logs = append(logs, fmt.Sprintf(f, a...)) },
 	})
-	if sol.Status != Optimal {
-		t.Fatalf("status = %v", sol.Status)
-	}
 	// min x − y + z over y ≤ x+3, 2z ≥ 1: the continuous part contributes
 	// −3 anywhere on the ray, and z must round up to 1.
-	if math.Abs(sol.Objective-(-2)) > 1e-6 {
-		t.Fatalf("objective = %v, want -2", sol.Objective)
+	if sol.Status != Optimal || math.Abs(sol.Objective-(-2)) > 1e-6 {
+		t.Fatalf("%v at %v, want optimal at -2", sol.Status, sol.Objective)
 	}
-	if sol.DenseFallbacks == 0 {
-		t.Fatal("artificial-box fallback left DenseFallbacks at 0")
+	if ref := refSolve(m); ref.status != Optimal || ref.float() != -2 {
+		t.Fatalf("reference %v at %v, want optimal at -2", ref.status, ref.obj)
 	}
-	found := false
+	checkFeasible(t, m, sol, "boxed optimum")
 	for _, l := range logs {
-		if strings.Contains(l, "dense") {
-			found = true
-			break
+		if strings.Contains(l, "not certified") {
+			t.Fatalf("the boxed optimum was not accepted: %q", l)
 		}
-	}
-	if !found {
-		t.Fatalf("no dense-fallback log line emitted; logs: %q", logs)
 	}
 }
 
 // TestSolveStatsPopulated checks the basis-health counters surface through
-// an ordinary MILP solve on the default engine.
+// an ordinary MILP solve.
 func TestSolveStatsPopulated(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	m := randomMILP(rng, true)
@@ -319,16 +265,12 @@ func TestSolveStatsPopulated(t *testing.T) {
 		t.Fatalf("status = %v", sol.Status)
 	}
 	if sol.Refactorizations == 0 {
-		t.Error("Refactorizations = 0 after a revised-engine solve")
+		t.Error("Refactorizations = 0 after a MILP solve")
 	}
 	if sol.FTRANCount == 0 || sol.BTRANCount == 0 {
 		t.Errorf("FTRAN/BTRAN counts = %d/%d, want both > 0", sol.FTRANCount, sol.BTRANCount)
 	}
 	if sol.PeakUFill == 0 {
-		t.Error("PeakUFill = 0 after a revised-engine solve")
-	}
-	dense := mustSolveOpts(t, m, Options{Workers: 1, denseSimplex: true})
-	if dense.Refactorizations != 0 || dense.PeakUFill != 0 {
-		t.Errorf("dense engine reported LU stats: %d refactorizations, %d fill", dense.Refactorizations, dense.PeakUFill)
+		t.Error("PeakUFill = 0 after a MILP solve")
 	}
 }

@@ -313,7 +313,7 @@ func TestPriceRowBitEqualsPriceCol(t *testing.T) {
 		models = append(models, randomFactorModel(t, rng, 10+rng.Intn(30), 20+rng.Intn(40), 0.05+0.3*rng.Float64()))
 	}
 	for mi, m := range models {
-		rx := newRxScratch(m, false)
+		rx := newRxScratch(m, Options{})
 		for _, density := range []float64{0.02, 0.11, 0.5, 1} {
 			for r := range rx.rho {
 				rx.rho[r], rx.y[r] = 0, rng.NormFloat64()
@@ -396,7 +396,7 @@ func TestFactorizeReachMatchesScan(t *testing.T) {
 		}
 		csc := m.cscMatrixOf()
 		x := make([]float64, csc.rows)
-		got, want := &luFactor{ft: true}, &luFactor{ft: true}
+		got, want := &luFactor{}, &luFactor{}
 		for step, basis := range evolveBasis(t, rng, csc, 40) {
 			label := fmt.Sprintf("trial %d step %d", trial, step)
 			if !got.factorize(basis, csc, x) || !want.factorizeScan(basis, csc, x) {
@@ -480,100 +480,94 @@ func allZero(v []float64) bool {
 	return true
 }
 
-// TestSolvesMatchOracles drives a factor through Forrest–Tomlin (and
-// eta-file) updates and, after 0, 1 and 40 of them, requires btran — alone
+// TestSolvesMatchOracles drives a factor through Forrest–Tomlin updates
+// and, after 0, 1 and 40 of them, requires btran — alone
 // and with two right-hand sides in one pass — and ftran to reproduce the
 // replaced single-solve forms exactly on unit, hypersparse and dense
 // right-hand sides: same values, same captured spike, inputs zeroed, the
 // solve counters advanced by the number of systems solved.
 func TestSolvesMatchOracles(t *testing.T) {
 	rng := rand.New(rand.NewSource(1404))
-	for _, ft := range []bool{true, false} {
-		for trial := 0; trial < 6; trial++ {
-			var m *Model
-			if trial == 0 {
-				m = planningModel(t, 3, 16, 1, 12)
-			} else {
-				m = randomFactorModel(t, rng, 20+rng.Intn(20), 40+rng.Intn(30), 0.1+0.2*rng.Float64())
-			}
-			csc := m.cscMatrixOf()
-			n := csc.rows
-			bases := evolveBasis(t, rng, csc, 40)
-			f := &luFactor{ft: ft}
-			x := make([]float64, n)
-			w := make([]float64, n)
-			if !f.factorize(bases[0], csc, x) {
-				t.Fatal("all-slack basis singular")
-			}
-			check := func(updates int) {
-				for _, shape := range []string{"unit", "hypersparse", "dense"} {
-					label := fmt.Sprintf("ft=%v trial %d after %d updates, %s rhs", ft, trial, updates, shape)
-					rhs, rhs2 := make([]float64, n), make([]float64, n)
-					solveRHS(rng, shape, rhs)
-					solveRHS(rng, "dense", rhs2)
-					in := func(v []float64) []float64 { return append([]float64(nil), v...) }
+	for trial := 0; trial < 6; trial++ {
+		var m *Model
+		if trial == 0 {
+			m = planningModel(t, 3, 16, 1, 12)
+		} else {
+			m = randomFactorModel(t, rng, 20+rng.Intn(20), 40+rng.Intn(30), 0.1+0.2*rng.Float64())
+		}
+		csc := m.cscMatrixOf()
+		n := csc.rows
+		bases := evolveBasis(t, rng, csc, 40)
+		f := &luFactor{}
+		x := make([]float64, n)
+		w := make([]float64, n)
+		if !f.factorize(bases[0], csc, x) {
+			t.Fatal("all-slack basis singular")
+		}
+		check := func(updates int) {
+			for _, shape := range []string{"unit", "hypersparse", "dense"} {
+				label := fmt.Sprintf("trial %d after %d updates, %s rhs", trial, updates, shape)
+				rhs, rhs2 := make([]float64, n), make([]float64, n)
+				solveRHS(rng, shape, rhs)
+				solveRHS(rng, "dense", rhs2)
+				in := func(v []float64) []float64 { return append([]float64(nil), v...) }
 
-					want, want2 := make([]float64, n), make([]float64, n)
-					f.btranOracle(in(rhs), want)
-					f.btranOracle(in(rhs2), want2)
-					got, got2 := make([]float64, n), make([]float64, n)
-					c, c2 := in(rhs), in(rhs2)
-					before := f.nBtran
-					f.btran(c, got, nil, nil)
-					if !reflect.DeepEqual(zeroSigns(got), zeroSigns(want)) || !allZero(c) || f.nBtran != before+1 {
-						t.Fatalf("%s: single btran diverges from the oracle", label)
-					}
-					c = in(rhs)
-					f.btran(c, got, c2, got2)
-					if !reflect.DeepEqual(zeroSigns(got), zeroSigns(want)) || !reflect.DeepEqual(zeroSigns(got2), zeroSigns(want2)) {
-						t.Fatalf("%s: paired btran diverges from two oracle solves", label)
-					}
-					if !allZero(c) || !allZero(c2) || f.nBtran != before+3 {
-						t.Fatalf("%s: paired btran left inputs dirty or miscounted (%d solves)", label, f.nBtran-before)
-					}
-					if !allZero(f.c2) {
-						t.Fatalf("%s: the absent-rhs stand-in is no longer zero", label)
-					}
+				want, want2 := make([]float64, n), make([]float64, n)
+				f.btranOracle(in(rhs), want)
+				f.btranOracle(in(rhs2), want2)
+				got, got2 := make([]float64, n), make([]float64, n)
+				c, c2 := in(rhs), in(rhs2)
+				before := f.nBtran
+				f.btran(c, got, nil, nil)
+				if !reflect.DeepEqual(zeroSigns(got), zeroSigns(want)) || !allZero(c) || f.nBtran != before+1 {
+					t.Fatalf("%s: single btran diverges from the oracle", label)
+				}
+				c = in(rhs)
+				f.btran(c, got, c2, got2)
+				if !reflect.DeepEqual(zeroSigns(got), zeroSigns(want)) || !reflect.DeepEqual(zeroSigns(got2), zeroSigns(want2)) {
+					t.Fatalf("%s: paired btran diverges from two oracle solves", label)
+				}
+				if !allZero(c) || !allZero(c2) || f.nBtran != before+3 {
+					t.Fatalf("%s: paired btran left inputs dirty or miscounted (%d solves)", label, f.nBtran-before)
+				}
+				if !allZero(f.c2) {
+					t.Fatalf("%s: the absent-rhs stand-in is no longer zero", label)
+				}
 
-					f.ftranOracle(in(rhs), want)
-					spike := in(f.vbuf) // nil in eta-file mode
-					xin := in(rhs)
-					f.ftran(xin, got)
-					if !reflect.DeepEqual(zeroSigns(got), zeroSigns(want)) || !allZero(xin) {
-						t.Fatalf("%s: ftran diverges from the oracle", label)
-					}
-					if !reflect.DeepEqual(zeroSigns(in(f.vbuf)), zeroSigns(spike)) {
-						t.Fatalf("%s: ftran captured a different spike", label)
-					}
+				f.ftranOracle(in(rhs), want)
+				spike := in(f.vbuf)
+				xin := in(rhs)
+				f.ftran(xin, got)
+				if !reflect.DeepEqual(zeroSigns(got), zeroSigns(want)) || !allZero(xin) {
+					t.Fatalf("%s: ftran diverges from the oracle", label)
+				}
+				if !reflect.DeepEqual(zeroSigns(in(f.vbuf)), zeroSigns(spike)) {
+					t.Fatalf("%s: ftran captured a different spike", label)
 				}
 			}
-			check(0)
-			for step := 1; step <= 40; step++ {
-				// The one position whose column changed between bases.
-				p := -1
-				for i := range bases[step] {
-					if bases[step][i] != bases[step-1][i] {
-						p = i
-					}
-				}
-				scatterBasisCol(csc, bases[step][p], x)
-				f.ftran(x, w)
-				if ft {
-					if f.needRefactor() || !f.ftUpdate(p, w[p]) {
-						if !f.factorize(bases[step], csc, x) {
-							t.Fatalf("trial %d step %d: refactorize failed", trial, step)
-						}
-					}
-				} else {
-					f.appendEta(p, w)
-				}
-				if step == 1 || step == 40 {
-					check(step)
+		}
+		check(0)
+		for step := 1; step <= 40; step++ {
+			// The one position whose column changed between bases.
+			p := -1
+			for i := range bases[step] {
+				if bases[step][i] != bases[step-1][i] {
+					p = i
 				}
 			}
-			if f.nUpdate == 0 {
-				t.Fatalf("ft=%v trial %d: no in-place update was exercised", ft, trial)
+			scatterBasisCol(csc, bases[step][p], x)
+			f.ftran(x, w)
+			if f.needRefactor() || !f.ftUpdate(p, w[p]) {
+				if !f.factorize(bases[step], csc, x) {
+					t.Fatalf("trial %d step %d: refactorize failed", trial, step)
+				}
 			}
+			if step == 1 || step == 40 {
+				check(step)
+			}
+		}
+		if f.nUpdate == 0 {
+			t.Fatalf("trial %d: no in-place update was exercised", trial)
 		}
 	}
 }

@@ -14,12 +14,6 @@ const (
 	// fresh factorization instead of a basis update: dividing by a tiny
 	// w_p amplifies error through every later FTRAN/BTRAN.
 	luEtaTol = 1e-7
-	// luMaxEtas bounds the legacy product-form eta file before a periodic
-	// refactorization: each eta adds O(nnz(w)) work to every solve, so past
-	// this point refactorizing is both cheaper and more accurate. Only the
-	// eta-file test oracle (Options.etaFileUpdates) uses it; Forrest–Tomlin
-	// mode refactorizes on measured fill growth instead.
-	luMaxEtas = 64
 	// luDriftTol is the relative disagreement allowed between the
 	// Forrest–Tomlin diagonal identity d_new = w_p·d_old and the value the
 	// row elimination actually produces before the factorization is declared
@@ -157,18 +151,13 @@ func (s *uStore) clear(line int) { s.count[line] = 0 }
 //
 //	P·B₀ = L·U        (left-looking sparse LU, unit-diagonal L)
 //
-// maintained across pivots in one of two modes:
-//
-//   - Forrest–Tomlin (ft=true, the default): U is kept as a dynamic sparse
-//     permuted-triangular factor (uStore rows+columns plus a sequence
-//     order). Each pivot replaces one U column with the partially
-//     transformed spike and restores triangularity with a single row
-//     elimination recorded as a row eta R = I − e_p·rᵀ sitting between L
-//     and U. Refactorization is adaptive: measured fill growth or numerical
-//     drift against the determinant identity d_new = w_p·d_old.
-//   - product-form eta file (ft=false, Options.etaFileUpdates): each pivot
-//     appends E = I + (w−e_p)e_pᵀ after U, with a fixed refactorization
-//     cap of luMaxEtas.
+// maintained across pivots by Forrest–Tomlin updates: U is kept as a
+// dynamic sparse permuted-triangular factor (uStore rows+columns plus a
+// sequence order). Each pivot replaces one U column with the partially
+// transformed spike and restores triangularity with a single row
+// elimination recorded as a row eta R = I − e_p·rᵀ sitting between L and
+// U. Refactorization is adaptive: measured fill growth or numerical drift
+// against the determinant identity d_new = w_p·d_old.
 //
 // FTRAN solves B·w = a; BTRAN solves Bᵀ·v = c. L rows are indexed in
 // original constraint-row space, U in pivot order (which equals basis
@@ -177,7 +166,6 @@ func (s *uStore) clear(line int) { s.count[line] = 0 }
 // times allocates only on growth.
 type luFactor struct {
 	m    int
-	ft   bool    // Forrest–Tomlin mode (vs legacy product-form eta file)
 	perm []int32 // pivot order k → original row
 	pinv []int32 // original row → pivot order
 
@@ -188,20 +176,18 @@ type luFactor struct {
 	uPtr  []int32 // len m+1; static U column j (above-diagonal) entries
 	uIdx  []int32 // pivot-order index k < j
 	uVal  []float64
-	udiag []float64 // U diagonal per column (live in both modes)
+	udiag []float64 // U diagonal per column
 
-	// Eta storage. In ft mode these are the row etas R_e = I − e_p·rᵀ
-	// applied between L and U (etaPiv unused); in eta-file mode the
-	// product-form etas applied after U, with etaPiv the spike pivot.
+	// The row etas R_e = I − e_p·rᵀ applied between L and U, one per
+	// update that eliminated anything.
 	etaPos []int32
-	etaPiv []float64
 	etaPtr []int32 // len nEtas+1; offsets into etaIdx/etaVal
 	etaIdx []int32
 	etaVal []float64
 
-	// Forrest–Tomlin state: the dynamic U store, the triangularity
-	// sequence (order[t] = basis position at sequence slot t), the spike
-	// captured by the most recent ftran, and the row-elimination scratch.
+	// The dynamic U store, the triangularity sequence (order[t] = basis
+	// position at sequence slot t), the spike captured by the most recent
+	// ftran, and the row-elimination scratch.
 	us       uStore
 	order    []int32
 	seqPos   []int32
@@ -218,12 +204,12 @@ type luFactor struct {
 	c2    []float64 // btran scratch: the all-zero stand-in for an absent second right-hand side, and its solution
 
 	// Health counters, cumulative over the factor's lifetime (one factor
-	// per branch-and-bound worker engine).
+	// per branch-and-bound worker).
 	nFactor  int // full factorizations
-	nUpdate  int // in-place basis updates (FT or eta append)
+	nUpdate  int // in-place Forrest–Tomlin updates
 	nFtran   int
 	nBtran   int
-	peakFill int // peak of U nnz (diag included) + eta nnz
+	peakFill int // peak of U nnz (diag included) + row-eta nnz
 }
 
 func growInt32(s []int32, n int) []int32 {
@@ -233,7 +219,19 @@ func growInt32(s []int32, n int) []int32 {
 	return s[:n]
 }
 
-func (f *luFactor) nEtas() int { return len(f.etaPos) }
+func growFloats(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	return s[:n]
+}
+
+func growBools(s []bool, n int) []bool {
+	if cap(s) < n {
+		return make([]bool, n)
+	}
+	return s[:n]
+}
 
 // posQueue is a bitset over positions 0..n−1 read as a monotone priority
 // queue: pop returns members in ascending order, and every add lands above
@@ -282,11 +280,11 @@ func (f *luFactor) touchRow(touch []int32, r int32) []int32 {
 }
 
 // factorize computes P·B = L·U for the basis given as one column index
-// per row position (structural column, or cols+r for row r's slack), and
-// clears the eta file. In Forrest–Tomlin mode the fresh U is then loaded
-// into the dynamic store. Returns false when the basis is numerically
-// singular. The caller's dense work vectors must be zero on entry; x is
-// used as the dense accumulation column and is zero again on return.
+// per row position (structural column, or cols+r for row r's slack),
+// clears the row etas and loads the fresh U into the dynamic store.
+// Returns false when the basis is numerically singular. The caller's
+// dense work vectors must be zero on entry; x is used as the dense
+// accumulation column and is zero again on return.
 func (f *luFactor) factorize(basis []int32, csc *cscMatrix, x []float64) bool {
 	m := csc.rows
 	f.m = m
@@ -297,7 +295,7 @@ func (f *luFactor) factorize(basis []int32, csc *cscMatrix, x []float64) bool {
 	f.uPtr = growInt32(f.uPtr, m+1)
 	f.lIdx, f.lVal = f.lIdx[:0], f.lVal[:0]
 	f.uIdx, f.uVal = f.uIdx[:0], f.uVal[:0]
-	f.etaPos, f.etaPiv = f.etaPos[:0], f.etaPiv[:0]
+	f.etaPos = f.etaPos[:0]
 	f.etaIdx, f.etaVal = f.etaIdx[:0], f.etaVal[:0]
 	f.etaPtr = append(f.etaPtr[:0], 0)
 	f.mark = growBools(f.mark, m)
@@ -386,9 +384,7 @@ func (f *luFactor) factorize(basis []int32, csc *cscMatrix, x []float64) bool {
 		f.touch = touch[:0]
 	}
 	f.nFactor++
-	if f.ft {
-		f.loadFT()
-	}
+	f.loadFT()
 	if fill := len(f.uIdx) + m; fill > f.peakFill {
 		f.peakFill = fill
 	}
@@ -441,8 +437,7 @@ func (f *luFactor) loadFT() {
 // needRefactor reports whether the accumulated update fill has outgrown
 // the factorization: live U entries plus eta entries past twice the
 // post-factorization baseline (plus slack), or an eta count far beyond
-// anything useful (garbage backstop). Only meaningful in ft mode; the
-// eta-file mode uses the fixed luMaxEtas cap instead.
+// anything useful (garbage backstop).
 func (f *luFactor) needRefactor() bool {
 	if len(f.etaPos) >= 2*f.m+64 {
 		return true
@@ -452,8 +447,8 @@ func (f *luFactor) needRefactor() bool {
 
 // ftran solves B·out = x. x is dense in original-row space and is zeroed
 // on return; out is dense in basis-position space and fully overwritten.
-// In ft mode the pre-U-solve vector (the Forrest–Tomlin spike) is captured
-// in vbuf for a possible ftUpdate of this column.
+// The pre-U-solve vector (the Forrest–Tomlin spike) is captured in vbuf for
+// a possible ftUpdate of this column.
 func (f *luFactor) ftran(x, out []float64) {
 	f.nFtran++
 	// L solve in place (original-row space, pivot order).
@@ -470,53 +465,28 @@ func (f *luFactor) ftran(x, out []float64) {
 		out[k] = x[f.perm[k]]
 		x[f.perm[k]] = 0
 	}
-	if f.ft {
-		// Row etas in creation order: (R·z)[p] = z[p] − rᵀz.
-		for e := 0; e < len(f.etaPos); e++ {
-			p := f.etaPos[e]
-			dot := 0.0
-			for t := f.etaPtr[e]; t < f.etaPtr[e+1]; t++ {
-				dot += f.etaVal[t] * out[f.etaIdx[t]]
-			}
-			out[p] -= dot
-		}
-		copy(f.vbuf[:f.m], out[:f.m])
-		// Permuted U solve, backward in sequence order: every column entry
-		// sits at an earlier sequence position than its column.
-		for t := f.m - 1; t >= 0; t-- {
-			j := int(f.order[t])
-			if out[j] == 0 {
-				continue
-			}
-			v := out[j] / f.udiag[j]
-			out[j] = v
-			ci, cv := f.us.entries(j)
-			for q, k := range ci {
-				out[k] -= v * cv[q]
-			}
-		}
-		return
-	}
-	// U solve (backward; pivot order equals basis position for columns).
-	for j := f.m - 1; j >= 0; j-- {
-		v := out[j] / f.udiag[j]
-		out[j] = v
-		if v != 0 {
-			for t := f.uPtr[j]; t < f.uPtr[j+1]; t++ {
-				out[f.uIdx[t]] -= v * f.uVal[t]
-			}
-		}
-	}
-	// Eta file in creation order: E⁻¹z scales position p then updates the
-	// spike's other nonzeros.
+	// Row etas in creation order: (R·z)[p] = z[p] − rᵀz.
 	for e := 0; e < len(f.etaPos); e++ {
 		p := f.etaPos[e]
-		zp := out[p] / f.etaPiv[e]
-		out[p] = zp
-		if zp != 0 {
-			for t := f.etaPtr[e]; t < f.etaPtr[e+1]; t++ {
-				out[f.etaIdx[t]] -= zp * f.etaVal[t]
-			}
+		dot := 0.0
+		for t := f.etaPtr[e]; t < f.etaPtr[e+1]; t++ {
+			dot += f.etaVal[t] * out[f.etaIdx[t]]
+		}
+		out[p] -= dot
+	}
+	copy(f.vbuf[:f.m], out[:f.m])
+	// Permuted U solve, backward in sequence order: every column entry sits
+	// at an earlier sequence position than its column.
+	for t := f.m - 1; t >= 0; t-- {
+		j := int(f.order[t])
+		if out[j] == 0 {
+			continue
+		}
+		v := out[j] / f.udiag[j]
+		out[j] = v
+		ci, cv := f.us.entries(j)
+		for q, k := range ci {
+			out[k] -= v * cv[q]
 		}
 	}
 }
@@ -524,8 +494,8 @@ func (f *luFactor) ftran(x, out []float64) {
 // saveSpike copies the pending Forrest–Tomlin spike — the pre-U-solve
 // vector the most recent ftran captured for ftUpdate — into dst, so a
 // caller can run another ftran against the factor (which overwrites the
-// capture) and then restoreSpike before the update. Only meaningful in ft
-// mode; dst must have length ≥ m.
+// capture) and then restoreSpike before the update. dst must have length
+// ≥ m.
 func (f *luFactor) saveSpike(dst []float64) { copy(dst[:f.m], f.vbuf[:f.m]) }
 
 // restoreSpike restores a spike saved by saveSpike as the pending
@@ -560,51 +530,29 @@ func (f *luFactor) btran(c, out, c2, out2 []float64) {
 	} else {
 		f.nBtran++
 	}
-	if f.ft {
-		// Permuted Uᵀ solve, forward in sequence order (in place).
-		for _, j := range f.order[:m] {
-			s, s2 := c[j], c2[j]
-			ci, cv := f.us.entries(int(j))
-			for q, k := range ci {
-				s -= cv[q] * c[k]
-				s2 -= cv[q] * c2[k]
-			}
-			c[j], c2[j] = s/f.udiag[j], s2/f.udiag[j]
+	// Permuted Uᵀ solve, forward in sequence order (in place).
+	for _, j := range f.order[:m] {
+		s, s2 := c[j], c2[j]
+		ci, cv := f.us.entries(int(j))
+		for q, k := range ci {
+			s -= cv[q] * c[k]
+			s2 -= cv[q] * c2[k]
 		}
-		// Row-eta transposes in reverse creation order: Rᵀ = I − r·e_pᵀ
-		// scatters −r·c[p] into the eliminated columns.
-		for e := len(f.etaPos) - 1; e >= 0; e-- {
-			p := f.etaPos[e]
-			if cp := c[p]; cp != 0 {
-				for t := f.etaPtr[e]; t < f.etaPtr[e+1]; t++ {
-					c[f.etaIdx[t]] -= f.etaVal[t] * cp
-				}
-			}
-			if cp := c2[p]; cp != 0 {
-				for t := f.etaPtr[e]; t < f.etaPtr[e+1]; t++ {
-					c2[f.etaIdx[t]] -= f.etaVal[t] * cp
-				}
-			}
-		}
-	} else {
-		// Eta transposes in reverse creation order: only position p changes.
-		for e := len(f.etaPos) - 1; e >= 0; e-- {
-			p := f.etaPos[e]
-			dot, dot2 := 0.0, 0.0
+		c[j], c2[j] = s/f.udiag[j], s2/f.udiag[j]
+	}
+	// Row-eta transposes in reverse creation order: Rᵀ = I − r·e_pᵀ scatters
+	// −r·c[p] into the eliminated columns.
+	for e := len(f.etaPos) - 1; e >= 0; e-- {
+		p := f.etaPos[e]
+		if cp := c[p]; cp != 0 {
 			for t := f.etaPtr[e]; t < f.etaPtr[e+1]; t++ {
-				dot += f.etaVal[t] * c[f.etaIdx[t]]
-				dot2 += f.etaVal[t] * c2[f.etaIdx[t]]
+				c[f.etaIdx[t]] -= f.etaVal[t] * cp
 			}
-			c[p], c2[p] = (c[p]-dot)/f.etaPiv[e], (c2[p]-dot2)/f.etaPiv[e]
 		}
-		// Uᵀ solve (forward, in place): t_j = (c_j − Σ_{k<j} U[k,j]·t_k)/U[j,j].
-		for j := 0; j < m; j++ {
-			s, s2 := c[j], c2[j]
-			for t := f.uPtr[j]; t < f.uPtr[j+1]; t++ {
-				s -= f.uVal[t] * c[f.uIdx[t]]
-				s2 -= f.uVal[t] * c2[f.uIdx[t]]
+		if cp := c2[p]; cp != 0 {
+			for t := f.etaPtr[e]; t < f.etaPtr[e+1]; t++ {
+				c2[f.etaIdx[t]] -= f.etaVal[t] * cp
 			}
-			c[j], c2[j] = s/f.udiag[j], s2/f.udiag[j]
 		}
 	}
 	// Lᵀ solve (backward): s_k = t_k − Σ_{i} L[i,k]·s_{pinv[i]}. Each s_k goes
@@ -622,24 +570,6 @@ func (f *luFactor) btran(c, out, c2, out2 []float64) {
 		}
 		r := f.perm[k]
 		out[r], out2[r] = s, s2
-	}
-}
-
-// appendEta records the pivot at basis position p with spike w (the
-// FTRAN'd entering column) as a product-form eta. Eta-file mode only.
-func (f *luFactor) appendEta(p int, w []float64) {
-	f.etaPos = append(f.etaPos, int32(p))
-	f.etaPiv = append(f.etaPiv, w[p])
-	for i, v := range w {
-		if i != p && v != 0 {
-			f.etaIdx = append(f.etaIdx, int32(i))
-			f.etaVal = append(f.etaVal, v)
-		}
-	}
-	f.etaPtr = append(f.etaPtr, int32(len(f.etaIdx)))
-	f.nUpdate++
-	if fill := len(f.uIdx) + f.m + len(f.etaIdx); fill > f.peakFill {
-		f.peakFill = fill
 	}
 }
 

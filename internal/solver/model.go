@@ -1,6 +1,6 @@
 // Package solver is a pure-Go mixed-integer linear programming stack: a
-// dense two-phase simplex for linear programs and a best-first
-// branch-and-bound for integrality.
+// bounded-variable dual simplex over an LU-factorized basis for linear
+// programs and a best-first branch-and-bound for integrality.
 //
 // The FlexWAN paper solves its planning and restoration formulations with
 // Gurobi (§7: "Julia ... and the Gurobi solver", with LP relaxation and a
@@ -194,11 +194,12 @@ const (
 	// incumbent is within that gap of optimal but not proven optimal.
 	// Solution.Gap carries the proven gap.
 	GapLimit
-	// IterLimit means a simplex solve exhausted its pivot budget before
-	// proving optimality: the point reached is feasible for the phase it
-	// stopped in but carries no optimality certificate. LP solves surface
-	// it directly; branch-and-bound treats a node hitting it like a node
-	// budget stop and finishes with LimitReached plus the incumbent.
+	// IterLimit means a simplex solve stopped without a certificate: its
+	// pivot budget ran out, its context was cancelled, or it could not
+	// decide the LP numerically (a Logf line says which). The Solution
+	// carries no point. LP solves surface it directly; branch-and-bound
+	// treats a node hitting it like a node budget stop and finishes with
+	// LimitReached plus the incumbent.
 	IterLimit
 )
 
@@ -234,13 +235,13 @@ type Solution struct {
 	Nodes int
 	// Workers is the number of branch-and-bound workers used (0 for LPs).
 	Workers int
-	// SimplexIters is the total number of simplex pivots performed across
-	// the solve: cold primal iterations (both phases), warm-start basis
-	// re-installation pivots, and dual-simplex repair pivots.
+	// SimplexIters is the total number of dual simplex pivots performed
+	// across the solve: cold solves, dives and warm starts, and the
+	// certificate runs that settle a cold solve its artificial boxes shaped.
 	SimplexIters int
-	// WarmStartHits counts branch-and-bound node relaxations resolved by
-	// the dual-simplex warm start (including children proven infeasible by
-	// it) rather than a cold two-phase primal solve. 0 for LPs.
+	// WarmStartHits counts branch-and-bound node relaxations resolved by a
+	// dive or warm start from the parent's basis (including children proven
+	// infeasible by it) rather than a cold solve. 0 for LPs.
 	WarmStartHits int
 	// BoundFlips counts nonbasic boxed variables the long-step dual ratio
 	// test moved bound-to-bound instead of pivoting on — each one walks
@@ -256,20 +257,16 @@ type Solution struct {
 	// model's VarIDs (postsolve rehydrates eliminated columns).
 	PresolveRows int
 	PresolveCols int
-	// LU/basis health, summed over the root solve and every worker engine:
+	// LU/basis health, summed over the root solve and every worker:
 	// Refactorizations counts full basis factorizations, BasisUpdates the
 	// in-place Forrest–Tomlin pivot updates, FTRANCount/BTRANCount the
 	// triangular solves against the factorization, and PeakUFill the
-	// largest U-plus-eta nonzero count any worker's factor reached.
+	// largest U-plus-row-eta nonzero count any worker's factor reached.
 	Refactorizations int
 	BasisUpdates     int
 	FTRANCount       int
 	BTRANCount       int
 	PeakUFill        int
-	// DenseFallbacks counts LP solves the revised engine could not certify
-	// (singular basis, numerical giveup, or a binding artificial box) and
-	// handed to the dense two-phase engine mid-search.
-	DenseFallbacks int
 	// NodePresolveFixings counts the bound tightenings node presolve
 	// propagated from branching decisions before node LP solves (0 for
 	// pure LPs).
@@ -289,49 +286,6 @@ func (s Solution) IntValue(v VarID) int {
 	return int(math.Round(s.Value(v)))
 }
 
-// branchRule selects how branch-and-bound picks the variable to branch
-// on at a fractional node. Production runs pseudocost; most-fractional is
-// a test-only ablation (Options.branching).
-type branchRule string
-
-const (
-	// branchMostFractional branches on the integer variable whose
-	// relaxation value is farthest from an integer — the classic textbook
-	// rule, cheap but blind to objective impact.
-	branchMostFractional branchRule = "most-fractional"
-	// branchPseudocost branches on the variable with the best pseudocost
-	// score: the product of the per-unit objective degradations observed
-	// on past down/up branches of that variable, weighted by the current
-	// fractionality. Unreliable estimates (fewer than one observation per
-	// side) borrow the tree-wide average. Usually explores far fewer
-	// nodes than most-fractional on hard instances. The default.
-	branchPseudocost branchRule = "pseudocost"
-)
-
-// pricingRule selects how the revised dual simplex picks the leaving row
-// at each pivot. The rule never changes what a solve proves — status and
-// objective at proven optimality are identical across rules — only how
-// many pivots it takes to get there. Production runs devex; the other two
-// are test-only ablations (Options.pricing).
-type pricingRule string
-
-const (
-	// pricingDantzig picks the row with the largest bound violation — the
-	// textbook rule the engine used before weighted pricing existed. Cheap
-	// per pivot but blind to the geometry, so degenerate instances can
-	// oscillate through long sequences of near-zero steps.
-	pricingDantzig pricingRule = "dantzig"
-	// pricingDevex scores each row's violation against an approximate
-	// reference weight maintained by the devex recurrence, resetting the
-	// reference framework on every refactorization. Nearly steepest-edge
-	// quality at no extra FTRAN/BTRAN work per pivot. The default.
-	pricingDevex pricingRule = "devex"
-	// pricingSteepestEdge maintains exact dual steepest-edge weights
-	// ‖B⁻ᵀe_i‖² via the Forrest–Goldfarb update, at the cost of one extra
-	// FTRAN per pivot.
-	pricingSteepestEdge pricingRule = "steepest-edge"
-)
-
 // Options tune the MILP search.
 type Options struct {
 	// MaxNodes bounds branch-and-bound nodes (0 = default 200000).
@@ -347,18 +301,16 @@ type Options struct {
 	// workers report results, so use Workers: 1 where exact
 	// reproducibility of node counts or early stops matters.
 	Workers int
-	// Context, when non-nil, cancels the search early. The simplex
-	// engines poll it at pivot intervals, so cancellation aborts even in
-	// the middle of one long LP: a MIP solve returns LimitReached with
-	// the best incumbent so far, and a pure-LP solve returns IterLimit
-	// (the point is phase-feasible but carries no certificate).
+	// Context, when non-nil, cancels the search early. The simplex polls
+	// it at pivot intervals, so cancellation aborts even in the middle of
+	// one long LP: a MIP solve returns LimitReached with the best
+	// incumbent so far, and a pure-LP solve returns IterLimit.
 	Context context.Context
 	// MaxLPIter caps simplex pivots per LP solve call, cumulative across
-	// everything the call runs: warm-start basis re-installation and a
-	// revised→dense fallback (the dense engine only gets whatever budget
-	// the revised attempt left unspent). 0 means the size-derived default.
-	// A solve that exhausts the cap returns IterLimit instead of claiming
-	// optimality.
+	// everything the call runs: a node's dive or warm start and the cold
+	// solve it falls back to, and a cold solve's retried artificial box and
+	// certificate runs. 0 means the size-derived default. A solve that
+	// exhausts the cap returns IterLimit instead of claiming optimality.
 	MaxLPIter int
 	// MaxVars is the variable-count guard model builders (plan, restore)
 	// enforce before constructing an exact MIP for these options; the
@@ -370,47 +322,29 @@ type Options struct {
 
 	// Ablation switches. Production always runs their zero values; only
 	// tests set them — package solver directly, package solver_test
-	// through export_test.go — to hold each engine against its
-	// differential oracle. Status and objective at proven optimality never
-	// depend on them.
+	// through export_test.go. Status and objective at proven optimality
+	// never depend on them.
 	//
-	// branching and pricing pick the branch-variable and leaving-row rules
-	// ("" = pseudocost, devex). noWarmStart solves every node relaxation
-	// cold with the two-phase primal simplex. noPresolve skips the
+	// noWarmStart solves every node relaxation cold. noPresolve skips the
 	// presolve/postsolve layer, noNodePresolve the per-node bound
-	// propagation. denseSimplex runs every LP on the dense two-phase
-	// tableau (memory O(rows·cols); prices by largest violation only).
-	// etaFileUpdates maintains the revised engine's basis with the
-	// product-form eta file (refactorization every 64 etas) instead of
-	// Forrest–Tomlin updates. noStart ignores the model's MIP start
-	// (SetStart), so the search has to find its own first incumbent.
-	branching      branchRule
-	pricing        pricingRule
+	// propagation. noStart ignores the model's MIP start (SetStart), so the
+	// search has to find its own first incumbent.
 	noWarmStart    bool
 	noPresolve     bool
 	noNodePresolve bool
-	denseSimplex   bool
-	etaFileUpdates bool
 	noStart        bool
 }
 
-// DefaultMaxVars is the MaxVars guard when none is set: the revised
-// simplex stores the constraint matrix sparsely and its basis factored,
-// so it scales to hundreds of thousands of columns.
+// DefaultMaxVars is the MaxVars guard when none is set: the simplex stores
+// the constraint matrix sparsely and its basis factored, so it scales to
+// hundreds of thousands of columns.
 const DefaultMaxVars = 250000
 
-// defaultDenseMaxVars is the guard under the dense-tableau ablation, whose
-// memory is quadratic in the standard-form size.
-const defaultDenseMaxVars = 8000
-
 // MaxBuildVars returns the effective variable cap for these options:
-// MaxVars when set, otherwise the default for the selected LP engine.
+// MaxVars when set, otherwise DefaultMaxVars.
 func (o Options) MaxBuildVars() int {
 	if o.MaxVars > 0 {
 		return o.MaxVars
-	}
-	if o.denseSimplex {
-		return defaultDenseMaxVars
 	}
 	return DefaultMaxVars
 }

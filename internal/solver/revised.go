@@ -6,12 +6,25 @@ import (
 	"sort"
 )
 
+// Numerical tolerances of the simplex.
+const (
+	pivotTol = 1e-9 // minimum magnitude of a usable pivot element
+	feasTol  = 1e-7 // feasibility / optimality tolerance
+)
+
+// ctxCheckMask gates how often the pivot loop polls Options.Context: every
+// ctxCheckMask+1 iterations, including iteration 0 (a power-of-two mask so
+// the test is one AND). Cancellation surfaces as IterLimit — the solve
+// carries no certificate, exactly as if the pivot budget had run out — so
+// one long LP cannot overrun a caller's deadline.
+const ctxCheckMask = 63
+
 // Artificial-box policy for dual-infeasible columns at cold start (see
 // placeNonbasic): a column whose cost sign demands a bound the model does
 // not have gets a temporary box at ±rxBigBound; if the optimum lands on
-// that box the solve retries once with the box enlarged by rxBigGrow, and
-// gives up to the dense engine if it still binds (the problem is unbounded
-// or near it, which the dense two-phase decides exactly).
+// that box at a nonzero reduced cost the solve retries once with the box
+// enlarged by rxBigGrow, and if it still binds, certify decides the LP
+// without boxes.
 const (
 	rxBigBound = 1e7
 	rxBigGrow  = 1e4
@@ -49,13 +62,11 @@ const (
 	rxFree // nonbasic at value 0, both bounds infinite
 )
 
-// rxSnap is the revised engine's per-node basis snapshot: the basis and
-// every column's status at the parent's optimum. Unlike the dense
-// basisSnap it carries no row-orientation data — the revised engine works
-// on the model rows directly, so nothing about the snapshot depends on
-// rhs signs, and bound changes never alter its shape (bounds live in
-// vectors, not in tableau rows). Immutable after creation; shared by both
-// children.
+// rxSnap is a per-node basis snapshot: the basis and every column's status
+// at the parent's optimum. The simplex works on the model rows directly, so
+// nothing about the snapshot depends on rhs signs, and bound changes never
+// alter its shape (bounds live in vectors). Immutable after creation;
+// shared by both children.
 type rxSnap struct {
 	rows, cols int
 	basis      []int32
@@ -69,7 +80,7 @@ const (
 	rxOptimal rxResult = iota
 	rxInfeasible
 	rxIterLimit
-	rxGiveUp // numerical trouble: the caller falls back to the dense engine
+	rxGiveUp // numerical trouble: no certificate either way
 )
 
 // rxScratch is the revised simplex's per-worker state: the shared
@@ -81,10 +92,9 @@ const (
 //
 // with one implicit unit slack column per row whose bounds encode the
 // relation. Bounded variables are handled natively — a nonbasic column
-// sits at its lower or upper bound — so finite upper bounds cost nothing,
-// where the dense tableau spends a full row on each. A scratch must not
-// be shared between concurrent solves; each branch-and-bound worker owns
-// one.
+// sits at its lower or upper bound — so finite upper bounds cost nothing.
+// A scratch must not be shared between concurrent solves; each
+// branch-and-bound worker owns one.
 type rxScratch struct {
 	m     *Model
 	csc   *cscMatrix
@@ -95,6 +105,7 @@ type rxScratch struct {
 
 	cost   []float64 // per column, sign-scaled (slacks 0)
 	lb, ub []float64 // effective bounds for this solve (slack part fixed)
+	rhs    []float64 // b: the model's, or zeros for certify's recession LP
 	status []rxStatus
 	basis  []int32   // per row position, the basic column
 	xB     []float64 // basic variable values, by row position
@@ -113,13 +124,11 @@ type rxScratch struct {
 	posBuf  []float64 // BTRAN input scratch, position space (zero between uses)
 	posBuf2 []float64 // second BTRAN input: ρ and y are solved in one pass
 
-	pricing   pricingRule // normalized leaving-row rule (never "")
-	weightsOK bool        // rowW valid; false falls row selection back to Dantzig
-	rowW      []float64   // per-row pricing weight (DSE: ‖B⁻ᵀe_i‖²; devex: reference weight)
-	tau       []float64   // DSE: τ = B⁻¹ρ_p, the extra FTRAN per pivot
-	flipJ     []int32     // columns the current ratio test bound-flips
-	flipW     []float64   // FTRAN output for the aggregated flip column
-	spikeSave []float64   // FT spike saved across the flip FTRAN
+	weightsOK bool      // rowW valid; false falls row selection back to Dantzig
+	rowW      []float64 // per-row devex reference weight
+	flipJ     []int32   // columns the current ratio test bound-flips
+	flipW     []float64 // FTRAN output for the aggregated flip column
+	spikeSave []float64 // FT spike saved across the flip FTRAN
 
 	values []float64 // model-variable extraction buffer (aliased by Solutions)
 
@@ -128,7 +137,8 @@ type rxScratch struct {
 
 	maxIter    int             // per-solve pivot cap (0 = size-derived default)
 	ctx        context.Context // cancellation observed every ctxCheckMask+1 pivots (nil = never)
-	lastPivots int
+	logf       func(format string, args ...interface{})
+	lastPivots int  // pivots of the current solve call (see solve)
 	usedArt    bool // solve placed artificial boxes: no snapshot, no fixings
 
 	nBoundFlips   int // cumulative over the scratch lifetime
@@ -157,21 +167,22 @@ func (c *rxCands) Swap(a, b int) {
 	c.ratio[a], c.ratio[b] = c.ratio[b], c.ratio[a]
 }
 
-// newRxScratch builds a revised-simplex scratch for m. etaFile selects the
-// legacy product-form eta file for basis maintenance instead of the default
-// Forrest–Tomlin updates (Options.etaFileUpdates; kept for differential
-// testing).
-func newRxScratch(m *Model, etaFile bool) *rxScratch {
+// newRxScratch builds a revised-simplex scratch for m under the pivot cap,
+// context and log of opts.
+func newRxScratch(m *Model, opts Options) *rxScratch {
 	csc := m.cscMatrixOf()
 	rx := &rxScratch{
-		m:     m,
-		csc:   csc,
-		nRows: csc.rows,
-		nCols: csc.cols,
-		nTot:  csc.cols + csc.rows,
-		sign:  1,
+		m:       m,
+		csc:     csc,
+		nRows:   csc.rows,
+		nCols:   csc.cols,
+		nTot:    csc.cols + csc.rows,
+		sign:    1,
+		rhs:     csc.rhs,
+		maxIter: opts.MaxLPIter,
+		ctx:     opts.Context,
+		logf:    opts.Logf,
 	}
-	rx.lu.ft = !etaFile
 	if m.sense == Maximize {
 		rx.sign = -1
 	}
@@ -195,9 +206,7 @@ func newRxScratch(m *Model, etaFile bool) *rxScratch {
 	rx.posBuf = make([]float64, rx.nRows)
 	rx.posBuf2 = make([]float64, rx.nRows)
 	rx.values = make([]float64, rx.nCols)
-	rx.pricing = pricingDevex
 	rx.rowW = make([]float64, rx.nRows)
-	rx.tau = make([]float64, rx.nRows)
 	rx.flipJ = make([]int32, 0, 16)
 	rx.flipW = make([]float64, rx.nRows)
 	rx.spikeSave = make([]float64, rx.nRows)
@@ -218,22 +227,11 @@ func newRxScratch(m *Model, etaFile bool) *rxScratch {
 	return rx
 }
 
-// setPricing installs the leaving-row rule, normalizing the zero value to
-// the devex default.
-func (rx *rxScratch) setPricing(p pricingRule) {
-	if p == "" {
-		p = pricingDevex
-	}
-	rx.pricing = p
-}
-
-// resetWeights reinstalls the unit reference framework. For the all-slack
-// basis this is exact for steepest-edge too: B = I, so every row of B⁻ᵀ is
-// a unit vector and ‖B⁻ᵀe_i‖² = 1. For any other basis it is the standard
-// approximate restart — pricing quality degrades for a few pivots, never
-// correctness. counted selects whether the reset shows up in the
-// WeightResets counter (mid-solve resets do; per-solve initialization does
-// not).
+// resetWeights reinstalls the unit devex reference framework — exact for
+// the all-slack basis, and for any other basis the standard approximate
+// restart: pricing quality degrades for a few pivots, never correctness.
+// counted selects whether the reset shows up in the WeightResets counter
+// (mid-solve resets do; per-solve initialization does not).
 func (rx *rxScratch) resetWeights(counted bool) {
 	for i := range rx.rowW {
 		rx.rowW[i] = 1
@@ -286,10 +284,10 @@ func (rx *rxScratch) scatterCol(j int, x []float64) {
 
 // computeXB recomputes the basic values xB = B⁻¹(b − N·x_N) from scratch.
 // Called after every (re)factorization so accumulated update error in xB
-// is flushed along with the eta file.
+// is flushed along with the row etas.
 func (rx *rxScratch) computeXB() {
 	x := rx.colBuf
-	copy(x, rx.csc.rhs)
+	copy(x, rx.rhs)
 	for j := 0; j < rx.nCols; j++ {
 		if rx.status[j] == rxBasic {
 			continue
@@ -368,15 +366,14 @@ func (rx *rxScratch) reducedCost(j int) float64 {
 // (dual-feasible) basis until primal feasibility (rxOptimal), a violated
 // row whose full long-step walk cannot absorb the violation
 // (rxInfeasible), the pivot budget (rxIterLimit), or numerical trouble
-// (rxGiveUp). The pivot budget is cumulative per solve: iterations already
-// recorded in lastPivots (by an earlier attempt of the same solve) count
-// against maxIter, so a cold solve retrying with an enlarged artificial
-// box cannot spend the cap twice.
+// (rxGiveUp). The pivot budget is cumulative per solve call: iterations
+// already recorded in lastPivots (by an earlier run of the same call — a
+// failed dive or warm start, a boxed attempt, a certificate run) count
+// against maxIter, so no part of the call can spend the cap twice.
 //
-// Row selection is weighted by the pricing rule — violation²/weight under
-// devex or steepest-edge, largest violation under Dantzig or when the
-// weights have gone stale — and switches to first-violated-index after a
-// Bland-style threshold. The entering column comes from a long-step ratio
+// Row selection scores violation²/weight under devex, falls back to the
+// largest violation (Dantzig) when the weights have gone stale, and
+// switches to first-violated-index after a Bland-style threshold. The entering column comes from a long-step ratio
 // test: admissible columns are walked in (ratio, index) order, and a boxed
 // candidate whose ratio is passed while the remaining violation still
 // exceeds feasTol is flipped to its opposite bound instead of pivoted on.
@@ -396,14 +393,14 @@ func (rx *rxScratch) dualIterate() rxResult {
 			return rxIterLimit
 		}
 		// Leaving row; sigma is the violation direction (+1 above ub, −1
-		// below lb). Weighted rules score violation²/weight — steepest
-		// edge's ‖B⁻ᵀe_i‖² normalizes the violation by the length of the
-		// dual ray the pivot would move along, devex approximates the same
-		// quantity — which is what breaks the degeneracy oscillation:
-		// Dantzig keeps re-picking rows whose large violation moves along a
-		// near-parallel ray, weighted pricing discounts exactly those.
+		// below lb). Devex scores violation²/weight — the weight
+		// approximates ‖B⁻ᵀe_i‖², the length of the dual ray the pivot
+		// would move along — which is what breaks the degeneracy
+		// oscillation: Dantzig keeps re-picking rows whose large violation
+		// moves along a near-parallel ray, weighted pricing discounts
+		// exactly those.
 		p, sigma, worst := -1, 1.0, feasTol
-		if rx.pricing != pricingDantzig && rx.weightsOK && iter < blandAfter {
+		if rx.weightsOK && iter < blandAfter {
 			best := 0.0
 			for r := 0; r < rx.nRows; r++ {
 				bc := rx.basis[r]
@@ -453,21 +450,6 @@ func (rx *rxScratch) dualIterate() rxResult {
 		rx.posBuf[p] = 1
 		rx.loadBasicCosts(rx.posBuf2)
 		rx.lu.btran(rx.posBuf, rx.rho, rx.posBuf2, rx.y)
-
-		// Steepest edge needs β_p = ρ·ρ — the exact current weight of row
-		// p, which anchors the Forrest–Goldfarb update against stored-weight
-		// drift — and τ = B⁻¹ρ, the one extra FTRAN each pivot costs. τ must
-		// run now, BEFORE the entering-column FTRANs, so the Forrest–Tomlin
-		// spike capture those leave behind is the one ftUpdate consumes.
-		betaP := 0.0
-		dse := rx.pricing == pricingSteepestEdge && rx.weightsOK
-		if dse {
-			for i := 0; i < rx.nRows; i++ {
-				betaP += rx.rho[i] * rx.rho[i]
-			}
-			copy(rx.colBuf, rx.rho)
-			rx.lu.ftran(rx.colBuf, rx.tau)
-		}
 
 		// Dual ratio test: among nonbasic columns whose movement pushes
 		// xB[p] toward its violated bound, the entering column must be one
@@ -561,8 +543,7 @@ func (rx *rxScratch) dualIterate() rxResult {
 			if stop < 0 {
 				if excluded > 0 {
 					// Tiny-pivot exclusions ate the walk: too
-					// ill-conditioned to certify infeasibility here. The
-					// dense two-phase decides.
+					// ill-conditioned to certify infeasibility here.
 					return rxGiveUp
 				}
 				// Walking (and flipping) every admissible column leaves row
@@ -641,13 +622,9 @@ func (rx *rxScratch) dualIterate() rxResult {
 					}
 				}
 			}
-			if rx.lu.ft {
-				rx.lu.saveSpike(rx.spikeSave)
-			}
+			rx.lu.saveSpike(rx.spikeSave)
 			rx.lu.ftran(rx.colBuf, rx.flipW)
-			if rx.lu.ft {
-				rx.lu.restoreSpike(rx.spikeSave)
-			}
+			rx.lu.restoreSpike(rx.spikeSave)
 			for i := 0; i < rx.nRows; i++ {
 				rx.xB[i] -= rx.flipW[i]
 			}
@@ -677,19 +654,10 @@ func (rx *rxScratch) dualIterate() rxResult {
 		rx.basis[p] = int32(enter)
 		rx.lastPivots++
 
-		// Factor update. Forrest–Tomlin mode updates U in place unless the
-		// spike pivot is tiny, fill has outgrown the factorization, or the
-		// update itself detects numerical drift — all of which refactorize
-		// instead. Eta-file mode appends a product-form eta with the fixed
-		// luMaxEtas refactorization cap.
-		var updated bool
-		if rx.lu.ft {
-			updated = math.Abs(alphaP) >= luEtaTol && !rx.lu.needRefactor() && rx.lu.ftUpdate(p, alphaP)
-		} else if rx.lu.nEtas() < luMaxEtas && math.Abs(alphaP) >= luEtaTol {
-			rx.lu.appendEta(p, rx.w)
-			updated = true
-		}
-		if !updated {
+		// Factor update: Forrest–Tomlin in place unless the spike pivot is
+		// tiny, fill has outgrown the factorization, or the update itself
+		// detects numerical drift — all of which refactorize instead.
+		if math.Abs(alphaP) < luEtaTol || rx.lu.needRefactor() || !rx.lu.ftUpdate(p, alphaP) {
 			if !rx.refactor() {
 				// The factorization had drifted far enough that the pivot we
 				// just made was priced from bad numbers and produced a
@@ -718,9 +686,8 @@ func (rx *rxScratch) dualIterate() rxResult {
 			}
 			// A successful refactorization invalidates the devex reference
 			// framework (devex weights are relative to the framework
-			// installed at the last reset); steepest-edge weights are basis
-			// properties and survive.
-			if rx.pricing == pricingDevex && rx.weightsOK {
+			// installed at the last reset).
+			if rx.weightsOK {
 				rx.resetWeights(true)
 				rx.nBoundFlips += len(rx.flipJ)
 				continue
@@ -728,49 +695,9 @@ func (rx *rxScratch) dualIterate() rxResult {
 		}
 		rx.nBoundFlips += len(rx.flipJ)
 
-		// Pricing-weight maintenance, all in terms of pre-pivot quantities:
-		// spike α = B⁻¹a_enter (rx.w), τ = B⁻¹ρ_p, and β_p = ρ·ρ — row p's
-		// exact pre-pivot weight, used instead of the stored rowW[p] so one
-		// drifted stored weight cannot poison the whole framework.
-		if dse {
-			// Forrest–Goldfarb: w_i' = w_i − 2(α_i/α_p)τ_i + (α_i/α_p)²β_p
-			// for rows the spike touches, and w_p' = β_p/α_p² for the row
-			// the entering column now owns (ρ' of row p is ρ/α_p).
-			ok := true
-			for i := 0; i < rx.nRows; i++ {
-				if i == p {
-					continue
-				}
-				if ai := rx.w[i]; ai != 0 {
-					r := ai / alphaP
-					nw := rx.rowW[i] - 2*r*rx.tau[i] + r*r*betaP
-					if math.IsNaN(nw) || math.IsInf(nw, 0) {
-						ok = false
-						break
-					}
-					if nw < rxWeightFloor {
-						nw = rxWeightFloor
-					}
-					rx.rowW[i] = nw
-				}
-			}
-			wp := betaP / (alphaP * alphaP)
-			if math.IsNaN(wp) || math.IsInf(wp, 0) {
-				ok = false
-			}
-			if !ok {
-				// Stale weights: fall back to Dantzig row selection until
-				// the next solve reinitializes the framework.
-				rx.weightsOK = false
-				rx.nWeightResets++
-			} else {
-				if wp < rxWeightFloor {
-					wp = rxWeightFloor
-				}
-				rx.rowW[p] = wp
-			}
-		} else if rx.pricing == pricingDevex && rx.weightsOK {
-			// Devex recurrence against the pre-update reference weight γ_p:
+		if rx.weightsOK {
+			// Devex recurrence in terms of the pre-pivot spike α = B⁻¹a_enter
+			// (rx.w) and the pre-update reference weight γ_p:
 			// γ_i' = max(γ_i, (α_i/α_p)²γ_p), γ_p' = max(γ_p/α_p², 1).
 			gp := rx.rowW[p]
 			inv := 1 / (alphaP * alphaP)
@@ -816,14 +743,7 @@ func (rx *rxScratch) dualIterate() rxResult {
 // artificial box at ±big (previous boxes are dissolved first). Returns
 // whether any box was placed.
 func (rx *rxScratch) placeNonbasic(big float64) bool {
-	for _, j := range rx.artLBCols {
-		rx.lb[j] = math.Inf(-1)
-	}
-	for _, j := range rx.artUBCols {
-		rx.ub[j] = math.Inf(1)
-	}
-	rx.artLBCols = rx.artLBCols[:0]
-	rx.artUBCols = rx.artUBCols[:0]
+	rx.dropBoxes()
 	for j := 0; j < rx.nCols; j++ {
 		l, u, c := rx.lb[j], rx.ub[j], rx.cost[j]
 		lInf, uInf := math.IsInf(l, -1), math.IsInf(u, 1)
@@ -856,33 +776,36 @@ func (rx *rxScratch) placeNonbasic(big float64) bool {
 	return art
 }
 
-// colValue returns column j's current value, basic or not.
-func (rx *rxScratch) colValue(j int) float64 {
-	if rx.status[j] == rxBasic {
-		for r, b := range rx.basis {
-			if int(b) == j {
-				return rx.xB[r]
-			}
-		}
+// dropBoxes dissolves the artificial boxes placeNonbasic placed.
+func (rx *rxScratch) dropBoxes() {
+	for _, j := range rx.artLBCols {
+		rx.lb[j] = math.Inf(-1)
 	}
-	return rx.nonbasicValue(j)
+	for _, j := range rx.artUBCols {
+		rx.ub[j] = math.Inf(1)
+	}
+	rx.artLBCols = rx.artLBCols[:0]
+	rx.artUBCols = rx.artUBCols[:0]
 }
 
-// artBoundActive reports whether any artificially boxed column's optimal
-// value sits on its box — in which case the box, not the problem, shaped
-// the optimum.
-func (rx *rxScratch) artBoundActive() bool {
+// boxesFree reports whether a boxed optimum is the true one: every column
+// nonbasic at an artificial box prices at zero reduced cost there, so the
+// duals stay feasible with the boxes removed and the point, feasible for
+// the real bounds, is optimal for them too.
+func (rx *rxScratch) boxesFree() bool {
+	rx.loadBasicCosts(rx.posBuf)
+	rx.lu.btran(rx.posBuf, rx.y, nil, nil)
 	for _, j := range rx.artLBCols {
-		if rx.colValue(int(j)) <= rx.lb[j]+1e-6*math.Abs(rx.lb[j]) {
-			return true
+		if rx.status[j] == rxAtLower && math.Abs(rx.reducedCost(int(j))) > feasTol {
+			return false
 		}
 	}
 	for _, j := range rx.artUBCols {
-		if rx.colValue(int(j)) >= rx.ub[j]-1e-6*math.Abs(rx.ub[j]) {
-			return true
+		if rx.status[j] == rxAtUpper && math.Abs(rx.reducedCost(int(j))) > feasTol {
+			return false
 		}
 	}
-	return false
+	return true
 }
 
 // extract maps the current basic point back to model variables. The
@@ -904,53 +827,145 @@ func (rx *rxScratch) extract() Solution {
 	return Solution{Status: Optimal, Objective: obj, Values: rx.values}
 }
 
-// solveCold solves from the all-slack basis under the bounds loaded by
-// resolveBounds. ok=false means the engine could not certify the outcome
-// (singular basis, numerical trouble, or an artificial box kept binding)
-// and the caller must decide with the dense two-phase engine.
-func (rx *rxScratch) solveCold() (Solution, bool) {
+// solve is one LP solve call under the model bounds tightened by chain: a
+// dive on the retained parent state when dive holds bound changes, else a
+// warm start from snap when there is one, and a cold solve when neither
+// resolves it. One pivot budget (MaxLPIter) spans the whole ladder, and
+// lastPivots reports what the call spent. warm reports that the dive or
+// the warm start resolved the call.
+func (rx *rxScratch) solve(chain *boundChange, snap *rxSnap, dive []*boundChange) (sol Solution, warm bool) {
 	rx.lastPivots = 0
+	if len(dive) > 0 {
+		if sol, ok := rx.solveDive(dive); ok {
+			return sol, true
+		}
+		rx.resolveBounds(chain)
+	} else {
+		rx.resolveBounds(chain)
+		if snap != nil {
+			if sol, ok := rx.solveWarm(snap); ok {
+				return sol, true
+			}
+		}
+	}
+	return rx.solveCold(), false
+}
+
+// fromSlacks runs the dual simplex from the all-slack basis, nonbasic
+// columns where placeNonbasic put them.
+func (rx *rxScratch) fromSlacks() rxResult {
+	for r := 0; r < rx.nRows; r++ {
+		j := rx.nCols + r
+		rx.basis[r] = int32(j)
+		rx.status[j] = rxBasic
+	}
+	if !rx.refactor() {
+		return rxGiveUp
+	}
+	rx.resetWeights(false)
+	return rx.dualIterate()
+}
+
+// solveCold solves from the all-slack basis under the bounds loaded by
+// resolveBounds. An optimum the artificial boxes may have shaped — one
+// still sitting on a box at a nonzero reduced cost after the enlarged
+// retry, or Infeasible under boxes — is settled by certify.
+func (rx *rxScratch) solveCold() Solution {
 	rx.usedArt = false
 	for j := 0; j < rx.nCols; j++ {
 		if rx.lb[j] > rx.ub[j]+feasTol {
-			return Solution{Status: Infeasible}, true
+			return Solution{Status: Infeasible}
 		}
 	}
 	big := rxBigBound
-	for attempt := 0; ; attempt++ {
+	for attempt := 0; attempt < 2; attempt++ {
 		art := rx.placeNonbasic(big)
-		for r := 0; r < rx.nRows; r++ {
-			j := rx.nCols + r
-			rx.basis[r] = int32(j)
-			rx.status[j] = rxBasic
-		}
-		if !rx.refactor() {
-			return Solution{}, false
-		}
-		// Unit weights are exact for the all-slack basis (B = I), so
-		// steepest edge starts from a true reference framework here.
-		rx.resetWeights(false)
-		switch rx.dualIterate() {
+		switch rx.fromSlacks() {
 		case rxOptimal:
-			if !art || !rx.artBoundActive() {
-				return rx.extract(), true
+			if !art || rx.boxesFree() {
+				return rx.extract()
 			}
 		case rxInfeasible:
 			if !art {
-				return Solution{Status: Infeasible}, true
+				return Solution{Status: Infeasible}
 			}
-			// Infeasible under artificial boxes is not a certificate for
-			// the real problem — the boxes shrink the feasible region.
+			// The boxes shrink the feasible region: no certificate.
+			return rx.certify()
 		case rxIterLimit:
-			return Solution{Status: IterLimit}, true
+			return Solution{Status: IterLimit}
 		default:
-			return Solution{}, false
-		}
-		if attempt > 0 {
-			return Solution{}, false // enlarged box still decisive: dense decides
+			return rx.giveUp("numerical trouble")
 		}
 		big *= rxBigGrow
 	}
+	return rx.certify()
+}
+
+// certify decides a cold solve the artificial boxes shaped, on the same
+// scratch and within the same pivot budget, with two runs of the dual
+// simplex that need no boxes. First a zero-cost run: every column is dual
+// feasible at any bound it has (a free one sits at 0), so the run ends at a
+// feasible point or at a row no bound flips can repair, which certifies
+// Infeasible. Then, for a feasible LP, the recession LP: min c·d over
+// A·d + s = 0 with every slack in its row's cone and every column's
+// direction in [−1, 1], closed to 0 on the side of a finite bound. A
+// negative optimum is a ray along which the objective improves without end:
+// the LP is Unbounded. Anything else — a bounded LP whose optimum lies past
+// the boxes, the pivot budget, numerical trouble — ends as IterLimit.
+func (rx *rxScratch) certify() Solution {
+	rx.dropBoxes()
+	for j := 0; j < rx.nCols; j++ {
+		rx.cost[j] = 0
+	}
+	rx.placeNonbasic(0)
+	r := rx.fromSlacks()
+	for j := 0; j < rx.nCols; j++ {
+		rx.cost[j] = rx.sign * rx.m.vars[j].obj
+	}
+	switch r {
+	case rxInfeasible:
+		return Solution{Status: Infeasible}
+	case rxIterLimit:
+		return Solution{Status: IterLimit}
+	case rxGiveUp:
+		return rx.giveUp("numerical trouble deciding feasibility")
+	}
+	lb := append([]float64(nil), rx.lb[:rx.nCols]...)
+	ub := append([]float64(nil), rx.ub[:rx.nCols]...)
+	for j := 0; j < rx.nCols; j++ {
+		rx.lb[j], rx.ub[j] = -1, 1
+		if !math.IsInf(lb[j], -1) {
+			rx.lb[j] = 0
+		}
+		if !math.IsInf(ub[j], 1) {
+			rx.ub[j] = 0
+		}
+	}
+	rx.rhs = make([]float64, rx.nRows)
+	rx.placeNonbasic(0)
+	r = rx.fromSlacks()
+	ray := r == rxOptimal && rx.sign*rx.extract().Objective < -feasTol
+	rx.rhs = rx.csc.rhs
+	copy(rx.lb, lb)
+	copy(rx.ub, ub)
+	switch {
+	case ray:
+		return Solution{Status: Unbounded}
+	case r == rxOptimal:
+		return rx.giveUp("a bounded optimum past the artificial boxes")
+	case r == rxIterLimit:
+		return Solution{Status: IterLimit}
+	}
+	return rx.giveUp("numerical trouble in the recession LP")
+}
+
+// giveUp reports a cold solve the simplex could not certify: IterLimit, no
+// point, and a log line saying why.
+func (rx *rxScratch) giveUp(why string) Solution {
+	if rx.logf != nil {
+		rx.logf("solver: LP not certified (%s): reporting %v", why, IterLimit)
+	}
+	return Solution{Status: IterLimit}
 }
 
 // dualFeasible verifies every nonbasic column prices out on the right side
@@ -981,9 +996,8 @@ func (rx *rxScratch) dualFeasible() bool {
 }
 
 // finishDual runs the dual simplex and converts the outcome. ok=false
-// sends the caller down the fallback ladder (warm → cold → dense) —
-// except on cancellation, where re-solving would only re-abort after
-// redundant factorization work, so IterLimit surfaces directly.
+// sends the caller down the ladder to a cold solve. A spent pivot budget
+// is final: the cold solve would share it.
 func (rx *rxScratch) finishDual() (Solution, bool) {
 	switch rx.dualIterate() {
 	case rxOptimal:
@@ -991,10 +1005,7 @@ func (rx *rxScratch) finishDual() (Solution, bool) {
 	case rxInfeasible:
 		return Solution{Status: Infeasible}, true
 	case rxIterLimit:
-		if rx.ctx != nil && rx.ctx.Err() != nil {
-			return Solution{Status: IterLimit}, true
-		}
-		return Solution{}, false
+		return Solution{Status: IterLimit}, true
 	default:
 		return Solution{}, false
 	}
@@ -1007,9 +1018,8 @@ func (rx *rxScratch) finishDual() (Solution, bool) {
 // dual loop), then repair primal feasibility with the dual simplex.
 // ok=false means fall back to solveCold.
 func (rx *rxScratch) solveWarm(snap *rxSnap) (Solution, bool) {
-	rx.lastPivots = 0
 	rx.usedArt = false
-	if snap == nil || snap.rows != rx.nRows || snap.cols != rx.nCols {
+	if snap.rows != rx.nRows || snap.cols != rx.nCols {
 		return Solution{}, false
 	}
 	for j := 0; j < rx.nCols; j++ {
@@ -1054,11 +1064,8 @@ func (rx *rxScratch) solveWarm(snap *rxSnap) (Solution, bool) {
 // A tightened bound on a basic variable changes nothing until the dual
 // repair; on a nonbasic variable at that bound it shifts the column's
 // value, moving xB by −δ·B⁻¹a_j — one FTRAN against the factorization
-// already in place. This is the factorization-reuse analogue of the dense
-// engine's O(rows) rhs-update dive. ok=false means re-solve via
-// resolveBounds + solveWarm/solveCold.
+// already in place. ok=false means re-solve cold.
 func (rx *rxScratch) solveDive(changes []*boundChange) (Solution, bool) {
-	rx.lastPivots = 0
 	// The dive continues from the parent's final basis, which the weights
 	// still describe — keep them unless the parent solve left them stale.
 	if !rx.weightsOK {
@@ -1132,11 +1139,13 @@ func (rx *rxScratch) snapshot() *rxSnap {
 	}
 }
 
-// fixings derives reduced-cost bound tightenings from the optimal basis in
-// the scratch: an integer column nonbasic at a bound with reduced cost d
+// fixings extends chain with bound tightenings read off the optimal basis
+// in the scratch: an integer column nonbasic at a bound with reduced cost d
 // degrades the objective by |d| per unit it moves inward, so once the
-// incumbent is within budget, its range shrinks to ⌊budget/|d|⌋. Same
-// logic as the dense engine's reducedCostFixings, priced through BTRAN.
+// incumbent is within budget, its range shrinks to ⌊budget/|d|⌋. The 1e-6
+// relative margin keeps every solution within roundoff of the incumbent
+// objective alive, so equal-objective optima — and with them the canonical
+// lexicographic tie-break — survive.
 func (rx *rxScratch) fixings(obj, inc float64, chain *boundChange) *boundChange {
 	if rx.usedArt {
 		return chain // artificial boxes make the dual prices unreliable
@@ -1172,4 +1181,54 @@ func (rx *rxScratch) fixings(obj, inc float64, chain *boundChange) *boundChange 
 		}
 	}
 	return chain
+}
+
+// lpStats aggregates LU/basis health over a scratch's lifetime: full
+// refactorizations, in-place Forrest–Tomlin updates, FTRAN/BTRAN solve
+// counts, the peak U-plus-row-eta fill, bound flips and devex resets.
+type lpStats struct {
+	factorizations int
+	updates        int
+	ftrans         int
+	btrans         int
+	peakFill       int
+	boundFlips     int
+	weightResets   int
+}
+
+func (rx *rxScratch) stats() lpStats {
+	lu := &rx.lu
+	return lpStats{
+		factorizations: lu.nFactor,
+		updates:        lu.nUpdate,
+		ftrans:         lu.nFtran,
+		btrans:         lu.nBtran,
+		peakFill:       lu.peakFill,
+		boundFlips:     rx.nBoundFlips,
+		weightResets:   rx.nWeightResets,
+	}
+}
+
+// merge folds o into s (sums, except peak fill which takes the max).
+func (s *lpStats) merge(o lpStats) {
+	s.factorizations += o.factorizations
+	s.updates += o.updates
+	s.ftrans += o.ftrans
+	s.btrans += o.btrans
+	if o.peakFill > s.peakFill {
+		s.peakFill = o.peakFill
+	}
+	s.boundFlips += o.boundFlips
+	s.weightResets += o.weightResets
+}
+
+// addTo copies the counters into a Solution's exported stats fields.
+func (s lpStats) addTo(sol *Solution) {
+	sol.Refactorizations = s.factorizations
+	sol.BasisUpdates = s.updates
+	sol.FTRANCount = s.ftrans
+	sol.BTRANCount = s.btrans
+	sol.PeakUFill = s.peakFill
+	sol.BoundFlips = s.boundFlips
+	sol.WeightResets = s.weightResets
 }

@@ -189,11 +189,11 @@ func TestCrashRefused(t *testing.T) {
 	m := crashModel(t)
 	start := []float64{0, 1}
 	m.SetStart(start)
-	eng := newLPEngine(m, Options{Workers: 1})
-	eng.applyBounds(nil)
+	rx := newRxScratch(m, Options{Workers: 1})
+	rx.resolveBounds(nil)
 	if snap := m.crash(start); snap == nil {
 		t.Fatal("no crash basis")
-	} else if _, ok := eng.solveWarm(snap); ok {
+	} else if _, ok := rx.solveWarm(snap); ok {
 		t.Fatal("the warm start accepted a basis that is not dual feasible")
 	}
 	sol := mustSolveOpts(t, m, Options{Workers: 1})
@@ -236,22 +236,6 @@ func TestCrashUnmapped(t *testing.T) {
 	}
 	if root.SimplexIters == 0 || sol.SimplexIters != root.SimplexIters {
 		t.Errorf("root took %d pivots, the cold relaxation %d", sol.SimplexIters, root.SimplexIters)
-	}
-}
-
-// TestCrashDenseGoesCold: the dense tableau takes no revised-engine basis,
-// so under that ablation a start's crash is refused and the root solves
-// cold, to the same objective.
-func TestCrashDenseGoesCold(t *testing.T) {
-	ref := mustSolveOpts(t, crashModel(t), Options{Workers: 1})
-	m := crashModel(t)
-	m.SetStart([]float64{1, 0})
-	sol := mustSolveOpts(t, m, Options{Workers: 1, denseSimplex: true})
-	if sol.Status != Optimal || sol.Objective != ref.Objective {
-		t.Fatalf("%v at %v, want optimal at %v", sol.Status, sol.Objective, ref.Objective)
-	}
-	if sol.SimplexIters == 0 {
-		t.Error("the dense root took no pivot: it did not start cold")
 	}
 }
 

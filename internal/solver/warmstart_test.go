@@ -61,12 +61,11 @@ func randomMILP(rng *rand.Rand, allowCont bool) *Model {
 }
 
 // TestWarmStartMatchesColdProperty is the warm-start correctness property:
-// on randomized small pure-integer programs, every (branching rule ×
-// worker count × warm vs cold) configuration must return the exact same
-// status and the bit-identical objective as the serial, cold,
-// most-fractional reference — incumbent objectives are recomputed from
-// integer-snapped values, so with integer data they are exact. Run with
-// -race to also exercise the shared pseudocost bookkeeping.
+// on randomized small pure-integer programs, every (worker count × warm vs
+// cold) configuration must return the exact status and the bit-identical
+// objective of the exact reference — incumbent objectives are recomputed
+// from integer-snapped values, so with integer data they are exact. Run
+// with -race to also exercise the shared pseudocost bookkeeping.
 func TestWarmStartMatchesColdProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260805))
 	for trial := 0; trial < 25; trial++ {
@@ -90,28 +89,21 @@ func TestWarmStartMatchesColdMixedProperty(t *testing.T) {
 
 func warmVsColdProperty(t *testing.T, m *Model, trial int, tol float64) {
 	t.Helper()
-	ref := mustSolveOpts(t, m, Options{
-		Workers: 1, noWarmStart: true, branching: branchMostFractional,
-	})
-	for _, rule := range []branchRule{branchMostFractional, branchPseudocost} {
-		for _, workers := range []int{1, 3} {
-			for _, noWarm := range []bool{false, true} {
-				got := mustSolveOpts(t, m, Options{
-					Workers: workers, noWarmStart: noWarm, branching: rule,
-				})
-				if got.Status != ref.Status {
-					t.Fatalf("trial %d rule=%s workers=%d noWarm=%v: status %v, reference %v",
-						trial, rule, workers, noWarm, got.Status, ref.Status)
-				}
-				if ref.Status != Optimal {
-					continue
-				}
-				diff := math.Abs(got.Objective - ref.Objective)
-				limit := tol * math.Max(1, math.Abs(ref.Objective))
-				if diff > limit {
-					t.Fatalf("trial %d rule=%s workers=%d noWarm=%v: objective %v != reference %v (diff %g)",
-						trial, rule, workers, noWarm, got.Objective, ref.Objective, got.Objective-ref.Objective)
-				}
+	ref := refSolve(m)
+	for _, workers := range []int{1, 3} {
+		for _, noWarm := range []bool{false, true} {
+			got := mustSolveOpts(t, m, Options{Workers: workers, noWarmStart: noWarm})
+			if got.Status != ref.status {
+				t.Fatalf("trial %d workers=%d noWarm=%v: status %v, reference %v",
+					trial, workers, noWarm, got.Status, ref.status)
+			}
+			if ref.status != Optimal {
+				continue
+			}
+			want := ref.float()
+			if diff := math.Abs(got.Objective - want); diff > tol*math.Max(1, math.Abs(want)) {
+				t.Fatalf("trial %d workers=%d noWarm=%v: objective %v != reference %v (diff %g)",
+					trial, workers, noWarm, got.Objective, want, diff)
 			}
 		}
 	}
@@ -163,15 +155,18 @@ func TestWarmStartStatsRecorded(t *testing.T) {
 	}
 }
 
+// TestBranchingRulesAgreeOnObjective: pseudocost branching and the exact
+// reference's first-fractional depth-first search prove the same optimum
+// on a model that needs real branching.
 func TestBranchingRulesAgreeOnObjective(t *testing.T) {
 	m := branchyMIP()
-	mf := mustSolveOpts(t, m, Options{Workers: 1, branching: branchMostFractional})
-	pc := mustSolveOpts(t, m, Options{Workers: 1, branching: branchPseudocost})
-	if mf.Status != Optimal || pc.Status != Optimal {
-		t.Fatalf("statuses: mf=%v pc=%v", mf.Status, pc.Status)
+	pc := mustSolveOpts(t, m, Options{Workers: 1})
+	ref := refSolve(m)
+	if pc.Status != Optimal || ref.status != Optimal {
+		t.Fatalf("statuses: pseudocost %v, reference %v", pc.Status, ref.status)
 	}
-	if mf.Objective != pc.Objective {
-		t.Fatalf("rules disagree: most-fractional %v, pseudocost %v", mf.Objective, pc.Objective)
+	if pc.Objective != ref.float() {
+		t.Fatalf("rules disagree: pseudocost %v, reference %v", pc.Objective, ref.obj)
 	}
 }
 

@@ -159,7 +159,4 @@ func TestWorkersTBackboneObjective(t *testing.T) {
 	if math.Abs(two.Objective-ref.Objective) > 1e-9 {
 		t.Errorf("Workers=2 objective = %v, Workers=1 = %v", two.Objective, ref.Objective)
 	}
-	if two.DenseFallbacks != 0 || ref.DenseFallbacks != 0 {
-		t.Errorf("dense fallbacks: %d at 1 worker, %d at 2", ref.DenseFallbacks, two.DenseFallbacks)
-	}
 }

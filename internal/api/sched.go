@@ -50,9 +50,14 @@ type SchedOptions struct {
 type TenantStats struct {
 	Submitted int `json:"submitted"`
 	Completed int `json:"completed"`
+
+	jobs int // the tenant's queued, running and retained jobs
 }
 
-// SchedStats is the /v1/stats payload.
+// SchedStats is the /v1/stats payload. PerTenant holds an entry only for a
+// tenant with a queued, running or retained job: once its last retained
+// job is forgotten the entry goes too (the global counters keep the
+// totals), so a tenant that returns later starts from zero.
 type SchedStats struct {
 	Workers       int                     `json:"workers"`
 	QueueDepth    int                     `json:"queue_depth"`
@@ -158,7 +163,9 @@ func (s *Scheduler) Submit(tenant string, spec JobSpec) (*Job, error) {
 	j.seq = s.nextID
 	s.jobs[j.ID] = j
 	s.stats.Submitted++
-	s.tenantStats(tenant).Submitted++
+	ts := s.tenantStats(tenant)
+	ts.Submitted++
+	ts.jobs++
 	if free {
 		s.stats.Running++
 		go s.work(j)
@@ -290,7 +297,8 @@ func (s *Scheduler) execute(j *Job) (state JobState, result json.RawMessage, err
 // finishLocked makes the job terminal, counts it — under the one lock,
 // so whoever sees the terminal state also sees it counted — and moves it
 // into the retention window, forgetting the oldest finished job once the
-// window is full. Whoever still holds that *Job keeps a complete view;
+// window is full — and its tenant's stats entry with it when that was the
+// tenant's last job. Whoever still holds that *Job keeps a complete view;
 // only the lookup by ID answers "no such job".
 func (s *Scheduler) finishLocked(j *Job, state JobState, result json.RawMessage, errMsg string) {
 	j.finish(state, result, errMsg, time.Now())
@@ -307,7 +315,12 @@ func (s *Scheduler) finishLocked(j *Job, state JobState, result json.RawMessage,
 		s.finished = append(s.finished, j.ID)
 		return
 	}
-	delete(s.jobs, s.finished[s.oldest])
+	old := s.jobs[s.finished[s.oldest]]
+	delete(s.jobs, old.ID)
+	ts := s.stats.PerTenant[old.Tenant]
+	if ts.jobs--; ts.jobs == 0 {
+		delete(s.stats.PerTenant, old.Tenant)
+	}
 	s.finished[s.oldest] = j.ID
 	s.oldest = (s.oldest + 1) % len(s.finished)
 	s.stats.JobsEvicted++

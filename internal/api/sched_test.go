@@ -363,6 +363,56 @@ func TestSchedulerManyTenantsNoLoss(t *testing.T) {
 	}
 }
 
+// TestSchedulerPerTenantBounded: the per-tenant stats keep an entry only
+// while the tenant has a job the scheduler still holds, so 10 000 tenants
+// of one job each leave at most the retention window's worth of entries
+// (plus the running jobs'), the global counters keep the totals, and a
+// tenant that comes back after its entry went starts from zero.
+func TestSchedulerPerTenantBounded(t *testing.T) {
+	const depth, workers, tenants = 8, 2, 10000
+	exec := func(ctx context.Context, j *Job) (json.RawMessage, error) {
+		return json.RawMessage(`{}`), nil
+	}
+	s := NewScheduler(SchedOptions{QueueDepth: depth, Workers: workers, Executor: exec})
+	for i := 0; i < tenants; i++ {
+		j, err := s.Submit(fmt.Sprintf("tenant-%d", i), JobSpec{})
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		waitTerminal(t, j)
+		if i%1000 == 0 {
+			if n := len(s.Stats().PerTenant); n > 4*depth+workers {
+				t.Fatalf("after %d tenants: %d per-tenant entries, want ≤ %d", i+1, n, 4*depth+workers)
+			}
+		}
+	}
+	st := s.Stats()
+	if n := len(st.PerTenant); n > 4*depth+workers {
+		t.Fatalf("%d per-tenant entries after %d one-job tenants, want ≤ %d", n, tenants, 4*depth+workers)
+	}
+	if st.Submitted != tenants || st.Optimal != tenants {
+		t.Fatalf("global counters submitted=%d optimal=%d, want %d each", st.Submitted, st.Optimal, tenants)
+	}
+	last := st.PerTenant[fmt.Sprintf("tenant-%d", tenants-1)]
+	if last == nil || last.Submitted != 1 || last.Completed != 1 {
+		t.Fatalf("newest tenant's stats = %+v, want 1 submitted, 1 completed", last)
+	}
+	if _, ok := st.PerTenant["tenant-0"]; ok {
+		t.Fatal("tenant-0's entry outlived its only job")
+	}
+	j, err := s.Submit("tenant-0", JobSpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, j)
+	if ts := s.Stats().PerTenant["tenant-0"]; ts == nil || ts.Submitted != 1 || ts.Completed != 1 {
+		t.Fatalf("returning tenant-0 stats = %+v, want a fresh 1 submitted, 1 completed", ts)
+	}
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+}
+
 // TestSchedulerExecutorPanic: a panicking executor fails its own job with
 // the panic value, sends the stack to Logf, frees its worker and leaves
 // the counters balanced — it does not strand the job Running.

@@ -191,6 +191,18 @@ func SolveExact(p Problem, opts solver.Options) (*Result, error) {
 		unmapped = len(h.Wavelengths)
 	}
 
+	// Every (link, path) names its γs with the same few catalog modes:
+	// format each mode's label once.
+	labels := make(map[*transponder.Mode]string, len(p.Catalog.Modes))
+	label := func(mode *transponder.Mode) string {
+		s, ok := labels[mode]
+		if !ok {
+			s = mode.String()
+			labels[mode] = s
+		}
+		return s
+	}
+
 	// A channel of the same format may be needed more than once per
 	// (link, path): the binary γ encoding expresses multiplicity through
 	// distinct starting pixels q, exactly as the paper defines the q-th
@@ -209,7 +221,7 @@ func SolveExact(p Problem, opts solver.Options) (*Result, error) {
 				// One name prefix per (link, path, mode): the per-variable
 				// name is then a single concatenation, not an fmt.Sprintf —
 				// variable naming used to dominate build allocations.
-				prefix := "g[" + link.ID + "," + strconv.Itoa(pi) + "," + mode.String() + ","
+				prefix := "g[" + link.ID + "," + strconv.Itoa(pi) + "," + label(mode) + ","
 				for q := 0; q+pixels <= p.Grid.Pixels; q++ {
 					name := prefix + strconv.Itoa(q) + "]"
 					obj := 1 + p.epsilon()*mode.SpacingGHz
@@ -243,10 +255,16 @@ func SolveExact(p Problem, opts solver.Options) (*Result, error) {
 		}
 	}
 
-	// Constraint (3): each pixel of each fiber used at most once.
+	// Constraint (3): each pixel of each fiber used at most once — a row
+	// per slot with two or more users, reserved up front.
+	contended := 0
 	for k := 1; k < len(slotOff); k++ {
+		if slotOff[k] >= 2 {
+			contended++
+		}
 		slotOff[k] += slotOff[k-1]
 	}
+	m.Grow(0, contended)
 	users := make([]int32, slotOff[len(slotOff)-1]) // VarIDs
 	next := append([]int32(nil), slotOff[:len(slotOff)-1]...)
 	var cur *topology.Path

@@ -1,7 +1,9 @@
 package solver
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"reflect"
@@ -78,14 +80,20 @@ func planningModel(t testing.TB, seed int64, pixels, k, links int) *Model {
 }
 
 // checkDuplicateGroups runs the indexed mergeDuplicates and the
-// row-rescanning oracle from the same state and requires identical groups
-// in identical order.
-func checkDuplicateGroups(t *testing.T, label string, p *presolved, rows []preRow) int {
+// row-rescanning oracle from the same state and requires identical groups,
+// compared in representative order (the oracle emits them in hash order).
+func checkDuplicateGroups(t *testing.T, label string, p *presolved, rows []preRow, ix *colIndex) int {
 	t.Helper()
 	q := *p
 	q.grpOf = append([]int(nil), p.grpOf...)
-	p.mergeDuplicates(rows)
+	p.mergeDuplicates(rows, ix)
 	q.mergeDuplicatesRescan(rows)
+	sort.Slice(q.groups, func(a, b int) bool { return q.groups[a][0] < q.groups[b][0] })
+	for g, grp := range q.groups {
+		for _, v := range grp {
+			q.grpOf[v] = g
+		}
+	}
 	if !reflect.DeepEqual(p.groups, q.groups) {
 		t.Fatalf("%s: indexed groups %v, row-rescan oracle %v", label, p.groups, q.groups)
 	}
@@ -157,10 +165,11 @@ func duplicateRichModel(rng *rand.Rand) *Model {
 
 // TestMergeDuplicatesIndexedMatchesRescan: the column index must produce
 // exactly the groups the row-rescanning colOf did — on seeded random models
-// with fixed columns, unbounded columns and dead rows in the state, and on
-// the T-backbone planning models of seeds 1–8 (raw, after the coefficient
-// tightening and dominated-row passes that precede the merge, and with
-// further rows killed and columns fixed at random).
+// with fixed columns, unbounded columns and dead rows in the state (killed
+// before the index is built, or after it, which the merge must skip), and
+// on the T-backbone planning models of seeds 1–8 (raw, after the
+// coefficient tightening and dominated-row passes that precede the merge,
+// and with further rows killed and columns fixed at random).
 func TestMergeDuplicatesIndexedMatchesRescan(t *testing.T) {
 	rng := rand.New(rand.NewSource(1401))
 	perturb := func(p *presolved, rows []preRow) {
@@ -180,10 +189,15 @@ func TestMergeDuplicatesIndexedMatchesRescan(t *testing.T) {
 		m := duplicateRichModel(rng)
 		p, rows := m.presolveState()
 		p.detectFixed()
-		if trial%2 == 1 {
+		ix := p.columnIndex(rows)
+		switch trial % 3 {
+		case 1: // rows die before the index is built
+			perturb(p, rows)
+			ix = p.columnIndex(rows)
+		case 2: // rows die after it: the merge must skip them
 			perturb(p, rows)
 		}
-		groups += checkDuplicateGroups(t, fmt.Sprintf("random trial %d", trial), p, rows)
+		groups += checkDuplicateGroups(t, fmt.Sprintf("random trial %d", trial), p, rows, ix)
 	}
 	if groups < 300 {
 		t.Fatalf("random models produced only %d duplicate groups; the generator stopped exercising the merge", groups)
@@ -191,26 +205,161 @@ func TestMergeDuplicatesIndexedMatchesRescan(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		m := planningModel(t, seed, 16, 1, 0)
 		p, rows := m.presolveState()
-		checkDuplicateGroups(t, fmt.Sprintf("t-backbone seed %d raw", seed), p, rows)
+		checkDuplicateGroups(t, fmt.Sprintf("t-backbone seed %d raw", seed), p, rows, p.columnIndex(rows))
 		// Coefficient tightening clips every capacity coefficient to the
 		// link's demand, which is what turns same-spacing modes into
-		// identical columns; the dominated-row pass then runs right before
-		// the merge, as in presolve().
-		reduced := func() (*presolved, []preRow) {
+		// identical columns; the dominated-row pass then runs over the
+		// index right before the merge, as in presolve().
+		reduced := func() (*presolved, []preRow, *colIndex) {
 			p, rows := m.presolveState()
 			for r := range rows {
 				p.tightenCoefs(&rows[r])
 			}
-			p.removeDominated(rows)
-			return p, rows
+			ix := p.columnIndex(rows)
+			p.removeDominated(rows, ix)
+			return p, rows, ix
 		}
-		p, rows = reduced()
-		if n := checkDuplicateGroups(t, fmt.Sprintf("t-backbone seed %d", seed), p, rows); n == 0 {
+		p, rows, ix := reduced()
+		if n := checkDuplicateGroups(t, fmt.Sprintf("t-backbone seed %d", seed), p, rows, ix); n == 0 {
 			t.Fatalf("t-backbone seed %d: no duplicate columns after tightening — not the planning model", seed)
 		}
-		p, rows = reduced()
+		p, rows, ix = reduced()
 		perturb(p, rows)
-		checkDuplicateGroups(t, fmt.Sprintf("t-backbone seed %d perturbed", seed), p, rows)
+		checkDuplicateGroups(t, fmt.Sprintf("t-backbone seed %d perturbed", seed), p, rows, ix)
+	}
+}
+
+// TestDominatedSweepMatchesOracle: the gated sweep over the shared column
+// index must kill exactly the rows the ungated sweep over its own
+// occurrence lists did — live flags reflect.DeepEqual — on the
+// FuzzPresolveRoundTrip generator's models (bounds from {−1, 0, 1} up,
+// negative coefficients, GE and EQ rows), raw and after the fixpoint; on
+// duplicate-rich models; on T-backbone planning models, raw and after
+// coefficient tightening; and on a pair the gate must let through.
+func TestDominatedSweepMatchesOracle(t *testing.T) {
+	removed := 0
+	sweep := func(label string, p *presolved, rows []preRow) {
+		t.Helper()
+		want := append([]preRow(nil), rows...)
+		p.removeDominated(rows, p.columnIndex(rows))
+		p.removeDominatedOracle(want)
+		got, exp := make([]bool, len(rows)), make([]bool, len(rows))
+		for r := range rows {
+			got[r], exp[r] = rows[r].live, want[r].live
+		}
+		if !reflect.DeepEqual(got, exp) {
+			t.Fatalf("%s: gated sweep leaves live %v, oracle %v", label, got, exp)
+		}
+		for r := range rows {
+			if !got[r] {
+				removed++
+			}
+		}
+	}
+	for seed := int64(0); seed < 2000; seed++ {
+		m := fuzzModel(seed, int(seed*7%256), int(seed*13%256))
+		p, rows := m.presolveState()
+		sweep(fmt.Sprintf("fuzz seed %d raw", seed), p, rows)
+		if p, rows = m.presolveState(); p.fixpoint(rows) {
+			sweep(fmt.Sprintf("fuzz seed %d after the fixpoint", seed), p, rows)
+		}
+	}
+	rng := rand.New(rand.NewSource(1407))
+	for trial := 0; trial < 200; trial++ {
+		p, rows := duplicateRichModel(rng).presolveState()
+		sweep(fmt.Sprintf("duplicate-rich trial %d", trial), p, rows)
+	}
+	fuzzRemoved := removed
+	for seed := int64(1); seed <= 4; seed++ {
+		m := planningModel(t, seed, 16, 1, 24)
+		p, rows := m.presolveState()
+		sweep(fmt.Sprintf("t-backbone seed %d raw", seed), p, rows)
+		p, rows = m.presolveState()
+		for r := range rows {
+			p.tightenCoefs(&rows[r])
+		}
+		sweep(fmt.Sprintf("t-backbone seed %d tightened", seed), p, rows)
+	}
+	if fuzzRemoved == 0 || removed == fuzzRemoved {
+		t.Fatalf("rows removed: %d on random models, %d on planning models; the models stopped exercising the sweep", fuzzRemoved, removed-fuzzRemoved)
+	}
+
+	// s = x1+x2+x3 ≤ 1 over binaries, r = x1+x2+2y ≤ 2 with y ∈ [1, 1.5]:
+	// max(a_s − a_r)·x = x3 − 2y peaks at 1 − 2 = −1, so b_r − 1 ≤ b_s and r
+	// dominates s, although x3 (share 1) is missing from r and 1 exceeds
+	// b_s − b_r. Only y's box, which excludes 0 and so gives a negative
+	// share, makes up the difference; the gate must not reject the pair.
+	// (x3 + x4 ≤ 1 keeps x3 from being s's rarest column.)
+	m := NewModel("zero-box", Maximize)
+	x1, x2, x3, x4 := m.AddBinVar("x1", 1), m.AddBinVar("x2", 1), m.AddBinVar("x3", 1), m.AddBinVar("x4", 1)
+	y := m.AddVar("y", 1, 1.5, 0)
+	mustCon(t, m, "s", []Term{{x1, 1}, {x2, 1}, {x3, 1}}, LE, 1)
+	mustCon(t, m, "r", []Term{{x1, 1}, {x2, 1}, {y, 2}}, LE, 2)
+	mustCon(t, m, "t", []Term{{x3, 1}, {x4, 1}}, LE, 1)
+	p, rows := m.presolveState()
+	sweep("zero-box pair", p, rows)
+	if rows[0].live || !rows[1].live || !rows[2].live {
+		t.Fatalf("zero-box pair: live %v %v %v, want s removed by r", rows[0].live, rows[1].live, rows[2].live)
+	}
+}
+
+// TestPresolveLeavesModelUntouched: presolve borrows the model's rows and
+// copies one only on its first write, so every variable and every row's
+// name, terms, relation and rhs read the same after presolve as before —
+// on fuzz models and on planning models, whose capacity rows coefficient
+// tightening rewrites.
+func TestPresolveLeavesModelUntouched(t *testing.T) {
+	fingerprint := func(m *Model) uint64 {
+		h := fnv.New64a()
+		var buf [8]byte
+		put := func(x uint64) {
+			binary.LittleEndian.PutUint64(buf[:], x)
+			h.Write(buf[:])
+		}
+		for _, v := range m.vars {
+			h.Write([]byte(v.name))
+			put(math.Float64bits(v.lb))
+			put(math.Float64bits(v.ub))
+			put(math.Float64bits(v.obj))
+			if v.integer {
+				put(1)
+			}
+		}
+		for _, c := range m.cons {
+			h.Write([]byte(c.name))
+			put(uint64(c.rel))
+			put(math.Float64bits(c.rhs))
+			put(uint64(len(c.terms)))
+			for _, term := range c.terms {
+				put(uint64(term.Var))
+				put(math.Float64bits(term.Coef))
+			}
+		}
+		return h.Sum64()
+	}
+	var models []*Model
+	for seed := int64(0); seed < 600; seed++ {
+		models = append(models, fuzzModel(seed, int(seed*7%256), int(seed*13%256)))
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		models = append(models, planningModel(t, seed, 24, 1+int(seed)%3, 0), planningModel(t, seed, 32, 1, 24))
+	}
+	fixed := 0
+	for i, m := range models {
+		before := fingerprint(m)
+		p := m.presolve(nil)
+		if fingerprint(m) != before {
+			t.Fatalf("model %d (%s): presolve changed the model", i, m.name)
+		}
+		for _, f := range p.fixed {
+			if f {
+				fixed++
+				break
+			}
+		}
+	}
+	if fixed < len(models)/4 {
+		t.Fatalf("presolve fixed columns in only %d of %d models; nothing was substituted out of a borrowed row", fixed, len(models))
 	}
 }
 
@@ -231,9 +380,7 @@ func TestFixpointMatchesRescan(t *testing.T) {
 			p.infeasible = true
 			return p
 		}
-		p.removeDominated(rows)
-		p.mergeDuplicates(rows)
-		p.build(rows)
+		p.finish(rows)
 		return p
 	}
 	var models []*Model

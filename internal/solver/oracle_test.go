@@ -144,6 +144,138 @@ func (p *presolved) mergeDuplicatesRescan(rows []preRow) {
 	}
 }
 
+// removeDominatedOracle is the dominated-row sweep before the signature
+// gate and the shared column index: it builds its own occurrence lists and
+// scatters every row before testing any candidate against it.
+func (p *presolved) removeDominatedOracle(rows []preRow) {
+	var idx []int
+	for r := range rows {
+		if rows[r].live && rows[r].rel != EQ {
+			idx = append(idx, r)
+		}
+	}
+	if len(idx) < 2 || len(idx) > preDominatedCap {
+		return
+	}
+	// Occurrence lists over the live inequality rows. A dominating row
+	// almost always shares variables with the dominated one (a dominator
+	// over disjoint support would have to win on bounds alone), so each
+	// row is tested only against the rows containing its least-frequent
+	// variable — on the planning MIP this turns the all-pairs sweep into
+	// a handful of same-pixel comparisons per slot row.
+	// Flat CSR layout (counts → offsets → fill) so the lists cost two
+	// allocations total instead of one per variable.
+	nv := len(p.orig.vars)
+	cnt := make([]int, nv+1)
+	total := 0
+	for _, ri := range idx {
+		for _, t := range rows[ri].terms {
+			cnt[t.Var+1]++
+			total++
+		}
+	}
+	for v := 0; v < nv; v++ {
+		cnt[v+1] += cnt[v]
+	}
+	flat := make([]int32, total)
+	fill := make([]int, nv)
+	copy(fill, cnt[:nv])
+	for _, ri := range idx {
+		for _, t := range rows[ri].terms {
+			flat[fill[t.Var]] = int32(ri)
+			fill[t.Var]++
+		}
+	}
+	occ := func(v int) []int32 { return flat[cnt[v]:cnt[v+1]] }
+	// contrib is one variable's share of max(d·x) over the box: d·ub for
+	// positive d, d·lb for negative. ok is false when the needed bound is
+	// infinite.
+	contrib := func(d float64, v VarID) (c float64, ok bool) {
+		switch {
+		case d > 0:
+			if math.IsInf(p.ub[v], 1) {
+				return 0, false
+			}
+			return d * p.ub[v], true
+		case d < 0:
+			if math.IsInf(p.lb[v], -1) {
+				return 0, false
+			}
+			return d * p.lb[v], true
+		}
+		return 0, true
+	}
+	as := make([]float64, nv)         // candidate row s scattered dense (normalized)
+	csv := make([]float64, nv)        // per-var contribution of s alone
+	norm := func(r *preRow) float64 { // sign normalizing the row to ≤
+		if r.rel == GE {
+			return -1
+		}
+		return 1
+	}
+	for _, si := range idx {
+		s := &rows[si]
+		if !s.live {
+			continue
+		}
+		rare := -1
+		for _, t := range s.terms {
+			if rare < 0 || len(occ(int(t.Var))) < len(occ(rare)) {
+				rare = int(t.Var)
+			}
+		}
+		if rare < 0 {
+			continue
+		}
+		// Scatter s once; each candidate pair then costs O(|r|): walking
+		// r's terms corrects the s-only total sAll to the true
+		// max-activity of (a_s − a_r) — for v in both rows the corrected
+		// diff replaces s's own contribution, for v only in r it adds on
+		// top. Rows touching an infinite bound just skip the sweep (no
+		// finite max activity to compare).
+		ss := norm(s)
+		sAll, sFinite := 0.0, true
+		for _, t := range s.terms {
+			d := ss * t.Coef
+			as[t.Var] = d
+			c, ok := contrib(d, t.Var)
+			if !ok {
+				sFinite = false
+			}
+			csv[t.Var] = c
+			sAll += c
+		}
+		if sFinite {
+			bs := ss * s.rhs
+			tol := preFeasTol * math.Max(1, math.Abs(bs))
+			for _, ri32 := range occ(rare) {
+				ri := int(ri32)
+				if ri == si || !rows[ri].live {
+					continue
+				}
+				r := &rows[ri]
+				rs := norm(r)
+				maxAct, finite := sAll, true
+				for _, t := range r.terms {
+					c, ok := contrib(as[t.Var]-rs*t.Coef, t.Var)
+					if !ok {
+						finite = false
+						break
+					}
+					maxAct += c - csv[t.Var]
+				}
+				if finite && rs*r.rhs+maxAct <= bs+tol {
+					s.live = false
+					break
+				}
+			}
+		}
+		for _, t := range s.terms {
+			as[t.Var], csv[t.Var] = 0, 0
+		}
+	}
+}
+
 // priceColOracle is the column-wise PRICE: α_j = ρ·a_j and d_j = c_j − y·a_j
 // in one pass down column j.
 func (rx *rxScratch) priceColOracle(j int) (alpha, d float64) {

@@ -1,7 +1,6 @@
 package solver
 
 import (
-	"cmp"
 	"math"
 	"slices"
 )
@@ -21,16 +20,20 @@ const (
 	preDominatedCap = 1024
 )
 
-// preRow is one constraint under reduction: a working copy of the model
-// row whose terms shrink as variables are fixed and whose live flag drops
-// when the row is eliminated (empty, singleton-folded, redundant, or
-// dominated).
+// preRow is one constraint under reduction: a view of the model row whose
+// terms shrink as variables are fixed and whose live flag drops when the
+// row is eliminated (empty, singleton-folded, redundant, or dominated).
+// terms borrows the model's slice until the first write to it — a fixed
+// column to substitute out, a coefficient to tighten — copies it (owned),
+// so a row presolve never rewrites costs no copy and the model is never
+// written.
 type preRow struct {
 	name  string
 	terms []Term
 	rel   Rel
 	rhs   float64
 	live  bool
+	owned bool
 }
 
 // presolved is the outcome of Model.presolve: the reduced model plus the
@@ -72,14 +75,17 @@ type presolved struct {
 	// stale row from one it can skip.
 	clock int32
 	stamp []int32
+
+	// downSafe/upSafe are dualFix's per-column scratch, reused every pass.
+	downSafe, upSafe []bool
 }
 
 // presolveState is the working state every presolve pass starts from:
 // bounds copied from the model, no fixings, no duplicate groups, and every
-// constraint live over its own copy of the terms. It is a function of its
-// own so the differential tests can run a single pass (mergeDuplicates
-// against its row-rescanning oracle) from exactly the state presolve builds;
-// presolve is its only other caller.
+// constraint live over the model's own terms, borrowed. It is a function of
+// its own so the differential tests can run a single pass (the sweep or the
+// merge against its oracle) from exactly the state presolve builds; presolve
+// is its only other caller.
 func (m *Model) presolveState() (*presolved, []preRow) {
 	nv := len(m.vars)
 	p := &presolved{
@@ -96,26 +102,9 @@ func (m *Model) presolveState() (*presolved, []preRow) {
 		p.grpOf[i] = -1
 	}
 	rows := make([]preRow, len(m.cons))
-	// One arena for every row's working term copy instead of a slice
-	// allocation per row. Passes only ever shrink a row's terms in place,
-	// so the sub-slices never collide; the capacity is pre-counted so the
-	// arena never reallocates under them.
-	nnz := 0
-	for i := range m.cons {
-		nnz += len(m.cons[i].terms)
-	}
-	arena := make([]Term, 0, nnz)
 	for i := range m.cons {
 		c := &m.cons[i]
-		start := len(arena)
-		arena = append(arena, c.terms...)
-		rows[i] = preRow{
-			name:  c.name,
-			terms: arena[start:len(arena):len(arena)],
-			rel:   c.rel,
-			rhs:   c.rhs,
-			live:  true,
-		}
+		rows[i] = preRow{name: c.name, terms: c.terms, rel: c.rel, rhs: c.rhs, live: true}
 	}
 	return p, rows
 }
@@ -129,9 +118,7 @@ func (m *Model) presolve(logf func(format string, args ...interface{})) *presolv
 		p.infeasible = true
 		return p
 	}
-	p.removeDominated(rows)
-	p.mergeDuplicates(rows)
-	p.build(rows)
+	p.finish(rows)
 	if p.infeasible {
 		return p
 	}
@@ -140,6 +127,16 @@ func (m *Model) presolve(logf func(format string, args ...interface{})) *presolv
 			p.rowsRemoved, len(m.cons), p.colsRemoved, len(m.vars))
 	}
 	return p
+}
+
+// finish runs the passes after the fixpoint, which rewrite no row: the
+// dominated-row sweep and the duplicate-column merge over one column index,
+// then the reduced model's build.
+func (p *presolved) finish(rows []preRow) {
+	ix := p.columnIndex(rows)
+	p.removeDominated(rows, ix)
+	p.mergeDuplicates(rows, ix)
+	p.build(rows)
 }
 
 // fixpoint runs the reductions that feed each other — the row visits
@@ -287,20 +284,29 @@ func (p *presolved) detectFixed() bool {
 }
 
 // substituteFixed folds fixed variables into the row's rhs and drops
-// their terms.
+// their terms; the first drop from a borrowed row copies it.
 func (p *presolved) substituteFixed(row *preRow) bool {
-	changed := false
-	out := row.terms[:0]
-	for _, t := range row.terms {
+	k := 0
+	for k < len(row.terms) && !p.fixed[row.terms[k].Var] {
+		k++
+	}
+	if k == len(row.terms) {
+		return false
+	}
+	out := row.terms[:k]
+	if !row.owned {
+		out = append(make([]Term, 0, len(row.terms)-1), out...)
+		row.owned = true
+	}
+	for _, t := range row.terms[k:] {
 		if p.fixed[t.Var] {
 			row.rhs -= t.Coef * p.fixVal[t.Var]
-			changed = true
 			continue
 		}
 		out = append(out, t)
 	}
 	row.terms = out
-	return changed
+	return true
 }
 
 // reduceRow applies the per-row reductions: empty-row elimination,
@@ -384,14 +390,12 @@ func (p *presolved) foldSingleton(row *preRow) preOutcome {
 	v := int(t.Var)
 	limit := row.rhs / t.Coef
 	upper := t.Coef > 0 // a·x ≤ b tightens ub when a > 0, lb when a < 0
-	changed := false
 	tightenUB := func(val float64) {
 		if p.orig.vars[v].integer {
 			val = math.Floor(val + preIntTol)
 		}
 		if val < p.ub[v] {
 			p.setBounds(v, p.lb[v], val)
-			changed = true
 		}
 	}
 	tightenLB := func(val float64) {
@@ -400,7 +404,6 @@ func (p *presolved) foldSingleton(row *preRow) preOutcome {
 		}
 		if val > p.lb[v] {
 			p.setBounds(v, val, p.ub[v])
-			changed = true
 		}
 	}
 	switch row.rel {
@@ -424,10 +427,7 @@ func (p *presolved) foldSingleton(row *preRow) preOutcome {
 		return preInfeasible
 	}
 	row.live = false
-	if changed {
-		return preChanged
-	}
-	return preChanged // the row itself was eliminated either way
+	return preChanged // the row itself is eliminated, bounds changed or not
 }
 
 // activity returns the row's minimum and maximum activity over the
@@ -599,6 +599,11 @@ func (p *presolved) tightenCoefs(row *preRow) bool {
 		if target <= c+tol || math.Abs(target) <= tol {
 			continue
 		}
+		if !row.owned {
+			row.terms = slices.Clone(row.terms)
+			row.owned = true
+			t = &row.terms[i]
+		}
 		t.Coef = sign * target
 		// The tightened coefficient's max contribution is target·1 when
 		// positive, 0 when negative; keep maxAct consistent for later terms.
@@ -621,8 +626,9 @@ func (p *presolved) tightenCoefs(row *preRow) bool {
 // simplex instead of presolve misreporting it.
 func (p *presolved) dualFix(rows []preRow) bool {
 	nv := len(p.orig.vars)
-	downSafe := make([]bool, nv)
-	upSafe := make([]bool, nv)
+	p.downSafe = growBools(p.downSafe, nv)
+	p.upSafe = growBools(p.upSafe, nv)
+	downSafe, upSafe := p.downSafe, p.upSafe
 	for i := range downSafe {
 		downSafe[i] = true
 		upSafe[i] = true
@@ -674,6 +680,74 @@ func (p *presolved) dualFix(rows []preRow) bool {
 	return changed
 }
 
+// colEntry is one nonzero of the column index: the term at position pos of
+// row row.
+type colEntry struct{ row, pos int32 }
+
+// colIndex is the column-major view of the rows live after the fixpoint,
+// built once for the dominated-row sweep and the duplicate-column merge:
+// column v is ent[ptr[v]:ptr[v+1]] in ascending row order, and ineq[v]
+// counts its entries in inequality rows. No pass after the fixpoint
+// rewrites a row's terms, so the positions stay valid; a row the sweep
+// kills stays indexed, and readers skip it.
+type colIndex struct {
+	ptr  []int32
+	ent  []colEntry
+	ineq []int32
+}
+
+func (ix *colIndex) col(v int) []colEntry { return ix.ent[ix.ptr[v]:ix.ptr[v+1]] }
+
+// columnIndex builds the index by count / prefix-sum / fill. Column v's
+// count goes to ptr[v+2], so after the prefix sum ptr[v+1] is its start
+// and serves as its fill cursor, which leaves it at the column's end:
+// ptr[:nv+1] is then the offsets, with no separate cursor array.
+func (p *presolved) columnIndex(rows []preRow) *colIndex {
+	nv := len(p.orig.vars)
+	ptr := make([]int32, nv+2)
+	ineq := make([]int32, nv)
+	for r := range rows {
+		if !rows[r].live {
+			continue
+		}
+		for _, t := range rows[r].terms {
+			ptr[t.Var+2]++
+			if rows[r].rel != EQ {
+				ineq[t.Var]++
+			}
+		}
+	}
+	for v := 2; v < len(ptr); v++ {
+		ptr[v] += ptr[v-1]
+	}
+	ent := make([]colEntry, ptr[nv+1])
+	for r := range rows {
+		if !rows[r].live {
+			continue
+		}
+		for k, t := range rows[r].terms {
+			ent[ptr[t.Var+1]] = colEntry{int32(r), int32(k)}
+			ptr[t.Var+1]++
+		}
+	}
+	return &colIndex{ptr: ptr[:nv+1], ent: ent, ineq: ineq}
+}
+
+// domRow is what the dominated-row sweep computes once per live inequality
+// row, in its ≤ form sign·a·x ≤ sign·b. A column's share is its part of
+// max(sign·a·x) over the box (times ub for a positive coefficient, lb for a
+// negative one); all is their sum and finite says no share needs an
+// infinite bound. The gate reads the rest: sig has one bit per column
+// (hashed), pos the bits of the columns with a positive share and minPos
+// the smallest such share; negAll and negMax are the sum and the largest of
+// the shares of max(−sign·a·x); zeroBox says every column's box is finite
+// and contains 0, and scale = Σ|a_v|·max(|lb_v|, |ub_v|) sizes the roundoff.
+type domRow struct {
+	sign, all, minPos, negAll, negMax, scale float64
+	sig, pos                                 uint64
+	finite, zeroBox                          bool
+}
+
 // removeDominated drops inequality rows implied by another row plus the
 // bounds: normalizing both rows to a·x ≤ b form, row r dominates row s
 // when b_r + max(a_s − a_r)·x over the box ≤ b_s, since then any point
@@ -681,49 +755,33 @@ func (p *presolved) dualFix(rows []preRow) bool {
 // slot-conflict rows the planning MIP generates: a fiber whose users at a
 // pixel are a subset of another fiber's users at that pixel contributes a
 // dominated ≤ 1 row.
-func (p *presolved) removeDominated(rows []preRow) {
-	var idx []int
+//
+// A dominator almost always shares columns with the row it dominates (over
+// disjoint support it would have to win on bounds alone), so each row s is
+// tested only against the rows holding its least-frequent column, in row
+// order, and falls to the first that dominates it. Most candidates fail in
+// a way a gate sees in O(1). When both rows' boxes contain 0, every share
+// of max(a_s − a_r)·x is ≥ 0, so the sum is at least the shares of any
+// columns the rows do not share, and s survives once those exceed
+// b_s − b_r + tol. Two such lower bounds cost O(1): a bit of s's
+// positive-share signature missing from r's signature proves a column of s
+// outside r, whose share is at least minPos; and r's columns outside s keep
+// their shares of −a_r, which sum to at least negAll − |s|·negMax however
+// s overlaps r. The first rejects a slot row against a slot row missing one
+// of its users, the second against a long capacity row. The margin covers
+// the roundoff of the exact test's sums, so the gate rejects only pairs the
+// exact test rejects; row s is scattered for the exact O(|r|) test only
+// when a candidate gets past it.
+func (p *presolved) removeDominated(rows []preRow, ix *colIndex) {
+	n := 0
 	for r := range rows {
 		if rows[r].live && rows[r].rel != EQ {
-			idx = append(idx, r)
+			n++
 		}
 	}
-	if len(idx) < 2 || len(idx) > preDominatedCap {
+	if n < 2 || n > preDominatedCap {
 		return
 	}
-	// Occurrence lists over the live inequality rows. A dominating row
-	// almost always shares variables with the dominated one (a dominator
-	// over disjoint support would have to win on bounds alone), so each
-	// row is tested only against the rows containing its least-frequent
-	// variable — on the planning MIP this turns the all-pairs sweep into
-	// a handful of same-pixel comparisons per slot row.
-	// Flat CSR layout (counts → offsets → fill) so the lists cost two
-	// allocations total instead of one per variable.
-	nv := len(p.orig.vars)
-	cnt := make([]int, nv+1)
-	total := 0
-	for _, ri := range idx {
-		for _, t := range rows[ri].terms {
-			cnt[t.Var+1]++
-			total++
-		}
-	}
-	for v := 0; v < nv; v++ {
-		cnt[v+1] += cnt[v]
-	}
-	flat := make([]int32, total)
-	fill := make([]int, nv)
-	copy(fill, cnt[:nv])
-	for _, ri := range idx {
-		for _, t := range rows[ri].terms {
-			flat[fill[t.Var]] = int32(ri)
-			fill[t.Var]++
-		}
-	}
-	occ := func(v int) []int32 { return flat[cnt[v]:cnt[v+1]] }
-	// contrib is one variable's share of max(d·x) over the box: d·ub for
-	// positive d, d·lb for negative. ok is false when the needed bound is
-	// infinite.
 	contrib := func(d float64, v VarID) (c float64, ok bool) {
 		switch {
 		case d > 0:
@@ -739,73 +797,108 @@ func (p *presolved) removeDominated(rows []preRow) {
 		}
 		return 0, true
 	}
-	as := make([]float64, nv)         // candidate row s scattered dense (normalized)
-	csv := make([]float64, nv)        // per-var contribution of s alone
-	norm := func(r *preRow) float64 { // sign normalizing the row to ≤
-		if r.rel == GE {
-			return -1
+	sum := make([]domRow, len(rows))
+	for r := range rows {
+		row, d := &rows[r], &sum[r]
+		if !row.live || row.rel == EQ {
+			continue
 		}
-		return 1
+		d.sign, d.finite, d.zeroBox = 1, true, true
+		if row.rel == GE {
+			d.sign = -1
+		}
+		for _, t := range row.terms {
+			c, ok := contrib(d.sign*t.Coef, t.Var)
+			d.finite = d.finite && ok
+			d.all += c
+			bit := uint64(1) << (uint64(t.Var) * 0x9e3779b97f4a7c15 >> 58)
+			d.sig |= bit
+			if c > 0 {
+				if d.pos == 0 || c < d.minPos {
+					d.minPos = c
+				}
+				d.pos |= bit
+			}
+			if lb, ub := p.lb[t.Var], p.ub[t.Var]; lb <= 0 && ub >= 0 && !math.IsInf(lb, -1) && !math.IsInf(ub, 1) {
+				neg, _ := contrib(-(d.sign * t.Coef), t.Var)
+				d.negAll += neg
+				d.negMax = max(d.negMax, neg)
+				d.scale += math.Abs(t.Coef) * max(-lb, ub)
+			} else {
+				d.zeroBox = false
+			}
+		}
 	}
-	for _, si := range idx {
-		s := &rows[si]
-		if !s.live {
+	nv := len(p.orig.vars)
+	as := make([]float64, nv)  // row s scattered dense (normalized)
+	csv := make([]float64, nv) // per-column share of s alone
+	for si := range rows {
+		s, ds := &rows[si], &sum[si]
+		if !s.live || s.rel == EQ || !ds.finite {
 			continue
 		}
 		rare := -1
 		for _, t := range s.terms {
-			if rare < 0 || len(occ(int(t.Var))) < len(occ(rare)) {
+			if rare < 0 || ix.ineq[t.Var] < ix.ineq[rare] {
 				rare = int(t.Var)
 			}
 		}
 		if rare < 0 {
 			continue
 		}
-		// Scatter s once; each candidate pair then costs O(|r|): walking
-		// r's terms corrects the s-only total sAll to the true
-		// max-activity of (a_s − a_r) — for v in both rows the corrected
-		// diff replaces s's own contribution, for v only in r it adds on
-		// top. Rows touching an infinite bound just skip the sweep (no
-		// finite max activity to compare).
-		ss := norm(s)
-		sAll, sFinite := 0.0, true
-		for _, t := range s.terms {
-			d := ss * t.Coef
-			as[t.Var] = d
-			c, ok := contrib(d, t.Var)
-			if !ok {
-				sFinite = false
+		bs := ds.sign * s.rhs
+		tol := preFeasTol * math.Max(1, math.Abs(bs))
+		scattered := false
+		for _, e := range ix.col(rare) {
+			ri := int(e.row)
+			r, dr := &rows[ri], &sum[ri]
+			if ri == si || r.rel == EQ || !r.live {
+				continue
 			}
-			csv[t.Var] = c
-			sAll += c
-		}
-		if sFinite {
-			bs := ss * s.rhs
-			tol := preFeasTol * math.Max(1, math.Abs(bs))
-			for _, ri32 := range occ(rare) {
-				ri := int(ri32)
-				if ri == si || !rows[ri].live {
+			br := dr.sign * r.rhs
+			if ds.zeroBox && dr.zeroBox {
+				low := max(0, dr.negAll-float64(len(s.terms))*dr.negMax)
+				if ds.pos&^dr.sig != 0 {
+					low += ds.minPos
+				}
+				// 2⁻⁵⁰ per term is eight unit roundoffs: more than the
+				// error of the sums the exact test and the bound add,
+				// relative to the magnitudes they add up.
+				margin := float64(len(s.terms)+len(r.terms)+8) * 0x1p-50 *
+					(math.Abs(bs) + math.Abs(br) + tol + 4*(ds.scale+dr.scale))
+				if low > bs-br+tol+margin {
 					continue
 				}
-				r := &rows[ri]
-				rs := norm(r)
-				maxAct, finite := sAll, true
-				for _, t := range r.terms {
-					c, ok := contrib(as[t.Var]-rs*t.Coef, t.Var)
-					if !ok {
-						finite = false
-						break
-					}
-					maxAct += c - csv[t.Var]
+			}
+			// The exact test walks r's terms over s scattered dense,
+			// correcting s's own total to the max activity of (a_s − a_r):
+			// for a column in both rows the difference's share replaces s's,
+			// for one only in r it adds on top.
+			if !scattered {
+				for _, t := range s.terms {
+					as[t.Var] = ds.sign * t.Coef
+					csv[t.Var], _ = contrib(as[t.Var], t.Var)
 				}
-				if finite && rs*r.rhs+maxAct <= bs+tol {
-					s.live = false
+				scattered = true
+			}
+			maxAct, finite := ds.all, true
+			for _, t := range r.terms {
+				c, ok := contrib(as[t.Var]-dr.sign*t.Coef, t.Var)
+				if !ok {
+					finite = false
 					break
 				}
+				maxAct += c - csv[t.Var]
+			}
+			if finite && br+maxAct <= bs+tol {
+				s.live = false
+				break
 			}
 		}
-		for _, t := range s.terms {
-			as[t.Var], csv[t.Var] = 0, 0
+		if scattered {
+			for _, t := range s.terms {
+				as[t.Var], csv[t.Var] = 0, 0
+			}
 		}
 	}
 }
@@ -815,129 +908,112 @@ func (p *presolved) removeDominated(rows []preRow) {
 // collapses to its lowest-VarID representative over the summed bounds.
 // Postsolve splits the representative's value back lexicographically
 // minimally.
-func (p *presolved) mergeDuplicates(rows []preRow) {
+//
+// Columns are hashed over the column index and placed in VarID order into
+// an open-addressing table keyed by the hash: a column joins the class of
+// the representative in its probe sequence whose hash and column match it
+// exactly (identity is an equivalence, so at most one can), else it
+// founds a class. Groups come out in representative order.
+func (p *presolved) mergeDuplicates(rows []preRow, ix *colIndex) {
 	nv := len(p.orig.vars)
-	// Column-major index of the live rows (count / prefix-sum / fill, as
-	// cscBuild does): column v is col[colPtr[v]:colPtr[v+1]], one
-	// (row, coef) entry per nonzero in ascending row order.
-	colPtr := make([]int32, nv+1)
-	for r := range rows {
-		if !rows[r].live {
-			continue
-		}
-		for _, t := range rows[r].terms {
-			colPtr[t.Var+1]++
-		}
-	}
-	for v := 0; v < nv; v++ {
-		colPtr[v+1] += colPtr[v]
-	}
-	col := make([]Term, colPtr[nv])
-	fill := append([]int32(nil), colPtr[:nv]...)
-	for r := range rows {
-		if !rows[r].live {
-			continue
-		}
-		for _, t := range rows[r].terms {
-			col[fill[t.Var]] = Term{Var: VarID(r), Coef: t.Coef}
-			fill[t.Var]++
-		}
-	}
-	colOf := func(v int) []Term { return col[colPtr[v]:colPtr[v+1]] }
 	// Order-dependent multiply-xor mix (splitmix-style finalizer): the
 	// signature must distinguish (row, coef) sequences, not be
 	// cryptographic, and it runs once per nonzero — collisions are
-	// resolved by the exact pairwise verification below.
+	// resolved by the exact comparison.
 	mix := func(h uint64, x uint64) uint64 {
 		h ^= x
 		h *= 0x9e3779b97f4a7c15
 		h ^= h >> 29
 		return h
 	}
-	// Sort (hash, var) pairs and walk adjacent equal-hash runs: the same
-	// grouping a map of slices would produce, without an allocation per
-	// bucket and with a deterministic group order.
-	type cand struct {
-		hash uint64
-		v    int
+	coef := func(e colEntry) float64 { return rows[e.row].terms[e.pos].Coef }
+	// same reports whether columns a and b agree in objective, integrality
+	// and the coefficient of every live row.
+	same := func(a, b int) bool {
+		va, vb := &p.orig.vars[a], &p.orig.vars[b]
+		if va.obj != vb.obj || va.integer != vb.integer {
+			return false
+		}
+		ca, cb := ix.col(a), ix.col(b)
+		for i, j := 0, 0; ; i, j = i+1, j+1 {
+			for i < len(ca) && !rows[ca[i].row].live {
+				i++
+			}
+			for j < len(cb) && !rows[cb[j].row].live {
+				j++
+			}
+			if i == len(ca) || j == len(cb) {
+				return i == len(ca) && j == len(cb)
+			}
+			if ca[i].row != cb[j].row || coef(ca[i]) != coef(cb[j]) {
+				return false
+			}
+		}
 	}
-	cands := make([]cand, 0, nv)
+	size := 1
+	for size < 2*nv {
+		size <<= 1
+	}
+	mask := uint64(size - 1)
+	table := make([]int32, size) // 1 + a representative's VarID, 0 empty
+	hash := make([]uint64, nv)   // a representative's column hash
+	rep := make([]int32, nv)     // 1 + a candidate's representative, 0 for the rest
+	count := make([]int32, nv)   // a representative's class size
+	groups, members := 0, 0
 	for i := range p.orig.vars {
 		if p.fixed[i] || math.IsInf(p.lb[i], -1) || math.IsInf(p.ub[i], 1) {
 			continue
 		}
 		h := uint64(14695981039346656037)
-		for _, e := range colOf(i) {
-			h = mix(mix(h, uint64(e.Var)), math.Float64bits(e.Coef))
+		for _, e := range ix.col(i) {
+			if rows[e.row].live {
+				h = mix(mix(h, uint64(e.row)), math.Float64bits(coef(e)))
+			}
 		}
 		h = mix(h, math.Float64bits(p.orig.vars[i].obj))
 		if p.orig.vars[i].integer {
 			h = mix(h, 1)
 		}
-		cands = append(cands, cand{h, i})
+		for slot := h & mask; ; slot = (slot + 1) & mask {
+			r := int(table[slot]) - 1
+			if r < 0 {
+				table[slot] = int32(i) + 1
+				hash[i], rep[i], count[i] = h, int32(i)+1, 1
+				break
+			}
+			if hash[r] == h && same(r, i) {
+				rep[i] = int32(r) + 1
+				count[r]++
+				members++
+				if count[r] == 2 {
+					groups++
+					members++
+				}
+				break
+			}
+		}
 	}
-	slices.SortFunc(cands, func(a, b cand) int {
-		if c := cmp.Compare(a.hash, b.hash); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.v, b.v)
-	})
-	sameCol := func(a, b []Term) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return true
+	if groups == 0 {
+		return
 	}
-	// Verify buckets exactly: compare representatives pairwise within the
-	// bucket, column against column.
-	var used []bool
-	for lo := 0; lo < len(cands); {
-		hi := lo + 1
-		for hi < len(cands) && cands[hi].hash == cands[lo].hash {
-			hi++
-		}
-		bucket := cands[lo:hi]
-		lo = hi
-		if len(bucket) < 2 {
-			continue
-		}
-		used = growBools(used, len(bucket))
-		for i := range used {
-			used[i] = false
-		}
-		for i := range bucket {
-			if used[i] {
-				continue
-			}
-			vi := bucket[i].v
-			var grp []int
-			for j := i + 1; j < len(bucket); j++ {
-				if used[j] {
-					continue
-				}
-				vj := bucket[j].v
-				if p.orig.vars[vi].obj != p.orig.vars[vj].obj ||
-					p.orig.vars[vi].integer != p.orig.vars[vj].integer ||
-					!sameCol(colOf(vi), colOf(vj)) {
-					continue
-				}
-				if grp == nil {
-					grp = append(make([]int, 0, 4), vi)
-				}
-				grp = append(grp, vj)
-				used[j] = true
-			}
-			if grp != nil {
-				for _, v := range grp {
-					p.grpOf[v] = len(p.groups)
-				}
-				p.groups = append(p.groups, grp)
-			}
+	// One arena holds every group; a representative, met first, reserves
+	// its class's run of it.
+	p.groups = make([][]int, 0, groups)
+	arena := make([]int, 0, members)
+	for i := range rep {
+		r := int(rep[i]) - 1
+		switch {
+		case r < 0 || count[r] < 2:
+		case r == i:
+			k := len(arena)
+			arena = arena[:k+int(count[i])]
+			arena[k] = i
+			p.grpOf[i] = len(p.groups)
+			p.groups = append(p.groups, arena[k:k+1:k+int(count[i])])
+		default:
+			g := p.grpOf[r]
+			p.grpOf[i] = g
+			p.groups[g] = append(p.groups[g], i)
 		}
 	}
 }

@@ -169,6 +169,11 @@ func TestFig12AndHeadlines(t *testing.T) {
 	_ = s.String()
 }
 
+// TestFig13 pins Fig 13(b) at seed 1 to the percentages EXPERIMENTS.md
+// prints: transponders saved vs 100G-WAN and vs RADWAN, spectrum saved vs
+// 100G-WAN and vs RADWAN, and the spectral-efficiency gain vs 100G-WAN, on
+// T-backbone and on Cernet. The paper's claim that the short-path
+// T-backbone gains more than Cernet holds in them.
 func TestFig13(t *testing.T) {
 	tb, ce := workload.TBackbone(1), workload.Cernet(1)
 	a := Fig13aWeightedPathLengths(tb, ce)
@@ -181,18 +186,21 @@ func TestFig13(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(b.PerNetwork) != 2 {
-		t.Fatalf("gains for %d networks", len(b.PerNetwork))
+	want := map[string][5]string{
+		"T-backbone": {"82", "52", "68", "43", "199"},
+		"Cernet":     {"63", "26", "49", "32", "80"},
 	}
-	// Paper: gains on the short-path T-backbone exceed gains on Cernet.
-	if b.PerNetwork[0].TxSavedVs100G <= b.PerNetwork[1].TxSavedVs100G {
-		t.Errorf("tx savings: T-backbone %.0f%% ≤ Cernet %.0f%%",
-			b.PerNetwork[0].TxSavedVs100G, b.PerNetwork[1].TxSavedVs100G)
+	if len(b.PerNetwork) != len(want) {
+		t.Fatalf("gains for %d networks, want %d", len(b.PerNetwork), len(want))
 	}
-	// Both positive on every axis.
 	for _, s := range b.PerNetwork {
-		if s.TxSavedVs100G <= 0 || s.TxSavedVsRADWAN < 0 || s.SpectrumSavedVs100G <= 0 {
-			t.Errorf("%s: non-positive savings %+v", s.Network, s)
+		got := [5]string{}
+		for i, v := range []float64{s.TxSavedVs100G, s.TxSavedVsRADWAN, s.SpectrumSavedVs100G, s.SpectrumSavedVsRADWAN, s.SpectralEffGainVs100G} {
+			got[i] = fmt.Sprintf("%.0f", v)
+		}
+		if got != want[s.Network] {
+			t.Errorf("%s: tx saved vs 100G/RADWAN, spectrum saved vs 100G/RADWAN, spectral-efficiency gain vs 100G = %v %%, want %v %%",
+				s.Network, got, want[s.Network])
 		}
 	}
 	_ = b.String()
@@ -245,58 +253,62 @@ func TestFig15a(t *testing.T) {
 	_ = f.String()
 }
 
+// TestFig15b pins Fig 15(b) at seed 1 — mean restoration capability per
+// scheme at 1×, 3× and 5× — to the values EXPERIMENTS.md prints (−1: the
+// scheme cannot serve the demand at that scale). Paper: underloaded, the
+// rigid schemes restore nearly everything; overloaded, FlexWAN restores
+// more than RADWAN (+15 %; +56 % here, known deviation 3).
 func TestFig15b(t *testing.T) {
 	f, err := Fig15bRestorationVsScale(workload.TBackbone(1), []float64{1, 3, 5}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Underloaded: the rigid schemes restore nearly everything (their
-	// reach margin is huge).
-	if c := f.Capability["RADWAN"][0]; c < 0.85 {
-		t.Errorf("RADWAN capability at 1x = %v, paper ≈ 1.0", c)
-	}
-	if c := f.Capability["100G-WAN"][0]; c < 0.85 {
-		t.Errorf("100G-WAN capability at 1x = %v, paper ≈ 1.0", c)
-	}
-	// Overloaded at 5×: either the rigid schemes are already infeasible
-	// (cannot even serve the demand — the stronger failure) or FlexWAN
-	// restores more (paper: +15% vs RADWAN).
-	flex5 := f.Capability["FlexWAN"][2]
-	if flex5 < 0 {
-		t.Fatal("FlexWAN infeasible at 5x — workload calibration broken")
-	}
-	rad5 := f.Capability["RADWAN"][2]
-	if rad5 >= 0 && flex5 <= rad5 {
-		t.Errorf("at 5x: FlexWAN %.3f ≤ RADWAN %.3f", flex5, rad5)
+	for scheme, want := range map[string][]string{
+		"100G-WAN": {"0.910", "0.453", "-1"},
+		"RADWAN":   {"0.960", "0.941", "0.582"},
+		"FlexWAN":  {"0.943", "0.921", "0.906"},
+	} {
+		var got []string
+		for _, c := range f.Capability[scheme] {
+			if c == -1 {
+				got = append(got, "-1")
+			} else {
+				got = append(got, fmt.Sprintf("%.3f", c))
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s capability at 1x/3x/5x = %v, want %v", scheme, got, want)
+		}
 	}
 	_ = f.String()
 }
 
+// TestFig16 pins the Fig 16 capability means at seed 1, 1× and 5×, to the
+// values EXPERIMENTS.md prints; 100G-WAN cannot serve the 5× demand and has
+// no series there. FlexWAN+ (extra spares) restores at least as much as
+// FlexWAN at both scales.
 func TestFig16(t *testing.T) {
 	n := workload.TBackbone(1)
-	under, err := Fig16RestorationCDF(n, 1, 2)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		scale float64
+		means map[string]string
+	}{
+		{1, map[string]string{"100G-WAN": "0.910", "RADWAN": "0.960", "FlexWAN": "0.943", "FlexWAN+": "0.946"}},
+		{5, map[string]string{"RADWAN": "0.582", "FlexWAN": "0.906", "FlexWAN+": "0.934"}},
+	} {
+		f, err := Fig16RestorationCDF(n, tc.scale, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make(map[string]string, len(f.Capability))
+		for scheme, cdf := range f.Capability {
+			got[scheme] = fmt.Sprintf("%.3f", cdf.Mean())
+		}
+		if !reflect.DeepEqual(got, tc.means) {
+			t.Errorf("means at %gx = %v, want %v", tc.scale, got, tc.means)
+		}
+		_ = f.String()
 	}
-	// FlexWAN+ must dominate plain FlexWAN (extra spares only help).
-	plus, ok1 := under.Capability["FlexWAN+"]
-	flex, ok2 := under.Capability["FlexWAN"]
-	if !ok1 || !ok2 {
-		t.Fatal("missing FlexWAN/FlexWAN+ series")
-	}
-	if plus.Mean() < flex.Mean()-1e-9 {
-		t.Errorf("FlexWAN+ mean %.3f < FlexWAN %.3f at 1x", plus.Mean(), flex.Mean())
-	}
-	_ = under.String()
-
-	over, err := Fig16RestorationCDF(n, 5, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := over.Capability["FlexWAN"]; !ok {
-		t.Error("FlexWAN missing at 5x")
-	}
-	_ = over.String()
 }
 
 func TestGNCrossCheck(t *testing.T) {

@@ -14,7 +14,8 @@
 //	(5,6) bookkeeping between wavelengths, slots and transponder counts.
 //
 // Two solvers are provided. SolveExact builds the paper's mixed-integer
-// program verbatim and solves it with the internal branch-and-bound — the
+// program, already reduced to its interchangeable-mode classes and maximal
+// conflict rows, and solves it with the internal branch-and-bound — the
 // substitute for the paper's Gurobi runs, practical for small and medium
 // instances. Solve is the scalable heuristic used at production size:
 // greedy per-wavelength mode selection with first-fit spectrum

@@ -499,8 +499,8 @@ func TestHeuristicMatchesExactCount(t *testing.T) {
 func TestSolveExactTooLarge(t *testing.T) {
 	// A default-grid SVT instance explodes past the build cap and must be
 	// refused, not attempted: an explicit Options.MaxVars binds
-	// (Options.MaxBuildVars; the per-engine defaults are pinned by the
-	// solver's TestMaxBuildVars).
+	// (Options.MaxBuildVars; the default is pinned by the solver's
+	// TestMaxBuildVars).
 	ip := &topology.IPTopology{}
 	for i := 0; i < 10; i++ {
 		id := string(rune('a' + i))
@@ -517,6 +517,45 @@ func TestSolveExactTooLarge(t *testing.T) {
 	}
 	if _, err := SolveExact(p, solver.Options{MaxVars: 100}); err == nil {
 		t.Error("oversized exact MIP accepted despite explicit MaxVars")
+	}
+}
+
+// TestSolveExactCapCountsClassColumns: the MaxVars guard counts the class
+// columns the builder emits, not one γ per catalog mode. A 100 Gbps link
+// over 100 km reaches all three RADWAN modes, 75 GHz each (6 of 12 pixels):
+// 3 × 7 = 21 γs verbatim, but capped at the demand the three rates are one
+// class, so 7 columns — a cap of 7 builds and solves, 6 refuses. The
+// class column the heuristic's start sets carries the heuristic's own mode
+// into the plan.
+func TestSolveExactCapCountsClassColumns(t *testing.T) {
+	p := Problem{
+		Optical: lineTopology(t),
+		IP:      ipLinks(t, topology.IPLink{ID: "e1", A: "A", B: "B", DemandGbps: 100}),
+		Catalog: transponder.RADWAN(),
+		Grid:    spectrum.Grid{PixelGHz: 12.5, Pixels: 12},
+		K:       1,
+	}
+	r, err := SolveExact(p, solver.Options{MaxVars: 7})
+	if err != nil {
+		t.Fatalf("7 class columns under a cap of 7: %v", err)
+	}
+	if r.Transponders() != 1 || r.Solver.Status != solver.Optimal {
+		t.Errorf("%v with %d transponders, want optimal with 1", r.Solver.Status, r.Transponders())
+	}
+	if err := Verify(p, r); err != nil {
+		t.Errorf("Verify: %v", err)
+	}
+	// The start is proven optimal, so the plan is the heuristic's
+	// wavelength, mode included, not another mode of its class.
+	h, err := Solve(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Transponders() == 1 && (*r.Wavelengths[0].Mode != *h.Wavelengths[0].Mode || r.Wavelengths[0].Interval != h.Wavelengths[0].Interval) {
+		t.Errorf("exact wavelength %v %v, heuristic's %v %v", *r.Wavelengths[0].Mode, r.Wavelengths[0].Interval, *h.Wavelengths[0].Mode, h.Wavelengths[0].Interval)
+	}
+	if _, err := SolveExact(p, solver.Options{MaxVars: 6}); err == nil {
+		t.Error("7 class columns accepted under a cap of 6")
 	}
 }
 

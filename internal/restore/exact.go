@@ -125,7 +125,7 @@ func SolveExact(p Problem, opts solver.Options) (*Result, error) {
 						}
 					}
 					if m.NumVars() > opts.MaxBuildVars() {
-						return nil, fmt.Errorf("restore: exact MIP exceeds %d variables (Options.MaxVars; default per LP engine); use the heuristic Solve or raise the cap", opts.MaxBuildVars())
+						return nil, fmt.Errorf("restore: exact MIP exceeds %d variables (Options.MaxVars); use the heuristic Solve or raise the cap", opts.MaxBuildVars())
 					}
 				}
 			}

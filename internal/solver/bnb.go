@@ -29,7 +29,8 @@ func (m *Model) Solve() Solution {
 // GOMAXPROCS) sharing a best-first frontier. The model is first reduced
 // by the presolve layer (bound propagation, substitution, redundant-row
 // and duplicate-column removal) and the solution is rehydrated against
-// the original VarIDs afterwards; a MIP start (SetStart) that is still the
+// the original VarIDs afterwards; a model presolve cannot reduce is solved
+// as it is, with no copy. A MIP start (SetStart) that is still the
 // incumbent at the end is returned as given instead. Every Options value
 // is valid, so the error is always nil today; it stays in the signature
 // for callers that wrap it.
@@ -39,20 +40,19 @@ func (m *Model) SolveWithOptions(opts Options) (Solution, error) {
 	if !opts.noStart {
 		start = m.checkStart(opts.Logf)
 	}
-	if opts.noPresolve {
+	var p *presolved
+	if !opts.noPresolve {
+		p = m.presolve(opts.Logf)
+	}
+	if p == nil || p.reduced == m {
 		sol, kept := m.solveReduced(opts, start)
 		if kept {
 			sol = start.into(sol)
 		}
 		return sol, nil
 	}
-	p := m.presolve(opts.Logf)
 	if p.infeasible {
-		return Solution{
-			Status:       Infeasible,
-			PresolveRows: p.rowsRemoved,
-			PresolveCols: p.colsRemoved,
-		}, nil
+		return Solution{Status: Infeasible}, nil
 	}
 	sol, kept := p.reduced.solveReduced(opts, p.reduceStart(start))
 	if kept {

@@ -3,10 +3,10 @@ package solver
 // Test hooks for package solver_test, whose tests import plan and eval
 // (which import this package) and so cannot live inside it.
 
-// PlanningModel hands planningModel to the external test package, which can
-// import plan and hold the restated model against the real builder
-// (planmodel_test.go).
-var PlanningModel = planningModel
+// TightPlanningModel hands tightPlanningModel to the external test package,
+// which can import plan and hold the restated model against the real
+// builder (planmodel_test.go).
+var TightPlanningModel = tightPlanningModel
 
 // Ablation names the test-only switches of Options (see the unexported
 // fields there) for the external tests.

@@ -313,9 +313,10 @@ type Options struct {
 	// exhausts the cap returns IterLimit instead of claiming optimality.
 	MaxLPIter int
 	// MaxVars is the variable-count guard model builders (plan, restore)
-	// enforce before constructing an exact MIP for these options; the
-	// solver itself never refuses a model. 0 means DefaultMaxVars — see
-	// MaxBuildVars.
+	// enforce before constructing an exact MIP for these options — counted
+	// in the columns they would build, which for plan is one per mode class
+	// and start pixel; the solver itself never refuses a model. 0 means
+	// DefaultMaxVars — see MaxBuildVars.
 	MaxVars int
 	// Logf, when non-nil, receives progress lines.
 	Logf func(format string, args ...interface{})

@@ -109,9 +109,9 @@ func (m *Model) presolveState() (*presolved, []preRow) {
 	return p, rows
 }
 
-// presolve reduces the model. The returned mapping is valid even when no
-// reduction fired (identity); callers solve p.reduced and pass the result
-// through p.postsolve.
+// presolve reduces the model. When no reduction fired, p.reduced is the
+// model itself and callers solve it as if presolve were off; otherwise they
+// solve p.reduced and pass the result through p.postsolve.
 func (m *Model) presolve(logf func(format string, args ...interface{})) *presolved {
 	p, rows := m.presolveState()
 	if !p.fixpoint(rows) {
@@ -131,12 +131,37 @@ func (m *Model) presolve(logf func(format string, args ...interface{})) *presolv
 
 // finish runs the passes after the fixpoint, which rewrite no row: the
 // dominated-row sweep and the duplicate-column merge over one column index,
-// then the reduced model's build.
+// then the reduced model's build — unless no pass changed anything, when the
+// reduced model is the model itself and nothing is copied.
 func (p *presolved) finish(rows []preRow) {
 	ix := p.columnIndex(rows)
 	p.removeDominated(rows, ix)
 	p.mergeDuplicates(rows, ix)
+	if p.untouched(rows) {
+		p.reduced = p.orig
+		return
+	}
 	p.build(rows)
+}
+
+// untouched reports that presolve changed nothing: no bound moved by value
+// (integer rounding turns a 0 bound into −0, which changes nothing), no
+// column was fixed or merged, and every row is live over its own terms.
+func (p *presolved) untouched(rows []preRow) bool {
+	if len(p.groups) > 0 {
+		return false
+	}
+	for i := range p.orig.vars {
+		if v := &p.orig.vars[i]; p.fixed[i] || p.lb[i] != v.lb || p.ub[i] != v.ub {
+			return false
+		}
+	}
+	for r := range rows {
+		if !rows[r].live || rows[r].owned {
+			return false
+		}
+	}
+	return true
 }
 
 // fixpoint runs the reductions that feed each other — the row visits
@@ -334,7 +359,7 @@ func (p *presolved) reduceRow(row *preRow) preOutcome {
 		return p.foldSingleton(row)
 	}
 
-	minAct, maxAct, minInf, maxInf := p.activity(row.terms)
+	minAct, maxAct, minInf, maxInf := rowActivity(row.terms, p.lb, p.ub)
 	switch row.rel {
 	case LE:
 		if minInf == 0 && minAct > row.rhs+tol {
@@ -428,12 +453,6 @@ func (p *presolved) foldSingleton(row *preRow) preOutcome {
 	}
 	row.live = false
 	return preChanged // the row itself is eliminated, bounds changed or not
-}
-
-// activity returns the row's minimum and maximum activity over the
-// current bounds, with the count of infinite contributions to each side.
-func (p *presolved) activity(terms []Term) (minAct, maxAct float64, minInf, maxInf int) {
-	return rowActivity(terms, p.lb, p.ub)
 }
 
 // rowActivity computes a row's activity bounds over arbitrary bound
@@ -545,16 +564,8 @@ func (p *presolved) propagate(terms []Term, rhs, sign, minAct float64, minInf in
 // admits every rest ≤ M) but strictly tightens the LP relaxation. The
 // continuous/general-integer terms sit in "rest", so their feasible set
 // is preserved exactly for either binary value.
-//
-// This is what makes the full-T-backbone exact MIP tractable: its
-// capacity rows Σ rate·γ ≥ demand admit LP points that cover a demand
-// with a tiny fraction of one high-rate channel, putting the LP bound
-// near zero transponders per link. Capping each rate at the demand (the
-// GE image of the rule) makes the LP count one transponder per link — the
-// integer optimum — so branch-and-bound prunes instead of enumerating
-// start-pixel symmetries. A welcome side effect: RADWAN's equal-spacing
-// modes then produce bitwise-identical columns at each (path, pixel),
-// which mergeDuplicates collapses.
+// On a capacity row Σ rate·x ≥ demand over binaries the rule caps each rate
+// at the demand; the planning builder emits its rows already capped.
 func (p *presolved) tightenCoefs(row *preRow) bool {
 	if row.rel == EQ || len(row.terms) < 2 {
 		return false

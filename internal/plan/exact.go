@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -14,40 +15,36 @@ import (
 )
 
 // SolveStats records how an exact MIP search terminated: final solver
-// status, branch-and-bound nodes explored, workers used, the proven
-// optimality gap, and the LP work underneath (simplex pivots, dual-simplex
-// warm-start hits, presolve reductions). Nil on heuristic results.
+// status, branch-and-bound nodes explored, the proven optimality gap, and
+// the LP work underneath (simplex pivots, dual-simplex warm-start hits).
+// Nil on heuristic results. A benchmark retains one per solve, so it keeps
+// only the counters something reads; solver.Solution has the rest.
 type SolveStats struct {
 	Status        solver.Status
 	Objective     float64
 	Nodes         int
-	Workers       int
 	Gap           float64
 	SimplexIters  int
 	WarmStartHits int
-	PresolveRows  int
-	PresolveCols  int
 
-	// BoundFlips and WeightResets are the dual-simplex pricing counters:
-	// boxed nonbasic variables the long-step ratio test flipped
-	// bound-to-bound, and devex reference-weight resets.
-	BoundFlips   int
-	WeightResets int
+	// BoundFlips counts boxed nonbasic variables the long-step dual ratio
+	// test flipped bound-to-bound.
+	BoundFlips int
 
 	// LU/basis health of the simplex underneath the search: full
-	// refactorizations, in-place Forrest–Tomlin basis updates, FTRAN/BTRAN
-	// counts, peak U fill, and bounds tightened by per-node presolve
-	// propagation.
+	// refactorizations and FTRAN/BTRAN counts, and bounds tightened by
+	// per-node presolve propagation.
 	Refactorizations    int
-	BasisUpdates        int
 	FTRANCount          int
 	BTRANCount          int
-	PeakUFill           int
 	NodePresolveFixings int
 
-	// DenseFallbacks is always 0: the solver has one LP engine and nothing
-	// to fall back to. It stays for readers of the counter that predate
-	// that.
+	// PresolveRows, PresolveCols and DenseFallbacks are always 0: builders
+	// emit their models reduced and the solver solves them as given, with
+	// one LP engine and nothing to fall back to. They stay for readers of
+	// the counters that predate that.
+	PresolveRows   int
+	PresolveCols   int
 	DenseFallbacks int
 }
 
@@ -55,25 +52,27 @@ type SolveStats struct {
 func NewSolveStats(sol solver.Solution) *SolveStats {
 	return &SolveStats{
 		Status: sol.Status, Objective: sol.Objective,
-		Nodes: sol.Nodes, Workers: sol.Workers, Gap: sol.Gap,
+		Nodes: sol.Nodes, Gap: sol.Gap,
 		SimplexIters: sol.SimplexIters, WarmStartHits: sol.WarmStartHits,
-		BoundFlips: sol.BoundFlips, WeightResets: sol.WeightResets,
-		PresolveRows: sol.PresolveRows, PresolveCols: sol.PresolveCols,
-		Refactorizations: sol.Refactorizations, BasisUpdates: sol.BasisUpdates,
-		FTRANCount: sol.FTRANCount, BTRANCount: sol.BTRANCount,
-		PeakUFill: sol.PeakUFill, NodePresolveFixings: sol.NodePresolveFixings,
+		BoundFlips:       sol.BoundFlips,
+		Refactorizations: sol.Refactorizations,
+		FTRANCount:       sol.FTRANCount, BTRANCount: sol.BTRANCount,
+		NodePresolveFixings: sol.NodePresolveFixings,
 	}
 }
 
 // modeClass is one column family of the planning MIP: the feasible modes of
 // one (link, path) that the model cannot tell apart — the same pixels, the
 // same capacity coefficient and the same objective. Its binary for start
-// pixel q is column base+q.
+// pixel q is column base+q. A class of a path the model cannot tell from an
+// earlier path of its link (see shareClasses) has no columns of its own:
+// owner is the earlier path's matching class, whose base it shares.
 type modeClass struct {
 	first, last *transponder.Mode // its first and last mode in catalog order
 	pixels      int
 	coef, obj   float64
 	base        solver.VarID
+	owner       *modeClass
 }
 
 // linkPath is one candidate path of one IP link: its feasible modes in
@@ -96,8 +95,7 @@ type linkPath struct {
 // conflict appear as rows. Constraint (2) reach is enforced by never
 // creating infeasible (path, format) variables.
 //
-// The model is built already reduced, as the solver's presolve would
-// shrink the verbatim one, so presolve finds nothing left to remove:
+// The model is built irreducible, and the solver solves it as given:
 //
 //   - Demand-capped rates. A γ's capacity coefficient is min(rate, demand):
 //     one binary never covers more than its link's demand. This is what
@@ -117,10 +115,16 @@ type linkPath struct {
 //     contain only where some γ ends and some γ started since the last kept
 //     pixel. Every dropped row is a subset of a kept ≤ 1 row, so the
 //     integer feasible set is unchanged.
+//   - Interchangeable paths share columns. Two candidate paths of one link
+//     that hold the same kept fibers meet the same conflict rows, so a
+//     class of the later path shares the columns of the earlier path's
+//     matching class. (The heuristic walks paths in length order and so
+//     never prefers the later one; a plan that does sets no start.)
 //
-// A plan wavelength is a class column at 1. When the search answers with
-// the heuristic's start itself, it carries the heuristic wavelength's own
-// mode; otherwise the class's last mode in catalog order.
+// A plan wavelength is a class column at 1, on the path that owns the
+// column. When the search answers with the heuristic's start itself, it
+// carries the heuristic wavelength's own mode; otherwise the class's last
+// mode in catalog order.
 //
 // The search starts from the heuristic: when Solve's plan serves every
 // demand it is the MIP start, so branch-and-bound begins with an incumbent
@@ -196,6 +200,8 @@ func SolveExact(p Problem, opts solver.Options) (*Result, error) {
 		}
 		lp.classes = classes[first:len(classes):len(classes)]
 	}
+	fs := conflictFibers(lps, px)
+	nCols -= shareClasses(lps, fs, px)
 	if maxVars := opts.MaxBuildVars(); nCols > maxVars {
 		return nil, fmt.Errorf("plan: exact MIP exceeds %d variables (Options.MaxVars); use the heuristic Solve or raise the cap", maxVars)
 	}
@@ -219,24 +225,36 @@ func SolveExact(p Problem, opts solver.Options) (*Result, error) {
 	// path): the binary γ encoding expresses multiplicity through distinct
 	// starting pixels q, exactly as the paper defines the q-th order.
 	// Constraint (1), capacity, closes each link's columns.
+	var names nameBuf
 	for _, link := range p.IP.Links {
 		linkPaths := lps[firstPath[link.ID]:][:len(paths[link.ID])]
 		n := 0
 		for _, lp := range linkPaths {
 			for _, cl := range lp.classes {
-				n += px - cl.pixels + 1
+				if cl.owner == nil {
+					n += px - cl.pixels + 1
+				}
 			}
 		}
 		linkTerms := make([]solver.Term, 0, n)
 		for _, lp := range linkPaths {
 			for c := range lp.classes {
 				cl := &lp.classes[c]
-				// One name prefix per class: the per-variable name is then a
-				// single concatenation, not an fmt.Sprintf.
-				prefix := "g[" + link.ID + "," + strconv.Itoa(lp.index) + "," + label(cl.first) + ","
+				if cl.owner != nil {
+					cl.base = cl.owner.base
+					continue
+				}
+				// One string holds the class's column names, g[link,path,
+				// mode,q] for every q; each column takes its substring.
+				names.reset()
+				pi, mode := strconv.Itoa(lp.index), label(cl.first)
+				for q := 0; q+cl.pixels <= px; q++ {
+					names.add("g[", link.ID, ",", pi, ",", mode, ",", strconv.Itoa(q), "]")
+				}
+				names.seal()
 				cl.base = solver.VarID(m.NumVars())
 				for q := 0; q+cl.pixels <= px; q++ {
-					id := m.AddBinVar(prefix+strconv.Itoa(q)+"]", cl.obj)
+					id := m.AddBinVar(names.name(q), cl.obj)
 					linkTerms = append(linkTerms, solver.Term{Var: id, Coef: cl.coef})
 				}
 			}
@@ -249,16 +267,16 @@ func SolveExact(p Problem, opts solver.Options) (*Result, error) {
 		}
 	}
 
-	if err := addConflictRows(m, lps, px); err != nil {
+	if err := addConflictRows(m, lps, fs, px, &names); err != nil {
 		return nil, err
 	}
 
 	// The heuristic's plan, when it serves every demand, is the search's
 	// MIP start: each of its wavelengths sets the column of its (link, path
 	// index, class of its mode, start pixel), and carry remembers the
-	// wavelength's mode for that column. If a wavelength finds no column, no
-	// start is set. The solver checks the start against the model and only
-	// ever replaces it with a better plan.
+	// wavelength's mode for that column. If a wavelength finds no column of
+	// its path's own, no start is set. The solver checks the start against
+	// the model and only ever replaces it with a better plan.
 	var start []float64
 	var carry []*transponder.Mode
 	if h, err := Solve(p); err == nil && h.Feasible() {
@@ -308,18 +326,19 @@ func SolveExact(p Problem, opts solver.Options) (*Result, error) {
 		res.PerLink[l.ID] = LinkPlan{DemandGbps: l.DemandGbps}
 	}
 	// Wavelengths come out by (link, path, mode in catalog order, start
-	// pixel): each column at 1 is emitted at the mode it carries.
+	// pixel): each column at 1 is emitted on the path owning it, at the
+	// mode it carries.
 	kept := start != nil && slices.Equal(sol.Values, start)
 	for _, lp := range lps {
 		linkID := p.IP.Links[lp.link].ID
 		for k, mode := range lp.modes {
-			if lp.classOf[k] < 0 {
+			if lp.classOf[k] < 0 || lp.classes[lp.classOf[k]].owner != nil {
 				continue
 			}
 			cl := &lp.classes[lp.classOf[k]]
 			for q := 0; q+cl.pixels <= px; q++ {
 				id := cl.base + solver.VarID(q)
-				if sol.IntValue(id) != 1 {
+				if math.Round(sol.Values[id]) != 1 {
 					continue
 				}
 				carried := cl.last
@@ -352,14 +371,15 @@ func SolveExact(p Problem, opts solver.Options) (*Result, error) {
 
 // column returns the column of the heuristic wavelength w on this path —
 // the class holding a mode equal to w's, at start pixel w.Interval.Start —
-// and that class member; nil when no column matches.
+// and that class member; nil when no column matches, or when the class
+// shares another path's columns, which would carry w onto that path.
 func (lp *linkPath) column(w Wavelength, px int) (solver.VarID, *transponder.Mode) {
 	for k, mode := range lp.modes {
 		if lp.classOf[k] < 0 || *mode != *w.Mode {
 			continue
 		}
 		cl := &lp.classes[lp.classOf[k]]
-		if q := w.Interval.Start; q >= 0 && q+cl.pixels <= px {
+		if q := w.Interval.Start; cl.owner == nil && q >= 0 && q+cl.pixels <= px {
 			return cl.base + solver.VarID(q), mode
 		}
 		return 0, nil
@@ -367,53 +387,91 @@ func (lp *linkPath) column(w Wavelength, px int) (solver.VarID, *transponder.Mod
 	return 0, nil
 }
 
-// addConflictRows adds constraint (3), each fiber pixel used at most once,
-// as only the rows no other row contains. The fibers of the carried paths
-// (those with a column) are indexed densely in name order, each with the
-// bitset of the carried paths it holds. A fiber whose set lies inside
-// another's is dropped (on equal sets the lower index stays). On a kept
-// fiber a pixel gets a row where some γ ends and some γ started since the
-// last row, and only when it has two or more users. Every class puts a γ
-// at each start pixel it fits, so with m the narrowest class on the fiber,
-// γs start at pixels 0..P−m and end at m−1..P−1, and those pixels are
-// m−1..max(m−1, P−m). Terms come in column order.
-func addConflictRows(m *solver.Model, lps []linkPath, px int) error {
-	var carried []int32 // path id → index into lps
-	fiberIdx := make(map[string]int32)
+// nameBuf formats a run of names into one string, so one allocation holds
+// them all: reset, add each name, seal, then take each name as a
+// substring.
+type nameBuf struct {
+	buf  []byte
+	ends []int
+	all  string
+}
+
+func (b *nameBuf) reset() { b.buf, b.ends = b.buf[:0], b.ends[:0] }
+
+// add appends one name, the concatenation of parts.
+func (b *nameBuf) add(parts ...string) {
+	for _, s := range parts {
+		b.buf = append(b.buf, s...)
+	}
+	b.ends = append(b.ends, len(b.buf))
+}
+
+func (b *nameBuf) seal() { b.all = string(b.buf) }
+
+// name is the i-th name added since the last reset.
+func (b *nameBuf) name(i int) string {
+	from := 0
+	if i > 0 {
+		from = b.ends[i-1]
+	}
+	return b.all[from:b.ends[i]]
+}
+
+// fiberSets holds the fibers of the carried paths (the paths with a
+// column), indexed densely in name order, each with the bitset of the
+// carried paths it holds, the pixels of its narrowest class, and whether it
+// keeps conflict rows: it does when no other fiber's set contains its own
+// (on equal sets the lower index keeps them).
+type fiberSets struct {
+	carried   []int32 // carried path id → index into lps
+	names     []string
+	index     map[string]int32
+	words     int
+	sets      []uint64
+	narrowest []int
+	kept      []bool
+}
+
+// set is fiber fi's bitset of carried paths.
+func (fs *fiberSets) set(fi int) []uint64 { return fs.sets[fi*fs.words : (fi+1)*fs.words] }
+
+// conflictFibers indexes the fibers of lps' carried paths and decides which
+// keep conflict rows.
+func conflictFibers(lps []linkPath, px int) *fiberSets {
+	fs := &fiberSets{index: make(map[string]int32)}
 	for i := range lps {
 		if len(lps[i].classes) == 0 {
 			continue
 		}
-		carried = append(carried, int32(i))
+		fs.carried = append(fs.carried, int32(i))
 		for _, f := range lps[i].path.Fibers {
-			fiberIdx[f] = 0
+			fs.index[f] = 0
 		}
 	}
-	fibers := make([]string, 0, len(fiberIdx))
-	for f := range fiberIdx {
-		fibers = append(fibers, f)
+	fs.names = make([]string, 0, len(fs.index))
+	for f := range fs.index {
+		fs.names = append(fs.names, f)
 	}
-	sort.Strings(fibers)
-	for i, f := range fibers {
-		fiberIdx[f] = int32(i)
+	sort.Strings(fs.names)
+	for i, f := range fs.names {
+		fs.index[f] = int32(i)
 	}
-	words := (len(carried) + 63) / 64
-	sets := make([]uint64, len(fibers)*words)
-	narrowest := make([]int, len(fibers))
-	for i := range narrowest {
-		narrowest[i] = px + 1
+	fs.words = (len(fs.carried) + 63) / 64
+	fs.sets = make([]uint64, len(fs.names)*fs.words)
+	fs.narrowest = make([]int, len(fs.names))
+	for i := range fs.narrowest {
+		fs.narrowest[i] = px + 1
 	}
-	for pid, i := range carried {
+	for pid, i := range fs.carried {
 		lp := &lps[i]
 		for _, f := range lp.path.Fibers {
-			fi := int(fiberIdx[f])
-			sets[fi*words+pid/64] |= 1 << (pid % 64)
+			fi := int(fs.index[f])
+			fs.sets[fi*fs.words+pid/64] |= 1 << (pid % 64)
 			for _, cl := range lp.classes {
-				narrowest[fi] = min(narrowest[fi], cl.pixels)
+				fs.narrowest[fi] = min(fs.narrowest[fi], cl.pixels)
 			}
 		}
 	}
-	set := func(fi int) []uint64 { return sets[fi*words : (fi+1)*words] }
 	// within reports whether a ⊆ b, and equal whether a = b.
 	within := func(a, b []uint64) (sub, equal bool) {
 		equal = true
@@ -425,30 +483,108 @@ func addConflictRows(m *solver.Model, lps []linkPath, px int) error {
 		}
 		return true, equal
 	}
-	kept, rows := make([]int, 0, len(fibers)), 0
-	for fi := range fibers {
-		dropped := false
-		for gi := range fibers {
-			if sub, equal := within(set(fi), set(gi)); gi != fi && sub && (!equal || gi < fi) {
-				dropped = true
+	fs.kept = make([]bool, len(fs.names))
+	for fi := range fs.names {
+		fs.kept[fi] = true
+		for gi := range fs.names {
+			if sub, equal := within(fs.set(fi), fs.set(gi)); gi != fi && sub && (!equal || gi < fi) {
+				fs.kept[fi] = false
 				break
 			}
 		}
-		if !dropped {
-			kept = append(kept, fi)
-			rows += max(0, px-2*narrowest[fi]+1) + 1
+	}
+	return fs
+}
+
+// shareClasses lets a class share the columns of the matching class — the
+// same pixels, capacity coefficient and objective — on an earlier path of
+// its link when the two paths hold the same kept fibers: every conflict
+// row then holds both classes' γs at a start pixel or neither, and neither
+// the capacity row nor the objective tells them apart. It returns the
+// columns the shared classes do not build.
+func shareClasses(lps []linkPath, fs *fiberSets, px int) int {
+	saved := 0
+	var keptOn [][]int32 // keptOn[i-first]: the kept fibers on the link's path i, ascending
+	for first := 0; first < len(lps); {
+		end := first + 1
+		for end < len(lps) && lps[end].link == lps[first].link {
+			end++
+		}
+		if end-first > 1 {
+			keptOn = keptOn[:0]
+			for i := first; i < end; i++ {
+				var on []int32
+				if len(lps[i].classes) > 0 {
+					for _, f := range lps[i].path.Fibers {
+						if fi := fs.index[f]; fs.kept[fi] {
+							on = append(on, fi)
+						}
+					}
+					slices.Sort(on)
+				}
+				keptOn = append(keptOn, on)
+			}
+			for i := first + 1; i < end; i++ {
+				for c := range lps[i].classes {
+					cl := &lps[i].classes[c]
+				search:
+					for j := first; j < i; j++ {
+						if !slices.Equal(keptOn[i-first], keptOn[j-first]) {
+							continue
+						}
+						for d := range lps[j].classes {
+							if o := &lps[j].classes[d]; o.owner == nil && o.pixels == cl.pixels && o.coef == cl.coef && o.obj == cl.obj {
+								cl.owner = o
+								saved += px - cl.pixels + 1
+								break search
+							}
+						}
+					}
+				}
+			}
+		}
+		first = end
+	}
+	return saved
+}
+
+// addConflictRows adds constraint (3), each fiber pixel used at most once,
+// as only the rows no other row contains: on each kept fiber of fs, a pixel
+// gets a row where some γ ends and some γ started since the last row, and
+// only when it has two or more users. Every class puts a γ at each start
+// pixel it fits, so with m the narrowest class on the fiber, γs start at
+// pixels 0..P−m and end at m−1..P−1, and those pixels are
+// m−1..max(m−1, P−m). A shared class adds no terms: its columns are its
+// owner's, already in the row. Terms come in column order.
+func addConflictRows(m *solver.Model, lps []linkPath, fs *fiberSets, px int, names *nameBuf) error {
+	rows := 0
+	for fi, kept := range fs.kept {
+		if kept {
+			rows += max(0, px-2*fs.narrowest[fi]+1) + 1
 		}
 	}
 	m.Grow(0, rows)
 	var terms []solver.Term // reused row buffer; AddConstraint copies
-	for _, fi := range kept {
-		narrow := narrowest[fi]
-		for w := narrow - 1; w <= max(narrow-1, px-narrow); w++ {
+	for fi, kept := range fs.kept {
+		if !kept {
+			continue
+		}
+		narrow := fs.narrowest[fi]
+		last := max(narrow-1, px-narrow)
+		names.reset()
+		for w := narrow - 1; w <= last; w++ {
+			names.add("slot[", fs.names[fi], ",", strconv.Itoa(w), "]")
+		}
+		names.seal()
+		for w := narrow - 1; w <= last; w++ {
 			terms = terms[:0]
-			for wi, word := range set(fi) {
+			for wi, word := range fs.set(fi) {
 				for ; word != 0; word &= word - 1 {
-					lp := &lps[carried[wi*64+bits.TrailingZeros64(word)]]
+					lp := &lps[fs.carried[wi*64+bits.TrailingZeros64(word)]]
 					for _, cl := range lp.classes {
+						if cl.owner != nil {
+							continue
+						}
 						for q := max(0, w-cl.pixels+1); q <= min(w, px-cl.pixels); q++ {
 							terms = append(terms, solver.Term{Var: cl.base + solver.VarID(q), Coef: 1})
 						}
@@ -458,7 +594,7 @@ func addConflictRows(m *solver.Model, lps []linkPath, px int) error {
 			if len(terms) < 2 {
 				continue // a single user cannot conflict
 			}
-			if err := m.AddConstraint("slot["+fibers[fi]+","+strconv.Itoa(w)+"]", terms, solver.LE, 1); err != nil {
+			if err := m.AddConstraint(names.name(w-narrow+1), terms, solver.LE, 1); err != nil {
 				return err
 			}
 		}

@@ -423,8 +423,8 @@ func TestSolveExactWorkersDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ref.Solver == nil || ref.Solver.Workers != 1 {
-		t.Fatalf("reference SolveStats = %+v, want Workers 1", ref.Solver)
+	if ref.Solver == nil {
+		t.Fatal("reference SolveStats missing")
 	}
 	for _, w := range []int{2, 8} {
 		r, err := SolveExact(p, solver.Options{MaxNodes: 50000, Workers: w})
@@ -434,9 +434,6 @@ func TestSolveExactWorkersDeterministic(t *testing.T) {
 		if r.Solver.Status != ref.Solver.Status || r.Solver.Objective != ref.Solver.Objective {
 			t.Errorf("Workers=%d solve = (%v, %v), want (%v, %v)", w,
 				r.Solver.Status, r.Solver.Objective, ref.Solver.Status, ref.Solver.Objective)
-		}
-		if r.Solver.Workers != w {
-			t.Errorf("Workers=%d SolveStats.Workers = %d", w, r.Solver.Workers)
 		}
 		if r.Transponders() != ref.Transponders() {
 			t.Errorf("Workers=%d transponders = %d, want %d", w, r.Transponders(), ref.Transponders())

@@ -94,8 +94,8 @@ func TestSolveExactWorkersDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ref.Solver == nil || ref.Solver.Workers != 1 {
-		t.Fatalf("reference SolveStats = %+v, want Workers 1", ref.Solver)
+	if ref.Solver == nil {
+		t.Fatal("reference SolveStats missing")
 	}
 	for _, w := range []int{2, 8} {
 		res, err := SolveExact(base, solver.Options{MaxNodes: 50000, Workers: w})
@@ -108,9 +108,6 @@ func TestSolveExactWorkersDeterministic(t *testing.T) {
 		}
 		if res.RestoredGbps != ref.RestoredGbps {
 			t.Errorf("Workers=%d restored = %d, want %d", w, res.RestoredGbps, ref.RestoredGbps)
-		}
-		if res.Solver.Workers != w {
-			t.Errorf("Workers=%d SolveStats.Workers = %d", w, res.Solver.Workers)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 )
 
@@ -24,61 +25,29 @@ func (m *Model) Solve() Solution {
 	return sol
 }
 
-// SolveWithOptions solves with explicit search limits. Branch-and-bound
-// nodes are explored by Options.Workers concurrent workers (default
-// GOMAXPROCS) sharing a best-first frontier. The model is first reduced
-// by the presolve layer (bound propagation, substitution, redundant-row
-// and duplicate-column removal) and the solution is rehydrated against
-// the original VarIDs afterwards; a model presolve cannot reduce is solved
-// as it is, with no copy. A MIP start (SetStart) that is still the
-// incumbent at the end is returned as given instead. Every Options value
-// is valid, so the error is always nil today; it stays in the signature
-// for callers that wrap it.
+// SolveWithOptions solves with explicit search limits: as an LP when the
+// model has no integer variables, otherwise with LP-relaxation
+// branch-and-bound, whose nodes Options.Workers concurrent workers (default
+// GOMAXPROCS) explore from a shared best-first frontier. The model is
+// solved as given: builders emit it reduced (see plan.SolveExact), and the
+// solver neither copies nor rewrites it. A MIP start (SetStart) that is
+// still the incumbent at the end is returned as given. Every Options value
+// is valid, so the error is always nil today; it stays in the signature for
+// callers that wrap it.
 func (m *Model) SolveWithOptions(opts Options) (Solution, error) {
 	opts = opts.withDefaults()
 	var start *mipStart
 	if !opts.noStart {
 		start = m.checkStart(opts.Logf)
 	}
-	var p *presolved
-	if !opts.noPresolve {
-		p = m.presolve(opts.Logf)
+	if !slices.ContainsFunc(m.vars, func(v variable) bool { return v.integer }) {
+		return m.solveRelaxation(opts), nil
 	}
-	if p == nil || p.reduced == m {
-		sol, kept := m.solveReduced(opts, start)
-		if kept {
-			sol = start.into(sol)
-		}
-		return sol, nil
-	}
-	if p.infeasible {
-		return Solution{Status: Infeasible}, nil
-	}
-	sol, kept := p.reduced.solveReduced(opts, p.reduceStart(start))
+	sol, kept := m.branchAndBound(opts, start)
 	if kept {
-		sol.PresolveRows, sol.PresolveCols = p.rowsRemoved, p.colsRemoved
-		return start.into(sol), nil
+		sol = start.into(sol)
 	}
-	return p.postsolve(sol), nil
-}
-
-// solveReduced runs the actual search on m as-is: as an LP when it has no
-// integer variables, otherwise with LP-relaxation branch-and-bound seeded
-// with start (nil: none), whose objective is in m's space. kept reports
-// that the start is the answer; sol then has no Values. opts must already
-// carry defaults.
-func (m *Model) solveReduced(opts Options, start *mipStart) (sol Solution, kept bool) {
-	hasInt := false
-	for _, v := range m.vars {
-		if v.integer {
-			hasInt = true
-			break
-		}
-	}
-	if !hasInt {
-		return m.solveRelaxation(opts), false
-	}
-	return m.branchAndBound(opts, start)
+	return sol, nil
 }
 
 // solveRelaxation solves the LP relaxation (integrality dropped) on a fresh
@@ -359,7 +328,7 @@ func (m *Model) branchAndBound(opts Options, start *mipStart) (sol Solution, kep
 	// solves the root cold, as without a start.
 	rx := newRxScratch(m, opts)
 	var crash *rxSnap
-	if start != nil && start.values != nil && !opts.noWarmStart {
+	if start != nil && !opts.noWarmStart {
 		crash = m.crash(start.values)
 	}
 	root, _ := rx.solve(nil, crash, nil)

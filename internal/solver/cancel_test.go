@@ -48,7 +48,7 @@ func TestLPCancellationMidSolve(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	// Sanity: without a context the LP solves to optimality and needs
-	// pivots (i.e. the instance is not presolved away).
+	// pivots.
 	ref := mustSolveOpts(t, transportLP(t, 12), Options{})
 	if ref.Status != Optimal {
 		t.Fatalf("reference status = %v, want optimal", ref.Status)

@@ -13,8 +13,8 @@ import (
 )
 
 // TestEngineDifferentialLadder is the end-to-end differential on the real
-// planning MIP: across the two-link scaling ladder, every ablation —
-// presolve, node presolve and warm starts off — and a two-worker search
+// planning MIP: across the two-link scaling ladder, every ablation — node
+// presolve and warm starts off — and a two-worker search
 // must reach the SAME optimal objective as the default configuration
 // (exact float equality: every configuration proves optimality, and the
 // acceptance bar for this instance family is bitwise-identical objective
@@ -34,7 +34,6 @@ func TestEngineDifferentialLadder(t *testing.T) {
 		start   bool
 	}{
 		{1, solver.Ablation{}, false}, // default: all passes on
-		{1, solver.Ablation{NoPresolve: true}, false},
 		{1, solver.Ablation{NoNodePresolve: true}, false},
 		{1, solver.Ablation{NoWarmStart: true}, false},
 		{2, solver.Ablation{}, false},
@@ -183,11 +182,13 @@ func TestTBackbonePins(t *testing.T) {
 
 // TestExactSolveMemoryCeilings bounds the bytes one warm default exact
 // solve allocates on the scaling ladder. The ceilings sit about 1.5× above
-// the measurement (44 218 / 106 202 / 235 274 bytes with the model built
-// already reduced and presolve copying nothing; 101 376 / 240 640 /
-// 524 690 when presolve reduced a verbatim model into a copy), so a simplex
-// that forms dense rows, a build that emits rows or columns presolve then
-// deletes, or a presolve that copies an irreducible model trips them.
+// the measurement (37 120 / 84 624 / 187 136 bytes with the model built
+// irreducible and solved as given; 44 218 / 106 202 / 235 274 when a
+// presolve pass still ran over it and every name was an allocation of its
+// own, 101 376 / 240 640 / 524 690 when presolve reduced a verbatim model
+// into a copy), so a simplex that forms dense rows, a build that emits rows
+// or columns nothing needs, or a reduction layer that copies the model
+// trips them.
 func TestExactSolveMemoryCeilings(t *testing.T) {
 	if raceDetectorOn {
 		t.Skip("the race detector's shadow allocations inflate TotalAlloc")
@@ -195,7 +196,7 @@ func TestExactSolveMemoryCeilings(t *testing.T) {
 	for _, tc := range []struct {
 		pixels  int
 		ceiling uint64
-	}{{16, 67_000}, {32, 163_000}, {64, 360_000}} {
+	}{{16, 56_000}, {32, 127_000}, {64, 281_000}} {
 		p, err := eval.ExactScalingProblem(tc.pixels)
 		if err != nil {
 			t.Fatal(err)

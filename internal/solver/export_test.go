@@ -8,17 +8,20 @@ package solver
 // builder (planmodel_test.go).
 var TightPlanningModel = tightPlanningModel
 
+// TightModelOf hands tightModelOf (tightPlanningModel over any subset of
+// the IP links) to the same test.
+var TightModelOf = tightModelOf
+
 // Ablation names the test-only switches of Options (see the unexported
 // fields there) for the external tests.
 type Ablation struct {
 	NoWarmStart    bool
-	NoPresolve     bool
 	NoNodePresolve bool
 	NoStart        bool
 }
 
 // Apply returns o with a's switches set.
 func (a Ablation) Apply(o Options) Options {
-	o.noWarmStart, o.noPresolve, o.noNodePresolve, o.noStart = a.NoWarmStart, a.NoPresolve, a.NoNodePresolve, a.NoStart
+	o.noWarmStart, o.noNodePresolve, o.noStart = a.NoWarmStart, a.NoNodePresolve, a.NoStart
 	return o
 }

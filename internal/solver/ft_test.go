@@ -203,8 +203,8 @@ func TestNodePresolveFixingsReported(t *testing.T) {
 		mustCon(t, m, "c3", []Term{{y, 2}, {z, 3}}, LE, 11)
 		return m
 	}
-	on := mustSolveOpts(t, build(), Options{Workers: 1, noPresolve: true})
-	off := mustSolveOpts(t, build(), Options{Workers: 1, noPresolve: true, noNodePresolve: true})
+	on := mustSolveOpts(t, build(), Options{Workers: 1})
+	off := mustSolveOpts(t, build(), Options{Workers: 1, noNodePresolve: true})
 	if on.Status != Optimal || off.Status != Optimal {
 		t.Fatalf("status on=%v off=%v", on.Status, off.Status)
 	}
@@ -235,9 +235,8 @@ func TestBoxedOptimumOnUnboundedFace(t *testing.T) {
 	mustCon(t, m, "ray", []Term{{y, 1}, {x, -1}}, LE, 3)
 	mustCon(t, m, "zmin", []Term{{z, 2}}, GE, 1)
 	sol := mustSolveOpts(t, m, Options{
-		Workers:    1,
-		noPresolve: true, // presolve would round z up and solve the rest as a pure LP
-		Logf:       func(f string, a ...interface{}) { logs = append(logs, fmt.Sprintf(f, a...)) },
+		Workers: 1,
+		Logf:    func(f string, a ...interface{}) { logs = append(logs, fmt.Sprintf(f, a...)) },
 	})
 	// min x − y + z over y ≤ x+3, 2z ≥ 1: the continuous part contributes
 	// −3 anywhere on the ray, and z must round up to 1.

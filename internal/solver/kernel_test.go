@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"testing"
@@ -79,31 +80,7 @@ func planningModel(t testing.TB, seed int64, pixels, k, links int) *Model {
 	return m
 }
 
-// checkDuplicateGroups runs the indexed mergeDuplicates and the
-// row-rescanning oracle from the same state and requires identical groups,
-// compared in representative order (the oracle emits them in hash order).
-func checkDuplicateGroups(t *testing.T, label string, p *presolved, rows []preRow, ix *colIndex) int {
-	t.Helper()
-	q := *p
-	q.grpOf = append([]int(nil), p.grpOf...)
-	p.mergeDuplicates(rows, ix)
-	q.mergeDuplicatesRescan(rows)
-	sort.Slice(q.groups, func(a, b int) bool { return q.groups[a][0] < q.groups[b][0] })
-	for g, grp := range q.groups {
-		for _, v := range grp {
-			q.grpOf[v] = g
-		}
-	}
-	if !reflect.DeepEqual(p.groups, q.groups) {
-		t.Fatalf("%s: indexed groups %v, row-rescan oracle %v", label, p.groups, q.groups)
-	}
-	if !reflect.DeepEqual(p.grpOf, q.grpOf) {
-		t.Fatalf("%s: grpOf diverges from the oracle", label)
-	}
-	return len(p.groups)
-}
-
-// duplicateRichModel is a random model built to merge: columns are drawn
+// duplicateRichModel is a random model full of duplicate columns: drawn
 // from a small pool of (row pattern, objective, integrality) templates, so
 // most have exact twins, plus near-twins differing in one coefficient.
 func duplicateRichModel(rng *rand.Rand) *Model {
@@ -163,151 +140,12 @@ func duplicateRichModel(rng *rand.Rand) *Model {
 	return m
 }
 
-// TestMergeDuplicatesIndexedMatchesRescan: the column index must produce
-// exactly the groups the row-rescanning colOf did — on seeded random models
-// with fixed columns, unbounded columns and dead rows in the state (killed
-// before the index is built, or after it, which the merge must skip), and
-// on the T-backbone planning models of seeds 1–8 (raw, after the
-// coefficient tightening and dominated-row passes that precede the merge,
-// and with further rows killed and columns fixed at random).
-func TestMergeDuplicatesIndexedMatchesRescan(t *testing.T) {
-	rng := rand.New(rand.NewSource(1401))
-	perturb := func(p *presolved, rows []preRow) {
-		for r := range rows {
-			if rng.Intn(5) == 0 {
-				rows[r].live = false
-			}
-		}
-		for i := range p.fixed {
-			if rng.Intn(10) == 0 {
-				p.fixed[i], p.fixVal[i] = true, p.lb[i]
-			}
-		}
-	}
-	groups := 0
-	for trial := 0; trial < 300; trial++ {
-		m := duplicateRichModel(rng)
-		p, rows := m.presolveState()
-		p.detectFixed()
-		ix := p.columnIndex(rows)
-		switch trial % 3 {
-		case 1: // rows die before the index is built
-			perturb(p, rows)
-			ix = p.columnIndex(rows)
-		case 2: // rows die after it: the merge must skip them
-			perturb(p, rows)
-		}
-		groups += checkDuplicateGroups(t, fmt.Sprintf("random trial %d", trial), p, rows, ix)
-	}
-	if groups < 300 {
-		t.Fatalf("random models produced only %d duplicate groups; the generator stopped exercising the merge", groups)
-	}
-	for seed := int64(1); seed <= 8; seed++ {
-		m := planningModel(t, seed, 16, 1, 0)
-		p, rows := m.presolveState()
-		checkDuplicateGroups(t, fmt.Sprintf("t-backbone seed %d raw", seed), p, rows, p.columnIndex(rows))
-		// Coefficient tightening clips every capacity coefficient to the
-		// link's demand, which is what turns same-spacing modes into
-		// identical columns; the dominated-row pass then runs over the
-		// index right before the merge, as in presolve().
-		reduced := func() (*presolved, []preRow, *colIndex) {
-			p, rows := m.presolveState()
-			for r := range rows {
-				p.tightenCoefs(&rows[r])
-			}
-			ix := p.columnIndex(rows)
-			p.removeDominated(rows, ix)
-			return p, rows, ix
-		}
-		p, rows, ix := reduced()
-		if n := checkDuplicateGroups(t, fmt.Sprintf("t-backbone seed %d", seed), p, rows, ix); n == 0 {
-			t.Fatalf("t-backbone seed %d: no duplicate columns after tightening — not the planning model", seed)
-		}
-		p, rows, ix = reduced()
-		perturb(p, rows)
-		checkDuplicateGroups(t, fmt.Sprintf("t-backbone seed %d perturbed", seed), p, rows, ix)
-	}
-}
-
-// TestDominatedSweepMatchesOracle: the gated sweep over the shared column
-// index must kill exactly the rows the ungated sweep over its own
-// occurrence lists did — live flags reflect.DeepEqual — on the
-// FuzzPresolveRoundTrip generator's models (bounds from {−1, 0, 1} up,
-// negative coefficients, GE and EQ rows), raw and after the fixpoint; on
-// duplicate-rich models; on T-backbone planning models, raw and after
-// coefficient tightening; and on a pair the gate must let through.
-func TestDominatedSweepMatchesOracle(t *testing.T) {
-	removed := 0
-	sweep := func(label string, p *presolved, rows []preRow) {
-		t.Helper()
-		want := append([]preRow(nil), rows...)
-		p.removeDominated(rows, p.columnIndex(rows))
-		p.removeDominatedOracle(want)
-		got, exp := make([]bool, len(rows)), make([]bool, len(rows))
-		for r := range rows {
-			got[r], exp[r] = rows[r].live, want[r].live
-		}
-		if !reflect.DeepEqual(got, exp) {
-			t.Fatalf("%s: gated sweep leaves live %v, oracle %v", label, got, exp)
-		}
-		for r := range rows {
-			if !got[r] {
-				removed++
-			}
-		}
-	}
-	for seed := int64(0); seed < 2000; seed++ {
-		m := fuzzModel(seed, int(seed*7%256), int(seed*13%256))
-		p, rows := m.presolveState()
-		sweep(fmt.Sprintf("fuzz seed %d raw", seed), p, rows)
-		if p, rows = m.presolveState(); p.fixpoint(rows) {
-			sweep(fmt.Sprintf("fuzz seed %d after the fixpoint", seed), p, rows)
-		}
-	}
-	rng := rand.New(rand.NewSource(1407))
-	for trial := 0; trial < 200; trial++ {
-		p, rows := duplicateRichModel(rng).presolveState()
-		sweep(fmt.Sprintf("duplicate-rich trial %d", trial), p, rows)
-	}
-	fuzzRemoved := removed
-	for seed := int64(1); seed <= 4; seed++ {
-		m := planningModel(t, seed, 16, 1, 24)
-		p, rows := m.presolveState()
-		sweep(fmt.Sprintf("t-backbone seed %d raw", seed), p, rows)
-		p, rows = m.presolveState()
-		for r := range rows {
-			p.tightenCoefs(&rows[r])
-		}
-		sweep(fmt.Sprintf("t-backbone seed %d tightened", seed), p, rows)
-	}
-	if fuzzRemoved == 0 || removed == fuzzRemoved {
-		t.Fatalf("rows removed: %d on random models, %d on planning models; the models stopped exercising the sweep", fuzzRemoved, removed-fuzzRemoved)
-	}
-
-	// s = x1+x2+x3 ≤ 1 over binaries, r = x1+x2+2y ≤ 2 with y ∈ [1, 1.5]:
-	// max(a_s − a_r)·x = x3 − 2y peaks at 1 − 2 = −1, so b_r − 1 ≤ b_s and r
-	// dominates s, although x3 (share 1) is missing from r and 1 exceeds
-	// b_s − b_r. Only y's box, which excludes 0 and so gives a negative
-	// share, makes up the difference; the gate must not reject the pair.
-	// (x3 + x4 ≤ 1 keeps x3 from being s's rarest column.)
-	m := NewModel("zero-box", Maximize)
-	x1, x2, x3, x4 := m.AddBinVar("x1", 1), m.AddBinVar("x2", 1), m.AddBinVar("x3", 1), m.AddBinVar("x4", 1)
-	y := m.AddVar("y", 1, 1.5, 0)
-	mustCon(t, m, "s", []Term{{x1, 1}, {x2, 1}, {x3, 1}}, LE, 1)
-	mustCon(t, m, "r", []Term{{x1, 1}, {x2, 1}, {y, 2}}, LE, 2)
-	mustCon(t, m, "t", []Term{{x3, 1}, {x4, 1}}, LE, 1)
-	p, rows := m.presolveState()
-	sweep("zero-box pair", p, rows)
-	if rows[0].live || !rows[1].live || !rows[2].live {
-		t.Fatalf("zero-box pair: live %v %v %v, want s removed by r", rows[0].live, rows[1].live, rows[2].live)
-	}
-}
-
-// TestPresolveLeavesModelUntouched: presolve borrows the model's rows and
-// copies one only on its first write, so every variable and every row's
-// name, terms, relation and rhs read the same after presolve as before —
-// on fuzz models and on planning models, whose capacity rows coefficient
-// tightening rewrites.
+// TestPresolveLeavesModelUntouched: the solver solves the model it is
+// given without writing it — node presolve propagates into bound copies and
+// the crash reads the rows — so every variable and every row's name, terms,
+// relation and rhs read the same after a solve as before, on fuzz models
+// (from a random 0/1 start too) and on planning models, with and without
+// their start.
 func TestPresolveLeavesModelUntouched(t *testing.T) {
 	fingerprint := func(m *Model) uint64 {
 		h := fnv.New64a()
@@ -339,73 +177,27 @@ func TestPresolveLeavesModelUntouched(t *testing.T) {
 	}
 	var models []*Model
 	for seed := int64(0); seed < 600; seed++ {
-		models = append(models, fuzzModel(seed, int(seed*7%256), int(seed*13%256)))
+		m := fuzzModel(seed, int(seed*7%256), int(seed*13%256))
+		if seed%2 == 0 {
+			start := make([]float64, m.NumVars())
+			for i := range start {
+				start[i] = float64(seed >> (i % 8) & 1)
+			}
+			m.SetStart(start)
+		}
+		models = append(models, m)
 	}
 	for seed := int64(1); seed <= 4; seed++ {
-		models = append(models, planningModel(t, seed, 24, 1+int(seed)%3, 0), planningModel(t, seed, 32, 1, 24))
+		models = append(models, tightPlanningModel(t, seed, 24, 1+int(seed)%3, 0), tightPlanningModel(t, seed, 32, 1, 24))
 	}
-	fixed := 0
 	for i, m := range models {
 		before := fingerprint(m)
-		p := m.presolve(nil)
+		if _, err := m.SolveWithOptions(Options{Workers: 1, MaxNodes: 5, noStart: i%3 == 0}); err != nil {
+			t.Fatal(err)
+		}
 		if fingerprint(m) != before {
-			t.Fatalf("model %d (%s): presolve changed the model", i, m.name)
+			t.Fatalf("model %d (%s): the solve changed the model", i, m.name)
 		}
-		for _, f := range p.fixed {
-			if f {
-				fixed++
-				break
-			}
-		}
-	}
-	if fixed < len(models)/4 {
-		t.Fatalf("presolve fixed columns in only %d of %d models; nothing was substituted out of a borrowed row", fixed, len(models))
-	}
-}
-
-// TestFixpointMatchesRescan: the stale-row fixpoint must leave presolve in
-// exactly the state the full-rescan fixpoint did — bounds, fixings, stamps,
-// duplicate groups, column map, counts and the reduced model, all
-// reflect.DeepEqual — on the FuzzPresolveRoundTrip generator's models and on
-// T-backbone planning models.
-func TestFixpointMatchesRescan(t *testing.T) {
-	presolveWith := func(m *Model, rescan bool) *presolved {
-		p, rows := m.presolveState()
-		ok := p.fixpoint(rows)
-		if rescan {
-			p, rows = m.presolveState()
-			ok = p.fixpointRescan(rows)
-		}
-		if !ok {
-			p.infeasible = true
-			return p
-		}
-		p.finish(rows)
-		return p
-	}
-	var models []*Model
-	for seed := int64(0); seed < 600; seed++ {
-		models = append(models, fuzzModel(seed, int(seed*7%256), int(seed*13%256)))
-	}
-	models = append(models, fuzzModel(threeBucketSeed, 0, 0))
-	for seed := int64(1); seed <= 4; seed++ {
-		models = append(models, planningModel(t, seed, 24, 1+int(seed)%3, 0), planningModel(t, seed, 32, 1, 24))
-	}
-	reduced, infeasible := 0, 0
-	for i, m := range models {
-		got, want := presolveWith(m, false), presolveWith(m, true)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("model %d (%s): the stale-row fixpoint diverges from the full rescan", i, m.name)
-		}
-		switch {
-		case got.infeasible:
-			infeasible++
-		case got.rowsRemoved+got.colsRemoved > 0:
-			reduced++
-		}
-	}
-	if reduced < len(models)/4 || infeasible == 0 {
-		t.Fatalf("%d of %d models reduced, %d infeasible: the generator stopped exercising presolve", reduced, len(models), infeasible)
 	}
 }
 
@@ -731,39 +523,6 @@ func zeroSigns(v []float64) []float64 {
 	return v
 }
 
-// FuzzPresolveRoundTrip: a random small bounded model goes through
-// presolve → solve of the reduced model → postsolve, and must land on the
-// status and objective of the same model solved with presolve off, at a
-// point feasible for the ORIGINAL rows and bounds. The seed corpus includes
-// a model whose duplicate columns span three hash buckets.
-func FuzzPresolveRoundTrip(f *testing.F) {
-	f.Add(int64(1), uint8(6), uint8(3))
-	f.Add(int64(1405), uint8(12), uint8(5))
-	f.Add(int64(-7), uint8(3), uint8(1))
-	f.Add(threeBucketSeed, uint8(0), uint8(0))
-	f.Fuzz(func(t *testing.T, seed int64, nv, nr uint8) {
-		m := fuzzModel(seed, int(nv), int(nr))
-		on, err := m.SolveWithOptions(Options{Workers: 1})
-		if err != nil {
-			t.Fatalf("presolve on: %v", err)
-		}
-		off, err := m.SolveWithOptions(Options{Workers: 1, noPresolve: true})
-		if err != nil {
-			t.Fatalf("presolve off: %v", err)
-		}
-		if on.Status != off.Status {
-			t.Fatalf("status %v with presolve, %v without", on.Status, off.Status)
-		}
-		if on.Status != Optimal {
-			return
-		}
-		if d := math.Abs(on.Objective - off.Objective); d > 1e-6*math.Max(1, math.Abs(off.Objective)) {
-			t.Fatalf("objective %v with presolve, %v without", on.Objective, off.Objective)
-		}
-		checkFeasible(t, m, on, "postsolved point")
-	})
-}
-
 // threeBucketSeed selects fuzzModel's fixed corpus model: three families
 // of duplicate columns (different row patterns, so three hash buckets),
 // each with three members, one of them continuous.
@@ -832,29 +591,41 @@ func fuzzModel(seed int64, nv, nr int) *Model {
 }
 
 // TestThreeBucketCorpusModelMerges pins what the fuzz corpus entry is for:
-// its duplicates really do form three groups of three.
+// its duplicate columns really do form three groups of three.
 func TestThreeBucketCorpusModelMerges(t *testing.T) {
-	p := fuzzModel(threeBucketSeed, 0, 0).presolve(nil)
-	if len(p.groups) != 3 {
-		t.Fatalf("three-bucket model merged into %d groups (%v), want 3", len(p.groups), p.groups)
+	groups := duplicateColumns(fuzzModel(threeBucketSeed, 0, 0))
+	if len(groups) != 3 {
+		t.Fatalf("three-bucket model has %d duplicate groups (%v), want 3", len(groups), groups)
 	}
-	for _, g := range p.groups {
+	for _, g := range groups {
 		if len(g) != 3 {
 			t.Fatalf("group %v has %d members, want 3", g, len(g))
 		}
 	}
 }
 
-// BenchmarkPresolveTBackbone times presolve alone on a T-backbone planning
-// model. The pass is linear in the model's nonzeros; the CI bench smoke
-// runs it so a per-column rescan of the rows cannot come back unnoticed.
-func BenchmarkPresolveTBackbone(b *testing.B) {
-	m := planningModel(b, 1, 32, 1, 24)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if p := m.presolve(nil); p.infeasible || len(p.groups) == 0 {
-			b.Fatal("presolve lost the planning model's duplicate groups")
+// duplicateColumns groups the columns of m that nothing in the model tells
+// apart: the same objective, bounds and integrality, and the same
+// coefficient in every row. Groups of two or more come back ascending, in
+// the order of their first columns.
+func duplicateColumns(m *Model) [][]VarID {
+	cols := make([][]Term, len(m.vars)) // Var: the row
+	for r, c := range m.cons {
+		for _, term := range c.terms {
+			cols[term.Var] = append(cols[term.Var], Term{Var: VarID(r), Coef: term.Coef})
 		}
 	}
+	index := make(map[string]int)
+	var groups [][]VarID
+	for j, v := range m.vars {
+		key := fmt.Sprint(v.obj, v.lb, v.ub, v.integer, cols[j])
+		g, ok := index[key]
+		if !ok {
+			g = len(groups)
+			index[key] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], VarID(j))
+	}
+	return slices.DeleteFunc(groups, func(g []VarID) bool { return len(g) < 2 })
 }

@@ -251,12 +251,6 @@ type Solution struct {
 	// WeightResets counts devex pricing-weight reference resets (at each
 	// refactorization, or when a weight outgrows the reference cap).
 	WeightResets int
-	// PresolveRows and PresolveCols count the constraint rows and variable
-	// columns the presolve layer eliminated before the search (0 when it
-	// removed nothing). Values are always reported against the original
-	// model's VarIDs (postsolve rehydrates eliminated columns).
-	PresolveRows int
-	PresolveCols int
 	// LU/basis health, summed over the root solve and every worker:
 	// Refactorizations counts full basis factorizations, BasisUpdates the
 	// in-place Forrest–Tomlin pivot updates, FTRANCount/BTRANCount the
@@ -326,12 +320,10 @@ type Options struct {
 	// through export_test.go. Status and objective at proven optimality
 	// never depend on them.
 	//
-	// noWarmStart solves every node relaxation cold. noPresolve skips the
-	// presolve/postsolve layer, noNodePresolve the per-node bound
-	// propagation. noStart ignores the model's MIP start (SetStart), so the
-	// search has to find its own first incumbent.
+	// noWarmStart solves every node relaxation cold. noNodePresolve skips
+	// the per-node bound propagation. noStart ignores the model's MIP start
+	// (SetStart), so the search has to find its own first incumbent.
 	noWarmStart    bool
-	noPresolve     bool
 	noNodePresolve bool
 	noStart        bool
 }

@@ -2,6 +2,15 @@ package solver
 
 import "math"
 
+// npOutcome is what propagating one row did to the working bounds.
+type npOutcome int
+
+const (
+	npNone npOutcome = iota
+	npChanged
+	npInfeasible
+)
+
 // npMaxRowChecks caps the rows one node's propagation worklist may
 // process. Propagation is monotone (integer bounds only ever tighten onto
 // the grid), so it always terminates, but a pathological chain of long
@@ -13,8 +22,8 @@ const npMaxRowChecks = 20000
 // bound vectors kept in sync with the node under examination through an
 // undo stack, plus a row worklist. Before each node's LP solve, run
 // propagates the node's bound-change chain through the constraint activity
-// bounds — the same integer-only tightening the global presolve's
-// propagate pass applies, under the same tolerances — and emits every
+// bounds — integer variables only, under the simplex's feasibility and
+// branch-and-bound's integrality tolerances — and emits every
 // additional tightening as new boundChange links for the node, so the LP
 // and the reduced-cost fixing machinery both see them. A node whose chain
 // is propagation-infeasible is pruned without solving its LP at all.
@@ -120,7 +129,7 @@ func (np *npState) run(chain *boundChange) (*boundChange, int, bool) {
 			continue // drain the queue flags without further work
 		}
 		checked++
-		if np.propagateRow(int(r)) == preInfeasible {
+		if np.propagateRow(int(r)) == npInfeasible {
 			infeasible = true
 		}
 	}
@@ -155,42 +164,41 @@ func (np *npState) run(chain *boundChange) (*boundChange, int, bool) {
 }
 
 // propagateRow applies the activity-bound tightening of one row to the
-// working bounds, mirroring the global presolve's reduceRow propagation:
-// integer variables only, same preFeasTol/preIntTol tolerances, both
+// working bounds: integer variables only, feasTol/intTol tolerances, both
 // directions for EQ rows. Newly tightened variables re-enqueue their rows.
-func (np *npState) propagateRow(r int) preOutcome {
+func (np *npState) propagateRow(r int) npOutcome {
 	c := &np.m.cons[r]
 	minAct, maxAct, minInf, maxInf := rowActivity(c.terms, np.lb, np.ub)
-	tol := preFeasTol * math.Max(1, math.Abs(c.rhs))
+	tol := feasTol * math.Max(1, math.Abs(c.rhs))
 	switch c.rel {
 	case LE:
 		if minInf == 0 && minAct > c.rhs+tol {
-			return preInfeasible
+			return npInfeasible
 		}
 	case GE:
 		if maxInf == 0 && maxAct < c.rhs-tol {
-			return preInfeasible
+			return npInfeasible
 		}
 	case EQ:
 		if (minInf == 0 && minAct > c.rhs+tol) || (maxInf == 0 && maxAct < c.rhs-tol) {
-			return preInfeasible
+			return npInfeasible
 		}
 	}
-	out := preNone
+	out := npNone
 	if c.rel != GE { // LE and EQ propagate the ≤ direction
 		switch np.propagateDir(c.terms, c.rhs, 1, minAct, minInf) {
-		case preInfeasible:
-			return preInfeasible
-		case preChanged:
-			out = preChanged
+		case npInfeasible:
+			return npInfeasible
+		case npChanged:
+			out = npChanged
 		}
 	}
 	if c.rel != LE { // GE and EQ propagate the ≥ direction as −a·x ≤ −b
 		switch np.propagateDir(c.terms, -c.rhs, -1, -maxAct, maxInf) {
-		case preInfeasible:
-			return preInfeasible
-		case preChanged:
-			out = preChanged
+		case npInfeasible:
+			return npInfeasible
+		case npChanged:
+			out = npChanged
 		}
 	}
 	return out
@@ -199,11 +207,11 @@ func (np *npState) propagateRow(r int) preOutcome {
 // propagateDir tightens integer-variable bounds from sign·(a·x) ≤ sign·rhs
 // using the minimum activity of the remaining terms, writing through
 // setBound so the changes are undoable and emitted to the node's chain.
-func (np *npState) propagateDir(terms []Term, rhs, sign, minAct float64, minInf int) preOutcome {
+func (np *npState) propagateDir(terms []Term, rhs, sign, minAct float64, minInf int) npOutcome {
 	if minInf > 1 {
-		return preNone
+		return npNone
 	}
-	out := preNone
+	out := npNone
 	for _, t := range terms {
 		v := int32(t.Var)
 		if !np.m.vars[v].integer {
@@ -239,26 +247,58 @@ func (np *npState) propagateDir(terms []Term, rhs, sign, minAct float64, minInf 
 		}
 		limit := (rhs - rest) / coef
 		if coef > 0 {
-			nb := math.Floor(limit + preIntTol)
+			nb := math.Floor(limit + intTol)
 			if math.IsInf(u, 1) || nb < u {
-				if nb < l-preFeasTol {
-					return preInfeasible
+				if nb < l-feasTol {
+					return npInfeasible
 				}
 				np.setBound(v, true, nb)
 				np.enqueueVarRows(v)
-				out = preChanged
+				out = npChanged
 			}
 		} else {
-			nb := math.Ceil(limit - preIntTol)
+			nb := math.Ceil(limit - intTol)
 			if math.IsInf(l, -1) || nb > l {
-				if nb > u+preFeasTol {
-					return preInfeasible
+				if nb > u+feasTol {
+					return npInfeasible
 				}
 				np.setBound(v, false, nb)
 				np.enqueueVarRows(v)
-				out = preChanged
+				out = npChanged
 			}
 		}
 	}
 	return out
+}
+
+// rowActivity computes a row's activity bounds over the bound vectors lb
+// and ub, counting the infinite contributions apart.
+func rowActivity(terms []Term, lb, ub []float64) (minAct, maxAct float64, minInf, maxInf int) {
+	for _, t := range terms {
+		l, u := lb[t.Var], ub[t.Var]
+		if t.Coef > 0 {
+			if math.IsInf(l, -1) {
+				minInf++
+			} else {
+				minAct += t.Coef * l
+			}
+			if math.IsInf(u, 1) {
+				maxInf++
+			} else {
+				maxAct += t.Coef * u
+			}
+		} else {
+			if math.IsInf(u, 1) {
+				minInf++
+			} else {
+				minAct += t.Coef * u
+			}
+			if math.IsInf(l, -1) {
+				maxInf++
+			} else {
+				maxAct += t.Coef * l
+			}
+		}
+	}
+	return minAct, maxAct, minInf, maxInf
 }

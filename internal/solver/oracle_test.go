@@ -3,278 +3,12 @@ package solver
 import (
 	"math"
 	"math/big"
-	"sort"
 )
 
 // The dimension-proportional kernels the sparsity-aware ones replaced, kept
 // verbatim (bodies untouched, only renamed or cut out of their caller) as
 // oracles for the differential tests in kernel_test.go. Nothing outside
 // _test.go files may call them.
-
-// mergeDuplicatesRescan is mergeDuplicates with the row-rescanning colOf:
-// every bucket member's column is rebuilt by scanning every live row.
-func (p *presolved) mergeDuplicatesRescan(rows []preRow) {
-	nv := len(p.orig.vars)
-	type sig struct {
-		hash uint64
-		n    int // term count, quick reject
-	}
-	sigs := make([]sig, nv)
-	// Order-dependent multiply-xor mix (splitmix-style finalizer): the
-	// signature must distinguish (row, coef) sequences, not be
-	// cryptographic, and it runs once per nonzero — collisions are
-	// resolved by the exact pairwise verification below.
-	mix := func(h uint64, x uint64) uint64 {
-		h ^= x
-		h *= 0x9e3779b97f4a7c15
-		h ^= h >> 29
-		return h
-	}
-	for i := range sigs {
-		sigs[i].hash = 14695981039346656037
-	}
-	for r := range rows {
-		if !rows[r].live {
-			continue
-		}
-		for _, t := range rows[r].terms {
-			sigs[t.Var].hash = mix(mix(sigs[t.Var].hash, uint64(r)), math.Float64bits(t.Coef))
-			sigs[t.Var].n++
-		}
-	}
-	// Sort (hash, var) pairs and walk adjacent equal-hash runs: the same
-	// grouping the map of slices produced, without an allocation per
-	// bucket and with a deterministic group order.
-	type cand struct {
-		hash uint64
-		v    int
-	}
-	cands := make([]cand, 0, nv)
-	for i := range p.orig.vars {
-		if p.fixed[i] || math.IsInf(p.lb[i], -1) || math.IsInf(p.ub[i], 1) {
-			continue
-		}
-		h := mix(sigs[i].hash, math.Float64bits(p.orig.vars[i].obj))
-		if p.orig.vars[i].integer {
-			h = mix(h, 1)
-		}
-		cands = append(cands, cand{h, i})
-	}
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].hash != cands[b].hash {
-			return cands[a].hash < cands[b].hash
-		}
-		return cands[a].v < cands[b].v
-	})
-	// Verify buckets exactly: collect each candidate's (row, coef) list
-	// lazily and compare representatives pairwise within the bucket.
-	colOf := func(v int) []Term {
-		var col []Term
-		for r := range rows {
-			if !rows[r].live {
-				continue
-			}
-			for _, t := range rows[r].terms {
-				if int(t.Var) == v {
-					col = append(col, Term{Var: VarID(r), Coef: t.Coef})
-				}
-			}
-		}
-		return col
-	}
-	sameCol := func(a, b []Term) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return true
-	}
-	var bucket []int
-	for lo := 0; lo < len(cands); {
-		hi := lo + 1
-		for hi < len(cands) && cands[hi].hash == cands[lo].hash {
-			hi++
-		}
-		bucket = bucket[:0]
-		for _, c := range cands[lo:hi] {
-			bucket = append(bucket, c.v)
-		}
-		lo = hi
-		if len(bucket) < 2 {
-			continue
-		}
-		cols := make([][]Term, len(bucket))
-		used := make([]bool, len(bucket))
-		for i := range bucket {
-			cols[i] = colOf(bucket[i])
-		}
-		for i := 0; i < len(bucket); i++ {
-			if used[i] {
-				continue
-			}
-			vi := bucket[i]
-			var grp []int
-			for j := i + 1; j < len(bucket); j++ {
-				if used[j] {
-					continue
-				}
-				vj := bucket[j]
-				if p.orig.vars[vi].obj != p.orig.vars[vj].obj ||
-					p.orig.vars[vi].integer != p.orig.vars[vj].integer ||
-					!sameCol(cols[i], cols[j]) {
-					continue
-				}
-				if grp == nil {
-					grp = []int{vi}
-				}
-				grp = append(grp, vj)
-				used[j] = true
-			}
-			if grp != nil {
-				for _, v := range grp {
-					p.grpOf[v] = len(p.groups)
-				}
-				p.groups = append(p.groups, grp)
-			}
-		}
-	}
-}
-
-// removeDominatedOracle is the dominated-row sweep before the signature
-// gate and the shared column index: it builds its own occurrence lists and
-// scatters every row before testing any candidate against it.
-func (p *presolved) removeDominatedOracle(rows []preRow) {
-	var idx []int
-	for r := range rows {
-		if rows[r].live && rows[r].rel != EQ {
-			idx = append(idx, r)
-		}
-	}
-	if len(idx) < 2 || len(idx) > preDominatedCap {
-		return
-	}
-	// Occurrence lists over the live inequality rows. A dominating row
-	// almost always shares variables with the dominated one (a dominator
-	// over disjoint support would have to win on bounds alone), so each
-	// row is tested only against the rows containing its least-frequent
-	// variable — on the planning MIP this turns the all-pairs sweep into
-	// a handful of same-pixel comparisons per slot row.
-	// Flat CSR layout (counts → offsets → fill) so the lists cost two
-	// allocations total instead of one per variable.
-	nv := len(p.orig.vars)
-	cnt := make([]int, nv+1)
-	total := 0
-	for _, ri := range idx {
-		for _, t := range rows[ri].terms {
-			cnt[t.Var+1]++
-			total++
-		}
-	}
-	for v := 0; v < nv; v++ {
-		cnt[v+1] += cnt[v]
-	}
-	flat := make([]int32, total)
-	fill := make([]int, nv)
-	copy(fill, cnt[:nv])
-	for _, ri := range idx {
-		for _, t := range rows[ri].terms {
-			flat[fill[t.Var]] = int32(ri)
-			fill[t.Var]++
-		}
-	}
-	occ := func(v int) []int32 { return flat[cnt[v]:cnt[v+1]] }
-	// contrib is one variable's share of max(d·x) over the box: d·ub for
-	// positive d, d·lb for negative. ok is false when the needed bound is
-	// infinite.
-	contrib := func(d float64, v VarID) (c float64, ok bool) {
-		switch {
-		case d > 0:
-			if math.IsInf(p.ub[v], 1) {
-				return 0, false
-			}
-			return d * p.ub[v], true
-		case d < 0:
-			if math.IsInf(p.lb[v], -1) {
-				return 0, false
-			}
-			return d * p.lb[v], true
-		}
-		return 0, true
-	}
-	as := make([]float64, nv)         // candidate row s scattered dense (normalized)
-	csv := make([]float64, nv)        // per-var contribution of s alone
-	norm := func(r *preRow) float64 { // sign normalizing the row to ≤
-		if r.rel == GE {
-			return -1
-		}
-		return 1
-	}
-	for _, si := range idx {
-		s := &rows[si]
-		if !s.live {
-			continue
-		}
-		rare := -1
-		for _, t := range s.terms {
-			if rare < 0 || len(occ(int(t.Var))) < len(occ(rare)) {
-				rare = int(t.Var)
-			}
-		}
-		if rare < 0 {
-			continue
-		}
-		// Scatter s once; each candidate pair then costs O(|r|): walking
-		// r's terms corrects the s-only total sAll to the true
-		// max-activity of (a_s − a_r) — for v in both rows the corrected
-		// diff replaces s's own contribution, for v only in r it adds on
-		// top. Rows touching an infinite bound just skip the sweep (no
-		// finite max activity to compare).
-		ss := norm(s)
-		sAll, sFinite := 0.0, true
-		for _, t := range s.terms {
-			d := ss * t.Coef
-			as[t.Var] = d
-			c, ok := contrib(d, t.Var)
-			if !ok {
-				sFinite = false
-			}
-			csv[t.Var] = c
-			sAll += c
-		}
-		if sFinite {
-			bs := ss * s.rhs
-			tol := preFeasTol * math.Max(1, math.Abs(bs))
-			for _, ri32 := range occ(rare) {
-				ri := int(ri32)
-				if ri == si || !rows[ri].live {
-					continue
-				}
-				r := &rows[ri]
-				rs := norm(r)
-				maxAct, finite := sAll, true
-				for _, t := range r.terms {
-					c, ok := contrib(as[t.Var]-rs*t.Coef, t.Var)
-					if !ok {
-						finite = false
-						break
-					}
-					maxAct += c - csv[t.Var]
-				}
-				if finite && rs*r.rhs+maxAct <= bs+tol {
-					s.live = false
-					break
-				}
-			}
-		}
-		for _, t := range s.terms {
-			as[t.Var], csv[t.Var] = 0, 0
-		}
-	}
-}
 
 // priceColOracle is the column-wise PRICE: α_j = ρ·a_j and d_j = c_j − y·a_j
 // in one pass down column j.
@@ -477,50 +211,6 @@ func (f *luFactor) btranOracle(c, out []float64) {
 		out[f.perm[k]] = c[k]
 		c[k] = 0
 	}
-}
-
-// fixpointRescan is presolve's reduction fixpoint before it learned to skip
-// unchanged rows: every pass revisits every live row.
-func (p *presolved) fixpointRescan(rows []preRow) bool {
-	if !p.roundIntegerBounds() {
-		return false
-	}
-	p.detectFixed()
-	for pass := 0; pass < preMaxPasses; pass++ {
-		changed := false
-		for r := range rows {
-			row := &rows[r]
-			if !row.live {
-				continue
-			}
-			if p.substituteFixed(row) {
-				changed = true
-			}
-			switch p.reduceRow(row) {
-			case preInfeasible:
-				return false
-			case preChanged:
-				changed = true
-			}
-			if row.live && p.tightenCoefs(row) {
-				changed = true
-			}
-		}
-		if !p.roundIntegerBounds() {
-			return false
-		}
-		if p.detectFixed() {
-			changed = true
-		}
-		if p.dualFix(rows) {
-			changed = true
-			p.detectFixed()
-		}
-		if !changed {
-			break
-		}
-	}
-	return true
 }
 
 // mergeTermsOracle is AddConstraint's duplicate merge before the position

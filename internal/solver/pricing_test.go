@@ -27,8 +27,7 @@ func TestPricingRuleObjectiveIdentity(t *testing.T) {
 }
 
 // TestPricingRuleLPProperty runs the same differential on pure LP
-// relaxations (no branching), with presolve on, so devex pricing sees the
-// tightened rows.
+// relaxations (no branching).
 func TestPricingRuleLPProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	trials := 150
@@ -77,7 +76,7 @@ func TestBoundFlipRatioTest(t *testing.T) {
 	x1 := m.AddVar("x1", 0, 2, 1)
 	x2 := m.AddVar("x2", 0, 100, 10)
 	mustCon(t, m, "cover", []Term{{x1, 1}, {x2, 1}}, GE, 10)
-	sol := mustSolveOpts(t, m, Options{Workers: 1, noPresolve: true})
+	sol := mustSolveOpts(t, m, Options{Workers: 1})
 	if sol.Status != Optimal {
 		t.Fatalf("status %v", sol.Status)
 	}

@@ -40,8 +40,8 @@ func matchReference(t *testing.T, label string, m *Model, sol Solution, ref refR
 
 // TestRevisedMatchesReferenceMILPProperty: on random MILPs the search must
 // reach the exact reference's status and optimal objective at a point
-// feasible in the original model, swept across presolve on/off and worker
-// counts so the warm-start and dive paths are exercised.
+// feasible in the model, swept across worker counts so the warm-start and
+// dive paths are exercised.
 func TestRevisedMatchesReferenceMILPProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	trials := 120
@@ -51,17 +51,15 @@ func TestRevisedMatchesReferenceMILPProperty(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		m := randomMILP(rng, trial%2 == 0)
 		ref := refSolve(m)
-		for _, noPresolve := range []bool{false, true} {
-			for _, workers := range []int{1, 3} {
-				sol := mustSolveOpts(t, m, Options{Workers: workers, noPresolve: noPresolve})
-				matchReference(t, fmt.Sprintf("trial %d presolve=%v workers=%d", trial, !noPresolve, workers), m, sol, ref)
-			}
+		for _, workers := range []int{1, 3} {
+			sol := mustSolveOpts(t, m, Options{Workers: workers})
+			matchReference(t, fmt.Sprintf("trial %d workers=%d", trial, workers), m, sol, ref)
 		}
 	}
 }
 
 // TestRevisedMatchesReferenceLPProperty runs the same comparison on pure LP
-// relaxations through the SolveLP path (no presolve, no branching).
+// relaxations through the SolveLP path (no branching).
 func TestRevisedMatchesReferenceLPProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	trials := 150
@@ -245,8 +243,8 @@ func TestRevisedRefactorization(t *testing.T) {
 
 // FuzzLPReference: a random small model with some column bounds opened to
 // ±Inf — the columns the cold solve boxes, and the certificates settle when
-// a box binds — must match the exact reference: its LP relaxation, with
-// presolve and without, and the MILP with only continuous columns opened
+// a box binds — must match the exact reference: its LP relaxation, and the
+// MILP with only continuous columns opened
 // (so the reference's search stays finite). Every returned point must be
 // feasible for the model.
 func FuzzLPReference(f *testing.F) {
@@ -256,11 +254,7 @@ func FuzzLPReference(f *testing.F) {
 	f.Add(int64(22), uint8(9), uint8(4), uint64(0xffff))
 	f.Fuzz(func(t *testing.T, seed int64, nv, nr uint8, open uint64) {
 		lp := relaxed(openBounds(fuzzModel(seed, int(nv), int(nr)), open, true))
-		ref := refSolve(lp)
-		for _, noPresolve := range []bool{false, true} {
-			sol := mustSolveOpts(t, lp, Options{Workers: 1, noPresolve: noPresolve})
-			matchReference(t, fmt.Sprintf("LP relaxation, presolve=%v", !noPresolve), lp, sol, ref)
-		}
+		matchReference(t, "LP relaxation", lp, mustSolveOpts(t, lp, Options{Workers: 1}), refSolve(lp))
 		mip := openBounds(fuzzModel(seed, int(nv), int(nr)), open, false)
 		sol := mustSolveOpts(t, mip, Options{Workers: 1})
 		matchReference(t, "MILP", mip, sol, refSolve(mip))

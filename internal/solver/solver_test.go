@@ -523,3 +523,168 @@ func TestMaxBuildVars(t *testing.T) {
 		}
 	}
 }
+
+// The models below are each built around one reduction a presolve pass
+// would make — fold a singleton row, drop a redundant or dominated row,
+// round a fractional integer bound, fix a column at its cost's bound,
+// substitute a fixed column, merge duplicate columns, refute from bounds
+// alone. The solver takes every model as it is given, so it must answer
+// each shape itself: the exact reference's status and objective at a
+// point feasible for the model, and the values the shape forces.
+
+// TestPresolveSingletonFold: a one-term row bounds its variable.
+func TestPresolveSingletonFold(t *testing.T) {
+	m := NewModel("singleton", Maximize)
+	x := m.AddIntVar("x", 0, 10, 1)
+	mustCon(t, m, "cap", []Term{{x, 1}}, LE, 4)
+	sol := mustSolveOpts(t, m, Options{Workers: 1})
+	matchReference(t, "singleton", m, sol, refSolve(m))
+	if sol.Objective != 4 || sol.Value(x) != 4 {
+		t.Errorf("obj=%v x=%v, want 4 and 4", sol.Objective, sol.Value(x))
+	}
+}
+
+// TestPresolveRedundantRow: a row the bounds alone satisfy changes nothing.
+func TestPresolveRedundantRow(t *testing.T) {
+	m := NewModel("redundant", Maximize)
+	x := m.AddIntVar("x", 0, 3, 2)
+	y := m.AddIntVar("y", 0, 3, 1)
+	mustCon(t, m, "slack", []Term{{x, 1}, {y, 1}}, LE, 100)
+	mustCon(t, m, "tight", []Term{{x, 1}, {y, 2}}, LE, 7)
+	sol := mustSolveOpts(t, m, Options{Workers: 1})
+	matchReference(t, "redundant", m, sol, refSolve(m))
+	if sol.Objective != 8 {
+		t.Errorf("obj=%v, want 8 (x=3, y=2)", sol.Objective)
+	}
+}
+
+// TestPresolveDominatedRow: with continuous variables, x+2y ≤ 9 is
+// dominated by x+y ≤ 3 over [0,5]² — every point the tighter row admits
+// satisfies it — even though its own max activity (15) exceeds 9.
+func TestPresolveDominatedRow(t *testing.T) {
+	m := NewModel("dominated", Maximize)
+	x := m.AddVar("x", 0, 5, 2)
+	y := m.AddVar("y", 0, 5, 1)
+	mustCon(t, m, "tight", []Term{{x, 1}, {y, 1}}, LE, 3)
+	mustCon(t, m, "loose", []Term{{x, 1}, {y, 2}}, LE, 9)
+	sol := mustSolveOpts(t, m, Options{Workers: 1})
+	matchReference(t, "dominated", m, sol, refSolve(m))
+	if !approx(sol.Objective, 6) {
+		t.Errorf("obj=%v, want 6 (x=3)", sol.Objective)
+	}
+}
+
+// TestPresolveIntegerBoundRounding: fractional bounds on an integer
+// variable leave only the integers inside them.
+func TestPresolveIntegerBoundRounding(t *testing.T) {
+	m := NewModel("rounding", Maximize)
+	x := m.AddIntVar("x", 0.4, 2.6, 1)
+	sol := mustSolveOpts(t, m, Options{Workers: 1})
+	if sol.Status != Optimal || sol.Objective != 2 || sol.Value(x) != 2 {
+		t.Fatalf("status=%v obj=%v x=%v, want optimal 2 at x=2", sol.Status, sol.Objective, sol.Value(x))
+	}
+}
+
+// TestPresolveDualFix: a minimized variable with positive cost and no row
+// pushing it up sits at its lower bound.
+func TestPresolveDualFix(t *testing.T) {
+	m := NewModel("dualfix", Minimize)
+	x := m.AddVar("x", 1, 5, 3)
+	y := m.AddIntVar("y", 0, 4, 1)
+	mustCon(t, m, "need", []Term{{y, 1}}, GE, 2)
+	sol := mustSolveOpts(t, m, Options{Workers: 1})
+	matchReference(t, "dualfix", m, sol, refSolve(m))
+	if sol.Objective != 5 || sol.Value(x) != 1 { // 3·1 + 1·2
+		t.Errorf("obj=%v x=%v, want 5 with x at its lower bound 1", sol.Objective, sol.Value(x))
+	}
+}
+
+// TestPresolveFixedSubstitution: a variable with collapsed bounds keeps its
+// value and leaves the rest of its row to the others.
+func TestPresolveFixedSubstitution(t *testing.T) {
+	m := NewModel("fixed", Maximize)
+	x := m.AddVar("x", 2, 2, 1)
+	y := m.AddIntVar("y", 0, 10, 1)
+	mustCon(t, m, "cap", []Term{{x, 1}, {y, 1}}, LE, 5)
+	sol := mustSolveOpts(t, m, Options{Workers: 1})
+	matchReference(t, "fixed", m, sol, refSolve(m))
+	if sol.Objective != 5 || sol.Value(x) != 2 || sol.Value(y) != 3 {
+		t.Errorf("obj=%v x=%v y=%v, want 5 at 2 and 3", sol.Objective, sol.Value(x), sol.Value(y))
+	}
+}
+
+// TestPresolveDuplicateColumnMerge: two columns identical in every row, the
+// objective and integrality share the row between them.
+func TestPresolveDuplicateColumnMerge(t *testing.T) {
+	m := NewModel("dupcol", Maximize)
+	x := m.AddIntVar("x", 0, 3, 1)
+	y := m.AddIntVar("y", 0, 3, 1)
+	mustCon(t, m, "cap", []Term{{x, 1}, {y, 1}}, LE, 4)
+	sol := mustSolveOpts(t, m, Options{Workers: 1})
+	matchReference(t, "dupcol", m, sol, refSolve(m))
+	if sol.Objective != 4 || sol.Value(x)+sol.Value(y) != 4 {
+		t.Errorf("obj=%v x=%v y=%v, want 4 split between them", sol.Objective, sol.Value(x), sol.Value(y))
+	}
+}
+
+// TestPresolveDetectsInfeasible: a row no point within the bounds meets.
+func TestPresolveDetectsInfeasible(t *testing.T) {
+	m := NewModel("infeasible", Maximize)
+	x := m.AddIntVar("x", 0, 5, 1)
+	mustCon(t, m, "need", []Term{{x, 1}}, GE, 7)
+	if sol := mustSolveOpts(t, m, Options{Workers: 1}); sol.Status != Infeasible {
+		t.Fatalf("status = %v, want infeasible", sol.Status)
+	}
+}
+
+// TestPresolveUnboundedPreserved: a column with cost toward an infinite
+// bound and no row stays visibly unbounded.
+func TestPresolveUnboundedPreserved(t *testing.T) {
+	m := NewModel("unbounded", Maximize)
+	m.AddVar("x", 0, math.Inf(1), 1)
+	y := m.AddVar("y", 0, 4, 1)
+	mustCon(t, m, "cap", []Term{{y, 1}}, LE, 3)
+	if sol := mustSolveOpts(t, m, Options{Workers: 1}); sol.Status != Unbounded {
+		t.Fatalf("status = %v, want unbounded (x has no upper bound)", sol.Status)
+	}
+}
+
+// checkFeasible verifies a solution's values against the model: within
+// bounds, integral where required, and satisfying every constraint.
+func checkFeasible(t *testing.T, m *Model, sol Solution, label string) {
+	t.Helper()
+	if len(sol.Values) != len(m.vars) {
+		t.Fatalf("%s: %d values for %d variables", label, len(sol.Values), len(m.vars))
+	}
+	const tol = 1e-6
+	for i, v := range m.vars {
+		x := sol.Values[i]
+		if x < v.lb-tol || x > v.ub+tol {
+			t.Errorf("%s: %s = %v outside [%v, %v]", label, v.name, x, v.lb, v.ub)
+		}
+		if v.integer && math.Abs(x-math.Round(x)) > tol {
+			t.Errorf("%s: %s = %v not integral", label, v.name, x)
+		}
+	}
+	for _, c := range m.cons {
+		act := 0.0
+		for _, term := range c.terms {
+			act += term.Coef * sol.Values[term.Var]
+		}
+		rtol := tol * math.Max(1, math.Abs(c.rhs))
+		switch c.rel {
+		case LE:
+			if act > c.rhs+rtol {
+				t.Errorf("%s: row %s activity %v > rhs %v", label, c.name, act, c.rhs)
+			}
+		case GE:
+			if act < c.rhs-rtol {
+				t.Errorf("%s: row %s activity %v < rhs %v", label, c.name, act, c.rhs)
+			}
+		case EQ:
+			if math.Abs(act-c.rhs) > rtol {
+				t.Errorf("%s: row %s activity %v ≠ rhs %v", label, c.name, act, c.rhs)
+			}
+		}
+	}
+}

@@ -10,23 +10,21 @@ import "math"
 // as if none had been given. An accepted start is only ever replaced by a
 // strictly better point, so a search that cannot beat it returns it, with
 // its own values. The values are copied; nil or empty clears the start.
-// A start only seeds branch-and-bound: a model that is (or presolves to)
-// a pure LP solves as if it had none.
+// A start only seeds branch-and-bound: a pure LP solves as if it had none.
 func (m *Model) SetStart(values []float64) {
 	m.start = append([]float64(nil), values...)
 }
 
-// mipStart is a start that passed checkStart, in some model's space: its
-// point and its objective, Σ obj·x in VarID order — the summation order
-// postsolve and the search's incumbents use. values is nil when the start
-// has no point in that space (see reduceStart): it is then a cutoff only.
+// mipStart is a start that passed checkStart: its point and its objective,
+// Σ obj·x in VarID order — the summation order the search's incumbents
+// use.
 type mipStart struct {
 	values []float64
 	obj    float64
 }
 
-// checkStart returns the model's start when it is feasible for the
-// original model: the right length, finite, within every bound to feasTol,
+// checkStart returns the model's start when it is feasible for the model:
+// the right length, finite, within every bound to feasTol,
 // integral to intTol, and within feasTol·max(1,|rhs|) of every row. nil
 // when there is no start or it fails, the failure reported through logf.
 func (m *Model) checkStart(logf func(format string, args ...interface{})) *mipStart {
@@ -70,44 +68,8 @@ func (m *Model) checkStart(logf func(format string, args ...interface{})) *mipSt
 	return &mipStart{values: x, obj: obj}
 }
 
-// reduceStart is the start as the reduced model's search sees it. Its
-// objective is less the objective mass of the columns presolve fixed. Its
-// point maps column by column: a kept column copies its value, a merged
-// group's representative takes the sum of its members, and a fixed column
-// must sit at its fixVal (to feasTol). Presolve may fix a column at a value
-// the start does not take — dual fixing keeps an optimum, not every point —
-// and then, or when the mapped point leaves the reduced bounds by more than
-// feasTol, the start has no point in reduced space and enters the search as
-// a cutoff only. nil stays nil.
-func (p *presolved) reduceStart(s *mipStart) *mipStart {
-	if s == nil {
-		return nil
-	}
-	r := &mipStart{obj: s.obj - p.fixedObjective()}
-	x := make([]float64, p.reduced.NumVars())
-	for i, v := range s.values {
-		switch {
-		case p.fixed[i]:
-			if math.Abs(v-p.fixVal[i]) > feasTol {
-				return r
-			}
-		case p.newID[i] >= 0: // kept, or its group's representative
-			x[p.newID[i]] = v
-		default: // a later group member: the representative came first
-			x[p.newID[p.groups[p.grpOf[i]][0]]] += v
-		}
-	}
-	for j := range x {
-		if v := &p.reduced.vars[j]; x[j] < v.lb-feasTol || x[j] > v.ub+feasTol {
-			return r
-		}
-	}
-	r.values = x
-	return r
-}
-
 // crash builds the root LP's starting basis at x, a point of m (a start's
-// values in m's space). A column is basic when x puts it strictly inside
+// values). A column is basic when x puts it strictly inside
 // its bounds, or when its cost pulls it off the bound it sits at (at upper
 // with minimization-signed cost > feasTol, at lower with cost < −feasTol);
 // every other column is nonbasic at the bound it sits at. Each basic
@@ -183,16 +145,4 @@ func (s *mipStart) into(sol Solution) Solution {
 	sol.Values = append([]float64(nil), s.values...)
 	sol.Objective = s.obj
 	return sol
-}
-
-// fixedObjective is Σ obj·fixVal over the columns presolve fixed, in
-// VarID order: the constant the reduced model's objective leaves out.
-func (p *presolved) fixedObjective() float64 {
-	off := 0.0
-	for i := range p.orig.vars {
-		if p.fixed[i] {
-			off += p.orig.vars[i].obj * p.fixVal[i]
-		}
-	}
-	return off
 }

@@ -6,7 +6,6 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
-	"strconv"
 
 	"flexwan/internal/solver"
 	"flexwan/internal/spectrum"
@@ -68,11 +67,11 @@ func NewSolveStats(sol solver.Solution) *SolveStats {
 // earlier path of its link (see shareClasses) has no columns of its own:
 // owner is the earlier path's matching class, whose base it shares.
 type modeClass struct {
-	first, last *transponder.Mode // its first and last mode in catalog order
-	pixels      int
-	coef, obj   float64
-	base        solver.VarID
-	owner       *modeClass
+	last      *transponder.Mode // its last mode in catalog order
+	pixels    int
+	coef, obj float64
+	base      solver.VarID
+	owner     *modeClass
 }
 
 // linkPath is one candidate path of one IP link: its feasible modes in
@@ -107,7 +106,7 @@ type linkPath struct {
 //   - One column per mode class. Modes of one (link, path) with the same
 //     pixels, capped coefficient and objective are interchangeable in the
 //     model (RADWAN's rates at one spacing, once capped, usually are), so a
-//     class gets one binary per start pixel, named after its first mode.
+//     class gets one binary per start pixel.
 //   - Only maximal conflict rows. A fiber whose set of carried paths lies
 //     inside another fiber's has rows that are subsets of that fiber's (on
 //     equal sets the lower fiber index keeps its rows). On a kept fiber a
@@ -192,7 +191,7 @@ func SolveExact(p Problem, opts solver.Options) (*Result, error) {
 				c++
 			}
 			if c == len(classes) {
-				classes = append(classes, modeClass{first: mode, pixels: pixels, coef: coef, obj: obj})
+				classes = append(classes, modeClass{pixels: pixels, coef: coef, obj: obj})
 				nCols += px - pixels + 1
 			}
 			classes[c].last = mode
@@ -206,26 +205,15 @@ func SolveExact(p Problem, opts solver.Options) (*Result, error) {
 		return nil, fmt.Errorf("plan: exact MIP exceeds %d variables (Options.MaxVars); use the heuristic Solve or raise the cap", maxVars)
 	}
 
+	// The model is unnamed: nothing reads a name but the solver's
+	// diagnostics, which call a column x<id> and a row r<index>.
 	m := solver.NewModel("flexwan-planning", solver.Minimize)
 	m.Grow(nCols, len(p.IP.Links))
-
-	// Every (link, path) names its columns with the same few catalog
-	// modes: format each mode's label once.
-	labels := make(map[*transponder.Mode]string, len(p.Catalog.Modes))
-	label := func(mode *transponder.Mode) string {
-		s, ok := labels[mode]
-		if !ok {
-			s = mode.String()
-			labels[mode] = s
-		}
-		return s
-	}
 
 	// A channel of the same class may be needed more than once per (link,
 	// path): the binary γ encoding expresses multiplicity through distinct
 	// starting pixels q, exactly as the paper defines the q-th order.
 	// Constraint (1), capacity, closes each link's columns.
-	var names nameBuf
 	for _, link := range p.IP.Links {
 		linkPaths := lps[firstPath[link.ID]:][:len(paths[link.ID])]
 		n := 0
@@ -244,17 +232,9 @@ func SolveExact(p Problem, opts solver.Options) (*Result, error) {
 					cl.base = cl.owner.base
 					continue
 				}
-				// One string holds the class's column names, g[link,path,
-				// mode,q] for every q; each column takes its substring.
-				names.reset()
-				pi, mode := strconv.Itoa(lp.index), label(cl.first)
-				for q := 0; q+cl.pixels <= px; q++ {
-					names.add("g[", link.ID, ",", pi, ",", mode, ",", strconv.Itoa(q), "]")
-				}
-				names.seal()
 				cl.base = solver.VarID(m.NumVars())
 				for q := 0; q+cl.pixels <= px; q++ {
-					id := m.AddBinVar(names.name(q), cl.obj)
+					id := m.AddBinVar("", cl.obj)
 					linkTerms = append(linkTerms, solver.Term{Var: id, Coef: cl.coef})
 				}
 			}
@@ -262,12 +242,12 @@ func SolveExact(p Problem, opts solver.Options) (*Result, error) {
 		if len(linkTerms) == 0 {
 			return nil, fmt.Errorf("plan: no feasible (path, mode) for link %s", link.ID)
 		}
-		if err := m.AddConstraint("cap["+link.ID+"]", linkTerms, solver.GE, float64(link.DemandGbps)); err != nil {
+		if err := m.AddConstraint("", linkTerms, solver.GE, float64(link.DemandGbps)); err != nil {
 			return nil, err
 		}
 	}
 
-	if err := addConflictRows(m, lps, fs, px, &names); err != nil {
+	if err := addConflictRows(m, lps, fs, px); err != nil {
 		return nil, err
 	}
 
@@ -385,36 +365,6 @@ func (lp *linkPath) column(w Wavelength, px int) (solver.VarID, *transponder.Mod
 		return 0, nil
 	}
 	return 0, nil
-}
-
-// nameBuf formats a run of names into one string, so one allocation holds
-// them all: reset, add each name, seal, then take each name as a
-// substring.
-type nameBuf struct {
-	buf  []byte
-	ends []int
-	all  string
-}
-
-func (b *nameBuf) reset() { b.buf, b.ends = b.buf[:0], b.ends[:0] }
-
-// add appends one name, the concatenation of parts.
-func (b *nameBuf) add(parts ...string) {
-	for _, s := range parts {
-		b.buf = append(b.buf, s...)
-	}
-	b.ends = append(b.ends, len(b.buf))
-}
-
-func (b *nameBuf) seal() { b.all = string(b.buf) }
-
-// name is the i-th name added since the last reset.
-func (b *nameBuf) name(i int) string {
-	from := 0
-	if i > 0 {
-		from = b.ends[i-1]
-	}
-	return b.all[from:b.ends[i]]
 }
 
 // fiberSets holds the fibers of the carried paths (the paths with a
@@ -556,7 +506,7 @@ func shareClasses(lps []linkPath, fs *fiberSets, px int) int {
 // pixels 0..P−m and end at m−1..P−1, and those pixels are
 // m−1..max(m−1, P−m). A shared class adds no terms: its columns are its
 // owner's, already in the row. Terms come in column order.
-func addConflictRows(m *solver.Model, lps []linkPath, fs *fiberSets, px int, names *nameBuf) error {
+func addConflictRows(m *solver.Model, lps []linkPath, fs *fiberSets, px int) error {
 	rows := 0
 	for fi, kept := range fs.kept {
 		if kept {
@@ -571,11 +521,6 @@ func addConflictRows(m *solver.Model, lps []linkPath, fs *fiberSets, px int, nam
 		}
 		narrow := fs.narrowest[fi]
 		last := max(narrow-1, px-narrow)
-		names.reset()
-		for w := narrow - 1; w <= last; w++ {
-			names.add("slot[", fs.names[fi], ",", strconv.Itoa(w), "]")
-		}
-		names.seal()
 		for w := narrow - 1; w <= last; w++ {
 			terms = terms[:0]
 			for wi, word := range fs.set(fi) {
@@ -594,7 +539,7 @@ func addConflictRows(m *solver.Model, lps []linkPath, fs *fiberSets, px int, nam
 			if len(terms) < 2 {
 				continue // a single user cannot conflict
 			}
-			if err := m.AddConstraint(names.name(w-narrow+1), terms, solver.LE, 1); err != nil {
+			if err := m.AddConstraint("", terms, solver.LE, 1); err != nil {
 				return err
 			}
 		}

@@ -3,7 +3,6 @@ package restore
 import (
 	"fmt"
 	"sort"
-	"strconv"
 
 	"flexwan/internal/plan"
 	"flexwan/internal/solver"
@@ -64,6 +63,8 @@ func SolveExact(p Problem, opts solver.Options) (*Result, error) {
 		res.AffectedGbps += ls.affectedGbps
 	}
 
+	// The model is unnamed, like plan.SolveExact's: the solver's diagnostics
+	// call a column x<id> and a row r<index>.
 	m := solver.NewModel("flexwan-restoration", solver.Maximize)
 	type gVar struct {
 		linkID string
@@ -95,7 +96,6 @@ func SolveExact(p Problem, opts solver.Options) (*Result, error) {
 				if pixels > p.Grid.Pixels || mode.DataRateGbps > ls.affectedGbps {
 					continue
 				}
-				prefix := "r[" + id + "," + mode.String() + ","
 				for q := 0; q+pixels <= p.Grid.Pixels; q++ {
 					iv := spectrum.Interval{Start: q, Count: pixels}
 					// Constraint (9): the interval must be spare on every
@@ -110,7 +110,7 @@ func SolveExact(p Problem, opts solver.Options) (*Result, error) {
 					if !free {
 						continue
 					}
-					gid := m.AddBinVar(prefix+strconv.Itoa(q)+"]", float64(mode.DataRateGbps))
+					gid := m.AddBinVar("", float64(mode.DataRateGbps))
 					gammas = append(gammas, gVar{linkID: id, path: path, mode: mode, startQ: q, pixels: pixels, id: gid})
 					capTerms = append(capTerms, solver.Term{Var: gid, Coef: float64(mode.DataRateGbps)})
 					cntTerms = append(cntTerms, solver.Term{Var: gid, Coef: 1})
@@ -134,10 +134,10 @@ func SolveExact(p Problem, opts solver.Options) (*Result, error) {
 			res.PerLink[id] = [2]int{ls.affectedGbps, 0}
 			continue
 		}
-		if err := m.AddConstraint("cap["+id+"]", capTerms, solver.LE, float64(ls.affectedGbps)); err != nil {
+		if err := m.AddConstraint("", capTerms, solver.LE, float64(ls.affectedGbps)); err != nil {
 			return nil, err
 		}
-		if err := m.AddConstraint("spares["+id+"]", cntTerms, solver.LE, float64(ls.spares)); err != nil {
+		if err := m.AddConstraint("", cntTerms, solver.LE, float64(ls.spares)); err != nil {
 			return nil, err
 		}
 	}
@@ -156,7 +156,7 @@ func SolveExact(p Problem, opts solver.Options) (*Result, error) {
 	sort.Strings(fibers)
 	var terms []solver.Term // reused row buffer; AddConstraint copies
 	for _, f := range fibers {
-		for w, users := range slotUsers[f] {
+		for _, users := range slotUsers[f] {
 			if len(users) < 2 {
 				continue
 			}
@@ -164,7 +164,7 @@ func SolveExact(p Problem, opts solver.Options) (*Result, error) {
 			for _, gid := range users {
 				terms = append(terms, solver.Term{Var: gid, Coef: 1})
 			}
-			if err := m.AddConstraint("slot["+f+","+strconv.Itoa(w)+"]", terms, solver.LE, 1); err != nil {
+			if err := m.AddConstraint("", terms, solver.LE, 1); err != nil {
 				return nil, err
 			}
 		}

@@ -50,16 +50,17 @@ func (m *Model) SolveWithOptions(opts Options) (Solution, error) {
 	return sol, nil
 }
 
-// solveRelaxation solves the LP relaxation (integrality dropped) on a fresh
-// scratch, detaching Values from it.
+// solveRelaxation solves the LP relaxation (integrality dropped) on a pooled
+// scratch, detaching Values from it before the scratch goes back.
 func (m *Model) solveRelaxation(opts Options) Solution {
-	rx := newRxScratch(m, opts)
+	rx := getRxScratch(m, opts)
 	sol, _ := rx.solve(nil, nil, nil)
 	sol.SimplexIters = rx.lastPivots
 	rx.stats().addTo(&sol)
 	if sol.Values != nil {
 		sol.Values = append([]float64(nil), sol.Values...)
 	}
+	putRxScratch(rx)
 	return sol
 }
 
@@ -270,20 +271,26 @@ type bbSearch struct {
 
 	// Pseudocost bookkeeping, guarded by mu like everything else: updates
 	// happen in processLocked when a child's relaxation is reported, reads
-	// in selectBranchLocked. pcDown* is the ub-tightened (floor) side, pcUp*
-	// the lb-raised (ceil) side; the Tot* aggregates provide the
-	// reliability fallback for variables with no observations of their own
-	// yet.
-	pcDownSum, pcUpSum       []float64
-	pcDownN, pcUpN           []int
-	pcDownTotSum, pcUpTotSum float64
-	pcDownTotN, pcUpTotN     int
+	// in selectBranchLocked. pc holds one entry per variable, allocated at
+	// the first branch (a root that proves the start never needs it); tot
+	// aggregates every observation, the reliability fallback for variables
+	// with none of their own yet.
+	pc  []pseudocost
+	tot pseudocost
 
 	stop      bool    // some worker decided the search is over
 	limitHit  bool    // MaxNodes exhausted before completion
 	cancelled bool    // Options.Context cancelled
 	gapStop   bool    // RelGap early stop
 	stopBound float64 // proven bound at the early stop
+}
+
+// pseudocost sums the per-unit objective degradations observed on the
+// down (ub-tightened, floor) and up (lb-raised, ceil) branches of a
+// variable, and counts them.
+type pseudocost struct {
+	downSum, upSum float64
+	downN, upN     int
 }
 
 // branchAndBound runs the search, seeded with start (nil: none) as the
@@ -311,11 +318,6 @@ func (m *Model) branchAndBound(opts Options, start *mipStart) (sol Solution, kep
 		// lexLess against an empty slice is false.
 		s.incumbent = &Solution{Objective: start.obj}
 	}
-	nv := len(m.vars)
-	s.pcDownSum = make([]float64, nv)
-	s.pcUpSum = make([]float64, nv)
-	s.pcDownN = make([]int, nv)
-	s.pcUpN = make([]int, nv)
 	s.cond = sync.NewCond(&s.mu)
 	for i := range s.active {
 		s.active[i] = math.NaN()
@@ -326,10 +328,10 @@ func (m *Model) branchAndBound(opts Options, start *mipStart) (sol Solution, kep
 	// with a point in m's space crashes the root's starting basis there; the
 	// warm start checks that basis as it checks any node's, and any refusal
 	// solves the root cold, as without a start.
-	rx := newRxScratch(m, opts)
+	rx := getRxScratch(m, opts)
 	var crash *rxSnap
 	if start != nil && !opts.noWarmStart {
-		crash = m.crash(start.values)
+		crash = rx.crash(start.values)
 	}
 	root, _ := rx.solve(nil, crash, nil)
 	s.simplexIters = rx.lastPivots
@@ -341,6 +343,7 @@ func (m *Model) branchAndBound(opts Options, start *mipStart) (sol Solution, kep
 			s.stopBound = math.Inf(-1)
 		}
 		s.lu.merge(rx.stats())
+		putRxScratch(rx)
 		return s.finish(workers)
 	}
 	if root.Status != Optimal {
@@ -356,6 +359,7 @@ func (m *Model) branchAndBound(opts Options, start *mipStart) (sol Solution, kep
 		if root.Values != nil {
 			root.Values = append([]float64(nil), root.Values...)
 		}
+		putRxScratch(rx)
 		return root, false
 	}
 
@@ -375,6 +379,7 @@ func (m *Model) branchAndBound(opts Options, start *mipStart) (sol Solution, kep
 	s.mu.Unlock()
 	if done {
 		s.lu.merge(rx.stats())
+		putRxScratch(rx)
 		return s.finish(workers)
 	}
 
@@ -423,7 +428,8 @@ func (s *bbSearch) globalBoundLocked(candidate float64) float64 {
 
 // worker is one branch-and-bound worker loop. It owns a private simplex
 // scratch and pops nodes from the shared frontier until the search
-// terminates. rx is the scratch to adopt (nil: build one), and
+// terminates, then puts the scratch back in the pool. rx is the scratch to
+// adopt (nil: take one from the pool), and
 // tabOwner/tabBounds identify whose optimal state it retains: the basis
 // snapshot created from that solve and the bound chain it was solved
 // under. When the next popped node descends directly from exactly that
@@ -431,7 +437,7 @@ func (s *bbSearch) globalBoundLocked(candidate float64) float64 {
 // rebuilding anything. Worker 0 adopts the root's scratch this way.
 func (s *bbSearch) worker(id int, rx *rxScratch, tabOwner *rxSnap, tabBounds *boundChange) {
 	if rx == nil {
-		rx = newRxScratch(s.m, s.opts)
+		rx = getRxScratch(s.m, s.opts)
 	}
 	var diveChanges []*boundChange
 	var np *npState
@@ -541,6 +547,7 @@ func (s *bbSearch) worker(id int, rx *rxScratch, tabOwner *rxSnap, tabBounds *bo
 	}
 	s.lu.merge(rx.stats())
 	s.mu.Unlock()
+	putRxScratch(rx)
 }
 
 // admitLocked decides whether the popped node is expanded. Cancellation,
@@ -660,7 +667,11 @@ func (s *bbSearch) processLocked(node *bbNode, sol Solution, snap *rxSnap, fixBa
 	}
 	// Branch: two children sharing the parent chain (plus this node's
 	// reduced-cost fixings) copy-on-branch, and the parent's basis
-	// snapshot for their warm starts.
+	// snapshot for their warm starts. The first branch opens the
+	// pseudocost table the children will report into.
+	if s.pc == nil {
+		s.pc = make([]pseudocost, len(s.m.vars))
+	}
 	x := sol.Values[branchVar]
 	heap.Push(s.queue, &bbNode{
 		bounds:   &boundChange{parent: fixBase, v: branchVar, upper: true, val: math.Floor(x)},
@@ -703,26 +714,23 @@ func (s *bbSearch) observePseudocostLocked(node *bbNode, sol Solution) {
 		}
 		per = degr / node.fracStep
 	case Infeasible:
-		n := s.pcDownTotN + s.pcUpTotN
+		n := s.tot.downN + s.tot.upN
 		avg := 0.0
 		if n > 0 {
-			avg = (s.pcDownTotSum + s.pcUpTotSum) / float64(n)
+			avg = (s.tot.downSum + s.tot.upSum) / float64(n)
 		}
 		per = 10 * (1 + avg)
 	default:
 		return // limit/unbounded: no usable information
 	}
-	v := node.bounds.v
-	if node.bounds.upper {
-		s.pcDownSum[v] += per
-		s.pcDownN[v]++
-		s.pcDownTotSum += per
-		s.pcDownTotN++
-	} else {
-		s.pcUpSum[v] += per
-		s.pcUpN[v]++
-		s.pcUpTotSum += per
-		s.pcUpTotN++
+	for _, p := range []*pseudocost{&s.pc[node.bounds.v], &s.tot} {
+		if node.bounds.upper {
+			p.downSum += per
+			p.downN++
+		} else {
+			p.upSum += per
+			p.upN++
+		}
 	}
 }
 
@@ -730,9 +738,9 @@ func (s *bbSearch) observePseudocostLocked(node *bbNode, sol Solution) {
 // on one side: its own average once it has an observation, else the
 // tree-wide average for that side, else 1 (which degenerates the score to
 // plain fractionality until any branching has been observed at all).
-func pcEst(sum []float64, n []int, totSum float64, totN int, i int) float64 {
-	if n[i] > 0 {
-		return sum[i] / float64(n[i])
+func pcEst(sum float64, n int, totSum float64, totN int) float64 {
+	if n > 0 {
+		return sum / float64(n)
 	}
 	if totN > 0 {
 		return totSum / float64(totN)
@@ -767,8 +775,12 @@ func (s *bbSearch) selectBranchLocked(values []float64) VarID {
 		if fDown < intTol || fUp < intTol {
 			continue // integral within tolerance
 		}
-		down := pcEst(s.pcDownSum, s.pcDownN, s.pcDownTotSum, s.pcDownTotN, i)
-		up := pcEst(s.pcUpSum, s.pcUpN, s.pcUpTotSum, s.pcUpTotN, i)
+		var p pseudocost
+		if s.pc != nil {
+			p = s.pc[i]
+		}
+		down := pcEst(p.downSum, p.downN, s.tot.downSum, s.tot.downN)
+		up := pcEst(p.upSum, p.upN, s.tot.upSum, s.tot.upN)
 		score := math.Max(down, 1e-6) * fDown * math.Max(up, 1e-6) * fUp
 		if score > bestScore {
 			bestScore = score

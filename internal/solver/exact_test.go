@@ -182,13 +182,14 @@ func TestTBackbonePins(t *testing.T) {
 
 // TestExactSolveMemoryCeilings bounds the bytes one warm default exact
 // solve allocates on the scaling ladder. The ceilings sit about 1.5× above
-// the measurement (37 120 / 84 624 / 187 136 bytes with the model built
-// irreducible and solved as given; 44 218 / 106 202 / 235 274 when a
-// presolve pass still ran over it and every name was an allocation of its
-// own, 101 376 / 240 640 / 524 690 when presolve reduced a verbatim model
-// into a copy), so a simplex that forms dense rows, a build that emits rows
-// or columns nothing needs, or a reduction layer that copies the model
-// trips them.
+// the measurement (21 226 / 47 242 / 101 450 bytes with the simplex
+// workspace pooled and the model unnamed; 37 120 / 84 624 / 187 136 when
+// every solve built its own workspace and named every column and row,
+// 44 218 / 106 202 / 235 274 when a presolve pass still ran over the model,
+// 101 376 / 240 640 / 524 690 when presolve reduced a verbatim model into a
+// copy), so a simplex that builds its workspace per solve or forms dense
+// rows, a build that emits rows, columns or names nothing needs, or a
+// reduction layer that copies the model trips them.
 func TestExactSolveMemoryCeilings(t *testing.T) {
 	if raceDetectorOn {
 		t.Skip("the race detector's shadow allocations inflate TotalAlloc")
@@ -196,7 +197,7 @@ func TestExactSolveMemoryCeilings(t *testing.T) {
 	for _, tc := range []struct {
 		pixels  int
 		ceiling uint64
-	}{{16, 56_000}, {32, 127_000}, {64, 281_000}} {
+	}{{16, 32_000}, {32, 71_000}, {64, 152_000}} {
 		p, err := eval.ExactScalingProblem(tc.pixels)
 		if err != nil {
 			t.Fatal(err)
@@ -228,7 +229,9 @@ func TestExactSolveMemoryCeilings(t *testing.T) {
 // the benchmark's plan-exact ops. The root LP starts from the basis crashed
 // at the start, which is already optimal there, so the solve must take no
 // pivot; one that does means the crash was refused and the root ran cold.
-// The CI bench smoke holds it to allocation ceilings in count and bytes.
+// One solve before the timer fills the simplex workspace pool, so even a
+// one-iteration run (the CI bench smoke, which holds it to allocation
+// ceilings in count and bytes) reads the steady state.
 func BenchmarkSolveExactTBackbone(b *testing.B) {
 	p, err := eval.ExactTBackboneProblem(1, 0.02, 32, 1)
 	if err != nil {
@@ -242,6 +245,9 @@ func BenchmarkSolveExactTBackbone(b *testing.B) {
 	}
 	p.IP = ip
 	opts := solver.Options{Workers: 1}
+	if _, err := plan.SolveExact(p, opts); err != nil { // warm-up
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -255,7 +255,8 @@ func TestBoxedOptimumOnUnboundedFace(t *testing.T) {
 }
 
 // TestSolveStatsPopulated checks the basis-health counters surface through
-// an ordinary MILP solve.
+// an ordinary MILP solve, and that the factor tracks its peak fill over an
+// LP solve of the same model.
 func TestSolveStatsPopulated(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	m := randomMILP(rng, true)
@@ -269,7 +270,11 @@ func TestSolveStatsPopulated(t *testing.T) {
 	if sol.FTRANCount == 0 || sol.BTRANCount == 0 {
 		t.Errorf("FTRAN/BTRAN counts = %d/%d, want both > 0", sol.FTRANCount, sol.BTRANCount)
 	}
-	if sol.PeakUFill == 0 {
-		t.Error("PeakUFill = 0 after a MILP solve")
+	rx := getRxScratch(m, Options{})
+	if lp, _ := rx.solve(nil, nil, nil); lp.Status != Optimal {
+		t.Fatalf("LP status = %v", lp.Status)
+	}
+	if rx.lu.peakFill == 0 {
+		t.Error("peak fill = 0 after an LP solve")
 	}
 }

@@ -252,7 +252,7 @@ func TestPriceRowBitEqualsPriceCol(t *testing.T) {
 		models = append(models, randomFactorModel(t, rng, 10+rng.Intn(30), 20+rng.Intn(40), 0.05+0.3*rng.Float64()))
 	}
 	for mi, m := range models {
-		rx := newRxScratch(m, Options{})
+		rx := getRxScratch(m, Options{})
 		for _, density := range []float64{0.02, 0.11, 0.5, 1} {
 			for r := range rx.rho {
 				rx.rho[r], rx.y[r] = 0, rng.NormFloat64()

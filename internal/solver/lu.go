@@ -42,9 +42,9 @@ type uStore struct {
 // reset prepares the store for lines sparse lines totalling about nnz live
 // entries, reusing the pool when it is big enough.
 func (s *uStore) reset(lines, nnz int) {
-	s.start = growInt32(s.start, lines)
-	s.count = growInt32(s.count, lines)
-	s.room = growInt32(s.room, lines)
+	s.start = grow(s.start, lines)
+	s.count = grow(s.count, lines)
+	s.room = grow(s.room, lines)
 	if need := nnz + 4*lines; len(s.idx) < need {
 		s.idx = make([]int32, need+need/2)
 		s.val = make([]float64, len(s.idx))
@@ -162,8 +162,9 @@ func (s *uStore) clear(line int) { s.count[line] = 0 }
 // FTRAN solves B·w = a; BTRAN solves Bᵀ·v = c. L rows are indexed in
 // original constraint-row space, U in pivot order (which equals basis
 // position), etas in basis-position space. All buffers are retained across
-// factorizations, so a branch-and-bound worker refactorizing thousands of
-// times allocates only on growth.
+// factorizations, and with the workspace (rxPool) across solves, so a
+// branch-and-bound worker refactorizing thousands of times, or a stream of
+// solves, allocates only on growth.
 type luFactor struct {
 	m    int
 	perm []int32 // pivot order k → original row
@@ -203,8 +204,8 @@ type luFactor struct {
 	queue posQueue  // factorization scratch: pivot positions the current column still has to eliminate
 	c2    []float64 // btran scratch: the all-zero stand-in for an absent second right-hand side, and its solution
 
-	// Health counters, cumulative over the factor's lifetime (one factor
-	// per branch-and-bound worker).
+	// Health counters, cumulative since getRxScratch took the workspace
+	// from the pool (one factor per branch-and-bound worker).
 	nFactor  int // full factorizations
 	nUpdate  int // in-place Forrest–Tomlin updates
 	nFtran   int
@@ -212,23 +213,11 @@ type luFactor struct {
 	peakFill int // peak of U nnz (diag included) + row-eta nnz
 }
 
-func growInt32(s []int32, n int) []int32 {
+// grow returns s resized to length n, reusing its backing array when the
+// capacity allows (old contents stay) and allocating a zeroed one otherwise.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-func growFloats(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-func growBools(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
@@ -288,17 +277,17 @@ func (f *luFactor) touchRow(touch []int32, r int32) []int32 {
 func (f *luFactor) factorize(basis []int32, csc *cscMatrix, x []float64) bool {
 	m := csc.rows
 	f.m = m
-	f.perm = growInt32(f.perm, m)
-	f.pinv = growInt32(f.pinv, m)
-	f.udiag = growFloats(f.udiag, m)
-	f.lPtr = growInt32(f.lPtr, m+1)
-	f.uPtr = growInt32(f.uPtr, m+1)
+	f.perm = grow(f.perm, m)
+	f.pinv = grow(f.pinv, m)
+	f.udiag = grow(f.udiag, m)
+	f.lPtr = grow(f.lPtr, m+1)
+	f.uPtr = grow(f.uPtr, m+1)
 	f.lIdx, f.lVal = f.lIdx[:0], f.lVal[:0]
 	f.uIdx, f.uVal = f.uIdx[:0], f.uVal[:0]
 	f.etaPos = f.etaPos[:0]
 	f.etaIdx, f.etaVal = f.etaIdx[:0], f.etaVal[:0]
 	f.etaPtr = append(f.etaPtr[:0], 0)
-	f.mark = growBools(f.mark, m)
+	f.mark = grow(f.mark, m)
 	f.queue.reset(m)
 	if cap(f.touch) < m {
 		f.touch = make([]int32, 0, m)
@@ -396,7 +385,7 @@ func (f *luFactor) factorize(basis []int32, csc *cscMatrix, x []float64) bool {
 func (f *luFactor) loadFT() {
 	m := f.m
 	nnz := len(f.uIdx)
-	f.rowCnt = growInt32(f.rowCnt, m)
+	f.rowCnt = grow(f.rowCnt, m)
 	for k := 0; k < m; k++ {
 		f.rowCnt[k] = 0
 	}
@@ -420,14 +409,14 @@ func (f *luFactor) loadFT() {
 	}
 	f.uLive = nnz
 	f.baseFill = nnz + m
-	f.order = growInt32(f.order, m)
-	f.seqPos = growInt32(f.seqPos, m)
+	f.order = grow(f.order, m)
+	f.seqPos = grow(f.seqPos, m)
 	for t := 0; t < m; t++ {
 		f.order[t], f.seqPos[t] = int32(t), int32(t)
 	}
-	f.vbuf = growFloats(f.vbuf, m)
-	f.work = growFloats(f.work, m)
-	f.wmark = growBools(f.wmark, m)
+	f.vbuf = grow(f.vbuf, m)
+	f.work = grow(f.work, m)
+	f.wmark = grow(f.wmark, m)
 	for i := 0; i < m; i++ {
 		f.work[i] = 0
 		f.wmark[i] = false
@@ -515,7 +504,8 @@ func (f *luFactor) restoreSpike(src []float64) { copy(f.vbuf[:f.m], src[:f.m]) }
 // the one behind reduced-cost fixing) runs the second chain over the f.c2
 // scratch instead of forking the loops. Nothing reads that chain's output,
 // so its content cannot reach a caller; it is all zero regardless — the
-// scratch is allocated zero, the Lᵀ loop re-zeroes the input half like any
+// scratch is allocated zero and cleared when getRxScratch hands the
+// workspace out, the Lᵀ loop re-zeroes the input half like any
 // c, and the output half is the solve of 0 (TestSolvesMatchOracles checks
 // it after every solve). Lone solves are 2 % of BTRAN calls on the planning
 // stream (1 759 of 97 822 over 200 exact solves), and timed against a build
@@ -525,7 +515,7 @@ func (f *luFactor) btran(c, out, c2, out2 []float64) {
 	f.nBtran++
 	m := f.m
 	if c2 == nil {
-		f.c2 = growFloats(f.c2, 2*m)
+		f.c2 = grow(f.c2, 2*m)
 		c2, out2 = f.c2[:m], f.c2[m:]
 	} else {
 		f.nBtran++

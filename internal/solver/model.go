@@ -15,6 +15,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strconv"
 	"sync"
 )
 
@@ -126,7 +127,9 @@ func (m *Model) Grow(nVars, nCons int) {
 }
 
 // AddVar adds a continuous variable with bounds [lb, ub] and objective
-// coefficient obj. Use math.Inf(1) for an unbounded ub.
+// coefficient obj. Use math.Inf(1) for an unbounded ub. Names only label
+// diagnostics (a dropped MIP start, a bad constraint) and may be empty: an
+// unnamed variable reads x<id> there, an unnamed row r<index>.
 func (m *Model) AddVar(name string, lb, ub, obj float64) VarID {
 	m.vars = append(m.vars, variable{name: name, lb: lb, ub: ub, obj: obj})
 	return VarID(len(m.vars) - 1)
@@ -144,13 +147,22 @@ func (m *Model) AddBinVar(name string, obj float64) VarID {
 	return m.AddIntVar(name, 0, 1, obj)
 }
 
+// diagName is what diagnostics call a column or row: its name, or when
+// that is empty, prefix (x for a column, r for a row) and its index.
+func diagName(name, prefix string, i int) string {
+	if name != "" {
+		return name
+	}
+	return prefix + strconv.Itoa(i)
+}
+
 // AddConstraint adds Σ terms rel rhs. Terms referencing the same variable
 // are accumulated, in order of first occurrence, and terms whose
 // coefficients cancel to zero are dropped.
 func (m *Model) AddConstraint(name string, terms []Term, rel Rel, rhs float64) error {
 	for _, t := range terms {
 		if int(t.Var) < 0 || int(t.Var) >= len(m.vars) {
-			return fmt.Errorf("solver: constraint %s references unknown variable %d", name, t.Var)
+			return fmt.Errorf("solver: constraint %s references unknown variable %d", diagName(name, "r", len(m.cons)), t.Var)
 		}
 	}
 	if len(m.pos) < len(m.vars) {
@@ -248,19 +260,13 @@ type Solution struct {
 	// through a degenerate vertex at the cost of one FTRAN instead of a
 	// basis change.
 	BoundFlips int
-	// WeightResets counts devex pricing-weight reference resets (at each
-	// refactorization, or when a weight outgrows the reference cap).
-	WeightResets int
 	// LU/basis health, summed over the root solve and every worker:
-	// Refactorizations counts full basis factorizations, BasisUpdates the
-	// in-place Forrest–Tomlin pivot updates, FTRANCount/BTRANCount the
-	// triangular solves against the factorization, and PeakUFill the
-	// largest U-plus-row-eta nonzero count any worker's factor reached.
+	// Refactorizations counts full basis factorizations and
+	// FTRANCount/BTRANCount the triangular solves against the
+	// factorization.
 	Refactorizations int
-	BasisUpdates     int
 	FTRANCount       int
 	BTRANCount       int
-	PeakUFill        int
 	// NodePresolveFixings counts the bound tightenings node presolve
 	// propagated from branching decisions before node LP solves (0 for
 	// pure LPs).

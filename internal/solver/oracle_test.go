@@ -31,17 +31,17 @@ func (rx *rxScratch) priceColOracle(j int) (alpha, d float64) {
 func (f *luFactor) factorizeScan(basis []int32, csc *cscMatrix, x []float64) bool {
 	m := csc.rows
 	f.m = m
-	f.perm = growInt32(f.perm, m)
-	f.pinv = growInt32(f.pinv, m)
-	f.udiag = growFloats(f.udiag, m)
-	f.lPtr = growInt32(f.lPtr, m+1)
-	f.uPtr = growInt32(f.uPtr, m+1)
+	f.perm = grow(f.perm, m)
+	f.pinv = grow(f.pinv, m)
+	f.udiag = grow(f.udiag, m)
+	f.lPtr = grow(f.lPtr, m+1)
+	f.uPtr = grow(f.uPtr, m+1)
 	f.lIdx, f.lVal = f.lIdx[:0], f.lVal[:0]
 	f.uIdx, f.uVal = f.uIdx[:0], f.uVal[:0]
 	f.etaPos = f.etaPos[:0]
 	f.etaIdx, f.etaVal = f.etaIdx[:0], f.etaVal[:0]
 	f.etaPtr = append(f.etaPtr[:0], 0)
-	f.mark = growBools(f.mark, m)
+	f.mark = grow(f.mark, m)
 	if cap(f.touch) < m {
 		f.touch = make([]int32, 0, m)
 	}

@@ -49,7 +49,7 @@ func TestDevexWeightsStayBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	for trial := 0; trial < 120; trial++ {
 		m := randomMILP(rng, true)
-		rx := newRxScratch(m, Options{})
+		rx := getRxScratch(m, Options{})
 		sol, _ := rx.solve(nil, nil, nil)
 		if sol.Status != Optimal || !rx.weightsOK {
 			continue

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"sort"
+	"sync"
 )
 
 // Numerical tolerances of the simplex.
@@ -94,7 +95,7 @@ const (
 // relation. Bounded variables are handled natively — a nonbasic column
 // sits at its lower or upper bound — so finite upper bounds cost nothing.
 // A scratch must not be shared between concurrent solves; each
-// branch-and-bound worker owns one.
+// branch-and-bound worker owns one, taken from rxPool.
 type rxScratch struct {
 	m     *Model
 	csc   *cscMatrix
@@ -135,14 +136,16 @@ type rxScratch struct {
 	artLBCols []int32 // columns whose lb is currently an artificial box
 	artUBCols []int32 // columns whose ub is currently an artificial box
 
+	crashSnap rxSnap     // the root basis crashed at a MIP start (see crash); never retained
+	crashRow  []rxStatus // crash scratch: per row, the status its slack leaves at
+
 	maxIter    int             // per-solve pivot cap (0 = size-derived default)
 	ctx        context.Context // cancellation observed every ctxCheckMask+1 pivots (nil = never)
 	logf       func(format string, args ...interface{})
 	lastPivots int  // pivots of the current solve call (see solve)
 	usedArt    bool // solve placed artificial boxes: no snapshot, no fixings
 
-	nBoundFlips   int // cumulative over the scratch lifetime
-	nWeightResets int
+	nBoundFlips int // cumulative since getRxScratch
 }
 
 // rxCands is the sorted candidate list of the long-step dual ratio test:
@@ -167,54 +170,80 @@ func (c *rxCands) Swap(a, b int) {
 	c.ratio[a], c.ratio[b] = c.ratio[b], c.ratio[a]
 }
 
-// newRxScratch builds a revised-simplex scratch for m under the pivot cap,
-// context and log of opts.
-func newRxScratch(m *Model, opts Options) *rxScratch {
+// rxPool holds the simplex workspaces between solves. Every solve takes
+// its scratches from it (getRxScratch) and puts them back when it returns
+// (putRxScratch), so a steady stream of solves reuses the same vectors and
+// LU store instead of building, zeroing and dropping them each time.
+var rxPool = sync.Pool{New: func() any { return new(rxScratch) }}
+
+// getRxScratch takes a workspace from the pool and sets it up for m under
+// the pivot cap, context and log of opts. Every vector is resized to m;
+// every field one solve leaves behind for the next — counters, exclusion
+// epochs, artificial-box lists, the weight and box flags — is reset, and
+// the buffers that must be zero between uses are cleared, so whatever a
+// previous solve of any model left there cannot reach this one.
+func getRxScratch(m *Model, opts Options) *rxScratch {
 	csc := m.cscMatrixOf()
-	rx := &rxScratch{
-		m:       m,
-		csc:     csc,
-		nRows:   csc.rows,
-		nCols:   csc.cols,
-		nTot:    csc.cols + csc.rows,
-		sign:    1,
-		rhs:     csc.rhs,
-		maxIter: opts.MaxLPIter,
-		ctx:     opts.Context,
-		logf:    opts.Logf,
+	rx := rxPool.Get().(*rxScratch)
+	nRows, nCols := csc.rows, csc.cols
+	nTot := nRows + nCols
+	// The literal zeroes every field it does not name: flags, counters,
+	// epochs. The named ones keep their backing arrays.
+	*rx = rxScratch{
+		m:         m,
+		csc:       csc,
+		nRows:     nRows,
+		nCols:     nCols,
+		nTot:      nTot,
+		sign:      1,
+		cost:      grow(rx.cost, nTot),
+		lb:        grow(rx.lb, nTot),
+		ub:        grow(rx.ub, nTot),
+		rhs:       csc.rhs,
+		status:    grow(rx.status, nTot),
+		basis:     grow(rx.basis, nRows),
+		xB:        grow(rx.xB, nRows),
+		lu:        rx.lu,
+		excl:      grow(rx.excl, nTot),
+		alphaC:    grow(rx.alphaC, nTot),
+		dC:        grow(rx.dC, nTot),
+		admis:     rx.admis[:0],
+		cand:      rxCands{j: rx.cand.j[:0], ratio: rx.cand.ratio[:0]},
+		colBuf:    grow(rx.colBuf, nRows),
+		w:         grow(rx.w, nRows),
+		rho:       grow(rx.rho, nRows),
+		y:         grow(rx.y, nRows),
+		posBuf:    grow(rx.posBuf, nRows),
+		posBuf2:   grow(rx.posBuf2, nRows),
+		rowW:      grow(rx.rowW, nRows),
+		flipJ:     rx.flipJ[:0],
+		flipW:     grow(rx.flipW, nRows),
+		spikeSave: grow(rx.spikeSave, nRows),
+		values:    grow(rx.values, nCols),
+		artLBCols: rx.artLBCols[:0],
+		artUBCols: rx.artUBCols[:0],
+		crashSnap: rxSnap{basis: rx.crashSnap.basis, status: rx.crashSnap.status},
+		crashRow:  rx.crashRow,
+		maxIter:   opts.MaxLPIter,
+		ctx:       opts.Context,
+		logf:      opts.Logf,
 	}
+	rx.lu.nFactor, rx.lu.nUpdate, rx.lu.nFtran, rx.lu.nBtran, rx.lu.peakFill = 0, 0, 0, 0, 0
+	clear(rx.excl)
+	clear(rx.colBuf)
+	clear(rx.posBuf)
+	clear(rx.posBuf2)
+	clear(rx.lu.c2)
 	if m.sense == Maximize {
 		rx.sign = -1
 	}
-	rx.cost = make([]float64, rx.nTot)
 	for i := range m.vars {
 		rx.cost[i] = rx.sign * m.vars[i].obj
 	}
-	rx.lb = make([]float64, rx.nTot)
-	rx.ub = make([]float64, rx.nTot)
-	rx.status = make([]rxStatus, rx.nTot)
-	rx.basis = make([]int32, rx.nRows)
-	rx.xB = make([]float64, rx.nRows)
-	rx.excl = make([]uint64, rx.nTot)
-	rx.alphaC = make([]float64, rx.nTot)
-	rx.dC = make([]float64, rx.nTot)
-	rx.admis = make([]int32, 0, rx.nTot)
-	rx.colBuf = make([]float64, rx.nRows)
-	rx.w = make([]float64, rx.nRows)
-	rx.rho = make([]float64, rx.nRows)
-	rx.y = make([]float64, rx.nRows)
-	rx.posBuf = make([]float64, rx.nRows)
-	rx.posBuf2 = make([]float64, rx.nRows)
-	rx.values = make([]float64, rx.nCols)
-	rx.rowW = make([]float64, rx.nRows)
-	rx.flipJ = make([]int32, 0, 16)
-	rx.flipW = make([]float64, rx.nRows)
-	rx.spikeSave = make([]float64, rx.nRows)
-	rx.cand.j = make([]int32, 0, rx.nTot)
-	rx.cand.ratio = make([]float64, 0, rx.nTot)
-	// Slack bounds are fixed by the row relations; set once.
-	for r := 0; r < rx.nRows; r++ {
-		j := rx.nCols + r
+	clear(rx.cost[nCols:])
+	// Slack bounds are fixed by the row relations; set once per solve.
+	for r := 0; r < nRows; r++ {
+		j := nCols + r
 		switch csc.rel[r] {
 		case LE:
 			rx.lb[j], rx.ub[j] = 0, math.Inf(1)
@@ -227,19 +256,23 @@ func newRxScratch(m *Model, opts Options) *rxScratch {
 	return rx
 }
 
+// putRxScratch returns rx to the pool, dropping its references to the
+// model and the caller's context and log. Nothing the solver hands out
+// aliases a workspace: every Solution that leaves it carries its own copy
+// of Values, and basis snapshots are copies too.
+func putRxScratch(rx *rxScratch) {
+	rx.m, rx.csc, rx.rhs, rx.ctx, rx.logf = nil, nil, nil, nil, nil
+	rxPool.Put(rx)
+}
+
 // resetWeights reinstalls the unit devex reference framework — exact for
 // the all-slack basis, and for any other basis the standard approximate
 // restart: pricing quality degrades for a few pivots, never correctness.
-// counted selects whether the reset shows up in the WeightResets counter
-// (mid-solve resets do; per-solve initialization does not).
-func (rx *rxScratch) resetWeights(counted bool) {
+func (rx *rxScratch) resetWeights() {
 	for i := range rx.rowW {
 		rx.rowW[i] = 1
 	}
 	rx.weightsOK = true
-	if counted {
-		rx.nWeightResets++
-	}
 }
 
 // resolveBounds loads the model bounds tightened by the node's bound-change
@@ -688,7 +721,7 @@ func (rx *rxScratch) dualIterate() rxResult {
 			// framework (devex weights are relative to the framework
 			// installed at the last reset).
 			if rx.weightsOK {
-				rx.resetWeights(true)
+				rx.resetWeights()
 				rx.nBoundFlips += len(rx.flipJ)
 				continue
 			}
@@ -725,11 +758,10 @@ func (rx *rxScratch) dualIterate() rxResult {
 			}
 			if math.IsNaN(maxW) || math.IsInf(maxW, 0) {
 				rx.weightsOK = false
-				rx.nWeightResets++
 			} else if maxW > rxDevexCap {
 				// The reference framework has decayed past usefulness:
 				// restart it rather than keep amplifying one direction.
-				rx.resetWeights(true)
+				rx.resetWeights()
 			}
 		}
 	}
@@ -862,7 +894,7 @@ func (rx *rxScratch) fromSlacks() rxResult {
 	if !rx.refactor() {
 		return rxGiveUp
 	}
-	rx.resetWeights(false)
+	rx.resetWeights()
 	return rx.dualIterate()
 }
 
@@ -1055,7 +1087,7 @@ func (rx *rxScratch) solveWarm(snap *rxSnap) (Solution, bool) {
 	// The parent's basis is not all-slack, so unit weights are only the
 	// standard approximate restart — fine for pricing, which only has to
 	// rank rows, and warm-started repairs are short anyway.
-	rx.resetWeights(false)
+	rx.resetWeights()
 	return rx.finishDual()
 }
 
@@ -1069,7 +1101,7 @@ func (rx *rxScratch) solveDive(changes []*boundChange) (Solution, bool) {
 	// The dive continues from the parent's final basis, which the weights
 	// still describe — keep them unless the parent solve left them stale.
 	if !rx.weightsOK {
-		rx.resetWeights(false)
+		rx.resetWeights()
 	}
 	for _, c := range changes {
 		j := int(c.v)
@@ -1183,52 +1215,37 @@ func (rx *rxScratch) fixings(obj, inc float64, chain *boundChange) *boundChange 
 	return chain
 }
 
-// lpStats aggregates LU/basis health over a scratch's lifetime: full
-// refactorizations, in-place Forrest–Tomlin updates, FTRAN/BTRAN solve
-// counts, the peak U-plus-row-eta fill, bound flips and devex resets.
+// lpStats aggregates LU/basis health over a scratch's solves: full
+// refactorizations, FTRAN/BTRAN solve counts and bound flips.
 type lpStats struct {
 	factorizations int
-	updates        int
 	ftrans         int
 	btrans         int
-	peakFill       int
 	boundFlips     int
-	weightResets   int
 }
 
 func (rx *rxScratch) stats() lpStats {
 	lu := &rx.lu
 	return lpStats{
 		factorizations: lu.nFactor,
-		updates:        lu.nUpdate,
 		ftrans:         lu.nFtran,
 		btrans:         lu.nBtran,
-		peakFill:       lu.peakFill,
 		boundFlips:     rx.nBoundFlips,
-		weightResets:   rx.nWeightResets,
 	}
 }
 
-// merge folds o into s (sums, except peak fill which takes the max).
+// merge folds o into s.
 func (s *lpStats) merge(o lpStats) {
 	s.factorizations += o.factorizations
-	s.updates += o.updates
 	s.ftrans += o.ftrans
 	s.btrans += o.btrans
-	if o.peakFill > s.peakFill {
-		s.peakFill = o.peakFill
-	}
 	s.boundFlips += o.boundFlips
-	s.weightResets += o.weightResets
 }
 
 // addTo copies the counters into a Solution's exported stats fields.
 func (s lpStats) addTo(sol *Solution) {
 	sol.Refactorizations = s.factorizations
-	sol.BasisUpdates = s.updates
 	sol.FTRANCount = s.ftrans
 	sol.BTRANCount = s.btrans
-	sol.PeakUFill = s.peakFill
 	sol.BoundFlips = s.boundFlips
-	sol.WeightResets = s.weightResets
 }

@@ -104,7 +104,7 @@ func TestFeasibilityRunProvesInfeasible(t *testing.T) {
 	z := m.AddVar("z", 0, 1, 0)
 	mustCon(t, m, "lo", []Term{{x, 1}}, GE, 3)
 	mustCon(t, m, "hi", []Term{{x, 1}, {z, 1}}, LE, 2)
-	rx := newRxScratch(m, Options{})
+	rx := getRxScratch(m, Options{})
 	if sol, _ := rx.solve(nil, nil, nil); sol.Status != Infeasible || !rx.usedArt {
 		t.Fatalf("status %v (boxes placed: %v), want infeasible through the boxed path", sol.Status, rx.usedArt)
 	}

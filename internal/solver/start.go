@@ -46,11 +46,11 @@ func (m *Model) checkStart(logf func(format string, args ...interface{})) *mipSt
 		v := &m.vars[i]
 		switch {
 		case math.IsNaN(x[i]) || math.IsInf(x[i], 0):
-			return reject("%s = %v", v.name, x[i])
+			return reject("%s = %v", diagName(v.name, "x", i), x[i])
 		case x[i] < v.lb-feasTol || x[i] > v.ub+feasTol:
-			return reject("%s = %v outside [%v, %v]", v.name, x[i], v.lb, v.ub)
+			return reject("%s = %v outside [%v, %v]", diagName(v.name, "x", i), x[i], v.lb, v.ub)
 		case v.integer && math.Abs(x[i]-math.Round(x[i])) > intTol:
-			return reject("%s = %v is not integral", v.name, x[i])
+			return reject("%s = %v is not integral", diagName(v.name, "x", i), x[i])
 		}
 		obj += v.obj * x[i]
 	}
@@ -62,32 +62,34 @@ func (m *Model) checkStart(logf func(format string, args ...interface{})) *mipSt
 		}
 		tol := feasTol * math.Max(1, math.Abs(c.rhs))
 		if (c.rel != GE && act > c.rhs+tol) || (c.rel != LE && act < c.rhs-tol) {
-			return reject("row %s activity %v violates %v %v", c.name, act, c.rel, c.rhs)
+			return reject("row %s activity %v violates %v %v", diagName(c.name, "r", i), act, c.rel, c.rhs)
 		}
 	}
 	return &mipStart{values: x, obj: obj}
 }
 
-// crash builds the root LP's starting basis at x, a point of m (a start's
-// values). A column is basic when x puts it strictly inside
-// its bounds, or when its cost pulls it off the bound it sits at (at upper
-// with minimization-signed cost > feasTol, at lower with cost < −feasTol);
-// every other column is nonbasic at the bound it sits at. Each basic
-// column, in index order, takes the basis position of a row that x holds
-// tight and whose slack is still basic — the one where the column's
+// crash builds the root LP's starting basis at x, a point of the model (a
+// start's values), in rx's crash buffers. A column is basic when x puts it
+// strictly inside its bounds, or when its cost pulls it off the bound it
+// sits at (at upper with minimization-signed cost > feasTol, at lower with
+// cost < −feasTol); every other column is nonbasic at the bound it sits at.
+// Each basic column, in index order, takes the basis position of a row that
+// x holds tight and whose slack is still basic — the one where the column's
 // |coefficient| is largest, the lowest such row on ties — and that slack
 // leaves at the bound it is tight on. Every other row keeps its slack. nil
 // when some basic column finds no row. Nothing here is trusted: solveWarm
 // factorizes the basis, checks it is dual feasible and repairs what x left
 // primal infeasible, and refuses (the root then solves cold) otherwise.
-func (m *Model) crash(x []float64) *rxSnap {
-	csc := m.cscMatrixOf()
+func (rx *rxScratch) crash(x []float64) *rxSnap {
+	m, csc := rx.m, rx.csc
 	nr, nc := csc.rows, csc.cols
-	snap := &rxSnap{rows: nr, cols: nc, basis: make([]int32, nr), status: make([]rxStatus, nc+nr)}
-	// open[r]: row r is tight at x and its slack still holds position r;
-	// leave[r] is the status that slack takes when a column displaces it.
-	open := make([]bool, nr)
-	leave := make([]rxStatus, nr)
+	snap := &rx.crashSnap
+	*snap = rxSnap{rows: nr, cols: nc, basis: grow(snap.basis, nr), status: grow(snap.status, nc+nr)}
+	// leave[r] is the status row r's slack takes when a column displaces it,
+	// while r is tight at x and its slack still holds position r; rxBasic
+	// once the row is closed.
+	leave := grow(rx.crashRow, nr)
+	rx.crashRow = leave
 	for r := range m.cons {
 		c := &m.cons[r]
 		act := 0.0
@@ -95,24 +97,21 @@ func (m *Model) crash(x []float64) *rxSnap {
 			act += t.Coef * x[t.Var]
 		}
 		tol := feasTol * math.Max(1, math.Abs(c.rhs))
-		switch c.rel {
-		case LE: // slack rhs − act ∈ [0, ∞)
-			open[r], leave[r] = act >= c.rhs-tol, rxAtLower
-		case GE: // slack ∈ (−∞, 0]
-			open[r], leave[r] = act <= c.rhs+tol, rxAtUpper
-		default: // slack fixed at 0
-			open[r], leave[r] = true, rxAtLower
+		leave[r] = rxBasic
+		switch {
+		case c.rel == LE && act >= c.rhs-tol: // slack rhs − act ∈ [0, ∞)
+			leave[r] = rxAtLower
+		case c.rel == GE && act <= c.rhs+tol: // slack ∈ (−∞, 0]
+			leave[r] = rxAtUpper
+		case c.rel == EQ: // slack fixed at 0
+			leave[r] = rxAtLower
 		}
 		snap.basis[r] = int32(nc + r)
 		snap.status[nc+r] = rxBasic
 	}
-	sign := 1.0
-	if m.sense == Maximize {
-		sign = -1
-	}
 	for j := range m.vars {
 		v := &m.vars[j]
-		cost := sign * v.obj
+		cost := rx.cost[j]
 		atLower, atUpper := x[j] <= v.lb+feasTol, x[j] >= v.ub-feasTol
 		switch {
 		case atLower && (v.lb == v.ub || cost >= -feasTol):
@@ -124,17 +123,17 @@ func (m *Model) crash(x []float64) *rxSnap {
 		}
 		row, best := -1, 0.0
 		for k := csc.colPtr[j]; k < csc.colPtr[j+1]; k++ {
-			if r := csc.rowIdx[k]; open[r] && math.Abs(csc.val[k]) > best {
+			if r := csc.rowIdx[k]; leave[r] != rxBasic && math.Abs(csc.val[k]) > best {
 				row, best = int(r), math.Abs(csc.val[k])
 			}
 		}
 		if row < 0 {
 			return nil
 		}
-		open[row] = false
 		snap.basis[row] = int32(j)
 		snap.status[j] = rxBasic
 		snap.status[nc+row] = leave[row]
+		leave[row] = rxBasic
 	}
 	return snap
 }

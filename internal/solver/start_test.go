@@ -185,9 +185,9 @@ func TestCrashRefused(t *testing.T) {
 	m := crashModel(t)
 	start := []float64{0, 1}
 	m.SetStart(start)
-	rx := newRxScratch(m, Options{Workers: 1})
+	rx := getRxScratch(m, Options{Workers: 1})
 	rx.resolveBounds(nil)
-	if snap := m.crash(start); snap == nil {
+	if snap := rx.crash(start); snap == nil {
 		t.Fatal("no crash basis")
 	} else if _, ok := rx.solveWarm(snap); ok {
 		t.Fatal("the warm start accepted a basis that is not dual feasible")

@@ -134,6 +134,9 @@ type (
 	RetryPolicy = controller.RetryPolicy
 	// ChannelInfo describes one live channel and its hardware.
 	ChannelInfo = controller.ChannelInfo
+	// FiberUtilization is one fiber's spectrum occupancy
+	// (Controller.Utilization).
+	FiberUtilization = controller.FiberUtilization
 )
 
 // Controller entry points.

@@ -94,27 +94,41 @@ func TestPublicAPICatalogsAndPhysics(t *testing.T) {
 	}
 }
 
+// TestPublicAPIBackbone evolves a backbone on live loopback agents
+// through the controller: grow a link, read utilization, ask a what-if.
 func TestPublicAPIBackbone(t *testing.T) {
 	optical, ip := buildNetwork(t)
-	backbone, err := flexwan.NewBackbone(flexwan.BackboneConfig{
-		Optical: optical, IP: ip, Catalog: flexwan.SVT(), Grid: flexwan.DefaultGrid(),
-	})
+	tb, err := flexwan.NewChaosTestbed(flexwan.Network{Name: "api", Optical: optical, IP: ip}, flexwan.ChaosOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := backbone.Plan(); err != nil {
+	defer tb.Close()
+	var ctrl *flexwan.Controller = tb.Ctrl
+	if _, err := ctrl.GrowDemand("ab", 200); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := backbone.GrowDemand("ab", 200); err != nil {
+	if got := ctrl.LiveCapacityGbps()["ab"]; got < 600 {
+		t.Errorf("ab carries %d Gbps after growing to 600", got)
+	}
+	utils, err := ctrl.Utilization()
+	if err != nil {
 		t.Fatal(err)
 	}
-	head, err := backbone.Headroom()
-	if err != nil || head <= 1 {
-		t.Errorf("headroom = %v, %v", head, err)
+	var bottleneck flexwan.FiberUtilization
+	for _, u := range utils {
+		if u.UsedGHz > bottleneck.UsedGHz {
+			bottleneck = u
+		}
 	}
-	res, err := backbone.WhatIfCut("f1")
+	if bottleneck.UsedGHz == 0 || bottleneck.TotalGHz/bottleneck.UsedGHz <= 1 {
+		t.Errorf("bottleneck %+v", bottleneck)
+	}
+	res, err := ctrl.WhatIfCut("f1")
 	if err != nil || res.AffectedGbps == 0 {
 		t.Errorf("what-if = %+v, %v", res, err)
+	}
+	if audit, err := ctrl.Audit(); err != nil || !audit.Clean() {
+		t.Errorf("audit %+v, %v", audit, err)
 	}
 }
 

@@ -74,7 +74,6 @@ type Report struct {
 	RestoredGbps int  `json:"restored_gbps"`
 	OracleGbps   int  `json:"oracle_gbps"`
 	OracleMatch  bool `json:"oracle_match"`
-	Playbook     bool `json:"playbook"`
 
 	Crashed         []string `json:"crashed,omitempty"`
 	SkippedDevices  []string `json:"skipped_devices,omitempty"`
@@ -272,7 +271,6 @@ func Run(tb *Testbed, sc Scenario) (*Report, *Log, error) {
 		RestoredGbps:    rep.Result.RestoredGbps,
 		OracleGbps:      oracle.RestoredGbps,
 		OracleMatch:     match,
-		Playbook:        rep.Playbook,
 		Crashed:         crashed,
 		SkippedDevices:  rep.SkippedDevices,
 		PendingChannels: rep.PendingChannels,

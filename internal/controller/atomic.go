@@ -2,10 +2,8 @@ package controller
 
 import (
 	"fmt"
-	"sort"
 
 	"flexwan/internal/device"
-	"flexwan/internal/devmodel"
 	"flexwan/internal/plan"
 )
 
@@ -21,88 +19,48 @@ func (c *Controller) ApplyAtomic(res *plan.Result) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
-	// 1. Build the complete intended change set without touching state.
+	// 1. Claim and record the intended change set; a refusal below puts
+	// the sequence numbers, the passband intent and the pools back.
+	before := c.snapshotLocked()
+	chans, _, err := c.claimChannelsLocked(res.Wavelengths)
+	if err != nil {
+		c.seq = before.Seq
+		return err
+	}
+	rollback := func() {
+		for _, ch := range chans {
+			c.devmgr.ReleaseTransponder(ch.txA)
+			c.devmgr.ReleaseTransponder(ch.txB)
+		}
+		c.seq, c.wssConfig = before.Seq, before.WSSConfig
+	}
 	type edit struct {
 		deviceID string
 		cfg      interface{}
 	}
-	type chanRec struct {
-		name     string
-		w        plan.Wavelength
-		txA, txB string
-	}
 	var edits []edit
-	var chans []chanRec
-	var claims []string
-	releaseClaims := func() {
-		for _, id := range claims {
-			c.devmgr.ReleaseTransponder(id)
-		}
+	for _, ch := range chans {
+		cfg := transponderConfig(ch.w, ch.name)
+		edits = append(edits, edit{ch.txA, cfg}, edit{ch.txB, cfg})
+		c.addPassbandsLocked(ch.name, ch.w, nil)
 	}
-	seq := make(map[string]int, len(c.seq))
-	for k, v := range c.seq {
-		seq[k] = v
-	}
-	wssIntent := make(map[string]devmodel.WSSConfig, len(c.wssConfig))
-	for fiber, cfg := range c.wssConfig {
-		wssIntent[fiber] = devmodel.WSSConfig{
-			Passbands: append([]devmodel.Passband(nil), cfg.Passbands...),
-		}
-	}
-	for _, w := range res.Wavelengths {
-		seq[w.LinkID]++
-		name := fmt.Sprintf("%s:%d", w.LinkID, seq[w.LinkID])
-		txA, err := c.devmgr.ClaimTransponder(string(w.Path.Src()), name)
+	for _, fiber := range c.wssFibersLocked(nil) {
+		wssID, cfg, err := c.wssDocLocked(fiber)
 		if err != nil {
-			releaseClaims()
+			rollback()
 			return err
 		}
-		claims = append(claims, txA)
-		txB, err := c.devmgr.ClaimTransponder(string(w.Path.Dst()), name)
-		if err != nil {
-			releaseClaims()
-			return err
-		}
-		claims = append(claims, txB)
-		cfg := transponderConfig(w, name)
-		edits = append(edits, edit{txA, cfg}, edit{txB, cfg})
-		for _, fiber := range w.Path.Fibers {
-			wc := wssIntent[fiber]
-			wc.Passbands = append(wc.Passbands, devmodel.Passband{
-				Channel: name, Start: w.Interval.Start, Count: w.Interval.Count,
-			})
-			wssIntent[fiber] = wc
-		}
-		chans = append(chans, chanRec{name: name, w: w, txA: txA, txB: txB})
-	}
-	fibers := make([]string, 0, len(wssIntent))
-	for fiber := range wssIntent {
-		fibers = append(fibers, fiber)
-	}
-	sort.Strings(fibers)
-	for _, fiber := range fibers {
-		wssID, ok := c.devmgr.WSSForFiber(fiber)
-		if !ok {
-			releaseClaims()
-			return fmt.Errorf("controller: no WSS registered for fiber %s", fiber)
-		}
-		cfg := wssIntent[fiber]
-		sort.Slice(cfg.Passbands, func(i, j int) bool { return cfg.Passbands[i].Start < cfg.Passbands[j].Start })
-		wssIntent[fiber] = cfg
 		edits = append(edits, edit{wssID, cfg})
 	}
 
 	// 2. Stage everywhere; discard everything on the first rejection.
 	var staged []string
-	discard := func() {
-		for _, id := range staged {
-			_ = c.devmgr.Call(id, device.OpDiscard, nil, nil)
-		}
-	}
 	for _, e := range edits {
 		if err := c.devmgr.Call(e.deviceID, device.OpEditCandidate, e.cfg, nil); err != nil {
-			discard()
-			releaseClaims()
+			for _, id := range staged {
+				_ = c.devmgr.Call(id, device.OpDiscard, nil, nil)
+			}
+			rollback()
 			return fmt.Errorf("controller: %s rejected staged config: %w", e.deviceID, err)
 		}
 		staged = append(staged, e.deviceID)
@@ -118,13 +76,10 @@ func (c *Controller) ApplyAtomic(res *plan.Result) error {
 		}
 	}
 
-	// 4. Adopt the intended state.
-	c.seq = seq
-	c.wssConfig = wssIntent
+	// 4. Adopt the channels.
 	for _, ch := range chans {
 		c.channels[ch.name] = &channelState{wavelength: ch.w, txA: ch.txA, txB: ch.txB}
 	}
-	c.basePlan = res
 	c.logf("controller: atomically applied %d wavelengths (%d staged documents)",
 		len(res.Wavelengths), len(edits))
 	return commitErr

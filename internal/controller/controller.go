@@ -3,6 +3,7 @@ package controller
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -56,12 +57,8 @@ type Controller struct {
 	wssConfig map[string]devmodel.WSSConfig
 	// downFibers tracks fibers currently marked cut.
 	downFibers map[string]bool
-	// basePlan is the last applied planning result.
-	basePlan *plan.Result
 	// seq numbers channels per link.
 	seq map[string]int
-	// playbook holds precomputed restoration plans per fiber (§4.4).
-	playbook map[string]*restore.Result
 	// store, when non-nil, receives one immutable ConfigVersion per
 	// state-changing action (see store.go); actor names who drove it.
 	store ConfigStore
@@ -104,14 +101,9 @@ func (c *Controller) logf(format string, args ...interface{}) {
 // PlanNetwork runs the network planning module (Algorithm 1 heuristic)
 // against the global view and returns the result without applying it.
 func (c *Controller) PlanNetwork() (*plan.Result, error) {
-	p := plan.Problem{
-		Optical: c.cfg.Optical,
-		IP:      c.cfg.IP,
-		Catalog: c.cfg.Catalog,
-		Grid:    c.cfg.Grid,
-		K:       c.cfg.K,
-		Epsilon: c.cfg.Epsilon,
-	}
+	c.mu.Lock()
+	p := c.planProblemLocked(c.cfg.Optical, c.cfg.IP)
+	c.mu.Unlock()
 	res, err := plan.Solve(p)
 	if err != nil {
 		return nil, err
@@ -120,6 +112,20 @@ func (c *Controller) PlanNetwork() (*plan.Result, error) {
 		return nil, fmt.Errorf("controller: planning self-check failed: %w", err)
 	}
 	return res, nil
+}
+
+// planProblemLocked is the planning instance over the given layers with
+// the controller's catalog, grid, K and ε. Callers hold c.mu: evolution
+// replaces cfg.IP.
+func (c *Controller) planProblemLocked(optical *topology.Optical, ip *topology.IPTopology) plan.Problem {
+	return plan.Problem{
+		Optical: optical,
+		IP:      ip,
+		Catalog: c.cfg.Catalog,
+		Grid:    c.cfg.Grid,
+		K:       c.cfg.K,
+		Epsilon: c.cfg.Epsilon,
+	}
 }
 
 // Apply pushes a planning result to the hardware: for every wavelength it
@@ -134,97 +140,106 @@ func (c *Controller) Apply(res *plan.Result) error {
 	defer c.mu.Unlock()
 
 	// Phase 1 — claim hardware and build the complete per-device
-	// document set without touching the wire. Claims are all-or-nothing:
-	// an exhausted pool releases everything claimed here and changes no
-	// state.
-	type chanRec struct {
-		name     string
-		w        plan.Wavelength
-		txA, txB string
+	// document set without touching the wire.
+	chans, txPlan, err := c.claimChannelsLocked(res.Wavelengths)
+	if err != nil {
+		return err
 	}
-	var chans []chanRec
-	var claims []string
-	releaseClaims := func() {
-		for _, id := range claims {
-			c.devmgr.ReleaseTransponder(id)
-		}
+	// Phases 2 and 3 — the transponder push, then the WSS of every fiber.
+	if err := c.pushChannelsLocked(chans, txPlan, nil); err != nil {
+		return err
 	}
-	txPlan := newPushPlan()
-	for _, w := range res.Wavelengths {
-		c.seq[w.LinkID]++
-		channel := fmt.Sprintf("%s:%d", w.LinkID, c.seq[w.LinkID])
-		txA, err := c.devmgr.ClaimTransponder(string(w.Path.Src()), channel)
-		if err != nil {
-			releaseClaims()
-			return err
-		}
-		claims = append(claims, txA)
-		txB, err := c.devmgr.ClaimTransponder(string(w.Path.Dst()), channel)
-		if err != nil {
-			releaseClaims()
-			return err
-		}
-		claims = append(claims, txB)
-		cfg := transponderConfig(w, channel)
-		txPlan.add(txA, cfg, channel)
-		txPlan.add(txB, cfg, channel)
-		chans = append(chans, chanRec{name: channel, w: w, txA: txA, txB: txB})
-	}
-
-	// Phase 2 — concurrent transponder push. A channel with a failed
-	// endpoint is unwound: the endpoint that did take the enabled
-	// document is pushed a disable (best-effort — never leave a device
-	// lit on spectrum the controller does not track), and the pair goes
-	// back to the pool.
-	errs := c.executePush(txPlan)
-	var firstErr error
-	for _, rec := range chans {
-		errA, errB := errs[rec.txA], errs[rec.txB]
-		if errA == nil && errB == nil {
-			for _, fiber := range rec.w.Path.Fibers {
-				wc := c.wssConfig[fiber]
-				wc.Passbands = append(wc.Passbands, devmodel.Passband{
-					Channel: rec.name,
-					Start:   rec.w.Interval.Start,
-					Count:   rec.w.Interval.Count,
-				})
-				c.wssConfig[fiber] = wc
-			}
-			c.channels[rec.name] = &channelState{wavelength: rec.w, txA: rec.txA, txB: rec.txB}
-			continue
-		}
-		if firstErr == nil {
-			id, err := rec.txA, errA
-			if err == nil {
-				id, err = rec.txB, errB
-			}
-			firstErr = fmt.Errorf("controller: configuring %s for %s: %w", id, rec.name, err)
-		}
-		if errA == nil {
-			c.disableTransponder(rec.txA, rec.name)
-		}
-		if errB == nil {
-			c.disableTransponder(rec.txB, rec.name)
-		}
-		c.devmgr.ReleaseTransponder(rec.txA)
-		c.devmgr.ReleaseTransponder(rec.txB)
-	}
-
-	// Phase 3 — concurrent WSS push for every committed channel, so the
-	// surviving configuration is consistent end to end even when some
-	// channels were unwound.
-	if err := c.pushWSSLocked(); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	if firstErr != nil {
-		return firstErr
-	}
-	c.basePlan = res
 	c.logf("controller: applied plan with %d wavelengths over %d links",
 		len(res.Wavelengths), len(res.PerLink))
 	c.recordLocked("apply", fmt.Sprintf("applied plan: %d wavelengths over %d links",
 		len(res.Wavelengths), len(res.PerLink)))
 	return nil
+}
+
+// claimedChannel is a wavelength named as a channel and bound to the
+// transponder pair that will carry it.
+type claimedChannel struct {
+	name     string
+	w        plan.Wavelength
+	txA, txB string
+}
+
+// claimChannelsLocked names a channel for every wavelength (the link's
+// next "link:seq"), claims a transponder pair at its two ends and plans
+// the pair's configuration documents, in wavelength order. Claims are
+// all-or-nothing: an exhausted pool releases every transponder claimed
+// here (the sequence numbers stay spent). Callers hold c.mu.
+func (c *Controller) claimChannelsLocked(ws []plan.Wavelength) ([]claimedChannel, *pushPlan, error) {
+	chans := make([]claimedChannel, 0, len(ws))
+	txPlan := newPushPlan()
+	release := func() {
+		for _, ch := range chans {
+			c.devmgr.ReleaseTransponder(ch.txA)
+			c.devmgr.ReleaseTransponder(ch.txB)
+		}
+	}
+	for _, w := range ws {
+		c.seq[w.LinkID]++
+		name := fmt.Sprintf("%s:%d", w.LinkID, c.seq[w.LinkID])
+		txA, err := c.devmgr.ClaimTransponder(string(w.Path.Src()), name)
+		if err != nil {
+			release()
+			return nil, nil, err
+		}
+		txB, err := c.devmgr.ClaimTransponder(string(w.Path.Dst()), name)
+		if err != nil {
+			c.devmgr.ReleaseTransponder(txA)
+			release()
+			return nil, nil, err
+		}
+		cfg := transponderConfig(w, name)
+		txPlan.add(txA, cfg, name)
+		txPlan.add(txB, cfg, name)
+		chans = append(chans, claimedChannel{name: name, w: w, txA: txA, txB: txB})
+	}
+	return chans, txPlan, nil
+}
+
+// pushChannelsLocked pushes freshly claimed channels in two phases and
+// returns the first failure. Phase 2 is the concurrent transponder push.
+// A channel with a failed endpoint is unwound: the endpoint that did take
+// the enabled document is pushed a disable (best-effort — never leave a
+// device lit on spectrum the controller does not track), and the pair
+// goes back to the pool. Phase 3 is the concurrent WSS push for every
+// committed channel, so the surviving configuration is consistent end to
+// end even when some channels were unwound. With touched nil it pushes the
+// WSS of every fiber; otherwise it adds the fibers the committed channels
+// cross to touched and pushes only their WSSes. Callers hold c.mu.
+func (c *Controller) pushChannelsLocked(chans []claimedChannel, txPlan *pushPlan, touched map[string]bool) error {
+	errs := c.executePush(txPlan)
+	var firstErr error
+	for _, ch := range chans {
+		errA, errB := errs[ch.txA], errs[ch.txB]
+		if errA == nil && errB == nil {
+			c.addPassbandsLocked(ch.name, ch.w, touched)
+			c.channels[ch.name] = &channelState{wavelength: ch.w, txA: ch.txA, txB: ch.txB}
+			continue
+		}
+		if firstErr == nil {
+			id, err := ch.txA, errA
+			if err == nil {
+				id, err = ch.txB, errB
+			}
+			firstErr = fmt.Errorf("controller: configuring %s for %s: %w", id, ch.name, err)
+		}
+		if errA == nil {
+			c.disableTransponder(ch.txA, ch.name)
+		}
+		if errB == nil {
+			c.disableTransponder(ch.txB, ch.name)
+		}
+		c.devmgr.ReleaseTransponder(ch.txA)
+		c.devmgr.ReleaseTransponder(ch.txB)
+	}
+	if err := c.pushWSSLocked(touched); err != nil && firstErr == nil {
+		firstErr = err
+	}
+	return firstErr
 }
 
 // disableTransponder pushes a disable document to a transponder whose
@@ -252,12 +267,12 @@ func transponderConfig(w plan.Wavelength, channel string) devmodel.TransponderCo
 	}
 }
 
-// pushWSSLocked pushes every fiber's accumulated passband document to
-// its WSS, returning the first failure (remaining fibers are still
-// pushed). Callers hold c.mu.
-func (c *Controller) pushWSSLocked() error {
+// pushWSSLocked pushes the accumulated passband document of every fiber
+// in only (of every fiber, when only is nil) to its WSS, returning the
+// first failure (remaining fibers are still pushed). Callers hold c.mu.
+func (c *Controller) pushWSSLocked(only map[string]bool) error {
 	var firstErr error
-	_, err := c.pushWSSDegradedLocked(nil, func(wssID string, err error) {
+	_, err := c.pushWSSDegradedLocked(only, func(wssID string, err error) {
 		if firstErr == nil {
 			firstErr = fmt.Errorf("controller: configuring WSS %s: %w", wssID, err)
 		}
@@ -293,6 +308,20 @@ func (c *Controller) pushWSSDegradedLocked(only map[string]bool, skip func(devic
 // passband intent: the WSS of each fiber in only (of every fiber, when
 // only is nil) gets its fiber's full document. Callers hold c.mu.
 func (c *Controller) wssPlanLocked(only map[string]bool) (*pushPlan, error) {
+	plan := newPushPlan()
+	for _, fiber := range c.wssFibersLocked(only) {
+		wssID, cfg, err := c.wssDocLocked(fiber)
+		if err != nil {
+			return nil, err
+		}
+		plan.add(wssID, cfg, "")
+	}
+	return plan, nil
+}
+
+// wssFibersLocked lists, sorted, the fibers with a passband document that
+// are in only (every one, when only is nil). Callers hold c.mu.
+func (c *Controller) wssFibersLocked(only map[string]bool) []string {
 	fibers := make([]string, 0, len(c.wssConfig))
 	for f := range c.wssConfig {
 		if only == nil || only[f] {
@@ -300,17 +329,19 @@ func (c *Controller) wssPlanLocked(only map[string]bool) (*pushPlan, error) {
 		}
 	}
 	sort.Strings(fibers)
-	plan := newPushPlan()
-	for _, fiber := range fibers {
-		wssID, ok := c.devmgr.WSSForFiber(fiber)
-		if !ok {
-			return nil, fmt.Errorf("controller: no WSS registered for fiber %s", fiber)
-		}
-		cfg := c.wssConfig[fiber]
-		sort.Slice(cfg.Passbands, func(i, j int) bool { return cfg.Passbands[i].Start < cfg.Passbands[j].Start })
-		plan.add(wssID, cfg, "")
+	return fibers
+}
+
+// wssDocLocked returns the WSS of a fiber and the fiber's passband
+// document, passbands in spectrum order. Callers hold c.mu.
+func (c *Controller) wssDocLocked(fiber string) (string, devmodel.WSSConfig, error) {
+	wssID, ok := c.devmgr.WSSForFiber(fiber)
+	if !ok {
+		return "", devmodel.WSSConfig{}, fmt.Errorf("controller: no WSS registered for fiber %s", fiber)
 	}
-	return plan, nil
+	cfg := c.wssConfig[fiber]
+	sort.Slice(cfg.Passbands, func(i, j int) bool { return cfg.Passbands[i].Start < cfg.Passbands[j].Start })
+	return wssID, cfg, nil
 }
 
 // editConfig pushes one configuration document through the retrying,
@@ -543,9 +574,6 @@ type RestoreReport struct {
 	Event telemetry.Event
 	// Result is the restoration outcome; nil on fiber-restored events.
 	Result *restore.Result
-	// Playbook reports whether a precomputed plan short-circuited the
-	// live solve.
-	Playbook bool
 	// SolveTime and PushTime split the recovery latency into computing
 	// the restoration plan and pushing it to the hardware.
 	SolveTime time.Duration
@@ -585,15 +613,15 @@ func (c *Controller) HandleFiberCut(fiber string) (*restore.Result, error) {
 }
 
 // HandleFiberCutReport runs the optical restoration module for a
-// detected cut: it computes the restoration plan (playbook hit or live
-// solve), retunes the affected transponder pairs onto their new
-// paths/modes/spectrum, and updates the WSS passbands along both old and
-// new paths — only there: documents are absolute, so a WSS whose document
-// this handling did not change already holds it, and Repair, which pushes
-// the whole fleet, converges one that does not. The push is degraded-mode:
-// a device that stays unreachable through the retry policy is skipped and
-// reported rather than aborting the restoration of every other channel;
-// the controller still records the full intended state, so a later Repair
+// detected cut: it solves restoration against the live channels, retunes
+// the affected transponder pairs onto their new paths/modes/spectrum, and
+// updates the WSS passbands along both old and new paths — only there:
+// documents are absolute, so a WSS whose document this handling did not
+// change already holds it, and Repair, which pushes the whole fleet,
+// converges one that does not. The push is degraded-mode: a device that
+// stays unreachable through the retry policy is skipped and reported
+// rather than aborting the restoration of every other channel; the
+// controller still records the full intended state, so a later Repair
 // converges the skipped devices once they come back.
 func (c *Controller) HandleFiberCutReport(fiber string) (*RestoreReport, error) {
 	c.mu.Lock()
@@ -602,36 +630,16 @@ func (c *Controller) HandleFiberCutReport(fiber string) (*RestoreReport, error) 
 		return nil, fmt.Errorf("controller: fiber %s already marked down", fiber)
 	}
 	c.downFibers[fiber] = true
-	cut := make([]string, 0, len(c.downFibers))
-	for f := range c.downFibers {
-		cut = append(cut, f)
-	}
-	sort.Strings(cut)
+	cut := c.cutLocked()
 
 	rep := &RestoreReport{}
 	solveStart := time.Now()
-	if pre, ok := c.playbookEntryLocked(fiber); ok {
-		rep.Result = pre
-		rep.Playbook = true
-		c.logf("controller: applying precomputed restoration plan for %s", fiber)
-	} else {
-		base := c.currentPlanLocked()
-		live, err := restore.Solve(restore.Problem{
-			Optical:  c.cfg.Optical,
-			IP:       c.cfg.IP,
-			Catalog:  c.cfg.Catalog,
-			Grid:     c.cfg.Grid,
-			Base:     base,
-			Scenario: restore.Scenario{ID: "live-" + fiber, CutFibers: cut},
-			K:        c.cfg.K,
-		})
-		if err != nil {
-			return nil, err
-		}
-		rep.Result = live
+	res, err := restore.Solve(c.restoreProblemLocked(restore.Scenario{ID: "live-" + fiber, CutFibers: cut}))
+	if err != nil {
+		return nil, err
 	}
+	rep.Result = res
 	rep.SolveTime = time.Since(solveStart)
-	res := rep.Result
 
 	pushStart := time.Now()
 	skipped := make(map[string]bool)
@@ -654,19 +662,11 @@ func (c *Controller) HandleFiberCutReport(fiber string) (*RestoreReport, error) 
 	type hw struct{ txA, txB string }
 	spares := make(map[string][]hw) // linkID → freed transponder pairs
 	txPlan := newPushPlan()
-	off := devmodel.TransponderConfig{Enabled: false}
 	for _, name := range failedNames {
-		st := c.channels[name]
-		c.removePassbandsLocked(name, st.wavelength.Path.Fibers)
-		for _, f := range st.wavelength.Path.Fibers {
-			touched[f] = true
-		}
-		delete(c.channels, name)
-		spares[st.wavelength.LinkID] = append(spares[st.wavelength.LinkID], hw{st.txA, st.txB})
 		// Disable both ends; a dark transponder stops alarming. An
 		// unreachable end is already dark — it is skipped and reported.
-		txPlan.add(st.txA, off, "")
-		txPlan.add(st.txB, off, "")
+		st := c.teardownLocked(name, txPlan, touched)
+		spares[st.wavelength.LinkID] = append(spares[st.wavelength.LinkID], hw{st.txA, st.txB})
 	}
 
 	for _, r := range res.Restored {
@@ -689,14 +689,7 @@ func (c *Controller) HandleFiberCutReport(fiber string) (*RestoreReport, error) 
 		txPlan.add(pair.txB, cfg, channel)
 		// Record the full intent even when an endpoint ends up skipped:
 		// Repair re-pushes exactly this state once the device returns.
-		for _, f := range w.Path.Fibers {
-			wc := c.wssConfig[f]
-			wc.Passbands = append(wc.Passbands, devmodel.Passband{
-				Channel: channel, Start: w.Interval.Start, Count: w.Interval.Count,
-			})
-			c.wssConfig[f] = wc
-			touched[f] = true
-		}
+		c.addPassbandsLocked(channel, w, touched)
 		c.channels[channel] = &channelState{wavelength: w, txA: pair.txA, txB: pair.txB}
 	}
 	// Unused spares go back to the pool.
@@ -722,7 +715,6 @@ func (c *Controller) HandleFiberCutReport(fiber string) (*RestoreReport, error) 
 	rep.PushTxTime = time.Since(pushStart)
 
 	wssStart := time.Now()
-	var err error
 	if rep.PushWSSDevices, err = c.pushWSSDegradedLocked(touched, skip); err != nil {
 		return nil, err
 	}
@@ -773,9 +765,24 @@ func (c *Controller) failedChannelsLocked(cut []string) []string {
 	return out
 }
 
+// teardownLocked drops a live channel from the intent: its passband
+// leaves the document of every fiber it crossed (each marked in touched),
+// and both of its transponders get a disable document in txPlan. It
+// returns the channel's state; the caller decides what becomes of the
+// pair. Callers hold c.mu.
+func (c *Controller) teardownLocked(name string, txPlan *pushPlan, touched map[string]bool) *channelState {
+	st := c.channels[name]
+	c.removePassbandsLocked(name, st.wavelength.Path.Fibers, touched)
+	delete(c.channels, name)
+	off := devmodel.TransponderConfig{Enabled: false}
+	txPlan.add(st.txA, off, "")
+	txPlan.add(st.txB, off, "")
+	return st
+}
+
 // removePassbandsLocked strips the channel's passband from the given
-// fibers' accumulated configs.
-func (c *Controller) removePassbandsLocked(channel string, fibers []string) {
+// fibers' documents, marking each fiber in touched. Callers hold c.mu.
+func (c *Controller) removePassbandsLocked(channel string, fibers []string, touched map[string]bool) {
 	for _, f := range fibers {
 		wc := c.wssConfig[f]
 		kept := wc.Passbands[:0]
@@ -786,6 +793,49 @@ func (c *Controller) removePassbandsLocked(channel string, fibers []string) {
 		}
 		wc.Passbands = kept
 		c.wssConfig[f] = wc
+		touched[f] = true
+	}
+}
+
+// addPassbandsLocked records the channel's passband in the document of
+// every fiber on its path, marking each in touched when touched is not
+// nil. Callers hold c.mu.
+func (c *Controller) addPassbandsLocked(channel string, w plan.Wavelength, touched map[string]bool) {
+	for _, f := range w.Path.Fibers {
+		wc := c.wssConfig[f]
+		wc.Passbands = append(wc.Passbands, devmodel.Passband{
+			Channel: channel, Start: w.Interval.Start, Count: w.Interval.Count,
+		})
+		c.wssConfig[f] = wc
+		if touched != nil {
+			touched[f] = true
+		}
+	}
+}
+
+// cutLocked lists, sorted, the fibers marked down together with extra.
+// Callers hold c.mu.
+func (c *Controller) cutLocked(extra ...string) []string {
+	cut := make([]string, 0, len(c.downFibers)+len(extra))
+	for f := range c.downFibers {
+		cut = append(cut, f)
+	}
+	cut = append(cut, extra...)
+	sort.Strings(cut)
+	return slices.Compact(cut)
+}
+
+// restoreProblemLocked is the restoration instance for a scenario, solved
+// against a plan rebuilt from the live channels. Callers hold c.mu.
+func (c *Controller) restoreProblemLocked(sc restore.Scenario) restore.Problem {
+	return restore.Problem{
+		Optical:  c.cfg.Optical,
+		IP:       c.cfg.IP,
+		Catalog:  c.cfg.Catalog,
+		Grid:     c.cfg.Grid,
+		Base:     c.currentPlanLocked(),
+		Scenario: sc,
+		K:        c.cfg.K,
 	}
 }
 
@@ -837,32 +887,4 @@ func (c *Controller) WatchContext(ctx context.Context, events <-chan telemetry.E
 			}
 		}
 	}
-}
-
-// SetPlaybook installs precomputed restoration plans keyed by fiber ID —
-// §4.4's offline pre-computation ("the restoration plan for each fiber
-// cut scenario can be produced offline"). HandleFiberCut consults the
-// playbook before solving live: if an entry exists for the cut fiber and
-// the network still matches the state the plan was computed against (no
-// prior failures), it is applied directly, shaving the solver latency off
-// the recovery path.
-func (c *Controller) SetPlaybook(plans map[string]*restore.Result) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.playbook = plans
-}
-
-// playbookEntryLocked returns the precomputed plan for the fiber when it
-// is still applicable. Callers hold c.mu.
-func (c *Controller) playbookEntryLocked(fiber string) (*restore.Result, bool) {
-	if c.playbook == nil {
-		return nil, false
-	}
-	// A precomputed plan assumed the full pre-failure network; once any
-	// other fiber is already down, the live solver must run instead.
-	if len(c.downFibers) > 1 {
-		return nil, false
-	}
-	res, ok := c.playbook[fiber]
-	return res, ok
 }

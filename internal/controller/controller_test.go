@@ -2,6 +2,7 @@ package controller
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -30,12 +31,15 @@ type harness struct {
 	sources      []telemetry.Source
 }
 
-// ringFibers is the Fig. 4 ring: A–B direct plus a longer detour via C.
-var ringFibers = []struct {
+// fiberSpec is one fiber of a harness topology.
+type fiberSpec struct {
 	id   string
 	a, b topology.NodeID
 	l    float64
-}{
+}
+
+// ringFibers is the Fig. 4 ring: A–B direct plus a longer detour via C.
+var ringFibers = []fiberSpec{
 	{"f1", "A", "B", 600},
 	{"f2", "A", "C", 500},
 	{"f3", "C", "B", 700},
@@ -45,6 +49,14 @@ var ringFibers = []struct {
 // pixel-wise WSS plus one amplifier per fiber.
 func newHarness(t *testing.T, nTx int, demands ...topology.IPLink) *harness {
 	t.Helper()
+	return newFleet(t, ringFibers, spectrum.DefaultGrid(), nTx, demands...)
+}
+
+// newFleet builds a harness over the given fibers and grid: nTx
+// transponders per site, sites in order of first appearance, and one
+// pixel-wise WSS plus one amplifier per fiber.
+func newFleet(t *testing.T, fibers []fiberSpec, grid spectrum.Grid, nTx int, demands ...topology.IPLink) *harness {
+	t.Helper()
 	h := &harness{
 		fabric:       device.NewFabric(phy.DefaultLink()),
 		optical:      topology.New(),
@@ -52,8 +64,13 @@ func newHarness(t *testing.T, nTx int, demands ...topology.IPLink) *harness {
 		transponders: make(map[string]*device.Transponder),
 		wss:          make(map[string]*device.WSS),
 	}
-	grid := spectrum.DefaultGrid()
-	for _, f := range ringFibers {
+	var sites []topology.NodeID
+	for _, f := range fibers {
+		for _, n := range []topology.NodeID{f.a, f.b} {
+			if !slices.Contains(sites, n) {
+				sites = append(sites, n)
+			}
+		}
 		if err := h.optical.AddFiber(f.id, f.a, f.b, f.l); err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +117,7 @@ func newHarness(t *testing.T, nTx int, demands ...topology.IPLink) *harness {
 		h.sources = append(h.sources, telemetry.Source{Desc: desc, Client: c})
 	}
 
-	for _, site := range []topology.NodeID{"A", "B", "C"} {
+	for _, site := range sites {
 		for i := 0; i < nTx; i++ {
 			desc := devmodel.Descriptor{
 				ID: fmt.Sprintf("tx-%s-%d", site, i), Class: devmodel.ClassTransponder,
@@ -111,7 +128,7 @@ func newHarness(t *testing.T, nTx int, demands ...topology.IPLink) *harness {
 			register(desc, tr.Start, tr.Close)
 		}
 	}
-	for _, f := range ringFibers {
+	for _, f := range fibers {
 		desc := devmodel.Descriptor{
 			ID: "wss-" + f.id, Class: devmodel.ClassWSS,
 			Vendor: "vendorB", Address: "pending", Site: string(f.a), Fiber: f.id,
@@ -349,6 +366,22 @@ func TestControllerConfigValidation(t *testing.T) {
 	}
 }
 
+// TestNewValidation checks that New refuses a config missing either
+// topology layer, each on its own, while a complete one is accepted.
+func TestNewValidation(t *testing.T) {
+	g := topology.New()
+	ip := &topology.IPTopology{}
+	if _, err := New(Config{IP: ip, Catalog: transponder.SVT(), Grid: spectrum.DefaultGrid()}); err == nil {
+		t.Error("nil optical topology accepted")
+	}
+	if _, err := New(Config{Optical: g, Catalog: transponder.SVT(), Grid: spectrum.DefaultGrid()}); err == nil {
+		t.Error("nil IP topology accepted")
+	}
+	if _, err := New(Config{Optical: g, IP: ip, Catalog: transponder.SVT(), Grid: spectrum.DefaultGrid()}); err != nil {
+		t.Errorf("complete config refused: %v", err)
+	}
+}
+
 func TestWatchDrivesRestoration(t *testing.T) {
 	h := newHarness(t, 3, topology.IPLink{ID: "e1", A: "A", B: "B", DemandGbps: 400})
 	res, err := h.ctrl.PlanNetwork()
@@ -411,11 +444,32 @@ func TestConcurrentReadsDuringRestoration(t *testing.T) {
 						t.Errorf("audit: %v", err)
 						return
 					}
+					if _, err := h.ctrl.PlanNetwork(); err != nil {
+						t.Errorf("plan: %v", err)
+						return
+					}
+					if _, err := h.ctrl.Utilization(); err != nil {
+						t.Errorf("utilization: %v", err)
+						return
+					}
+					if _, err := h.ctrl.WhatIfCut("f2"); err != nil {
+						t.Errorf("what-if: %v", err)
+						return
+					}
 				}
 			}
 		}()
 	}
 	if _, err := h.ctrl.HandleFiberCut("f1"); err != nil {
+		t.Error(err)
+	}
+	if _, err := h.ctrl.GrowDemand("e1", 400); err != nil {
+		t.Error(err)
+	}
+	if _, err := h.ctrl.AddLink(topology.IPLink{ID: "e2", A: "A", B: "C", DemandGbps: 100}); err != nil {
+		t.Error(err)
+	}
+	if _, err := h.ctrl.RemoveLink("e2"); err != nil {
 		t.Error(err)
 	}
 	close(stop)
@@ -426,63 +480,6 @@ func TestConcurrentReadsDuringRestoration(t *testing.T) {
 	}
 	if !report.Clean() {
 		t.Errorf("final audit dirty: %+v", report)
-	}
-}
-
-func TestPlaybookUsedForFirstFailure(t *testing.T) {
-	h := newHarness(t, 3, topology.IPLink{ID: "e1", A: "A", B: "B", DemandGbps: 400})
-	res, err := h.ctrl.PlanNetwork()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h.ctrl.Apply(res); err != nil {
-		t.Fatal(err)
-	}
-	// Precompute the f1 plan offline, as §4.4 prescribes.
-	pre, err := restore.Solve(restore.Problem{
-		Optical: h.optical, IP: h.ip, Catalog: transponder.SVT(),
-		Grid: h.ctrl.cfg.Grid, Base: res,
-		Scenario: restore.Scenario{ID: "pre-f1", CutFibers: []string{"f1"}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.ctrl.SetPlaybook(map[string]*restore.Result{"f1": pre})
-
-	got, err := h.ctrl.HandleFiberCut("f1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != pre {
-		t.Error("controller did not use the precomputed plan")
-	}
-	report, err := h.ctrl.Audit()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !report.Clean() {
-		t.Errorf("audit after playbook restoration: %+v", report)
-	}
-	if h.ctrl.LiveCapacityGbps()["e1"] != 400 {
-		t.Errorf("capacity = %d", h.ctrl.LiveCapacityGbps()["e1"])
-	}
-	// Second failure (f2) must NOT use any playbook entry: the network
-	// state has diverged from the pre-failure assumption.
-	pre2, err := restore.Solve(restore.Problem{
-		Optical: h.optical, IP: h.ip, Catalog: transponder.SVT(),
-		Grid: h.ctrl.cfg.Grid, Base: res,
-		Scenario: restore.Scenario{ID: "pre-f2", CutFibers: []string{"f2"}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.ctrl.SetPlaybook(map[string]*restore.Result{"f2": pre2})
-	got2, err := h.ctrl.HandleFiberCut("f2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got2 == pre2 {
-		t.Error("stale playbook entry used after a prior failure")
 	}
 }
 

@@ -150,7 +150,7 @@ func (c *Controller) Repair() ([]string, error) {
 			return before.Inconsistencies, fmt.Errorf("controller: repairing %s: %w", id, errs[id])
 		}
 	}
-	err = c.pushWSSLocked()
+	err = c.pushWSSLocked(nil)
 	c.mu.Unlock()
 	if err != nil {
 		return before.Inconsistencies, err

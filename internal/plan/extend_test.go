@@ -9,7 +9,7 @@ import (
 	"flexwan/internal/transponder"
 )
 
-func basePlan(t *testing.T, demand int) (Problem, *Result) {
+func solvedBase(t *testing.T, demand int) (Problem, *Result) {
 	t.Helper()
 	p := Problem{
 		Optical: lineTopology(t),
@@ -25,7 +25,7 @@ func basePlan(t *testing.T, demand int) (Problem, *Result) {
 }
 
 func TestExtendAddsCapacity(t *testing.T) {
-	p, r := basePlan(t, 400)
+	p, r := solvedBase(t, 400)
 	before := r.Transponders()
 	beforeIntervals := map[spectrum.Interval]bool{}
 	for _, w := range r.Wavelengths {
@@ -72,7 +72,7 @@ func TestExtendAddsCapacity(t *testing.T) {
 }
 
 func TestExtendNewLink(t *testing.T) {
-	p, r := basePlan(t, 400)
+	p, r := solvedBase(t, 400)
 	// Grow the IP topology with a link the base plan never saw.
 	p.IP = ipLinks(t,
 		topology.IPLink{ID: "e1", A: "A", B: "B", DemandGbps: 400},
@@ -91,7 +91,7 @@ func TestExtendNewLink(t *testing.T) {
 }
 
 func TestExtendValidation(t *testing.T) {
-	p, r := basePlan(t, 400)
+	p, r := solvedBase(t, 400)
 	if _, err := Extend(p, r, "e1", 0); err == nil {
 		t.Error("zero addition accepted")
 	}
@@ -135,7 +135,7 @@ func TestExtendSpectrumExhaustion(t *testing.T) {
 }
 
 func TestDecommission(t *testing.T) {
-	p, r := basePlan(t, 1600)
+	p, r := solvedBase(t, 1600)
 	used := r.Allocator.UsedPixels()
 	if used == 0 {
 		t.Fatal("no pixels used by base plan")
@@ -163,7 +163,7 @@ func TestDecommission(t *testing.T) {
 }
 
 func TestDecommissionUnknownLinkNoOp(t *testing.T) {
-	_, r := basePlan(t, 400)
+	_, r := solvedBase(t, 400)
 	freed, err := Decommission(r, "ghost")
 	if err != nil || freed != 0 {
 		t.Errorf("Decommission(ghost) = %d, %v", freed, err)

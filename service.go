@@ -3,25 +3,10 @@ package flexwan
 import (
 	"flexwan/internal/api"
 	"flexwan/internal/controller"
-	"flexwan/internal/core"
 	"flexwan/internal/devmodel"
 	"flexwan/internal/restore"
 	"flexwan/internal/traffic"
 )
-
-// Service layer (internal/core): the long-lived backbone state machine
-// for incremental operations (§9 smooth evolution).
-type (
-	// Backbone owns topologies, live wavelengths and spectrum state.
-	Backbone = core.Backbone
-	// BackboneConfig assembles a backbone.
-	BackboneConfig = core.Config
-	// FiberUtilization is one fiber's occupancy report.
-	FiberUtilization = core.FiberUtilization
-)
-
-// NewBackbone validates a configuration and returns an unplanned backbone.
-var NewBackbone = core.New
 
 // Controller replication (§4.4 fault tolerance) and repair (§9
 // zero-touch misconnection recovery).

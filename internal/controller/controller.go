@@ -546,7 +546,7 @@ func (c *Controller) Audit() (AuditReport, error) {
 func (c *Controller) currentPlanLocked() *plan.Result {
 	res := &plan.Result{
 		PerLink:   make(map[string]plan.LinkPlan),
-		Allocator: spectrum.NewAllocator(c.cfg.Grid),
+		Allocator: spectrum.NewAllocatorOn(c.cfg.Grid, c.cfg.Optical.Numbering()),
 	}
 	names := make([]string, 0, len(c.channels))
 	for name := range c.channels {

@@ -196,10 +196,8 @@ func (c *Controller) Utilization() ([]FiberUtilization, error) {
 // places new wavelengths around. Callers hold c.mu.
 func (c *Controller) occupiedPlanLocked() (*plan.Result, error) {
 	res := c.currentPlanLocked()
-	var path []spectrum.FiberID
 	for _, w := range res.Wavelengths {
-		path = spectrum.FiberIDs(path, w.Path.Fibers)
-		if err := res.Allocator.AllocateExact(path, w.Interval); err != nil {
+		if err := res.Allocator.AllocatePath(w.Path, w.Interval); err != nil {
 			return nil, fmt.Errorf("controller: replaying live %s channel at %v: %w", w.LinkID, w.Interval, err)
 		}
 	}

@@ -89,6 +89,14 @@ func (c *Controller) LoadSnapshot(s Snapshot) error {
 		if ch.Wavelength.Path == nil || ch.Wavelength.Mode == nil {
 			return fmt.Errorf("controller: snapshot channel %s has no path or mode", name)
 		}
+		// A decoded path knows its fibers by ID only: number a copy in this
+		// controller's topology, so that replaying it claims by index.
+		if num := c.cfg.Optical.Numbering(); ch.Wavelength.Path.Numbering != num {
+			path := *ch.Wavelength.Path
+			if c.cfg.Optical.Resolve(&path) {
+				ch.Wavelength.Path = &path
+			}
+		}
 		for _, tx := range []string{ch.TxA, ch.TxB} {
 			if err := c.devmgr.ClaimSpecific(tx, name); err != nil {
 				return fmt.Errorf("controller: reclaiming %s for %s: %w", tx, name, err)

@@ -2,11 +2,13 @@ package controller
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
 	"flexwan/internal/devmodel"
 	"flexwan/internal/netconf"
+	"flexwan/internal/restore"
 	"flexwan/internal/topology"
 	"flexwan/internal/transponder"
 )
@@ -221,5 +223,78 @@ func TestClaimSpecific(t *testing.T) {
 	}
 	if n := dm.FreeTransponders("A"); n != 1 {
 		t.Errorf("free at A = %d, want 1", n)
+	}
+}
+
+// A decoded snapshot's paths know their fibers by ID only. A standby whose
+// topology numbers the fibers in another order numbers them again as it
+// loads the snapshot, and then restores the same intervals as the primary.
+func TestSnapshotPathsRenumberedOnStandby(t *testing.T) {
+	h := newHarness(t, 3, topology.IPLink{ID: "e1", A: "A", B: "B", DemandGbps: 800})
+	res, err := h.ctrl.PlanNetwork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.ctrl.Apply(res); err != nil {
+		t.Fatal(err)
+	}
+	data, err := MarshalSnapshot(h.ctrl.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := UnmarshalSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fibers := h.optical.Fibers()
+	reversed := topology.New()
+	for i := len(fibers) - 1; i >= 0; i-- {
+		f := fibers[i]
+		if err := reversed.AddFiber(f.ID, f.A, f.B, f.LengthKm); err != nil {
+			t.Fatal(err)
+		}
+	}
+	standby, err := New(Config{Optical: reversed, IP: h.ip, Catalog: transponder.SVT(), Grid: h.ctrl.cfg.Grid, K: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer standby.Close()
+	for _, src := range h.sources {
+		if err := standby.DevMgr().Register(src.Desc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := standby.LoadSnapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	num := reversed.Numbering()
+	for name, st := range standby.channels {
+		p := st.wavelength.Path
+		if p.Numbering != num || len(p.Index) != len(p.Fibers) {
+			t.Fatalf("channel %s: path not numbered by the standby's topology", name)
+		}
+		for i, n := range p.Index {
+			if num.ID(n) != p.Fibers[i] {
+				t.Fatalf("channel %s: hop %d is %s, numbered as %s", name, i, p.Fibers[i], num.ID(n))
+			}
+		}
+	}
+	render := func(r *restore.Result) string {
+		var b strings.Builder
+		for _, w := range r.Restored {
+			fmt.Fprintf(&b, "%s %v %v %v %v\n", w.LinkID, w.Original.Interval, w.Path.Fibers, *w.Mode, w.Interval)
+		}
+		return b.String()
+	}
+	want, err := h.ctrl.WhatIfCut("f1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := standby.WhatIfCut("f1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Restored) == 0 || render(got) != render(want) {
+		t.Errorf("standby restores\n%s; primary\n%s", render(got), render(want))
 	}
 }

@@ -3,8 +3,6 @@ package plan
 import (
 	"fmt"
 	"sort"
-
-	"flexwan/internal/spectrum"
 )
 
 // Defragment compacts the plan's spectrum: each wavelength is re-placed
@@ -39,21 +37,20 @@ func Defragment(p Problem, r *Result) (int, error) {
 		movedThisPass := 0
 		for _, i := range order {
 			w := r.Wavelengths[i]
-			fibers := spectrum.FiberIDs(nil, w.Path.Fibers)
 			// Make-before-break needs the new interval to be free while
 			// the old one is still held; Find naturally excludes the
 			// channel's own pixels, so only strictly disjoint, lower
 			// placements are candidates.
-			target, err := r.Allocator.Find(fibers, w.Interval.Count, p.Fit)
+			target, err := r.Allocator.FindPath(w.Path, w.Interval.Count, p.Fit)
 			if err != nil || target.Start >= w.Interval.Start {
 				continue
 			}
-			if err := r.Allocator.AllocateExact(fibers, target); err != nil {
+			if err := r.Allocator.AllocatePath(w.Path, target); err != nil {
 				continue // raced by an earlier move in this pass
 			}
-			if err := r.Allocator.Release(allocationOf(w)); err != nil {
+			if err := r.Allocator.ReleasePath(w.Path, w.Interval); err != nil {
 				// Undo the make half; state stays as before.
-				_ = r.Allocator.Release(spectrum.Allocation{Fibers: fibers, Interval: target})
+				_ = r.Allocator.ReleasePath(w.Path, target)
 				return moves, fmt.Errorf("plan: defragment break failed: %w", err)
 			}
 			r.Wavelengths[i].Interval = target

@@ -299,7 +299,7 @@ func SolveExact(p Problem, opts solver.Options) (*Result, error) {
 	res := &Result{
 		PerLink:   make(map[string]LinkPlan, len(p.IP.Links)),
 		Paths:     paths,
-		Allocator: spectrum.NewAllocator(p.Grid),
+		Allocator: spectrum.NewAllocatorOn(p.Grid, p.Optical.Numbering()),
 		Solver:    NewSolveStats(sol),
 	}
 	for _, l := range p.IP.Links {
@@ -329,7 +329,7 @@ func SolveExact(p Problem, opts solver.Options) (*Result, error) {
 					continue
 				}
 				iv := spectrum.Interval{Start: q, Count: cl.pixels}
-				if err := res.Allocator.AllocateExact(spectrum.FiberIDs(nil, lp.path.Fibers), iv); err != nil {
+				if err := res.Allocator.AllocatePath(lp.path, iv); err != nil {
 					return nil, fmt.Errorf("plan: MIP solution violates spectrum constraints: %w", err)
 				}
 				res.Wavelengths = append(res.Wavelengths, Wavelength{

@@ -5,14 +5,8 @@ import (
 	"slices"
 	"sort"
 
-	"flexwan/internal/spectrum"
 	"flexwan/internal/topology"
 )
-
-// allocationOf rebuilds the spectrum allocation record of a wavelength.
-func allocationOf(w Wavelength) spectrum.Allocation {
-	return spectrum.Allocation{Fibers: spectrum.FiberIDs(nil, w.Path.Fibers), Interval: w.Interval}
-}
 
 // Extend provisions additional capacity for one IP link on top of an
 // existing plan, without disturbing any provisioned wavelength: the
@@ -119,7 +113,7 @@ func Decommission(r *Result, linkID string) (int, error) {
 			kept = append(kept, w)
 			continue
 		}
-		if err = r.Allocator.Release(allocationOf(w)); err != nil {
+		if err = r.Allocator.ReleasePath(w.Path, w.Interval); err != nil {
 			err = fmt.Errorf("plan: releasing wavelength %d (%s, %v at %v): %w", i, linkID, w.Mode, w.Interval, err)
 			kept = append(kept, r.Wavelengths[i:]...)
 			break

@@ -235,6 +235,15 @@ func TestDecommissionFailsMidwayConsistently(t *testing.T) {
 	}
 }
 
+// allocationOf is a wavelength's allocation record, its fibers by ID.
+func allocationOf(w Wavelength) spectrum.Allocation {
+	al := spectrum.Allocation{Interval: w.Interval}
+	for _, f := range w.Path.Fibers {
+		al.Fibers = append(al.Fibers, spectrum.FiberID(f))
+	}
+	return al
+}
+
 func allAllocations(r *Result) []spectrum.Allocation {
 	out := make([]spectrum.Allocation, len(r.Wavelengths))
 	for i, w := range r.Wavelengths {

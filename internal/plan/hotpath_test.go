@@ -52,8 +52,8 @@ func TestDistinctModeWalkMatchesExpandedWalk(t *testing.T) {
 }
 
 // A planned result is read concurrently (the service's plan cache hands
-// one *Result to every restore job on that key): Find, FiberMap and Verify
-// on a shared result must not write. Run under -race.
+// one *Result to every restore job on that key): Find, FindPath, HoldsPath,
+// FiberMap and Verify on a shared result must not write. Run under -race.
 func TestResultConcurrentReaders(t *testing.T) {
 	g, ip := randomNetwork(rand.New(rand.NewSource(7)))
 	p := Problem{Optical: g, IP: ip, Catalog: transponder.SVT(), Grid: spectrum.DefaultGrid()}
@@ -80,6 +80,13 @@ func TestResultConcurrentReaders(t *testing.T) {
 					}
 					_, _ = res.Allocator.Find(path, 4, spectrum.BestFit)
 					_ = res.Allocator.FiberMap(path[0]).FreePixels()
+				}
+				for _, w := range res.Wavelengths {
+					if err := res.Allocator.HoldsPath(w.Path, w.Interval); err != nil {
+						t.Errorf("HoldsPath: %v", err)
+						return
+					}
+					_, _ = res.Allocator.FindPath(w.Path, w.Interval.Count, spectrum.FirstFit)
 				}
 			}
 		}()

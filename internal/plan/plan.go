@@ -189,7 +189,7 @@ func Solve(p Problem) (*Result, error) {
 	res := &Result{
 		PerLink:   make(map[string]LinkPlan, len(p.IP.Links)),
 		Paths:     paths,
-		Allocator: spectrum.NewAllocator(p.Grid),
+		Allocator: spectrum.NewAllocatorOn(p.Grid, p.Optical.Numbering()),
 	}
 
 	// Each link with what ordering and placing it read, resolved once.
@@ -247,22 +247,20 @@ func Solve(p Problem) (*Result, error) {
 // placer provisions wavelengths link by link for one Solve or Extend
 // call. It holds what the call's links share — the provision table and the
 // scratch — and, for the link it is turned to, the candidate paths with
-// their allocator keys and reach classes.
+// their reach classes.
 type placer struct {
 	p          Problem
 	res        *Result
 	provisions *transponder.ProvisionTable
 	linkID     string
 	paths      []candidate
-	fibers     []spectrum.FiberID  // what the candidates' keys are cut from
 	prefer     []*transponder.Mode // placeOne's scratch
 }
 
 // candidate is one of a link's candidate paths.
 type candidate struct {
-	path   *topology.Path // into the result's Paths
-	fibers []spectrum.FiberID
-	class  *transponder.ReachClass // nil when no mode reaches
+	path  *topology.Path          // into the result's Paths
+	class *transponder.ReachClass // nil when no mode reaches
 }
 
 func newPlacer(p Problem, res *Result) *placer {
@@ -273,14 +271,9 @@ func newPlacer(p Problem, res *Result) *placer {
 // result's Paths[linkID], which the wavelengths placed will point into; the
 // previous link's candidates are overwritten.
 func (pl *placer) link(linkID string, paths []topology.Path) {
-	pl.linkID, pl.paths, pl.fibers = linkID, pl.paths[:0], pl.fibers[:0]
+	pl.linkID, pl.paths = linkID, pl.paths[:0]
 	for i := range paths {
-		path := &paths[i]
-		from := len(pl.fibers)
-		for _, f := range path.Fibers {
-			pl.fibers = append(pl.fibers, spectrum.FiberID(f))
-		}
-		pl.paths = append(pl.paths, candidate{path: path, fibers: pl.fibers[from:], class: pl.provisions.Class(path.LengthKm)})
+		pl.paths = append(pl.paths, candidate{path: &paths[i], class: pl.provisions.Class(paths[i].LengthKm)})
 	}
 }
 
@@ -323,7 +316,7 @@ func (pl *placer) tryAllocate(pathIndex int, mode *transponder.Mode) (Wavelength
 		return Wavelength{}, false
 	}
 	c := &pl.paths[pathIndex]
-	iv, err := pl.res.Allocator.Claim(c.fibers, pixels, pl.p.Fit)
+	iv, err := pl.res.Allocator.ClaimPath(c.path, pixels, pl.p.Fit)
 	if err != nil {
 		return Wavelength{}, false
 	}
@@ -373,13 +366,21 @@ func Verify(p Problem, r *Result) error {
 				i, w.Interval, w.Mode.SpacingGHz)
 		}
 	}
-	// Conflict (3) and consistency (4): rebuild occupancy and compare.
-	allocs := make([]spectrum.Allocation, len(r.Wavelengths))
-	for i, w := range r.Wavelengths {
-		allocs[i] = spectrum.Allocation{Fibers: spectrum.FiberIDs(nil, w.Path.Fibers), Interval: w.Interval}
-	}
-	if err := r.Allocator.Verify(allocs); err != nil {
-		return fmt.Errorf("plan: %w", err)
+	// Conflict (3) and consistency (4): every wavelength's pixels are held
+	// on its fibers, and claiming the wavelengths one by one on an empty
+	// allocator finds no pixel claimed twice.
+	claimed := spectrum.NewAllocatorOn(r.Allocator.Grid(), r.Allocator.Numbering())
+	for i := range r.Wavelengths {
+		w := &r.Wavelengths[i]
+		if len(w.Path.Fibers) == 0 {
+			continue
+		}
+		if err := r.Allocator.HoldsPath(w.Path, w.Interval); err != nil {
+			return fmt.Errorf("plan: wavelength %d not marked used: %w", i, err)
+		}
+		if err := claimed.AllocatePath(w.Path, w.Interval); err != nil {
+			return fmt.Errorf("plan: wavelength %d claims pixels an earlier one holds: %w", i, err)
+		}
 	}
 	// Capacity (1).
 	unserved := make(map[string]bool, len(r.Unserved))

@@ -189,11 +189,7 @@ func SolveExact(p Problem, opts solver.Options) (*Result, error) {
 			continue
 		}
 		iv := spectrum.Interval{Start: g.startQ, Count: g.pixels}
-		fibers := make([]spectrum.FiberID, len(g.path.Fibers))
-		for i, f := range g.path.Fibers {
-			fibers[i] = spectrum.FiberID(f)
-		}
-		if err := alloc.AllocateExact(fibers, iv); err != nil {
+		if err := alloc.AllocatePath(g.path, iv); err != nil {
 			return nil, fmt.Errorf("restore: MIP solution violates spectrum constraints: %w", err)
 		}
 		r := Restored{LinkID: g.linkID, Path: g.path, Mode: g.mode, Interval: iv}

@@ -44,12 +44,21 @@ func survivorAllocator(grid spectrum.Grid, base *plan.Result, failed []int) (*sp
 			continue
 		}
 		w := &base.Wavelengths[i]
-		fibers = spectrum.FiberIDs(fibers, w.Path.Fibers)
+		fibers = fiberIDs(fibers, w.Path.Fibers)
 		if err := a.AllocateExact(fibers, w.Interval); err != nil {
 			return nil, fmt.Errorf("restore: base plan inconsistent: %w", err)
 		}
 	}
 	return a, nil
+}
+
+// fiberIDs appends the fibers named to buf[:0] as allocator keys.
+func fiberIDs(buf []spectrum.FiberID, names []string) []spectrum.FiberID {
+	buf = buf[:0]
+	for _, name := range names {
+		buf = append(buf, spectrum.FiberID(name))
+	}
+	return buf
 }
 
 // linkEnds returns the sites an IP link connects.
@@ -154,7 +163,7 @@ func replayRestoreOne(p Problem, alloc *spectrum.Allocator, linkID string, cands
 	for i := range cands {
 		c := &cands[i]
 		if c.fibers == nil {
-			c.fibers = spectrum.FiberIDs(nil, c.path.Fibers)
+			c.fibers = fiberIDs(nil, c.path.Fibers)
 			c.modes = p.Catalog.FeasibleModes(c.path.LengthKm)
 			sort.SliceStable(c.modes, func(i, j int) bool {
 				if c.modes[i].DataRateGbps != c.modes[j].DataRateGbps {

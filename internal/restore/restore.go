@@ -167,15 +167,22 @@ type baseState struct {
 	// in preference order. The table fills in as lengths are asked.
 	mu      sync.Mutex
 	classes *transponder.ProvisionTable
+
+	// forks holds the allocators of scenarios that have been solved, for
+	// the next scenario to fork the occupancy into.
+	forks sync.Pool
 }
 
 func newBaseState(p Problem) (*baseState, error) {
 	if p.Base == nil {
 		return nil, fmt.Errorf("restore: nil base plan")
 	}
+	if p.Optical == nil {
+		return nil, fmt.Errorf("restore: nil optical topology")
+	}
 	st := &baseState{
 		p:         p,
-		occupancy: spectrum.NewAllocator(p.Grid),
+		occupancy: spectrum.NewAllocatorOn(p.Grid, p.Optical.Numbering()),
 		fiberNum:  make(map[string]int32, p.Optical.NumFibers()),
 		classes:   transponder.NewProvisionTable(p.Catalog),
 	}
@@ -184,14 +191,12 @@ func newBaseState(p Problem) (*baseState, error) {
 		nhops += len(p.Base.Wavelengths[i].Path.Fibers)
 	}
 	var (
-		fibers []spectrum.FiberID
-		hops   = make([]int32, 0, nhops) // every wavelength's fibers in turn, by number
-		count  []int32                   // wavelengths per fiber
+		hops  = make([]int32, 0, nhops) // every wavelength's fibers in turn, by number
+		count []int32                   // wavelengths per fiber
 	)
 	for i := range p.Base.Wavelengths {
 		w := &p.Base.Wavelengths[i]
-		fibers = spectrum.FiberIDs(fibers, w.Path.Fibers)
-		if err := st.occupancy.AllocateExact(fibers, w.Interval); err != nil {
+		if err := st.occupancy.AllocatePath(w.Path, w.Interval); err != nil {
 			return nil, fmt.Errorf("restore: base plan inconsistent: %w", err)
 		}
 		for _, f := range w.Path.Fibers {
@@ -260,13 +265,12 @@ func (st *baseState) cut(sc Scenario, consume bool) (failed []int, alloc *spectr
 	}
 	alloc = st.occupancy
 	if !consume {
-		alloc = alloc.Fork()
+		spare, _ := st.forks.Get().(*spectrum.Allocator)
+		alloc = alloc.ForkInto(spare)
 	}
-	var fibers []spectrum.FiberID
 	for _, i := range failed {
 		w := &st.p.Base.Wavelengths[i]
-		fibers = spectrum.FiberIDs(fibers, w.Path.Fibers)
-		if err := alloc.Release(spectrum.Allocation{Fibers: fibers, Interval: w.Interval}); err != nil {
+		if err := alloc.ReleasePath(w.Path, w.Interval); err != nil {
 			return nil, nil, fmt.Errorf("restore: releasing failed wavelength %d: %w", i, err)
 		}
 	}
@@ -314,6 +318,9 @@ func (st *baseState) solve(sc Scenario, consume bool) (*Result, error) {
 	failed, alloc, err := st.cut(sc, consume)
 	if err != nil {
 		return nil, err
+	}
+	if alloc != nil && !consume {
+		defer st.forks.Put(alloc) // the result refers to none of it
 	}
 	res := &Result{
 		Scenario: sc,
@@ -394,13 +401,12 @@ func (st *baseState) solve(sc Scenario, consume bool) (*Result, error) {
 	return res, nil
 }
 
-// candidate is one restoration path of a link with what every wavelength
-// tried on it needs, filled in the first time it is tried: its allocator
-// keys, and the catalog's feasible modes in preference order.
+// candidate is one restoration path of a link with the catalog's feasible
+// modes on it in preference order, looked up the first time it is tried.
 type candidate struct {
-	path   *topology.Path
-	fibers []spectrum.FiberID
-	class  *transponder.ReachClass // nil when no mode reaches
+	path    *topology.Path
+	class   *transponder.ReachClass // nil when no mode reaches
+	classed bool                    // class has been looked up
 }
 
 // restoreOne places a single restored wavelength for a link, trying
@@ -410,9 +416,8 @@ func (st *baseState) restoreOne(alloc *spectrum.Allocator, linkID string, cands 
 	p := st.p
 	for i := range cands {
 		c := &cands[i]
-		if c.fibers == nil {
-			c.fibers = spectrum.FiberIDs(nil, c.path.Fibers)
-			c.class = st.reachClass(c.path.LengthKm)
+		if !c.classed {
+			c.class, c.classed = st.reachClass(c.path.LengthKm), true
 		}
 		for i := 0; c.class != nil && i < c.class.Len(); i++ {
 			mode := c.class.ByRate(i)
@@ -423,7 +428,7 @@ func (st *baseState) restoreOne(alloc *spectrum.Allocator, linkID string, cands 
 			if pixels > p.Grid.Pixels {
 				continue
 			}
-			iv, err := alloc.Claim(c.fibers, pixels, p.Fit)
+			iv, err := alloc.ClaimPath(c.path, pixels, p.Fit)
 			if err != nil {
 				continue
 			}

@@ -120,7 +120,7 @@ func TestCutMatchesReplayOracle(t *testing.T) {
 				}
 				// Claim what was just freed: a fork's writes must not show in the state.
 				w := p.Base.Wavelengths[failed[0]]
-				if err := alloc.AllocateExact(spectrum.FiberIDs(nil, w.Path.Fibers), w.Interval); err != nil {
+				if err := alloc.AllocatePath(w.Path, w.Interval); err != nil {
 					t.Fatalf("%s, %s: the failed wavelength's spectrum is not free: %v", what, entry, err)
 				}
 			}
@@ -194,7 +194,7 @@ func baseContent(t *testing.T, base *plan.Result) string {
 func TestSweepEqualsOneShotAndLeavesBaseAlone(t *testing.T) {
 	p := plannedNetworks(t)["tbackbone-1"]
 	before := baseContent(t, p.Base)
-	beforeAlloc := p.Base.Allocator.Clone()
+	beforeAlloc := p.Base.Allocator.Fork()
 	scs := cutsOf(p, 44)
 	oneShot := make([]*Result, len(scs))
 	for i, sc := range scs {

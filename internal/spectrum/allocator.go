@@ -2,23 +2,15 @@ package spectrum
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"math/bits"
+	"slices"
+
+	"flexwan/internal/topology"
 )
 
-// FiberID identifies one fiber in the optical topology. The allocator is
-// deliberately decoupled from the topology package: any stable string key
-// works.
+// FiberID identifies one fiber in the optical topology.
 type FiberID string
-
-// FiberIDs appends the fibers named to buf[:0] as allocator keys — how a
-// topology path becomes an allocator path; pass nil for a fresh slice.
-func FiberIDs(buf []FiberID, names []string) []FiberID {
-	buf = buf[:0]
-	for _, name := range names {
-		buf = append(buf, FiberID(name))
-	}
-	return buf
-}
 
 // Fit selects the placement strategy used when searching for a free
 // interval across a fiber path.
@@ -60,112 +52,213 @@ type Allocation struct {
 //   - consistency: a channel occupies the identical interval on every
 //     fiber it traverses (constraint (4)).
 //
+// Occupancy is one slab of bitset words, a fiber's words at its number: an
+// allocator on a topology's Numbering (NewAllocatorOn) takes the paths that
+// topology finds by their fibers' numbers (ClaimPath, AllocatePath,
+// ReleasePath, FindPath), and numbers any other fiber it is handed by ID
+// after the topology's, in the order it first claims them.
+//
 // Allocator is not safe for concurrent use; the controller serializes
-// access (§4.3: the centralized controller is the single writer).
+// access (§4.3: the centralized controller is the single writer). Lookups
+// do not write, so a planned result may be read from several goroutines.
 type Allocator struct {
-	grid   Grid
-	fibers map[FiberID]fiberMap
+	grid  Grid
+	words int                 // occupancy words per fiber
+	net   *topology.Numbering // numbers the slab's first net.Len() fibers; nil on NewAllocator
+	// extra numbers, after net's, the fibers outside net that have been
+	// claimed, and extraIDs names them in that order. A fork shares its
+	// parent's until it numbers a fiber of its own, and copies them first
+	// (ownExtra false until then).
+	extra    map[FiberID]int32
+	extraIDs []FiberID
+	ownExtra bool
+	// used is the occupancy: fiber n's words are used[n*words:(n+1)*words],
+	// with the bits past the grid's last pixel set, as in a Map.
+	used bitset
 }
 
-// fiberMap is one fiber's occupancy. A fork starts out borrowing the maps
-// of the allocator it was forked from and copies one before first writing it.
-type fiberMap struct {
-	*Map
-	borrowed bool
+// NewAllocator returns an empty allocator over grid g that numbers fibers
+// as they are first claimed; every fiber is taken by ID.
+func NewAllocator(g Grid) *Allocator { return NewAllocatorOn(g, nil) }
+
+// NewAllocatorOn returns an empty allocator over grid g laid out by a
+// topology's fiber numbering, so that the topology's paths are taken by
+// number. A nil numbering is NewAllocator's.
+func NewAllocatorOn(g Grid, n *topology.Numbering) *Allocator {
+	a := &Allocator{grid: g, words: (g.Pixels + 63) >> 6, net: n}
+	if n != nil {
+		a.used = make([]uint64, n.Len()*a.words)
+		a.pad(a.used)
+	}
+	return a
 }
 
-// NewAllocator returns an empty allocator over grid g.
-func NewAllocator(g Grid) *Allocator {
-	return &Allocator{grid: g, fibers: make(map[FiberID]fiberMap)}
+// pad sets the bits past the grid's last pixel in every fiber of words.
+func (a *Allocator) pad(words []uint64) {
+	if tail := a.grid.Pixels & 63; tail != 0 {
+		for i := a.words - 1; i < len(words); i += a.words {
+			words[i] = ^uint64(0) << tail
+		}
+	}
 }
 
 // Grid returns the allocator's pixel grid.
 func (a *Allocator) Grid() Grid { return a.grid }
 
-// fiber returns the occupancy map for id ready to be written: created if
-// the fiber has none, copied if it is still the forked-from allocator's.
-// Only the paths that are about to change pixels call it: a lookup must
-// not write (a planned result is read from several goroutines), and a
-// fiber without a map is all free.
-func (a *Allocator) fiber(id FiberID) *Map {
-	fm := a.fibers[id]
-	switch {
-	case fm.Map == nil:
-		fm = fiberMap{Map: NewMap(a.grid)}
-	case fm.borrowed:
-		fm = fiberMap{Map: fm.Clone()}
-	default:
-		return fm.Map
+// Numbering returns the fiber numbering the allocator is laid out by, nil
+// for one from NewAllocator.
+func (a *Allocator) Numbering() *topology.Numbering { return a.net }
+
+// fiber returns fiber n's occupancy words.
+func (a *Allocator) fiber(n int32) bitset {
+	off := int(n) * a.words
+	return a.used[off : off+a.words]
+}
+
+// id names fiber n.
+func (a *Allocator) id(n int32) FiberID {
+	if a.net != nil {
+		if int(n) < a.net.Len() {
+			return FiberID(a.net.ID(n))
+		}
+		n -= int32(a.net.Len())
 	}
-	a.fibers[id] = fm
-	return fm.Map
+	return a.extraIDs[n]
+}
+
+// lookup returns the fiber's number, or -1 when the allocator has never
+// claimed pixels on it.
+func (a *Allocator) lookup(id FiberID) int32 {
+	if a.net != nil {
+		if n, ok := a.net.Lookup(string(id)); ok {
+			return n
+		}
+	}
+	if n, ok := a.extra[id]; ok {
+		return n
+	}
+	return -1
+}
+
+// number returns the fiber's number, first numbering it — and giving it
+// all-free words — when the allocator does not know it.
+func (a *Allocator) number(id FiberID) int32 {
+	if n := a.lookup(id); n >= 0 {
+		return n
+	}
+	if !a.ownExtra {
+		a.extra, a.extraIDs, a.ownExtra = maps.Clone(a.extra), slices.Clip(a.extraIDs), true
+		if a.extra == nil {
+			a.extra = make(map[FiberID]int32)
+		}
+	}
+	n := int32(len(a.extraIDs))
+	if a.net != nil {
+		n += int32(a.net.Len())
+	}
+	a.extra[id] = n
+	a.extraIDs = append(a.extraIDs, id)
+	if len(a.used) == 0 {
+		a.used = make(bitset, 0, 4*a.words) // room for a path's fibers
+	}
+	a.used = append(a.used, make(bitset, a.words)...)
+	a.pad(a.used[len(a.used)-a.words:])
+	return n
+}
+
+// pathBuf is the path length, in fibers, up to which a call keeps the
+// path's fiber numbers on the stack.
+const pathBuf = 16
+
+// resolve appends the numbers of the fibers named to buf, -1 for a fiber
+// the allocator does not know. It does not write: a write numbers those
+// fibers (place) only once it has checked it will succeed.
+func resolve[S ~string](a *Allocator, buf []int32, ids []S) []int32 {
+	for _, id := range ids {
+		buf = append(buf, a.lookup(FiberID(id)))
+	}
+	return buf
+}
+
+// resolvePath returns the path's fiber numbers: its own Index when a
+// topology on the allocator's numbering found it, its fibers' IDs resolved
+// into buf otherwise.
+func (a *Allocator) resolvePath(buf []int32, p *topology.Path) []int32 {
+	if p.Numbering != nil && p.Numbering == a.net {
+		return p.Index
+	}
+	return resolve(a, buf, p.Fibers)
 }
 
 // FiberMap returns a copy of the occupancy map for the fiber, or an
 // all-free map if the fiber has no allocations yet.
 func (a *Allocator) FiberMap(id FiberID) *Map {
-	if m := a.fibers[id].Map; m != nil {
-		return m.Clone()
+	if n := a.lookup(id); n >= 0 {
+		return &Map{grid: a.grid, used: slices.Clone(a.fiber(n))}
 	}
 	return NewMap(a.grid)
 }
-
-// pathBuf is the path length, in fibers, up to which a search keeps the
-// path's maps on the stack.
-const pathBuf = 16
 
 // Find searches for a free interval of count pixels shared by every fiber
 // in path, without allocating it. Call it, and AllocateExact after, only
 // when something has to happen between the two (a make-before-break move
 // compares the interval with the one it holds); to place a channel, Claim.
 func (a *Allocator) Find(path []FiberID, count int, fit Fit) (Interval, error) {
-	var held [pathBuf]fiberMap
-	_, iv, err := a.find(held[:0], path, count, fit)
-	return iv, err
+	var buf [pathBuf]int32
+	return a.find(resolve(a, buf[:0], path), count, fit)
 }
 
-// find is the search under Find and Claim. Each fiber's map is looked up
-// once and appended to held as it was found (nil for a fiber without one),
-// for a caller that goes on to write them.
-func (a *Allocator) find(held []fiberMap, path []FiberID, count int, fit Fit) ([]fiberMap, Interval, error) {
-	if len(path) == 0 {
-		return held, Interval{}, fmt.Errorf("spectrum: empty fiber path")
+// FindPath is Find on a topology path.
+func (a *Allocator) FindPath(p *topology.Path, count int, fit Fit) (Interval, error) {
+	var buf [pathBuf]int32
+	return a.find(a.resolvePath(buf[:0], p), count, fit)
+}
+
+// find is the search under Find and Claim, on fiber numbers (-1: a fiber
+// that holds nothing).
+func (a *Allocator) find(fibers []int32, count int, fit Fit) (Interval, error) {
+	if len(fibers) == 0 {
+		return Interval{}, fmt.Errorf("spectrum: empty fiber path")
 	}
 	// The joint occupancy of the path: a pixel is free iff it is free on
 	// every fiber, so the fibers' words OR together.
 	var buf [8]uint64 // the 384-pixel C-band is 6 words
 	joint := newMap(a.grid, buf[:])
-	for _, f := range path {
-		fm := a.fibers[f]
-		held = append(held, fm)
-		if fm.Map != nil {
-			for i, x := range fm.used {
+	for _, n := range fibers {
+		if n >= 0 {
+			for i, x := range a.fiber(n) {
 				joint.used[i] |= x
 			}
 		}
 	}
-	var iv Interval
-	var err error
 	if fit == BestFit {
-		iv, err = joint.BestFit(count)
-	} else {
-		iv, err = joint.FirstFit(count)
+		return joint.BestFit(count)
 	}
-	return held, iv, err
+	return joint.FirstFit(count)
 }
 
 // Claim finds a free interval of count pixels shared by every fiber of the
 // path and claims it there: what placing a channel calls. The outcome is
 // that of Find followed by AllocateExact — the same interval or the same
-// error, and on an error no fiber's occupancy has changed — at one lookup a
-// fiber instead of three.
+// error, and on an error no fiber's occupancy has changed.
 func (a *Allocator) Claim(path []FiberID, count int, fit Fit) (Interval, error) {
-	var buf [pathBuf]fiberMap
-	held, iv, err := a.find(buf[:0], path, count, fit)
+	var buf [pathBuf]int32
+	return claim(a, resolve(a, buf[:0], path), path, count, fit)
+}
+
+// ClaimPath is Claim on a topology path.
+func (a *Allocator) ClaimPath(p *topology.Path, count int, fit Fit) (Interval, error) {
+	var buf [pathBuf]int32
+	return claim(a, a.resolvePath(buf[:0], p), p.Fibers, count, fit)
+}
+
+// claim is Claim on the path's resolved fiber numbers; ids names them.
+func claim[S ~string](a *Allocator, fibers []int32, ids []S, count int, fit Fit) (Interval, error) {
+	iv, err := a.find(fibers, count, fit)
 	if err != nil {
 		return Interval{}, err
 	}
-	if err := a.place(path, held, iv); err != nil {
+	if err := place(a, fibers, ids, iv); err != nil {
 		return Interval{}, err
 	}
 	return iv, nil
@@ -186,64 +279,102 @@ func (a *Allocator) Allocate(path []FiberID, count int, fit Fit) (Allocation, er
 // an interval that was decided elsewhere — a recorded plan being replayed, a
 // MIP solution, the target of a move; Claim places a new channel.
 func (a *Allocator) AllocateExact(path []FiberID, iv Interval) error {
-	if len(path) == 0 {
-		return fmt.Errorf("spectrum: empty fiber path")
-	}
-	var buf [pathBuf]fiberMap
-	held := buf[:0]
-	for _, f := range path {
-		fm := a.fibers[f]
-		if !iv.Valid(a.grid) || fm.Map != nil && !fm.CanPlace(iv) {
-			return fmt.Errorf("spectrum: interval %v not free on fiber %s: %w", iv, f, ErrNoSpectrum)
-		}
-		held = append(held, fm)
-	}
-	return a.place(path, held, iv)
+	var buf [pathBuf]int32
+	return allocateExact(a, resolve(a, buf[:0], path), path, iv)
 }
 
-// place marks iv used on every fiber of the path, through the checked
-// Map.Place, or on none of them. held[i] is path[i]'s map as the caller
-// looked it up, and found iv free on it.
-func (a *Allocator) place(path []FiberID, held []fiberMap, iv Interval) error {
-	for i, f := range path {
-		m := held[i].Map
-		if m == nil || held[i].borrowed {
-			// First write to the fiber. fiber looks it up again, so a path
-			// that repeats it gets the map just made, not a second one.
-			m = a.fiber(f)
-		}
-		if err := m.Place(iv); err != nil {
-			// iv was free on every fiber, so Place fails only on one the
-			// path has already claimed it on: undo and report. (The undo
-			// releases such a fiber once; its second Release finds the
-			// pixels free and refuses, which is the state wanted.)
-			for _, g := range path[:i] {
-				_ = a.fiber(g).Release(iv)
-			}
-			return fmt.Errorf("spectrum: fiber %s repeated in path or raced: %w", f, err)
+// AllocatePath is AllocateExact on a topology path.
+func (a *Allocator) AllocatePath(p *topology.Path, iv Interval) error {
+	var buf [pathBuf]int32
+	return allocateExact(a, a.resolvePath(buf[:0], p), p.Fibers, iv)
+}
+
+// allocateExact is AllocateExact on the path's resolved fiber numbers; ids
+// names them.
+func allocateExact[S ~string](a *Allocator, fibers []int32, ids []S, iv Interval) error {
+	if len(fibers) == 0 {
+		return fmt.Errorf("spectrum: empty fiber path")
+	}
+	for i, n := range fibers {
+		if !iv.Valid(a.grid) || n >= 0 && a.fiber(n).next(iv.Start, true) < iv.End() {
+			return fmt.Errorf("spectrum: interval %v not free on fiber %s: %w", iv, ids[i], ErrNoSpectrum)
 		}
 	}
+	return place(a, fibers, ids, iv)
+}
+
+// place marks iv, which lies in the grid, used on every fiber of the path,
+// or on none of them: the caller found iv free on each. A fiber resolved
+// as -1 is numbered first, in fibers.
+func place[S ~string](a *Allocator, fibers []int32, ids []S, iv Interval) error {
+	for i, n := range fibers {
+		if n < 0 {
+			n = a.number(FiberID(ids[i]))
+			fibers[i] = n
+		}
+		m := a.fiber(n)
+		if m.next(iv.Start, true) < iv.End() {
+			// iv was free on every fiber, so it is taken only on one the
+			// path has already claimed it on: undo and report.
+			a.clear(fibers[:i], iv)
+			return fmt.Errorf("spectrum: fiber %s repeated in path or raced: spectrum: interval %v overlaps an existing allocation: %w", a.id(n), iv, ErrNoSpectrum)
+		}
+		m.fill(iv, true)
+	}
 	return nil
+}
+
+// clear frees iv on every fiber given.
+func (a *Allocator) clear(fibers []int32, iv Interval) {
+	for _, n := range fibers {
+		a.fiber(n).fill(iv, false)
+	}
 }
 
 // Release frees a previous allocation on every fiber of its path, failing
 // atomically — no fiber is modified — unless every fiber holds the whole
 // interval.
 func (a *Allocator) Release(al Allocation) error {
-	if !al.Interval.Valid(a.grid) {
-		return fmt.Errorf("spectrum: interval %v outside grid of %d pixels", al.Interval, a.grid.Pixels)
+	var buf [pathBuf]int32
+	fibers := resolve(a, buf[:0], al.Fibers)
+	if err := held(a, fibers, al.Fibers, al.Interval); err != nil {
+		return err
 	}
-	for _, f := range al.Fibers {
-		w := al.Interval.Start // a fiber without a map is all free
-		if m := a.fibers[f].Map; m != nil {
-			w = m.next(al.Interval.Start, false)
-		}
-		if w < al.Interval.End() {
-			return fmt.Errorf("spectrum: release of free pixel %d in %v on fiber %s", w, al.Interval, f)
-		}
+	a.clear(fibers, al.Interval)
+	return nil
+}
+
+// ReleasePath is Release of the interval on a topology path.
+func (a *Allocator) ReleasePath(p *topology.Path, iv Interval) error {
+	var buf [pathBuf]int32
+	fibers := a.resolvePath(buf[:0], p)
+	if err := held(a, fibers, p.Fibers, iv); err != nil {
+		return err
 	}
-	for _, f := range al.Fibers {
-		a.fiber(f).fill(al.Interval, false)
+	a.clear(fibers, iv)
+	return nil
+}
+
+// HoldsPath returns nil when every fiber of the path holds all of the
+// interval's pixels, and an error naming the first that does not.
+func (a *Allocator) HoldsPath(p *topology.Path, iv Interval) error {
+	var buf [pathBuf]int32
+	return held(a, a.resolvePath(buf[:0], p), p.Fibers, iv)
+}
+
+// held is HoldsPath on the path's resolved fiber numbers; ids names them.
+func held[S ~string](a *Allocator, fibers []int32, ids []S, iv Interval) error {
+	if !iv.Valid(a.grid) {
+		return fmt.Errorf("spectrum: interval %v outside grid of %d pixels", iv, a.grid.Pixels)
+	}
+	for i, n := range fibers {
+		w := iv.Start // a fiber that holds nothing is all free
+		if n >= 0 {
+			w = a.fiber(n).next(iv.Start, false)
+		}
+		if w < iv.End() {
+			return fmt.Errorf("spectrum: pixel %d of %v free on fiber %s", w, iv, ids[i])
+		}
 	}
 	return nil
 }
@@ -252,25 +383,13 @@ func (a *Allocator) Release(al Allocation) error {
 // paper's "spectrum usage" metric counts GHz·fiber; multiply by PixelGHz).
 func (a *Allocator) UsedPixels() int {
 	total := 0
-	for _, m := range a.fibers {
-		total += m.UsedPixels()
+	for _, x := range a.used {
+		total += bits.OnesCount64(x)
 	}
-	return total
-}
-
-// UsedGHz returns the total occupied spectrum in GHz summed over fibers.
-func (a *Allocator) UsedGHz() float64 {
-	return float64(a.UsedPixels()) * a.grid.PixelGHz
-}
-
-// Fibers returns the IDs of all fibers that have an occupancy map, sorted.
-func (a *Allocator) Fibers() []FiberID {
-	ids := make([]FiberID, 0, len(a.fibers))
-	for id := range a.fibers {
-		ids = append(ids, id)
+	if a.words == 0 {
+		return total
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	return total - len(a.used)/a.words*(a.words<<6-a.grid.Pixels)
 }
 
 // Verify re-checks the conflict invariant from raw occupancy and the given
@@ -279,15 +398,14 @@ func (a *Allocator) Fibers() []FiberID {
 // the same fiber. It returns nil when the state is consistent. This backs
 // the controller's "zero inconsistency and conflict" audit (§4.3).
 func (a *Allocator) Verify(allocs []Allocation) error {
-	claimed := NewAllocator(a.grid) // what the allocations seen so far own
+	claimed := NewAllocatorOn(a.grid, a.net) // what the allocations seen so far own
 	for i, al := range allocs {
-		for _, f := range al.Fibers {
-			if m := a.fibers[f].Map; m == nil || !al.Interval.Valid(a.grid) || m.next(al.Interval.Start, false) < al.Interval.End() {
-				return fmt.Errorf("spectrum: allocation %d interval %v not marked used on fiber %s", i, al.Interval, f)
-			}
-		}
 		if len(al.Fibers) == 0 {
 			continue
+		}
+		var buf [pathBuf]int32
+		if err := held(a, resolve(a, buf[:0], al.Fibers), al.Fibers, al.Interval); err != nil {
+			return fmt.Errorf("spectrum: allocation %d not marked used: %w", i, err)
 		}
 		if err := claimed.AllocateExact(al.Fibers, al.Interval); err != nil {
 			return fmt.Errorf("spectrum: allocation %d claims pixels an earlier one holds: %w", i, err)
@@ -296,25 +414,24 @@ func (a *Allocator) Verify(allocs []Allocation) error {
 	return nil
 }
 
-// Clone returns a deep copy of the allocator, used by planners to explore
-// tentative placements without mutating live state.
-func (a *Allocator) Clone() *Allocator {
-	c := NewAllocator(a.grid)
-	for id, fm := range a.fibers {
-		c.fibers[id] = fiberMap{Map: fm.Clone()}
-	}
-	return c
-}
-
 // Fork returns an allocator that starts from the receiver's occupancy and
-// diverges as it is written: it borrows every fiber's map and copies one
-// only before first changing it, so a fork costs what it touches, not what
-// the receiver holds. The receiver must not be written while a fork of it
-// is in use; any number of forks may be taken and used concurrently.
-func (a *Allocator) Fork() *Allocator {
-	c := &Allocator{grid: a.grid, fibers: make(map[FiberID]fiberMap, len(a.fibers))}
-	for id, fm := range a.fibers {
-		c.fibers[id] = fiberMap{Map: fm.Map, borrowed: true}
+// diverges as it is written: one copy of the receiver's occupancy words,
+// which hold no pointers. It does not write the receiver, so any number of
+// forks may be taken and used concurrently; the receiver must not be
+// written while a fork of it is in use.
+func (a *Allocator) Fork() *Allocator { return a.ForkInto(nil) }
+
+// ForkInto is Fork copying into dst, an allocator the caller is done with,
+// so that the copy reuses its words; a nil dst is Fork's fresh allocator.
+func (a *Allocator) ForkInto(dst *Allocator) *Allocator {
+	var used bitset
+	if dst == nil {
+		dst = new(Allocator)
+	} else {
+		used = dst.used[:0]
 	}
-	return c
+	*dst = *a
+	dst.ownExtra = false
+	dst.used = append(used, a.used...)
+	return dst
 }

@@ -22,8 +22,8 @@ func TestAllocatorSingleFiber(t *testing.T) {
 	if a.UsedPixels() != 6 {
 		t.Errorf("UsedPixels = %d, want 6", a.UsedPixels())
 	}
-	if a.UsedGHz() != 75 {
-		t.Errorf("UsedGHz = %v, want 75", a.UsedGHz())
+	if ghz := float64(a.UsedPixels()) * a.Grid().PixelGHz; ghz != 75 {
+		t.Errorf("used GHz = %v, want 75", ghz)
 	}
 	if err := a.Release(al); err != nil {
 		t.Fatalf("Release: %v", err)
@@ -130,20 +130,23 @@ func TestAllocatorVerify(t *testing.T) {
 	}
 }
 
-func TestAllocatorClone(t *testing.T) {
+func TestAllocatorFork(t *testing.T) {
 	a := NewAllocator(testGrid())
 	if _, err := a.Allocate([]FiberID{"f1"}, 4, FirstFit); err != nil {
 		t.Fatal(err)
 	}
-	c := a.Clone()
+	c := a.Fork()
 	if _, err := c.Allocate([]FiberID{"f1"}, 4, FirstFit); err != nil {
 		t.Fatal(err)
 	}
-	if a.UsedPixels() != 4 {
-		t.Errorf("clone mutation leaked: original UsedPixels = %d", a.UsedPixels())
+	if _, err := c.Allocate([]FiberID{"f2"}, 4, FirstFit); err != nil {
+		t.Fatal(err)
 	}
-	if c.UsedPixels() != 8 {
-		t.Errorf("clone UsedPixels = %d, want 8", c.UsedPixels())
+	if a.UsedPixels() != 4 || a.lookup("f2") >= 0 {
+		t.Errorf("fork mutation leaked: original UsedPixels = %d, f2 numbered %v", a.UsedPixels(), a.lookup("f2") >= 0)
+	}
+	if c.UsedPixels() != 12 {
+		t.Errorf("fork UsedPixels = %d, want 12", c.UsedPixels())
 	}
 }
 
@@ -234,8 +237,8 @@ func TestAllocatorInvariantProperty(t *testing.T) {
 	}
 }
 
-// Lookups must not write: a fiber that was only ever probed has no
-// occupancy map, reads as all free, and stays out of Fibers().
+// Lookups must not write: a fiber that was only ever probed gets no
+// number, and reads as all free.
 func TestAllocatorReadsDoNotCreateFibers(t *testing.T) {
 	a := NewAllocator(testGrid())
 	if _, err := a.Allocate([]FiberID{"held"}, 4, FirstFit); err != nil {
@@ -256,8 +259,8 @@ func TestAllocatorReadsDoNotCreateFibers(t *testing.T) {
 	if err := a.Release(Allocation{Fibers: []FiberID{"probed"}, Interval: Interval{0, 2}}); err == nil {
 		t.Error("Release on a fiber that holds nothing succeeded")
 	}
-	if got := a.Fibers(); len(got) != 1 || got[0] != "held" {
-		t.Errorf("Fibers() = %v, want only the fiber that holds an allocation", got)
+	if a.lookup("probed") >= 0 || a.lookup("held") < 0 {
+		t.Errorf("numbered: probed %v, held %v; want only the fiber that holds an allocation", a.lookup("probed") >= 0, a.lookup("held") >= 0)
 	}
 }
 
@@ -314,7 +317,7 @@ func TestAllocatorReleaseIsAtomic(t *testing.T) {
 	if err := a.AllocateExact([]FiberID{"f3"}, Interval{Start: 8, Count: 2}); err != nil {
 		t.Fatal(err)
 	}
-	before := a.Clone()
+	before := a.Fork()
 	for _, last := range []FiberID{"f3", "holds-nothing"} {
 		if err := a.Release(Allocation{Fibers: []FiberID{"f1", "f2", last}, Interval: iv}); err == nil {
 			t.Fatalf("Release across %s, which does not hold %v, succeeded", last, iv)
@@ -325,8 +328,8 @@ func TestAllocatorReleaseIsAtomic(t *testing.T) {
 			}
 		}
 	}
-	if got := a.Fibers(); len(got) != 3 {
-		t.Errorf("refused release created a map: Fibers() = %v", got)
+	if a.lookup("holds-nothing") >= 0 {
+		t.Error("refused release numbered a fiber that holds nothing")
 	}
 	if err := a.Release(Allocation{Fibers: []FiberID{"f1", "f2"}, Interval: Interval{Start: 8, Count: 400}}); err == nil {
 		t.Error("Release of an interval outside the grid succeeded")

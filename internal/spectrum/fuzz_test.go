@@ -3,7 +3,10 @@ package spectrum
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
+
+	"flexwan/internal/topology"
 )
 
 // FuzzMapOperations drives the bitset occupancy map and the []bool map it
@@ -72,7 +75,7 @@ func FuzzMapOperations(f *testing.F) {
 			case 5: // continue on clones
 				m, ref = m.Clone(), ref.Clone()
 			case 6: // find and claim in one, as an allocator's one-fiber path
-				al := &Allocator{grid: g, fibers: map[FiberID]fiberMap{"f": {Map: m}}}
+				al := &Allocator{grid: g, words: len(m.used), used: m.used, extra: map[FiberID]int32{"f": 0}, extraIDs: []FiberID{"f"}, ownExtra: true}
 				count, fit := b%160, Fit(a/7%2) // no width and widths past the grid included
 				iv, err := al.Claim([]FiberID{"f"}, count, fit)
 				want, ok := ref.FirstFit(count)
@@ -112,9 +115,10 @@ func FuzzMapOperations(f *testing.F) {
 	})
 }
 
-// sameOccupancy reports the first fiber on which two allocators differ;
-// a fiber without a map and an all-free one are the same occupancy.
-func sameOccupancy(t *testing.T, what string, got, want *Allocator, fibers []FiberID) {
+// sameOccupancy reports the first fiber on which the allocator and the
+// oracle differ; a fiber without a map and an all-free one are the same
+// occupancy.
+func sameOccupancy(t *testing.T, what string, got *Allocator, want *refAllocator, fibers []FiberID) {
 	t.Helper()
 	for _, f := range fibers {
 		if g, w := got.FiberMap(f), want.FiberMap(f); !reflect.DeepEqual(g.used, w.used) {
@@ -126,24 +130,40 @@ func sameOccupancy(t *testing.T, what string, got, want *Allocator, fibers []Fib
 	}
 }
 
-// FuzzForkOperations drives a Fork lineage and a Clone lineage with the
-// same arbitrary operation stream — allocations, releases (valid or not),
-// and further forks taken mid-stream: every answer and every fiber's
-// occupancy must agree, and each allocator a fork was taken from must
-// still read as it did at that moment, however its forks were written.
-// Claim runs on the fork against Find then AllocateExact on the clone, so
-// the one-pass placement is held to the two halves' outcome on borrowed
-// maps, repeated fibers and refusals alike.
+// FuzzForkOperations drives the numbered allocator and the map-keyed one
+// it replaced (refAllocator, the oracle) with the same arbitrary operation
+// stream — finds, claims, exact allocations and releases (valid or not),
+// and forks of forks taken mid-stream, one into a spare allocator's words:
+// every answer, every error a claim or an exact allocation gives, and every
+// fiber's occupancy must agree, and each allocator a fork was taken from
+// must still read as it did at that moment, however its forks were written.
+//
+// Each call goes in by fiber ID or by topology path. The allocator is laid
+// out by the numbering of a topology holding a, b, c and never-written (or,
+// on odd-length streams, by none), and d is outside it; a path is numbered
+// by that topology (taken by index where the allocator shares the
+// numbering), by a second topology numbering the fibers in another order,
+// or not at all (both taken by ID).
 func FuzzForkOperations(f *testing.F) {
-	f.Add([]byte{0, 9, 4, 0, 1, 3, 4, 0, 2, 0, 0, 17, 2, 1})
-	f.Add([]byte{1, 200, 4, 0, 4, 0, 2, 0, 3, 77, 0, 5})
-	f.Add([]byte{0, 1, 0, 2, 0, 3, 4, 0, 2, 1, 2, 0, 4, 0, 0, 4, 3, 9})
-	// Claims: on a–b, the same best fit, an empty path, a–a; a fork; then on
-	// its borrowed maps no width, wider than the grid, and 16 pixels on a–b–c.
-	f.Add([]byte{17, 12, 17, 140, 17, 255, 17, 4, 4, 0, 5, 12, 251, 12, 29, 108})
+	f.Add([]byte{0, 9, 4, 4, 0, 0, 1, 3, 4, 13, 2, 0, 0, 17, 2, 1})
+	f.Add([]byte{1, 200, 4, 6, 0, 4, 2, 0, 3, 77, 0, 5})
+	f.Add([]byte{6, 1, 3, 18, 2, 9, 4, 0, 0, 2, 1, 2, 31, 4, 0, 0, 4, 3, 9})
+	// Claims: on a–b, a best fit there, an empty path, a–a; a fork; then by
+	// path no width, wider than the grid, and 16 pixels on a–b–c.
+	f.Add([]byte{1, 12, 4, 1, 140, 5, 1, 255, 4, 1, 4, 4, 4, 0, 0, 7, 12, 0, 19, 12, 151, 31, 108, 16})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		g := Grid{PixelGHz: 12.5, Pixels: 150}
 		fibers := []FiberID{"a", "b", "c", "d", "never-written"}
+		numbered := func(ids ...string) *topology.Optical {
+			net := topology.New()
+			for i, id := range ids {
+				if err := net.AddFiber(id, topology.NodeID(rune('P'+i)), topology.NodeID(rune('Q'+i)), 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return net
+		}
+		net, other := numbered("never-written", "c", "a", "b"), numbered("b", "d", "a", "c", "never-written")
 		pathOf := func(b int) []FiberID {
 			path := []FiberID{fibers[b%4]}
 			if b&4 != 0 {
@@ -154,85 +174,155 @@ func FuzzForkOperations(f *testing.F) {
 			}
 			return path
 		}
-		fork, clone := NewAllocator(g), NewAllocator(g)
-		type frozen struct{ parent, snapshot *Allocator }
+		// routeOf is the path as a topology path, numbered by net, by other
+		// or by neither; nil when the call goes in by fiber ID.
+		routeOf := func(path []FiberID, x int) *topology.Path {
+			if (x/6)%2 == 0 {
+				return nil
+			}
+			p := &topology.Path{}
+			for _, f := range path {
+				p.Fibers = append(p.Fibers, string(f))
+			}
+			switch (x / 12) % 3 {
+			case 0:
+				net.Resolve(p) // fails, leaving the path by ID, when it crosses d
+			case 1:
+				other.Resolve(p)
+			}
+			return p
+		}
+		got, ref := NewAllocatorOn(g, net.Numbering()), newRefAllocator(g)
+		if len(ops)%2 == 1 {
+			got = NewAllocator(g)
+		}
+		spare := NewAllocator(g) // an allocator done with, wider than any here
+		if _, err := spare.Claim([]FiberID{"s", "t", "u", "v", "w", "x", "y", "z"}, 10, FirstFit); err != nil {
+			t.Fatal(err)
+		}
+		type frozen struct {
+			parent   *Allocator
+			snapshot *refAllocator
+		}
 		var parents []frozen
 		var live []Allocation
-		for i := 0; i+1 < len(ops); i += 2 {
-			a, b := int(ops[i]), int(ops[i+1])
-			switch a % 6 {
-			case 0, 1: // find and claim, first or best fit
-				path, count, fit := pathOf(b), 1+(a/6)%40, Fit(a%2)
-				iv, err := fork.Find(path, count, fit)
-				want, wantErr := clone.Find(path, count, fit)
-				if (err == nil) != (wantErr == nil) || iv != want {
-					t.Fatalf("Find(%v, %d, %v) = %v, %v; clone says %v, %v", path, count, fit, iv, err, want, wantErr)
+		for i := 0; i+2 < len(ops); i += 3 {
+			x, y, z := int(ops[i]), int(ops[i+1]), int(ops[i+2])
+			path := pathOf(y)
+			if y == 255 {
+				path = nil
+			}
+			route := routeOf(path, x)
+			fit := Fit(z % 2)
+			switch x % 6 {
+			case 0: // find, then allocate what was found
+				count := 1 + z%40
+				var iv Interval
+				var err error
+				if route != nil {
+					iv, err = got.FindPath(route, count, fit)
+				} else {
+					iv, err = got.Find(path, count, fit)
+				}
+				want, wantErr := ref.Find(path, count, fit)
+				if iv != want || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+					t.Fatalf("Find(%v, %d, %v) = %v, %v; oracle says %v, %v", path, count, fit, iv, err, want, wantErr)
 				}
 				if err != nil {
 					continue
 				}
-				got, want2 := fork.AllocateExact(path, iv) == nil, clone.AllocateExact(path, iv) == nil
-				if got != want2 {
-					t.Fatalf("AllocateExact(%v, %v) succeeded = %v, clone says %v", path, iv, got, want2)
+				if route != nil {
+					err = got.AllocatePath(route, iv)
+				} else {
+					err = got.AllocateExact(path, iv)
 				}
-				if got {
+				if wantErr := ref.AllocateExact(path, iv); fmt.Sprint(err) != fmt.Sprint(wantErr) {
+					t.Fatalf("AllocateExact(%v, %v) = %v; oracle says %v", path, iv, err, wantErr)
+				}
+				if err == nil {
+					live = append(live, Allocation{Fibers: path, Interval: iv})
+				}
+			case 1: // claim: no width and widths past the grid included
+				count := z % 170
+				before := ref.Clone()
+				var iv Interval
+				var err error
+				if route != nil {
+					iv, err = got.ClaimPath(route, count, fit)
+				} else {
+					iv, err = got.Claim(path, count, fit)
+				}
+				want, wantErr := ref.Claim(path, count, fit)
+				if iv != want || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+					t.Fatalf("Claim(%v, %d, %v) = %v, %v; oracle says %v, %v", path, count, fit, iv, err, want, wantErr)
+				}
+				if err != nil {
+					sameOccupancy(t, "after a refused claim", got, before, fibers)
+				} else {
 					live = append(live, Allocation{Fibers: path, Interval: iv})
 				}
 			case 2: // release a live allocation
-				if len(live) > 0 {
-					idx := b % len(live)
-					if err := fork.Release(live[idx]); err != nil {
-						t.Fatalf("Release live %v: %v", live[idx], err)
-					}
-					if err := clone.Release(live[idx]); err != nil {
-						t.Fatalf("clone: Release live %v: %v", live[idx], err)
-					}
-					live = append(live[:idx], live[idx+1:]...)
+				if len(live) == 0 {
+					continue
 				}
+				al := live[y%len(live)]
+				var err error
+				if r := routeOf(al.Fibers, x); r != nil {
+					err = got.ReleasePath(r, al.Interval)
+				} else {
+					err = got.Release(al)
+				}
+				if err != nil {
+					t.Fatalf("Release live %v: %v", al, err)
+				}
+				if err := ref.Release(al); err != nil {
+					t.Fatalf("oracle: Release live %v: %v", al, err)
+				}
+				live = slices.Delete(live, y%len(live), y%len(live)+1)
 			case 3: // arbitrary (mostly invalid) release: all or nothing
-				al := Allocation{Fibers: pathOf(b), Interval: Interval{Start: (a / 6) * 3, Count: 1 + b%12}}
-				before := fork.Clone()
-				got, want := fork.Release(al) == nil, clone.Release(al) == nil
-				if got != want {
-					t.Fatalf("Release(%v) succeeded = %v, clone says %v", al, got, want)
+				al := Allocation{Fibers: path, Interval: Interval{Start: z%160 - 4, Count: 1 + (z/8)%12}}
+				before := ref.Clone()
+				var err error
+				if route != nil {
+					err = got.ReleasePath(route, al.Interval)
+				} else {
+					err = got.Release(al)
 				}
-				if !got {
-					sameOccupancy(t, "after a refused release", fork, before, fibers)
+				if want := ref.Release(al) == nil; (err == nil) != want {
+					t.Fatalf("Release(%v) = %v, oracle succeeded = %v", al, err, want)
+				}
+				if err != nil {
+					sameOccupancy(t, "after a refused release", got, before, fibers)
 				} else {
 					live = nil // part of the live set is gone
 				}
-			case 4: // continue on a fork of the fork and a clone of the clone
-				parents = append(parents, frozen{parent: fork, snapshot: fork.Clone()})
-				fork, clone = fork.Fork(), clone.Clone()
-			case 5: // Claim against Find then AllocateExact
-				path, count, fit := pathOf(b), (a/6)*4, Fit(b>>7) // widths 0 to 164 on 150 pixels
-				if b == 255 {
-					path = nil
-				}
-				before := fork.Clone()
-				iv, err := fork.Claim(path, count, fit)
-				want, wantErr := clone.Find(path, count, fit)
-				if wantErr == nil {
-					if wantErr = clone.AllocateExact(path, want); wantErr != nil {
-						want = Interval{}
-					}
-				}
-				if iv != want || fmt.Sprint(err) != fmt.Sprint(wantErr) {
-					t.Fatalf("Claim(%v, %d, %v) = %v, %v; Find then AllocateExact on the clone say %v, %v", path, count, fit, iv, err, want, wantErr)
-				}
-				if err != nil {
-					sameOccupancy(t, "after a refused claim", fork, before, fibers)
+			case 4: // continue on forks, the first one by path into a spare's words
+				parents = append(parents, frozen{parent: got, snapshot: ref.Clone()})
+				if route != nil {
+					got, spare = got.ForkInto(spare), nil
 				} else {
+					got = got.Fork()
+				}
+				ref = ref.Fork()
+			case 5: // an exact allocation, decided elsewhere
+				iv := Interval{Start: z%160 - 4, Count: (z / 4) % 20}
+				var err error
+				if route != nil {
+					err = got.AllocatePath(route, iv)
+				} else {
+					err = got.AllocateExact(path, iv)
+				}
+				if wantErr := ref.AllocateExact(path, iv); fmt.Sprint(err) != fmt.Sprint(wantErr) {
+					t.Fatalf("AllocateExact(%v, %v) = %v; oracle says %v", path, iv, err, wantErr)
+				}
+				if err == nil {
 					live = append(live, Allocation{Fibers: path, Interval: iv})
 				}
 			}
-			sameOccupancy(t, "fork against clone", fork, clone, fibers)
-			if !reflect.DeepEqual(fork.Fibers(), clone.Fibers()) {
-				t.Fatalf("Fibers() = %v, clone says %v", fork.Fibers(), clone.Fibers())
-			}
+			sameOccupancy(t, "allocator against oracle", got, ref, fibers)
 		}
-		if err := fork.Verify(live); err != nil && live != nil {
-			t.Fatalf("Verify(live): %v", err)
+		if err, want := got.Verify(live), ref.Verify(live); (err == nil) != (want == nil) || live != nil && err != nil {
+			t.Fatalf("Verify(live) = %v; oracle says %v", err, want)
 		}
 		for i, p := range parents {
 			sameOccupancy(t, fmt.Sprintf("allocator forked at fork %d", i), p.parent, p.snapshot, fibers)

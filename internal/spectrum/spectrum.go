@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // Standard constants for the C-band and FlexWAN's pixel grid.
@@ -112,8 +113,12 @@ var ErrNoSpectrum = errors.New("spectrum: no contiguous free interval of the req
 // The zero value is not usable; construct with NewMap.
 type Map struct {
 	grid Grid
-	used []uint64
+	used bitset
 }
+
+// bitset is occupancy words, 64 pixels a word: a Map's, or one fiber's in
+// an Allocator.
+type bitset []uint64
 
 // NewMap returns an all-free occupancy map for grid g.
 func NewMap(g Grid) *Map {
@@ -135,10 +140,10 @@ func newMap(g Grid, words []uint64) Map {
 }
 
 // next returns the first pixel ≥ from whose occupancy equals used, or
-// 64·len(m.used) when there is none.
-func (m *Map) next(from int, used bool) int {
-	for i := from >> 6; i < len(m.used); i++ {
-		x := m.used[i]
+// 64·len(b) when there is none.
+func (b bitset) next(from int, used bool) int {
+	for i := from >> 6; i < len(b); i++ {
+		x := b[i]
 		if !used {
 			x = ^x
 		}
@@ -149,21 +154,22 @@ func (m *Map) next(from int, used bool) int {
 			return i<<6 + bits.TrailingZeros64(x)
 		}
 	}
-	return len(m.used) << 6
+	return len(b) << 6
 }
 
 // nextRun returns the first maximal free run starting at or after from;
 // ok is false when no free pixel is left there.
 func (m *Map) nextRun(from int) (run Interval, ok bool) {
-	start := m.next(from, false)
+	start := m.used.next(from, false)
 	if start >= m.grid.Pixels {
 		return Interval{}, false
 	}
-	return Interval{Start: start, Count: m.next(start, true) - start}, true
+	return Interval{Start: start, Count: m.used.next(start, true) - start}, true
 }
 
-// fill marks the interval's pixels occupied or free. iv must lie in the grid.
-func (m *Map) fill(iv Interval, used bool) {
+// fill marks the interval's pixels occupied or free. iv must lie in the
+// words.
+func (b bitset) fill(iv Interval, used bool) {
 	for i := iv.Start >> 6; i <= (iv.End()-1)>>6; i++ {
 		mask := ^uint64(0) // iv's pixels inside word i
 		if lo := iv.Start - i<<6; lo > 0 {
@@ -173,9 +179,9 @@ func (m *Map) fill(iv Interval, used bool) {
 			mask &= 1<<hi - 1
 		}
 		if used {
-			m.used[i] |= mask
+			b[i] |= mask
 		} else {
-			m.used[i] &^= mask
+			b[i] &^= mask
 		}
 	}
 }
@@ -209,7 +215,7 @@ func (m *Map) CanPlace(iv Interval) bool {
 	if !iv.Valid(m.grid) {
 		return false
 	}
-	return m.next(iv.Start, true) >= iv.End()
+	return m.used.next(iv.Start, true) >= iv.End()
 }
 
 // Place marks the interval occupied. It fails if any pixel is already in
@@ -221,7 +227,7 @@ func (m *Map) Place(iv Interval) error {
 	if !m.CanPlace(iv) {
 		return fmt.Errorf("spectrum: interval %v overlaps an existing allocation: %w", iv, ErrNoSpectrum)
 	}
-	m.fill(iv, true)
+	m.used.fill(iv, true)
 	return nil
 }
 
@@ -231,10 +237,10 @@ func (m *Map) Release(iv Interval) error {
 	if !iv.Valid(m.grid) {
 		return fmt.Errorf("spectrum: interval %v outside grid of %d pixels", iv, m.grid.Pixels)
 	}
-	if w := m.next(iv.Start, false); w < iv.End() {
+	if w := m.used.next(iv.Start, false); w < iv.End() {
 		return fmt.Errorf("spectrum: release of free pixel %d in %v", w, iv)
 	}
-	m.fill(iv, false)
+	m.used.fill(iv, false)
 	return nil
 }
 
@@ -293,7 +299,7 @@ func (m *Map) LargestFreeRun() Interval {
 
 // Clone returns an independent copy of the map.
 func (m *Map) Clone() *Map {
-	return &Map{grid: m.grid, used: append([]uint64(nil), m.used...)}
+	return &Map{grid: m.grid, used: slices.Clone(m.used)}
 }
 
 // Fragmentation returns 1 − largestFreeRun/freePixels: 0 when all free

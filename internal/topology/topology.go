@@ -79,6 +79,10 @@ type index struct {
 	// added in place; a topology that moves to a copy starts an empty one.
 	memoMu sync.RWMutex
 	memo   map[kspKey][]Path
+
+	// num is the index's fiber numbering, built the first time it is asked
+	// for and dropped, like memo, when a fiber is added in place.
+	num atomic.Pointer[Numbering]
 }
 
 // kspKey names one KShortestPaths question on an index.
@@ -172,11 +176,72 @@ func (g *Optical) addFiber(f Fiber) {
 	ix.ends = append(ix.ends, a^b)
 	ix.adj[a] = append(ix.adj[a], fi)
 	ix.adj[b] = append(ix.adj[b], fi)
-	// Memoised paths predate the fiber. (A new site alone changes no
-	// answer: it has no fiber yet, and unknown sites are never memoised.)
+	// Memoised paths and the numbering predate the fiber. (A new site
+	// alone changes no answer: it has no fiber yet, and unknown sites are
+	// never memoised.)
 	ix.memoMu.Lock()
 	ix.memo = nil
 	ix.memoMu.Unlock()
+	ix.num.Store(nil)
+}
+
+// Numbering is the dense numbering of a topology's fibers that spectrum
+// occupancy is laid out by: a fiber's number is its index, in insertion
+// order, so the paths a topology finds carry their fibers' numbers
+// (Path.Index) and an allocator on the numbering reaches a fiber's words
+// without hashing its name. A topology builds its numbering once, the first
+// time it is asked for, and its views share it; adding a fiber in place
+// gives the topology a new one, and a numbering never changes.
+type Numbering struct {
+	num map[string]int32
+	ids []string // by number
+}
+
+// Numbering returns the topology's fiber numbering. A Without view
+// returns its parent's: the fibers it leaves out keep their numbers.
+func (g *Optical) Numbering() *Numbering {
+	ix := g.ix
+	if n := ix.num.Load(); n != nil {
+		return n
+	}
+	n := &Numbering{num: make(map[string]int32, len(ix.fibers)), ids: make([]string, len(ix.fibers))}
+	for i, f := range ix.fibers {
+		n.num[f.ID], n.ids[i] = int32(i), f.ID
+	}
+	if !ix.num.CompareAndSwap(nil, n) {
+		return ix.num.Load()
+	}
+	return n
+}
+
+// Len returns how many fibers are numbered: they are 0 to Len()-1.
+func (n *Numbering) Len() int { return len(n.ids) }
+
+// Lookup returns the number of the fiber with the given ID.
+func (n *Numbering) Lookup(id string) (int32, bool) {
+	i, ok := n.num[id]
+	return i, ok
+}
+
+// ID returns the ID of the fiber numbered i.
+func (n *Numbering) ID(i int32) string { return n.ids[i] }
+
+// Resolve numbers a path whose fibers are known only by ID — one built by
+// hand, or decoded from JSON — in the topology's numbering, so that an
+// allocator on the numbering takes it by index. It reports false, and
+// leaves the path as it was, when a fiber of the path has no number.
+func (g *Optical) Resolve(p *Path) bool {
+	n := g.Numbering()
+	index := make([]int32, len(p.Fibers))
+	for i, id := range p.Fibers {
+		fi, ok := n.Lookup(id)
+		if !ok {
+			return false
+		}
+		index[i] = fi
+	}
+	p.Numbering, p.Index = n, index
+	return true
 }
 
 // Fiber returns the fiber with the given ID.
@@ -245,12 +310,19 @@ func (g *Optical) Without(cut ...string) *Optical {
 // the transmission distance that the optical reach must cover.
 //
 // The paths ShortestPath and KShortestPaths return are shared with every
-// other caller that asks the same question: treat Nodes and Fibers as
-// read-only, and copy before changing one.
+// other caller that asks the same question: treat Nodes, Fibers and Index
+// as read-only, and copy before changing one.
 type Path struct {
 	Nodes    []NodeID
 	Fibers   []string
 	LengthKm float64
+	// Numbering and Index give the fibers by number: Index[i] is Fibers[i]'s
+	// number in Numbering, the numbering of the topology that found the
+	// path. Both are nil on a path built by hand, whose fibers an allocator
+	// looks up by ID (or that Optical.Resolve numbers). Neither is part of
+	// the path's JSON.
+	Numbering *Numbering `json:"-"`
+	Index     []int32    `json:"-"`
 }
 
 // Src returns the first node of the path.
@@ -276,8 +348,8 @@ type ipath struct {
 	km     float64
 }
 
-func (ix *index) path(src int32, p ipath) Path {
-	out := Path{Nodes: append(make([]NodeID, 0, len(p.fibers)+1), ix.nodes[src]), LengthKm: p.km}
+func (ix *index) path(num *Numbering, src int32, p ipath) Path {
+	out := Path{Nodes: append(make([]NodeID, 0, len(p.fibers)+1), ix.nodes[src]), LengthKm: p.km, Numbering: num, Index: p.fibers}
 	for _, f := range p.fibers {
 		src ^= ix.ends[f]
 		out.Nodes = append(out.Nodes, ix.nodes[src])
@@ -488,8 +560,9 @@ func (g *Optical) yen(si, di int32, k int) []Path {
 		candidates = candidates[:len(candidates)-1]
 	}
 	out := make([]Path, len(paths))
+	num := g.Numbering()
 	for i, p := range paths {
-		out[i] = ix.path(si, p)
+		out[i] = ix.path(num, si, p)
 	}
 	return out
 }

@@ -30,7 +30,7 @@ func expandProvision(prov transponder.Provision) []transponder.Mode {
 // immediate repeats (which fail exactly as their first attempt did).
 func TestDistinctModeWalkMatchesExpandedWalk(t *testing.T) {
 	for _, cat := range []transponder.Catalog{transponder.Fixed100G(), transponder.RADWAN(), transponder.SVT()} {
-		table := transponder.NewProvisionTable(cat)
+		table := cat.Provisions()
 		for dist := 50.0; dist <= 5000; dist += 150 {
 			for capacity := 100; capacity <= 12000; capacity += 100 {
 				prov, ok := table.MinProvision(capacity, dist)

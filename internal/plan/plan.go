@@ -192,39 +192,40 @@ func Solve(p Problem) (*Result, error) {
 		Allocator: spectrum.NewAllocatorOn(p.Grid, p.Optical.Numbering()),
 	}
 
-	// Each link with what ordering and placing it read, resolved once.
-	type orderedLink struct {
-		id         string
-		demandGbps int
-		paths      []topology.Path // shortest first
+	// Links hardest first: order is a permutation of IP.Links, sorted on
+	// keys resolved once, so the sort moves indices and not records.
+	links := p.IP.Links
+	linkPaths := make([][]topology.Path, len(links)) // shortest first
+	order := make([]int32, len(links))
+	for i := range links {
+		linkPaths[i] = paths[links[i].ID]
+		order[i] = int32(i)
 	}
-	order := make([]orderedLink, len(p.IP.Links))
-	for i, l := range p.IP.Links {
-		order[i] = orderedLink{id: l.ID, demandGbps: l.DemandGbps, paths: paths[l.ID]}
-	}
-	slices.SortStableFunc(order, func(a, b orderedLink) int {
+	slices.SortStableFunc(order, func(a, b int32) int {
 		return cmp.Or(
-			cmp.Compare(b.paths[0].LengthKm, a.paths[0].LengthKm),
-			cmp.Compare(b.demandGbps, a.demandGbps),
-			cmp.Compare(a.id, b.id),
+			cmp.Compare(linkPaths[b][0].LengthKm, linkPaths[a][0].LengthKm),
+			cmp.Compare(links[b].DemandGbps, links[a].DemandGbps),
+			cmp.Compare(links[a].ID, links[b].ID),
 		)
 	})
 
+	pl := newPlacer(p, res)
 	// Room for every link's channels at the best rate its shortest path
 	// allows — what a plan that fits uses, give or take a few.
-	channels := len(order)
-	for _, l := range order {
-		if rate := p.Catalog.MaxRateAt(l.paths[0].LengthKm); rate > 0 {
-			channels += (l.demandGbps + rate - 1) / rate
+	channels := len(links)
+	for i := range links {
+		if rc := pl.provisions.Class(linkPaths[i][0].LengthKm); rc != nil {
+			rate := rc.ByRate(0).DataRateGbps
+			channels += (links[i].DemandGbps + rate - 1) / rate
 		}
 	}
 	res.Wavelengths = make([]Wavelength, 0, channels)
 
-	pl := newPlacer(p, res)
-	for _, link := range order {
-		pl.link(link.id, link.paths)
-		lp := LinkPlan{DemandGbps: link.demandGbps}
-		remaining := link.demandGbps
+	for _, li := range order {
+		link := &links[li]
+		pl.link(link.ID, linkPaths[li])
+		lp := LinkPlan{DemandGbps: link.DemandGbps}
+		remaining := link.DemandGbps
 		for remaining > 0 {
 			w, ok := pl.placeOne(remaining)
 			if !ok {
@@ -235,9 +236,9 @@ func Solve(p Problem) (*Result, error) {
 			lp.ProvisionedGbps += w.Mode.DataRateGbps
 			remaining -= w.Mode.DataRateGbps
 		}
-		res.PerLink[link.id] = lp
+		res.PerLink[link.ID] = lp
 		if remaining > 0 {
-			res.Unserved = append(res.Unserved, link.id)
+			res.Unserved = append(res.Unserved, link.ID)
 		}
 	}
 	sort.Strings(res.Unserved)
@@ -245,9 +246,9 @@ func Solve(p Problem) (*Result, error) {
 }
 
 // placer provisions wavelengths link by link for one Solve or Extend
-// call. It holds what the call's links share — the provision table and the
-// scratch — and, for the link it is turned to, the candidate paths with
-// their reach classes.
+// call. It holds what the call's links share — the catalog's provision
+// table and the scratch — and, for the link it is turned to, the candidate
+// paths with their reach classes.
 type placer struct {
 	p          Problem
 	res        *Result
@@ -264,7 +265,7 @@ type candidate struct {
 }
 
 func newPlacer(p Problem, res *Result) *placer {
-	return &placer{p: p, res: res, provisions: transponder.NewProvisionTable(p.Catalog)}
+	return &placer{p: p, res: res, provisions: p.Catalog.Provisions()}
 }
 
 // link turns the placer to an IP link and its candidate paths — the

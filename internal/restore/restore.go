@@ -19,6 +19,7 @@
 package restore
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -163,10 +164,9 @@ type baseState struct {
 	// sharing an ID the first counts, as a scan of the list would find it.
 	linkNum map[string]int32
 
-	// classes resolves a path length to the catalog's modes that reach it,
-	// in preference order. The table fills in as lengths are asked.
-	mu      sync.Mutex
-	classes *transponder.ProvisionTable
+	// provisions is the catalog's table: it resolves a path length to the
+	// modes that reach it, in preference order.
+	provisions *transponder.ProvisionTable
 
 	// forks holds the allocators of scenarios that have been solved, for
 	// the next scenario to fork the occupancy into.
@@ -181,10 +181,10 @@ func newBaseState(p Problem) (*baseState, error) {
 		return nil, fmt.Errorf("restore: nil optical topology")
 	}
 	st := &baseState{
-		p:         p,
-		occupancy: spectrum.NewAllocatorOn(p.Grid, p.Optical.Numbering()),
-		fiberNum:  make(map[string]int32, p.Optical.NumFibers()),
-		classes:   transponder.NewProvisionTable(p.Catalog),
+		p:          p,
+		occupancy:  spectrum.NewAllocatorOn(p.Grid, p.Optical.Numbering()),
+		fiberNum:   make(map[string]int32, p.Optical.NumFibers()),
+		provisions: p.Catalog.Provisions(),
 	}
 	nhops := 0
 	for i := range p.Base.Wavelengths {
@@ -286,14 +286,6 @@ func (st *baseState) endpoints(id string) (a, b topology.NodeID, err error) {
 	return st.p.IP.Links[n].A, st.p.IP.Links[n].B, nil
 }
 
-// reachClass returns the catalog's modes that reach distKm, nil when none
-// does. A class, once returned, is only read here.
-func (st *baseState) reachClass(distKm float64) *transponder.ReachClass {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.classes.Class(distKm)
-}
-
 // Solve runs the restoration heuristic for one scenario.
 //
 // Affected links are processed in order of decreasing affected capacity
@@ -322,58 +314,60 @@ func (st *baseState) solve(sc Scenario, consume bool) (*Result, error) {
 	if alloc != nil && !consume {
 		defer st.forks.Put(alloc) // the result refers to none of it
 	}
-	res := &Result{
-		Scenario: sc,
-		PerLink:  make(map[string][2]int),
-	}
+	res := &Result{Scenario: sc}
 	if len(failed) == 0 {
+		res.PerLink = make(map[string][2]int)
 		return res, nil
 	}
 	post := p.Optical.Without(sc.CutFibers...)
 
-	// Group failures per link.
+	// Group failures per link: ordered by link ID, base order within a
+	// link, each link's failed wavelengths are one run of originals.
+	wls := p.Base.Wavelengths
+	originals := slices.Clone(failed)
+	slices.SortStableFunc(originals, func(a, b int) int { return cmp.Compare(wls[a].LinkID, wls[b].LinkID) })
+	links := 1
+	for j := 1; j < len(originals); j++ {
+		if wls[originals[j]].LinkID != wls[originals[j-1]].LinkID {
+			links++
+		}
+	}
 	type linkState struct {
 		id           string
 		affectedGbps int
 		spares       int
 		originals    []int // the link's failed wavelengths, as base plan indices
 	}
-	byLink := make(map[string]*linkState)
-	var order []*linkState
-	for _, i := range failed {
-		w := &p.Base.Wavelengths[i]
-		ls, ok := byLink[w.LinkID]
-		if !ok {
-			ls = &linkState{id: w.LinkID}
-			byLink[w.LinkID] = ls
-			order = append(order, ls)
-		}
-		ls.affectedGbps += w.Mode.DataRateGbps
-		ls.spares++
-		ls.originals = append(ls.originals, i)
-	}
+	order := make([]linkState, 0, links)
 	spares := 0
-	for _, ls := range order {
-		ls.spares += p.ExtraSpares[ls.id]
+	for start, end := 0, 0; start < len(originals); start = end {
+		ls := linkState{id: wls[originals[start]].LinkID}
+		for end = start; end < len(originals) && wls[originals[end]].LinkID == ls.id; end++ {
+			ls.affectedGbps += wls[originals[end]].Mode.DataRateGbps
+		}
+		ls.originals = originals[start:end:end]
+		ls.spares = len(ls.originals) + p.ExtraSpares[ls.id]
 		spares += ls.spares
 		res.AffectedGbps += ls.affectedGbps
+		order = append(order, ls)
 	}
-	sort.SliceStable(order, func(i, j int) bool {
-		if order[i].affectedGbps != order[j].affectedGbps {
-			return order[i].affectedGbps > order[j].affectedGbps
-		}
-		return order[i].id < order[j].id
+	// The links' IDs differ, so the order is total.
+	slices.SortFunc(order, func(a, b linkState) int {
+		return cmp.Or(cmp.Compare(b.affectedGbps, a.affectedGbps), cmp.Compare(a.id, b.id))
 	})
+	res.PerLink = make(map[string][2]int, len(order))
 
-	for _, ls := range order {
+	var cands []candidate // the link's, overwritten by the next link's
+	for i := range order {
+		ls := &order[i]
 		a, b, err := st.endpoints(ls.id)
 		if err != nil {
 			return nil, err
 		}
 		paths := post.KShortestPaths(a, b, p.k())
-		cands := make([]candidate, len(paths))
+		cands = slices.Grow(cands[:0], len(paths))
 		for i := range paths {
-			cands[i].path = &paths[i]
+			cands = append(cands, candidate{path: &paths[i]})
 		}
 		remaining := ls.affectedGbps
 		restored := 0
@@ -417,7 +411,7 @@ func (st *baseState) restoreOne(alloc *spectrum.Allocator, linkID string, cands 
 	for i := range cands {
 		c := &cands[i]
 		if !c.classed {
-			c.class, c.classed = st.reachClass(c.path.LengthKm), true
+			c.class, c.classed = st.provisions.Class(c.path.LengthKm), true
 		}
 		for i := 0; c.class != nil && i < c.class.Len(); i++ {
 			mode := c.class.ByRate(i)

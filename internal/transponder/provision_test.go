@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 )
 
@@ -29,6 +30,12 @@ func printAlike() Catalog {
 	return Catalog{Name: "alike", Modes: []Mode{newMode(100, math.Nextafter(75, 100), 3000), newMode(100, 75, 3000)}}
 }
 
+// unreachable has a mode whose reach is NaN — WithReaches keeps one
+// when its function returns NaN — which reaches no distance.
+func unreachable() Catalog {
+	return Catalog{Name: "unreachable", Modes: []Mode{newMode(100, 50, 3000), newMode(200, 75, math.NaN()), newMode(300, 75, 1000)}}
+}
+
 // wideCatalog has more modes than a machine word has bits: 70 rates in
 // scrambled order, each at a spacing and a reach of its own, so that the
 // optimal multisets mix modes on both sides of bit 64.
@@ -42,7 +49,7 @@ func wideCatalog() Catalog {
 
 // TestProvisionTableMatchesFreshDP checks the reused table against a
 // from-scratch DP for every capacity 1…20 000 Gbps in every reach class
-// of all three catalogs, the print-alike one and the wide one, in
+// of all three catalogs, the print-alike, unreachable and wide ones, in
 // ascending order, and a sample of them in descending and scattered
 // order, so the table is extended step by step, extended in jumps, and
 // read far below its end (the wide catalog against every 61st fresh DP).
@@ -50,7 +57,7 @@ func wideCatalog() Catalog {
 // modes in the provision's order, asked before it and after it.
 func TestProvisionTableMatchesFreshDP(t *testing.T) {
 	const maxGbps = 20000
-	for _, cat := range []Catalog{Fixed100G(), RADWAN(), SVT(), printAlike(), wideCatalog()} {
+	for _, cat := range []Catalog{Fixed100G(), RADWAN(), SVT(), printAlike(), unreachable(), wideCatalog()} {
 		dists := reachClasses(cat)
 		if cat.Name == "wide" { // a class on each side of, and across, a word of modes
 			dists = []float64{dists[0], dists[5], dists[63], dists[64], dists[69], dists[70]}
@@ -59,7 +66,7 @@ func TestProvisionTableMatchesFreshDP(t *testing.T) {
 			cat, dist := cat, dist
 			t.Run(fmt.Sprintf("%s/%vkm", cat.Name, dist), func(t *testing.T) {
 				t.Parallel()
-				up, down, strided := NewProvisionTable(cat), NewProvisionTable(cat), NewProvisionTable(cat)
+				up, down, strided := newProvisionTable(cat), newProvisionTable(cat), newProvisionTable(cat)
 				var buf []*Mode
 				low, high := false, false // a provision used a mode below bit 64 together with one above
 				check := func(table *ProvisionTable, c int) {
@@ -131,7 +138,7 @@ func sameProvision(a, b Provision) bool {
 // not let one class's cells answer for another.
 func TestProvisionTableSharedAcrossDistances(t *testing.T) {
 	svt := SVT()
-	table := NewProvisionTable(svt)
+	table := newProvisionTable(svt)
 	for round := 0; round < 2; round++ {
 		for _, dist := range reachClasses(svt) {
 			for _, c := range []int{100, 750, 800, 2300, 6100} {
@@ -173,7 +180,7 @@ func TestMinProvisionModesThatPrintAlike(t *testing.T) {
 // fall-back order is the feasible modes by rate, then spacing.
 func TestReachClassQueriesOnTheHotPath(t *testing.T) {
 	svt := SVT()
-	table := NewProvisionTable(svt)
+	table := newProvisionTable(svt)
 	rc := table.Class(1200)
 	buf := rc.AppendModes(make([]*Mode, 0, len(svt.Modes)), 20000)
 	if allocs := testing.AllocsPerRun(100, func() {
@@ -210,6 +217,97 @@ func TestReachClassQueriesOnTheHotPath(t *testing.T) {
 	for _, m := range rc.AppendModes(nil, 20000) {
 		if i := slices.Index(want, m); i < 0 {
 			t.Errorf("AppendModes returned %v, which is not a row of the catalog", m)
+		}
+	}
+}
+
+// One table serves every goroutine that asks its catalog. The goroutines
+// start together and query scattered capacities in every reach class of a
+// table nobody has asked yet, so that several of them extend one class at
+// once while others read it; every answer must be the fresh DP's. Run
+// under -race.
+func TestProvisionTableConcurrentQueries(t *testing.T) {
+	const (
+		goroutines = 8
+		queries    = 60
+		maxGbps    = 20000
+	)
+	for _, cat := range []Catalog{
+		SVT().WithReaches("cold", func(m Mode) float64 { return m.ReachKm }),
+		withTable(wideCatalog()),
+	} {
+		table, dists := cat.Provisions(), reachClasses(cat)
+		if cat.Name == "wide" {
+			dists = []float64{dists[0], dists[63], dists[64], dists[69]}
+		}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				<-start
+				var buf []*Mode
+				for q := 0; q < queries; q++ {
+					// The first query of every goroutine asks the class of
+					// every mode for a large capacity of its own: they extend
+					// it concurrently.
+					dist, c := slices.Min(dists), maxGbps-g
+					if q > 0 {
+						dist, c = dists[(q*7+g)%len(dists)], 1+(q*7919+g*104729)%maxGbps
+					}
+					got, ok := table.MinProvision(c, dist)
+					want, wantOK := freshMinProvision(cat, c, dist)
+					if ok != wantOK || !sameProvision(got, want) {
+						t.Errorf("%s, %d Gbps at %v km: table says %+v, %v; fresh DP says %+v, %v", cat.Name, c, dist, got, ok, want, wantOK)
+						return
+					}
+					if rc := table.Class(dist); rc != nil {
+						if buf = rc.AppendModes(buf[:0], c); !sameModes(buf, want.Modes) {
+							t.Errorf("%s, %d Gbps at %v km: distinct modes %v, fresh DP says %v", cat.Name, c, dist, buf, want.Modes)
+							return
+						}
+					}
+				}
+			}(g)
+		}
+		close(start)
+		wg.Wait()
+	}
+}
+
+// The three families are built once: every call hands out the same modes
+// and the same table, which their copies share. A derived catalog gets a
+// table of its own, and a catalog whose modes are not the ones its table
+// was built on — a hand-built one, or a copy given other modes — gets a
+// new table on every call.
+func TestCatalogsShareTheirTable(t *testing.T) {
+	for _, ctor := range []func() Catalog{Fixed100G, RADWAN, SVT} {
+		a, b := ctor(), ctor()
+		if &a.Modes[0] != &b.Modes[0] || len(a.Modes) != len(b.Modes) {
+			t.Errorf("%s: two calls hand out different modes", a.Name)
+		}
+		if a.Provisions() != b.Provisions() || a.Provisions() == nil {
+			t.Errorf("%s: two calls hand out different tables", a.Name)
+		}
+		derived := a.WithReaches(a.Name+"/2", func(m Mode) float64 { return m.ReachKm / 2 })
+		if derived.Provisions() == a.Provisions() || derived.Provisions() != derived.Provisions() {
+			t.Errorf("%s: a derived catalog does not own one table", a.Name)
+		}
+		if got, want := derived.MaxRateAt(a.Modes[0].ReachKm), a.MaxRateAt(2*a.Modes[0].ReachKm); got != want {
+			t.Errorf("%s: derived catalog answers %d Gbps at half the reach, want %d", a.Name, got, want)
+		}
+		grown := a
+		grown.Modes = append(grown.Modes, newMode(100, 50, 1e6))
+		if len(ctor().Modes) != len(a.Modes) || &grown.Modes[0] == &a.Modes[0] {
+			t.Errorf("%s: appending to a copy's modes wrote into the shared catalog", a.Name)
+		}
+		if grown.Provisions() == a.Provisions() || grown.MaxReachKm() != 1e6 || grown.Provisions().Class(1e6) == nil {
+			t.Errorf("%s: a copy with other modes answers from the shared table", a.Name)
+		}
+		literal := Catalog{Name: a.Name, Modes: a.Modes}
+		if literal.Provisions() == literal.Provisions() {
+			t.Errorf("%s: a hand-built catalog shares a table", a.Name)
 		}
 	}
 }

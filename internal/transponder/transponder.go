@@ -17,6 +17,8 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"flexwan/internal/phy"
 	"flexwan/internal/spectrum"
@@ -116,35 +118,57 @@ func (m Mode) String() string {
 type Catalog struct {
 	Name  string
 	Modes []Mode
+	// table answers provision queries on Modes. The constructors and
+	// WithReaches set it, and copies of the value share it; a hand-built
+	// catalog has none.
+	table *ProvisionTable
+}
+
+// The three families are built once per process: every call of their
+// constructor hands out the same read-only Modes and the same provision
+// table, so the table's dynamic programs fill in once for all plans and
+// restorations.
+var (
+	fixed100G = sync.OnceValue(func() Catalog {
+		return withTable(Catalog{Name: "100G-WAN", Modes: []Mode{newMode(100, 50, 3000)}})
+	})
+	radwan = sync.OnceValue(func() Catalog {
+		return withTable(Catalog{
+			Name: "RADWAN",
+			Modes: []Mode{
+				newMode(100, 75, 5000),
+				newMode(200, 75, 2000),
+				newMode(300, 75, 1100),
+			},
+		})
+	})
+	svt = sync.OnceValue(func() Catalog { return withTable(Catalog{Name: "FlexWAN", Modes: svtModes()}) })
+)
+
+// withTable gives the catalog its own provision table. Modes is clipped
+// to its length first, so that appending to a copy's Modes never writes
+// into the array the table reads.
+func withTable(c Catalog) Catalog {
+	c.Modes = slices.Clip(c.Modes)
+	c.table = newProvisionTable(c)
+	return c
 }
 
 // Fixed100G returns the fixed-rate WAN transponder used by traditional
 // backbones (§2, "100G-WAN" benchmark): 100 Gbps on a 50 GHz grid with
 // 3000 km reach.
-func Fixed100G() Catalog {
-	return Catalog{
-		Name:  "100G-WAN",
-		Modes: []Mode{newMode(100, 50, 3000)},
-	}
-}
+func Fixed100G() Catalog { return fixed100G() }
 
 // RADWAN returns the bandwidth-variable transponder of RADWAN adapted to
 // the paper's setting (§2): BPSK/QPSK/8QAM at a fixed 75 GHz spacing.
-func RADWAN() Catalog {
-	return Catalog{
-		Name: "RADWAN",
-		Modes: []Mode{
-			newMode(100, 75, 5000),
-			newMode(200, 75, 2000),
-			newMode(300, 75, 1100),
-		},
-	}
-}
+func RADWAN() Catalog { return radwan() }
 
 // SVT returns FlexWAN's spacing-variable transponder catalog — Table 2 of
 // the paper, measured on the production testbed. Entries marked "/" in
 // the table (not recommended) are absent.
-func SVT() Catalog {
+func SVT() Catalog { return svt() }
+
+func svtModes() []Mode {
 	type row struct {
 		spacing float64
 		reach   map[int]float64 // data rate Gbps → reach km
@@ -171,7 +195,19 @@ func SVT() Catalog {
 			modes = append(modes, newMode(rate, r.spacing, r.reach[rate]))
 		}
 	}
-	return Catalog{Name: "FlexWAN", Modes: modes}
+	return modes
+}
+
+// Provisions returns the catalog's provision table, which is safe for
+// concurrent use. A catalog from a constructor or WithReaches answers with
+// the table it carries, shared by every copy, as long as Modes is the
+// slice it was built with; otherwise — a hand-built catalog, or one whose
+// Modes was replaced — every call builds a new table.
+func (c Catalog) Provisions() *ProvisionTable {
+	if t := c.table; t != nil && len(t.modes) == len(c.Modes) && (len(c.Modes) == 0 || &t.modes[0] == &c.Modes[0]) {
+		return t
+	}
+	return newProvisionTable(c)
 }
 
 // FeasibleModes returns the modes whose reach covers distKm, preserving
@@ -190,13 +226,10 @@ func (c Catalog) FeasibleModes(distKm float64) []*Mode {
 // MaxRateAt returns the highest data rate any mode supports at distKm,
 // or 0 when the distance exceeds every mode's reach (Fig. 2b).
 func (c Catalog) MaxRateAt(distKm float64) int {
-	best := 0
-	for _, m := range c.Modes {
-		if m.Feasible(distKm) && m.DataRateGbps > best {
-			best = m.DataRateGbps
-		}
+	if rc := c.Provisions().Class(distKm); rc != nil {
+		return rc.ByRate(0).DataRateGbps
 	}
-	return best
+	return 0
 }
 
 // BestModeAt returns the preferred mode for a path of distKm: the highest
@@ -204,20 +237,19 @@ func (c Catalog) MaxRateAt(distKm float64) int {
 // then by the tightest reach (least over-provisioned margin). The second
 // return is false when no mode reaches.
 func (c Catalog) BestModeAt(distKm float64) (Mode, bool) {
-	var best Mode
-	found := false
-	for _, m := range c.Modes {
-		if !m.Feasible(distKm) {
-			continue
-		}
-		if !found || better(m, best) {
-			best, found = m, true
+	var best *Mode
+	for i := range c.Modes {
+		if m := &c.Modes[i]; m.Feasible(distKm) && (best == nil || better(m, best)) {
+			best = m
 		}
 	}
-	return best, found
+	if best == nil {
+		return Mode{}, false
+	}
+	return *best, true
 }
 
-func better(a, b Mode) bool {
+func better(a, b *Mode) bool {
 	if a.DataRateGbps != b.DataRateGbps {
 		return a.DataRateGbps > b.DataRateGbps
 	}
@@ -230,9 +262,9 @@ func better(a, b Mode) bool {
 // MaxReachKm returns the longest reach of any mode in the catalog.
 func (c Catalog) MaxReachKm() float64 {
 	best := 0.0
-	for _, m := range c.Modes {
-		if m.ReachKm > best {
-			best = m.ReachKm
+	for i := range c.Modes {
+		if r := c.Modes[i].ReachKm; r > best {
+			best = r
 		}
 	}
 	return best
@@ -276,10 +308,10 @@ func (p Provision) SpectrumGHz() float64 {
 // path of distKm with this catalog: primarily the fewest transponder
 // pairs, secondarily the least spectrum (the planning objective of
 // Algorithm 1 applied to a single demand, as in the Fig. 3 cost study).
-// It returns false when no mode reaches distKm or capacity is 0. Callers
-// with many queries on one catalog share a ProvisionTable instead.
+// It returns false when no mode reaches distKm or capacity is 0. It asks
+// the catalog's table (Provisions).
 func (c Catalog) MinProvision(capacityGbps int, distKm float64) (Provision, bool) {
-	return NewProvisionTable(c).MinProvision(capacityGbps, distKm)
+	return c.Provisions().MinProvision(capacityGbps, distKm)
 }
 
 // ProvisionTable answers MinProvision queries on one catalog and keeps
@@ -288,25 +320,43 @@ func (c Catalog) MinProvision(capacityGbps int, distKm float64) (Provision, bool
 // its cell u depends only on the cells below u — never on the capacity
 // asked for — so one table per reach class (the distances that share a
 // feasible set) serves every query: a query extends the table as far as
-// it needs and then only scans and reads. A table is not safe for
-// concurrent use.
+// it needs and then only scans and reads. A table is safe for concurrent
+// use; a query takes no lock unless it extends a class.
 type ProvisionTable struct {
-	catalog Catalog
+	modes []Mode // the catalog's
+	// reaches lists the modes' reaches, longest first (a NaN reach covers
+	// no distance and is left out).
+	reaches []float64
 	// classes[n] is the DP over the n modes with the longest reach: the
-	// feasible sets of all distances nest, so their size names them.
+	// feasible sets of all distances nest, so their size names them. It is
+	// nil where a tie in reach leaves no distance with n feasible modes.
 	classes []*ReachClass
 }
 
-// NewProvisionTable returns an empty table for the catalog.
-func NewProvisionTable(c Catalog) *ProvisionTable {
-	return &ProvisionTable{catalog: c, classes: make([]*ReachClass, len(c.Modes)+1)}
+// newProvisionTable returns a table for the catalog with every reach
+// class built and no DP cell filled.
+func newProvisionTable(c Catalog) *ProvisionTable {
+	t := &ProvisionTable{modes: c.Modes, reaches: make([]float64, 0, len(c.Modes))}
+	for i := range c.Modes {
+		if r := c.Modes[i].ReachKm; !math.IsNaN(r) {
+			t.reaches = append(t.reaches, r)
+		}
+	}
+	slices.SortFunc(t.reaches, func(a, b float64) int { return cmp.Compare(b, a) })
+	t.classes = make([]*ReachClass, len(t.reaches)+1)
+	for n := 1; n <= len(t.reaches); n++ {
+		if n == len(t.reaches) || t.reaches[n] < t.reaches[n-1] {
+			t.classes[n] = newReachClass(c.Modes, t.reaches[n-1])
+		}
+	}
+	return t
 }
 
 // ReachClass is a table's DP over the modes that reach one band of
 // distances. A caller with many queries at one distance resolves the
 // class once (ProvisionTable.Class) and asks it directly.
 type ReachClass struct {
-	catalog []Mode // the table's catalog
+	modes []Mode // the table's catalog
 	// The feasible modes, in catalog order — the order the DP tries them
 	// in, which decides its ties — as the DP needs them.
 	units    []int     // data rate / step
@@ -317,15 +367,25 @@ type ReachClass struct {
 	order    []int
 	step     int // gcd of the rates
 	maxUnits int
+	words    int // mode-set words per cell
+
+	// dp is the prefix of the table filled so far. Readers load it without
+	// a lock; an extension runs under mu and publishes a longer prefix.
+	mu sync.Mutex
+	dp atomic.Pointer[provisionDP]
+}
+
+// provisionDP is a published prefix of a class's table. An extension
+// appends past its end, so the cells and words a prefix covers are never
+// written again, and the prefix a reader loaded stays valid.
+type provisionDP struct {
 	// cells[u] is the best (transponders, spectrum) providing at least
 	// u·step Gbps, and the last mode added to get there.
 	cells []provisionCell
 	// used[u·words:(u+1)·words] is the set of modes in cell u's multiset,
 	// one bit per feasible mode: the previous cell's set plus the cell's
 	// own mode.
-	used   []uint64
-	words  int
-	counts []int // trace-back scratch, all zero between queries
+	used []uint64
 }
 
 type provisionCell struct {
@@ -334,26 +394,24 @@ type provisionCell struct {
 	mode     int
 }
 
-// Class returns the reach class of distKm, nil when no mode reaches.
-func (t *ProvisionTable) Class(distKm float64) *ReachClass {
+// newReachClass builds the class of the modes whose reach is at least
+// reachKm, with an empty DP.
+func newReachClass(modes []Mode, reachKm float64) *ReachClass {
 	n := 0
-	for i := range t.catalog.Modes {
-		if t.catalog.Modes[i].Feasible(distKm) {
+	for i := range modes {
+		if modes[i].Feasible(reachKm) {
 			n++
 		}
 	}
-	if n == 0 || t.classes[n] != nil {
-		return t.classes[n]
-	}
 	ints := make([]int, 3*n)
 	rc := &ReachClass{
-		catalog: t.catalog.Modes,
-		units:   ints[:0:n], feasible: ints[n : n : 2*n], order: ints[2*n:],
+		modes: modes,
+		units: ints[:0:n], feasible: ints[n : n : 2*n], order: ints[2*n:],
 		spacing: make([]float64, 0, n),
 		words:   (n + 63) >> 6,
 	}
-	for i, m := range t.catalog.Modes {
-		if m.Feasible(distKm) {
+	for i := range modes {
+		if m := &modes[i]; m.Feasible(reachKm) {
 			rc.step = gcd(m.DataRateGbps, rc.step)
 			rc.units = append(rc.units, m.DataRateGbps)
 			rc.spacing = append(rc.spacing, m.SpacingGHz)
@@ -371,8 +429,21 @@ func (t *ProvisionTable) Class(distKm float64) *ReachClass {
 		}
 		return cmp.Compare(rc.spacing[a], rc.spacing[b])
 	})
-	t.classes[n] = rc
 	return rc
+}
+
+// Class returns the reach class of distKm, nil when no mode reaches.
+func (t *ProvisionTable) Class(distKm float64) *ReachClass {
+	// The feasible modes are the n longest-reaching: reaches[:n] ≥ distKm.
+	n, hi := 0, len(t.reaches)
+	for n < hi {
+		if mid := int(uint(n+hi) >> 1); t.reaches[mid] >= distKm {
+			n = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return t.classes[n]
 }
 
 // Len returns the number of modes in the class.
@@ -383,60 +454,77 @@ func (rc *ReachClass) Len() int { return len(rc.order) }
 // restoration fall back through a path's formats in. It points into the
 // catalog's Modes, so a record keeps the pointer instead of a copy of the
 // row: read-only.
-func (rc *ReachClass) ByRate(i int) *Mode { return &rc.catalog[rc.feasible[rc.order[i]]] }
+func (rc *ReachClass) ByRate(i int) *Mode { return &rc.modes[rc.feasible[rc.order[i]]] }
 
-// extend fills the cells up to limit.
-func (rc *ReachClass) extend(limit int) {
-	if rc.cells == nil { // cell 0: nothing provisioned, no mode used
-		rc.cells = make([]provisionCell, 1, limit+1)
-		rc.used = make([]uint64, rc.words, (limit+1)*rc.words)
-		rc.counts = make([]int, len(rc.units))
+// upTo returns a prefix of the table that covers cell limit.
+func (rc *ReachClass) upTo(limit int) *provisionDP {
+	if dp := rc.dp.Load(); dp != nil && len(dp.cells) > limit {
+		return dp
 	}
-	for u := len(rc.cells); u <= limit; u++ {
+	return rc.extend(limit)
+}
+
+// extend fills the cells up to limit and publishes them.
+func (rc *ReachClass) extend(limit int) *provisionDP {
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	dp := rc.dp.Load()
+	if dp == nil { // cell 0: nothing provisioned, no mode used
+		dp = &provisionDP{cells: make([]provisionCell, 1, limit+1), used: make([]uint64, rc.words, (limit+1)*rc.words)}
+	} else if len(dp.cells) > limit { // another query got there first
+		return dp
+	}
+	cells, used := dp.cells, dp.used
+	for u := len(cells); u <= limit; u++ {
 		best, from := provisionCell{count: math.MaxInt32}, 0
 		for mi, units := range rc.units {
 			p := max(u-units, 0)
-			prev := rc.cells[p]
+			prev := cells[p]
 			cand := provisionCell{count: prev.count + 1, spectrum: prev.spectrum + rc.spacing[mi], mode: mi}
 			if cand.count < best.count || (cand.count == best.count && cand.spectrum < best.spectrum) {
 				best, from = cand, p
 			}
 		}
-		rc.cells = append(rc.cells, best)
+		cells = append(cells, best)
 		for w := 0; w < rc.words; w++ {
-			rc.used = append(rc.used, rc.used[from*rc.words+w])
+			used = append(used, used[from*rc.words+w])
 		}
-		rc.used[u*rc.words+best.mode>>6] |= 1 << (best.mode & 63)
+		used[u*rc.words+best.mode>>6] |= 1 << (best.mode & 63)
 	}
+	dp = &provisionDP{cells: cells, used: used}
+	rc.dp.Store(dp)
+	return dp
 }
 
-// best returns the cell of the cheapest provision of capacityGbps > 0,
-// extending the table to cover it: the one scan every query shares.
-func (rc *ReachClass) best(capacityGbps int) int {
+// best returns the cell of the cheapest provision of capacityGbps > 0 and
+// a prefix of the table that holds it, extending the table to cover it:
+// the one scan every query shares.
+func (rc *ReachClass) best(capacityGbps int) (*provisionDP, int) {
 	// The optimum may overshoot the demand, but never by a whole
 	// max-rate transponder: scan that far and no further.
 	units := (capacityGbps + rc.step - 1) / rc.step
-	rc.extend(units + rc.maxUnits)
+	dp := rc.upTo(units + rc.maxUnits)
 	best := units
 	for u := units + 1; u <= units+rc.maxUnits; u++ {
-		if c, b := rc.cells[u], rc.cells[best]; c.count < b.count || (c.count == b.count && c.spectrum < b.spectrum) {
+		if c, b := dp.cells[u], dp.cells[best]; c.count < b.count || (c.count == b.count && c.spectrum < b.spectrum) {
 			best = u
 		}
 	}
-	return best
+	return dp, best
 }
 
 // AppendModes appends to buf the distinct modes of the class's cheapest
 // provision of capacityGbps — MinProvision(...).Modes, in the same order —
-// and returns the extended slice; it allocates only to grow buf. The
-// planner asks this once per wavelength: it walks the modes and never
-// reads the counts. Like ByRate's, the pointers are into the catalog.
+// and returns the extended slice; it allocates only to grow buf (and the
+// table, the first time a capacity is asked). The planner asks this once
+// per wavelength: it walks the modes and never reads the counts. Like
+// ByRate's, the pointers are into the catalog.
 func (rc *ReachClass) AppendModes(buf []*Mode, capacityGbps int) []*Mode {
 	if capacityGbps <= 0 {
 		return buf
 	}
-	best := rc.best(capacityGbps) // first: it may move rc.used
-	used := rc.used[best*rc.words:]
+	dp, best := rc.best(capacityGbps)
+	used := dp.used[best*rc.words:]
 	for i, mi := range rc.order {
 		if used[mi>>6]>>(mi&63)&1 != 0 {
 			buf = append(buf, rc.ByRate(i))
@@ -452,18 +540,19 @@ func (t *ProvisionTable) MinProvision(capacityGbps int, distKm float64) (Provisi
 		return Provision{}, false
 	}
 	// Trace the multiset back, then list it by rate.
+	counts := make([]int, len(rc.units))
 	distinct := 0
-	for u := rc.best(capacityGbps); u > 0; u = max(u-rc.units[rc.cells[u].mode], 0) {
-		if rc.counts[rc.cells[u].mode]++; rc.counts[rc.cells[u].mode] == 1 {
+	dp, best := rc.best(capacityGbps)
+	for u := best; u > 0; u = max(u-rc.units[dp.cells[u].mode], 0) {
+		if counts[dp.cells[u].mode]++; counts[dp.cells[u].mode] == 1 {
 			distinct++
 		}
 	}
 	p := Provision{Modes: make([]Mode, 0, distinct), Counts: make([]int, 0, distinct)}
 	for i, mi := range rc.order {
-		if n := rc.counts[mi]; n > 0 {
+		if n := counts[mi]; n > 0 {
 			p.Modes = append(p.Modes, *rc.ByRate(i))
 			p.Counts = append(p.Counts, n)
-			rc.counts[mi] = 0
 		}
 	}
 	return p, true
@@ -491,5 +580,5 @@ func (c Catalog) WithReaches(name string, fn func(Mode) float64) Catalog {
 		m.ReachKm = r
 		out.Modes = append(out.Modes, m)
 	}
-	return out
+	return withTable(out)
 }

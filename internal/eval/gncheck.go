@@ -1,12 +1,13 @@
 package eval
 
 import (
-	"flexwan/internal/workload"
 	"fmt"
 	"sort"
+	"sync"
 
 	"flexwan/internal/phy"
 	"flexwan/internal/transponder"
+	"flexwan/internal/workload"
 )
 
 // GNCheckRow compares one SVT format's measured reach (Table 2) against
@@ -72,13 +73,17 @@ func GNCheckString(rows []GNCheckRow) string {
 
 // GNDerivedCatalog returns the SVT catalog with every reach replaced by
 // the GN-model prediction — what planning would look like if the operator
-// trusted physics instead of testbed measurements.
-func GNDerivedCatalog() transponder.Catalog {
+// trusted physics instead of testbed measurements. Like SVT(), it is built
+// once per process: every call hands out the same read-only Modes and
+// provision table.
+func GNDerivedCatalog() transponder.Catalog { return gnCatalog() }
+
+var gnCatalog = sync.OnceValue(func() transponder.Catalog {
 	gn := phy.DefaultGN()
 	return transponder.SVT().WithReaches("FlexWAN-GN", func(m transponder.Mode) float64 {
 		return gn.MaxReachKm(phy.RequiredSNRdB(m.Modulation, m.FEC), m.BaudGBd)
 	})
-}
+})
 
 // ReachSensitivity compares planning outcomes under measured (Table 2)
 // and GN-derived reaches on one network — the sensitivity of the paper's
@@ -90,20 +95,20 @@ type ReachSensitivity struct {
 	MeasuredFeasible, GNFeasible bool
 }
 
-// ReachSensitivityStudy plans the network with both catalogs.
+// ReachSensitivityStudy plans the network with both catalogs, through the
+// network's memo.
 func ReachSensitivityStudy(n workload.Network) (ReachSensitivity, error) {
 	out := ReachSensitivity{Network: n.Name}
-	measured, err := planScheme(n, transponder.SVT())
-	if err != nil {
-		return out, err
+	nw := networkOf(n)
+	measured, gn := nw.point(transponder.SVT(), 1), nw.point(GNDerivedCatalog(), 1)
+	for _, pt := range []*point{measured, gn} {
+		if pt.err != nil {
+			return out, pt.err
+		}
 	}
-	gnRes, err := planScheme(n, GNDerivedCatalog())
-	if err != nil {
-		return out, err
-	}
-	out.MeasuredTx, out.GNTx = measured.Transponders(), gnRes.Transponders()
-	out.MeasuredGHz, out.GNGHz = measured.SpectrumGHz(), gnRes.SpectrumGHz()
-	out.MeasuredFeasible, out.GNFeasible = measured.Feasible(), gnRes.Feasible()
+	out.MeasuredTx, out.GNTx = measured.cost.transponders, gn.cost.transponders
+	out.MeasuredGHz, out.GNGHz = measured.cost.spectrumGHz, gn.cost.spectrumGHz
+	out.MeasuredFeasible, out.GNFeasible = measured.cost.feasible, gn.cost.feasible
 	return out, nil
 }
 

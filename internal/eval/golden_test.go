@@ -87,7 +87,7 @@ func detailHash(t *testing.T, n workload.Network, scales []float64) string {
 			}
 			sweep, err := restore.SweepWithOptions(restore.Problem{
 				Optical: n.Optical, IP: scaled.IP, Catalog: cat, Grid: spectrum.DefaultGrid(), Base: base,
-			}, restore.SingleFiberScenarios(n.Optical), sweepOpts(0))
+			}, restore.SingleFiberScenarios(n.Optical), restore.SweepOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -46,6 +46,8 @@ type Fig12 struct {
 // Fig12HardwareVsScale sweeps demands from 1× upward in the given
 // scales (e.g. 1..8). The (scheme, scale) points are independent plans,
 // so they run through the shared worker pool (workers ≤ 0 = GOMAXPROCS).
+// Each is planned once per network: the headline and the restoration
+// figures read the same points from the memo.
 func Fig12HardwareVsScale(n workload.Network, scales []float64, workers int) (Fig12, error) {
 	out := Fig12{
 		Network:      n.Name,
@@ -54,34 +56,17 @@ func Fig12HardwareVsScale(n workload.Network, scales []float64, workers int) (Fi
 		SpectrumGHz:  make(map[string][]float64),
 		MaxScale:     make(map[string]float64),
 	}
+	nw := networkOf(n)
+	// Point i is scheme i / len(scales) at scale i % len(scales).
 	schemes := Schemes()
-	type point struct {
-		cat   transponder.Catalog
-		scale float64
-	}
-	points := make([]point, 0, len(schemes)*len(scales))
-	for _, cat := range schemes {
-		for _, scale := range scales {
-			points = append(points, point{cat, scale})
-		}
-	}
-	// A point keeps the two numbers the figure reads, not the plan behind
-	// them; −1 marks a scale the scheme cannot serve.
-	type cost struct {
-		transponders int
-		spectrumGHz  float64
-	}
-	costs, errs := parallel.Map(context.Background(), parallel.Workers(workers), len(points),
+	costs, errs := parallel.Map(context.Background(), parallel.Workers(workers), len(schemes)*len(scales),
 		func(_ context.Context, i int) (cost, error) {
-			pt := points[i]
-			res, err := planScheme(n.Scale(pt.scale), pt.cat)
-			if err != nil {
-				return cost{}, fmt.Errorf("eval: %s at %gx: %w", pt.cat.Name, pt.scale, err)
+			cat, scale := schemes[i/len(scales)], scales[i%len(scales)]
+			pt := nw.point(cat, scale)
+			if pt.err != nil {
+				return cost{}, fmt.Errorf("eval: %s at %gx: %w", cat.Name, scale, pt.err)
 			}
-			if !res.Feasible() {
-				return cost{-1, -1}, nil
-			}
-			return cost{res.Transponders(), res.SpectrumGHz()}, nil
+			return pt.cost, nil
 		})
 	for _, err := range errs {
 		if err != nil {
@@ -89,12 +74,14 @@ func Fig12HardwareVsScale(n workload.Network, scales []float64, workers int) (Fi
 		}
 	}
 	for i, c := range costs {
-		pt := points[i]
-		out.Transponders[pt.cat.Name] = append(out.Transponders[pt.cat.Name], c.transponders)
-		out.SpectrumGHz[pt.cat.Name] = append(out.SpectrumGHz[pt.cat.Name], c.spectrumGHz)
-		if c.transponders >= 0 && pt.scale > out.MaxScale[pt.cat.Name] {
-			out.MaxScale[pt.cat.Name] = pt.scale
+		name, scale := schemes[i/len(scales)].Name, scales[i%len(scales)]
+		tx, ghz := -1, -1.0 // a scale the scheme cannot serve
+		if c.feasible {
+			tx, ghz = c.transponders, c.spectrumGHz
+			out.MaxScale[name] = max(out.MaxScale[name], scale)
 		}
+		out.Transponders[name] = append(out.Transponders[name], tx)
+		out.SpectrumGHz[name] = append(out.SpectrumGHz[name], ghz)
 	}
 	return out, nil
 }
@@ -140,21 +127,22 @@ type Savings struct {
 	SpectralEffGainVsRADWAN float64
 }
 
-// HeadlineSavings computes the §7.1 comparisons on a network.
+// HeadlineSavings computes the §7.1 comparisons on a network, from the
+// network's memo points at the given scale.
 func HeadlineSavings(n workload.Network, scale float64) (Savings, error) {
-	scaled := n.Scale(scale)
-	results := make(map[string]*plan.Result, 3)
+	nw := networkOf(n)
+	costs := make(map[string]cost, 3)
 	for _, cat := range Schemes() {
-		res, err := planScheme(scaled, cat)
-		if err != nil {
-			return Savings{}, err
+		pt := nw.point(cat, scale)
+		if pt.err != nil {
+			return Savings{}, pt.err
 		}
-		if !res.Feasible() {
+		if !pt.cost.feasible {
 			return Savings{}, fmt.Errorf("eval: %s infeasible at %gx on %s", cat.Name, scale, n.Name)
 		}
-		results[cat.Name] = res
+		costs[cat.Name] = pt.cost
 	}
-	fx, rad, flex := results["100G-WAN"], results["RADWAN"], results["FlexWAN"]
+	fx, rad, flex := costs["100G-WAN"], costs["RADWAN"], costs["FlexWAN"]
 	saved := func(base, ours float64) float64 {
 		if base == 0 {
 			return 0
@@ -170,12 +158,12 @@ func HeadlineSavings(n workload.Network, scale float64) (Savings, error) {
 	return Savings{
 		Network:                 n.Name,
 		Scale:                   scale,
-		TxSavedVs100G:           saved(float64(fx.Transponders()), float64(flex.Transponders())),
-		TxSavedVsRADWAN:         saved(float64(rad.Transponders()), float64(flex.Transponders())),
-		SpectrumSavedVs100G:     saved(fx.SpectrumGHz(), flex.SpectrumGHz()),
-		SpectrumSavedVsRADWAN:   saved(rad.SpectrumGHz(), flex.SpectrumGHz()),
-		SpectralEffGainVs100G:   gain(fx.MeanSpectralEfficiency(), flex.MeanSpectralEfficiency()),
-		SpectralEffGainVsRADWAN: gain(rad.MeanSpectralEfficiency(), flex.MeanSpectralEfficiency()),
+		TxSavedVs100G:           saved(float64(fx.transponders), float64(flex.transponders)),
+		TxSavedVsRADWAN:         saved(float64(rad.transponders), float64(flex.transponders)),
+		SpectrumSavedVs100G:     saved(fx.spectrumGHz, flex.spectrumGHz),
+		SpectrumSavedVsRADWAN:   saved(rad.spectrumGHz, flex.spectrumGHz),
+		SpectralEffGainVs100G:   gain(fx.spectralEff, flex.spectralEff),
+		SpectralEffGainVsRADWAN: gain(rad.spectralEff, flex.spectralEff),
 	}, nil
 }
 
@@ -274,8 +262,9 @@ func Fig14WavelengthDistributions(n workload.Network) (Fig14, error) {
 		GapKm:       make(map[string]CDF),
 		SpectralEff: make(map[string]CDF),
 	}
+	nw := networkOf(n)
 	for _, cat := range Schemes() {
-		res, err := planScheme(n, cat)
+		res, err := nw.plan(nw.point(cat, 1))
 		if err != nil {
 			return Fig14{}, err
 		}

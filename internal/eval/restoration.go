@@ -13,16 +13,12 @@ import (
 	"flexwan/internal/workload"
 )
 
-// sweepOpts maps an experiment's worker knob onto restore.SweepOptions.
-// workers == 0 uses all cores; 1 forces the sequential path.
-func sweepOpts(workers int) restore.SweepOptions {
-	return restore.SweepOptions{Workers: workers}
-}
-
-// restorationSweep plans the network with one scheme, then restores every
-// 1-fiber failure scenario against that base, workers scenarios at a time.
+// restorationSweep takes the network's 1× plan for one scheme, then
+// restores every 1-fiber failure scenario against that base, workers
+// scenarios at a time.
 func restorationSweep(n workload.Network, cat transponder.Catalog, extraSpares map[string]int, workers int) (restore.SweepResult, *plan.Result, error) {
-	base, err := planScheme(n, cat)
+	nw := networkOf(n)
+	base, err := nw.plan(nw.point(cat, 1))
 	if err != nil {
 		return restore.SweepResult{}, nil, err
 	}
@@ -33,7 +29,7 @@ func restorationSweep(n workload.Network, cat transponder.Catalog, extraSpares m
 		Grid:        spectrum.DefaultGrid(),
 		Base:        base,
 		ExtraSpares: extraSpares,
-	}, restore.SingleFiberScenarios(n.Optical), sweepOpts(workers))
+	}, restore.SingleFiberScenarios(n.Optical), restore.SweepOptions{Workers: workers})
 	if err != nil {
 		return restore.SweepResult{}, nil, err
 	}
@@ -84,44 +80,25 @@ type Fig15b struct {
 // Fig15bRestorationVsScale sweeps scales and schemes. The (scheme, scale)
 // points run through the worker pool; the scenario sweeps inside each
 // point then run sequentially, so the total concurrency stays bounded by
-// workers (0 = all cores).
+// workers (0 = all cores). The plans and the sweeps are the network's memo
+// points: Fig 12 has planned them, and Fig 16 reads the 1× sweeps.
 func Fig15bRestorationVsScale(n workload.Network, scales []float64, workers int) (Fig15b, error) {
 	out := Fig15b{
 		Network:    n.Name,
 		Scales:     scales,
 		Capability: make(map[string][]float64),
 	}
+	nw := networkOf(n)
+	// Point i is scheme i / len(scales) at scale i % len(scales).
 	schemes := Schemes()
-	type point struct {
-		cat   transponder.Catalog
-		scale float64
-	}
-	points := make([]point, 0, len(schemes)*len(scales))
-	for _, cat := range schemes {
-		for _, scale := range scales {
-			points = append(points, point{cat, scale})
-		}
-	}
-	scenarios := restore.SingleFiberScenarios(n.Optical)
-	caps, errs := parallel.Map(context.Background(), parallel.Workers(workers), len(points),
-		func(ctx context.Context, i int) (float64, error) {
-			pt := points[i]
-			scaled := n.Scale(pt.scale)
-			base, err := planScheme(scaled, pt.cat)
-			if err != nil {
-				return 0, err
-			}
-			if !base.Feasible() {
+	caps, errs := parallel.Map(context.Background(), parallel.Workers(workers), len(schemes)*len(scales),
+		func(_ context.Context, i int) (float64, error) {
+			pt := nw.point(schemes[i/len(scales)], scales[i%len(scales)])
+			if pt.err == nil && !pt.cost.feasible {
 				return -1, nil
 			}
-			sweep, err := restore.SweepWithOptions(restore.Problem{
-				Optical: n.Optical, IP: scaled.IP, Catalog: pt.cat,
-				Grid: spectrum.DefaultGrid(), Base: base,
-			}, scenarios, restore.SweepOptions{Workers: 1, Context: ctx})
-			if err != nil {
-				return 0, err
-			}
-			return sweep.MeanCapability(), nil
+			s, err := nw.sweep(pt, 1)
+			return s.mean, err
 		})
 	for _, err := range errs {
 		if err != nil {
@@ -129,7 +106,8 @@ func Fig15bRestorationVsScale(n workload.Network, scales []float64, workers int)
 		}
 	}
 	for i, c := range caps {
-		out.Capability[points[i].cat.Name] = append(out.Capability[points[i].cat.Name], c)
+		name := schemes[i/len(scales)].Name
+		out.Capability[name] = append(out.Capability[name], c)
 	}
 	return out, nil
 }
@@ -169,45 +147,40 @@ type Fig16 struct {
 // Fig16RestorationCDF sweeps all 1-failure scenarios at the given scale.
 // FlexWAN+ gives every link extra spares equal to half the transponders
 // FlexWAN saved against RADWAN (§8). workers bounds the concurrent
-// scenario solves (0 = all cores).
+// scenario solves (0 = all cores). The plans and the spare-free sweeps are
+// the network's memo points, shared with Fig 12 and Fig 15(b); only the
+// FlexWAN+ sweep is Fig 16's own.
 func Fig16RestorationCDF(n workload.Network, scale float64, workers int) (Fig16, error) {
-	scaled := n.Scale(scale)
 	out := Fig16{
 		Network:    n.Name,
 		Scale:      scale,
 		Capability: make(map[string]CDF),
 	}
-	scenarios := restore.SingleFiberScenarios(n.Optical)
-	var flexBase, radBase *plan.Result
+	nw := networkOf(n)
+	var flex, rad *point
 	for _, cat := range Schemes() {
-		base, err := planScheme(scaled, cat)
-		if err != nil {
-			return Fig16{}, err
-		}
-		if !base.Feasible() {
+		pt := nw.point(cat, scale)
+		if pt.err == nil && !pt.cost.feasible {
 			continue // scheme cannot even serve the load; omitted as in Fig 12
 		}
-		sweep, err := restore.SweepWithOptions(restore.Problem{
-			Optical: n.Optical, IP: scaled.IP, Catalog: cat,
-			Grid: spectrum.DefaultGrid(), Base: base,
-		}, scenarios, sweepOpts(workers))
+		s, err := nw.sweep(pt, workers)
 		if err != nil {
 			return Fig16{}, err
 		}
-		out.Capability[cat.Name] = NewCDF(sweep.Capabilities())
+		out.Capability[cat.Name] = NewCDF(s.capabilities)
 		switch cat.Name {
 		case "FlexWAN":
-			flexBase = base
+			flex = pt
 		case "RADWAN":
-			radBase = base
+			rad = pt
 		}
 	}
-	if flexBase != nil && radBase != nil {
-		spares := restore.PlusSpares(flexBase, radBase, 0.5)
+	if flex != nil && rad != nil { // both feasible, so both plans are kept
+		spares := restore.PlusSpares(flex.plan, rad.plan, 0.5)
 		sweep, err := restore.SweepWithOptions(restore.Problem{
-			Optical: n.Optical, IP: scaled.IP, Catalog: transponder.SVT(),
-			Grid: spectrum.DefaultGrid(), Base: flexBase, ExtraSpares: spares,
-		}, scenarios, sweepOpts(workers))
+			Optical: nw.optical, IP: flex.ip, Catalog: flex.cat,
+			Grid: spectrum.DefaultGrid(), Base: flex.plan, ExtraSpares: spares,
+		}, nw.scenarios(), restore.SweepOptions{Workers: workers})
 		if err != nil {
 			return Fig16{}, err
 		}
@@ -255,19 +228,21 @@ func ProbabilisticRestorationSweep(n workload.Network, scale float64, seed int64
 	}
 	scs := restore.ProbabilisticScenarios(n.Optical, seed, scenarios, cutsPerThousandKm)
 	out.Scenarios = len(scs)
+	nw := networkOf(n)
 	for _, cat := range Schemes() {
-		base, err := planScheme(scaled, cat)
-		if err != nil {
-			return ProbabilisticRestoration{}, err
-		}
-		if !base.Feasible() {
+		pt := nw.point(cat, scale)
+		if pt.err == nil && !pt.cost.feasible {
 			out.Capability[cat.Name] = -1
 			continue
+		}
+		base, err := nw.plan(pt)
+		if err != nil {
+			return ProbabilisticRestoration{}, err
 		}
 		sweep, err := restore.SweepWithOptions(restore.Problem{
 			Optical: n.Optical, IP: scaled.IP, Catalog: cat,
 			Grid: spectrum.DefaultGrid(), Base: base,
-		}, scs, sweepOpts(workers))
+		}, scs, restore.SweepOptions{Workers: workers})
 		if err != nil {
 			return ProbabilisticRestoration{}, err
 		}

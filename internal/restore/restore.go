@@ -154,10 +154,12 @@ type baseState struct {
 	// by one is the base plan's consistency check, so it runs once, over
 	// the whole plan, whatever a scenario goes on to cut.
 	occupancy *spectrum.Allocator
-	// The base wavelengths crossing each fiber: fiberNum numbers the fibers
-	// the plan uses, and those crossing fiber n are
-	// onFiber[fiberStart[n]:fiberStart[n+1]], ascending.
-	fiberNum   map[string]int32
+	// The base wavelengths crossing each fiber: those crossing fiber n are
+	// onFiber[fiberStart[n]:fiberStart[n+1]], ascending. A fiber's n is its
+	// number in the topology's numbering; a fiber of the plan that the
+	// topology does not number is numbered after those, in foreign.
+	num        *topology.Numbering
+	foreign    map[string]int32 // nil unless the plan has such a fiber
 	fiberStart []int32
 	onFiber    []int
 	// linkNum maps an IP link's ID to its position in IP.Links; of links
@@ -180,10 +182,11 @@ func newBaseState(p Problem) (*baseState, error) {
 	if p.Optical == nil {
 		return nil, fmt.Errorf("restore: nil optical topology")
 	}
+	num := p.Optical.Numbering()
 	st := &baseState{
 		p:          p,
-		occupancy:  spectrum.NewAllocatorOn(p.Grid, p.Optical.Numbering()),
-		fiberNum:   make(map[string]int32, p.Optical.NumFibers()),
+		occupancy:  spectrum.NewAllocatorOn(p.Grid, num),
+		num:        num,
 		provisions: p.Catalog.Provisions(),
 	}
 	nhops := 0
@@ -191,19 +194,29 @@ func newBaseState(p Problem) (*baseState, error) {
 		nhops += len(p.Base.Wavelengths[i].Path.Fibers)
 	}
 	var (
-		hops  = make([]int32, 0, nhops) // every wavelength's fibers in turn, by number
-		count []int32                   // wavelengths per fiber
+		hops  = make([]int32, 0, nhops)  // every wavelength's fibers in turn, by number
+		count = make([]int32, num.Len()) // wavelengths per fiber
 	)
 	for i := range p.Base.Wavelengths {
 		w := &p.Base.Wavelengths[i]
 		if err := st.occupancy.AllocatePath(w.Path, w.Interval); err != nil {
 			return nil, fmt.Errorf("restore: base plan inconsistent: %w", err)
 		}
-		for _, f := range w.Path.Fibers {
-			n, ok := st.fiberNum[f]
+		if w.Path.Numbering == num {
+			hops = append(hops, w.Path.Index...)
+			for _, n := range w.Path.Index {
+				count[n]++
+			}
+			continue
+		}
+		for _, f := range w.Path.Fibers { // built by hand, decoded, or numbered by another topology
+			n, ok := st.fiber(f)
 			if !ok {
+				if st.foreign == nil {
+					st.foreign = make(map[string]int32)
+				}
 				n = int32(len(count))
-				st.fiberNum[f] = n
+				st.foreign[f] = n
 				count = append(count, 0)
 			}
 			count[n]++
@@ -234,6 +247,15 @@ func newBaseState(p Problem) (*baseState, error) {
 	return st, nil
 }
 
+// fiber returns the number the state knows a fiber by.
+func (st *baseState) fiber(id string) (int32, bool) {
+	if n, ok := st.num.Lookup(id); ok {
+		return n, true
+	}
+	n, ok := st.foreign[id]
+	return n, ok
+}
+
 // cut projects the state onto one scenario: the base plan indices of the
 // wavelengths that cross a cut fiber, ascending (shared with the state —
 // read-only), and the spectrum φ_w available to their restoration, which
@@ -247,7 +269,7 @@ func newBaseState(p Problem) (*baseState, error) {
 func (st *baseState) cut(sc Scenario, consume bool) (failed []int, alloc *spectrum.Allocator, err error) {
 	lists := 0
 	for _, f := range sc.CutFibers {
-		if n, ok := st.fiberNum[f]; ok {
+		if n, ok := st.fiber(f); ok && st.fiberStart[n] < st.fiberStart[n+1] {
 			on := st.onFiber[st.fiberStart[n]:st.fiberStart[n+1]]
 			if lists++; lists == 1 {
 				failed = on

@@ -374,10 +374,10 @@ func BenchmarkAblationPlusFraction(b *testing.B) {
 			spares := restore.PlusSpares(base, radBase, frac)
 			var capability float64
 			for i := 0; i < b.N; i++ {
-				sweep, err := restore.Sweep(restore.Problem{
+				sweep, err := restore.SweepWithOptions(restore.Problem{
 					Optical: tb.Optical, IP: tb.IP, Catalog: transponder.SVT(),
 					Grid: spectrum.DefaultGrid(), Base: base, ExtraSpares: spares,
-				}, restore.SingleFiberScenarios(tb.Optical))
+				}, restore.SingleFiberScenarios(tb.Optical), restore.SweepOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}

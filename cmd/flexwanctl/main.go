@@ -21,6 +21,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -200,7 +201,11 @@ func main() {
 	defer collector.Stop()
 
 	done := make(chan *flexwan.RestoreResult, 1)
-	go ctrl.Watch(collector.Events(), func(res *flexwan.RestoreResult) { done <- res })
+	go ctrl.WatchContext(context.Background(), collector.Events(), func(rep *flexwan.RestoreReport) {
+		if rep.Result != nil {
+			done <- rep.Result
+		}
+	})
 
 	time.Sleep(300 * time.Millisecond)
 	fmt.Printf("\n*** cutting %s ***\n", *cut)

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -122,9 +123,11 @@ func main() {
 	defer collector.Stop()
 
 	done := make(chan struct{})
-	go ctrl.Watch(collector.Events(), func(res *flexwan.RestoreResult) {
-		fmt.Printf("restoration complete: revived %d of %d Gbps\n", res.RestoredGbps, res.AffectedGbps)
-		close(done)
+	go ctrl.WatchContext(context.Background(), collector.Events(), func(rep *flexwan.RestoreReport) {
+		if res := rep.Result; res != nil {
+			fmt.Printf("restoration complete: revived %d of %d Gbps\n", res.RestoredGbps, res.AffectedGbps)
+			close(done)
+		}
 	})
 
 	time.Sleep(300 * time.Millisecond)

@@ -1,10 +1,10 @@
 // Command multivendor demonstrates the multi-vendor safety property of
-// the candidate/commit protocol (§4.3): a change set spanning a
-// pixel-wise (LCoS) WSS vendor and a legacy rigid-grid vendor is staged
-// on every device first; the legacy vendor's rejection of an off-grid
-// passband rolls the entire network change back, leaving no device — and
-// no controller state — half-configured. Swapping the legacy device for
-// a pixel-wise one makes the identical change succeed.
+// Controller.Apply's candidate/commit protocol (§4.3): a change set
+// spanning a pixel-wise (LCoS) WSS vendor and a legacy rigid-grid vendor
+// is staged on every device first; the legacy vendor's rejection of an
+// off-grid passband discards the entire network change, leaving no device
+// — and no controller state — half-configured. Swapping the legacy device
+// for a pixel-wise one makes the identical change commit.
 package main
 
 import (
@@ -104,17 +104,16 @@ func run(legacyF1 bool) {
 	w := result.Wavelengths[0]
 	fmt.Printf("plan: %d Gbps @ %.1f GHz on f1 (legacy f1 vendor: %v)\n",
 		w.Mode.DataRateGbps, w.Mode.SpacingGHz, legacyF1)
-	if err := ctrl.ApplyAtomic(result); err != nil {
-		fmt.Printf("  atomic apply REFUSED: %v\n", err)
-		fmt.Printf("  rollback: %d live channels, capacity %v\n",
-			len(ctrl.Channels()), ctrl.LiveCapacityGbps())
+	if err := ctrl.Apply(result); err != nil {
+		fmt.Printf("  apply refused: %d live channels, capacity %v\n    %v\n",
+			len(ctrl.Channels()), ctrl.LiveCapacityGbps(), err)
 		return
 	}
 	report, err := ctrl.Audit()
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("  atomic apply committed: capacity %v, audit clean = %v\n",
+	fmt.Printf("  apply committed: capacity %v, audit clean = %v\n",
 		ctrl.LiveCapacityGbps(), report.Clean())
 }
 

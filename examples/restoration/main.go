@@ -73,9 +73,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sweep, err := flexwan.RestoreSweep(flexwan.RestoreProblem{
+	sweep, err := flexwan.RestoreSweepWithOptions(flexwan.RestoreProblem{
 		Optical: optical, IP: ip, Catalog: flexwan.SVT(), Grid: flexwan.DefaultGrid(), Base: base,
-	}, flexwan.SingleFiberScenarios(optical))
+	}, flexwan.SingleFiberScenarios(optical), flexwan.SweepOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

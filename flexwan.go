@@ -182,11 +182,8 @@ var (
 	Restore = restore.Solve
 	// RestoreExact solves the §8 MIP exactly.
 	RestoreExact = restore.SolveExact
-	// RestoreSweep restores every scenario against one base plan,
-	// solving scenarios on all cores.
-	RestoreSweep = restore.Sweep
-	// RestoreSweepWithOptions is RestoreSweep with an explicit worker
-	// count and cancellation context.
+	// RestoreSweepWithOptions restores every scenario against one base
+	// plan; zero options solve the scenarios on all cores.
 	RestoreSweepWithOptions = restore.SweepWithOptions
 	// SingleFiberScenarios enumerates all 1-failure cases.
 	SingleFiberScenarios = restore.SingleFiberScenarios

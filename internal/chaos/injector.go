@@ -12,7 +12,7 @@ import (
 
 // FaultConfig sets per-RPC fault probabilities. Each armed RPC rolls the
 // fault kinds in a fixed priority order (reset, drop-request,
-// drop-reply, commit-reject, delay); at most one fault fires per RPC.
+// drop-reply, delay); at most one fault fires per RPC.
 type FaultConfig struct {
 	// ResetProb closes the management connection mid-RPC.
 	ResetProb float64
@@ -22,11 +22,6 @@ type FaultConfig struct {
 	// DropReplyProb executes the RPC but suppresses the reply — the
 	// nasty case, where a retried commit must be idempotent.
 	DropReplyProb float64
-	// CommitRejectProb NACKs candidate-datastore ops (edit-candidate,
-	// commit) with an injected error, exercising the atomic push's
-	// discard-all path. NACKs are intentional device answers, so the
-	// controller must not retry them.
-	CommitRejectProb float64
 	// DelayProb stalls the RPC by Delay before handling it.
 	DelayProb float64
 	// Delay is the injected stall (default 10ms). Keep it under the
@@ -140,9 +135,6 @@ func (in *Injector) decide(deviceID, op string) netconf.FaultDecision {
 		d.Fault, kind = netconf.FaultDropRequest, "drop-request"
 	case roll("drop-reply") < in.cfg.DropReplyProb:
 		d.Fault, kind = netconf.FaultDropReply, "drop-reply"
-	case (op == device.OpEditCandidate || op == device.OpCommit) &&
-		roll("commit-reject") < in.cfg.CommitRejectProb:
-		d.Err, kind = "chaos: injected commit rejection", "commit-reject"
 	case roll("delay") < in.cfg.DelayProb:
 		d.Delay, kind = in.cfg.Delay, "delay"
 		if d.Delay <= 0 {

@@ -1,9 +1,9 @@
 // Package chaos is FlexWAN's fault-injection and recovery-drill engine:
 // it wraps the NETCONF transport and the simulated device agents with
 // scriptable faults — RPC delay/drop/connection-reset, device crash and
-// restart, partial-commit rejection, telemetry flaps, timed fiber cuts —
-// and drives the live controller loop (collector → Watch →
-// HandleFiberCut → push) through scenario timelines, scoring recovery
+// restart, telemetry flaps, timed fiber cuts — and drives the live
+// controller loop (collector → WatchContext → HandleFiberCutReport →
+// push) through scenario timelines, scoring recovery
 // against the offline restoration oracle.
 //
 // The engine carries the same determinism contract as the solvers: one

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"flexwan/internal/device"
 	"flexwan/internal/devmodel"
 	"flexwan/internal/netconf"
 	"flexwan/internal/plan"
@@ -128,32 +129,32 @@ func (c *Controller) planProblemLocked(optical *topology.Optical, ip *topology.I
 	}
 }
 
-// Apply pushes a planning result to the hardware: for every wavelength it
-// claims a transponder pair, configures both ends, and installs the
-// identical passband on the WSS of every fiber along the path. The push
-// is coordinated per §4.3 — one source of configuration for all devices,
-// so consistency and conflict-freedom hold network-wide — and pipelined:
-// the full per-device document set is built first, then pushed
-// concurrently, one batched RPC per device.
+// Apply pushes a planning result to the hardware as one change set: for
+// every wavelength it claims a transponder pair, configures both ends, and
+// installs the identical passband on the WSS of every fiber along the
+// path. The push is coordinated per §4.3 — one source of configuration for
+// all devices, so consistency and conflict-freedom hold network-wide — and
+// all-or-nothing across vendors: every device stages its document first,
+// and a rejection anywhere (a fixed-grid WSS refusing an off-grid
+// passband, a transponder refusing a mode) leaves the network and the
+// controller as they were.
 func (c *Controller) Apply(res *plan.Result) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-
-	// Phase 1 — claim hardware and build the complete per-device
-	// document set without touching the wire.
-	chans, txPlan, err := c.claimChannelsLocked(res.Wavelengths)
+	chans, err := c.claimChannelsLocked(res.Wavelengths)
 	if err != nil {
 		return err
 	}
-	// Phases 2 and 3 — the transponder push, then the WSS of every fiber.
-	if err := c.pushChannelsLocked(chans, txPlan, nil); err != nil {
+	p, err := c.stageChannelsLocked(chans, make(map[string]bool))
+	if err != nil {
 		return err
 	}
+	err = c.commitChannelsLocked(p, chans)
 	c.logf("controller: applied plan with %d wavelengths over %d links",
 		len(res.Wavelengths), len(res.PerLink))
 	c.recordLocked("apply", fmt.Sprintf("applied plan: %d wavelengths over %d links",
 		len(res.Wavelengths), len(res.PerLink)))
-	return nil
+	return err
 }
 
 // claimedChannel is a wavelength named as a channel and bound to the
@@ -165,90 +166,96 @@ type claimedChannel struct {
 }
 
 // claimChannelsLocked names a channel for every wavelength (the link's
-// next "link:seq"), claims a transponder pair at its two ends and plans
-// the pair's configuration documents, in wavelength order. Claims are
-// all-or-nothing: an exhausted pool releases every transponder claimed
-// here (the sequence numbers stay spent). Callers hold c.mu.
-func (c *Controller) claimChannelsLocked(ws []plan.Wavelength) ([]claimedChannel, *pushPlan, error) {
+// next "link:seq") and claims a transponder pair at its two ends, in
+// wavelength order. Claims are all-or-nothing: an exhausted pool releases
+// every transponder claimed here (the sequence numbers stay spent).
+// Callers hold c.mu.
+func (c *Controller) claimChannelsLocked(ws []plan.Wavelength) ([]claimedChannel, error) {
 	chans := make([]claimedChannel, 0, len(ws))
-	txPlan := newPushPlan()
-	release := func() {
-		for _, ch := range chans {
-			c.devmgr.ReleaseTransponder(ch.txA)
-			c.devmgr.ReleaseTransponder(ch.txB)
-		}
-	}
 	for _, w := range ws {
 		c.seq[w.LinkID]++
 		name := fmt.Sprintf("%s:%d", w.LinkID, c.seq[w.LinkID])
 		txA, err := c.devmgr.ClaimTransponder(string(w.Path.Src()), name)
 		if err != nil {
-			release()
-			return nil, nil, err
+			c.releasePairs(chans)
+			return nil, err
 		}
 		txB, err := c.devmgr.ClaimTransponder(string(w.Path.Dst()), name)
 		if err != nil {
 			c.devmgr.ReleaseTransponder(txA)
-			release()
-			return nil, nil, err
+			c.releasePairs(chans)
+			return nil, err
 		}
-		cfg := transponderConfig(w, name)
-		txPlan.add(txA, cfg, name)
-		txPlan.add(txB, cfg, name)
 		chans = append(chans, claimedChannel{name: name, w: w, txA: txA, txB: txB})
 	}
-	return chans, txPlan, nil
+	return chans, nil
 }
 
-// pushChannelsLocked pushes freshly claimed channels in two phases and
-// returns the first failure. Phase 2 is the concurrent transponder push.
-// A channel with a failed endpoint is unwound: the endpoint that did take
-// the enabled document is pushed a disable (best-effort — never leave a
-// device lit on spectrum the controller does not track), and the pair
-// goes back to the pool. Phase 3 is the concurrent WSS push for every
-// committed channel, so the surviving configuration is consistent end to
-// end even when some channels were unwound. With touched nil it pushes the
-// WSS of every fiber; otherwise it adds the fibers the committed channels
-// cross to touched and pushes only their WSSes. Callers hold c.mu.
-func (c *Controller) pushChannelsLocked(chans []claimedChannel, txPlan *pushPlan, touched map[string]bool) error {
-	errs := c.executePush(txPlan)
-	var firstErr error
+// releasePairs puts the channels' transponder pairs back in the pools.
+func (c *Controller) releasePairs(chans []claimedChannel) {
 	for _, ch := range chans {
-		errA, errB := errs[ch.txA], errs[ch.txB]
-		if errA == nil && errB == nil {
-			c.addPassbandsLocked(ch.name, ch.w, touched)
-			c.channels[ch.name] = &channelState{wavelength: ch.w, txA: ch.txA, txB: ch.txB}
-			continue
-		}
-		if firstErr == nil {
-			id, err := ch.txA, errA
-			if err == nil {
-				id, err = ch.txB, errB
-			}
-			firstErr = fmt.Errorf("controller: configuring %s for %s: %w", id, ch.name, err)
-		}
-		if errA == nil {
-			c.disableTransponder(ch.txA, ch.name)
-		}
-		if errB == nil {
-			c.disableTransponder(ch.txB, ch.name)
-		}
 		c.devmgr.ReleaseTransponder(ch.txA)
 		c.devmgr.ReleaseTransponder(ch.txB)
 	}
-	if err := c.pushWSSLocked(touched); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	return firstErr
 }
 
-// disableTransponder pushes a disable document to a transponder whose
-// channel failed to materialize — the unwind path. Best-effort: an
-// unreachable device is already dark, so failure is only logged.
-func (c *Controller) disableTransponder(id, channel string) {
-	if err := c.editConfig(id, devmodel.TransponderConfig{Enabled: false}); err != nil {
-		c.logf("controller: unwinding %s for %s (degraded, device stays dark): %v", id, channel, err)
+// stageChannelsLocked records freshly claimed channels' passbands in the
+// intent, adding the fibers they cross to touched, and stages the change
+// set in one DevMgr.CallAll round of edit-candidate: each transponder
+// gets its channel's document (it was claimed fresh, so it has one) and
+// the WSS of each touched fiber gets the fiber's full passband document.
+// It returns the staged plan. When any device refuses or cannot be
+// reached, every device of the change set is sent a discard — a lost
+// reply can hide a staged document — and the claim is undone: the pairs
+// go back to the pools and the passbands leave the intent, so nothing
+// but the spent sequence numbers changes. Callers hold c.mu.
+func (c *Controller) stageChannelsLocked(chans []claimedChannel, touched map[string]bool) (*pushPlan, error) {
+	fresh := make(map[string]bool) // fibers with no document before this change set
+	for _, ch := range chans {
+		for _, f := range ch.w.Path.Fibers {
+			if _, ok := c.wssConfig[f]; !ok {
+				fresh[f] = true
+			}
+		}
+		c.addPassbandsLocked(ch.name, ch.w, touched)
 	}
+	p, err := c.wssPlanLocked(touched)
+	if err == nil {
+		for _, ch := range chans {
+			cfg := transponderConfig(ch.w, ch.name)
+			p.add(ch.txA, cfg, ch.name)
+			p.add(ch.txB, cfg, ch.name)
+		}
+		if err = c.candidateRound(p, device.OpEditCandidate); err != nil {
+			if derr := c.candidateRound(p, device.OpDiscard); derr != nil {
+				c.logf("controller: discarding the refused change set: %v", derr)
+			}
+		}
+	}
+	if err != nil {
+		for _, ch := range chans {
+			c.removePassbandsLocked(ch.name, ch.w.Path.Fibers, touched)
+		}
+		for f := range fresh {
+			delete(c.wssConfig, f)
+		}
+		c.releasePairs(chans)
+		return nil, err
+	}
+	return p, nil
+}
+
+// commitChannelsLocked adopts staged channels as live and commits the
+// staged plan in one DevMgr.CallAll round. The whole fleet accepted the
+// documents, so the intent is adopted even when a commit fails (a device
+// that lost its candidate in a crash, or stopped answering): the first
+// failure is returned, and Repair converges the straggler. Callers hold
+// c.mu.
+func (c *Controller) commitChannelsLocked(p *pushPlan, chans []claimedChannel) error {
+	for _, ch := range chans {
+		c.channels[ch.name] = &channelState{wavelength: ch.w, txA: ch.txA, txB: ch.txB}
+	}
+	return c.candidateRound(p, device.OpCommit)
 }
 
 // transponderConfig builds the standard config document for a wavelength.
@@ -342,12 +349,6 @@ func (c *Controller) wssDocLocked(fiber string) (string, devmodel.WSSConfig, err
 	cfg := c.wssConfig[fiber]
 	sort.Slice(cfg.Passbands, func(i, j int) bool { return cfg.Passbands[i].Start < cfg.Passbands[j].Start })
 	return wssID, cfg, nil
-}
-
-// editConfig pushes one configuration document through the retrying,
-// reconnecting DevMgr.Call path.
-func (c *Controller) editConfig(deviceID string, cfg interface{}) error {
-	return c.devmgr.Call(deviceID, netconf.OpEditConfig, cfg, nil)
 }
 
 // CurrentPlan synthesizes a plan.Result from the live channels — the
@@ -601,17 +602,6 @@ type RestoreReport struct {
 // Degraded reports whether any device was skipped during the push.
 func (r *RestoreReport) Degraded() bool { return len(r.SkippedDevices) > 0 }
 
-// HandleFiberCut runs the optical restoration module for a detected cut
-// and returns the restoration result for reporting. It is
-// HandleFiberCutReport without the latency/degradation detail.
-func (c *Controller) HandleFiberCut(fiber string) (*restore.Result, error) {
-	rep, err := c.HandleFiberCutReport(fiber)
-	if err != nil {
-		return nil, err
-	}
-	return rep.Result, nil
-}
-
 // HandleFiberCutReport runs the optical restoration module for a
 // detected cut: it solves restoration against the live channels, retunes
 // the affected transponder pairs onto their new paths/modes/spectrum, and
@@ -837,17 +827,6 @@ func (c *Controller) restoreProblemLocked(sc restore.Scenario) restore.Problem {
 		Scenario: sc,
 		K:        c.cfg.K,
 	}
-}
-
-// Watch consumes fiber events from the data stream and drives restoration
-// until the events channel closes. Each handled event is reported through
-// the callback (which may be nil).
-func (c *Controller) Watch(events <-chan telemetry.Event, onRestore func(*restore.Result)) {
-	c.WatchContext(context.Background(), events, func(rep *RestoreReport) {
-		if rep.Result != nil && onRestore != nil {
-			onRestore(rep.Result)
-		}
-	})
 }
 
 // WatchContext consumes fiber events from the data stream and drives

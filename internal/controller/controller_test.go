@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"strings"
@@ -192,6 +193,22 @@ func TestPlanApplyAudit(t *testing.T) {
 	}
 }
 
+// checkNothingStaged requires that no device of the harness holds a
+// staged candidate document.
+func checkNothingStaged(t *testing.T, h *harness) {
+	t.Helper()
+	for id, tr := range h.transponders {
+		if tr.HasStagedConfig() {
+			t.Errorf("%s still has a staged config", id)
+		}
+	}
+	for f, w := range h.wss {
+		if w.HasStagedConfig() {
+			t.Errorf("WSS of %s still has a staged config", f)
+		}
+	}
+}
+
 func TestApplyExhaustsTransponderPool(t *testing.T) {
 	// 1 transponder per site cannot carry 1600 Gbps (needs ≥ 2 channels).
 	h := newHarness(t, 1, topology.IPLink{ID: "e1", A: "A", B: "B", DemandGbps: 1600})
@@ -236,8 +253,8 @@ func TestEndToEndFiberCutRestoration(t *testing.T) {
 			if ev.Kind != "fiber-cut" {
 				continue
 			}
-			if _, err := h.ctrl.HandleFiberCut(ev.Fiber); err != nil {
-				t.Errorf("HandleFiberCut: %v", err)
+			if _, err := h.ctrl.HandleFiberCutReport(ev.Fiber); err != nil {
+				t.Errorf("HandleFiberCutReport: %v", err)
 			}
 			close(restored)
 			return
@@ -286,10 +303,10 @@ func TestHandleFiberCutIdempotent(t *testing.T) {
 	if err := h.ctrl.Apply(res); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.ctrl.HandleFiberCut("f1"); err != nil {
+	if _, err := h.ctrl.HandleFiberCutReport("f1"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.ctrl.HandleFiberCut("f1"); err == nil {
+	if _, err := h.ctrl.HandleFiberCutReport("f1"); err == nil {
 		t.Error("second cut of the same fiber accepted")
 	}
 }
@@ -395,7 +412,7 @@ func TestWatchDrivesRestoration(t *testing.T) {
 	restored := make(chan *restore.Result, 1)
 	done := make(chan struct{})
 	go func() {
-		h.ctrl.Watch(events, func(r *restore.Result) { restored <- r })
+		h.ctrl.WatchContext(context.Background(), events, func(rep *RestoreReport) { restored <- rep.Result })
 		close(done)
 	}()
 	events <- telemetry.Event{Kind: "noise"} // ignored
@@ -460,7 +477,7 @@ func TestConcurrentReadsDuringRestoration(t *testing.T) {
 			}
 		}()
 	}
-	if _, err := h.ctrl.HandleFiberCut("f1"); err != nil {
+	if _, err := h.ctrl.HandleFiberCutReport("f1"); err != nil {
 		t.Error(err)
 	}
 	if _, err := h.ctrl.GrowDemand("e1", 400); err != nil {
@@ -495,19 +512,19 @@ func TestSequentialDoubleFailure(t *testing.T) {
 	if err := h.ctrl.Apply(res); err != nil {
 		t.Fatal(err)
 	}
-	first, err := h.ctrl.HandleFiberCut("f1")
+	first, err := h.ctrl.HandleFiberCutReport("f1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.RestoredGbps != 400 {
-		t.Fatalf("first restoration = %d", first.RestoredGbps)
+	if first.Result.RestoredGbps != 400 {
+		t.Fatalf("first restoration = %d", first.Result.RestoredGbps)
 	}
-	second, err := h.ctrl.HandleFiberCut("f3")
+	second, err := h.ctrl.HandleFiberCutReport("f3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if second.RestoredGbps != 0 {
-		t.Errorf("second restoration revived %d Gbps on a disconnected pair", second.RestoredGbps)
+	if second.Result.RestoredGbps != 0 {
+		t.Errorf("second restoration revived %d Gbps on a disconnected pair", second.Result.RestoredGbps)
 	}
 	if got := h.ctrl.LiveCapacityGbps()["e1"]; got != 0 {
 		t.Errorf("live capacity = %d after total isolation", got)

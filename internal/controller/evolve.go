@@ -14,9 +14,11 @@ import (
 // This file is §9 smooth evolution: demands grow, links come and go, and
 // no live channel moves. Each operation runs under c.mu against a plan
 // rebuilt from the live channels — the view fiber cuts are solved
-// against — and pushes through Apply's phases to the devices it touches
-// and no others. The IP layer is copied on write: the controller adopts
-// the changed copy, and the topology handed to New is never written.
+// against — and touches only the devices it changes: growth stages and
+// commits its change set the way Apply does, and RemoveLink pushes
+// directly (DESIGN.md says why). The IP layer is copied on write: the
+// controller adopts the changed copy, and the topology handed to New is
+// never written.
 
 // FiberUtilization is one fiber's spectrum occupancy.
 type FiberUtilization struct {
@@ -28,12 +30,13 @@ type FiberUtilization struct {
 
 // GrowDemand adds extraGbps of capacity to an IP link. Algorithm 1 places
 // the new wavelengths around the live ones (plan.Extend); each gets a
-// transponder pair, every transponder gets one batched RPC, and only the
-// WSSes of the fibers the new channels cross are pushed. It returns the
-// new wavelengths. When the spectrum runs out first, the wavelengths that
-// were placed are still pushed and returned, with an error naming the
-// shortfall. A transponder pool too small for them fails the growth
-// before anything is pushed, and the link's demand stays as it was.
+// transponder pair, and the change set — those transponders and only the
+// WSSes of the fibers the new channels cross — is staged and committed as
+// Apply's is. It returns the new wavelengths. When the spectrum runs out
+// first, the wavelengths that were placed are still pushed and returned,
+// with an error naming the shortfall. A transponder pool too small for
+// them, or a device that refuses or misses its document, fails the growth
+// with nothing committed, and the link's demand stays as it was.
 func (c *Controller) GrowDemand(linkID string, extraGbps int) ([]plan.Wavelength, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -58,9 +61,9 @@ func (c *Controller) AddLink(l topology.IPLink) ([]plan.Wavelength, error) {
 }
 
 // growLocked places extraGbps more on linkID over the live occupancy,
-// avoiding fibers marked down, then claims and pushes the new channels.
-// ip is the IP layer with the change made; the controller adopts it once
-// the claims succeed. Callers hold c.mu.
+// avoiding fibers marked down, then claims, stages and commits the new
+// channels. ip is the IP layer with the change made; the controller adopts
+// it once every device has staged its document. Callers hold c.mu.
 func (c *Controller) growLocked(ip *topology.IPTopology, linkID string, extraGbps int, action string) ([]plan.Wavelength, error) {
 	base, err := c.occupiedPlanLocked()
 	if err != nil {
@@ -74,19 +77,23 @@ func (c *Controller) growLocked(ip *topology.IPTopology, linkID string, extraGbp
 	if err != nil {
 		return nil, err
 	}
-	chans, txPlan, err := c.claimChannelsLocked(added)
+	chans, err := c.claimChannelsLocked(added)
+	if err != nil {
+		return nil, err
+	}
+	touched := make(map[string]bool)
+	p, err := c.stageChannelsLocked(chans, touched)
 	if err != nil {
 		return nil, err
 	}
 	c.cfg.IP = ip
-	touched := make(map[string]bool)
-	err = c.pushChannelsLocked(chans, txPlan, touched)
+	err = c.commitChannelsLocked(p, chans)
 	placed := 0
 	for _, w := range added {
 		placed += w.Mode.DataRateGbps
 	}
 	summary := fmt.Sprintf("link %s +%d Gbps: %d channels carrying %d Gbps; pushed %d transponders, %d WSS",
-		linkID, extraGbps, len(added), placed, len(txPlan.docs), len(touched))
+		linkID, extraGbps, len(added), placed, 2*len(chans), len(touched))
 	c.logf("controller: %s", summary)
 	c.recordLocked(action, summary)
 	if err == nil && placed < extraGbps {

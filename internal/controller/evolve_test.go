@@ -6,8 +6,10 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"flexwan/internal/device"
 	"flexwan/internal/netconf"
 	"flexwan/internal/plan"
 	"flexwan/internal/spectrum"
@@ -45,12 +47,14 @@ type wssWrites struct {
 }
 
 // watchWSSWrites installs a recording interceptor on every WSS of the
-// harness.
+// harness. A staged document counts as a write: a change set reaches its
+// WSSes through edit-candidate, restoration and RemoveLink through
+// edit-config.
 func watchWSSWrites(h *harness) *wssWrites {
 	ww := &wssWrites{fibers: make(map[string]bool)}
 	for fiber, w := range h.wss {
 		w.Server().SetInterceptor(func(op string) netconf.FaultDecision {
-			if strings.HasPrefix(op, netconf.OpEditConfig) {
+			if strings.HasPrefix(op, netconf.OpEditConfig) || op == device.OpEditCandidate {
 				ww.mu.Lock()
 				ww.fibers[fiber] = true
 				ww.mu.Unlock()
@@ -221,6 +225,56 @@ func TestEvolutionRefusals(t *testing.T) {
 	}
 }
 
+// TestGrowthRefusedByDevice: a growth step whose change set a device
+// refuses changes nothing — no channel, no passband, no claimed pair, no
+// config version, the IP layer included — and leaves nothing staged.
+func TestGrowthRefusedByDevice(t *testing.T) {
+	h := applied(t, ringFibers, spectrum.DefaultGrid(), 4, topology.IPLink{ID: "e1", A: "A", B: "B", DemandGbps: 400})
+	store := NewMemStore()
+	h.ctrl.SetConfigStore(store)
+	var refusals atomic.Int64
+	for _, w := range h.wss {
+		w.Server().SetInterceptor(func(op string) netconf.FaultDecision {
+			if op == device.OpEditCandidate {
+				refusals.Add(1)
+				return netconf.FaultDecision{Err: "vendor: passband refused"}
+			}
+			return netconf.FaultDecision{}
+		})
+	}
+	// Sequence numbers stay spent; everything else must read as before.
+	state := func() string { s := h.ctrl.Snapshot(); s.Seq = nil; return fmt.Sprint(s) }
+	before := state()
+	for name, op := range map[string]func() ([]plan.Wavelength, error){
+		"grow": func() ([]plan.Wavelength, error) { return h.ctrl.GrowDemand("e1", 400) },
+		"add link": func() ([]plan.Wavelength, error) {
+			return h.ctrl.AddLink(topology.IPLink{ID: "e2", A: "A", B: "C", DemandGbps: 100})
+		},
+	} {
+		n := refusals.Load()
+		if added, err := op(); err == nil || added != nil {
+			t.Errorf("%s against a refusing WSS: %d wavelengths, %v", name, len(added), err)
+		}
+		if refusals.Load() == n {
+			t.Errorf("%s staged nothing: the refusal proves nothing", name)
+		}
+	}
+	if got := state(); got != before {
+		t.Errorf("refused growth changed the state:\n%s\nwas\n%s", got, before)
+	}
+	if links := h.ctrl.cfg.IP.Links; len(links) != 1 || links[0].DemandGbps != 400 {
+		t.Errorf("IP layer after refused growth: %+v", links)
+	}
+	if store.Len() != 0 {
+		t.Errorf("refused growth recorded %d config versions", store.Len())
+	}
+	checkNothingStaged(t, h)
+	if audit, err := h.ctrl.Audit(); err != nil || !audit.Clean() {
+		t.Errorf("audit %+v, %v", audit, err)
+	}
+	checkFleetMatchesIntent(t, h)
+}
+
 // TestPartialGrowth: when the spectrum runs out first, growth pushes what
 // plan.Extend placed, reports the shortfall, and leaves a clean fleet.
 func TestPartialGrowth(t *testing.T) {
@@ -253,7 +307,7 @@ func TestPartialGrowth(t *testing.T) {
 // TestGrowthAvoidsDownFibers: with f1 cut, new channels take the detour.
 func TestGrowthAvoidsDownFibers(t *testing.T) {
 	h := applied(t, ringFibers, spectrum.DefaultGrid(), 4, topology.IPLink{ID: "e1", A: "A", B: "B", DemandGbps: 100})
-	if _, err := h.ctrl.HandleFiberCut("f1"); err != nil {
+	if _, err := h.ctrl.HandleFiberCutReport("f1"); err != nil {
 		t.Fatal(err)
 	}
 	grown, err := h.ctrl.GrowDemand("e1", 100)

@@ -4,13 +4,16 @@ import (
 	"fmt"
 	"sort"
 
+	"flexwan/internal/device"
 	"flexwan/internal/netconf"
 )
 
 // This file is the configuration push pipeline: the planner that
 // coalesces every document destined for one device into a single
 // batched RPC, handed to DevMgr.CallAll, which keeps the per-device
-// pipelines in flight together. The restoration numbers motivated it —
+// pipelines in flight together. A change set (Apply, growth) goes out as
+// candidate rounds (candidateRound); restoration, Repair and RemoveLink push
+// directly (executePush). The restoration numbers motivated it —
 // after PR 4 the CERNET drill spent ~5.1 s of a ~5.14 s recovery in the
 // serial NETCONF push while detect and solve together cost ~3 ms — and the
 // design keeps the chaos determinism contract: each device receives a fixed
@@ -126,4 +129,26 @@ func (c *Controller) executePush(p *pushPlan) map[string]error {
 		}
 	}
 	return out
+}
+
+// candidateRound sends op to every device of p in one DevMgr.CallAll round,
+// in sorted device order under the push window, and returns the first
+// failure in that order. edit-candidate carries the device's one
+// document; commit and discard carry none. Callers may hold c.mu — the
+// round only touches the DevMgr.
+func (c *Controller) candidateRound(p *pushPlan, op string) error {
+	ids := p.devices()
+	reqs := make([]Request, len(ids))
+	for i, id := range ids {
+		reqs[i] = Request{ID: id, Op: op}
+		if op == device.OpEditCandidate {
+			reqs[i].In = p.docs[id][0].cfg
+		}
+	}
+	for i, err := range c.devmgr.CallAll(reqs, c.PushWorkers()) {
+		if err != nil {
+			return fmt.Errorf("controller: %s on %s: %w", op, ids[i], err)
+		}
+	}
+	return nil
 }

@@ -2,6 +2,9 @@ package controller
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -157,20 +160,20 @@ func TestCallRedialsAfterHelloDrop(t *testing.T) {
 	}
 }
 
-// TestApplyRollbackDisablesConfiguredPeer is the regression test for
-// the half-provisioned-channel leak: when txB's edit-config is NACKed
-// after txA already accepted an enabled document, the rollback must
-// push a disable to txA — not just release the pair and leave a live
-// laser the audit's conflict check can't even see.
+// TestApplyRollbackDisablesConfiguredPeer guards the
+// half-provisioned-channel leak: when txB refuses its document after txA
+// accepted an enabled one, txA's staged document must be discarded — not
+// committed, leaving a live laser the audit's conflict check can't even
+// see — and the pair must go back to the pool.
 func TestApplyRollbackDisablesConfiguredPeer(t *testing.T) {
 	h := newHarness(t, 1, topology.IPLink{ID: "e1", A: "A", B: "B", DemandGbps: 100})
 	res, err := h.ctrl.PlanNetwork()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The B-side transponder NACKs every configuration push.
+	// The B-side transponder NACKs every document it is asked to stage.
 	h.transponders["tx-B-0"].Server().SetInterceptor(func(op string) netconf.FaultDecision {
-		if op == netconf.OpEditConfig || op == netconf.OpEditConfigBatch {
+		if op == device.OpEditCandidate {
 			return netconf.FaultDecision{Err: "vendor: unsupported mode"}
 		}
 		return netconf.FaultDecision{}
@@ -178,6 +181,7 @@ func TestApplyRollbackDisablesConfiguredPeer(t *testing.T) {
 	if err := h.ctrl.Apply(res); err == nil {
 		t.Fatal("Apply succeeded with a NACKing endpoint")
 	}
+	checkNothingStaged(t, h)
 	// Both transponders back in the pool, nothing assigned.
 	for _, site := range []string{"A", "B"} {
 		if free := h.ctrl.DevMgr().FreeTransponders(site); free != 1 {
@@ -207,10 +211,155 @@ func TestApplyRollbackDisablesConfiguredPeer(t *testing.T) {
 	}
 }
 
+// TestApplyDiscardsBehindLostReplies: a WSS that stages its document but
+// whose acknowledgements are all lost looks unreachable. The refused
+// change set must still send it a discard, so that no document the
+// controller gave up on lingers in its candidate datastore.
+func TestApplyDiscardsBehindLostReplies(t *testing.T) {
+	h := newHarness(t, 1, topology.IPLink{ID: "e1", A: "A", B: "B", DemandGbps: 100})
+	d := h.ctrl.DevMgr()
+	d.SetDialOptions(netconf.DialOptions{CallTimeout: 50 * time.Millisecond})
+	if client, ok := d.Client("wss-f1"); ok {
+		client.SetCallTimeout(50 * time.Millisecond) // dialed before SetDialOptions
+	}
+	d.SetRetryPolicy(RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, Sleep: func(time.Duration) {}})
+	h.wss["f1"].Server().SetInterceptor(func(op string) netconf.FaultDecision {
+		if op == device.OpEditCandidate {
+			return netconf.FaultDecision{Fault: netconf.FaultDropReply}
+		}
+		return netconf.FaultDecision{}
+	})
+	res, err := h.ctrl.PlanNetwork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.ctrl.Apply(res); !errors.Is(err, netconf.ErrTimeout) || !strings.Contains(err.Error(), "wss-f1") {
+		t.Fatalf("Apply with wss-f1's replies lost: %v, want its edit-candidate timeout", err)
+	}
+	checkNothingStaged(t, h)
+	if got := h.ctrl.Channels(); len(got) != 0 {
+		t.Errorf("live channels after the refusal: %v", got)
+	}
+}
+
+// TestApplyAtomicSuccess: a change set every device accepts goes live
+// whole. After Apply the audit is clean over every planned channel, the
+// live capacity covers the demand, every staged document was committed
+// and exactly one config version was recorded.
+func TestApplyAtomicSuccess(t *testing.T) {
+	h := newHarness(t, 3, topology.IPLink{ID: "e1", A: "A", B: "B", DemandGbps: 800})
+	store := NewMemStore()
+	h.ctrl.SetConfigStore(store)
+	res, err := h.ctrl.PlanNetwork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.ctrl.Apply(res); err != nil {
+		t.Fatal(err)
+	}
+	report, err := h.ctrl.Audit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !report.Clean() || report.ChannelsChecked != len(res.Wavelengths) {
+		t.Errorf("audit after apply = %+v", report)
+	}
+	if got := h.ctrl.LiveCapacityGbps()["e1"]; got < 800 {
+		t.Errorf("live capacity = %d", got)
+	}
+	checkNothingStaged(t, h)
+	if store.Len() != 1 {
+		t.Errorf("one applied change set recorded %d config versions, want 1", store.Len())
+	}
+}
+
+// TestApplyRefusedByFixedGridVendor: a change set that a legacy
+// fixed-grid WSS cannot take is refused as a whole. A 500 Gbps demand on
+// the 600 km path plans as one 500G@87.5 GHz wavelength over f1 — a
+// 7-pixel passband a rigid 75 GHz vendor cannot slice — so Apply must
+// return the vendor's rejection and leave no live channel, no staged or
+// enabled device, full transponder pools, the passband intent as it was
+// and no new config version.
+func TestApplyRefusedByFixedGridVendor(t *testing.T) {
+	h := newHarness(t, 3, topology.IPLink{ID: "e1", A: "A", B: "B", DemandGbps: 500})
+
+	// A second controller over the same fleet, except that f1's WSS is
+	// the legacy vendor's.
+	grid := spectrum.DefaultGrid()
+	legacyDesc := devmodel.Descriptor{
+		ID: "wss-legacy-f1", Class: devmodel.ClassWSS,
+		Vendor: "legacy", Address: "pending", Site: "A", Fiber: "f1",
+	}
+	legacy := device.NewFixedGridWSS(legacyDesc, grid, 75)
+	addr, err := legacy.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(legacy.Close)
+	legacyDesc.Address = addr
+	ctrl, err := New(Config{Optical: h.optical, IP: h.ip, Catalog: transponder.SVT(), Grid: grid, K: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ctrl.Close)
+	for _, src := range h.sources {
+		if src.Desc.Class == devmodel.ClassWSS && src.Desc.Fiber == "f1" {
+			continue
+		}
+		if err := ctrl.DevMgr().Register(src.Desc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ctrl.DevMgr().Register(legacyDesc); err != nil {
+		t.Fatal(err)
+	}
+	store := NewMemStore()
+	ctrl.SetConfigStore(store)
+
+	res, err := ctrl.PlanNetwork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := res.Wavelengths; len(w) != 1 || w[0].Mode.SpacingGHz != 87.5 || !slices.Equal(w[0].Path.Fibers, []string{"f1"}) {
+		t.Fatalf("plan %+v is not one 87.5 GHz channel over f1: the refusal proves nothing", w)
+	}
+	before := ctrl.Snapshot()
+	err = ctrl.Apply(res)
+	var nack *netconf.RPCError
+	if !errors.As(err, &nack) || !strings.Contains(err.Error(), "edit-candidate on wss-legacy-f1") {
+		t.Fatalf("Apply against a fixed-grid vendor: %v, want its edit-candidate rejection", err)
+	}
+	if got := ctrl.Channels(); len(got) != 0 {
+		t.Errorf("live channels after the refusal: %v", got)
+	}
+	checkNothingStaged(t, h)
+	if legacy.HasStagedConfig() || len(legacy.Config().Passbands) != 0 {
+		t.Errorf("legacy WSS staged %v, runs %+v", legacy.HasStagedConfig(), legacy.Config())
+	}
+	for id, tr := range h.transponders {
+		if tr.State().Config.Enabled {
+			t.Errorf("%s enabled by a refused change set", id)
+		}
+	}
+	for _, site := range []string{"A", "B", "C"} {
+		if got := ctrl.DevMgr().FreeTransponders(site); got != 3 {
+			t.Errorf("site %s: %d free transponders, want 3", site, got)
+		}
+	}
+	if got := ctrl.Snapshot(); fmt.Sprint(got.WSSConfig) != fmt.Sprint(before.WSSConfig) {
+		t.Errorf("passband intent after the refusal %v, was %v", got.WSSConfig, before.WSSConfig)
+	}
+	if store.Len() != 0 {
+		t.Errorf("a refused change set recorded %d config versions", store.Len())
+	}
+}
+
 // TestParallelPushConvergesUnderFaults drives the fan-out push through
-// injected first-attempt drops on several devices at once (run under
-// -race in CI): Apply must converge, the audit must come back clean,
-// and the DevMgr's pool/assignment books must balance.
+// injected first-attempt drops on every device at once (run under -race
+// in CI): each device loses its first edit-candidate request and its
+// first commit reply, so the retried commit must be idempotent. Apply
+// must converge, the audit must come back clean, nothing may stay
+// staged, and the DevMgr's pool/assignment books must balance.
 func TestParallelPushConvergesUnderFaults(t *testing.T) {
 	h := newHarness(t, 2,
 		topology.IPLink{ID: "e1", A: "A", B: "B", DemandGbps: 100},
@@ -220,14 +369,24 @@ func TestParallelPushConvergesUnderFaults(t *testing.T) {
 	d := h.ctrl.DevMgr()
 	d.SetDialOptions(netconf.DialOptions{CallTimeout: 150 * time.Millisecond})
 	d.SetRetryPolicy(RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, Sleep: func(time.Duration) {}})
-	// Every device drops its first configuration push; retries succeed.
+	// Every device drops its first stage request and its first commit
+	// reply; retries succeed.
+	var servers []*netconf.Server
 	for _, tr := range h.transponders {
-		srv := tr.Server()
-		var dropped int32
+		servers = append(servers, tr.Server())
+	}
+	for _, w := range h.wss {
+		servers = append(servers, w.Server())
+	}
+	fired := make([]struct{ staged, committed atomic.Bool }, len(servers))
+	for i, srv := range servers {
+		staged, committed := &fired[i].staged, &fired[i].committed
 		srv.SetInterceptor(func(op string) netconf.FaultDecision {
-			if (op == netconf.OpEditConfig || op == netconf.OpEditConfigBatch) &&
-				atomic.CompareAndSwapInt32(&dropped, 0, 1) {
+			switch {
+			case op == device.OpEditCandidate && staged.CompareAndSwap(false, true):
 				return netconf.FaultDecision{Fault: netconf.FaultDropRequest}
+			case op == device.OpCommit && committed.CompareAndSwap(false, true):
+				return netconf.FaultDecision{Fault: netconf.FaultDropReply}
 			}
 			return netconf.FaultDecision{}
 		})
@@ -245,6 +404,13 @@ func TestParallelPushConvergesUnderFaults(t *testing.T) {
 	}
 	if !audit.Clean() {
 		t.Fatalf("audit dirty after faulted parallel push: %+v", audit)
+	}
+	checkNothingStaged(t, h)
+	for i := range fired {
+		if !fired[i].staged.Load() || !fired[i].committed.Load() {
+			t.Errorf("device %d missed a fault (stage %v, commit %v): the change set left it out",
+				i, fired[i].staged.Load(), fired[i].committed.Load())
+		}
 	}
 	// Book-keeping: every live channel's endpoints are assigned to it,
 	// and free + assigned accounts for every registered transponder.

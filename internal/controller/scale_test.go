@@ -123,10 +123,11 @@ func TestProductionScaleDeployment(t *testing.T) {
 		}
 	}
 	t.Logf("cutting busiest fiber %s (%d channels)", busiest, best)
-	rres, err := ctrl.HandleFiberCut(busiest)
+	rep, err := ctrl.HandleFiberCutReport(busiest)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rres := rep.Result
 	if rres.AffectedGbps == 0 {
 		t.Fatal("busiest fiber carried nothing?")
 	}

@@ -96,12 +96,12 @@ func TestStandbyFailover(t *testing.T) {
 		t.Errorf("standby audit = %+v", report)
 	}
 	// The standby can drive restoration.
-	r, err := standby.HandleFiberCut("f1")
+	r, err := standby.HandleFiberCutReport("f1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.RestoredGbps != 400 {
-		t.Errorf("standby restored %d, want 400", r.RestoredGbps)
+	if r.Result.RestoredGbps != 400 {
+		t.Errorf("standby restored %d, want 400", r.Result.RestoredGbps)
 	}
 	if got := standby.LiveCapacityGbps()["e1"]; got != 400 {
 		t.Errorf("live capacity after standby restoration = %d", got)

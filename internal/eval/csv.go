@@ -3,7 +3,6 @@ package eval
 import (
 	"encoding/csv"
 	"io"
-	"sort"
 	"strconv"
 )
 
@@ -94,12 +93,7 @@ func (f Fig12) CSV() [][]string {
 // CSV emits the weighted path-length samples, one row per (network, km).
 func (f Fig13a) CSV() [][]string {
 	rows := [][]string{{"network", "path_km"}}
-	names := make([]string, 0, len(f.CDFs))
-	for name := range f.CDFs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range f.names() {
 		for _, l := range f.CDFs[name].Sorted {
 			rows = append(rows, []string{name, ftoa(l)})
 		}

@@ -180,7 +180,14 @@ func TestFig13(t *testing.T) {
 	if a.Medians["T-backbone"] >= a.Medians["Cernet"] {
 		t.Errorf("weighted medians: T-backbone %v ≥ Cernet %v", a.Medians["T-backbone"], a.Medians["Cernet"])
 	}
-	_ = a.String()
+	// The networks print in sorted name order, whatever order the map
+	// ranges in.
+	for i := 0; i < 20; i++ {
+		s := a.String()
+		if c, tb := strings.Index(s, "\n  Cernet:"), strings.Index(s, "\n  T-backbone:"); c < 0 || tb < c {
+			t.Fatalf("Fig 13(a) does not print Cernet before T-backbone:\n%s", s)
+		}
+	}
 
 	b, err := Fig13bTopologyGains(tb, ce)
 	if err != nil {

@@ -3,6 +3,7 @@ package eval
 import (
 	"context"
 	"fmt"
+	"sort"
 	"strings"
 
 	"flexwan/internal/parallel"
@@ -212,10 +213,21 @@ func Fig13aWeightedPathLengths(networks ...workload.Network) Fig13a {
 func (f Fig13a) String() string {
 	var b strings.Builder
 	b.WriteString("Fig 13(a) — capacity-weighted optical path lengths\n")
-	for name, cdf := range f.CDFs {
-		fmt.Fprintf(&b, "  %-11s %s\n", name+":", cdf.Summary())
+	for _, name := range f.names() {
+		fmt.Fprintf(&b, "  %-11s %s\n", name+":", f.CDFs[name].Summary())
 	}
 	return b.String()
+}
+
+// names lists the networks in sorted order, the order String and CSV
+// print them in.
+func (f Fig13a) names() []string {
+	names := make([]string, 0, len(f.CDFs))
+	for name := range f.CDFs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // Fig13b carries the per-topology gains (paper Figure 13b): both

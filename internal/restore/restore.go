@@ -575,12 +575,6 @@ type SweepOptions struct {
 	Context context.Context
 }
 
-// Sweep restores every scenario against the same base plan with default
-// options (all cores).
-func Sweep(base Problem, scenarios []Scenario) (SweepResult, error) {
-	return SweepWithOptions(base, scenarios, SweepOptions{})
-}
-
 // SweepWithOptions restores every scenario against the same base plan.
 // Scenarios are independent solves, so they run on a bounded worker
 // pool; results keep the input scenario order regardless of completion

@@ -239,9 +239,9 @@ func TestSingleFiberScenarios(t *testing.T) {
 func TestSweep(t *testing.T) {
 	g := ring(t)
 	p, r := planFor(t, g, ipAB(t, 600), transponder.SVT(), spectrum.DefaultGrid())
-	sweep, err := Sweep(Problem{
+	sweep, err := SweepWithOptions(Problem{
 		Optical: g, IP: p.IP, Catalog: p.Catalog, Grid: p.Grid, Base: r,
-	}, SingleFiberScenarios(g))
+	}, SingleFiberScenarios(g), SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,9 +75,9 @@ func TestSweepOverProbabilisticScenarios(t *testing.T) {
 	g := ring(t)
 	p, r := planFor(t, g, ipAB(t, 600), transponder.SVT(), spectrum.DefaultGrid())
 	scs := ProbabilisticScenarios(g, 7, 10, 0.8)
-	sweep, err := Sweep(Problem{
+	sweep, err := SweepWithOptions(Problem{
 		Optical: g, IP: p.IP, Catalog: p.Catalog, Grid: p.Grid, Base: r,
-	}, scs)
+	}, scs, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -125,7 +125,7 @@ func TestSweepContinuesPastFailedScenario(t *testing.T) {
 		{ID: "cut-f2", CutFibers: []string{"f2"}}, // affects ghost link: fails
 		{ID: "cut-f3", CutFibers: []string{"f3"}}, // affects nothing: solvable
 	}
-	sweep, err := Sweep(prob, scs)
+	sweep, err := SweepWithOptions(prob, scs, SweepOptions{})
 	if err != nil {
 		t.Fatalf("sweep aborted on a single bad scenario: %v", err)
 	}
@@ -161,7 +161,7 @@ func TestSweepAllScenariosFail(t *testing.T) {
 		{ID: "cut-f2", CutFibers: []string{"f2"}},
 		{ID: "cut-f2-again", CutFibers: []string{"f2"}},
 	}
-	sweep, err := Sweep(prob, scs)
+	sweep, err := SweepWithOptions(prob, scs, SweepOptions{})
 	if err == nil {
 		t.Fatal("sweep with zero surviving scenarios returned nil error")
 	}

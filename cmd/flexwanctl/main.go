@@ -127,7 +127,6 @@ func main() {
 	defer ctrl.Close()
 	ctrl.SetPushWorkers(*pushWorkers)
 
-	var sources []flexwan.TelemetrySource
 	register := func(desc flexwan.DeviceDescriptor, start func(string) (string, error)) {
 		addr, err := start("127.0.0.1:0")
 		if err != nil {
@@ -137,11 +136,6 @@ func main() {
 		if err := ctrl.DevMgr().Register(desc); err != nil {
 			log.Fatal(err)
 		}
-		session, err := flexwan.DialDevice(addr)
-		if err != nil {
-			log.Fatal(err)
-		}
-		sources = append(sources, flexwan.TelemetrySource{Desc: desc, Client: session})
 	}
 
 	for _, site := range []flexwan.NodeID{"A", "B", "C"} {
@@ -171,7 +165,8 @@ func main() {
 		defer amp.Close()
 		register(ampDesc, amp.Start)
 	}
-	fmt.Printf("device fleet: %d devices registered\n", len(sources))
+	devices := ctrl.DevMgr().Devices()
+	fmt.Printf("device fleet: %d devices registered\n", len(devices))
 
 	result, err := ctrl.PlanNetwork()
 	if err != nil {
@@ -196,7 +191,7 @@ func main() {
 	}
 
 	store := flexwan.NewTelemetryStore(4096)
-	collector := flexwan.NewCollector(store, 100*time.Millisecond, sources)
+	collector := flexwan.NewCollector(store, 100*time.Millisecond, devices, ctrl.DevMgr())
 	collector.Run()
 	defer collector.Stop()
 

@@ -81,10 +81,8 @@ type (
 	RPCInterceptor = netconf.Interceptor
 )
 
-// Management protocol operations and entry points.
+// Management protocol error classification.
 var (
-	DialDevice            = netconf.Dial
-	DialDeviceWithOptions = netconf.DialWithOptions
 	// IsTransientRPC reports whether an RPC failure is retryable
 	// (timeout or lost session) rather than a device NACK.
 	IsTransientRPC = netconf.IsTransient
@@ -105,8 +103,6 @@ type (
 	TelemetryPoint = telemetry.Point
 	// TelemetryCollector polls devices and detects fiber events.
 	TelemetryCollector = telemetry.Collector
-	// TelemetrySource is one device under collection.
-	TelemetrySource = telemetry.Source
 	// FiberEvent is a detected optical-layer event.
 	FiberEvent = telemetry.Event
 )

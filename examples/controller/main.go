@@ -52,8 +52,8 @@ func main() {
 	defer ctrl.Close()
 
 	// Spin up the device fleet on loopback TCP and register everything
-	// with the controller; a second session per device feeds telemetry.
-	var sources []flexwan.TelemetrySource
+	// with the controller's device manager, which holds the one session
+	// per device that configuration and telemetry share.
 	register := func(desc flexwan.DeviceDescriptor, start func(string) (string, error)) {
 		addr, err := start("127.0.0.1:0")
 		if err != nil {
@@ -63,11 +63,6 @@ func main() {
 		if err := ctrl.DevMgr().Register(desc); err != nil {
 			log.Fatal(err)
 		}
-		session, err := flexwan.DialDevice(addr)
-		if err != nil {
-			log.Fatal(err)
-		}
-		sources = append(sources, flexwan.TelemetrySource{Desc: desc, Client: session})
 		fmt.Printf("registered %-12s (%s, %s) at %s\n", desc.ID, desc.Class, desc.Vendor, addr)
 	}
 
@@ -118,7 +113,7 @@ func main() {
 
 	// Start the data stream and stage a fiber cut.
 	store := flexwan.NewTelemetryStore(1024)
-	collector := flexwan.NewCollector(store, 100*time.Millisecond, sources)
+	collector := flexwan.NewCollector(store, 100*time.Millisecond, ctrl.DevMgr().Devices(), ctrl.DevMgr())
 	collector.Run()
 	defer collector.Stop()
 

@@ -520,3 +520,95 @@ func TestSecondCutWhileFirstCutsWSSPending(t *testing.T) {
 	}
 	checkFleetRunsIntent(t, tb)
 }
+
+// checkOneSessionPerAgent waits up to a second for every agent server to
+// settle on exactly one management session: a session a redial race lost
+// or a retry tore down is closed by its client, and the server notices
+// that a moment later.
+func checkOneSessionPerAgent(t *testing.T, tb *Testbed, when string) {
+	t.Helper()
+	deadline := time.Now().Add(time.Second)
+	for {
+		var off []string
+		for id, srv := range tb.servers {
+			if n := srv.Sessions(); n != 1 {
+				off = append(off, fmt.Sprintf("%s=%d", id, n))
+			}
+		}
+		if len(off) == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			sort.Strings(off)
+			t.Fatalf("%s: agents without exactly one session: %v", when, off)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestOneSessionPerAgent: the device manager owns the only session to
+// each agent — amplifiers included — and the collector polls and listens
+// on it. A freshly built testbed holds exactly one session per agent, and
+// so does a ring drill's fleet after RPC faults tore sessions down and a
+// transponder crashed and restarted.
+func TestOneSessionPerAgent(t *testing.T) {
+	n := RingNetwork(4, 100, 200)
+	tb, err := NewTestbed(n, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tb.Close()
+	if got, want := len(tb.Ctrl.DevMgr().Devices()), len(tb.servers); got != want {
+		t.Fatalf("device manager holds %d devices, testbed runs %d agents", got, want)
+	}
+	for id, srv := range tb.servers {
+		if n := srv.Sessions(); n != 1 {
+			t.Errorf("after NewTestbed: %s holds %d sessions, want 1", id, n)
+		}
+	}
+	rep, _, err := Run(tb, ringScenario(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Crashed) != 1 || !rep.AuditClean {
+		t.Fatalf("crashed %v, audit clean %v: the drill did not restart and reconverge a device", rep.Crashed, rep.AuditClean)
+	}
+	checkOneSessionPerAgent(t, tb, "after the drill")
+}
+
+// TestDrillRepairThatCannotConvergeIsDirty: Repair returns nil only after
+// a clean read-back audit, so the drill trusts it without reading the
+// fleet again — and a Repair that keeps failing, here on a transponder
+// that crashed outside the scenario and never came back, must still end
+// the drill with audit_clean=false.
+func TestDrillRepairThatCannotConvergeIsDirty(t *testing.T) {
+	tb, err := NewTestbed(RingNetwork(4, 100, 200), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tb.Close()
+	chans := tb.Ctrl.LiveChannels()
+	if len(chans) == 0 {
+		t.Fatal("no live channels")
+	}
+	tb.Transponders[chans[0].TxA].Crash()
+	rep, log, err := Run(tb, Scenario{Name: "dead-endpoint", Seed: 1, RepairAttempts: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.AuditClean {
+		t.Error("audit_clean=true with a channel endpoint still down")
+	}
+	found := false
+	for _, ev := range log.Canonical() {
+		if ev.Kind == "outcome" && ev.Action == "audit" {
+			found = true
+			if ev.Detail != "clean=false" {
+				t.Errorf("audit outcome %q, want clean=false", ev.Detail)
+			}
+		}
+	}
+	if !found {
+		t.Error("no audit outcome in the event log")
+	}
+}

@@ -142,16 +142,9 @@ func NewTestbed(n workload.Network, opts Options) (*Testbed, error) {
 		need[string(w.Path.Src())]++
 		need[string(w.Path.Dst())]++
 	}
-	var sources []telemetry.Source
-	addSource := func(desc devmodel.Descriptor) error {
-		client, err := netconf.Dial(desc.Address)
-		if err != nil {
-			return err
-		}
-		tb.closers = append(tb.closers, func() { _ = client.Close() })
-		sources = append(sources, telemetry.Source{Desc: desc, Client: client})
-		return nil
-	}
+	// The collector watches the transponders and amplifiers over the
+	// sessions the device manager registered: one session per agent.
+	var watched []devmodel.Descriptor
 	for _, site := range n.Optical.Nodes() {
 		count := need[string(site)] + spares
 		for i := 0; i < count; i++ {
@@ -173,10 +166,7 @@ func NewTestbed(n workload.Network, opts Options) (*Testbed, error) {
 			}
 			tb.Transponders[desc.ID] = agent
 			tb.servers[desc.ID] = agent.Server()
-			if err := addSource(desc); err != nil {
-				tb.Close()
-				return nil, err
-			}
+			watched = append(watched, desc)
 		}
 	}
 	for _, f := range n.Optical.Fibers() {
@@ -212,11 +202,12 @@ func NewTestbed(n workload.Network, opts Options) (*Testbed, error) {
 		}
 		tb.closers = append(tb.closers, amp.Close)
 		adesc.Address = aaddr
-		tb.servers[adesc.ID] = amp.Server()
-		if err := addSource(adesc); err != nil {
+		if err := ctrl.DevMgr().Register(adesc); err != nil {
 			tb.Close()
 			return nil, err
 		}
+		tb.servers[adesc.ID] = amp.Server()
+		watched = append(watched, adesc)
 	}
 
 	if err := ctrl.Apply(res); err != nil {
@@ -229,7 +220,7 @@ func NewTestbed(n workload.Network, opts Options) (*Testbed, error) {
 		interval = 25 * time.Millisecond
 	}
 	tb.Store = telemetry.NewStore(4096)
-	tb.Collector = telemetry.NewCollector(tb.Store, interval, sources)
+	tb.Collector = telemetry.NewCollector(tb.Store, interval, watched, ctrl.DevMgr())
 	tb.Collector.RedialInterval = interval
 	return tb, nil
 }

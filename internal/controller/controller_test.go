@@ -11,7 +11,6 @@ import (
 
 	"flexwan/internal/device"
 	"flexwan/internal/devmodel"
-	"flexwan/internal/netconf"
 	"flexwan/internal/phy"
 	"flexwan/internal/restore"
 	"flexwan/internal/spectrum"
@@ -29,7 +28,7 @@ type harness struct {
 	ctrl         *Controller
 	transponders map[string]*device.Transponder
 	wss          map[string]*device.WSS
-	sources      []telemetry.Source
+	devices      []devmodel.Descriptor
 }
 
 // fiberSpec is one fiber of a harness topology.
@@ -108,14 +107,7 @@ func newFleet(t *testing.T, fibers []fiberSpec, grid spectrum.Grid, nTx int, dem
 		if err := ctrl.DevMgr().Register(desc); err != nil {
 			t.Fatal(err)
 		}
-		// A second session feeds the telemetry collector (production
-		// separates config and data-stream sessions).
-		c, err := netconf.Dial(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { c.Close() })
-		h.sources = append(h.sources, telemetry.Source{Desc: desc, Client: c})
+		h.devices = append(h.devices, desc)
 	}
 
 	for _, site := range sites {
@@ -242,7 +234,7 @@ func TestEndToEndFiberCutRestoration(t *testing.T) {
 	}
 
 	store := telemetry.NewStore(256)
-	col := telemetry.NewCollector(store, 50*time.Millisecond, h.sources)
+	col := telemetry.NewCollector(store, 50*time.Millisecond, h.devices, h.ctrl.DevMgr())
 	col.Run()
 	defer col.Stop()
 	time.Sleep(100 * time.Millisecond)

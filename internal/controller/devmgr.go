@@ -19,7 +19,10 @@ import (
 
 	"flexwan/internal/devmodel"
 	"flexwan/internal/netconf"
+	"flexwan/internal/telemetry"
 )
+
+var _ telemetry.Sessions = (*DevMgr)(nil)
 
 // DevMgr is the device manager: the registry of managed devices, their
 // management sessions, and the per-site transponder pools the controller
@@ -149,6 +152,24 @@ func (d *DevMgr) Client(id string) (*netconf.Client, bool) {
 	defer d.mu.Unlock()
 	c, ok := d.clients[id]
 	return c, ok
+}
+
+// LiveClient returns a live management session for the device: the pooled
+// one while its connection stands, otherwise — the dead one dropped — a
+// fresh dial to the registered address that greets under the registered
+// ID, as a redial in Call does. The session stays the manager's: callers
+// borrow it and never close it. It implements telemetry.Sessions with
+// Client, so the collector polls and listens on the sessions the
+// controller configures through.
+func (d *DevMgr) LiveClient(id string) (*netconf.Client, error) {
+	if client, ok := d.Client(id); ok {
+		if client.Err() == nil {
+			return client, nil
+		}
+		d.invalidate(id, client)
+	}
+	client, _, err := d.session(id)
+	return client, err
 }
 
 // Descriptor returns the registered identity of the device.

@@ -302,11 +302,11 @@ func TestApplyRefusedByFixedGridVendor(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(ctrl.Close)
-	for _, src := range h.sources {
-		if src.Desc.Class == devmodel.ClassWSS && src.Desc.Fiber == "f1" {
+	for _, desc := range h.devices {
+		if desc.Class == devmodel.ClassWSS && desc.Fiber == "f1" {
 			continue
 		}
-		if err := ctrl.DevMgr().Register(src.Desc); err != nil {
+		if err := ctrl.DevMgr().Register(desc); err != nil {
 			t.Fatal(err)
 		}
 	}

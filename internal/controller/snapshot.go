@@ -126,7 +126,9 @@ func (c *Controller) LoadSnapshot(s Snapshot) error {
 // paper's zero-touch misconnection recovery (§9): when a device drifts —
 // a field tech re-patches a port, a vendor controller overwrites a
 // passband — the centralized intent wins without a site visit. It
-// returns the channels that were found inconsistent before the repair.
+// returns the channels that were found inconsistent before the repair. A
+// nil error means a read-back audit found the fleet clean, before or after
+// the re-push.
 func (c *Controller) Repair() ([]string, error) {
 	before, err := c.Audit()
 	if err != nil {

@@ -77,8 +77,8 @@ func TestStandbyFailover(t *testing.T) {
 	}
 	defer standby.Close()
 	// The standby dials the same fleet.
-	for _, src := range h.sources {
-		if err := standby.DevMgr().Register(src.Desc); err != nil {
+	for _, desc := range h.devices {
+		if err := standby.DevMgr().Register(desc); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -259,8 +259,8 @@ func TestSnapshotPathsRenumberedOnStandby(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer standby.Close()
-	for _, src := range h.sources {
-		if err := standby.DevMgr().Register(src.Desc); err != nil {
+	for _, desc := range h.devices {
+		if err := standby.DevMgr().Register(desc); err != nil {
 			t.Fatal(err)
 		}
 	}

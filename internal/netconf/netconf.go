@@ -316,6 +316,13 @@ func (s *Server) serveSession(sess *session) {
 	}
 }
 
+// Sessions returns how many management sessions the server holds open.
+func (s *Server) Sessions() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.sessions)
+}
+
 // Notify pushes an asynchronous notification to every connected session
 // (NETCONF's <notification>). Sessions that fail to accept the write are
 // dropped.

@@ -107,69 +107,35 @@ type Event struct {
 	Time   time.Time
 }
 
-// Source is one device under collection.
-type Source struct {
-	Desc   devmodel.Descriptor
-	Client *netconf.Client
+// Sessions lends the collector the management session of each device it
+// watches. The device manager implements it: it owns every session — it
+// dials, checks the device's identity and closes — so each device carries
+// one session for configuration and telemetry alike, and the collector
+// never dials.
+type Sessions interface {
+	// Client returns the device's pooled session, live or dead, without
+	// dialing.
+	Client(id string) (*netconf.Client, bool)
+	// LiveClient returns a live session to the device: the pooled one if
+	// its connection still stands, otherwise one freshly dialed to the
+	// registered address and greeted under the registered ID.
+	LiveClient(id string) (*netconf.Client, error)
 }
 
-// sourceState is a Source whose session the collector may replace: when
-// a device crashes its notification stream closes, and the alarm
-// listener redials the registered management address until the device
-// answers again. Sessions the collector dialed itself (redialed) are its
-// to close; the caller's original Client is left to the caller.
-type sourceState struct {
-	desc devmodel.Descriptor
-
-	mu       sync.Mutex
-	client   *netconf.Client
-	redialed bool
-}
-
-func (s *sourceState) get() *netconf.Client {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.client
-}
-
-// drop forgets the dead session if it is still current, closing it when
-// the collector owned it.
-func (s *sourceState) drop(client *netconf.Client) {
-	s.mu.Lock()
-	owned := false
-	if s.client == client {
-		owned = s.redialed
-		s.client = nil
-	}
-	s.mu.Unlock()
-	if owned {
-		client.Close()
-	}
-}
-
-func (s *sourceState) replace(client *netconf.Client) {
-	s.mu.Lock()
-	old, owned := s.client, s.redialed
-	s.client = client
-	s.redialed = true
-	s.mu.Unlock()
-	if old != nil && owned {
-		old.Close()
-	}
-}
-
-// Collector polls sources on a fixed interval, feeds the store, and
+// Collector polls devices on a fixed interval, feeds the store, and
 // emits fiber events. Detection is double-pathed as in production:
 // asynchronous device alarms give sub-interval latency, and the polling
 // loop catches anything the alarm stream missed.
 type Collector struct {
 	store    *Store
 	interval time.Duration
-	sources  []*sourceState
+	devices  []devmodel.Descriptor
+	sessions Sessions
 	events   chan Event
 
-	// RedialInterval is the pause between reconnection attempts after a
-	// source's management session drops (default 100ms). Set before Run.
+	// RedialInterval is the pause between requests for a live session
+	// after a device's management session drops (default 100ms). Set
+	// before Run.
 	RedialInterval time.Duration
 
 	// DegradeBERThreshold, when positive, arms early-warning detection:
@@ -189,20 +155,19 @@ type Collector struct {
 	once     sync.Once
 }
 
-// NewCollector builds a collector over the given sources. Events are
-// delivered on Events(); call Run to start and Stop to halt.
-func NewCollector(store *Store, interval time.Duration, sources []Source) *Collector {
+// NewCollector builds a collector over the given devices, reached through
+// the sessions they are registered with. Events are delivered on Events();
+// call Run to start and Stop to halt. Stop the collector before closing
+// the sessions' owner, or its alarm listeners redial into it.
+func NewCollector(store *Store, interval time.Duration, devices []devmodel.Descriptor, sessions Sessions) *Collector {
 	if interval <= 0 {
 		interval = time.Second // the paper's one-second granularity
-	}
-	states := make([]*sourceState, len(sources))
-	for i, src := range sources {
-		states[i] = &sourceState{desc: src.Desc, client: src.Client}
 	}
 	return &Collector{
 		store:    store,
 		interval: interval,
-		sources:  states,
+		devices:  devices,
+		sessions: sessions,
 		events:   make(chan Event, 256),
 		los:      make(map[string]bool),
 		degraded: make(map[string]bool),
@@ -216,12 +181,11 @@ func (c *Collector) Events() <-chan Event { return c.events }
 // Run starts the polling loop and alarm listeners. It returns
 // immediately; collection continues until Stop.
 func (c *Collector) Run() {
-	for _, src := range c.sources {
-		src := src
+	for _, desc := range c.devices {
 		c.stopGrp.Add(1)
 		go func() {
 			defer c.stopGrp.Done()
-			c.listenAlarms(src)
+			c.listenAlarms(desc)
 		}()
 	}
 	c.stopGrp.Add(1)
@@ -241,20 +205,11 @@ func (c *Collector) Run() {
 	}()
 }
 
-// Stop halts collection and closes any sessions the collector redialed
-// itself. Safe to call more than once.
+// Stop halts collection. The sessions stay with their owner. Safe to call
+// more than once.
 func (c *Collector) Stop() {
 	c.once.Do(func() { close(c.stopped) })
 	c.stopGrp.Wait()
-	for _, s := range c.sources {
-		s.mu.Lock()
-		client, owned := s.client, s.redialed
-		s.client = nil
-		s.mu.Unlock()
-		if owned && client != nil {
-			client.Close()
-		}
-	}
 }
 
 func (c *Collector) redialInterval() time.Duration {
@@ -264,33 +219,29 @@ func (c *Collector) redialInterval() time.Duration {
 	return 100 * time.Millisecond
 }
 
-// listenAlarms consumes a source's asynchronous alarms for the life of
-// the collector. A closed notification stream means the session died —
-// a crashed or restarted device — so the listener redials the
-// registered management address until the device answers again, rather
-// than going deaf for the rest of the run.
-func (c *Collector) listenAlarms(s *sourceState) {
+// listenAlarms consumes a device's asynchronous alarms for the life of
+// the collector. A closed notification stream means the session died — a
+// crashed or restarted device — so the listener asks for a live session
+// every RedialInterval until the device answers again under its
+// registered ID, rather than going deaf for the rest of the run.
+func (c *Collector) listenAlarms(desc devmodel.Descriptor) {
 	for {
-		if client := s.get(); client != nil {
-			if !c.drainAlarms(s, client) {
+		if client, err := c.sessions.LiveClient(desc.ID); err == nil {
+			if !c.drainAlarms(desc, client) {
 				return
 			}
-			s.drop(client)
 		}
 		select {
 		case <-c.stopped:
 			return
 		case <-time.After(c.redialInterval()):
 		}
-		if fresh, err := netconf.Dial(s.desc.Address); err == nil {
-			s.replace(fresh)
-		}
 	}
 }
 
 // drainAlarms consumes alarms until the collector stops (false) or the
 // session drops (true).
-func (c *Collector) drainAlarms(s *sourceState, client *netconf.Client) bool {
+func (c *Collector) drainAlarms(desc devmodel.Descriptor, client *netconf.Client) bool {
 	for {
 		select {
 		case <-c.stopped:
@@ -303,30 +254,33 @@ func (c *Collector) drainAlarms(s *sourceState, client *netconf.Client) bool {
 			if err := json.Unmarshal(raw, &al); err != nil {
 				continue
 			}
-			c.observeLOS(s.desc, al.Device, al.Fiber, al.Kind == "los")
+			c.observeLOS(desc, al.Device, al.Fiber, al.Kind == "los")
 		}
 	}
 }
 
+// pollAll reads every device's state once over its pooled session. It
+// never dials: a dead session fails its poll at once, and the device's
+// alarm listener brings a live one back.
 func (c *Collector) pollAll() {
 	now := time.Now()
-	for _, src := range c.sources {
-		client := src.get()
-		if client == nil {
+	for _, desc := range c.devices {
+		client, ok := c.sessions.Client(desc.ID)
+		if !ok {
 			continue
 		}
-		switch src.desc.Class {
+		switch desc.Class {
 		case devmodel.ClassTransponder:
 			var st devmodel.TransponderState
 			if err := client.Call(netconf.OpGetState, nil, &st); err != nil {
 				continue
 			}
-			c.store.Append(Point{src.desc.ID, "rx-osnr-db", now, st.RxOSNRdB})
-			c.store.Append(Point{src.desc.ID, "pre-fec-ber", now, st.PreFECBER})
-			c.store.Append(Point{src.desc.ID, "post-fec-ber", now, st.PostFECBER})
-			c.store.Append(Point{src.desc.ID, "rx-power-dbm", now, st.RxPowerDBm})
-			c.store.Append(Point{src.desc.ID, "los", now, boolTo01(st.LossOfSignal)})
-			c.observeBER(src.desc.ID, st)
+			c.store.Append(Point{desc.ID, "rx-osnr-db", now, st.RxOSNRdB})
+			c.store.Append(Point{desc.ID, "pre-fec-ber", now, st.PreFECBER})
+			c.store.Append(Point{desc.ID, "post-fec-ber", now, st.PostFECBER})
+			c.store.Append(Point{desc.ID, "rx-power-dbm", now, st.RxPowerDBm})
+			c.store.Append(Point{desc.ID, "los", now, boolTo01(st.LossOfSignal)})
+			c.observeBER(desc.ID, st)
 			// A transponder's LOS cannot localize the cut by itself: its
 			// circuit crosses many fibers. Only record it.
 		case devmodel.ClassAmplifier:
@@ -334,11 +288,11 @@ func (c *Collector) pollAll() {
 			if err := client.Call(netconf.OpGetState, nil, &st); err != nil {
 				continue
 			}
-			c.store.Append(Point{src.desc.ID, "gain-db", now, st.GainDB})
-			c.store.Append(Point{src.desc.ID, "out-power-dbm", now, st.OutPowerDBm})
-			c.store.Append(Point{src.desc.ID, "los", now, boolTo01(st.LossOfSignal)})
+			c.store.Append(Point{desc.ID, "gain-db", now, st.GainDB})
+			c.store.Append(Point{desc.ID, "out-power-dbm", now, st.OutPowerDBm})
+			c.store.Append(Point{desc.ID, "los", now, boolTo01(st.LossOfSignal)})
 			// Amplifiers sit on a known fiber: their LOS localizes it.
-			c.observeLOS(src.desc, src.desc.ID, src.desc.Fiber, st.LossOfSignal)
+			c.observeLOS(desc, desc.ID, desc.Fiber, st.LossOfSignal)
 		}
 	}
 }

@@ -1,24 +1,25 @@
-package telemetry
+package telemetry_test
 
 import (
-	"encoding/json"
 	"math"
 	"testing"
 	"time"
 
+	"flexwan/internal/controller"
 	"flexwan/internal/device"
 	"flexwan/internal/devmodel"
 	"flexwan/internal/netconf"
 	"flexwan/internal/phy"
 	"flexwan/internal/spectrum"
+	"flexwan/internal/telemetry"
 	"flexwan/internal/transponder"
 )
 
 func TestStoreAppendLatestSince(t *testing.T) {
-	s := NewStore(4)
+	s := telemetry.NewStore(4)
 	base := time.Now()
 	for i := 0; i < 6; i++ {
-		s.Append(Point{Device: "d", Metric: "m", Time: base.Add(time.Duration(i) * time.Second), Value: float64(i)})
+		s.Append(telemetry.Point{Device: "d", Metric: "m", Time: base.Add(time.Duration(i) * time.Second), Value: float64(i)})
 	}
 	p, ok := s.Latest("d", "m")
 	if !ok || p.Value != 5 {
@@ -42,14 +43,70 @@ func TestStoreAppendLatestSince(t *testing.T) {
 }
 
 func TestStoreDefaultCapacity(t *testing.T) {
-	s := NewStore(0)
-	if s.capacity != 1024 {
-		t.Errorf("default capacity = %d", s.capacity)
+	s := telemetry.NewStore(0)
+	base := time.Now()
+	for i := 0; i < 1100; i++ {
+		s.Append(telemetry.Point{Device: "d", Metric: "m", Time: base.Add(time.Duration(i) * time.Second), Value: float64(i)})
+	}
+	if n := len(s.Since("d", "m", base)); n != 1024 {
+		t.Errorf("default capacity = %d", n)
 	}
 }
 
-// testbed spins up one transponder on f1 and one amplifier per fiber.
-func testbed(t *testing.T) (*device.Fabric, []Source) {
+// register starts an agent and registers it with the device manager, the
+// owner of every management session the collector uses.
+func register(t *testing.T, dm *controller.DevMgr, start func(string) (string, error), stop func(), desc func() devmodel.Descriptor) devmodel.Descriptor {
+	t.Helper()
+	if _, err := start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(stop)
+	d := desc()
+	if err := dm.Register(d); err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// newDevMgr returns a device manager closed when the test ends — after
+// the test's deferred Collector.Stop, as an owner outlives its borrowers.
+func newDevMgr(t *testing.T) *controller.DevMgr {
+	dm := controller.NewDevMgr()
+	t.Cleanup(dm.Close)
+	return dm
+}
+
+// startTransponder registers a transponder and lights a 600G channel over
+// the fiber.
+func startTransponder(t *testing.T, dm *controller.DevMgr, fabric *device.Fabric, id, fiber string) (*device.Transponder, devmodel.Descriptor) {
+	t.Helper()
+	tr := device.NewTransponder(
+		devmodel.Descriptor{ID: id, Class: devmodel.ClassTransponder, Vendor: "FlexWAN", Address: "x", Site: "A"},
+		spectrum.DefaultGrid(), transponder.SVT(), fabric)
+	desc := register(t, dm, tr.Start, tr.Close, tr.Descriptor)
+	cfg := devmodel.TransponderConfig{
+		Enabled: true, DataRateGbps: 600, SpacingGHz: 150,
+		IntervalStart: 0, IntervalCount: 12,
+		PathFibers: []string{fiber}, Channel: id,
+	}
+	if err := dm.Call(id, netconf.OpEditConfig, cfg, nil); err != nil {
+		t.Fatal(err)
+	}
+	return tr, desc
+}
+
+// startAmplifier registers the amplifier watching the fiber.
+func startAmplifier(t *testing.T, dm *controller.DevMgr, fabric *device.Fabric, fiber string) (*device.Amplifier, devmodel.Descriptor) {
+	t.Helper()
+	amp := device.NewAmplifier(
+		devmodel.Descriptor{ID: "amp-" + fiber, Class: devmodel.ClassAmplifier, Vendor: "edfa", Address: "x", Site: "A", Fiber: fiber},
+		fabric, fiber)
+	return amp, register(t, dm, amp.Start, amp.Close, amp.Descriptor)
+}
+
+// testbed spins up one transponder on f1 and one amplifier per fiber, all
+// registered with one device manager.
+func testbed(t *testing.T) (*device.Fabric, *controller.DevMgr, []devmodel.Descriptor) {
 	t.Helper()
 	fabric := device.NewFabric(phy.DefaultLink())
 	for id, km := range map[string]float64{"f1": 600, "f2": 500} {
@@ -57,56 +114,20 @@ func testbed(t *testing.T) (*device.Fabric, []Source) {
 			t.Fatal(err)
 		}
 	}
-	grid := spectrum.DefaultGrid()
-	var sources []Source
-
-	tr := device.NewTransponder(
-		devmodel.Descriptor{ID: "t1", Class: devmodel.ClassTransponder, Vendor: "FlexWAN", Address: "x", Site: "A"},
-		grid, transponder.SVT(), fabric)
-	addr, err := tr.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(tr.Close)
-	c, err := netconf.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	cfg := devmodel.TransponderConfig{
-		Enabled: true, DataRateGbps: 600, SpacingGHz: 150,
-		IntervalStart: 0, IntervalCount: 12,
-		PathFibers: []string{"f1"}, Channel: "e1:1",
-	}
-	if err := c.Call(netconf.OpEditConfig, cfg, nil); err != nil {
-		t.Fatal(err)
-	}
-	desc := tr.Descriptor()
-	sources = append(sources, Source{Desc: desc, Client: c})
-
+	dm := newDevMgr(t)
+	_, tx := startTransponder(t, dm, fabric, "t1", "f1")
+	devices := []devmodel.Descriptor{tx}
 	for _, fiber := range []string{"f1", "f2"} {
-		amp := device.NewAmplifier(
-			devmodel.Descriptor{ID: "amp-" + fiber, Class: devmodel.ClassAmplifier, Vendor: "edfa", Address: "x", Site: "A", Fiber: fiber},
-			fabric, fiber)
-		addr, err := amp.Start("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(amp.Close)
-		ac, err := netconf.Dial(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { ac.Close() })
-		sources = append(sources, Source{Desc: amp.Descriptor(), Client: ac})
+		_, amp := startAmplifier(t, dm, fabric, fiber)
+		devices = append(devices, amp)
 	}
-	return fabric, sources
+	return fabric, dm, devices
 }
 
 func TestCollectorGathersMetrics(t *testing.T) {
-	_, sources := testbed(t)
-	store := NewStore(128)
-	col := NewCollector(store, 50*time.Millisecond, sources)
+	_, dm, devices := testbed(t)
+	store := telemetry.NewStore(128)
+	col := telemetry.NewCollector(store, 50*time.Millisecond, devices, dm)
 	col.Run()
 	defer col.Stop()
 
@@ -130,9 +151,9 @@ func TestCollectorGathersMetrics(t *testing.T) {
 }
 
 func TestCollectorDetectsFiberCut(t *testing.T) {
-	fabric, sources := testbed(t)
-	store := NewStore(128)
-	col := NewCollector(store, 50*time.Millisecond, sources)
+	fabric, dm, devices := testbed(t)
+	store := telemetry.NewStore(128)
+	col := telemetry.NewCollector(store, 50*time.Millisecond, devices, dm)
 	col.Run()
 	defer col.Stop()
 
@@ -164,101 +185,144 @@ func TestCollectorDetectsFiberCut(t *testing.T) {
 }
 
 // TestCollectorRedialsAfterCrash crashes the amplifier watching f1 and
-// restarts it on the same address: the collector must redial the alarm
-// stream so a cut after the restart is still detected.
+// restarts it on the same address: the collector must get a live session
+// from the device manager again, so a cut after the restart is still
+// detected.
 func TestCollectorRedialsAfterCrash(t *testing.T) {
 	fabric := device.NewFabric(phy.DefaultLink())
 	if err := fabric.AddFiber("f1", 600); err != nil {
 		t.Fatal(err)
 	}
-	amp := device.NewAmplifier(
-		devmodel.Descriptor{ID: "amp-f1", Class: devmodel.ClassAmplifier, Vendor: "edfa", Address: "x", Site: "A", Fiber: "f1"},
-		fabric, "f1")
-	addr, err := amp.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(amp.Close)
-	c, err := netconf.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
+	dm := newDevMgr(t)
+	amp, desc := startAmplifier(t, dm, fabric, "f1")
 
-	col := NewCollector(NewStore(64), 25*time.Millisecond, []Source{{Desc: amp.Descriptor(), Client: c}})
+	col := telemetry.NewCollector(telemetry.NewStore(64), 25*time.Millisecond, []devmodel.Descriptor{desc}, dm)
 	col.RedialInterval = 20 * time.Millisecond
 	col.Run()
 	defer col.Stop()
 
 	time.Sleep(80 * time.Millisecond) // establish baselines on the live session
-	amp.Server().Stop()               // crash: drops the collector's alarm session
-	time.Sleep(80 * time.Millisecond) // let the redial loop observe the outage
-	if _, err := amp.Server().Listen(addr); err != nil {
-		t.Fatalf("restart on %s: %v", addr, err)
+	amp.Server().Stop()               // crash: drops the pooled session
+	time.Sleep(80 * time.Millisecond) // let the alarm listener observe the outage
+	if _, err := amp.Server().Listen(desc.Address); err != nil {
+		t.Fatalf("restart on %s: %v", desc.Address, err)
 	}
-	// Give the collector a chance to redial, then cut. Until the redial
-	// lands the cut goes unseen, so rearm with a repair and retry.
-	deadline := time.Now().Add(3 * time.Second)
+	awaitCut(t, col, fabric, "f1", 3*time.Second)
+}
+
+// awaitCut cuts the fiber until the collector reports it. Until the
+// listener holds a live session again the cut may go unseen, so each
+// unanswered round rearms with a repair and cuts again.
+func awaitCut(t *testing.T, col *telemetry.Collector, fabric *device.Fabric, fiber string, within time.Duration) {
+	t.Helper()
+	deadline := time.Now().Add(within)
 	for {
-		fabric.Cut("f1")
+		fabric.Cut(fiber)
 		select {
 		case ev := <-col.Events():
-			if ev.Kind == "fiber-cut" && ev.Fiber == "f1" {
+			if ev.Kind == "fiber-cut" && ev.Fiber == fiber {
 				return
 			}
 			// A fiber-restored from a prior rearm cycle: keep waiting.
 		case <-time.After(100 * time.Millisecond):
 			if time.Now().After(deadline) {
-				t.Fatal("fiber cut not detected after device restart")
+				t.Fatalf("cut of %s not detected after device restart", fiber)
 			}
-			fabric.Repair("f1") // rearm and try again once redial lands
+			fabric.Repair(fiber) // rearm and try again once the session is back
 			time.Sleep(50 * time.Millisecond)
 		}
 	}
 }
 
-// TestPollDoesNotStallOnDeadSource: the sweep is serial, so a crashed
-// source must cost it nothing — its dead session fails the poll at once
-// rather than holding every later source behind the 5 s call timeout.
-func TestPollDoesNotStallOnDeadSource(t *testing.T) {
-	_, sources := testbed(t)
-	crashed := netconf.NewServer(nil, func(string, json.RawMessage) (interface{}, error) { return nil, nil })
-	addr, err := crashed.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+// TestCollectorNeverUsesImpostorSession: after the amplifier watching f1
+// crashes, another device — the amplifier of f2 — comes up on its recycled
+// address. Every redial greets under the wrong ID, so the collector must
+// neither listen to nor poll that device: a cut of f2 there must not be
+// reported, least of all as a cut of f1. Once the real amplifier is back
+// on the address, detection resumes.
+func TestCollectorNeverUsesImpostorSession(t *testing.T) {
+	fabric := device.NewFabric(phy.DefaultLink())
+	for _, id := range []string{"f1", "f2"} {
+		if err := fabric.AddFiber(id, 500); err != nil {
+			t.Fatal(err)
+		}
 	}
-	defer crashed.Close()
-	dead, err := netconf.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
+	dm := newDevMgr(t)
+	amp, desc := startAmplifier(t, dm, fabric, "f1")
+	store := telemetry.NewStore(64)
+	col := telemetry.NewCollector(store, 20*time.Millisecond, []devmodel.Descriptor{desc}, dm)
+	col.RedialInterval = 10 * time.Millisecond
+	col.Run()
+	defer col.Stop()
+
+	time.Sleep(60 * time.Millisecond) // baselines on the live session
+	amp.Server().Stop()
+	impostor := device.NewAmplifier(
+		devmodel.Descriptor{ID: "amp-f2", Class: devmodel.ClassAmplifier, Vendor: "edfa", Address: "x", Site: "A", Fiber: "f2"},
+		fabric, "f2")
+	if _, err := impostor.Start(desc.Address); err != nil {
+		t.Fatalf("impostor on %s: %v", desc.Address, err)
 	}
-	defer dead.Close()
-	crashed.Stop()
+	defer impostor.Close()
+	fabric.Cut("f2")
 	select {
-	case <-dead.Done():
+	case ev := <-col.Events():
+		t.Fatalf("event %+v from a session greeting as amp-f2", ev)
+	case <-time.After(300 * time.Millisecond): // many redial intervals and polls
+	}
+	if p, ok := store.Latest("amp-f1", "los"); ok && p.Value != 0 {
+		t.Error("the impostor's loss of signal was polled as amp-f1's")
+	}
+	if client, ok := dm.Client("amp-f1"); ok && client.Err() == nil {
+		t.Error("the device manager pooled a live session to the impostor")
+	}
+
+	impostor.Close()
+	if _, err := amp.Server().Listen(desc.Address); err != nil {
+		t.Fatalf("restart on %s: %v", desc.Address, err)
+	}
+	awaitCut(t, col, fabric, "f1", 3*time.Second)
+}
+
+// TestPollDoesNotStallOnDeadSource: the sweep is serial, so a crashed
+// device must cost it nothing — its dead pooled session fails the poll at
+// once, and the sweep never dials, rather than holding every later device
+// behind a call or dial timeout.
+func TestPollDoesNotStallOnDeadSource(t *testing.T) {
+	fabric, dm, devices := testbed(t)
+	crashed, first := startTransponder(t, dm, fabric, "t0", "f2")
+	crashed.Crash()
+	client, ok := dm.Client("t0")
+	if !ok {
+		t.Fatal("t0 has no pooled session")
+	}
+	select {
+	case <-client.Done():
 	case <-time.After(2 * time.Second):
 		t.Fatal("session never noticed the crash")
 	}
-	first := Source{Desc: devmodel.Descriptor{ID: "t0", Class: devmodel.ClassTransponder}, Client: dead}
 
-	store := NewStore(128)
-	col := NewCollector(store, time.Hour, append([]Source{first}, sources...)) // never Run: the sweep is driven by hand
+	store := telemetry.NewStore(128)
+	col := telemetry.NewCollector(store, time.Hour, append([]devmodel.Descriptor{first}, devices...), dm) // never Run: the sweep is driven by hand
 	start := time.Now()
-	col.pollAll()
+	col.PollAll()
 	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Errorf("sweep over one dead and three live sources took %v", elapsed)
+		t.Errorf("sweep over one dead and three live devices took %v", elapsed)
 	}
 	if _, ok := store.Latest("t0", "los"); ok {
-		t.Error("dead source produced a sample")
+		t.Error("dead device produced a sample")
 	}
 	if _, ok := store.Latest("amp-f2", "los"); !ok {
-		t.Error("sources after the dead one were not polled")
+		t.Error("devices after the dead one were not polled")
+	}
+	if c, _ := dm.Client("t0"); c != client {
+		t.Error("the sweep replaced the dead session: polling must not dial")
 	}
 }
 
 func TestCollectorStopIdempotent(t *testing.T) {
-	_, sources := testbed(t)
-	col := NewCollector(NewStore(16), 50*time.Millisecond, sources)
+	_, dm, devices := testbed(t)
+	col := telemetry.NewCollector(telemetry.NewStore(16), 50*time.Millisecond, devices, dm)
 	col.Run()
 	col.Stop()
 	col.Stop()
@@ -275,39 +339,19 @@ func TestCollectorBERDegradation(t *testing.T) {
 	if err := fabric.AddFiber("edge", 800); err != nil { // 600G@150 reach is 800
 		t.Fatal(err)
 	}
-	grid := spectrum.DefaultGrid()
-	var sources []Source
+	dm := newDevMgr(t)
+	var devices []devmodel.Descriptor
 	readings := map[string]float64{}
 	for _, tc := range []struct{ id, fiber string }{{"tx-short", "short"}, {"tx-edge", "edge"}} {
-		tr := device.NewTransponder(
-			devmodel.Descriptor{ID: tc.id, Class: devmodel.ClassTransponder, Vendor: "v", Address: "x", Site: "A"},
-			grid, transponder.SVT(), fabric)
-		addr, err := tr.Start("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(tr.Close)
-		c, err := netconf.Dial(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { c.Close() })
-		cfg := devmodel.TransponderConfig{
-			Enabled: true, DataRateGbps: 600, SpacingGHz: 150,
-			IntervalStart: 0, IntervalCount: 12,
-			PathFibers: []string{tc.fiber}, Channel: tc.id,
-		}
-		if err := c.Call(netconf.OpEditConfig, cfg, nil); err != nil {
-			t.Fatal(err)
-		}
+		tr, desc := startTransponder(t, dm, fabric, tc.id, tc.fiber)
 		readings[tc.id] = tr.State().PreFECBER
-		sources = append(sources, Source{Desc: tr.Descriptor(), Client: c})
+		devices = append(devices, desc)
 	}
 	if readings["tx-edge"] <= readings["tx-short"] {
 		t.Fatalf("test setup: edge BER %v not above short BER %v", readings["tx-edge"], readings["tx-short"])
 	}
 	threshold := math.Sqrt(readings["tx-edge"] * readings["tx-short"]) // geometric mean
-	col := NewCollector(NewStore(64), 50*time.Millisecond, sources)
+	col := telemetry.NewCollector(telemetry.NewStore(64), 50*time.Millisecond, devices, dm)
 	col.DegradeBERThreshold = threshold
 	col.Run()
 	defer col.Stop()

@@ -8,12 +8,13 @@ import (
 	"time"
 )
 
-// TestConcurrentCallsAcrossReset is the regression test for the unlocked
-// client encoder: eight goroutines share one Client while the agent resets
-// the connection mid-call. Writes that land between the reset and the read
-// loop noticing it fail, and a failing json.Encoder records a sticky error
-// — unsynchronised, two such writes race on it (run under -race). Every
-// call must end, nil or ErrSessionLost, and leave nothing pending.
+// TestConcurrentCallsAcrossReset is the regression test for unlocked
+// client writes: eight goroutines share one Client while the agent resets
+// the connection mid-call. Every call builds its frame in the session's
+// one buffer and some writes fail between the reset and the read loop
+// noticing it — unsynchronised, two callers race on that buffer (run
+// under -race). Every call must end, nil or ErrSessionLost, and leave
+// nothing pending.
 func TestConcurrentCallsAcrossReset(t *testing.T) {
 	const callers, rounds = 8, 40
 	for round := 0; round < rounds; round++ {

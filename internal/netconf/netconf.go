@@ -6,13 +6,15 @@
 //
 // The reproduction keeps NETCONF's session semantics — a hello exchange,
 // request/reply RPCs (get-config, edit-config, get-state), and
-// asynchronous notifications — over newline-delimited JSON on TCP, since
-// the standard library ships no XML-RPC stack and the paper's point is
-// the vendor-agnostic single protocol, not the wire syntax.
+// asynchronous notifications — with JSON documents on TCP, since the
+// standard library ships no XML-RPC stack and the paper's point is the
+// vendor-agnostic single protocol, not the wire syntax. Each message is a
+// length-prefixed frame (frame.go), in the spirit of RFC 6242's chunked
+// framing: a short header announces kind, id, op, error and payload
+// length, and the payload's JSON follows as its sender marshalled it.
 package netconf
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -59,24 +61,9 @@ func NewBatchEdit(cfgs ...interface{}) (BatchEdit, error) {
 	return b, nil
 }
 
-// message is the wire frame.
-type message struct {
-	Kind    string          `json:"kind"` // hello | rpc | reply | notification
-	ID      uint64          `json:"id,omitempty"`
-	Op      string          `json:"op,omitempty"`
-	Payload json.RawMessage `json:"payload,omitempty"`
-	Err     string          `json:"error,omitempty"`
-}
-
-const (
-	kindHello        = "hello"
-	kindRPC          = "rpc"
-	kindReply        = "reply"
-	kindNotification = "notification"
-)
-
 // Handler processes one RPC on the server (device) side. The returned
-// value is JSON-encoded into the reply payload.
+// value is JSON-encoded into the reply payload. payload is valid until the
+// handler returns; a handler that keeps it copies it.
 type Handler func(op string, payload json.RawMessage) (interface{}, error)
 
 // RPCFault tells a server how to mistreat one inbound RPC — the hook the
@@ -130,14 +117,23 @@ type Server struct {
 
 type session struct {
 	conn net.Conn
-	enc  *json.Encoder
-	mu   sync.Mutex // serializes writes
+	w    frameWriter
 }
 
-func (s *session) send(m message) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.enc.Encode(m)
+// reply sends the reply to RPC id: result as its payload, or err.
+func (s *session) reply(id uint64, op string, result interface{}, err error) error {
+	s.w.mu.Lock()
+	defer s.w.mu.Unlock()
+	var msg string
+	if err != nil {
+		msg, result = err.Error(), nil
+	}
+	if err := s.w.frame(kindReply, id, op, msg, result); err != nil {
+		if err := s.w.frame(kindReply, id, op, fmt.Sprintf("netconf: encoding reply: %v", err), nil); err != nil {
+			return err
+		}
+	}
+	return s.w.flush()
 }
 
 // NewServer returns a server that greets each session with the hello
@@ -193,7 +189,8 @@ func (s *Server) acceptLoop(l net.Listener) {
 		if err != nil {
 			return // listener closed
 		}
-		sess := &session{conn: conn, enc: json.NewEncoder(conn)}
+		sess := &session{conn: conn}
+		sess.w.init(conn)
 		s.mu.Lock()
 		// A stale listener means Stop/Close raced the accept: this
 		// server instance is down, so the connection dies with it.
@@ -239,10 +236,7 @@ func (s *Server) serveSession(sess *session) {
 		sess.conn.Close()
 	}()
 
-	helloPayload, err := json.Marshal(s.hello)
-	if err != nil {
-		return
-	}
+	fr := newFrameReader(sess.conn)
 	// The greeting passes through the interceptor as pseudo-op OpHello so
 	// drills can exercise the dial path: a dropped or reset hello makes
 	// the client's dial fail, which the controller must treat as a
@@ -256,28 +250,26 @@ func (s *Server) serveSession(sess *session) {
 		case FaultDropRequest, FaultDropReply:
 			// Session stays open but never greets; the client times out
 			// waiting for the hello.
-			var m message
-			_ = json.NewDecoder(bufio.NewReader(sess.conn)).Decode(&m)
+			_, _ = fr.next()
 			return
 		case FaultReset:
 			return
 		}
 	}
-	if err := sess.send(message{Kind: kindHello, Payload: helloPayload}); err != nil {
+	if err := sess.w.send(kindHello, 0, "", "", s.hello); err != nil {
 		return
 	}
-	dec := json.NewDecoder(bufio.NewReader(sess.conn))
 	for {
-		var m message
-		if err := dec.Decode(&m); err != nil {
+		f, err := fr.next()
+		if err != nil {
 			return
 		}
-		if m.Kind != kindRPC {
+		if f.kind != kindRPC {
 			continue
 		}
-		reply := message{Kind: kindReply, ID: m.ID, Op: m.Op}
+		op := string(f.op)
 		if icpt := s.currentInterceptor(); icpt != nil {
-			d := icpt(m.Op)
+			d := icpt(op)
 			if d.Delay > 0 {
 				time.Sleep(d.Delay)
 			}
@@ -288,29 +280,18 @@ func (s *Server) serveSession(sess *session) {
 				return
 			}
 			if d.Err != "" {
-				reply.Err = d.Err
-				if err := sess.send(reply); err != nil {
+				if err := sess.w.send(kindReply, f.id, op, d.Err, nil); err != nil {
 					return
 				}
 				continue
 			}
 			if d.Fault == FaultDropReply {
-				_, _ = s.dispatch(m.Op, m.Payload)
+				_, _ = s.dispatch(op, f.payload)
 				continue
 			}
 		}
-		result, err := s.dispatch(m.Op, m.Payload)
-		if err != nil {
-			reply.Err = err.Error()
-		} else if result != nil {
-			data, err := json.Marshal(result)
-			if err != nil {
-				reply.Err = fmt.Sprintf("netconf: encoding reply: %v", err)
-			} else {
-				reply.Payload = data
-			}
-		}
-		if err := sess.send(reply); err != nil {
+		result, err := s.dispatch(op, f.payload)
+		if err := sess.reply(f.id, op, result, err); err != nil {
 			return
 		}
 	}
@@ -331,7 +312,7 @@ func (s *Server) Notify(event interface{}) {
 	if err != nil {
 		return
 	}
-	m := message{Kind: kindNotification, Payload: data}
+	frame := appendFrame(nil, kindNotification, 0, "", "", data)
 	s.mu.Lock()
 	sessions := make([]*session, 0, len(s.sessions))
 	for sess := range s.sessions {
@@ -339,7 +320,7 @@ func (s *Server) Notify(event interface{}) {
 	}
 	s.mu.Unlock()
 	for _, sess := range sessions {
-		if err := sess.send(m); err != nil {
+		if err := sess.w.write(frame); err != nil {
 			sess.conn.Close()
 		}
 	}
@@ -380,8 +361,7 @@ type Client struct {
 	hello       json.RawMessage
 	callTimeout time.Duration
 
-	wmu sync.Mutex // serializes writes, as session.mu does on the server side
-	enc *json.Encoder
+	w frameWriter // serializes writes, as session.w does on the server side
 
 	mu     sync.Mutex
 	nextID uint64
@@ -488,35 +468,41 @@ func DialWithOptions(addr string, opts DialOptions) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
+	return handshake(conn, opts)
+}
+
+// handshake waits for the device's hello on conn and starts the session;
+// conn is closed on failure.
+func handshake(conn net.Conn, opts DialOptions) (*Client, error) {
 	c := &Client{
 		conn:          conn,
-		enc:           json.NewEncoder(conn),
 		callTimeout:   opts.callTimeout(),
 		pending:       make(map[uint64]*Call),
 		notifications: make(chan json.RawMessage, 256),
 		done:          make(chan struct{}),
 	}
+	c.w.init(conn)
 	// The server speaks first.
-	dec := json.NewDecoder(bufio.NewReader(conn))
+	fr := newFrameReader(conn)
 	if err := conn.SetReadDeadline(time.Now().Add(opts.dialTimeout())); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("netconf: arming hello deadline: %w", err)
 	}
-	var hello message
-	if err := dec.Decode(&hello); err != nil {
+	hello, err := fr.next()
+	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("netconf: hello: %w", err)
 	}
-	if hello.Kind != kindHello {
+	if hello.kind != kindHello {
 		conn.Close()
-		return nil, fmt.Errorf("netconf: expected hello, got %q", hello.Kind)
+		return nil, fmt.Errorf("netconf: expected hello, got kind %q", hello.kind)
 	}
 	if err := conn.SetReadDeadline(time.Time{}); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("netconf: clearing hello deadline: %w", err)
 	}
-	c.hello = hello.Payload
-	go c.readLoop(dec)
+	c.hello = append(json.RawMessage(nil), hello.payload...)
+	go c.readLoop(fr)
 	return c, nil
 }
 
@@ -525,11 +511,11 @@ func (c *Client) Hello(out interface{}) error {
 	return json.Unmarshal(c.hello, out)
 }
 
-func (c *Client) readLoop(dec *json.Decoder) {
+func (c *Client) readLoop(fr *frameReader) {
 	defer close(c.done)
 	for {
-		var m message
-		if err := dec.Decode(&m); err != nil {
+		f, err := fr.next()
+		if err != nil {
 			c.mu.Lock()
 			c.readErr = err
 			lost := c.pending
@@ -541,14 +527,14 @@ func (c *Client) readLoop(dec *json.Decoder) {
 			close(c.notifications)
 			return
 		}
-		switch m.Kind {
+		switch f.kind {
 		case kindReply:
-			if call := c.take(m.ID); call != nil {
-				call.finish(call.decode(m))
+			if call := c.take(f.id); call != nil {
+				call.finish(call.decode(f))
 			}
 		case kindNotification:
 			select {
-			case c.notifications <- m.Payload:
+			case c.notifications <- append(json.RawMessage(nil), f.payload...):
 			default:
 				// Slow consumer: drop rather than stall the session.
 			}
@@ -572,12 +558,12 @@ func (c *Client) fail(id uint64, err error) {
 	}
 }
 
-func (call *Call) decode(m message) error {
-	if m.Err != "" {
-		return &RPCError{Op: call.Op, Msg: m.Err}
+func (call *Call) decode(f frame) error {
+	if len(f.errMsg) > 0 {
+		return &RPCError{Op: call.Op, Msg: string(f.errMsg)}
 	}
-	if call.Out != nil && m.Payload != nil {
-		if err := json.Unmarshal(m.Payload, call.Out); err != nil {
+	if call.Out != nil && len(f.payload) > 0 {
+		if err := json.Unmarshal(f.payload, call.Out); err != nil {
 			return fmt.Errorf("netconf: decoding %s reply: %w", call.Op, err)
 		}
 	}
@@ -603,14 +589,14 @@ func (c *Client) Call(op string, in, out interface{}) error {
 // waiting for the receiver.
 func (c *Client) Go(op string, in, out interface{}, done chan *Call) *Call {
 	call := &Call{Op: op, Out: out, Done: done}
-	var payload json.RawMessage
-	if in != nil {
-		data, err := json.Marshal(in)
-		if err != nil {
-			call.finish(fmt.Errorf("netconf: encoding %s request: %w", op, err))
-			return call
-		}
-		payload = data
+	// The request is framed before it is registered, so one that cannot
+	// be encoded never becomes pending; the write lock is held until it is
+	// sent, because the frame is built in the session's buffer.
+	c.w.mu.Lock()
+	if err := c.w.frame(kindRPC, 0, op, "", in); err != nil {
+		c.w.mu.Unlock()
+		call.finish(fmt.Errorf("netconf: encoding %s request: %w", op, err))
+		return call
 	}
 	c.mu.Lock()
 	// Liveness is checked in the critical section that registers the
@@ -620,6 +606,7 @@ func (c *Client) Go(op string, in, out interface{}, done chan *Call) *Call {
 	// timeout for a reply no one can deliver.
 	if err := c.errLocked(); err != nil {
 		c.mu.Unlock()
+		c.w.mu.Unlock()
 		call.finish(fmt.Errorf("netconf: %s: %w", op, err))
 		return call
 	}
@@ -633,9 +620,9 @@ func (c *Client) Go(op string, in, out interface{}, done chan *Call) *Call {
 	call.timer = time.AfterFunc(timeout, func() { c.fail(id, fmt.Errorf("netconf: %s: %w", op, ErrTimeout)) })
 	c.mu.Unlock()
 
-	c.wmu.Lock()
-	err := c.enc.Encode(message{Kind: kindRPC, ID: id, Op: op, Payload: payload})
-	c.wmu.Unlock()
+	c.w.setID(id)
+	err := c.w.flush()
+	c.w.mu.Unlock()
 	if err != nil {
 		c.fail(id, fmt.Errorf("netconf: sending %s (%v): %w", op, err, ErrSessionLost))
 	}

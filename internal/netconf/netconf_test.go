@@ -229,3 +229,47 @@ func TestListenAfterClose(t *testing.T) {
 		t.Error("Listen after Close succeeded")
 	}
 }
+
+// getConfigDoc is shaped like a WSS's get-config reply: a few passbands.
+type getConfigDoc struct {
+	Passbands []passband `json:"passbands"`
+}
+
+type passband struct {
+	Channel string `json:"channel"`
+	Start   int    `json:"start"`
+	Count   int    `json:"count"`
+}
+
+// BenchmarkCall times one get-config round trip on a loopback session:
+// the request frame, the agent's reply frame, and the reply decoded into
+// the caller's value. Its allocations are the per-message cost of the
+// framing, which CI bounds.
+func BenchmarkCall(b *testing.B) {
+	var doc getConfigDoc
+	for i := 0; i < 6; i++ {
+		doc.Passbands = append(doc.Passbands, passband{Channel: fmt.Sprintf("cl%03d:%d", 10*i, i), Start: 12 * i, Count: 12})
+	}
+	srv := NewServer(echoHello{Name: "dev1"}, func(string, json.RawMessage) (interface{}, error) { return doc, nil })
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := Dial(addr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	var out getConfigDoc
+	if err := c.Call(OpGetConfig, nil, &out); err != nil || len(out.Passbands) != len(doc.Passbands) {
+		b.Fatalf("get-config = %+v, %v", out, err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out = getConfigDoc{}
+		if err := c.Call(OpGetConfig, nil, &out); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -1,7 +1,9 @@
 package netconf
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -9,27 +11,42 @@ import (
 	"time"
 )
 
-// TestServerSurvivesGarbageBytes: a client writing non-JSON must only
-// kill its own session, not the server.
+// TestServerSurvivesGarbageBytes: a client writing bytes that are not a
+// frame, or a header announcing more than the frame cap, loses its own
+// session and nothing else.
 func TestServerSurvivesGarbageBytes(t *testing.T) {
 	_, addr := startEcho(t)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write([]byte("this is not json\n{{{\n")); err != nil {
-		t.Fatal(err)
-	}
-	// The server should have dropped that session; a fresh client works.
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	var out string
-	if err := c.Call("echo", "alive", &out); err != nil || out != "alive" {
-		t.Errorf("server unusable after garbage session: %v %q", err, out)
+	oversize := appendFrame(nil, kindRPC, 1, "echo", "", nil)
+	binary.BigEndian.PutUint32(oversize[8:], maxFrame+1)
+	for _, garbage := range []string{"this is not json\n{{{\n", string(oversize)} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write([]byte(garbage)); err != nil {
+			t.Fatal(err)
+		}
+		// The server greets, reads the garbage and drops the session.
+		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		fr := newFrameReader(conn)
+		if hello, err := fr.next(); err != nil || hello.kind != kindHello {
+			t.Fatalf("hello = %+v, %v", hello, err)
+		}
+		var netErr net.Error
+		if _, err := fr.next(); err == nil || errors.As(err, &netErr) && netErr.Timeout() {
+			t.Errorf("session still open after %q: %v", garbage, err)
+		}
+		conn.Close()
+		// A fresh client works.
+		c, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out string
+		if err := c.Call("echo", "alive", &out); err != nil || out != "alive" {
+			t.Errorf("server unusable after garbage session: %v %q", err, out)
+		}
+		c.Close()
 	}
 }
 
@@ -41,26 +58,23 @@ func TestServerIgnoresUnknownKinds(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	dec := json.NewDecoder(conn)
-	var hello message
-	if err := dec.Decode(&hello); err != nil {
-		t.Fatal(err)
+	fr := newFrameReader(conn)
+	if hello, err := fr.next(); err != nil || hello.kind != kindHello {
+		t.Fatalf("hello = %+v, %v", hello, err)
 	}
-	enc := json.NewEncoder(conn)
 	// Unknown kind, then a real RPC on the same session.
-	if err := enc.Encode(message{Kind: "frobnicate", ID: 1}); err != nil {
-		t.Fatal(err)
-	}
 	payload, _ := json.Marshal("ping")
-	if err := enc.Encode(message{Kind: kindRPC, ID: 2, Op: "echo", Payload: payload}); err != nil {
+	frames := appendFrame(nil, 'x', 1, "", "", nil)
+	frames = appendFrame(frames, kindRPC, 2, "echo", "", payload)
+	if _, err := conn.Write(frames); err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	var reply message
-	if err := dec.Decode(&reply); err != nil {
+	reply, err := fr.next()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if reply.Kind != kindReply || reply.ID != 2 {
+	if reply.kind != kindReply || reply.id != 2 || string(reply.payload) != string(payload) {
 		t.Errorf("reply = %+v", reply)
 	}
 }

@@ -6,21 +6,22 @@
 // 2023 paper "FlexWAN: Software Hardware Co-design for Cost-Effective
 // and Resilient Optical Backbones".
 //
-// The package re-exports the stable surface of the internal packages:
+// The package exports what its commands, examples and tests use:
 //
-//   - hardware models: transponder catalogs (SVT / RADWAN BVT / fixed
-//     100G), the pixelated spectrum grid, and the physical-layer link
-//     model;
-//   - topology: optical multigraphs with K-shortest-path routing and the
-//     IP demand layer;
-//   - algorithms: network planning (Algorithm 1, heuristic and exact MIP)
-//     and optical restoration (§8);
-//   - control plane: simulated multi-vendor device agents speaking a
-//     NETCONF-like protocol, the telemetry data stream, and the
-//     centralized controller;
-//   - evaluation: workload generators and the harness regenerating every
-//     table and figure of the paper.
+//   - plan: Algorithm 1's planning heuristic over an optical topology,
+//     an IP demand layer and a transponder catalog, and its verifier;
+//   - restore: §8's restoration heuristic, its scenario generators and
+//     the scenario sweep;
+//   - the controller and its simulated fleet: device agents on loopback
+//     TCP, the telemetry collector, and the chaos testbed that deploys a
+//     whole network as live agents;
+//   - the daemon: the multi-tenant job service behind cmd/flexwand;
+//   - the workloads: the synthetic T-backbone, CERNET and traffic-matrix
+//     demand derivation.
 //
+// Everything else (the MIP solver, exact planning and restoration,
+// evolution, the wire protocol, drills) lives in the internal packages
+// and is reached through the controller, the daemon and the commands.
 // See examples/quickstart for the five-minute tour.
 package flexwan
 
@@ -28,73 +29,26 @@ import (
 	"flexwan/internal/phy"
 	"flexwan/internal/plan"
 	"flexwan/internal/restore"
-	"flexwan/internal/solver"
 	"flexwan/internal/spectrum"
 	"flexwan/internal/topology"
+	"flexwan/internal/traffic"
 	"flexwan/internal/transponder"
+	"flexwan/internal/workload"
 )
 
-// Spectrum model (internal/spectrum).
-type (
-	// Grid is the pixelated spectrum of a fiber (C-band / 12.5 GHz by
-	// default).
-	Grid = spectrum.Grid
-	// Interval is a contiguous pixel range occupied by one wavelength.
-	Interval = spectrum.Interval
-	// SpectrumAllocator tracks conflict-free, consistent spectrum use
-	// across fibers.
-	SpectrumAllocator = spectrum.Allocator
-	// FiberID names a fiber in the allocator.
-	FiberID = spectrum.FiberID
-	// Fit selects first-fit or best-fit placement.
-	Fit = spectrum.Fit
-)
-
-// Spectrum constructors and constants.
-var (
-	DefaultGrid  = spectrum.DefaultGrid
-	NewGrid      = spectrum.NewGrid
-	NewAllocator = spectrum.NewAllocator
-)
-
-// Placement strategies.
-const (
-	FirstFit = spectrum.FirstFit
-	BestFit  = spectrum.BestFit
-)
+// DefaultGrid is the C-band spectrum of a fiber in 12.5 GHz pixels.
+var DefaultGrid = spectrum.DefaultGrid
 
 // Physical layer (internal/phy).
-type (
-	// LinkModel is the amplified-line OSNR budget.
-	LinkModel = phy.LinkModel
-	// Modulation is a DSP constellation.
-	Modulation = phy.Modulation
-	// FEC is a forward-error-correction configuration.
-	FEC = phy.FEC
-)
-
-// GNParams is the Gaussian-noise nonlinear propagation model — the
-// first-principles reach estimator cross-checking Table 2.
-type GNParams = phy.GNParams
-
-// Physical-layer helpers.
 var (
-	DefaultLink         = phy.DefaultLink
-	ShannonCapacityGbps = phy.ShannonCapacityGbps
-	ShannonMinSNRdB     = phy.ShannonMinSNRdB
-	DefaultGN           = phy.DefaultGN
-	RequiredSNRdB       = phy.RequiredSNRdB
+	// DefaultLink is the amplified-line OSNR budget.
+	DefaultLink = phy.DefaultLink
+	// ShannonMinSNRdB is the Shannon-limit SNR a rate needs in a spacing.
+	ShannonMinSNRdB = phy.ShannonMinSNRdB
 )
 
-// Transponders (internal/transponder).
-type (
-	// Mode is one (rate, spacing, reach) operating point.
-	Mode = transponder.Mode
-	// Catalog is a transponder family's mode set.
-	Catalog = transponder.Catalog
-	// Provision is a mode multiset covering one demand.
-	Provision = transponder.Provision
-)
+// Catalog is a transponder family's mode set (internal/transponder).
+type Catalog = transponder.Catalog
 
 // The three transponder families the paper compares.
 var (
@@ -112,10 +66,6 @@ type (
 	Optical = topology.Optical
 	// NodeID names a ROADM site.
 	NodeID = topology.NodeID
-	// Fiber is one fiber segment.
-	Fiber = topology.Fiber
-	// Path is a loopless optical path.
-	Path = topology.Path
 	// IPLink is an IP-layer demand.
 	IPLink = topology.IPLink
 	// IPTopology is the demand set.
@@ -125,35 +75,15 @@ type (
 // NewOptical returns an empty optical topology.
 var NewOptical = topology.New
 
-// Planning (internal/plan — Algorithm 1).
-type (
-	// PlanProblem is one planning instance.
-	PlanProblem = plan.Problem
-	// PlanResult is a complete plan.
-	PlanResult = plan.Result
-	// Wavelength is one provisioned channel. Path and Mode are read-only
-	// pointers into the plan's candidate paths and the catalog.
-	Wavelength = plan.Wavelength
-	// LinkPlan summarizes one link's provisioning.
-	LinkPlan = plan.LinkPlan
-)
+// PlanProblem is one planning instance (internal/plan — Algorithm 1).
+type PlanProblem = plan.Problem
 
 // Planning entry points.
 var (
 	// Plan runs the scalable planning heuristic.
 	Plan = plan.Solve
-	// PlanExact solves the paper's MIP with the built-in
-	// branch-and-bound (small/medium instances).
-	PlanExact = plan.SolveExact
 	// VerifyPlan re-checks every Algorithm 1 constraint on a result.
 	VerifyPlan = plan.Verify
-	// ExtendPlan provisions additional capacity incrementally without
-	// disturbing live wavelengths (§9 smooth evolution).
-	ExtendPlan = plan.Extend
-	// DecommissionLink releases all of a link's wavelengths and spectrum.
-	DecommissionLink = plan.Decommission
-	// Defragment compacts spectrum with make-before-break retunes.
-	Defragment = plan.Defragment
 )
 
 // Restoration (internal/restore — §8).
@@ -164,59 +94,49 @@ type (
 	RestoreResult = restore.Result
 	// Scenario is one fiber-cut case.
 	Scenario = restore.Scenario
-	// Restored is one re-established channel. Path, Mode and Original are
-	// read-only pointers; Original is nil for a channel revived on an
-	// extra spare rather than in place of a failed wavelength.
-	Restored = restore.Restored
-	// SweepResult aggregates restoration over a scenario set.
-	SweepResult = restore.SweepResult
 	// SweepOptions tunes a scenario sweep (worker count, cancellation).
 	SweepOptions = restore.SweepOptions
-	// ScenarioError records one failed scenario within a sweep.
-	ScenarioError = restore.ScenarioError
 )
 
-// Restoration entry points.
+// Restoration entry points and failure-scenario generators (§8's
+// single, double and probabilistic cut models).
 var (
 	// Restore runs the restoration heuristic for one scenario.
 	Restore = restore.Solve
-	// RestoreExact solves the §8 MIP exactly.
-	RestoreExact = restore.SolveExact
 	// RestoreSweepWithOptions restores every scenario against one base
 	// plan; zero options solve the scenarios on all cores.
 	RestoreSweepWithOptions = restore.SweepWithOptions
 	// SingleFiberScenarios enumerates all 1-failure cases.
 	SingleFiberScenarios = restore.SingleFiberScenarios
-	// PlusSpares computes FlexWAN+ spare transponders.
-	PlusSpares = restore.PlusSpares
+	// DoubleFiberScenarios enumerates simultaneous 2-fiber failures.
+	DoubleFiberScenarios = restore.DoubleFiberScenarios
+	// ProbabilisticScenarios samples length-weighted multi-fiber cuts.
+	ProbabilisticScenarios = restore.ProbabilisticScenarios
 )
 
-// Solver (internal/solver — the Gurobi substitute).
+// Network bundles an optical topology with its IP demand layer
+// (internal/workload).
+type Network = workload.Network
+
+// Evaluation workloads.
+var (
+	// TBackbone generates the synthetic production backbone.
+	TBackbone = workload.TBackbone
+	// Cernet builds the public CERNET topology with generated demands.
+	Cernet = workload.Cernet
+)
+
+// Traffic-matrix demand derivation (internal/traffic): the input side of
+// the IP TopoMgr.
 type (
-	// SolverOptions tunes the branch-and-bound.
-	SolverOptions = solver.Options
-	// MIPModel is a mixed-integer program under construction.
-	MIPModel = solver.Model
-	// MIPSolution is a solve outcome.
-	MIPSolution = solver.Solution
-	// Term is one coefficient·variable product.
-	Term = solver.Term
-	// VarID indexes a model variable.
-	VarID = solver.VarID
-	// Sense selects minimization or maximization.
-	Sense = solver.Sense
-	// Rel is a constraint relation.
-	Rel = solver.Rel
+	// TrafficMatrix is a region-to-region offered-load matrix.
+	TrafficMatrix = traffic.Matrix
+	// IPLinkSpec declares an IP link whose capacity is to be derived.
+	IPLinkSpec = traffic.LinkSpec
+	// TrafficOptions tunes demand derivation.
+	TrafficOptions = traffic.Options
 )
 
-// NewMIPModel starts an empty optimization model.
-var NewMIPModel = solver.NewModel
-
-// Optimization senses and relations.
-const (
-	MinimizeObjective = solver.Minimize
-	MaximizeObjective = solver.Maximize
-	RelLE             = solver.LE
-	RelGE             = solver.GE
-	RelEQ             = solver.EQ
-)
+// DeriveDemands routes a traffic matrix over the IP links and returns the
+// demand set the planner consumes.
+var DeriveDemands = traffic.Derive

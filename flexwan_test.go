@@ -132,24 +132,6 @@ func TestPublicAPIBackbone(t *testing.T) {
 	}
 }
 
-func TestPublicAPIMIPSolver(t *testing.T) {
-	m := flexwan.NewMIPModel("knap", flexwan.MaximizeObjective)
-	x := m.AddBinVar("x", 60)
-	y := m.AddBinVar("y", 100)
-	z := m.AddBinVar("z", 120)
-	err := m.AddConstraint("w", []flexwan.Term{{Var: x, Coef: 10}, {Var: y, Coef: 20}, {Var: z, Coef: 30}}, flexwan.RelLE, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := m.Solve()
-	if s.Objective != 220 {
-		t.Errorf("knapsack objective = %v, want 220", s.Objective)
-	}
-	if s.IntValue(y) != 1 || s.IntValue(z) != 1 || s.IntValue(x) != 0 {
-		t.Errorf("selection = %d %d %d", s.IntValue(x), s.IntValue(y), s.IntValue(z))
-	}
-}
-
 func TestWorkloadsViaPublicAPI(t *testing.T) {
 	tb := flexwan.TBackbone(1)
 	if tb.Optical.NumNodes() == 0 || tb.IP.TotalDemandGbps() == 0 {

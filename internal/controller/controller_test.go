@@ -47,7 +47,7 @@ var ringFibers = []fiberSpec{
 
 // newHarness builds the ring with nTx transponders per site and one
 // pixel-wise WSS plus one amplifier per fiber.
-func newHarness(t *testing.T, nTx int, demands ...topology.IPLink) *harness {
+func newHarness(t testing.TB, nTx int, demands ...topology.IPLink) *harness {
 	t.Helper()
 	return newFleet(t, ringFibers, spectrum.DefaultGrid(), nTx, demands...)
 }
@@ -55,7 +55,7 @@ func newHarness(t *testing.T, nTx int, demands ...topology.IPLink) *harness {
 // newFleet builds a harness over the given fibers and grid: nTx
 // transponders per site, sites in order of first appearance, and one
 // pixel-wise WSS plus one amplifier per fiber.
-func newFleet(t *testing.T, fibers []fiberSpec, grid spectrum.Grid, nTx int, demands ...topology.IPLink) *harness {
+func newFleet(t testing.TB, fibers []fiberSpec, grid spectrum.Grid, nTx int, demands ...topology.IPLink) *harness {
 	t.Helper()
 	h := &harness{
 		fabric:       device.NewFabric(phy.DefaultLink()),

@@ -72,7 +72,9 @@ func UnmarshalSnapshot(data []byte) (Snapshot, error) {
 // the fleet registered — the standby-takeover path. Transponder
 // assignments are re-claimed from the pools; the controller's intended
 // state matches the primary's, so a subsequent Audit against the live
-// devices confirms the takeover.
+// devices confirms the takeover. The load is all-or-nothing: a refused
+// snapshot releases every transponder it claimed and adopts nothing, so
+// the standby can still take a good one.
 func (c *Controller) LoadSnapshot(s Snapshot) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -84,10 +86,18 @@ func (c *Controller) LoadSnapshot(s Snapshot) error {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	var claimed []string
+	refuse := func(err error) error {
+		for _, tx := range claimed {
+			c.devmgr.ReleaseTransponder(tx)
+		}
+		clear(c.channels)
+		return err
+	}
 	for _, name := range names {
 		ch := s.Channels[name]
 		if ch.Wavelength.Path == nil || ch.Wavelength.Mode == nil {
-			return fmt.Errorf("controller: snapshot channel %s has no path or mode", name)
+			return refuse(fmt.Errorf("controller: snapshot channel %s has no path or mode", name))
 		}
 		// A decoded path knows its fibers by ID only: number a copy in this
 		// controller's topology, so that replaying it claims by index.
@@ -99,8 +109,9 @@ func (c *Controller) LoadSnapshot(s Snapshot) error {
 		}
 		for _, tx := range []string{ch.TxA, ch.TxB} {
 			if err := c.devmgr.ClaimSpecific(tx, name); err != nil {
-				return fmt.Errorf("controller: reclaiming %s for %s: %w", tx, name, err)
+				return refuse(fmt.Errorf("controller: reclaiming %s for %s: %w", tx, name, err))
 			}
+			claimed = append(claimed, tx)
 		}
 		c.channels[name] = &channelState{wavelength: ch.Wavelength, txA: ch.TxA, txB: ch.TxB}
 	}

@@ -68,20 +68,7 @@ func TestStandbyFailover(t *testing.T) {
 	}
 	snap := h.ctrl.Snapshot()
 
-	standby, err := New(Config{
-		Optical: h.optical, IP: h.ip, Catalog: transponder.SVT(),
-		Grid: h.ctrl.cfg.Grid, K: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer standby.Close()
-	// The standby dials the same fleet.
-	for _, desc := range h.devices {
-		if err := standby.DevMgr().Register(desc); err != nil {
-			t.Fatal(err)
-		}
-	}
+	standby := newStandby(t, h)
 	// Primary dies.
 	h.ctrl.Close()
 
@@ -106,6 +93,174 @@ func TestStandbyFailover(t *testing.T) {
 	if got := standby.LiveCapacityGbps()["e1"]; got != 400 {
 		t.Errorf("live capacity after standby restoration = %d", got)
 	}
+}
+
+// newStandby returns a fresh controller over the harness's network that
+// has dialed and registered the harness's fleet; it is closed with the
+// test.
+func newStandby(t testing.TB, h *harness) *Controller {
+	t.Helper()
+	standby, err := New(Config{
+		Optical: h.optical, IP: h.ip, Catalog: transponder.SVT(),
+		Grid: h.ctrl.cfg.Grid, K: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(standby.Close)
+	for _, desc := range h.devices {
+		if err := standby.DevMgr().Register(desc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return standby
+}
+
+// checkNothingAdopted fails unless the standby holds no state a snapshot
+// could have given it: no channel, WSS document, down fiber or sequence
+// number, and every transponder of the fleet back in its site's free pool.
+func checkNothingAdopted(t testing.TB, standby *Controller, h *harness) {
+	t.Helper()
+	if n := len(standby.channels) + len(standby.wssConfig) + len(standby.downFibers) + len(standby.seq); n != 0 {
+		t.Fatalf("refused snapshot left state behind: %d channels, %d WSS documents, %d down fibers, %d sequence numbers",
+			len(standby.channels), len(standby.wssConfig), len(standby.downFibers), len(standby.seq))
+	}
+	free := map[string]int{}
+	for _, desc := range h.devices {
+		if desc.Class != devmodel.ClassTransponder {
+			continue
+		}
+		if ch, taken := standby.DevMgr().Assignment(desc.ID); taken {
+			t.Fatalf("refused snapshot left %s claimed for %s", desc.ID, ch)
+		}
+		free[desc.Site]++
+	}
+	for site, n := range free {
+		if got := standby.DevMgr().FreeTransponders(site); got != n {
+			t.Fatalf("site %s has %d free transponders after a refused snapshot, want %d", site, got, n)
+		}
+	}
+}
+
+// lastChannel returns the snapshot's channel that LoadSnapshot takes last.
+func lastChannel(s Snapshot) string {
+	last := ""
+	for name := range s.Channels {
+		last = max(last, name)
+	}
+	return last
+}
+
+// A snapshot refused halfway through its channels leaves the standby as it
+// was, so the standby can still take over from a good snapshot.
+func TestLoadSnapshotRefusalAdoptsNothing(t *testing.T) {
+	h := newHarness(t, 3, topology.IPLink{ID: "e1", A: "A", B: "B", DemandGbps: 800})
+	res, err := h.ctrl.PlanNetwork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.ctrl.Apply(res); err != nil {
+		t.Fatal(err)
+	}
+	good := h.ctrl.Snapshot()
+	if len(good.Channels) < 2 {
+		t.Fatalf("want a plan of several channels, got %d", len(good.Channels))
+	}
+	bad := h.ctrl.Snapshot()
+	last := lastChannel(bad)
+	ch := bad.Channels[last]
+	ch.TxB = "tx-ghost"
+	bad.Channels[last] = ch
+
+	standby := newStandby(t, h)
+	if err := standby.LoadSnapshot(bad); err == nil || !strings.Contains(err.Error(), "tx-ghost") {
+		t.Fatalf("LoadSnapshot with an unknown transponder: %v", err)
+	}
+	checkNothingAdopted(t, standby, h)
+	if err := standby.LoadSnapshot(good); err != nil {
+		t.Fatalf("good snapshot after a refused one: %v", err)
+	}
+	report, err := standby.Audit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !report.Clean() || report.ChannelsChecked != len(good.Channels) {
+		t.Errorf("standby audit = %+v", report)
+	}
+}
+
+// FuzzSnapshot feeds arbitrary bytes to the snapshot codec and then to
+// LoadSnapshot on a fresh standby. Nothing may panic; a refused snapshot
+// must leave the standby with nothing adopted, and an accepted one must
+// load identically onto a second fresh standby. The fleet's agents are
+// built once per fuzzing process; each input gets standbys of its own.
+func FuzzSnapshot(f *testing.F) {
+	h := newHarness(f, 2, topology.IPLink{ID: "e1", A: "A", B: "B", DemandGbps: 800})
+	res, err := h.ctrl.PlanNetwork()
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := h.ctrl.Apply(res); err != nil {
+		f.Fatal(err)
+	}
+	for _, mutate := range []func(*ChannelSnapshot){
+		func(*ChannelSnapshot) {},
+		func(ch *ChannelSnapshot) { ch.Wavelength.Path = nil },
+		func(ch *ChannelSnapshot) {
+			path := *ch.Wavelength.Path
+			path.Fibers = append([]string{"f-ghost"}, path.Fibers[1:]...)
+			ch.Wavelength.Path = &path
+		},
+		func(ch *ChannelSnapshot) { ch.TxA = "tx-ghost" },
+	} {
+		snap := h.ctrl.Snapshot()
+		name := lastChannel(snap)
+		ch := snap.Channels[name]
+		mutate(&ch)
+		snap.Channels[name] = ch
+		data, err := MarshalSnapshot(snap)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		snap, err := UnmarshalSnapshot(data)
+		if err != nil {
+			return
+		}
+		standby := newStandby(t, h)
+		if err := standby.LoadSnapshot(snap); err != nil {
+			checkNothingAdopted(t, standby, h)
+			return
+		}
+		again, err := UnmarshalSnapshot(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		twin := newStandby(t, h)
+		if err := twin.LoadSnapshot(again); err != nil {
+			t.Fatalf("snapshot accepted once, refused on a second standby: %v", err)
+		}
+		got, err := MarshalSnapshot(standby.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := MarshalSnapshot(twin.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("one snapshot loads two ways:\n%s\n%s", got, want)
+		}
+		for _, desc := range h.devices {
+			a, _ := standby.DevMgr().Assignment(desc.ID)
+			b, _ := twin.DevMgr().Assignment(desc.ID)
+			if a != b {
+				t.Fatalf("%s carries %q on one standby, %q on the other", desc.ID, a, b)
+			}
+		}
+	})
 }
 
 func TestLoadSnapshotValidation(t *testing.T) {

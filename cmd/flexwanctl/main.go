@@ -127,15 +127,15 @@ func main() {
 	defer ctrl.Close()
 	ctrl.SetPushWorkers(*pushWorkers)
 
+	// Start every agent, then register the fleet in one wave.
+	var fleet []flexwan.DeviceDescriptor
 	register := func(desc flexwan.DeviceDescriptor, start func(string) (string, error)) {
 		addr, err := start("127.0.0.1:0")
 		if err != nil {
 			log.Fatal(err)
 		}
 		desc.Address = addr
-		if err := ctrl.DevMgr().Register(desc); err != nil {
-			log.Fatal(err)
-		}
+		fleet = append(fleet, desc)
 	}
 
 	for _, site := range []flexwan.NodeID{"A", "B", "C"} {
@@ -164,6 +164,11 @@ func main() {
 		amp := flexwan.NewAmplifierAgent(ampDesc, fabric, f.id)
 		defer amp.Close()
 		register(ampDesc, amp.Start)
+	}
+	for _, err := range ctrl.DevMgr().RegisterAll(fleet) {
+		if err != nil {
+			log.Fatal(err)
+		}
 	}
 	devices := ctrl.DevMgr().Devices()
 	fmt.Printf("device fleet: %d devices registered\n", len(devices))

@@ -51,19 +51,17 @@ func main() {
 	}
 	defer ctrl.Close()
 
-	// Spin up the device fleet on loopback TCP and register everything
-	// with the controller's device manager, which holds the one session
-	// per device that configuration and telemetry share.
+	// Spin up the device fleet on loopback TCP and register all of it in
+	// one wave with the controller's device manager, which holds the one
+	// session per device that configuration and telemetry share.
+	var fleet []flexwan.DeviceDescriptor
 	register := func(desc flexwan.DeviceDescriptor, start func(string) (string, error)) {
 		addr, err := start("127.0.0.1:0")
 		if err != nil {
 			log.Fatal(err)
 		}
 		desc.Address = addr
-		if err := ctrl.DevMgr().Register(desc); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("registered %-12s (%s, %s) at %s\n", desc.ID, desc.Class, desc.Vendor, addr)
+		fleet = append(fleet, desc)
 	}
 
 	for _, site := range []flexwan.NodeID{"A", "B", "C"} {
@@ -93,6 +91,13 @@ func main() {
 		amp := flexwan.NewAmplifierAgent(ampDesc, fabric, f.id)
 		defer amp.Close()
 		register(ampDesc, amp.Start)
+	}
+	for i, err := range ctrl.DevMgr().RegisterAll(fleet) {
+		if err != nil {
+			log.Fatal(err)
+		}
+		desc := fleet[i]
+		fmt.Printf("registered %-12s (%s, %s) at %s\n", desc.ID, desc.Class, desc.Vendor, desc.Address)
 	}
 
 	// Plan, apply, audit.

@@ -17,6 +17,7 @@ import (
 func buildFleet(ctrl *flexwan.Controller, fabric *flexwan.Fabric, legacyF1 bool) (cleanup func()) {
 	grid := flexwan.DefaultGrid()
 	var closers []func()
+	var fleet []flexwan.DeviceDescriptor
 	register := func(desc flexwan.DeviceDescriptor, start func(string) (string, error), close func()) {
 		addr, err := start("127.0.0.1:0")
 		if err != nil {
@@ -24,9 +25,7 @@ func buildFleet(ctrl *flexwan.Controller, fabric *flexwan.Fabric, legacyF1 bool)
 		}
 		closers = append(closers, close)
 		desc.Address = addr
-		if err := ctrl.DevMgr().Register(desc); err != nil {
-			log.Fatal(err)
-		}
+		fleet = append(fleet, desc)
 	}
 	for _, site := range []flexwan.NodeID{"A", "B", "C"} {
 		for i := 0; i < 2; i++ {
@@ -54,6 +53,11 @@ func buildFleet(ctrl *flexwan.Controller, fabric *flexwan.Fabric, legacyF1 bool)
 		}
 		w := flexwan.NewWSSAgent(desc, grid)
 		register(desc, w.Start, w.Close)
+	}
+	for _, err := range ctrl.DevMgr().RegisterAll(fleet) {
+		if err != nil {
+			log.Fatal(err)
+		}
 	}
 	return func() {
 		for _, c := range closers {

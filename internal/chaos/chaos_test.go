@@ -3,7 +3,11 @@ package chaos
 import (
 	"bytes"
 	"fmt"
+	"net"
+	"os"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -610,5 +614,56 @@ func TestDrillRepairThatCannotConvergeIsDirty(t *testing.T) {
 	}
 	if !found {
 		t.Error("no audit outcome in the event log")
+	}
+}
+
+// TestCloseLeavesNoTimeWaitOnAgentPorts: Testbed.Close hangs up the
+// controller's sessions before the agents stop, so the side that closes
+// first — and keeps the connection in TIME_WAIT — is the controller's
+// ephemeral port. Agents closing first would park a TIME_WAIT on every
+// listening port, and a later Listen on port 0 walks past each of them.
+// The test reads the kernel's socket tables and skips where it cannot.
+func TestCloseLeavesNoTimeWaitOnAgentPorts(t *testing.T) {
+	if _, err := os.ReadFile("/proc/net/tcp"); err != nil {
+		t.Skipf("no socket table to read: %v", err)
+	}
+	tb, err := NewTestbed(RingNetwork(4, 100, 200), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Run(tb, Scenario{Name: "clean", Seed: 1}); err != nil {
+		tb.Close()
+		t.Fatal(err)
+	}
+	listening := map[string]string{}
+	for _, desc := range tb.Ctrl.DevMgr().Devices() {
+		_, port, err := net.SplitHostPort(desc.Address)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := strconv.Atoi(port)
+		if err != nil {
+			t.Fatal(err)
+		}
+		listening[fmt.Sprintf("%04X", n)] = desc.ID
+	}
+	tb.Close()
+	for _, table := range []string{"/proc/net/tcp", "/proc/net/tcp6"} {
+		data, err := os.ReadFile(table)
+		if err != nil {
+			continue
+		}
+		// Each row: sl local_address rem_address st ...; addresses are
+		// hex ip:port, state 06 is TIME_WAIT.
+		for _, line := range strings.Split(string(data), "\n")[1:] {
+			fields := strings.Fields(line)
+			if len(fields) < 4 || fields[3] != "06" {
+				continue
+			}
+			port := fields[1][strings.LastIndexByte(fields[1], ':')+1:]
+			if id, ok := listening[port]; ok {
+				t.Errorf("%s: TIME_WAIT %s on the listening port of %s", table, fields[1], id)
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"flexwan/internal/controller"
@@ -71,6 +72,7 @@ type Testbed struct {
 	Transponders map[string]*device.Transponder
 
 	servers map[string]*netconf.Server
+	// closers holds every started agent's Close.
 	closers []func()
 }
 
@@ -119,8 +121,6 @@ func NewTestbed(n workload.Network, opts Options) (*Testbed, error) {
 		Transponders: make(map[string]*device.Transponder),
 		servers:      make(map[string]*netconf.Server),
 	}
-	tb.closers = append(tb.closers, ctrl.Close)
-
 	res, err := ctrl.PlanNetwork()
 	if err != nil {
 		tb.Close()
@@ -142,9 +142,28 @@ func NewTestbed(n workload.Network, opts Options) (*Testbed, error) {
 		need[string(w.Path.Src())]++
 		need[string(w.Path.Dst())]++
 	}
-	// The collector watches the transponders and amplifiers over the
-	// sessions the device manager registered: one session per agent.
-	var watched []devmodel.Descriptor
+	// Every agent starts, then the whole fleet registers in one wave. The
+	// collector watches the transponders and amplifiers over the sessions
+	// the device manager registered: one session per agent.
+	var fleet, watched []devmodel.Descriptor
+	start := func(desc devmodel.Descriptor, agent interface {
+		Start(string) (string, error)
+		Close()
+		Server() *netconf.Server
+	}) error {
+		addr, err := agent.Start("127.0.0.1:0")
+		if err != nil {
+			return err
+		}
+		tb.closers = append(tb.closers, agent.Close)
+		tb.servers[desc.ID] = agent.Server()
+		desc.Address = addr
+		fleet = append(fleet, desc)
+		if desc.Class != devmodel.ClassWSS {
+			watched = append(watched, desc)
+		}
+		return nil
+	}
 	for _, site := range n.Optical.Nodes() {
 		count := need[string(site)] + spares
 		for i := 0; i < count; i++ {
@@ -153,20 +172,11 @@ func NewTestbed(n workload.Network, opts Options) (*Testbed, error) {
 				Vendor: "vendorA", Address: "pending", Site: string(site),
 			}
 			agent := device.NewTransponder(desc, grid, transponder.SVT(), fabric)
-			addr, err := agent.Start("127.0.0.1:0")
-			if err != nil {
-				tb.Close()
-				return nil, err
-			}
-			tb.closers = append(tb.closers, agent.Close)
-			desc.Address = addr
-			if err := ctrl.DevMgr().Register(desc); err != nil {
+			if err := start(desc, agent); err != nil {
 				tb.Close()
 				return nil, err
 			}
 			tb.Transponders[desc.ID] = agent
-			tb.servers[desc.ID] = agent.Server()
-			watched = append(watched, desc)
 		}
 	}
 	for _, f := range n.Optical.Fibers() {
@@ -174,40 +184,26 @@ func NewTestbed(n workload.Network, opts Options) (*Testbed, error) {
 			ID: "wss-" + f.ID, Class: devmodel.ClassWSS,
 			Vendor: "vendorB", Address: "pending", Site: string(f.A), Fiber: f.ID,
 		}
-		w := device.NewWSS(wdesc, grid)
-		addr, err := w.Start("127.0.0.1:0")
-		if err != nil {
+		if err := start(wdesc, device.NewWSS(wdesc, grid)); err != nil {
 			tb.Close()
 			return nil, err
 		}
-		tb.closers = append(tb.closers, w.Close)
-		wdesc.Address = addr
-		if err := ctrl.DevMgr().Register(wdesc); err != nil {
-			tb.Close()
-			return nil, err
-		}
-		tb.servers[wdesc.ID] = w.Server()
-
 		// One amplifier per fiber: the localized LOS detector the
 		// collector turns into fiber-cut events.
 		adesc := devmodel.Descriptor{
 			ID: "amp-" + f.ID, Class: devmodel.ClassAmplifier,
 			Vendor: "vendorC", Address: "pending", Site: string(f.A), Fiber: f.ID,
 		}
-		amp := device.NewAmplifier(adesc, fabric, f.ID)
-		aaddr, err := amp.Start("127.0.0.1:0")
+		if err := start(adesc, device.NewAmplifier(adesc, fabric, f.ID)); err != nil {
+			tb.Close()
+			return nil, err
+		}
+	}
+	for _, err := range ctrl.DevMgr().RegisterAll(fleet) {
 		if err != nil {
 			tb.Close()
 			return nil, err
 		}
-		tb.closers = append(tb.closers, amp.Close)
-		adesc.Address = aaddr
-		if err := ctrl.DevMgr().Register(adesc); err != nil {
-			tb.Close()
-			return nil, err
-		}
-		tb.servers[adesc.ID] = amp.Server()
-		watched = append(watched, adesc)
 	}
 
 	if err := ctrl.Apply(res); err != nil {
@@ -232,14 +228,25 @@ func (tb *Testbed) BindInjector(in *Injector) {
 	}
 }
 
-// Close stops the collector and tears everything down.
+// Close stops the collector, hangs up the controller's sessions, then
+// stops every agent at once. The controller hangs up first so that each
+// connection's TIME_WAIT lands on its ephemeral port: left on an agent's
+// listening port, thousands of them make every later Listen on port 0
+// walk past them in bind.
 func (tb *Testbed) Close() {
 	if tb.Collector != nil {
 		tb.Collector.Stop()
 	}
-	for i := len(tb.closers) - 1; i >= 0; i-- {
-		tb.closers[i]()
+	tb.Ctrl.Close()
+	var wg sync.WaitGroup
+	for _, stop := range tb.closers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			stop()
+		}()
 	}
+	wg.Wait()
 	tb.closers = nil
 }
 

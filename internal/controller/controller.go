@@ -66,7 +66,7 @@ type Controller struct {
 	actor string
 }
 
-// New builds a controller. Devices are added via DevMgr().Register.
+// New builds a controller. Devices are added via DevMgr().RegisterAll.
 func New(cfg Config) (*Controller, error) {
 	if cfg.Optical == nil || cfg.IP == nil {
 		return nil, fmt.Errorf("controller: nil topology")

@@ -94,9 +94,11 @@ func newFleet(t testing.TB, fibers []fiberSpec, grid spectrum.Grid, nTx int, dem
 		t.Fatal(err)
 	}
 	h.ctrl = ctrl
-	t.Cleanup(ctrl.Close)
 
-	register := func(desc devmodel.Descriptor, start func(string) (string, error), close func()) {
+	// Start every agent, then register the fleet in one wave. The
+	// controller's cleanup is added last so it runs first: it hangs up
+	// before the agents stop.
+	start := func(desc devmodel.Descriptor, start func(string) (string, error), close func()) {
 		t.Helper()
 		addr, err := start("127.0.0.1:0")
 		if err != nil {
@@ -104,12 +106,8 @@ func newFleet(t testing.TB, fibers []fiberSpec, grid spectrum.Grid, nTx int, dem
 		}
 		t.Cleanup(close)
 		desc.Address = addr
-		if err := ctrl.DevMgr().Register(desc); err != nil {
-			t.Fatal(err)
-		}
 		h.devices = append(h.devices, desc)
 	}
-
 	for _, site := range sites {
 		for i := 0; i < nTx; i++ {
 			desc := devmodel.Descriptor{
@@ -118,7 +116,7 @@ func newFleet(t testing.TB, fibers []fiberSpec, grid spectrum.Grid, nTx int, dem
 			}
 			tr := device.NewTransponder(desc, grid, transponder.SVT(), h.fabric)
 			h.transponders[desc.ID] = tr
-			register(desc, tr.Start, tr.Close)
+			start(desc, tr.Start, tr.Close)
 		}
 	}
 	for _, f := range fibers {
@@ -128,16 +126,29 @@ func newFleet(t testing.TB, fibers []fiberSpec, grid spectrum.Grid, nTx int, dem
 		}
 		w := device.NewWSS(desc, grid)
 		h.wss[f.id] = w
-		register(desc, w.Start, w.Close)
+		start(desc, w.Start, w.Close)
 
 		ampDesc := devmodel.Descriptor{
 			ID: "amp-" + f.id, Class: devmodel.ClassAmplifier,
 			Vendor: "vendorC", Address: "pending", Site: string(f.a), Fiber: f.id,
 		}
 		amp := device.NewAmplifier(ampDesc, h.fabric, f.id)
-		register(ampDesc, amp.Start, amp.Close)
+		start(ampDesc, amp.Start, amp.Close)
 	}
+	t.Cleanup(ctrl.Close)
+	registerAll(t, ctrl, h.devices)
 	return h
+}
+
+// registerAll registers the fleet with the controller in one wave and
+// fails the test on the first refusal.
+func registerAll(t testing.TB, ctrl *Controller, fleet []devmodel.Descriptor) {
+	t.Helper()
+	for i, err := range ctrl.DevMgr().RegisterAll(fleet) {
+		if err != nil {
+			t.Fatalf("registering %s: %v", fleet[i].ID, err)
+		}
+	}
 }
 
 func TestPlanApplyAudit(t *testing.T) {

@@ -79,51 +79,64 @@ func (d *DevMgr) RetryPolicy() RetryPolicy {
 	return d.retry
 }
 
-// Register validates the descriptor, dials the device's management
-// address, and indexes it. The controller locates devices by the IP
-// address in the descriptor (§4.3). Every validation runs before any
-// index is touched: a rejected registration leaves no phantom entry
-// behind and closes its session, so a corrected re-registration under
-// the same ID succeeds.
+// Register registers one device: RegisterAll with one descriptor.
 func (d *DevMgr) Register(desc devmodel.Descriptor) error {
-	if err := desc.Validate(); err != nil {
-		return err
-	}
+	return d.RegisterAll([]devmodel.Descriptor{desc})[0]
+}
+
+// RegisterAll validates the descriptors, dials every device and reads its
+// hello at once, then indexes the devices in input order under one lock,
+// and returns the errors by position. The controller locates devices by the
+// IP address in the descriptor (§4.3). Every check runs before its device
+// is indexed, and a clash — a duplicate ID, two WSSes on one fiber — goes
+// to the first in input order, as registering one at a time would. A
+// rejected registration leaves no phantom entry behind and closes its
+// session, so a corrected re-registration under the same ID succeeds.
+func (d *DevMgr) RegisterAll(descs []devmodel.Descriptor) []error {
+	errs := make([]error, len(descs))
+	clients := make([]*netconf.Client, len(descs))
 	d.mu.Lock()
 	opts := d.dialOpts
 	d.mu.Unlock()
-	client, err := netconf.DialWithOptions(desc.Address, opts)
-	if err != nil {
-		return fmt.Errorf("controller: dialing %s at %s: %w", desc.ID, desc.Address, err)
+	var wg sync.WaitGroup
+	for i, desc := range descs {
+		errs[i] = desc.Validate()
+		if errs[i] == nil && desc.Class == devmodel.ClassWSS && desc.Fiber == "" {
+			errs[i] = fmt.Errorf("controller: WSS %s has no fiber binding", desc.ID)
+		}
+		if errs[i] != nil {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			clients[i], errs[i] = dial(desc, opts)
+		}()
 	}
-	// The device's hello must agree with the registered identity — a
-	// mismatch indicates a miswired management network. A hello that
-	// cannot be read is a dial failure, not a verified session: skipping
-	// the check would silently disable the miswiring defense.
-	var hello devmodel.Descriptor
-	if err := client.Hello(&hello); err != nil {
-		client.Close()
-		return fmt.Errorf("controller: hello from %s at %s: %w", desc.ID, desc.Address, err)
-	}
-	if hello.ID != "" && hello.ID != desc.ID {
-		client.Close()
-		return fmt.Errorf("controller: device at %s identifies as %s, registered as %s",
-			desc.Address, hello.ID, desc.ID)
-	}
+	wg.Wait()
 	d.mu.Lock()
-	defer d.mu.Unlock()
+	for i, desc := range descs {
+		if errs[i] == nil {
+			errs[i] = d.indexLocked(desc, clients[i])
+		}
+	}
+	d.mu.Unlock()
+	for i, client := range clients {
+		if errs[i] != nil && client != nil {
+			client.Close()
+		}
+	}
+	return errs
+}
+
+// indexLocked adds a verified device and its session to the registry, or
+// refuses it when its ID or its WSS's fiber is taken.
+func (d *DevMgr) indexLocked(desc devmodel.Descriptor, client *netconf.Client) error {
 	if _, dup := d.devices[desc.ID]; dup {
-		client.Close()
 		return fmt.Errorf("controller: duplicate device %s", desc.ID)
 	}
-	// Class-specific validation, still before indexing.
 	if desc.Class == devmodel.ClassWSS {
-		if desc.Fiber == "" {
-			client.Close()
-			return fmt.Errorf("controller: WSS %s has no fiber binding", desc.ID)
-		}
 		if prev, dup := d.wssByFiber[desc.Fiber]; dup {
-			client.Close()
 			return fmt.Errorf("controller: fiber %s already controlled by WSS %s", desc.Fiber, prev)
 		}
 	}
@@ -136,6 +149,30 @@ func (d *DevMgr) Register(desc devmodel.Descriptor) error {
 		d.wssByFiber[desc.Fiber] = desc.ID
 	}
 	return nil
+}
+
+// dial opens a session to the device's address and checks that its hello
+// names the registered identity. A hello that cannot be read is a failed
+// dial — transient, never an unverified session: skipping the check would
+// silently disable the miswiring defense. A hello under another ID is
+// permanent: the management network is miswired, or a restart handed the
+// address to a different device.
+func dial(desc devmodel.Descriptor, opts netconf.DialOptions) (*netconf.Client, error) {
+	client, err := netconf.DialWithOptions(desc.Address, opts)
+	if err != nil {
+		return nil, fmt.Errorf("controller: dialing %s at %s: %w", desc.ID, desc.Address, err)
+	}
+	var hello devmodel.Descriptor
+	if err := client.Hello(&hello); err != nil {
+		client.Close()
+		return nil, fmt.Errorf("controller: hello from %s at %s: %w", desc.ID, desc.Address, err)
+	}
+	if hello.ID != "" && hello.ID != desc.ID {
+		client.Close()
+		return nil, permanent{fmt.Errorf("controller: device at %s identifies as %s, registered as %s",
+			desc.Address, hello.ID, desc.ID)}
+	}
+	return client, nil
 }
 
 func insertSorted(s []string, v string) []string {
@@ -457,23 +494,12 @@ func (d *DevMgr) session(id string) (client *netconf.Client, pooled bool, err er
 	if !known {
 		return nil, false, permanent{fmt.Errorf("controller: device %s not registered", id)}
 	}
-	fresh, err := netconf.DialWithOptions(desc.Address, opts)
+	// Re-verify identity, as registration does: a restart must not
+	// silently hand the session to a different device on a recycled
+	// address.
+	fresh, err := dial(desc, opts)
 	if err != nil {
-		return nil, false, fmt.Errorf("controller: redialing %s at %s: %w", id, desc.Address, err)
-	}
-	// Re-verify identity, as Register does: a restart must not silently
-	// hand the session to a different device on a recycled address. An
-	// unreadable hello is a failed redial (transient — Call retries on a
-	// fresh dial), never an unverified session.
-	var hello devmodel.Descriptor
-	if err := fresh.Hello(&hello); err != nil {
-		fresh.Close()
-		return nil, false, fmt.Errorf("controller: hello on redial of %s at %s: %w", id, desc.Address, err)
-	}
-	if hello.ID != "" && hello.ID != desc.ID {
-		fresh.Close()
-		return nil, false, permanent{fmt.Errorf("controller: device at %s identifies as %s, registered as %s",
-			desc.Address, hello.ID, desc.ID)}
+		return nil, false, err
 	}
 	d.mu.Lock()
 	if cur, ok := d.clients[id]; ok {
@@ -503,7 +529,10 @@ func (d *DevMgr) invalidate(id string, client *netconf.Client) {
 	}
 }
 
-// Close drops every management session.
+// Close hangs up every management session at once and returns when all
+// their read loops have ended. Hanging up before the agents stop leaves
+// each connection's TIME_WAIT on the manager's ephemeral port, not on the
+// agent's listening port.
 func (d *DevMgr) Close() {
 	d.mu.Lock()
 	clients := make([]*netconf.Client, 0, len(d.clients))
@@ -511,7 +540,13 @@ func (d *DevMgr) Close() {
 		clients = append(clients, c)
 	}
 	d.mu.Unlock()
+	var wg sync.WaitGroup
 	for _, c := range clients {
-		c.Close()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c.Close()
+		}()
 	}
+	wg.Wait()
 }

@@ -302,17 +302,13 @@ func TestApplyRefusedByFixedGridVendor(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(ctrl.Close)
+	var fleet []devmodel.Descriptor
 	for _, desc := range h.devices {
-		if desc.Class == devmodel.ClassWSS && desc.Fiber == "f1" {
-			continue
-		}
-		if err := ctrl.DevMgr().Register(desc); err != nil {
-			t.Fatal(err)
+		if desc.Class != devmodel.ClassWSS || desc.Fiber != "f1" {
+			fleet = append(fleet, desc)
 		}
 	}
-	if err := ctrl.DevMgr().Register(legacyDesc); err != nil {
-		t.Fatal(err)
-	}
+	registerAll(t, ctrl, append(fleet, legacyDesc))
 	store := NewMemStore()
 	ctrl.SetConfigStore(store)
 

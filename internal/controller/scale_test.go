@@ -50,7 +50,7 @@ func TestProductionScaleDeployment(t *testing.T) {
 		need[string(w.Path.Src())]++
 		need[string(w.Path.Dst())]++
 	}
-	total := 0
+	var fleet []devmodel.Descriptor
 	for _, site := range n.Optical.Nodes() {
 		// Spares for restoration retunes plus headroom.
 		count := need[string(site)] + 2
@@ -66,10 +66,7 @@ func TestProductionScaleDeployment(t *testing.T) {
 			}
 			t.Cleanup(agent.Close)
 			desc.Address = addr
-			if err := ctrl.DevMgr().Register(desc); err != nil {
-				t.Fatal(err)
-			}
-			total++
+			fleet = append(fleet, desc)
 		}
 	}
 	for _, f := range n.Optical.Fibers() {
@@ -84,12 +81,10 @@ func TestProductionScaleDeployment(t *testing.T) {
 		}
 		t.Cleanup(w.Close)
 		desc.Address = addr
-		if err := ctrl.DevMgr().Register(desc); err != nil {
-			t.Fatal(err)
-		}
-		total++
+		fleet = append(fleet, desc)
 	}
-	t.Logf("registered %d devices for %d wavelengths", total, len(pre.Wavelengths))
+	registerAll(t, ctrl, fleet)
+	t.Logf("registered %d devices for %d wavelengths", len(fleet), len(pre.Wavelengths))
 
 	res, err := ctrl.PlanNetwork()
 	if err != nil {

@@ -73,13 +73,21 @@ func UnmarshalSnapshot(data []byte) (Snapshot, error) {
 // assignments are re-claimed from the pools; the controller's intended
 // state matches the primary's, so a subsequent Audit against the live
 // devices confirms the takeover. The load is all-or-nothing: a refused
-// snapshot releases every transponder it claimed and adopts nothing, so
-// the standby can still take a good one.
+// snapshot — one naming hardware or a fiber the standby does not have —
+// releases every transponder it claimed and adopts nothing, so the standby
+// can still take a good one. A controller that holds any state refuses
+// every snapshot: loads never merge.
 func (c *Controller) LoadSnapshot(s Snapshot) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.channels) != 0 {
+	if len(c.channels)+len(c.downFibers)+len(c.wssConfig)+len(c.seq) != 0 {
 		return fmt.Errorf("controller: LoadSnapshot on a non-empty controller")
+	}
+	num := c.cfg.Optical.Numbering()
+	for fiber := range s.WSSConfig {
+		if _, ok := num.Lookup(fiber); !ok {
+			return fmt.Errorf("controller: snapshot configures a WSS on unknown fiber %s", fiber)
+		}
 	}
 	names := make([]string, 0, len(s.Channels))
 	for name := range s.Channels {
@@ -100,12 +108,15 @@ func (c *Controller) LoadSnapshot(s Snapshot) error {
 			return refuse(fmt.Errorf("controller: snapshot channel %s has no path or mode", name))
 		}
 		// A decoded path knows its fibers by ID only: number a copy in this
-		// controller's topology, so that replaying it claims by index.
-		if num := c.cfg.Optical.Numbering(); ch.Wavelength.Path.Numbering != num {
+		// controller's topology, so that replaying it claims by index. A
+		// fiber the topology does not have refuses the snapshot.
+		if ch.Wavelength.Path.Numbering != num {
 			path := *ch.Wavelength.Path
-			if c.cfg.Optical.Resolve(&path) {
-				ch.Wavelength.Path = &path
+			if !c.cfg.Optical.Resolve(&path) {
+				return refuse(fmt.Errorf("controller: snapshot channel %s runs over a fiber the topology does not have: %v",
+					name, path.Fibers))
 			}
+			ch.Wavelength.Path = &path
 		}
 		for _, tx := range []string{ch.TxA, ch.TxB} {
 			if err := c.devmgr.ClaimSpecific(tx, name); err != nil {

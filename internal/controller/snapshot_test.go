@@ -3,6 +3,7 @@ package controller
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -108,11 +109,7 @@ func newStandby(t testing.TB, h *harness) *Controller {
 		t.Fatal(err)
 	}
 	t.Cleanup(standby.Close)
-	for _, desc := range h.devices {
-		if err := standby.DevMgr().Register(desc); err != nil {
-			t.Fatal(err)
-		}
-	}
+	registerAll(t, standby, h.devices)
 	return standby
 }
 
@@ -149,6 +146,25 @@ func lastChannel(s Snapshot) string {
 		last = max(last, name)
 	}
 	return last
+}
+
+// checkKnownFibers fails unless every fiber an accepted snapshot names on
+// a channel's path or as a WSS document's key is one of the harness's.
+func checkKnownFibers(t testing.TB, h *harness, s Snapshot) {
+	t.Helper()
+	num := h.optical.Numbering()
+	for name, ch := range s.Channels {
+		for _, fiber := range ch.Wavelength.Path.Fibers {
+			if _, ok := num.Lookup(fiber); !ok {
+				t.Fatalf("accepted channel %s over unknown fiber %s", name, fiber)
+			}
+		}
+	}
+	for fiber := range s.WSSConfig {
+		if _, ok := num.Lookup(fiber); !ok {
+			t.Fatalf("accepted a WSS document for unknown fiber %s", fiber)
+		}
+	}
 }
 
 // A snapshot refused halfway through its channels leaves the standby as it
@@ -189,6 +205,94 @@ func TestLoadSnapshotRefusalAdoptsNothing(t *testing.T) {
 	}
 }
 
+// A snapshot naming a fiber the standby's topology does not have — on a
+// channel's path or as a WSS document's key — is refused with nothing
+// adopted. Adopted, the standby could neither audit (no WSS for the fiber)
+// nor restore a cut of the channel's real fibers.
+func TestLoadSnapshotRefusesUnknownFiber(t *testing.T) {
+	h := newHarness(t, 3, topology.IPLink{ID: "e1", A: "A", B: "B", DemandGbps: 800})
+	res, err := h.ctrl.PlanNetwork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.ctrl.Apply(res); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Snapshot)
+	}{
+		{"channel path", func(s *Snapshot) {
+			last := lastChannel(*s)
+			ch := s.Channels[last]
+			path := *ch.Wavelength.Path
+			path.Fibers = append([]string{"f-ghost"}, path.Fibers[1:]...)
+			ch.Wavelength.Path = &path
+			s.Channels[last] = ch
+		}},
+		{"WSS document", func(s *Snapshot) {
+			s.WSSConfig["f-ghost"] = s.WSSConfig["f1"]
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Round-trip through the codec, as replication does: a decoded
+			// path carries fiber IDs only.
+			data, err := MarshalSnapshot(h.ctrl.Snapshot())
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad, err := UnmarshalSnapshot(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.mutate(&bad)
+			standby := newStandby(t, h)
+			if err := standby.LoadSnapshot(bad); err == nil || !strings.Contains(err.Error(), "f-ghost") {
+				t.Fatalf("LoadSnapshot naming fiber f-ghost: %v", err)
+			}
+			checkNothingAdopted(t, standby, h)
+			if err := standby.LoadSnapshot(h.ctrl.Snapshot()); err != nil {
+				t.Fatalf("good snapshot after a refused one: %v", err)
+			}
+			if report, err := standby.Audit(); err != nil || !report.Clean() {
+				t.Fatalf("standby audit = %+v, %v", report, err)
+			}
+		})
+	}
+}
+
+// A controller that holds any state refuses a snapshot: two channel-less
+// snapshots loaded one after the other must not merge their down fibers.
+func TestLoadSnapshotNeverMerges(t *testing.T) {
+	h := newHarness(t, 1)
+	for _, second := range []string{
+		`{"down-fibers":["f2"]}`,
+		`{"wss-config":{"f2":{"passbands":[]}}}`,
+		`{"seq":{"e1":3}}`,
+	} {
+		standby := newStandby(t, h)
+		first, err := UnmarshalSnapshot([]byte(`{"down-fibers":["f1"]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := standby.LoadSnapshot(first); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := UnmarshalSnapshot([]byte(second))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := standby.LoadSnapshot(snap); err == nil {
+			t.Errorf("second snapshot %s merged into a loaded standby", second)
+		}
+		got := standby.Snapshot()
+		if want := []string{"f1"}; !slices.Equal(got.DownFibers, want) || len(got.WSSConfig)+len(got.Seq) != 0 {
+			t.Errorf("after refusing %s: down fibers %v, %d WSS documents, %d sequence numbers; want only %v",
+				second, got.DownFibers, len(got.WSSConfig), len(got.Seq), want)
+		}
+	}
+}
+
 // FuzzSnapshot feeds arbitrary bytes to the snapshot codec and then to
 // LoadSnapshot on a fresh standby. Nothing may panic; a refused snapshot
 // must leave the standby with nothing adopted, and an accepted one must
@@ -224,6 +328,13 @@ func FuzzSnapshot(f *testing.F) {
 		}
 		f.Add(data)
 	}
+	ghostWSS := h.ctrl.Snapshot()
+	ghostWSS.WSSConfig["f-ghost"] = devmodel.WSSConfig{}
+	data, err := MarshalSnapshot(ghostWSS)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := UnmarshalSnapshot(data)
 		if err != nil {
@@ -234,6 +345,7 @@ func FuzzSnapshot(f *testing.F) {
 			checkNothingAdopted(t, standby, h)
 			return
 		}
+		checkKnownFibers(t, h, snap)
 		again, err := UnmarshalSnapshot(data)
 		if err != nil {
 			t.Fatal(err)
@@ -414,11 +526,7 @@ func TestSnapshotPathsRenumberedOnStandby(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer standby.Close()
-	for _, desc := range h.devices {
-		if err := standby.DevMgr().Register(desc); err != nil {
-			t.Fatal(err)
-		}
-	}
+	registerAll(t, standby, h.devices)
 	if err := standby.LoadSnapshot(snap); err != nil {
 		t.Fatal(err)
 	}

@@ -21,25 +21,28 @@ const (
 	OpDiscard = "discard"
 )
 
-// candidate holds one staged configuration document.
-type candidate struct {
+// candidate holds one staged configuration document, decoded and
+// validated: commit applies the value edit-candidate checked, without
+// decoding the bytes again.
+type candidate[T any] struct {
 	mu     sync.Mutex
-	staged json.RawMessage
+	staged *T
 }
 
 // handleCandidateOp implements the three candidate ops generically:
-// validate checks a document without side effects; apply installs it.
-// It reports whether the op was a candidate op (handled=false lets the
-// caller dispatch its other ops).
-func (c *candidate) handleCandidateOp(op string, payload json.RawMessage,
-	validate func(json.RawMessage) error, apply func(json.RawMessage) error) (handled bool, err error) {
+// decode parses and checks a document without side effects; apply
+// installs a decoded one. It reports whether the op was a candidate op
+// (handled=false lets the caller dispatch its other ops).
+func (c *candidate[T]) handleCandidateOp(op string, payload json.RawMessage,
+	decode func(json.RawMessage) (T, error), apply func(T) error) (handled bool, err error) {
 	switch op {
 	case OpEditCandidate:
-		if err := validate(payload); err != nil {
+		doc, err := decode(payload)
+		if err != nil {
 			return true, err
 		}
 		c.mu.Lock()
-		c.staged = append(json.RawMessage(nil), payload...)
+		c.staged = &doc
 		c.mu.Unlock()
 		return true, nil
 	case OpCommit:
@@ -50,16 +53,14 @@ func (c *candidate) handleCandidateOp(op string, payload json.RawMessage,
 		if staged == nil {
 			return true, nil
 		}
-		if err := apply(staged); err != nil {
+		if err := apply(*staged); err != nil {
 			// Validation passed at stage time; failure here means the
 			// running state changed in between — surface it loudly.
 			return true, fmt.Errorf("device: commit failed after successful stage: %w", err)
 		}
 		return true, nil
 	case OpDiscard:
-		c.mu.Lock()
-		c.staged = nil
-		c.mu.Unlock()
+		c.clear()
 		return true, nil
 	default:
 		return false, nil
@@ -68,14 +69,14 @@ func (c *candidate) handleCandidateOp(op string, payload json.RawMessage,
 
 // clear drops any staged document — the device-crash path, where the
 // candidate datastore is volatile and does not survive a reboot.
-func (c *candidate) clear() {
+func (c *candidate[T]) clear() {
 	c.mu.Lock()
 	c.staged = nil
 	c.mu.Unlock()
 }
 
 // HasStaged reports whether a document is currently staged (test hook).
-func (c *candidate) HasStaged() bool {
+func (c *candidate[T]) HasStaged() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.staged != nil

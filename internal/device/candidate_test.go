@@ -1,6 +1,7 @@
 package device
 
 import (
+	"encoding/json"
 	"testing"
 
 	"flexwan/internal/devmodel"
@@ -179,5 +180,73 @@ func TestDescriptorAccessors(t *testing.T) {
 	w := NewWSS(devmodel.Descriptor{ID: "w9", Class: devmodel.ClassWSS, Vendor: "v", Address: "x", Site: "A", Fiber: "f1"}, spectrum.DefaultGrid())
 	if w.Descriptor().ID != "w9" {
 		t.Error("WSS descriptor wrong")
+	}
+}
+
+// Commit applies the value edit-candidate decoded and validated: the
+// document is decoded once, and the staged value does not alias the
+// request's bytes (a handler's payload is the session's read buffer).
+func TestCandidateCommitsTheStagedValue(t *testing.T) {
+	var c candidate[devmodel.WSSConfig]
+	decodes := 0
+	decode := func(payload json.RawMessage) (devmodel.WSSConfig, error) {
+		decodes++
+		var cfg devmodel.WSSConfig
+		return cfg, json.Unmarshal(payload, &cfg)
+	}
+	var applied []devmodel.WSSConfig
+	apply := func(cfg devmodel.WSSConfig) error {
+		applied = append(applied, cfg)
+		return nil
+	}
+	payload := json.RawMessage(`{"passbands":[{"channel":"e1:1","start":0,"count":12}]}`)
+	if _, err := c.handleCandidateOp(OpEditCandidate, payload, decode, apply); err != nil {
+		t.Fatal(err)
+	}
+	copy(payload, `{"passbands":[{"channel":"XX:9"`)
+	if _, err := c.handleCandidateOp(OpCommit, nil, decode, apply); err != nil {
+		t.Fatal(err)
+	}
+	if decodes != 1 {
+		t.Errorf("stage and commit decoded %d times, want 1", decodes)
+	}
+	want := devmodel.Passband{Channel: "e1:1", Start: 0, Count: 12}
+	if len(applied) != 1 || len(applied[0].Passbands) != 1 || applied[0].Passbands[0] != want {
+		t.Fatalf("commit applied %+v, want one document holding %+v", applied, want)
+	}
+	// The staged value was consumed: a second commit acks and applies nothing.
+	if _, err := c.handleCandidateOp(OpCommit, nil, decode, apply); err != nil || len(applied) != 1 {
+		t.Errorf("second commit: err %v, %d documents applied", err, len(applied))
+	}
+}
+
+// A crash loses the candidate datastore with the running configuration: a
+// commit after the restart acks (an empty commit is a no-op) and applies
+// nothing.
+func TestTransponderCrashDropsCandidate(t *testing.T) {
+	f := testFabric(t)
+	tr, c := startTransponder(t, f, transponder.SVT())
+	if err := c.Call(OpEditCandidate, svtConfig(), nil); err != nil {
+		t.Fatal(err)
+	}
+	tr.Crash()
+	if err := tr.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	c2, err := netconf.Dial(tr.Descriptor().Address)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	if err := c2.Call(OpCommit, nil, nil); err != nil {
+		t.Fatalf("commit after restart: %v", err)
+	}
+	var running devmodel.TransponderConfig
+	if err := c2.Call(netconf.OpGetConfig, nil, &running); err != nil {
+		t.Fatal(err)
+	}
+	if running.Enabled || tr.HasStagedConfig() {
+		t.Errorf("after crash, restart and commit: running %+v, staged %v; want nothing applied or staged",
+			running, tr.HasStagedConfig())
 	}
 }

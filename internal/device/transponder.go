@@ -29,7 +29,7 @@ type Transponder struct {
 	config devmodel.TransponderConfig
 	los    bool
 
-	candidate candidate
+	candidate candidate[devmodel.TransponderConfig]
 }
 
 // NewTransponder builds the agent. Call Start to expose it on the
@@ -92,7 +92,7 @@ func (t *Transponder) Descriptor() devmodel.Descriptor {
 }
 
 func (t *Transponder) handle(op string, payload json.RawMessage) (interface{}, error) {
-	if handled, err := t.candidate.handleCandidateOp(op, payload, t.validateRaw, t.applyRaw); handled {
+	if handled, err := t.candidate.handleCandidateOp(op, payload, t.decode, t.Configure); handled {
 		return nil, err
 	}
 	switch op {
@@ -142,20 +142,14 @@ func (t *Transponder) Configure(cfg devmodel.TransponderConfig) error {
 	return nil
 }
 
-func (t *Transponder) validateRaw(payload json.RawMessage) error {
+// decode parses and validates a configuration document: the
+// edit-candidate half of Configure.
+func (t *Transponder) decode(payload json.RawMessage) (devmodel.TransponderConfig, error) {
 	var cfg devmodel.TransponderConfig
 	if err := json.Unmarshal(payload, &cfg); err != nil {
-		return fmt.Errorf("device: bad transponder config: %w", err)
+		return cfg, fmt.Errorf("device: bad transponder config: %w", err)
 	}
-	return t.checkConfig(cfg)
-}
-
-func (t *Transponder) applyRaw(payload json.RawMessage) error {
-	var cfg devmodel.TransponderConfig
-	if err := json.Unmarshal(payload, &cfg); err != nil {
-		return fmt.Errorf("device: bad transponder config: %w", err)
-	}
-	return t.Configure(cfg)
+	return cfg, t.checkConfig(cfg)
 }
 
 // HasStagedConfig reports whether a candidate document is staged.

@@ -27,7 +27,7 @@ type WSS struct {
 	mu     sync.Mutex
 	config devmodel.WSSConfig
 
-	candidate candidate
+	candidate candidate[devmodel.WSSConfig]
 }
 
 // NewWSS builds a pixel-wise WSS agent for one fiber's spectrum.
@@ -79,14 +79,18 @@ func (w *WSS) Config() devmodel.WSSConfig {
 }
 
 func (w *WSS) handle(op string, payload json.RawMessage) (interface{}, error) {
-	if handled, err := w.candidate.handleCandidateOp(op, payload, w.validateRaw, w.applyRaw); handled {
+	if handled, err := w.candidate.handleCandidateOp(op, payload, w.decode, w.configure); handled {
 		return nil, err
 	}
 	switch op {
 	case netconf.OpGetConfig, netconf.OpGetState:
 		return w.Config(), nil
 	case netconf.OpEditConfig:
-		return nil, w.applyRaw(payload)
+		var cfg devmodel.WSSConfig
+		if err := json.Unmarshal(payload, &cfg); err != nil {
+			return nil, fmt.Errorf("device: bad WSS config: %w", err)
+		}
+		return nil, w.configure(cfg)
 	default:
 		return nil, fmt.Errorf("device: unknown op %q", op)
 	}
@@ -108,19 +112,17 @@ func (w *WSS) checkConfig(cfg devmodel.WSSConfig) error {
 	return nil
 }
 
-func (w *WSS) validateRaw(payload json.RawMessage) error {
+// decode parses and validates a passband set.
+func (w *WSS) decode(payload json.RawMessage) (devmodel.WSSConfig, error) {
 	var cfg devmodel.WSSConfig
 	if err := json.Unmarshal(payload, &cfg); err != nil {
-		return fmt.Errorf("device: bad WSS config: %w", err)
+		return cfg, fmt.Errorf("device: bad WSS config: %w", err)
 	}
-	return w.checkConfig(cfg)
+	return cfg, w.checkConfig(cfg)
 }
 
-func (w *WSS) applyRaw(payload json.RawMessage) error {
-	var cfg devmodel.WSSConfig
-	if err := json.Unmarshal(payload, &cfg); err != nil {
-		return fmt.Errorf("device: bad WSS config: %w", err)
-	}
+// configure validates and installs a passband set.
+func (w *WSS) configure(cfg devmodel.WSSConfig) error {
 	if err := w.checkConfig(cfg); err != nil {
 		return err
 	}

@@ -207,7 +207,6 @@ func main() {
 		}
 	})
 
-	time.Sleep(300 * time.Millisecond)
 	fmt.Printf("\n*** cutting %s ***\n", *cut)
 	start := time.Now()
 	fabric.Cut(*cut)

@@ -130,7 +130,6 @@ func main() {
 		}
 	})
 
-	time.Sleep(300 * time.Millisecond)
 	fmt.Println("*** backhoe cuts fiber f-direct ***")
 	fabric.Cut("f-direct")
 

@@ -248,7 +248,6 @@ func TestEndToEndFiberCutRestoration(t *testing.T) {
 	col := telemetry.NewCollector(store, 50*time.Millisecond, h.devices, h.ctrl.DevMgr())
 	col.Run()
 	defer col.Stop()
-	time.Sleep(100 * time.Millisecond)
 
 	restored := make(chan struct{})
 	go func() {

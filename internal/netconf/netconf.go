@@ -471,6 +471,11 @@ func DialWithOptions(addr string, opts DialOptions) (*Client, error) {
 	return handshake(conn, opts)
 }
 
+// notificationSlots is how many unread notifications a session holds
+// before it drops the next one. A device raises one alarm per loss-of-signal
+// flip, so a few slots cover any burst a consumer can fall behind on.
+const notificationSlots = 16
+
 // handshake waits for the device's hello on conn and starts the session;
 // conn is closed on failure.
 func handshake(conn net.Conn, opts DialOptions) (*Client, error) {
@@ -478,7 +483,7 @@ func handshake(conn net.Conn, opts DialOptions) (*Client, error) {
 		conn:          conn,
 		callTimeout:   opts.callTimeout(),
 		pending:       make(map[uint64]*Call),
-		notifications: make(chan json.RawMessage, 256),
+		notifications: make(chan json.RawMessage, notificationSlots),
 		done:          make(chan struct{}),
 	}
 	c.w.init(conn)

@@ -107,7 +107,7 @@ func TestSlowNotificationConsumerDoesNotBlockRPC(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	for i := 0; i < 1000; i++ { // far beyond the 256 buffer
+	for i := 0; i < 1000; i++ { // far beyond the session's notification slots
 		srv.Notify(fmt.Sprintf("event-%d", i))
 	}
 	done := make(chan error, 1)
@@ -122,6 +122,30 @@ func TestSlowNotificationConsumerDoesNotBlockRPC(t *testing.T) {
 		}
 	case <-time.After(3 * time.Second):
 		t.Fatal("RPC blocked behind unread notifications")
+	}
+}
+
+// TestUnreadAlarmsAreDropped: 64 notifications that nobody reads fill the
+// session's slots and the rest are dropped; the session is not stalled, and
+// a call on it still succeeds.
+func TestUnreadAlarmsAreDropped(t *testing.T) {
+	srv, addr := startEcho(t)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 0; i < 64; i++ {
+		srv.Notify(fmt.Sprintf("los-%d", i))
+	}
+	var out string
+	if err := c.Call("echo", "still-works", &out); err != nil || out != "still-works" {
+		t.Fatalf("call after 64 unread notifications: %q, %v", out, err)
+	}
+	// The reply came after every notification on the wire, so each has
+	// been kept or dropped by now.
+	if n := len(c.Notifications()); n != notificationSlots {
+		t.Errorf("%d notifications kept, want the session's %d slots", n, notificationSlots)
 	}
 }
 

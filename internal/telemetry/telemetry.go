@@ -157,8 +157,10 @@ type Collector struct {
 
 // NewCollector builds a collector over the given devices, reached through
 // the sessions they are registered with. Events are delivered on Events();
-// call Run to start and Stop to halt. Stop the collector before closing
-// the sessions' owner, or its alarm listeners redial into it.
+// call Run to start and Stop to halt. Run returns with every reachable
+// device sampled once, so a baseline is in place before anything is cut.
+// Stop the collector before closing the sessions' owner, or its alarm
+// listeners redial into it.
 func NewCollector(store *Store, interval time.Duration, devices []devmodel.Descriptor, sessions Sessions) *Collector {
 	if interval <= 0 {
 		interval = time.Second // the paper's one-second granularity
@@ -178,8 +180,10 @@ func NewCollector(store *Store, interval time.Duration, devices []devmodel.Descr
 // Events streams detected fiber events.
 func (c *Collector) Events() <-chan Event { return c.events }
 
-// Run starts the polling loop and alarm listeners. It returns
-// immediately; collection continues until Stop.
+// Run starts the alarm listeners, runs the first sweep and starts the
+// polling loop, which sweeps again every interval. It returns once that
+// first sweep has sampled every reachable device (or Stop abandoned it);
+// collection continues until Stop.
 func (c *Collector) Run() {
 	for _, desc := range c.devices {
 		c.stopGrp.Add(1)
@@ -188,12 +192,14 @@ func (c *Collector) Run() {
 			c.listenAlarms(desc)
 		}()
 	}
+	// Counted before the first sweep, so a Stop during it waits for the
+	// loop that Run starts after it.
 	c.stopGrp.Add(1)
+	c.pollAll()
 	go func() {
 		defer c.stopGrp.Done()
 		ticker := time.NewTicker(c.interval)
 		defer ticker.Stop()
-		c.pollAll() // immediate first sweep
 		for {
 			select {
 			case <-c.stopped:
@@ -261,33 +267,57 @@ func (c *Collector) drainAlarms(desc devmodel.Descriptor, client *netconf.Client
 
 // pollAll reads every device's state once over its pooled session. It
 // never dials: a dead session fails its poll at once, and the device's
-// alarm listener brings a live one back.
+// alarm listener brings a live one back. The reads go out as one wave, so
+// a sweep costs the slowest device's round trip and a hung device one
+// call timeout; Stop abandons the wave. Samples and transitions are then
+// applied in device order at the one time the sweep started, as a serial
+// sweep would apply them.
 func (c *Collector) pollAll() {
 	now := time.Now()
-	for _, desc := range c.devices {
+	calls := make([]*netconf.Call, len(c.devices))
+	// Read loops deliver without waiting, so done has room for every call.
+	done := make(chan *netconf.Call, len(c.devices))
+	inFlight := 0
+	for i, desc := range c.devices {
+		var out interface{}
+		switch desc.Class {
+		case devmodel.ClassTransponder:
+			out = new(devmodel.TransponderState)
+		case devmodel.ClassAmplifier:
+			out = new(devmodel.AmplifierState)
+		default:
+			continue
+		}
 		client, ok := c.sessions.Client(desc.ID)
 		if !ok {
 			continue
 		}
-		switch desc.Class {
-		case devmodel.ClassTransponder:
-			var st devmodel.TransponderState
-			if err := client.Call(netconf.OpGetState, nil, &st); err != nil {
-				continue
-			}
+		calls[i] = client.Go(netconf.OpGetState, nil, out, done)
+		inFlight++
+	}
+	for ; inFlight > 0; inFlight-- {
+		select {
+		case <-done:
+		case <-c.stopped:
+			return
+		}
+	}
+	for i, call := range calls {
+		if call == nil || call.Err != nil {
+			continue
+		}
+		desc := c.devices[i]
+		switch st := call.Out.(type) {
+		case *devmodel.TransponderState:
 			c.store.Append(Point{desc.ID, "rx-osnr-db", now, st.RxOSNRdB})
 			c.store.Append(Point{desc.ID, "pre-fec-ber", now, st.PreFECBER})
 			c.store.Append(Point{desc.ID, "post-fec-ber", now, st.PostFECBER})
 			c.store.Append(Point{desc.ID, "rx-power-dbm", now, st.RxPowerDBm})
 			c.store.Append(Point{desc.ID, "los", now, boolTo01(st.LossOfSignal)})
-			c.observeBER(desc.ID, st)
+			c.observeBER(desc.ID, *st)
 			// A transponder's LOS cannot localize the cut by itself: its
 			// circuit crosses many fibers. Only record it.
-		case devmodel.ClassAmplifier:
-			var st devmodel.AmplifierState
-			if err := client.Call(netconf.OpGetState, nil, &st); err != nil {
-				continue
-			}
+		case *devmodel.AmplifierState:
 			c.store.Append(Point{desc.ID, "gain-db", now, st.GainDB})
 			c.store.Append(Point{desc.ID, "out-power-dbm", now, st.OutPowerDBm})
 			c.store.Append(Point{desc.ID, "los", now, boolTo01(st.LossOfSignal)})

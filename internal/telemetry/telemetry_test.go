@@ -157,7 +157,6 @@ func TestCollectorDetectsFiberCut(t *testing.T) {
 	col.Run()
 	defer col.Stop()
 
-	time.Sleep(100 * time.Millisecond) // let the first sweep establish baselines
 	fabric.Cut("f1")
 
 	select {
@@ -284,10 +283,10 @@ func TestCollectorNeverUsesImpostorSession(t *testing.T) {
 	awaitCut(t, col, fabric, "f1", 3*time.Second)
 }
 
-// TestPollDoesNotStallOnDeadSource: the sweep is serial, so a crashed
-// device must cost it nothing — its dead pooled session fails the poll at
-// once, and the sweep never dials, rather than holding every later device
-// behind a call or dial timeout.
+// TestPollDoesNotStallOnDeadSource: a crashed device must cost the sweep
+// nothing — its dead pooled session fails the poll at once, and the sweep
+// never dials, rather than holding the wave open for a call or dial
+// timeout.
 func TestPollDoesNotStallOnDeadSource(t *testing.T) {
 	fabric, dm, devices := testbed(t)
 	crashed, first := startTransponder(t, dm, fabric, "t0", "f2")
@@ -317,6 +316,110 @@ func TestPollDoesNotStallOnDeadSource(t *testing.T) {
 	}
 	if c, _ := dm.Client("t0"); c != client {
 		t.Error("the sweep replaced the dead session: polling must not dial")
+	}
+}
+
+// hangOnGetState registers one amplifier per fiber whose agent drops every
+// get-state unanswered, so each poll of it waits out the call timeout.
+// asked, when non-nil, is signalled as each get-state arrives.
+func hangOnGetState(t *testing.T, dm *controller.DevMgr, fabric *device.Fabric, asked chan<- struct{}, fibers ...string) []devmodel.Descriptor {
+	t.Helper()
+	var hung []devmodel.Descriptor
+	for _, fiber := range fibers {
+		if err := fabric.AddFiber(fiber, 100); err != nil {
+			t.Fatal(err)
+		}
+		amp, desc := startAmplifier(t, dm, fabric, fiber)
+		// Installed after registering: the dial's hello passes through it too.
+		amp.Server().SetInterceptor(func(op string) netconf.FaultDecision {
+			if op != netconf.OpGetState {
+				return netconf.FaultDecision{}
+			}
+			if asked != nil {
+				select {
+				case asked <- struct{}{}:
+				default:
+				}
+			}
+			return netconf.FaultDecision{Fault: netconf.FaultDropRequest}
+		})
+		hung = append(hung, desc)
+	}
+	return hung
+}
+
+// TestRunPrimesBaseline: Run returns with every live device sampled once,
+// so a cut right after it is a transition from a known state.
+func TestRunPrimesBaseline(t *testing.T) {
+	_, dm, devices := testbed(t)
+	store := telemetry.NewStore(16)
+	col := telemetry.NewCollector(store, time.Hour, devices, dm) // only Run's own sweep
+	col.Run()
+	defer col.Stop()
+	for _, d := range devices {
+		if _, ok := store.Latest(d.ID, "los"); !ok {
+			t.Errorf("Run returned before %s was sampled", d.ID)
+		}
+	}
+}
+
+// TestSweepIsOneWave: a sweep waits for its slowest device, not for the
+// sum of them — three devices that never answer cost one call timeout
+// together, and every live device behind them is still sampled.
+func TestSweepIsOneWave(t *testing.T) {
+	const callTimeout = 100 * time.Millisecond
+	fabric, dm, live := testbed(t)
+	dm.SetDialOptions(netconf.DialOptions{CallTimeout: callTimeout})
+	hung := hangOnGetState(t, dm, fabric, nil, "h1", "h2", "h3")
+
+	store := telemetry.NewStore(16)
+	col := telemetry.NewCollector(store, time.Hour, append(hung, live...), dm) // never Run: the sweep is driven by hand
+	start := time.Now()
+	col.PollAll()
+	if elapsed := time.Since(start); elapsed >= 2*callTimeout {
+		t.Errorf("sweep over 3 hung and %d live devices took %v, want under %v", len(live), elapsed, 2*callTimeout)
+	}
+	for _, d := range live {
+		if _, ok := store.Latest(d.ID, "los"); !ok {
+			t.Errorf("live device %s was not sampled", d.ID)
+		}
+	}
+	for _, d := range hung {
+		if _, ok := store.Latest(d.ID, "los"); ok {
+			t.Errorf("hung device %s produced a sample", d.ID)
+		}
+	}
+}
+
+// TestStopAbandonsWave: Stop does not wait out the call timeout of a
+// device that hangs in Run's first sweep; it abandons the wave, and Run
+// returns with it.
+func TestStopAbandonsWave(t *testing.T) {
+	fabric, dm, live := testbed(t)
+	dm.SetDialOptions(netconf.DialOptions{CallTimeout: time.Second})
+	asked := make(chan struct{}, 1)
+	hung := hangOnGetState(t, dm, fabric, asked, "h1")
+
+	col := telemetry.NewCollector(telemetry.NewStore(16), time.Hour, append(hung, live...), dm)
+	ran := make(chan struct{})
+	go func() {
+		col.Run()
+		close(ran)
+	}()
+	select {
+	case <-asked:
+	case <-time.After(2 * time.Second):
+		t.Fatal("the hung device was never polled")
+	}
+	start := time.Now()
+	col.Stop()
+	if elapsed := time.Since(start); elapsed > 50*time.Millisecond {
+		t.Errorf("Stop took %v while a wave waited on a hung device", elapsed)
+	}
+	select {
+	case <-ran:
+	case <-time.After(50 * time.Millisecond):
+		t.Error("Run did not return once Stop abandoned its sweep")
 	}
 }
 

@@ -14,8 +14,9 @@ import (
 
 // FuzzJobSpec posts arbitrary bytes to POST /v1/jobs on a server whose jobs
 // run a stub executor. The answer must be 202, 400, 413 or 429 — never a
-// 500 or a panic — and every 202's view must carry a spec that survives
-// re-encoding: decoding its JSON again gives an equal JobSpec.
+// 500 or a panic. A 202 must come from a body holding exactly one JSON
+// object, and its view must carry a spec that survives re-encoding:
+// decoding its JSON again gives an equal JobSpec.
 func FuzzJobSpec(f *testing.F) {
 	for _, seed := range []string{
 		`{"type":"plan","network":"ring4"}`,
@@ -26,6 +27,7 @@ func FuzzJobSpec(f *testing.F) {
 		`{"type":"plan","network":"ring4"} trailing`,
 		`{"k":1e400}`,
 		`{"type":"\xff\xfe"}`,
+		`{"type":"plan"}{"type":"sweep"}`,
 		`null`,
 		`[]`,
 		`{bad json`,
@@ -60,6 +62,9 @@ func FuzzJobSpec(f *testing.F) {
 		case http.StatusAccepted:
 		default:
 			t.Fatalf("POST /v1/jobs %q: status %d: %s", body, resp.StatusCode, reply)
+		}
+		if trimmed := bytes.TrimLeft(body, " \t\r\n"); !json.Valid(body) || trimmed[0] != '{' {
+			t.Fatalf("POST /v1/jobs %q: 202 for a body that is not exactly one JSON object", body)
 		}
 		var v JobView
 		if err := json.Unmarshal(reply, &v); err != nil {

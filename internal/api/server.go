@@ -1,10 +1,12 @@
 package api
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -119,14 +121,18 @@ func writeJSON(w http.ResponseWriter, code int, v interface{}) {
 const maxBodyBytes = 64 << 10
 
 // readJSON decodes the request body, at most maxBodyBytes of it, into v.
-// A key v has no field for is an error, not a silent no-op: a typo such as
-// "cut_fiber" must not run as if the key were absent. On failure it has
-// already answered — 413 for an oversized body, 400 (naming the unknown
-// key, if that was it) for anything else — and returns false.
+// The body must be exactly one JSON object: a key v has no field for is an
+// error, not a silent no-op — a typo such as "cut_fiber" must not run as
+// if the key were absent — and so are a body that is not an object (null
+// decodes into nothing) and anything but whitespace after the object. On
+// failure it has already answered — 413 for an oversized body, 400
+// (naming the unknown key, if that was it) for anything else — and
+// returns false.
 func readJSON(w http.ResponseWriter, r *http.Request, what string, v interface{}) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	err := dec.Decode(v)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err == nil {
+		err = decodeObject(bytes.Trim(body, " \t\r\n"), v)
+	}
 	if err == nil {
 		return true
 	}
@@ -137,6 +143,23 @@ func readJSON(w http.ResponseWriter, r *http.Request, what string, v interface{}
 	}
 	writeError(w, code, "bad %s: %v", what, err)
 	return false
+}
+
+// decodeObject decodes body, which must be one JSON object and nothing
+// else, into v, refusing keys v has no field for.
+func decodeObject(body []byte, v interface{}) error {
+	if len(body) == 0 || body[0] != '{' {
+		return errors.New("body is not a JSON object")
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if dec.InputOffset() != int64(len(body)) {
+		return errors.New("data after the JSON object")
+	}
+	return nil
 }
 
 func writeError(w http.ResponseWriter, code int, format string, args ...interface{}) {

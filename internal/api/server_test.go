@@ -474,6 +474,34 @@ func TestServiceRejectsUnknownKeys(t *testing.T) {
 	}
 }
 
+// TestServiceRejectsAllButOneObject: a job spec is exactly one JSON
+// object. Data after it and a body that is not an object answer 400 and
+// admit no job; whitespace around the object is fine.
+func TestServiceRejectsAllButOneObject(t *testing.T) {
+	s, ts := newTestServer(t)
+	for _, tc := range []struct {
+		body string
+		want int
+	}{
+		{`{"type":"plan","network":"ring4"} trailing`, http.StatusBadRequest},
+		{`{"type":"plan"}{"type":"sweep"}`, http.StatusBadRequest},
+		{`null`, http.StatusBadRequest},
+		{" \n{\"type\":\"plan\",\"network\":\"ring4\"}\r\n\t ", http.StatusAccepted},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("POST /v1/jobs %q: status %d, want %d", tc.body, resp.StatusCode, tc.want)
+		}
+	}
+	if st := s.Scheduler().Stats(); st.Submitted != 1 {
+		t.Fatalf("%d jobs admitted, want the one well-formed body's", st.Submitted)
+	}
+}
+
 // TestServiceStatsAndRetention: /v1/stats keeps its top-level scheduler
 // keys and adds the retention and plan-cache counters; responses are
 // compact; a finished job past the 4 × QueueDepth window answers 404 and

@@ -29,9 +29,9 @@ type FaultConfig struct {
 	Delay time.Duration
 	// Ops restricts injection to these RPC operations; nil means the
 	// configuration-plane default (get-config, edit-config,
-	// edit-config-batch, edit-candidate, commit, discard). Telemetry's
-	// get-state is deliberately outside the default set: poll counts
-	// vary with timing, and faulting them would make the event log
+	// edit-candidate, commit, discard). Telemetry's get-state is
+	// deliberately outside the default set: poll counts vary with
+	// timing, and faulting them would make the event log
 	// schedule-dependent. The hello is outside it too — redial counts
 	// depend on which retries the faults above force.
 	Ops []string
@@ -39,7 +39,7 @@ type FaultConfig struct {
 
 func defaultFaultOps() []string {
 	return []string{
-		netconf.OpGetConfig, netconf.OpEditConfig, netconf.OpEditConfigBatch,
+		netconf.OpGetConfig, netconf.OpEditConfig,
 		device.OpEditCandidate, device.OpCommit, device.OpDiscard,
 	}
 }

@@ -40,7 +40,7 @@ type Options struct {
 	// default) pushes every device pipeline concurrently, 1 is the
 	// legacy serial path (the ablation baseline), n > 1 a bounded pool.
 	// Worker count never changes a drill's event log — each device sees
-	// one batched RPC per push phase regardless of scheduling.
+	// one RPC per push phase regardless of scheduling.
 	PushWorkers int
 	// ConfigStore, when non-nil, is attached to the controller before
 	// the plan is applied, so the testbed's Apply and every drill

@@ -2,6 +2,7 @@ package controller
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -580,8 +581,9 @@ type RestoreReport struct {
 	SolveTime time.Duration
 	PushTime  time.Duration
 	// PushTxTime and PushWSSTime break PushTime into its two pipeline
-	// phases: the concurrent transponder push (teardown + retune, one
-	// batched RPC per device) and the concurrent WSS passband push.
+	// phases: the concurrent transponder push (one document per device:
+	// a disable, or the retune of a reused transponder) and the
+	// concurrent WSS passband push.
 	PushTxTime  time.Duration
 	PushWSSTime time.Duration
 	// PushTxDevices and PushWSSDevices count the devices each phase
@@ -645,8 +647,8 @@ func (c *Controller) HandleFiberCutReport(fiber string) (*RestoreReport, error) 
 	// for every failed channel, then retune documents for the restored
 	// ones re-provisioned on their original hardware (the "spare
 	// transponders whose original wavelengths are passing through the
-	// cut fiber", §8). A transponder torn down and immediately retuned
-	// gets both documents in one batched RPC, applied in order.
+	// cut fiber", §8). Documents are absolute, so a transponder torn down
+	// and immediately retuned is sent only its retune.
 	failedNames := c.failedChannelsLocked(cut)
 	touched := make(map[string]bool) // fibers whose WSS document changes
 	type hw struct{ txA, txB string }
@@ -690,14 +692,30 @@ func (c *Controller) HandleFiberCutReport(fiber string) (*RestoreReport, error) 
 		}
 	}
 
-	// Push the transponder pipelines concurrently; devices that stay
-	// unreachable through the retry policy are skipped and reported in
-	// sorted device order, and the channels they should have lit are
-	// surfaced as pending for Repair to converge.
+	// Push the transponder documents concurrently; devices that fail are
+	// skipped and reported in sorted device order, and the channels they
+	// should have lit are surfaced as pending for Repair to converge.
 	txErrs := c.executePush(txPlan)
+	var dark []Request
 	for _, id := range txPlan.devices() {
-		if txErrs[id] != nil {
-			skip(id, txErrs[id])
+		err := txErrs[id]
+		if err == nil {
+			continue
+		}
+		skip(id, err)
+		var nack *netconf.RPCError
+		if txPlan.docs[id].channel != "" && errors.As(err, &nack) {
+			dark = append(dark, Request{id, netconf.OpEditConfig, devmodel.TransponderConfig{Enabled: false}, nil})
+		}
+	}
+	// A reused transponder that refused its retune still runs its failed
+	// channel, a laser the audit cannot attribute: send it the disable
+	// document the retune replaced.
+	if len(dark) > 0 {
+		for i, err := range c.devmgr.CallAll(dark, c.PushWorkers()) {
+			if err != nil {
+				c.logf("controller: disabling %s after its refused retune: %v", dark[i].ID, err)
+			}
 		}
 	}
 	rep.PendingChannels = append(rep.PendingChannels, txPlan.pendingChannels(txErrs)...)

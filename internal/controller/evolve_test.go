@@ -54,7 +54,7 @@ func watchWSSWrites(h *harness) *wssWrites {
 	ww := &wssWrites{fibers: make(map[string]bool)}
 	for fiber, w := range h.wss {
 		w.Server().SetInterceptor(func(op string) netconf.FaultDecision {
-			if strings.HasPrefix(op, netconf.OpEditConfig) || op == device.OpEditCandidate {
+			if op == netconf.OpEditConfig || op == device.OpEditCandidate {
 				ww.mu.Lock()
 				ww.fibers[fiber] = true
 				ww.mu.Unlock()

@@ -2,24 +2,25 @@ package controller
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"flexwan/internal/device"
 	"flexwan/internal/netconf"
 )
 
-// This file is the configuration push pipeline: the planner that
-// coalesces every document destined for one device into a single
-// batched RPC, handed to DevMgr.CallAll, which keeps the per-device
-// pipelines in flight together. A change set (Apply, growth) goes out as
-// candidate rounds (candidateRound); restoration, Repair and RemoveLink push
-// directly (executePush). The restoration numbers motivated it —
-// after PR 4 the CERNET drill spent ~5.1 s of a ~5.14 s recovery in the
-// serial NETCONF push while detect and solve together cost ~3 ms — and the
-// design keeps the chaos determinism contract: each device receives a fixed
-// RPC sequence regardless of worker count, so seeded fault decisions
-// (keyed by device, op, seq) are schedule-independent, and skip/error
-// accounting is always reported in sorted device order.
+// This file is the configuration push pipeline: the planner that keeps
+// one document per device — documents are absolute, so the last one added
+// is the state the device must end in — handed to DevMgr.CallAll, which
+// keeps every device's RPC in flight together. A change set (Apply,
+// growth) goes out as candidate rounds (candidateRound); restoration,
+// Repair and RemoveLink push directly (executePush). The restoration
+// numbers motivated it — a serial push once took ~5.1 s of the CERNET
+// drill's ~5.14 s recovery while detect and solve together cost ~3 ms —
+// and the design keeps the chaos determinism contract: each device
+// receives a fixed RPC sequence regardless of worker count, so seeded
+// fault decisions (keyed by device, op, seq) are schedule-independent,
+// and skip/error accounting is always reported in sorted device order.
 
 // pushDoc is one configuration document bound for a device, tagged with
 // the channel it materializes ("" for teardown and WSS documents) so the
@@ -29,23 +30,21 @@ type pushDoc struct {
 	channel string
 }
 
-// pushPlan accumulates per-device document pipelines in insertion order.
-// All documents for one device travel in a single edit-config-batch RPC
-// (a lone document stays a plain edit-config), applied in order — a
-// transponder's teardown-then-retune and a WSS's full passband set each
-// cost one round trip.
+// pushPlan holds the one document each device is sent: a transponder
+// torn down and retuned in the same change is sent only its retune, and
+// a WSS its fiber's full passband set.
 type pushPlan struct {
-	docs map[string][]pushDoc
+	docs map[string]pushDoc
 }
 
 func newPushPlan() *pushPlan {
-	return &pushPlan{docs: make(map[string][]pushDoc)}
+	return &pushPlan{docs: make(map[string]pushDoc)}
 }
 
-// add appends a document to the device's pipeline. channel names the
-// live channel this document enables ("" otherwise).
+// add sets the device's document, replacing any added before. channel
+// names the live channel this document enables ("" otherwise).
 func (p *pushPlan) add(deviceID string, cfg interface{}, channel string) {
-	p.docs[deviceID] = append(p.docs[deviceID], pushDoc{cfg: cfg, channel: channel})
+	p.docs[deviceID] = pushDoc{cfg: cfg, channel: channel}
 }
 
 // devices returns the planned device IDs in sorted order — the
@@ -59,25 +58,18 @@ func (p *pushPlan) devices() []string {
 	return out
 }
 
-// pendingChannels lists, sorted and deduplicated, the channels that have
-// a document on any failed device — the channels whose intended
+// pendingChannels lists, sorted and deduplicated, the channels whose
+// document went to a failed device — the channels whose intended
 // configuration is recorded but not fully pushed.
 func (p *pushPlan) pendingChannels(errs map[string]error) []string {
-	seen := make(map[string]bool)
 	var out []string
-	for id, docs := range p.docs {
-		if errs[id] == nil {
-			continue
-		}
-		for _, doc := range docs {
-			if doc.channel != "" && !seen[doc.channel] {
-				seen[doc.channel] = true
-				out = append(out, doc.channel)
-			}
+	for id, doc := range p.docs {
+		if errs[id] != nil && doc.channel != "" {
+			out = append(out, doc.channel)
 		}
 	}
 	sort.Strings(out)
-	return out
+	return slices.Compact(out)
 }
 
 // SetPushWorkers bounds the configuration push: n > 1 keeps up to n device
@@ -96,36 +88,22 @@ func (c *Controller) PushWorkers() int {
 	return int(c.pushWorkers.Load())
 }
 
-// executePush pushes every device's pipeline — a single document as a
-// plain edit-config, several as one edit-config-batch — through
+// executePush sends every device its document as one edit-config through
 // DevMgr.CallAll and returns the per-device errors (successful devices
 // are absent). Results are deterministic: each device sees exactly one RPC
 // per attempt regardless of the window, and callers consume errors via the
 // plan's sorted device order. Callers may hold c.mu — the engine only
 // touches the DevMgr, which has its own locking.
 func (c *Controller) executePush(p *pushPlan) map[string]error {
-	out := make(map[string]error)
-	reqs := make([]Request, 0, len(p.docs))
-	for _, id := range p.devices() {
-		docs := p.docs[id]
-		if len(docs) == 1 {
-			reqs = append(reqs, Request{id, netconf.OpEditConfig, docs[0].cfg, nil})
-			continue
-		}
-		cfgs := make([]interface{}, len(docs))
-		for i, d := range docs {
-			cfgs[i] = d.cfg
-		}
-		batch, err := netconf.NewBatchEdit(cfgs...)
-		if err != nil {
-			out[id] = fmt.Errorf("controller: batching %d documents for %s: %w", len(docs), id, err)
-			continue
-		}
-		reqs = append(reqs, Request{id, netconf.OpEditConfigBatch, batch, nil})
+	ids := p.devices()
+	reqs := make([]Request, len(ids))
+	for i, id := range ids {
+		reqs[i] = Request{id, netconf.OpEditConfig, p.docs[id].cfg, nil}
 	}
+	out := make(map[string]error)
 	for i, err := range c.devmgr.CallAll(reqs, c.PushWorkers()) {
 		if err != nil {
-			out[reqs[i].ID] = err
+			out[ids[i]] = err
 		}
 	}
 	return out
@@ -142,7 +120,7 @@ func (c *Controller) candidateRound(p *pushPlan, op string) error {
 	for i, id := range ids {
 		reqs[i] = Request{ID: id, Op: op}
 		if op == device.OpEditCandidate {
-			reqs[i].In = p.docs[id][0].cfg
+			reqs[i].In = p.docs[id].cfg
 		}
 	}
 	for i, err := range c.devmgr.CallAll(reqs, c.PushWorkers()) {

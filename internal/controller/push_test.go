@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -347,6 +348,124 @@ func TestApplyRefusedByFixedGridVendor(t *testing.T) {
 	}
 	if store.Len() != 0 {
 		t.Errorf("a refused change set recorded %d config versions", store.Len())
+	}
+}
+
+// TestRestorationRefusedRetuneLeavesTransponderDark: a reused transponder
+// whose vendor catalog refuses the restored mode must not stay lit on its
+// failed channel, a laser the audit cannot attribute. It ends disabled,
+// reported as skipped, and its restored channel pending.
+func TestRestorationRefusedRetuneLeavesTransponderDark(t *testing.T) {
+	h := newHarness(t, 1, topology.IPLink{ID: "e1", A: "A", B: "B", DemandGbps: 400})
+	res, err := h.ctrl.PlanNetwork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Wavelengths) != 1 {
+		t.Fatalf("plan has %d wavelengths, want 1", len(res.Wavelengths))
+	}
+	planned := *res.Wavelengths[0].Mode
+
+	// A second controller over the same fleet, except that site A's
+	// transponder is a vendor's whose catalog holds the planned mode alone.
+	desc := devmodel.Descriptor{
+		ID: "tx-A-narrow", Class: devmodel.ClassTransponder,
+		Vendor: "narrow", Address: "pending", Site: "A",
+	}
+	narrow := device.NewTransponder(desc, spectrum.DefaultGrid(),
+		transponder.Catalog{Name: "narrow", Modes: []transponder.Mode{planned}}, h.fabric)
+	addr, err := narrow.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(narrow.Close)
+	desc.Address = addr
+	ctrl, err := New(Config{Optical: h.optical, IP: h.ip, Catalog: transponder.SVT(), Grid: spectrum.DefaultGrid(), K: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ctrl.Close)
+	var fleet []devmodel.Descriptor
+	for _, d := range h.devices {
+		if d.ID != "tx-A-0" {
+			fleet = append(fleet, d)
+		}
+	}
+	registerAll(t, ctrl, append(fleet, desc))
+	if err := ctrl.Apply(res); err != nil {
+		t.Fatal(err)
+	}
+
+	rep, err := ctrl.HandleFiberCutReport("f1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Result.Restored) != 1 {
+		t.Fatalf("restored %d channels, want 1", len(rep.Result.Restored))
+	}
+	if m := rep.Result.Restored[0].Mode; m.DataRateGbps == planned.DataRateGbps && m.SpacingGHz == planned.SpacingGHz {
+		t.Fatalf("restored mode %v is the planned one: the refusal proves nothing", m)
+	}
+	var cfg devmodel.TransponderConfig
+	if err := ctrl.DevMgr().Call(desc.ID, netconf.OpGetConfig, nil, &cfg); err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Enabled {
+		t.Errorf("%s refused its retune and still runs %+v", desc.ID, cfg)
+	}
+	if !slices.Equal(rep.SkippedDevices, []string{desc.ID}) {
+		t.Errorf("skipped %v, want [%s]", rep.SkippedDevices, desc.ID)
+	}
+	if chans := ctrl.Channels(); len(chans) != 1 || !slices.Equal(rep.PendingChannels, chans) {
+		t.Errorf("pending %v, want the restored channel of %v", rep.PendingChannels, chans)
+	}
+}
+
+// TestRestorationSendsOneDocumentPerDevice: a cut sends every device it
+// pushes exactly one edit-config, a reused transponder included.
+func TestRestorationSendsOneDocumentPerDevice(t *testing.T) {
+	h := newHarness(t, 2, topology.IPLink{ID: "e1", A: "A", B: "B", DemandGbps: 800})
+	res, err := h.ctrl.PlanNetwork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.ctrl.Apply(res); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	ops := make(map[string][]string)
+	record := func(id string, srv *netconf.Server) {
+		srv.SetInterceptor(func(op string) netconf.FaultDecision {
+			mu.Lock()
+			ops[id] = append(ops[id], op)
+			mu.Unlock()
+			return netconf.FaultDecision{}
+		})
+	}
+	for id, tr := range h.transponders {
+		record(id, tr.Server())
+	}
+	for fiber, w := range h.wss {
+		record("wss-"+fiber, w.Server())
+	}
+
+	rep, err := h.ctrl.HandleFiberCutReport("f1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Result.Restored) == 0 || rep.Degraded() {
+		t.Fatalf("restored %d channels skipping %v: the cut proves nothing", len(rep.Result.Restored), rep.SkippedDevices)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(ops) != rep.PushTxDevices+rep.PushWSSDevices {
+		t.Errorf("%d devices received RPCs, the push reports %d transponders and %d WSSes",
+			len(ops), rep.PushTxDevices, rep.PushWSSDevices)
+	}
+	for id, got := range ops {
+		if !slices.Equal(got, []string{netconf.OpEditConfig}) {
+			t.Errorf("%s received %v, want one %s", id, got, netconf.OpEditConfig)
+		}
 	}
 }
 

@@ -165,9 +165,9 @@ func (c *Controller) Repair() ([]string, error) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	// Re-assert intent through the same pipelined engine as the push
-	// path: every endpoint's channel document, one batched RPC per
-	// device, fanned out concurrently.
+	// Re-assert intent through the same engine as the push path: every
+	// endpoint's channel document, one edit-config per device, fanned out
+	// concurrently.
 	txPlan := newPushPlan()
 	for _, name := range names {
 		st := c.channels[name]

@@ -28,38 +28,11 @@ const (
 	OpGetConfig  = "get-config"
 	OpEditConfig = "edit-config"
 	OpGetState   = "get-state"
-	// OpEditConfigBatch applies an ordered list of edit-config documents
-	// in one round trip — the session-batching primitive the controller
-	// uses to coalesce every document destined for one device (a WSS's
-	// full passband set, a transponder's teardown-then-retune) into a
-	// single RPC. The server splits the BatchEdit payload and dispatches
-	// each document through the ordinary OpEditConfig handler, stopping
-	// at the first rejection.
-	OpEditConfigBatch = "edit-config-batch"
 	// OpHello names the server→client hello greeting for fault
 	// interception. It is not a callable RPC: interceptors see it once
 	// per accepted session, before the greeting is sent.
 	OpHello = "hello"
 )
-
-// BatchEdit is the OpEditConfigBatch payload: edit-config documents
-// applied in order within one RPC.
-type BatchEdit struct {
-	Configs []json.RawMessage `json:"configs"`
-}
-
-// NewBatchEdit marshals the documents into a batch payload.
-func NewBatchEdit(cfgs ...interface{}) (BatchEdit, error) {
-	b := BatchEdit{Configs: make([]json.RawMessage, 0, len(cfgs))}
-	for _, cfg := range cfgs {
-		data, err := json.Marshal(cfg)
-		if err != nil {
-			return BatchEdit{}, fmt.Errorf("netconf: encoding batch document: %w", err)
-		}
-		b.Configs = append(b.Configs, data)
-	}
-	return b, nil
-}
 
 // Handler processes one RPC on the server (device) side. The returned
 // value is JSON-encoded into the reply payload. payload is valid until the
@@ -206,27 +179,6 @@ func (s *Server) acceptLoop(l net.Listener) {
 	}
 }
 
-// dispatch routes one RPC to the handler, splitting a batch edit into
-// its ordered edit-config documents. The first rejected document aborts
-// the batch; documents already applied stay applied, which is safe
-// because edit-config documents are absolute (idempotent re-push
-// converges the device).
-func (s *Server) dispatch(op string, payload json.RawMessage) (interface{}, error) {
-	if op != OpEditConfigBatch {
-		return s.handler(op, payload)
-	}
-	var b BatchEdit
-	if err := json.Unmarshal(payload, &b); err != nil {
-		return nil, fmt.Errorf("netconf: bad batch payload: %w", err)
-	}
-	for i, doc := range b.Configs {
-		if _, err := s.handler(OpEditConfig, doc); err != nil {
-			return nil, fmt.Errorf("netconf: batch document %d/%d: %w", i+1, len(b.Configs), err)
-		}
-	}
-	return nil, nil
-}
-
 func (s *Server) serveSession(sess *session) {
 	defer s.wg.Done()
 	defer func() {
@@ -286,11 +238,11 @@ func (s *Server) serveSession(sess *session) {
 				continue
 			}
 			if d.Fault == FaultDropReply {
-				_, _ = s.dispatch(op, f.payload)
+				_, _ = s.handler(op, f.payload)
 				continue
 			}
 		}
-		result, err := s.dispatch(op, f.payload)
+		result, err := s.handler(op, f.payload)
 		if err := sess.reply(f.id, op, result, err); err != nil {
 			return
 		}

@@ -159,7 +159,9 @@ type Collector struct {
 // the sessions they are registered with. Events are delivered on Events();
 // call Run to start and Stop to halt. Run returns with every reachable
 // device sampled once, so a baseline is in place before anything is cut.
-// Stop the collector before closing the sessions' owner, or its alarm
+// Alarms are heard from amplifiers only, the devices whose loss of signal
+// localizes a fiber; a transponder's LOS is polled into the store. Stop
+// the collector before closing the sessions' owner, or its alarm
 // listeners redial into it.
 func NewCollector(store *Store, interval time.Duration, devices []devmodel.Descriptor, sessions Sessions) *Collector {
 	if interval <= 0 {
@@ -180,12 +182,15 @@ func NewCollector(store *Store, interval time.Duration, devices []devmodel.Descr
 // Events streams detected fiber events.
 func (c *Collector) Events() <-chan Event { return c.events }
 
-// Run starts the alarm listeners, runs the first sweep and starts the
-// polling loop, which sweeps again every interval. It returns once that
-// first sweep has sampled every reachable device (or Stop abandoned it);
-// collection continues until Stop.
+// Run starts the amplifiers' alarm listeners, runs the first sweep and
+// starts the polling loop, which sweeps again every interval. It returns
+// once that first sweep has sampled every reachable device (or Stop
+// abandoned it); collection continues until Stop.
 func (c *Collector) Run() {
 	for _, desc := range c.devices {
+		if desc.Class != devmodel.ClassAmplifier {
+			continue
+		}
 		c.stopGrp.Add(1)
 		go func() {
 			defer c.stopGrp.Done()
@@ -233,7 +238,7 @@ func (c *Collector) redialInterval() time.Duration {
 func (c *Collector) listenAlarms(desc devmodel.Descriptor) {
 	for {
 		if client, err := c.sessions.LiveClient(desc.ID); err == nil {
-			if !c.drainAlarms(desc, client) {
+			if !c.drainAlarms(client) {
 				return
 			}
 		}
@@ -247,7 +252,7 @@ func (c *Collector) listenAlarms(desc devmodel.Descriptor) {
 
 // drainAlarms consumes alarms until the collector stops (false) or the
 // session drops (true).
-func (c *Collector) drainAlarms(desc devmodel.Descriptor, client *netconf.Client) bool {
+func (c *Collector) drainAlarms(client *netconf.Client) bool {
 	for {
 		select {
 		case <-c.stopped:
@@ -260,18 +265,19 @@ func (c *Collector) drainAlarms(desc devmodel.Descriptor, client *netconf.Client
 			if err := json.Unmarshal(raw, &al); err != nil {
 				continue
 			}
-			c.observeLOS(desc, al.Device, al.Fiber, al.Kind == "los")
+			c.observeLOS(al.Device, al.Fiber, al.Kind == "los")
 		}
 	}
 }
 
 // pollAll reads every device's state once over its pooled session. It
-// never dials: a dead session fails its poll at once, and the device's
-// alarm listener brings a live one back. The reads go out as one wave, so
-// a sweep costs the slowest device's round trip and a hung device one
-// call timeout; Stop abandons the wave. Samples and transitions are then
-// applied in device order at the one time the sweep started, as a serial
-// sweep would apply them.
+// never dials: a dead session fails its poll at once until a live one is
+// back — an amplifier's alarm listener asks for it, and a transponder's
+// comes with the controller's next RPC to it. The reads go out as one
+// wave, so a sweep costs the slowest device's round trip and a hung device
+// one call timeout; Stop abandons the wave. Samples and transitions are
+// then applied in device order at the one time the sweep started, as a
+// serial sweep would apply them.
 func (c *Collector) pollAll() {
 	now := time.Now()
 	calls := make([]*netconf.Call, len(c.devices))
@@ -322,14 +328,14 @@ func (c *Collector) pollAll() {
 			c.store.Append(Point{desc.ID, "out-power-dbm", now, st.OutPowerDBm})
 			c.store.Append(Point{desc.ID, "los", now, boolTo01(st.LossOfSignal)})
 			// Amplifiers sit on a known fiber: their LOS localizes it.
-			c.observeLOS(desc, desc.ID, desc.Fiber, st.LossOfSignal)
+			c.observeLOS(desc.ID, desc.Fiber, st.LossOfSignal)
 		}
 	}
 }
 
-// observeLOS updates per-device LOS state and emits a fiber event on
+// observeLOS updates an amplifier's LOS state and emits a fiber event on
 // transitions that carry a fiber localization.
-func (c *Collector) observeLOS(desc devmodel.Descriptor, deviceID, fiber string, los bool) {
+func (c *Collector) observeLOS(deviceID, fiber string, los bool) {
 	c.mu.Lock()
 	prev := c.los[deviceID]
 	c.los[deviceID] = los
@@ -337,9 +343,7 @@ func (c *Collector) observeLOS(desc devmodel.Descriptor, deviceID, fiber string,
 	if prev == los {
 		return
 	}
-	// Only amplifier alarms (or alarms carrying an explicit fiber from a
-	// device that owns one) localize a cut.
-	if fiber == "" || desc.Class != devmodel.ClassAmplifier {
+	if fiber == "" {
 		return
 	}
 	kind := "fiber-cut"

@@ -416,23 +416,19 @@ func BenchmarkHeuristicVsExact(b *testing.B) {
 		Optical: g, IP: ip, Catalog: transponder.RADWAN(),
 		Grid: spectrum.Grid{PixelGHz: 12.5, Pixels: 24}, K: 2,
 	}
-	for _, workers := range []int{1, 2} {
-		b.Run(bName("solver-workers", workers), func(b *testing.B) {
-			var gap float64
-			for i := 0; i < b.N; i++ {
-				h, err := plan.Solve(p)
-				if err != nil {
-					b.Fatal(err)
-				}
-				e, err := plan.SolveExact(p, solver.Options{MaxNodes: 50000, Workers: workers})
-				if err != nil {
-					b.Fatal(err)
-				}
-				gap = float64(h.Transponders() - e.Transponders())
-			}
-			b.ReportMetric(gap, "heuristic-minus-exact-tx")
-		})
+	var gap float64
+	for i := 0; i < b.N; i++ {
+		h, err := plan.Solve(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		e, err := plan.SolveExact(p, solver.Options{MaxNodes: 50000})
+		if err != nil {
+			b.Fatal(err)
+		}
+		gap = float64(h.Transponders() - e.Transponders())
 	}
+	b.ReportMetric(gap, "heuristic-minus-exact-tx")
 }
 
 // --- Core-primitive micro-benchmarks ---

@@ -78,7 +78,6 @@ func runSubmit(args []string, stdout io.Writer) error {
 	exact := fs.Bool("exact", false, "plan jobs: solve the exact MIP")
 	cut := fs.String("cut", "", "comma-separated fibers to cut (restore/drill)")
 	deadlineMs := fs.Int64("deadline-ms", 0, "end-to-end job deadline from submission (0 = none)")
-	workers := fs.Int("workers", 0, "intra-job parallelism (sweep fan-out, MIP workers)")
 	wait := fs.Duration("wait", 5*time.Minute, "wait for the terminal state (0 = submit and return)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -87,7 +86,7 @@ func runSubmit(args []string, stdout io.Writer) error {
 	spec := api.JobSpec{
 		Type: *typ, Network: *network, Scheme: *scheme,
 		K: *k, Seed: *seed, Scale: *scale, Exact: *exact,
-		Workers: *workers, DeadlineMs: *deadlineMs,
+		DeadlineMs: *deadlineMs,
 	}
 	if *cut != "" {
 		spec.CutFibers = strings.Split(*cut, ",")

@@ -10,7 +10,9 @@
 //     most Workers worker goroutines executing jobs across every tenant
 //     (started by Submit, gone when the queue is empty), and a retention
 //     window of the 4 × QueueDepth most recently finished jobs — an
-//     older job ID answers 404;
+//     older job ID answers 404. The workers are the service's one source
+//     of concurrency: each job runs serially inside, an exact plan as one
+//     branch-and-bound search and a sweep one scenario at a time;
 //   - a plan cache, the one bounded cache: an LRU of deterministic
 //     heuristic base plans per (network, scale, scheme, k, seed), each
 //     remembering the restore payloads already rendered against it, so

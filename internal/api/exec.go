@@ -100,7 +100,7 @@ func (s *Server) runPlan(ctx context.Context, j *Job) (json.RawMessage, error) {
 		res, err = plan.SolveExact(plan.Problem{
 			Optical: e.net.Optical, IP: e.net.IP,
 			Catalog: e.catalog, Grid: e.grid, K: spec.K,
-		}, solver.Options{Context: ctx, Workers: spec.Workers})
+		}, solver.Options{Context: ctx})
 		if err != nil {
 			return nil, err
 		}
@@ -175,17 +175,13 @@ func (s *Server) runSweep(ctx context.Context, j *Job) (json.RawMessage, error) 
 	}
 	scenarios := restore.SingleFiberScenarios(e.net.Optical)
 	j.Logf("sweeping %d single-fiber scenarios", len(scenarios))
-	workers := spec.Workers
-	if workers <= 0 {
-		// The scheduler's workers are the concurrency budget; keep a job's
-		// internal fan-out sequential unless the client asks.
-		workers = 1
-	}
+	// The scheduler's workers are the concurrency budget: a sweep job
+	// solves its scenarios one after another.
 	sw, err := restore.SweepWithOptions(restore.Problem{
 		Optical: e.net.Optical, IP: e.net.IP,
 		Catalog: e.catalog, Grid: e.grid,
 		Base: e.res, K: spec.K,
-	}, scenarios, restore.SweepOptions{Workers: workers, Context: ctx})
+	}, scenarios, restore.SweepOptions{Workers: 1, Context: ctx})
 	if err != nil {
 		return nil, err
 	}

@@ -21,7 +21,7 @@ func FuzzJobSpec(f *testing.F) {
 	for _, seed := range []string{
 		`{"type":"plan","network":"ring4"}`,
 		`{"type":"restore","network":"cernet","cut_fibers":["cfib010"],"seed":1,"deadline_ms":500}`,
-		`{"type":"sweep","network":"ring6","scale":1.5,"scheme":"radwan","k":3,"workers":2,"exact":true}`,
+		`{"type":"sweep","network":"ring6","scale":1.5,"scheme":"radwan","k":3,"exact":true}`,
 		`{"type":"drill","network":"ring4","cut_fibers":[]}`,
 		`{"type":"restore","network":"ring4","cut_fiber":["rfib00"]}`,
 		`{"type":"plan","network":"ring4"} trailing`,

@@ -54,16 +54,13 @@ type JobSpec struct {
 	// Seed drives the topology's demand randomization and, for drills,
 	// every fault decision.
 	Seed int64 `json:"seed,omitempty"`
-	// Exact switches plan jobs to the exact MIP (per-job deadline
-	// recommended: the context is wired into solver.Options.Context).
+	// Exact switches plan jobs to the exact MIP, searched serially on the
+	// job's scheduler worker (per-job deadline recommended: the context is
+	// wired into solver.Options.Context).
 	Exact bool `json:"exact,omitempty"`
 	// CutFibers are the fibers to cut (restore: required; drill: the
 	// first entry overrides the default busiest-fiber choice).
 	CutFibers []string `json:"cut_fibers,omitempty"`
-	// Workers bounds intra-job parallelism (sweep fan-out, exact-solver
-	// workers). 0 keeps jobs single-threaded so the scheduler's workers
-	// stay the only concurrency source.
-	Workers int `json:"workers,omitempty"`
 	// DeadlineMs is the end-to-end budget from submission, queueing
 	// included. 0 means no deadline.
 	DeadlineMs int64 `json:"deadline_ms,omitempty"`

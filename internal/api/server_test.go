@@ -433,7 +433,7 @@ func TestServiceBodyLimit(t *testing.T) {
 
 // TestServiceRejectsUnknownKeys: a body key the endpoint has no field for
 // answers 400 naming the key — a typo'd "cut_fiber", or the retired
-// "pricing" — instead of running as if the key were absent.
+// "pricing" and "workers" — instead of running as if the key were absent.
 func TestServiceRejectsUnknownKeys(t *testing.T) {
 	tb, err := chaos.NewTestbed(chaos.RingNetwork(4, 100, 200), chaos.Options{})
 	if err != nil {
@@ -451,6 +451,7 @@ func TestServiceRejectsUnknownKeys(t *testing.T) {
 	for _, tc := range []struct{ path, body, key string }{
 		{"/v1/jobs", `{"type":"restore","network":"ring4","cut_fiber":["rfib00"]}`, "cut_fiber"},
 		{"/v1/jobs", `{"type":"plan","network":"ring4","exact":true,"pricing":"dantzig"}`, "pricing"},
+		{"/v1/jobs", `{"type":"plan","network":"ring4","exact":true,"workers":2}`, "workers"},
 		{"/v1/devices", `{"id":"tx-new","class":"transponder","vendor":"v","address":"127.0.0.1:1","site":"A","port":7}`, "port"},
 	} {
 		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))

@@ -1,7 +1,8 @@
 // Package parallel is the reusable parallel-execution layer for the
-// repo's embarrassingly parallel sweeps: restoration scenario sweeps
-// (one independent solve per fiber-cut case, §8 / Figs. 15–16),
-// plan-vs-exact cross-checks, and any future per-item fan-out.
+// repo's embarrassingly parallel sweeps. It has two customers:
+// restoration scenario sweeps (restore.SweepWithOptions, one independent
+// solve per fiber-cut case, §8 / Figs. 15–16) and eval's figure points
+// (one plan or sweep per (scheme, scale) point, Figs. 12 and 15b).
 //
 // The pool is bounded (default runtime.GOMAXPROCS), honours
 // context.Context cancellation, recovers per-item panics into errors,

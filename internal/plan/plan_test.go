@@ -405,45 +405,6 @@ func TestSolveExactConflict(t *testing.T) {
 	}
 }
 
-// TestSolveExactWorkersDeterministic: the seed planning MIP must report
-// identical objective and status for any solver worker count (run under
-// -race in CI to exercise the concurrent frontier).
-func TestSolveExactWorkersDeterministic(t *testing.T) {
-	p := Problem{
-		Optical: lineTopology(t),
-		IP: ipLinks(t,
-			topology.IPLink{ID: "e1", A: "A", B: "C", DemandGbps: 200},
-			topology.IPLink{ID: "e2", A: "B", B: "C", DemandGbps: 200},
-		),
-		Catalog: transponder.RADWAN(),
-		Grid:    spectrum.Grid{PixelGHz: 12.5, Pixels: 12},
-		K:       1,
-	}
-	ref, err := SolveExact(p, solver.Options{MaxNodes: 50000, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ref.Solver == nil {
-		t.Fatal("reference SolveStats missing")
-	}
-	for _, w := range []int{2, 8} {
-		r, err := SolveExact(p, solver.Options{MaxNodes: 50000, Workers: w})
-		if err != nil {
-			t.Fatalf("Workers=%d: %v", w, err)
-		}
-		if r.Solver.Status != ref.Solver.Status || r.Solver.Objective != ref.Solver.Objective {
-			t.Errorf("Workers=%d solve = (%v, %v), want (%v, %v)", w,
-				r.Solver.Status, r.Solver.Objective, ref.Solver.Status, ref.Solver.Objective)
-		}
-		if r.Transponders() != ref.Transponders() {
-			t.Errorf("Workers=%d transponders = %d, want %d", w, r.Transponders(), ref.Transponders())
-		}
-		if err := Verify(p, r); err != nil {
-			t.Errorf("Workers=%d Verify: %v", w, err)
-		}
-	}
-}
-
 func TestHeuristicMatchesExactCount(t *testing.T) {
 	// On instances the exact solver can handle, the heuristic must find
 	// the same transponder count (its mode choice is provably count-

@@ -79,39 +79,6 @@ func TestExactNeverWorseThanHeuristic(t *testing.T) {
 	}
 }
 
-// TestSolveExactWorkersDeterministic: the seed restoration MIP must
-// report identical objective (restored Gbps) and status for any solver
-// worker count (run under -race in CI).
-func TestSolveExactWorkersDeterministic(t *testing.T) {
-	g := ring(t)
-	grid := spectrum.Grid{PixelGHz: 12.5, Pixels: 20}
-	p, r := planFor(t, g, ipAB(t, 900), transponder.SVT(), grid)
-	base := Problem{
-		Optical: g, IP: p.IP, Catalog: p.Catalog, Grid: grid, Base: r,
-		Scenario: Scenario{ID: "cut-f1", CutFibers: []string{"f1"}}, K: 2,
-	}
-	ref, err := SolveExact(base, solver.Options{MaxNodes: 50000, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ref.Solver == nil {
-		t.Fatal("reference SolveStats missing")
-	}
-	for _, w := range []int{2, 8} {
-		res, err := SolveExact(base, solver.Options{MaxNodes: 50000, Workers: w})
-		if err != nil {
-			t.Fatalf("Workers=%d: %v", w, err)
-		}
-		if res.Solver.Status != ref.Solver.Status || res.Solver.Objective != ref.Solver.Objective {
-			t.Errorf("Workers=%d solve = (%v, %v), want (%v, %v)", w,
-				res.Solver.Status, res.Solver.Objective, ref.Solver.Status, ref.Solver.Objective)
-		}
-		if res.RestoredGbps != ref.RestoredGbps {
-			t.Errorf("Workers=%d restored = %d, want %d", w, res.RestoredGbps, ref.RestoredGbps)
-		}
-	}
-}
-
 func TestSolveExactNoFailure(t *testing.T) {
 	g := ring(t)
 	p, r := planFor(t, g, ipAB(t, 400), transponder.SVT(), spectrum.DefaultGrid())

@@ -3,9 +3,7 @@ package solver
 import (
 	"container/heap"
 	"math"
-	"runtime"
 	"slices"
-	"sync"
 )
 
 // intTol is the tolerance under which a relaxation value counts as integral.
@@ -26,9 +24,8 @@ func (m *Model) Solve() Solution {
 }
 
 // SolveWithOptions solves with explicit search limits: as an LP when the
-// model has no integer variables, otherwise with LP-relaxation
-// branch-and-bound, whose nodes Options.Workers concurrent workers (default
-// GOMAXPROCS) explore from a shared best-first frontier. The model is
+// model has no integer variables, otherwise with a serial best-first
+// LP-relaxation branch-and-bound on one simplex workspace. The model is
 // solved as given: builders emit it reduced (see plan.SolveExact), and the
 // solver neither copies nor rewrites it. A MIP start (SetStart) that is
 // still the incumbent at the end is returned as given. Every Options value
@@ -56,7 +53,7 @@ func (m *Model) solveRelaxation(opts Options) Solution {
 	rx := getRxScratch(m, opts)
 	sol, _ := rx.solve(nil, nil, nil)
 	sol.SimplexIters = rx.lastPivots
-	rx.stats().addTo(&sol)
+	rx.addStats(&sol)
 	if sol.Values != nil {
 		sol.Values = append([]float64(nil), sol.Values...)
 	}
@@ -227,7 +224,7 @@ func (q nodeQueue) Less(i, j int) bool {
 	// ties finds incumbents sooner, keeps the frontier small, and pops a
 	// just-pushed child right after its parent — which is what lets the
 	// dual-simplex dive path reuse the parent's factorized basis still
-	// sitting in the worker's scratch.
+	// sitting in the scratch.
 	return a.depth > b.depth
 }
 func (q nodeQueue) Swap(i, j int)       { q.nodes[i], q.nodes[j] = q.nodes[j], q.nodes[i] }
@@ -241,45 +238,35 @@ func (q *nodeQueue) Pop() interface{} {
 	return item
 }
 
-// bbSearch is the shared state of one concurrent branch-and-bound run.
-// The mutex guards everything below it; workers block on cond when the
-// frontier is empty but siblings still have nodes in flight.
+// bbSearch is the state of one branch-and-bound run: the best-first
+// frontier, the incumbent, the pseudocosts and the counters the Solution
+// reports. One goroutine runs the whole search on one simplex scratch.
 type bbSearch struct {
-	m       *Model
-	opts    Options
-	min     bool
-	workers int
-	round   objRounder
+	m     *Model
+	opts  Options
+	min   bool
+	round objRounder
 
-	mu   sync.Mutex
-	cond *sync.Cond
-
-	queue    *nodeQueue
-	inFlight int       // nodes popped but not yet fully processed
-	active   []float64 // per-worker bound of the in-flight node (NaN = idle)
-	nodes    int       // nodes expanded so far (LP relaxations solved)
-	ramped   bool      // frontier has (or had) ≥ workers nodes; go wide
+	queue *nodeQueue
+	nodes int // nodes expanded so far (LP relaxations solved)
 
 	// incumbent is the best integral solution, Values owned (copied); or
 	// the MIP start, which has an objective and no Values.
 	incumbent *Solution
 
-	simplexIters int     // total pivots across all workers (incl. root solve)
-	warmHits     int     // nodes resolved by a dual-simplex warm start
-	lu           lpStats // basis health summed over the worker scratches
-	npFixings    int     // node-presolve bound tightenings across all nodes
+	simplexIters int // total pivots, the root solve included
+	warmHits     int // nodes resolved by a dual-simplex warm start
+	npFixings    int // node-presolve bound tightenings across all nodes
 
-	// Pseudocost bookkeeping, guarded by mu like everything else: updates
-	// happen in processLocked when a child's relaxation is reported, reads
-	// in selectBranchLocked. pc holds one entry per variable, allocated at
-	// the first branch (a root that proves the start never needs it); tot
-	// aggregates every observation, the reliability fallback for variables
-	// with none of their own yet.
+	// Pseudocost bookkeeping: updates happen in process when a child's
+	// relaxation is reported, reads in selectBranch. pc holds one entry
+	// per variable, allocated at the first branch (a root that proves the
+	// start never needs it); tot aggregates every observation, the
+	// reliability fallback for variables with none of their own yet.
 	pc  []pseudocost
 	tot pseudocost
 
-	stop      bool    // some worker decided the search is over
-	limitHit  bool    // MaxNodes exhausted before completion
+	limitHit  bool    // MaxNodes exhausted, or a node LP hit its pivot cap
 	cancelled bool    // Options.Context cancelled
 	gapStop   bool    // RelGap early stop
 	stopBound float64 // proven bound at the early stop
@@ -297,38 +284,26 @@ type pseudocost struct {
 // first incumbent. kept reports that the start is still the incumbent at
 // the end; the Solution then has the start's objective and no Values.
 func (m *Model) branchAndBound(opts Options, start *mipStart) (sol Solution, kept bool) {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	s := &bbSearch{
-		m:       m,
-		opts:    opts,
-		min:     m.sense == Minimize,
-		workers: workers,
-		round:   newObjRounder(m),
-		queue:   &nodeQueue{min: m.sense == Minimize},
-		active:  make([]float64, workers),
-		// A single worker is always "ramped": the gate only matters when
-		// there is someone to share the frontier with.
-		ramped: workers <= 1,
+		m:     m,
+		opts:  opts,
+		min:   m.sense == Minimize,
+		round: newObjRounder(m),
+		queue: &nodeQueue{min: m.sense == Minimize},
 	}
 	if start != nil {
-		// Nil Values mark the start, and keep every tie from replacing it:
-		// lexLess against an empty slice is false.
+		// Nil Values mark the start; only a strictly better point
+		// replaces it.
 		s.incumbent = &Solution{Objective: start.obj}
 	}
-	s.cond = sync.NewCond(&s.mu)
-	for i := range s.active {
-		s.active[i] = math.NaN()
-	}
 
-	// The root LP is solved once, on the scratch worker 0 inherits: its
-	// retained optimal state is what the root's children dive from. A start
-	// with a point in m's space crashes the root's starting basis there; the
-	// warm start checks that basis as it checks any node's, and any refusal
-	// solves the root cold, as without a start.
+	// The root LP is solved once, on the scratch the whole search runs on:
+	// its retained optimal state is what the root's children dive from. A
+	// start with a point in m's space crashes the root's starting basis
+	// there; the warm start checks that basis as it checks any node's, and
+	// any refusal solves the root cold, as without a start.
 	rx := getRxScratch(m, opts)
+	defer putRxScratch(rx)
 	var crash *rxSnap
 	if start != nil && !opts.noWarmStart {
 		crash = rx.crash(start.values)
@@ -342,9 +317,7 @@ func (m *Model) branchAndBound(opts Options, start *mipStart) (sol Solution, kep
 		if s.min {
 			s.stopBound = math.Inf(-1)
 		}
-		s.lu.merge(rx.stats())
-		putRxScratch(rx)
-		return s.finish(workers)
+		return s.finish(rx)
 	}
 	if root.Status != Optimal {
 		if root.Status == IterLimit && opts.Context != nil && opts.Context.Err() != nil {
@@ -353,155 +326,65 @@ func (m *Model) branchAndBound(opts Options, start *mipStart) (sol Solution, kep
 			// cancellation does, so MIP callers see one cancel status.
 			root.Status = LimitReached
 		}
-		root.Workers = workers
 		root.SimplexIters = s.simplexIters
-		rx.stats().addTo(&root)
+		rx.addStats(&root)
 		if root.Values != nil {
 			root.Values = append([]float64(nil), root.Values...)
 		}
-		putRxScratch(rx)
 		return root, false
 	}
+	s.search(rx, root)
+	return s.finish(rx)
+}
 
+// stopped reports that a limit, a cancellation or a closed RelGap ended
+// the search before the frontier emptied.
+func (s *bbSearch) stopped() bool { return s.limitHit || s.cancelled || s.gapStop }
+
+// search expands the root, whose optimal relaxation rx still holds, then
+// pops the best-first frontier until it is empty or the search stops.
+// The scratch retains the optimal state of the last node it solved: the
+// basis snapshot taken from that solve (tabOwner) and the bound chain it
+// was solved under (tabBounds). When the next popped node descends
+// directly from exactly that solve, the dive re-optimizes the retained
+// state in place instead of rebuilding anything.
+func (s *bbSearch) search(rx *rxScratch, root Solution) {
 	// The root is node 1, admitted and processed like any popped node. A
 	// start its lifted bound cannot beat ends the search right here, with
-	// no node expanded and no worker started.
+	// no node expanded.
 	node := &bbNode{bound: s.round.lift(root.Objective)}
-	var snap *rxSnap
-	var fixBase *boundChange
-	s.mu.Lock()
-	if ok, inc := s.admitLocked(node); ok {
-		s.nodes++
-		snap, fixBase = s.retain(rx, root, node.bounds, inc)
-		s.processLocked(node, root, snap, fixBase)
+	if !s.admit(node) {
+		return
 	}
-	done := s.stop || s.queue.Len() == 0
-	s.mu.Unlock()
-	if done {
-		s.lu.merge(rx.stats())
-		putRxScratch(rx)
-		return s.finish(workers)
+	s.nodes++
+	tabOwner, tabBounds := s.retain(rx, root, node.bounds)
+	s.process(node, root, tabOwner, tabBounds)
+	if s.queue.Len() == 0 {
+		return // the root was pruned or integral: no node state to build
 	}
 
-	var wg sync.WaitGroup
-	wg.Add(workers - 1)
-	for id := 1; id < workers; id++ {
-		go func(id int) {
-			defer wg.Done()
-			s.worker(id, nil, nil, nil)
-		}(id)
-	}
-	s.worker(0, rx, snap, fixBase)
-	wg.Wait()
-	return s.finish(workers)
-}
-
-// betterObj reports whether objective a improves on b.
-func (s *bbSearch) betterObj(a, b float64) bool {
-	if s.min {
-		return a < b
-	}
-	return a > b
-}
-
-// globalBoundLocked returns the most optimistic bound over the candidate
-// node, every in-flight node, and the head of the frontier: the proven
-// bound on the true optimum at this instant. Requires s.mu held.
-func (s *bbSearch) globalBoundLocked(candidate float64) float64 {
-	best := candidate
-	improve := func(b float64) {
-		if math.IsNaN(b) {
-			return
-		}
-		if math.IsNaN(best) || s.betterObj(b, best) {
-			best = b
-		}
-	}
-	for _, b := range s.active {
-		improve(b)
-	}
-	if s.queue.Len() > 0 {
-		improve(s.queue.nodes[0].bound)
-	}
-	return best
-}
-
-// worker is one branch-and-bound worker loop. It owns a private simplex
-// scratch and pops nodes from the shared frontier until the search
-// terminates, then puts the scratch back in the pool. rx is the scratch to
-// adopt (nil: take one from the pool), and
-// tabOwner/tabBounds identify whose optimal state it retains: the basis
-// snapshot created from that solve and the bound chain it was solved
-// under. When the next popped node descends directly from exactly that
-// solve, the dive re-optimizes the retained state in place instead of
-// rebuilding anything. Worker 0 adopts the root's scratch this way.
-func (s *bbSearch) worker(id int, rx *rxScratch, tabOwner *rxSnap, tabBounds *boundChange) {
-	if rx == nil {
-		rx = getRxScratch(s.m, s.opts)
-	}
 	var diveChanges []*boundChange
 	var np *npState
 	if !s.opts.noNodePresolve {
 		np = newNpState(s.m)
 	}
-	s.mu.Lock()
-	for {
-		if s.stop {
-			break
-		}
-		if s.queue.Len() == 0 {
-			if s.inFlight == 0 {
-				// Frontier exhausted with nothing in flight: done.
-				s.stop = true
-				s.cond.Broadcast()
-				break
-			}
-			// Siblings may still push children; wait for them.
-			s.cond.Wait()
-			continue
-		}
-		if !s.ramped {
-			// Ramp-up: near the root the frontier is tiny and several
-			// workers hammering one or two nodes only buy lock contention
-			// and duplicated bounding work. Stay effectively serial — one
-			// node in flight at a time — until the frontier is wide enough
-			// to feed every worker, then open up for good.
-			if s.queue.Len() >= s.workers {
-				s.ramped = true
-			} else if s.inFlight > 0 {
-				s.cond.Wait()
-				continue
-			}
-		}
+	for !s.stopped() && s.queue.Len() > 0 {
 		node := heap.Pop(s.queue).(*bbNode)
-		ok, inc := s.admitLocked(node)
-		if !ok {
-			if s.stop {
-				break
-			}
+		if !s.admit(node) {
 			continue
 		}
 		s.nodes++
-		s.inFlight++
-		s.active[id] = node.bound
-		s.mu.Unlock()
 
 		// Node presolve: push the node's branching decisions (and inherited
 		// fixings) through the constraint activity bounds before solving.
 		// Propagated tightenings extend the node's chain — the LP, the dive
 		// path, and reduced-cost fixing all see them — and a chain proven
 		// infeasible by propagation prunes the node with no LP solve at all.
-		nFix := 0
 		if np != nil && node.bounds != nil {
-			extra, n, infeas := np.run(node.bounds)
-			nFix = n
+			extra, nFix, infeas := np.run(node.bounds)
+			s.npFixings += nFix
 			if infeas {
-				s.mu.Lock()
-				s.inFlight--
-				s.active[id] = math.NaN()
-				s.npFixings += nFix
-				s.processLocked(node, Solution{Status: Infeasible}, nil, node.bounds)
-				s.cond.Broadcast()
+				s.process(node, Solution{Status: Infeasible}, nil, node.bounds)
 				continue
 			}
 			node.bounds = extra
@@ -529,35 +412,20 @@ func (s *bbSearch) worker(id int, rx *rxScratch, tabOwner *rxSnap, tabBounds *bo
 			}
 		}
 		sol, warm := rx.solve(node.bounds, from, dive)
-		snap, fixBase := s.retain(rx, sol, node.bounds, inc)
-		tabOwner, tabBounds = snap, fixBase
-
-		s.mu.Lock()
-		s.inFlight--
-		s.active[id] = math.NaN()
 		s.simplexIters += rx.lastPivots
-		s.npFixings += nFix
 		if warm {
 			s.warmHits++
 		}
-		s.processLocked(node, sol, snap, fixBase)
-		// Wake idle siblings: children may have been pushed, or this was
-		// the last in-flight node and the frontier is now empty.
-		s.cond.Broadcast()
+		tabOwner, tabBounds = s.retain(rx, sol, node.bounds)
+		s.process(node, sol, tabOwner, tabBounds)
 	}
-	s.lu.merge(rx.stats())
-	s.mu.Unlock()
-	putRxScratch(rx)
 }
 
-// admitLocked decides whether the popped node is expanded. Cancellation,
-// an exhausted node budget and a closed RelGap stop the search; a node
-// whose bound cannot beat the incumbent is dropped. (Unlike a sequential
-// solver a worker cannot conclude the whole frontier is pruned — an
-// in-flight sibling may still improve the incumbent — so a dropped node
-// does not end the search.) inc is the incumbent objective the node was
-// admitted against, NaN when there is none. Requires s.mu held.
-func (s *bbSearch) admitLocked(node *bbNode) (ok bool, inc float64) {
+// admit decides whether the popped node is expanded. Cancellation, an
+// exhausted node budget and a closed RelGap stop the search; a node whose
+// bound cannot beat the incumbent is dropped. The frontier is best-first,
+// so the popped node's bound is the proven bound on the optimum.
+func (s *bbSearch) admit(node *bbNode) bool {
 	ctx := s.opts.Context
 	switch {
 	case ctx != nil && ctx.Err() != nil:
@@ -565,32 +433,35 @@ func (s *bbSearch) admitLocked(node *bbNode) (ok bool, inc float64) {
 	case s.nodes >= s.opts.MaxNodes:
 		s.limitHit = true
 	case s.incumbent == nil:
-		return true, math.NaN()
+		return true
 	case !s.betterObj(node.bound, s.incumbent.Objective):
-		return false, 0
-	case relGap(s.incumbent.Objective, s.globalBoundLocked(node.bound)) <= s.opts.RelGap:
+		return false
+	case relGap(s.incumbent.Objective, node.bound) <= s.opts.RelGap:
 		s.gapStop = true
 	default:
-		return true, s.incumbent.Objective
+		return true
 	}
-	s.stop = true
-	s.stopBound = s.globalBoundLocked(node.bound)
-	s.cond.Broadcast()
-	return false, 0
+	s.stopBound = node.bound
+	return false
+}
+
+// betterObj reports whether objective a improves on b.
+func (s *bbSearch) betterObj(a, b float64) bool {
+	if s.min {
+		return a < b
+	}
+	return a > b
 }
 
 // retain snapshots the scratch's optimal basis after a node's solve — only
 // when the node will branch — and extends its chain with reduced-cost
-// fixings against inc, the incumbent objective read when the node was
-// admitted (a stale incumbent is only weaker, so the fixings stay valid;
-// NaN: no incumbent, no fixings). It reads the scratch and the immutable
-// model only, so workers call it outside the lock.
-func (s *bbSearch) retain(rx *rxScratch, sol Solution, chain *boundChange, inc float64) (snap *rxSnap, fixBase *boundChange) {
+// fixings against the incumbent objective (none without an incumbent).
+func (s *bbSearch) retain(rx *rxScratch, sol Solution, chain *boundChange) (snap *rxSnap, fixBase *boundChange) {
 	fixBase = chain
 	if sol.Status == Optimal && s.hasFracInt(sol.Values) {
 		snap = rx.snapshot()
-		if !math.IsNaN(inc) {
-			fixBase = rx.fixings(sol.Objective, inc, chain)
+		if s.incumbent != nil {
+			fixBase = rx.fixings(sol.Objective, s.incumbent.Objective, chain)
 		}
 	}
 	return snap, fixBase
@@ -610,24 +481,21 @@ func (s *bbSearch) hasFracInt(values []float64) bool {
 	return false
 }
 
-// processLocked handles one solved relaxation: prune, record an incumbent,
-// or branch. Requires s.mu held. sol.Values aliases the worker's scratch;
+// process handles one solved relaxation: prune, record an incumbent, or
+// branch. sol.Values aliases the scratch;
 // snap is the node's own optimal basis and fixBase its bound chain
 // extended with reduced-cost fixings (== node.bounds when there are none;
 // both unused when the node does not branch).
-func (s *bbSearch) processLocked(node *bbNode, sol Solution, snap *rxSnap, fixBase *boundChange) {
+func (s *bbSearch) process(node *bbNode, sol Solution, snap *rxSnap, fixBase *boundChange) {
 	// Feed the pseudocosts before any pruning: the degradation this child
 	// observed is real information about its branch variable either way.
-	s.observePseudocostLocked(node, sol)
+	s.observePseudocost(node, sol)
 	if sol.Status == IterLimit {
 		// The node LP ran out of pivots without an optimality certificate:
 		// it can be neither pruned nor soundly branched (its bound is
 		// unproven). Stop the search like a node-budget stop and report
 		// LimitReached with the incumbent so far.
-		if !s.stop {
-			s.stop, s.limitHit = true, true
-			s.stopBound = s.globalBoundLocked(node.bound)
-		}
+		s.limitHit, s.stopBound = true, node.bound
 		return
 	}
 	if sol.Status != Optimal {
@@ -643,13 +511,13 @@ func (s *bbSearch) processLocked(node *bbNode, sol Solution, snap *rxSnap, fixBa
 	if s.incumbent != nil && !s.betterObj(lifted, s.incumbent.Objective) {
 		return
 	}
-	branchVar := s.selectBranchLocked(sol.Values)
+	branchVar := s.selectBranch(sol.Values)
 	if branchVar < 0 {
 		// Integral: candidate incumbent. Snap values to exact integers,
-		// copy them out of the worker scratch, and recompute the objective
-		// from the snapped values — for integer-coefficient models this
-		// makes the incumbent objective exact, hence bit-identical across
-		// worker counts and warm/cold solve paths.
+		// copy them out of the scratch, and recompute the objective from
+		// the snapped values — for integer-coefficient models this makes
+		// the incumbent objective exact, hence bit-identical across warm
+		// and cold solve paths.
 		values := append([]float64(nil), sol.Values...)
 		obj := 0.0
 		for i, v := range s.m.vars {
@@ -658,9 +526,13 @@ func (s *bbSearch) processLocked(node *bbNode, sol Solution, snap *rxSnap, fixBa
 			}
 			obj += v.obj * values[i]
 		}
+		if s.incumbent != nil && !s.betterObj(obj, s.incumbent.Objective) {
+			return
+		}
 		sol.Values = values
 		sol.Objective = obj
-		if s.acceptIncumbentLocked(sol) && s.opts.Logf != nil {
+		s.incumbent = &sol
+		if s.opts.Logf != nil {
 			s.opts.Logf("solver: incumbent %.6g at node %d", sol.Objective, s.nodes)
 		}
 		return
@@ -689,7 +561,7 @@ func (s *bbSearch) processLocked(node *bbNode, sol Solution, snap *rxSnap, fixBa
 	})
 }
 
-// observePseudocostLocked records the objective degradation this node's
+// observePseudocost records the objective degradation this node's
 // relaxation exhibited relative to its parent's bound, attributed to the
 // branching that created the node. An infeasible child is the extreme
 // degradation — its branch killed the subproblem outright — and is
@@ -697,8 +569,8 @@ func (s *bbSearch) processLocked(node *bbNode, sol Solution, snap *rxSnap, fixBa
 // average, so variables whose branchings cause infeasibility score high
 // and get branched early. On degenerate instances where every feasible
 // child ties its parent's bound, this is the only pseudocost signal there
-// is. Requires s.mu held.
-func (s *bbSearch) observePseudocostLocked(node *bbNode, sol Solution) {
+// is.
+func (s *bbSearch) observePseudocost(node *bbNode, sol Solution) {
 	if node.bounds == nil || node.fracStep <= intTol {
 		return
 	}
@@ -748,9 +620,9 @@ func pcEst(sum float64, n int, totSum float64, totN int) float64 {
 	return 1
 }
 
-// selectBranchLocked picks the integer variable to branch on, or -1 when
-// the point is integral. Requires s.mu held (pseudocost reads).
-func (s *bbSearch) selectBranchLocked(values []float64) VarID {
+// selectBranch picks the integer variable to branch on, or -1 when the
+// point is integral.
+func (s *bbSearch) selectBranch(values []float64) VarID {
 	// Pseudocost product score: the per-unit objective degradations
 	// observed on past down/up branches of the variable, weighted by its
 	// current fractionality; unreliable estimates (no observation on a
@@ -790,45 +662,9 @@ func (s *bbSearch) selectBranchLocked(values []float64) VarID {
 	return best
 }
 
-// acceptIncumbentLocked installs sol as the incumbent if it is strictly
-// better, or if it ties the current objective and is canonically smaller
-// (lexicographically smaller Values). The tie-break makes the reported
-// Values independent of which worker finds an equal-objective solution
-// first. Requires s.mu held; sol.Values must be owned by sol.
-func (s *bbSearch) acceptIncumbentLocked(sol Solution) bool {
-	if s.incumbent != nil {
-		if !s.betterObj(sol.Objective, s.incumbent.Objective) {
-			if !objEqual(sol.Objective, s.incumbent.Objective) || !lexLess(sol.Values, s.incumbent.Values) {
-				return false
-			}
-		}
-	}
-	s.incumbent = &sol
-	return true
-}
-
-// objEqual reports whether two objective values tie within relative
-// tolerance (the canonical-tie-break window).
-func objEqual(a, b float64) bool {
-	return math.Abs(a-b) <= 1e-9*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
-}
-
-// lexLess reports whether a precedes b lexicographically.
-func lexLess(a, b []float64) bool {
-	for i := range a {
-		if i >= len(b) {
-			return false
-		}
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
-}
-
-// finish assembles the Solution after all workers have returned. kept
+// finish assembles the Solution once the search on rx has ended. kept
 // reports that the incumbent is still the MIP start (see branchAndBound).
-func (s *bbSearch) finish(workers int) (sol Solution, kept bool) {
+func (s *bbSearch) finish(rx *rxScratch) (sol Solution, kept bool) {
 	var out Solution
 	switch {
 	case s.cancelled || s.limitHit:
@@ -837,13 +673,7 @@ func (s *bbSearch) finish(workers int) (sol Solution, kept bool) {
 		} else {
 			out = *s.incumbent
 			out.Status = LimitReached
-			if !math.IsNaN(s.stopBound) {
-				out.Gap = relGap(out.Objective, s.stopBound)
-			} else {
-				// Frontier and in-flight set were both empty at the stop:
-				// the incumbent bound is all that remains.
-				out.Gap = 0
-			}
+			out.Gap = relGap(out.Objective, s.stopBound)
 		}
 	case s.gapStop:
 		out = *s.incumbent
@@ -865,10 +695,9 @@ func (s *bbSearch) finish(workers int) (sol Solution, kept bool) {
 		}
 	}
 	out.Nodes = s.nodes
-	out.Workers = workers
 	out.SimplexIters = s.simplexIters
 	out.WarmStartHits = s.warmHits
-	s.lu.addTo(&out)
+	rx.addStats(&out)
 	out.NodePresolveFixings = s.npFixings
 	return out, s.incumbent != nil && s.incumbent.Values == nil
 }

@@ -6,7 +6,7 @@ package solver
 // unit slack column with index cols+r whose bounds encode the relation
 // (LE: [0,∞), GE: (−∞,0], EQ: [0,0]) — so the memory footprint is exactly
 // nonzero-proportional. Built once per model on first use and shared
-// read-only by every branch-and-bound worker; the revised simplex never
+// read-only by every solve of the model; the revised simplex never
 // forms a dense row or column of it.
 type cscMatrix struct {
 	rows, cols int

@@ -14,11 +14,10 @@ import (
 
 // TestEngineDifferentialLadder is the end-to-end differential on the real
 // planning MIP: across the two-link scaling ladder, every ablation — node
-// presolve and warm starts off — and a two-worker search
-// must reach the SAME optimal objective as the default configuration
-// (exact float equality: every configuration proves optimality, and the
-// acceptance bar for this instance family is bitwise-identical objective
-// values). The reported plan is
+// presolve and warm starts off — must reach the SAME optimal objective as
+// the default configuration (exact float equality: every configuration
+// proves optimality, and the acceptance bar for this instance family is
+// bitwise-identical objective values). The reported plan is
 // also checked for internal consistency: provisioned capacity covers
 // demand. Every row but the last searches without the heuristic's MIP
 // start, so the ladder keeps driving branch-and-bound on real planning
@@ -29,15 +28,13 @@ func TestEngineDifferentialLadder(t *testing.T) {
 		ladder = []int{16, 24}
 	}
 	cfgs := []struct {
-		workers int
-		abl     solver.Ablation
-		start   bool
+		abl   solver.Ablation
+		start bool
 	}{
-		{1, solver.Ablation{}, false}, // default: all passes on
-		{1, solver.Ablation{NoNodePresolve: true}, false},
-		{1, solver.Ablation{NoWarmStart: true}, false},
-		{2, solver.Ablation{}, false},
-		{1, solver.Ablation{}, true},
+		{solver.Ablation{}, false}, // default: all passes on
+		{solver.Ablation{NoNodePresolve: true}, false},
+		{solver.Ablation{NoWarmStart: true}, false},
+		{solver.Ablation{}, true},
 	}
 	for _, pixels := range ladder {
 		p, err := eval.ExactScalingProblem(pixels)
@@ -47,8 +44,8 @@ func TestEngineDifferentialLadder(t *testing.T) {
 		var ref float64
 		for i, c := range cfgs {
 			c.abl.NoStart = !c.start
-			label := fmt.Sprintf("pixels=%d workers=%d %+v", pixels, c.workers, c.abl)
-			res, err := plan.SolveExact(p, c.abl.Apply(solver.Options{MaxNodes: 100000, Workers: c.workers}))
+			label := fmt.Sprintf("pixels=%d %+v", pixels, c.abl)
+			res, err := plan.SolveExact(p, c.abl.Apply(solver.Options{MaxNodes: 100000}))
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -83,7 +80,7 @@ func TestExactTBackbone(t *testing.T) {
 	}
 	var ref float64
 	for i, noStart := range []bool{true, false} {
-		opts := solver.Ablation{NoStart: noStart}.Apply(solver.Options{MaxNodes: 200000, Workers: 1})
+		opts := solver.Ablation{NoStart: noStart}.Apply(solver.Options{MaxNodes: 200000})
 		res, err := plan.SolveExact(p, opts)
 		if err != nil {
 			t.Fatalf("noStart=%v: %v", noStart, err)
@@ -113,9 +110,9 @@ func TestExactTBackbone(t *testing.T) {
 // planning-quality cross-check behind Fig 12) and pass plan.Verify.
 //
 // Without the heuristic's MIP start, each search must stay within 1.5× of
-// the recorded pivots and nodes: pivot counts are deterministic at one
-// worker, and any change to the floating-point summation order of a
-// kernel re-rolls the ratio-test ties on the wall (a scatter-form BTRAN
+// the recorded pivots and nodes: pivot counts are deterministic, and any
+// change to the floating-point summation order of a kernel re-rolls the
+// ratio-test ties on the wall (a scatter-form BTRAN
 // once took ~7 000 pivots more there). The counts are those of the model
 // plan.SolveExact builds already reduced. The verbatim model presolve used
 // to reduce read 96/2 275, 155/13 144 and 220/11 822 (nodes/pivots): its
@@ -149,7 +146,7 @@ func TestTBackbonePins(t *testing.T) {
 		}
 		for _, start := range []bool{false, true} {
 			label := fmt.Sprintf("pixels=%d k=%d start=%v", tc.pixels, tc.k, start)
-			res, err := plan.SolveExact(p, solver.Ablation{NoStart: !start}.Apply(solver.Options{Workers: 1}))
+			res, err := plan.SolveExact(p, solver.Ablation{NoStart: !start}.Apply(solver.Options{}))
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -202,7 +199,7 @@ func TestExactSolveMemoryCeilings(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := solver.Options{Workers: 1}
+		opts := solver.Options{}
 		if _, err := plan.SolveExact(p, opts); err != nil { // warm-up
 			t.Fatal(err)
 		}
@@ -244,7 +241,7 @@ func BenchmarkSolveExactTBackbone(b *testing.B) {
 		}
 	}
 	p.IP = ip
-	opts := solver.Options{Workers: 1}
+	opts := solver.Options{}
 	if _, err := plan.SolveExact(p, opts); err != nil { // warm-up
 		b.Fatal(err)
 	}

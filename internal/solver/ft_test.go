@@ -171,8 +171,8 @@ func TestNodePresolveObjectiveIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 300; trial++ {
 		m := randomMILP(rng, true)
-		on := mustSolveOpts(t, m, Options{Workers: 1})
-		off := mustSolveOpts(t, m, Options{Workers: 1, noNodePresolve: true})
+		on := mustSolveOpts(t, m, Options{})
+		off := mustSolveOpts(t, m, Options{noNodePresolve: true})
 		if on.Status != off.Status {
 			t.Fatalf("trial %d: status with node presolve %v, without %v", trial, on.Status, off.Status)
 		}
@@ -203,8 +203,8 @@ func TestNodePresolveFixingsReported(t *testing.T) {
 		mustCon(t, m, "c3", []Term{{y, 2}, {z, 3}}, LE, 11)
 		return m
 	}
-	on := mustSolveOpts(t, build(), Options{Workers: 1})
-	off := mustSolveOpts(t, build(), Options{Workers: 1, noNodePresolve: true})
+	on := mustSolveOpts(t, build(), Options{})
+	off := mustSolveOpts(t, build(), Options{noNodePresolve: true})
 	if on.Status != Optimal || off.Status != Optimal {
 		t.Fatalf("status on=%v off=%v", on.Status, off.Status)
 	}
@@ -235,8 +235,7 @@ func TestBoxedOptimumOnUnboundedFace(t *testing.T) {
 	mustCon(t, m, "ray", []Term{{y, 1}, {x, -1}}, LE, 3)
 	mustCon(t, m, "zmin", []Term{{z, 2}}, GE, 1)
 	sol := mustSolveOpts(t, m, Options{
-		Workers: 1,
-		Logf:    func(f string, a ...interface{}) { logs = append(logs, fmt.Sprintf(f, a...)) },
+		Logf: func(f string, a ...interface{}) { logs = append(logs, fmt.Sprintf(f, a...)) },
 	})
 	// min x − y + z over y ≤ x+3, 2z ≥ 1: the continuous part contributes
 	// −3 anywhere on the ray, and z must round up to 1.
@@ -260,7 +259,7 @@ func TestBoxedOptimumOnUnboundedFace(t *testing.T) {
 func TestSolveStatsPopulated(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	m := randomMILP(rng, true)
-	sol := mustSolveOpts(t, m, Options{Workers: 1})
+	sol := mustSolveOpts(t, m, Options{})
 	if sol.Status != Optimal {
 		t.Fatalf("status = %v", sol.Status)
 	}

@@ -192,7 +192,7 @@ func TestPresolveLeavesModelUntouched(t *testing.T) {
 	}
 	for i, m := range models {
 		before := fingerprint(m)
-		if _, err := m.SolveWithOptions(Options{Workers: 1, MaxNodes: 5, noStart: i%3 == 0}); err != nil {
+		if _, err := m.SolveWithOptions(Options{MaxNodes: 5, noStart: i%3 == 0}); err != nil {
 			t.Fatal(err)
 		}
 		if fingerprint(m) != before {

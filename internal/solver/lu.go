@@ -163,7 +163,7 @@ func (s *uStore) clear(line int) { s.count[line] = 0 }
 // original constraint-row space, U in pivot order (which equals basis
 // position), etas in basis-position space. All buffers are retained across
 // factorizations, and with the workspace (rxPool) across solves, so a
-// branch-and-bound worker refactorizing thousands of times, or a stream of
+// branch-and-bound search refactorizing thousands of times, or a stream of
 // solves, allocates only on growth.
 type luFactor struct {
 	m    int
@@ -205,7 +205,7 @@ type luFactor struct {
 	c2    []float64 // btran scratch: the all-zero stand-in for an absent second right-hand side, and its solution
 
 	// Health counters, cumulative since getRxScratch took the workspace
-	// from the pool (one factor per branch-and-bound worker).
+	// from the pool (one factor per solve).
 	nFactor  int // full factorizations
 	nUpdate  int // in-place Forrest–Tomlin updates
 	nFtran   int

@@ -92,8 +92,9 @@ type Model struct {
 
 	// cscOnce/csc cache the column-compressed constraint matrix the
 	// revised simplex works on: built once on first solve and shared
-	// read-only by every branch-and-bound worker. Mutating the model after
-	// a solve started is already undefined, so the cache never invalidates.
+	// read-only by every solve of the model, concurrent ones included.
+	// Mutating the model after a solve started is already undefined, so
+	// the cache never invalidates.
 	cscOnce sync.Once
 	csc     *cscMatrix
 }
@@ -245,8 +246,6 @@ type Solution struct {
 	// Nodes is the number of branch-and-bound nodes explored, the root
 	// included; 0 when the root LP bound alone proves a MIP start optimal.
 	Nodes int
-	// Workers is the number of branch-and-bound workers used (0 for LPs).
-	Workers int
 	// SimplexIters is the total number of dual simplex pivots performed
 	// across the solve: cold solves, dives and warm starts, and the
 	// certificate runs that settle a cold solve its artificial boxes shaped.
@@ -260,7 +259,7 @@ type Solution struct {
 	// through a degenerate vertex at the cost of one FTRAN instead of a
 	// basis change.
 	BoundFlips int
-	// LU/basis health, summed over the root solve and every worker:
+	// LU/basis health of the solve, the root LP and every node included:
 	// Refactorizations counts full basis factorizations and
 	// FTRANCount/BTRANCount the triangular solves against the
 	// factorization.
@@ -293,13 +292,12 @@ type Options struct {
 	// RelGap stops the search once the relative incumbent/bound gap falls
 	// below this value (default 1e-6; the paper quotes < 0.1%).
 	RelGap float64
-	// Workers is the number of concurrent branch-and-bound workers
-	// (0 = GOMAXPROCS). Objective and Status are deterministic across
-	// worker counts when the search runs to proven optimality; with a
-	// loose RelGap or a binding MaxNodes the early-stop point depends on
-	// timing, and with Workers > 1 pseudocost scores depend on the order
-	// workers report results, so use Workers: 1 where exact
-	// reproducibility of node counts or early stops matters.
+	// Workers is ignored: branch-and-bound is one serial search, and
+	// callers get concurrency by running independent solves side by side.
+	//
+	// Deprecated: no solve reads it. It stays only because
+	// benchmark/wl_planexact.go still sets it, and goes with that
+	// worker-count probe.
 	Workers int
 	// Context, when non-nil, cancels the search early. The simplex polls
 	// it at pivot intervals, so cancellation aborts even in the middle of

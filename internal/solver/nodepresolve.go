@@ -18,7 +18,7 @@ const (
 // simply stops tightening, which is always sound.
 const npMaxRowChecks = 20000
 
-// npState is a branch-and-bound worker's node-presolve scratch: working
+// npState is a branch-and-bound search's node-presolve scratch: working
 // bound vectors kept in sync with the node under examination through an
 // undo stack, plus a row worklist. Before each node's LP solve, run
 // propagates the node's bound-change chain through the constraint activity
@@ -31,7 +31,7 @@ const npMaxRowChecks = 20000
 // Cost per node is O(chain length + rows touched), not O(vars): the bound
 // vectors persist across nodes and the undo stack rewinds exactly the
 // entries the previous node wrote, which keeps the dive path's economics
-// intact. A state must not be shared between concurrent workers.
+// intact. A state must not be shared between concurrent searches.
 type npState struct {
 	m   *Model
 	csc *cscMatrix

@@ -54,7 +54,7 @@ func TestPlanningModelTracksPlanSolveExact(t *testing.T) {
 			}
 		}
 		p.IP = ip
-		opts := solver.Ablation{NoStart: true}.Apply(solver.Options{Workers: 1})
+		opts := solver.Ablation{NoStart: true}.Apply(solver.Options{})
 		res, err := plan.SolveExact(p, opts)
 		if err != nil {
 			t.Fatalf("%s: plan.SolveExact: %v", label, err)

@@ -26,37 +26,34 @@ func sameBits(a, b []float64) bool {
 // solve through a pool, so solves of differently sized models interleaved
 // on several goroutines hand each other workspaces sized, filled and left
 // behind by another model. Every answer must still be bit for bit the
-// model's solo answer — planning MIPs at 16, 32 and 64 pixels with and
-// without a MIP start, branching MIPs at one and two workers, a pure LP —
-// and the Values of a returned Solution must not change under later solves.
-// (At two workers the search's counters depend on timing; Status,
-// Objective, Gap and Values do not.)
+// model's solo answer, every field of the Solution included — planning
+// MIPs at 16, 32 and 64 pixels with and without a MIP start, two branching
+// MIPs, a pure LP — and the Values of a returned Solution must not change
+// under later solves.
 func TestPooledWorkspaceIsolation(t *testing.T) {
 	type job struct {
-		name  string
-		m     *Model
-		opts  Options
-		lp    bool
-		exact bool // every field of the Solution is deterministic
+		name string
+		m    *Model
+		lp   bool
 	}
 	var jobs []job
 	for _, px := range []int{16, 32, 64} {
 		cold := tightPlanningModel(t, 1, px, 1, 12)
 		warm := tightPlanningModel(t, 1, px, 1, 12)
-		warm.SetStart(mustSolveOpts(t, cold, Options{Workers: 1}).Values)
+		warm.SetStart(mustSolveOpts(t, cold, Options{}).Values)
 		jobs = append(jobs,
-			job{name: fmt.Sprintf("plan %d px", px), m: cold, opts: Options{Workers: 1}, exact: true},
-			job{name: fmt.Sprintf("plan %d px from its optimum", px), m: warm, opts: Options{Workers: 1}, exact: true})
+			job{name: fmt.Sprintf("plan %d px", px), m: cold},
+			job{name: fmt.Sprintf("plan %d px from its optimum", px), m: warm})
 	}
 	jobs = append(jobs,
-		job{name: "branchy", m: branchyMIP(), opts: Options{Workers: 1}, exact: true},
-		job{name: "knapsack at two workers", m: hardKnapsack(t), opts: Options{Workers: 2}},
-		job{name: "LP of plan 64 px", m: tightPlanningModel(t, 1, 64, 1, 12), lp: true, exact: true})
+		job{name: "branchy", m: branchyMIP()},
+		job{name: "knapsack", m: hardKnapsack(t)},
+		job{name: "LP of plan 64 px", m: tightPlanningModel(t, 1, 64, 1, 12), lp: true})
 	solve := func(j job) Solution {
 		if j.lp {
 			return j.m.SolveLP()
 		}
-		sol, err := j.m.SolveWithOptions(j.opts)
+		sol, err := j.m.SolveWithOptions(Options{})
 		if err != nil {
 			t.Error(err)
 		}
@@ -103,7 +100,7 @@ func TestPooledWorkspaceIsolation(t *testing.T) {
 				math.Float64bits(got.Objective) != math.Float64bits(want.Objective) || got.Gap != want.Gap {
 				t.Errorf("%s: %v at %v differs from the solo solve's %v at %v", j.name, got.Status, got.Objective, want.Status, want.Objective)
 			}
-			if j.exact && !reflect.DeepEqual(got, want) {
+			if !reflect.DeepEqual(got, want) {
 				t.Errorf("%s: interleaved solve differs from the solo solve:\n got %+v\nwant %+v", j.name, got, want)
 			}
 			if !sameBits(got.Values, r.values) {
@@ -138,7 +135,7 @@ func TestUnnamedModelDiagnostics(t *testing.T) {
 		m := build()
 		m.SetStart(tc.start)
 		var logged []string
-		if _, err := m.SolveWithOptions(Options{Workers: 1, Logf: func(format string, args ...interface{}) {
+		if _, err := m.SolveWithOptions(Options{Logf: func(format string, args ...interface{}) {
 			logged = append(logged, fmt.Sprintf(format, args...))
 		}}); err != nil {
 			t.Fatal(err)

@@ -21,7 +21,7 @@ func TestPricingRuleObjectiveIdentity(t *testing.T) {
 	}
 	for trial := 0; trial < trials; trial++ {
 		m := randomMILP(rng, true)
-		sol := mustSolveOpts(t, m, Options{Workers: 1})
+		sol := mustSolveOpts(t, m, Options{})
 		matchReference(t, fmt.Sprintf("trial %d", trial), m, sol, refSolve(m))
 	}
 }
@@ -36,7 +36,7 @@ func TestPricingRuleLPProperty(t *testing.T) {
 	}
 	for trial := 0; trial < trials; trial++ {
 		m := relaxed(randomMILP(rng, true))
-		sol := mustSolveOpts(t, m, Options{Workers: 1})
+		sol := mustSolveOpts(t, m, Options{})
 		matchReference(t, fmt.Sprintf("trial %d", trial), m, sol, refSolve(m))
 	}
 }
@@ -76,7 +76,7 @@ func TestBoundFlipRatioTest(t *testing.T) {
 	x1 := m.AddVar("x1", 0, 2, 1)
 	x2 := m.AddVar("x2", 0, 100, 10)
 	mustCon(t, m, "cover", []Term{{x1, 1}, {x2, 1}}, GE, 10)
-	sol := mustSolveOpts(t, m, Options{Workers: 1})
+	sol := mustSolveOpts(t, m, Options{})
 	if sol.Status != Optimal {
 		t.Fatalf("status %v", sol.Status)
 	}
@@ -108,7 +108,7 @@ func TestBoundFlipsLandOnBounds(t *testing.T) {
 	flipped := 0
 	for trial := 0; trial < 300; trial++ {
 		m := randomMILP(rng, true)
-		sol := mustSolveOpts(t, m, Options{Workers: 1})
+		sol := mustSolveOpts(t, m, Options{})
 		if sol.BoundFlips == 0 {
 			continue
 		}

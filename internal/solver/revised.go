@@ -84,7 +84,7 @@ const (
 	rxGiveUp // numerical trouble: no certificate either way
 )
 
-// rxScratch is the revised simplex's per-worker state: the shared
+// rxScratch is the revised simplex's per-solve state: the shared
 // read-only CSC matrix, bound/status/basis vectors sized by columns and
 // rows (never rows×cols), the LU factorization of the basis, and a
 // handful of dense work vectors of length rows. Standard form is
@@ -94,8 +94,9 @@ const (
 // with one implicit unit slack column per row whose bounds encode the
 // relation. Bounded variables are handled natively — a nonbasic column
 // sits at its lower or upper bound — so finite upper bounds cost nothing.
-// A scratch must not be shared between concurrent solves; each
-// branch-and-bound worker owns one, taken from rxPool.
+// A scratch must not be shared between concurrent solves; each solve
+// takes one from rxPool for its whole run, every node of a
+// branch-and-bound search included.
 type rxScratch struct {
 	m     *Model
 	csc   *cscMatrix
@@ -171,7 +172,7 @@ func (c *rxCands) Swap(a, b int) {
 }
 
 // rxPool holds the simplex workspaces between solves. Every solve takes
-// its scratches from it (getRxScratch) and puts them back when it returns
+// its scratch from it (getRxScratch) and puts it back when it returns
 // (putRxScratch), so a steady stream of solves reuses the same vectors and
 // LU store instead of building, zeroing and dropping them each time.
 var rxPool = sync.Pool{New: func() any { return new(rxScratch) }}
@@ -1215,37 +1216,12 @@ func (rx *rxScratch) fixings(obj, inc float64, chain *boundChange) *boundChange 
 	return chain
 }
 
-// lpStats aggregates LU/basis health over a scratch's solves: full
-// refactorizations, FTRAN/BTRAN solve counts and bound flips.
-type lpStats struct {
-	factorizations int
-	ftrans         int
-	btrans         int
-	boundFlips     int
-}
-
-func (rx *rxScratch) stats() lpStats {
-	lu := &rx.lu
-	return lpStats{
-		factorizations: lu.nFactor,
-		ftrans:         lu.nFtran,
-		btrans:         lu.nBtran,
-		boundFlips:     rx.nBoundFlips,
-	}
-}
-
-// merge folds o into s.
-func (s *lpStats) merge(o lpStats) {
-	s.factorizations += o.factorizations
-	s.ftrans += o.ftrans
-	s.btrans += o.btrans
-	s.boundFlips += o.boundFlips
-}
-
-// addTo copies the counters into a Solution's exported stats fields.
-func (s lpStats) addTo(sol *Solution) {
-	sol.Refactorizations = s.factorizations
-	sol.FTRANCount = s.ftrans
-	sol.BTRANCount = s.btrans
-	sol.BoundFlips = s.boundFlips
+// addStats copies the scratch's LU/basis health since getRxScratch — full
+// refactorizations, FTRAN/BTRAN solve counts and bound flips — into a
+// Solution's exported stats fields.
+func (rx *rxScratch) addStats(sol *Solution) {
+	sol.Refactorizations = rx.lu.nFactor
+	sol.FTRANCount = rx.lu.nFtran
+	sol.BTRANCount = rx.lu.nBtran
+	sol.BoundFlips = rx.nBoundFlips
 }

@@ -40,8 +40,7 @@ func matchReference(t *testing.T, label string, m *Model, sol Solution, ref refR
 
 // TestRevisedMatchesReferenceMILPProperty: on random MILPs the search must
 // reach the exact reference's status and optimal objective at a point
-// feasible in the model, swept across worker counts so the warm-start and
-// dive paths are exercised.
+// feasible in the model, through the warm-start and dive paths.
 func TestRevisedMatchesReferenceMILPProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	trials := 120
@@ -51,10 +50,7 @@ func TestRevisedMatchesReferenceMILPProperty(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		m := randomMILP(rng, trial%2 == 0)
 		ref := refSolve(m)
-		for _, workers := range []int{1, 3} {
-			sol := mustSolveOpts(t, m, Options{Workers: workers})
-			matchReference(t, fmt.Sprintf("trial %d workers=%d", trial, workers), m, sol, ref)
-		}
+		matchReference(t, fmt.Sprintf("trial %d", trial), m, mustSolveOpts(t, m, Options{}), ref)
 	}
 }
 
@@ -144,7 +140,7 @@ func TestRevisedFreeVariables(t *testing.T) {
 // TestMaxLPIterSurfacesIterLimit: a tiny per-LP pivot budget must surface
 // IterLimit instead of silently reporting Optimal.
 func TestMaxLPIterSurfacesIterLimit(t *testing.T) {
-	sol, err := branchyMIP().SolveWithOptions(Options{MaxLPIter: 1, Workers: 1})
+	sol, err := branchyMIP().SolveWithOptions(Options{MaxLPIter: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +161,7 @@ func TestMaxLPIterOneBudgetPerNodeSolve(t *testing.T) {
 		for trial := 0; trial < 400; trial++ {
 			m := randomMILP(rng, cont)
 			for limit := 1; limit <= 6; limit++ {
-				sol := mustSolveOpts(t, m, Options{Workers: 1, MaxLPIter: limit})
+				sol := mustSolveOpts(t, m, Options{MaxLPIter: limit})
 				if n := max(1, sol.Nodes); sol.SimplexIters > limit*n {
 					t.Fatalf("cont=%v trial %d cap %d: %d pivots over %d nodes", cont, trial, limit, sol.SimplexIters, sol.Nodes)
 				}
@@ -254,9 +250,9 @@ func FuzzLPReference(f *testing.F) {
 	f.Add(int64(22), uint8(9), uint8(4), uint64(0xffff))
 	f.Fuzz(func(t *testing.T, seed int64, nv, nr uint8, open uint64) {
 		lp := relaxed(openBounds(fuzzModel(seed, int(nv), int(nr)), open, true))
-		matchReference(t, "LP relaxation", lp, mustSolveOpts(t, lp, Options{Workers: 1}), refSolve(lp))
+		matchReference(t, "LP relaxation", lp, mustSolveOpts(t, lp, Options{}), refSolve(lp))
 		mip := openBounds(fuzzModel(seed, int(nv), int(nr)), open, false)
-		sol := mustSolveOpts(t, mip, Options{Workers: 1})
+		sol := mustSolveOpts(t, mip, Options{})
 		matchReference(t, "MILP", mip, sol, refSolve(mip))
 	})
 }

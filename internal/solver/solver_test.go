@@ -366,10 +366,7 @@ func TestMIPRelGapStop(t *testing.T) {
 		return m
 	}
 
-	// Workers: 1 — a loose-RelGap stop is an early exit whose trigger
-	// point depends on worker timing; pin one worker so the GapLimit
-	// status is deterministic.
-	s := mustSolveOpts(t, build(), Options{RelGap: 0.6, Workers: 1})
+	s := mustSolveOpts(t, build(), Options{RelGap: 0.6})
 	if s.Status != GapLimit {
 		t.Fatalf("RelGap-stopped search status = %v, want gap-limit", s.Status)
 	}
@@ -537,7 +534,7 @@ func TestPresolveSingletonFold(t *testing.T) {
 	m := NewModel("singleton", Maximize)
 	x := m.AddIntVar("x", 0, 10, 1)
 	mustCon(t, m, "cap", []Term{{x, 1}}, LE, 4)
-	sol := mustSolveOpts(t, m, Options{Workers: 1})
+	sol := mustSolveOpts(t, m, Options{})
 	matchReference(t, "singleton", m, sol, refSolve(m))
 	if sol.Objective != 4 || sol.Value(x) != 4 {
 		t.Errorf("obj=%v x=%v, want 4 and 4", sol.Objective, sol.Value(x))
@@ -551,7 +548,7 @@ func TestPresolveRedundantRow(t *testing.T) {
 	y := m.AddIntVar("y", 0, 3, 1)
 	mustCon(t, m, "slack", []Term{{x, 1}, {y, 1}}, LE, 100)
 	mustCon(t, m, "tight", []Term{{x, 1}, {y, 2}}, LE, 7)
-	sol := mustSolveOpts(t, m, Options{Workers: 1})
+	sol := mustSolveOpts(t, m, Options{})
 	matchReference(t, "redundant", m, sol, refSolve(m))
 	if sol.Objective != 8 {
 		t.Errorf("obj=%v, want 8 (x=3, y=2)", sol.Objective)
@@ -567,7 +564,7 @@ func TestPresolveDominatedRow(t *testing.T) {
 	y := m.AddVar("y", 0, 5, 1)
 	mustCon(t, m, "tight", []Term{{x, 1}, {y, 1}}, LE, 3)
 	mustCon(t, m, "loose", []Term{{x, 1}, {y, 2}}, LE, 9)
-	sol := mustSolveOpts(t, m, Options{Workers: 1})
+	sol := mustSolveOpts(t, m, Options{})
 	matchReference(t, "dominated", m, sol, refSolve(m))
 	if !approx(sol.Objective, 6) {
 		t.Errorf("obj=%v, want 6 (x=3)", sol.Objective)
@@ -579,7 +576,7 @@ func TestPresolveDominatedRow(t *testing.T) {
 func TestPresolveIntegerBoundRounding(t *testing.T) {
 	m := NewModel("rounding", Maximize)
 	x := m.AddIntVar("x", 0.4, 2.6, 1)
-	sol := mustSolveOpts(t, m, Options{Workers: 1})
+	sol := mustSolveOpts(t, m, Options{})
 	if sol.Status != Optimal || sol.Objective != 2 || sol.Value(x) != 2 {
 		t.Fatalf("status=%v obj=%v x=%v, want optimal 2 at x=2", sol.Status, sol.Objective, sol.Value(x))
 	}
@@ -592,7 +589,7 @@ func TestPresolveDualFix(t *testing.T) {
 	x := m.AddVar("x", 1, 5, 3)
 	y := m.AddIntVar("y", 0, 4, 1)
 	mustCon(t, m, "need", []Term{{y, 1}}, GE, 2)
-	sol := mustSolveOpts(t, m, Options{Workers: 1})
+	sol := mustSolveOpts(t, m, Options{})
 	matchReference(t, "dualfix", m, sol, refSolve(m))
 	if sol.Objective != 5 || sol.Value(x) != 1 { // 3·1 + 1·2
 		t.Errorf("obj=%v x=%v, want 5 with x at its lower bound 1", sol.Objective, sol.Value(x))
@@ -606,7 +603,7 @@ func TestPresolveFixedSubstitution(t *testing.T) {
 	x := m.AddVar("x", 2, 2, 1)
 	y := m.AddIntVar("y", 0, 10, 1)
 	mustCon(t, m, "cap", []Term{{x, 1}, {y, 1}}, LE, 5)
-	sol := mustSolveOpts(t, m, Options{Workers: 1})
+	sol := mustSolveOpts(t, m, Options{})
 	matchReference(t, "fixed", m, sol, refSolve(m))
 	if sol.Objective != 5 || sol.Value(x) != 2 || sol.Value(y) != 3 {
 		t.Errorf("obj=%v x=%v y=%v, want 5 at 2 and 3", sol.Objective, sol.Value(x), sol.Value(y))
@@ -620,7 +617,7 @@ func TestPresolveDuplicateColumnMerge(t *testing.T) {
 	x := m.AddIntVar("x", 0, 3, 1)
 	y := m.AddIntVar("y", 0, 3, 1)
 	mustCon(t, m, "cap", []Term{{x, 1}, {y, 1}}, LE, 4)
-	sol := mustSolveOpts(t, m, Options{Workers: 1})
+	sol := mustSolveOpts(t, m, Options{})
 	matchReference(t, "dupcol", m, sol, refSolve(m))
 	if sol.Objective != 4 || sol.Value(x)+sol.Value(y) != 4 {
 		t.Errorf("obj=%v x=%v y=%v, want 4 split between them", sol.Objective, sol.Value(x), sol.Value(y))
@@ -632,7 +629,7 @@ func TestPresolveDetectsInfeasible(t *testing.T) {
 	m := NewModel("infeasible", Maximize)
 	x := m.AddIntVar("x", 0, 5, 1)
 	mustCon(t, m, "need", []Term{{x, 1}}, GE, 7)
-	if sol := mustSolveOpts(t, m, Options{Workers: 1}); sol.Status != Infeasible {
+	if sol := mustSolveOpts(t, m, Options{}); sol.Status != Infeasible {
 		t.Fatalf("status = %v, want infeasible", sol.Status)
 	}
 }
@@ -644,7 +641,7 @@ func TestPresolveUnboundedPreserved(t *testing.T) {
 	m.AddVar("x", 0, math.Inf(1), 1)
 	y := m.AddVar("y", 0, 4, 1)
 	mustCon(t, m, "cap", []Term{{y, 1}}, LE, 3)
-	if sol := mustSolveOpts(t, m, Options{Workers: 1}); sol.Status != Unbounded {
+	if sol := mustSolveOpts(t, m, Options{}); sol.Status != Unbounded {
 		t.Fatalf("status = %v, want unbounded (x has no upper bound)", sol.Status)
 	}
 }

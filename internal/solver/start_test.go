@@ -21,7 +21,7 @@ func poorKnapsackStart() []float64 {
 // line, and the solve is exactly the one without a start — status,
 // objective, values and every search counter.
 func TestStartRejected(t *testing.T) {
-	ref := mustSolveOpts(t, hardKnapsack(t), Options{Workers: 1, noStart: true})
+	ref := mustSolveOpts(t, hardKnapsack(t), Options{noStart: true})
 	outOfBounds := make([]float64, 14)
 	outOfBounds[3] = 2
 	fractional := make([]float64, 14)
@@ -40,7 +40,7 @@ func TestStartRejected(t *testing.T) {
 		m := hardKnapsack(t)
 		m.SetStart(start)
 		var logged []string
-		sol := mustSolveOpts(t, m, Options{Workers: 1, Logf: func(format string, args ...interface{}) {
+		sol := mustSolveOpts(t, m, Options{Logf: func(format string, args ...interface{}) {
 			logged = append(logged, fmt.Sprintf(format, args...))
 		}})
 		if !reflect.DeepEqual(sol, ref) {
@@ -58,13 +58,13 @@ func TestStartRejected(t *testing.T) {
 // equals the optimal objective (the search without a start needs 91 nodes
 // to find and prove it on the full seed-2 T-backbone).
 func TestStartAtOptimum(t *testing.T) {
-	ref := mustSolveOpts(t, tightPlanningModel(t, 2, 32, 1, 0), Options{Workers: 1})
+	ref := mustSolveOpts(t, tightPlanningModel(t, 2, 32, 1, 0), Options{})
 	if ref.Status != Optimal || ref.Nodes < 2 {
 		t.Fatalf("reference: %v after %d nodes, want a proven optimum that needed a search", ref.Status, ref.Nodes)
 	}
 	m := tightPlanningModel(t, 2, 32, 1, 0)
 	m.SetStart(ref.Values)
-	sol := mustSolveOpts(t, m, Options{Workers: 1})
+	sol := mustSolveOpts(t, m, Options{})
 	if sol.Status != Optimal || sol.Nodes != 0 || sol.Gap != 0 {
 		t.Errorf("%v after %d nodes at gap %v, want optimal after 0 at gap 0", sol.Status, sol.Nodes, sol.Gap)
 	}
@@ -77,10 +77,10 @@ func TestStartAtOptimum(t *testing.T) {
 // TestStartWorseThanOptimum: a poor start only prunes; the search still
 // finds and proves the optimum, and reports its own point.
 func TestStartWorseThanOptimum(t *testing.T) {
-	ref := mustSolveOpts(t, hardKnapsack(t), Options{Workers: 1, noStart: true})
+	ref := mustSolveOpts(t, hardKnapsack(t), Options{noStart: true})
 	m := hardKnapsack(t)
 	m.SetStart(poorKnapsackStart())
-	sol := mustSolveOpts(t, m, Options{Workers: 1})
+	sol := mustSolveOpts(t, m, Options{})
 	if sol.Status != Optimal || sol.Objective != ref.Objective {
 		t.Fatalf("%v at %v, want optimal at %v", sol.Status, sol.Objective, ref.Objective)
 	}
@@ -96,7 +96,7 @@ func TestStartWorseThanOptimum(t *testing.T) {
 func TestStartNodeLimit(t *testing.T) {
 	m := hardKnapsack(t)
 	m.SetStart(poorKnapsackStart())
-	sol := mustSolveOpts(t, m, Options{Workers: 1, MaxNodes: 1})
+	sol := mustSolveOpts(t, m, Options{MaxNodes: 1})
 	if sol.Status != LimitReached || sol.Nodes != 1 {
 		t.Fatalf("%v after %d nodes, want limit-reached after 1", sol.Status, sol.Nodes)
 	}
@@ -116,7 +116,7 @@ func TestStartRootCancelled(t *testing.T) {
 	cancel()
 	m := hardKnapsack(t)
 	m.SetStart(poorKnapsackStart())
-	sol := mustSolveOpts(t, m, Options{Workers: 1, Context: ctx})
+	sol := mustSolveOpts(t, m, Options{Context: ctx})
 	if sol.Status != LimitReached || sol.Nodes != 0 {
 		t.Fatalf("%v after %d nodes, want limit-reached after 0", sol.Status, sol.Nodes)
 	}
@@ -125,12 +125,13 @@ func TestStartRootCancelled(t *testing.T) {
 	}
 }
 
-// TestStartWorkersDeterministic: with a start, 1, 2 and 8 workers prove
-// the same optimum at the same point (the canonical tie-break does not
-// depend on which worker first beats the start). Run under -race in CI.
+// TestStartWorkersDeterministic: the search is serial whatever the
+// deprecated Options.Workers says — with a start, Workers 0, 2 and 8 return
+// the Solution of Workers 1 field for field, node and pivot counts
+// included.
 func TestStartWorkersDeterministic(t *testing.T) {
 	var ref Solution
-	for _, w := range []int{1, 2, 8} {
+	for _, w := range []int{1, 0, 2, 8} {
 		m := hardKnapsack(t)
 		m.SetStart(poorKnapsackStart())
 		sol := mustSolveOpts(t, m, Options{Workers: w})
@@ -141,8 +142,8 @@ func TestStartWorkersDeterministic(t *testing.T) {
 			ref = sol
 			continue
 		}
-		if sol.Objective != ref.Objective || !reflect.DeepEqual(sol.Values, ref.Values) {
-			t.Errorf("Workers=%d: %v at %v, Workers=1: %v at %v", w, sol.Values, sol.Objective, ref.Values, ref.Objective)
+		if !reflect.DeepEqual(sol, ref) {
+			t.Errorf("Workers=%d:\n got %+v\nwant %+v", w, sol, ref)
 		}
 	}
 }
@@ -162,11 +163,11 @@ func crashModel(t *testing.T) *Model {
 // that is already optimal — the root takes no pivot — and the answer is the
 // no-start answer, with the start's values.
 func TestCrashAtLPVertex(t *testing.T) {
-	ref := mustSolveOpts(t, crashModel(t), Options{Workers: 1, noStart: true})
+	ref := mustSolveOpts(t, crashModel(t), Options{noStart: true})
 	m := crashModel(t)
 	start := []float64{1, 0}
 	m.SetStart(start)
-	sol := mustSolveOpts(t, m, Options{Workers: 1})
+	sol := mustSolveOpts(t, m, Options{})
 	if sol.Status != ref.Status || sol.Objective != ref.Objective {
 		t.Fatalf("%v at %v, without the start %v at %v", sol.Status, sol.Objective, ref.Status, ref.Objective)
 	}
@@ -181,18 +182,18 @@ func TestCrashAtLPVertex(t *testing.T) {
 func TestCrashRefused(t *testing.T) {
 	// y = 1 takes the room row, where its coefficient is larger; that row's
 	// slack then leaves at 0 with dual price −1.5: not dual feasible.
-	ref := mustSolveOpts(t, crashModel(t), Options{Workers: 1, noStart: true})
+	ref := mustSolveOpts(t, crashModel(t), Options{noStart: true})
 	m := crashModel(t)
 	start := []float64{0, 1}
 	m.SetStart(start)
-	rx := getRxScratch(m, Options{Workers: 1})
+	rx := getRxScratch(m, Options{})
 	rx.resolveBounds(nil)
 	if snap := rx.crash(start); snap == nil {
 		t.Fatal("no crash basis")
 	} else if _, ok := rx.solveWarm(snap); ok {
 		t.Fatal("the warm start accepted a basis that is not dual feasible")
 	}
-	sol := mustSolveOpts(t, m, Options{Workers: 1})
+	sol := mustSolveOpts(t, m, Options{})
 	if sol.Status != ref.Status || sol.Objective != ref.Objective {
 		t.Fatalf("%v at %v, without the start %v at %v", sol.Status, sol.Objective, ref.Status, ref.Objective)
 	}
@@ -213,7 +214,7 @@ func FuzzStart(f *testing.F) {
 	f.Add(threeBucketSeed, uint8(0), uint8(0), uint64(0x1ff))
 	f.Fuzz(func(t *testing.T, seed int64, nv, nr uint8, bits uint64) {
 		m := fuzzModel(seed, int(nv), int(nr))
-		off, err := m.SolveWithOptions(Options{Workers: 1})
+		off, err := m.SolveWithOptions(Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,7 +223,7 @@ func FuzzStart(f *testing.F) {
 			start[i] = float64(bits >> (i % 64) & 1)
 		}
 		m.SetStart(start)
-		on, err := m.SolveWithOptions(Options{Workers: 1})
+		on, err := m.SolveWithOptions(Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,7 +248,7 @@ func FuzzStart(f *testing.F) {
 			}
 		}
 		m.SetStart(off.Values)
-		own, err := m.SolveWithOptions(Options{Workers: 1})
+		own, err := m.SolveWithOptions(Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -61,11 +61,10 @@ func randomMILP(rng *rand.Rand, allowCont bool) *Model {
 }
 
 // TestWarmStartMatchesColdProperty is the warm-start correctness property:
-// on randomized small pure-integer programs, every (worker count × warm vs
-// cold) configuration must return the exact status and the bit-identical
-// objective of the exact reference — incumbent objectives are recomputed
-// from integer-snapped values, so with integer data they are exact. Run
-// with -race to also exercise the shared pseudocost bookkeeping.
+// on randomized small pure-integer programs, the warm and the cold search
+// must both return the exact status and the bit-identical objective of the
+// exact reference — incumbent objectives are recomputed from
+// integer-snapped values, so with integer data they are exact.
 func TestWarmStartMatchesColdProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260805))
 	for trial := 0; trial < 25; trial++ {
@@ -90,21 +89,19 @@ func TestWarmStartMatchesColdMixedProperty(t *testing.T) {
 func warmVsColdProperty(t *testing.T, m *Model, trial int, tol float64) {
 	t.Helper()
 	ref := refSolve(m)
-	for _, workers := range []int{1, 3} {
-		for _, noWarm := range []bool{false, true} {
-			got := mustSolveOpts(t, m, Options{Workers: workers, noWarmStart: noWarm})
-			if got.Status != ref.status {
-				t.Fatalf("trial %d workers=%d noWarm=%v: status %v, reference %v",
-					trial, workers, noWarm, got.Status, ref.status)
-			}
-			if ref.status != Optimal {
-				continue
-			}
-			want := ref.float()
-			if diff := math.Abs(got.Objective - want); diff > tol*math.Max(1, math.Abs(want)) {
-				t.Fatalf("trial %d workers=%d noWarm=%v: objective %v != reference %v (diff %g)",
-					trial, workers, noWarm, got.Objective, want, diff)
-			}
+	for _, noWarm := range []bool{false, true} {
+		got := mustSolveOpts(t, m, Options{noWarmStart: noWarm})
+		if got.Status != ref.status {
+			t.Fatalf("trial %d noWarm=%v: status %v, reference %v",
+				trial, noWarm, got.Status, ref.status)
+		}
+		if ref.status != Optimal {
+			continue
+		}
+		want := ref.float()
+		if diff := math.Abs(got.Objective - want); diff > tol*math.Max(1, math.Abs(want)) {
+			t.Fatalf("trial %d noWarm=%v: objective %v != reference %v (diff %g)",
+				trial, noWarm, got.Objective, want, diff)
 		}
 	}
 }
@@ -128,7 +125,7 @@ func branchyMIP() *Model {
 
 func TestWarmStartStatsRecorded(t *testing.T) {
 	m := branchyMIP()
-	sol := mustSolveOpts(t, m, Options{Workers: 1})
+	sol := mustSolveOpts(t, m, Options{})
 	if sol.Status != Optimal {
 		t.Fatalf("status = %v", sol.Status)
 	}
@@ -146,7 +143,7 @@ func TestWarmStartStatsRecorded(t *testing.T) {
 			sol.WarmStartHits, sol.Nodes)
 	}
 
-	cold := mustSolveOpts(t, m, Options{Workers: 1, noWarmStart: true})
+	cold := mustSolveOpts(t, m, Options{noWarmStart: true})
 	if cold.WarmStartHits != 0 {
 		t.Errorf("noWarmStart WarmStartHits = %d, want 0", cold.WarmStartHits)
 	}
@@ -160,7 +157,7 @@ func TestWarmStartStatsRecorded(t *testing.T) {
 // on a model that needs real branching.
 func TestBranchingRulesAgreeOnObjective(t *testing.T) {
 	m := branchyMIP()
-	pc := mustSolveOpts(t, m, Options{Workers: 1})
+	pc := mustSolveOpts(t, m, Options{})
 	ref := refSolve(m)
 	if pc.Status != Optimal || ref.status != Optimal {
 		t.Fatalf("statuses: pseudocost %v, reference %v", pc.Status, ref.status)
